@@ -7,18 +7,17 @@ survivors before a supervised fine-tuning pass.
 """
 
 from .dae import DaeModel, DaeTrainConfig, corrupt, decode, encode, encode_dataset, loss, train_dae
-from .data import (Dataset, SyntheticSpec, VariableMask, apply_mask, compact,
-                   compact_dataset, expand, gen_synthetic, load_amat,
-                   masked_dataset, split)
+from .data import (Dataset, SyntheticSpec, VariableMask, compact,
+                   compact_dataset, expand, gen_synthetic, load_amat, split)
 from .errors import (ConfigError, DataError, DegenerateModelError,
                      DimensionError, OverThresholdError)
-from .ivs import (ImportanceReport, IvsConfig, IvsResult, normal_vector,
-                  pair_importance, run_ivs, task_importance, update_mask)
-from .mlr import (ErrorReport, MlrModel, TrainConfig, evaluate, predict_proba,
-                  train_mlr, wald_halfwidth)
-from .numerics import derive_rng, derive_seed, gaussian, make_rng, sigmoid, softmax
-from .stack import (StackConfig, StackLayer, StackModel,
-                    count_task_relevant_extractors, fine_tune, predict,
-                    pretrain, reconstruct_through, select_extractors)
+from .ivs import (IvsConfig, IvsResult, normal_vector, pair_importance,
+                  run_ivs, task_importance, update_mask)
+from .mlr import (ErrorReport, MlrModel, TrainConfig, evaluate, train_mlr,
+                  wald_halfwidth)
+from .numerics import derive_rng, derive_seed, make_rng, sigmoid, softmax
+from .stack import (StackConfig, StackLayer, StackModel, fine_tune,
+                    predict_labels, pretrain, reconstruct_through,
+                    select_extractors)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -59,18 +59,33 @@ class ExperimentConfig:
 
 
 class _Section:
-    """Typed accessors over one INI section with field-naming errors."""
+    """Typed accessors over one INI section, optionally overlaid by a
+    per-layer override section such as [dae.2], with field-naming errors.
 
-    def __init__(self, parser: configparser.ConfigParser, name: str):
-        self.name = name
-        self.values = dict(parser[name]) if parser.has_section(name) else {}
+    Every section opened and every key looked up is added to `reads`, so
+    load_config can reject whatever it never read.
+    """
+
+    def __init__(self, parser: configparser.ConfigParser, name: str,
+                 reads: set, override: str | None = None):
+        self.reads = reads
+        self.values = {}
+        for sec in (name, override):
+            if sec is not None and parser.has_section(sec):
+                reads.add((sec, None))
+                self.values.update((key, (text, sec))
+                                   for key, text in parser[sec].items())
+        self.name = (f"{name}/{override}" if override is not None
+                     and parser.has_section(override) else name)
 
     def has(self, key: str) -> bool:
         return key in self.values
 
     def raw(self, key: str, default=None, required: bool = False):
         if key in self.values:
-            return self.values[key]
+            text, sec = self.values[key]
+            self.reads.add((sec, key))
+            return text
         if required:
             raise ConfigError(f"missing required field [{self.name}] {key}")
         return default
@@ -115,17 +130,8 @@ def _parse_shape(section: _Section) -> tuple[int, int] | None:
     return int(parts[0]), int(parts[1])
 
 
-def _merged(parser, base: str, layer: int) -> _Section:
-    """Base section with per-layer overrides from e.g. [dae.2]."""
-    section = _Section(parser, base)
-    override = _Section(parser, f"{base}.{layer}")
-    section.values = {**section.values, **override.values}
-    section.name = f"{base}/{base}.{layer}" if override.values else base
-    return section
-
-
-def _parse_dae(parser, layer: int) -> DaeTrainConfig:
-    s = _merged(parser, "dae", layer)
+def _parse_dae(parser, layer: int, reads: set) -> DaeTrainConfig:
+    s = _Section(parser, "dae", reads, f"dae.{layer}")
     return DaeTrainConfig(
         hidden_units=s.integer("hidden_units", required=True),
         noise_sd=s.real("noise_sd", required=True),
@@ -137,31 +143,35 @@ def _parse_dae(parser, layer: int) -> DaeTrainConfig:
     )
 
 
-def _parse_ivs(parser, layer: int) -> IvsConfig:
-    s = _merged(parser, "ivs", layer)
-    return IvsConfig(
-        threshold=s.real("threshold", required=True),
-        max_iterations=s.integer("max_iterations", 10),
-        mlr=TrainConfig(
-            learning_rate=s.real("learning_rate", required=True),
-            max_epochs=s.integer("max_epochs", 50),
-            patience=s.integer("patience", 5),
-            seed=0,
-            minibatch_size=s.integer("minibatch_size", 1),
-            l2=s.real("l2", 0.0),
-        ),
-    )
-
-
-def _parse_train(s: _Section) -> TrainConfig:
+def _parse_train(s: _Section, **batching) -> TrainConfig:
     return TrainConfig(
         learning_rate=s.real("learning_rate", required=True),
         max_epochs=s.integer("max_epochs", 50),
         patience=s.integer("patience", 5),
         seed=0,
-        minibatch_size=s.integer("minibatch_size", 1),
-        l2=s.real("l2", 0.0),
+        **batching,
     )
+
+
+def _parse_ivs(parser, layer: int, reads: set) -> IvsConfig:
+    s = _Section(parser, "ivs", reads, f"ivs.{layer}")
+    return IvsConfig(
+        threshold=s.real("threshold", required=True),
+        max_iterations=s.integer("max_iterations", 10),
+        mlr=_parse_train(s, minibatch_size=s.integer("minibatch_size", 1),
+                         l2=s.real("l2", 0.0)),
+    )
+
+
+def _reject_unread(parser: configparser.ConfigParser, reads: set) -> None:
+    """A section or key the loader never read would have no effect."""
+    for sec in parser.sections():
+        if (sec, None) not in reads:
+            raise ConfigError(f"section [{sec}] is unknown or deeper than "
+                              "every configured depth")
+        for key in parser[sec]:
+            if (sec, key) not in reads:
+                raise ConfigError(f"unknown key [{sec}] {key}")
 
 
 def load_config(path, seed_override: int | None = None,
@@ -174,11 +184,17 @@ def load_config(path, seed_override: int | None = None,
         parser.read(path)
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse {path}: {exc}") from exc
+    if parser.defaults():
+        # configparser copies [DEFAULT] keys into every section, where
+        # most of them would have no effect.
+        raise ConfigError(f"{path}: [DEFAULT] sections are not supported")
 
-    data = _Section(parser, "data")
+    reads: set = set()
+    data = _Section(parser, "data", reads)
     source = data.text("source", required=True)
     synthetic = None
     amat_train = amat_valid = amat_test = None
+    zero_based_labels = True
     train_size = data.integer("train_size", 0)
     valid_size = data.integer("valid_size", 0)
     test_size = data.integer("test_size", 0)
@@ -206,10 +222,14 @@ def load_config(path, seed_override: int | None = None,
             amat_test = Path(data.text("test"))
         if amat_valid is None and valid_size <= 0:
             raise ConfigError("[data] needs either a valid file or valid_size")
+        labels = data.text("labels", "zero")
+        if labels not in ("zero", "one"):
+            raise ConfigError(f"[data] labels must be zero or one, got {labels!r}")
+        zero_based_labels = labels == "zero"
     else:
         raise ConfigError(f"[data] source must be synthetic or amat, got {source!r}")
 
-    stack = _Section(parser, "stack")
+    stack = _Section(parser, "stack", reads)
     depth_text = stack.text("depths", "1")
     try:
         depths = tuple(int(tok) for tok in depth_text.split())
@@ -226,15 +246,18 @@ def load_config(path, seed_override: int | None = None,
     else:
         raise ConfigError("[stack] variants must be both, sdae, or sdae-ivs")
 
-    max_depth = max(depths)
-    dae_cfgs = tuple(_parse_dae(parser, layer) for layer in range(1, max_depth + 1))
-    ivs_cfgs = tuple(_parse_ivs(parser, layer) for layer in range(1, max_depth + 1))
-    fine_tune = _parse_train(_Section(parser, "finetune"))
+    layers = range(1, max(depths) + 1)
+    dae_cfgs = tuple(_parse_dae(parser, layer, reads) for layer in layers)
+    ivs_cfgs = tuple(_parse_ivs(parser, layer, reads) for layer in layers)
+    fine_tune = _parse_train(_Section(parser, "finetune", reads))
 
-    run = _Section(parser, "run")
-    seed = run.integer("seed", 0) if seed_override is None else seed_override
-    out = Path(out_override) if out_override is not None \
-        else Path(run.text("out", "runs/out"))
+    run = _Section(parser, "run", reads)
+    seed = run.integer("seed", 0)
+    out = Path(run.text("out", "runs/out"))
+    if seed_override is not None:
+        seed = seed_override
+    if out_override is not None:
+        out = Path(out_override)
 
     cfg = ExperimentConfig(
         source=source,
@@ -242,7 +265,7 @@ def load_config(path, seed_override: int | None = None,
         amat_train=amat_train,
         amat_valid=amat_valid,
         amat_test=amat_test,
-        zero_based_labels=data.text("labels", "zero") == "zero",
+        zero_based_labels=zero_based_labels,
         train_size=train_size,
         valid_size=valid_size,
         test_size=test_size,
@@ -258,6 +281,7 @@ def load_config(path, seed_override: int | None = None,
         reconstruct_examples=run.integer("reconstruct_examples", 0),
         export_patterns=run.boolean("export_patterns", False),
     )
+    _reject_unread(parser, reads)
     if paper_grid:
         validate_paper_grid(cfg)
     return cfg
@@ -335,8 +359,6 @@ def config_echo(cfg: ExperimentConfig) -> dict:
             "learning_rate": cfg.fine_tune.learning_rate,
             "max_epochs": cfg.fine_tune.max_epochs,
             "patience": cfg.fine_tune.patience,
-            "minibatch_size": cfg.fine_tune.minibatch_size,
-            "l2": cfg.fine_tune.l2,
         },
     }
     if cfg.source == "synthetic":

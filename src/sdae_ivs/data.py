@@ -125,9 +125,10 @@ def load_amat(path, zero_based_labels: bool = True,
               variable_shape: tuple[int, int] | None = None) -> Dataset:
     """Load a whitespace-separated text corpus, one example per row, label last.
 
-    Features must already lie in [0, 1]; values outside raise rather than
-    being rescaled. The label column may be 0-based (default, as in the
-    published MNIST-variant corpora) or 1-based on disk.
+    Features must already lie in [0, 1]; values outside, and non-finite
+    values anywhere, raise rather than being rescaled. The label column may
+    be 0-based (default, as in the published MNIST-variant corpora) or
+    1-based on disk.
     """
     path = Path(path)
     try:
@@ -150,6 +151,12 @@ def load_amat(path, zero_based_labels: bool = True,
         values = np.array(rows, dtype=np.float64)
     except ValueError as exc:
         raise DataError(f"{path}: non-numeric field ({exc})") from exc
+
+    if not np.isfinite(values).all():
+        bad = np.argwhere(~np.isfinite(values))[0]
+        raise DataError(
+            f"{path}: non-finite value at row {bad[0] + 1}, column {bad[1] + 1}"
+        )
 
     features = values[:, :-1]
     if features.min() < 0.0 or features.max() > 1.0:
@@ -219,14 +226,6 @@ def gen_synthetic(spec: SyntheticSpec, rng: Rng) -> tuple[Dataset, VariableMask]
     return Dataset(x, labels, spec.num_classes), VariableMask(truth)
 
 
-def apply_mask(x: np.ndarray, mask: VariableMask) -> np.ndarray:
-    """Component-wise product with the mask; dropped positions become exactly 0."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape[-1] != mask.m:
-        raise DimensionError(f"vector width {x.shape[-1]} != mask length {mask.m}")
-    return np.where(mask.bits, x, 0.0)
-
-
 def compact(x: np.ndarray, mask: VariableMask) -> np.ndarray:
     """Keep only the masked-in components, in order."""
     x = np.asarray(x, dtype=np.float64)
@@ -245,11 +244,6 @@ def expand(x_reduced: np.ndarray, mask: VariableMask) -> np.ndarray:
     out = np.zeros(x_reduced.shape[:-1] + (mask.m,), dtype=np.float64)
     out[..., mask.bits] = x_reduced
     return out
-
-
-def masked_dataset(d: Dataset, mask: VariableMask) -> Dataset:
-    """Dataset with dropped variables zeroed (same width)."""
-    return Dataset(apply_mask(d.x, mask), d.labels, d.num_classes, d.variable_shape)
 
 
 def compact_dataset(d: Dataset, mask: VariableMask) -> Dataset:

@@ -4,8 +4,9 @@ A trained MLR induces one discriminant hyperplane per class pair; a
 variable's influence on that pair is the magnitude of the matching unit
 normal component. Importances are those magnitudes normalized per pair by
 the largest one, and a variable's task importance is the max across pairs.
-Variables whose task importance falls below a threshold are masked out, and
-the train/score/drop loop repeats until a stop criterion fires.
+Variables whose task importance falls below a threshold are dropped, and
+the train/score/drop loop repeats on the survivors until a stop criterion
+fires.
 """
 
 from __future__ import annotations
@@ -15,19 +16,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .data import Dataset, VariableMask
+from .data import Dataset, VariableMask, compact_dataset, expand
 from .errors import DegenerateModelError, DimensionError, OverThresholdError
 from .mlr import MlrModel, TrainConfig, train_mlr, validation_error
 from .numerics import Rng
-
-
-@dataclass
-class ImportanceReport:
-    """Per-variable task importances in [0, 1], plus per-pair detail."""
-
-    importance: np.ndarray
-    pairs: dict[tuple[int, int], np.ndarray] | None = None
-    iteration: int = 0
 
 
 @dataclass(frozen=True)
@@ -47,10 +39,13 @@ class IvsConfig:
 
 @dataclass
 class IvsIteration:
+    """One selection step: the count kept after it, its validation error,
+    and the importance of every input variable (0 where already dropped)."""
+
     iteration: int
     kept: int
     validation_error: float
-    report: ImportanceReport
+    importance: np.ndarray
 
 
 @dataclass
@@ -98,15 +93,14 @@ def pair_importance(v: np.ndarray) -> np.ndarray:
     return mags / top
 
 
-def task_importance(m: MlrModel, iteration: int = 0,
-                    keep_pairs: bool = True) -> ImportanceReport:
-    """Componentwise max of pair importances over all unordered class pairs.
+def task_importance(m: MlrModel) -> np.ndarray:
+    """Per-variable task importances in [0, 1]: the componentwise max of
+    pair importances over all unordered class pairs.
 
     The normal of (j, i) is the negation of (i, j)'s, so i < j covers
     everything. Pairs with identical weights carry no hyperplane and are
     skipped; if every pair is degenerate there is nothing to score.
     """
-    pairs: dict[tuple[int, int], np.ndarray] = {}
     importance = np.zeros(m.m)
     scored = False
     for i in range(1, m.k + 1):
@@ -116,11 +110,10 @@ def task_importance(m: MlrModel, iteration: int = 0,
             except DegenerateModelError:
                 continue
             scored = True
-            pairs[(i, j)] = s
             importance = np.maximum(importance, s)
     if not scored:
         raise DegenerateModelError("every class pair is degenerate")
-    return ImportanceReport(importance, pairs if keep_pairs else None, iteration)
+    return importance
 
 
 def update_mask(importance: np.ndarray, threshold: float,
@@ -139,13 +132,15 @@ def update_mask(importance: np.ndarray, threshold: float,
 
 
 def run_ivs(train: Dataset, valid: Dataset, cfg: IvsConfig, rng: Rng) -> IvsResult:
-    """Iterative selection: train a fresh pre-classifier on the masked data,
-    score variables, shrink the mask, repeat.
+    """Iterative selection: train a fresh pre-classifier on the surviving
+    variables, score them, shrink the mask, repeat.
 
     Stops when (a) the previous update left the mask unchanged, (b) the new
-    pre-classifier's validation error exceeds the best seen so far, or
-    (c) the iteration cap is reached. The returned mask is the one produced
-    by the best-validation iteration, which makes stopping on (b) safe.
+    pre-classifier's validation error exceeds the best seen so far, (c) the
+    pre-classifier never beat the all-zero model, so no variable can be
+    scored, or (d) the iteration cap is reached. The returned mask is the
+    one produced by the best-validation iteration (every variable if none
+    was accepted), which makes stopping on (b) and (c) safe.
     """
     mask = VariableMask.all_ones(train.m)
     prev_mask: VariableMask | None = None
@@ -155,19 +150,30 @@ def run_ivs(train: Dataset, valid: Dataset, cfg: IvsConfig, rng: Rng) -> IvsResu
 
     for iteration in range(1, cfg.max_iterations + 1):
         mlr_cfg = replace(cfg.mlr, seed=int(rng.integers(0, 2**63)))
-        model = train_mlr(train, valid, mask, mlr_cfg)
-        err = validation_error(model.weights, model.biases, valid.x, valid.labels)
-        report = task_importance(model, iteration)
+        kept_valid = compact_dataset(valid, mask)
+        model = train_mlr(compact_dataset(train, mask), kept_valid, mlr_cfg)
+        err = validation_error(model.weights, model.biases, kept_valid.x,
+                               kept_valid.labels)
+        try:
+            importance = expand(task_importance(model), mask)
+            degenerate = False
+        except DegenerateModelError:
+            # No hyperplane to score: every variable is recorded as 0.
+            importance = np.zeros(mask.m)
+            degenerate = True
 
         # Stop checks precede the update: (a) looks at what the previous
-        # update changed, (b) at the error trend; a stopping iteration is
-        # recorded but never shrinks the mask further.
-        if (prev_mask is not None and mask == prev_mask) or err > best_err:
-            history.append(IvsIteration(iteration, mask.popcount, err, report))
+        # update changed, (b) at the error trend, (c) at the model itself;
+        # a stopping iteration is recorded but never shrinks the mask.
+        if (degenerate or (prev_mask is not None and mask == prev_mask)
+                or err > best_err):
+            history.append(IvsIteration(iteration, mask.popcount, err,
+                                        importance))
             break
 
-        new_mask = update_mask(report.importance, cfg.threshold, mask)
-        history.append(IvsIteration(iteration, new_mask.popcount, err, report))
+        new_mask = update_mask(importance, cfg.threshold, mask)
+        history.append(IvsIteration(iteration, new_mask.popcount, err,
+                                    importance))
         if err < best_err:
             best_err = err
             best_mask = new_mask

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, VariableMask, apply_mask
+from .data import Dataset
 from .errors import DataError, DimensionError
 from .numerics import log_softmax, make_rng, softmax
 
@@ -80,14 +80,6 @@ def wald_halfwidth(p: float, n: int) -> float:
     return 1.96 * float(np.sqrt(p * (1.0 - p) / n))
 
 
-def predict_proba(m: MlrModel, x: np.ndarray) -> np.ndarray:
-    """Softmax of Wx + b for a single example."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (m.m,):
-        raise DimensionError(f"expected input of width {m.m}, got {x.shape}")
-    return softmax(m.weights @ x + m.biases)
-
-
 def predict_labels(m: MlrModel, x: np.ndarray) -> np.ndarray:
     """Argmax class labels (1-based) for a matrix of examples; ties pick the
     lowest class index."""
@@ -100,34 +92,20 @@ def predict_labels(m: MlrModel, x: np.ndarray) -> np.ndarray:
     return np.argmax(logits, axis=1) + 1
 
 
-def cross_entropy(m: MlrModel, x: np.ndarray, label: int) -> float:
-    """Negative log posterior of the true class, computed in log space."""
-    logp = log_softmax(m.weights @ np.asarray(x, dtype=np.float64) + m.biases)
-    return -float(logp[label - 1])
+def cross_entropy(m: MlrModel, x: np.ndarray, labels: np.ndarray,
+                  l2: float = 0.0) -> float:
+    """Mean negative log posterior of the true classes over a batch, plus
+    0.5 * l2 * ||W||^2: the objective batch_grads differentiates."""
+    logp = log_softmax(np.asarray(x, dtype=np.float64) @ m.weights.T + m.biases)
+    labels = np.asarray(labels)
+    loss = -float(np.mean(logp[np.arange(labels.size), labels - 1]))
+    return loss + 0.5 * l2 * float(np.sum(m.weights * m.weights))
 
 
-def loss_and_grads(m: MlrModel, x: np.ndarray, label: int,
-                   l2: float = 0.0) -> tuple[float, np.ndarray, np.ndarray]:
-    """Cross-entropy and its analytic gradients for one example.
-
-    This is the exact gradient the trainer steps along, so it is what the
-    finite-difference oracle must match.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    logits = m.weights @ x + m.biases
-    p = softmax(logits)
-    loss = cross_entropy(m, x, label)
-    g = p.copy()
-    g[label - 1] -= 1.0
-    grad_w = np.outer(g, x)
-    grad_b = g
-    if l2 > 0.0:
-        loss += 0.5 * l2 * float(np.sum(m.weights * m.weights))
-        grad_w = grad_w + l2 * m.weights
-    return loss, grad_w, grad_b
-
-
-def _batch_grads(weights, biases, xb, yb, l2):
+def batch_grads(weights, biases, xb, yb, l2):
+    """Gradients (d_weights, d_biases) of cross_entropy over the batch
+    (xb, yb): the one step direction of train_mlr, and the function the
+    finite-difference oracle checks."""
     logits = xb @ weights.T + biases
     p = softmax(logits)
     p[np.arange(xb.shape[0]), yb - 1] -= 1.0
@@ -143,16 +121,15 @@ def validation_error(weights, biases, x, labels) -> float:
     return float(np.mean(np.argmax(logits, axis=1) + 1 != labels))
 
 
-def train_mlr(train: Dataset, valid: Dataset, mask: VariableMask,
-              cfg: TrainConfig, return_history: bool = False):
-    """Fit an MLR on masked inputs by minibatch SGD with early stopping.
+def train_mlr(train: Dataset, valid: Dataset, cfg: TrainConfig,
+              return_history: bool = False):
+    """Fit an MLR by minibatch SGD with early stopping.
 
     Weights start at zero (the loss is convex, so the optimum does not
-    depend on the start and zero keeps masked columns exactly zero). The
-    returned model is the snapshot with the best validation error; ties go
-    to the earlier epoch. Masked weight columns are frozen at zero: their
-    gradient is identically zero because the inputs are zeroed, and the
-    explicit freeze keeps float noise from ever accumulating there.
+    depend on the start). The returned model is the snapshot with the best
+    validation error; ties go to the earlier epoch, so a fit that never
+    beats the untrained model returns the all-zero model. To drop
+    variables, train on a compacted dataset.
     """
     if train.n == 0:
         raise DataError("cannot train on an empty dataset")
@@ -160,20 +137,14 @@ def train_mlr(train: Dataset, valid: Dataset, mask: VariableMask,
         raise DataError("early stopping needs a non-empty validation set")
     if train.num_classes != valid.num_classes or train.m != valid.m:
         raise DataError("train and validation sets disagree on M or K")
-    if mask.m != train.m:
-        raise DimensionError("mask length does not match the dataset width")
 
     k, m = train.num_classes, train.m
-    x_train = apply_mask(train.x, mask)
-    x_valid = apply_mask(valid.x, mask)
-    keep = mask.bits
-
     weights = np.zeros((k, m))
     biases = np.zeros(k)
     rng = make_rng(cfg.seed)
     batch = cfg.minibatch_size
 
-    best_err = validation_error(weights, biases, x_valid, valid.labels)
+    best_err = validation_error(weights, biases, valid.x, valid.labels)
     best = (weights.copy(), biases.copy())
     history = [(0, best_err)]
     since_improvement = 0
@@ -182,13 +153,12 @@ def train_mlr(train: Dataset, valid: Dataset, mask: VariableMask,
         order = rng.permutation(train.n)
         for lo in range(0, train.n, batch):
             idx = order[lo:lo + batch]
-            gw, gb = _batch_grads(weights, biases, x_train[idx],
-                                  train.labels[idx], cfg.l2)
+            gw, gb = batch_grads(weights, biases, train.x[idx],
+                                 train.labels[idx], cfg.l2)
             weights -= cfg.learning_rate * gw
             biases -= cfg.learning_rate * gb
-            weights[:, ~keep] = 0.0
 
-        err = validation_error(weights, biases, x_valid, valid.labels)
+        err = validation_error(weights, biases, valid.x, valid.labels)
         history.append((epoch, err))
         if err < best_err:
             best_err = err
@@ -200,7 +170,6 @@ def train_mlr(train: Dataset, valid: Dataset, mask: VariableMask,
                 break
 
     model = MlrModel(best[0], best[1])
-    assert np.all(model.weights[:, ~keep] == 0.0)
     if return_history:
         return model, history
     return model

@@ -68,9 +68,3 @@ def log_softmax(logits):
     shifted = z - z.max(axis=-1, keepdims=True)
     return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
-
-def gaussian(rng: Rng, mean: float, sd: float) -> float:
-    """One draw from N(mean, sd^2); sd = 0 returns mean exactly."""
-    if sd < 0:
-        raise ValueError(f"standard deviation must be >= 0, got {sd}")
-    return float(rng.normal(mean, sd))

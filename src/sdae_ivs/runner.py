@@ -24,7 +24,7 @@ from .ivs import IvsResult, run_ivs, write_history_csv, write_importance_csv
 from .mlr import evaluate
 from .numerics import derive_rng, derive_seed
 from .pgm import normalize_unit, tile_grid, write_pgm
-from .serialize import load_stack, save_stack
+from .serialize import load_stack, pack_mask, save_stack
 from .stack import StackConfig, fine_tune, pretrain, select_extractors
 
 # Master-seed derivation keys; runner-level keys start at 1000 so they can
@@ -130,8 +130,7 @@ def cmd_run(cfg: ExperimentConfig) -> RunReport:
             # One derivation key per depth, shared by both variants, keeps
             # the SDAE / SDAE-IVS comparison paired.
             pre, ivs_results = pretrain(train, valid, scfg,
-                                        derive_rng(cfg.seed, depth),
-                                        return_ivs=True)
+                                        derive_rng(cfg.seed, depth))
             ft_cfg = replace(cfg.fine_tune,
                              seed=derive_seed(cfg.seed, KEY_FINETUNE, depth))
             tuned = fine_tune(pre, train, valid, ft_cfg)
@@ -206,7 +205,7 @@ def _write_ivs_artifacts(out: Path, tag: str, ivs_results, cfg) -> list[str]:
         write_history_csv(history_path, result.history)
         paths.append(str(history_path.relative_to(out)))
 
-        first = result.history[0].report.importance
+        first = result.history[0].importance
         csv_path = out / "csv" / f"{tag}-layer{layer}-importance.csv"
         write_importance_csv(csv_path, first)
         paths.append(str(csv_path.relative_to(out)))
@@ -266,13 +265,12 @@ def cmd_ivs(cfg: ExperimentConfig) -> IvsResult:
     result = run_ivs(train, valid, cfg.ivs[0], derive_rng(cfg.seed, KEY_IVS_CMD))
 
     write_history_csv(out / "ivs" / "history.csv", result.history)
-    first = result.history[0].report.importance
+    first = result.history[0].importance
     write_importance_csv(out / "ivs" / "importance.csv", first)
     if cfg.variable_shape is not None:
         write_pgm(out / "ivs" / "importance.pgm",
                   first.reshape(cfg.variable_shape))
-    (out / "ivs" / "mask.txt").write_text(
-        "".join("1" if b else "0" for b in result.mask.bits) + "\n")
+    (out / "ivs" / "mask.txt").write_text(pack_mask(result.mask) + "\n")
     return result
 
 

@@ -20,7 +20,7 @@ from .mlr import MlrModel
 from .stack import StackLayer, StackModel
 
 FORMAT = "sdae-ivs-model"
-VERSION = 1
+VERSION = 2
 
 
 def _pack(arr: np.ndarray) -> dict:
@@ -36,11 +36,12 @@ def _unpack(rec: dict) -> np.ndarray:
     return np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(rec["shape"])
 
 
-def _pack_mask(mask: VariableMask) -> str:
+def pack_mask(mask: VariableMask) -> str:
+    """Mask as a string of 0s and 1s, one character per variable."""
     return "".join("1" if b else "0" for b in mask.bits)
 
 
-def _unpack_mask(text: str) -> VariableMask:
+def unpack_mask(text: str) -> VariableMask:
     return VariableMask(np.array([c == "1" for c in text], dtype=bool))
 
 
@@ -58,8 +59,8 @@ def mlr_from_record(rec: dict) -> MlrModel:
     return MlrModel(_unpack(rec["weights"]), _unpack(rec["biases"]))
 
 
-def dae_record(m: DaeModel, mask: VariableMask | None = None) -> dict:
-    rec = {
+def dae_record(m: DaeModel, mask: VariableMask) -> dict:
+    return {
         "kind": "dae",
         "hidden_units": m.hidden_units,
         "input_width": m.input_width,
@@ -67,21 +68,19 @@ def dae_record(m: DaeModel, mask: VariableMask | None = None) -> dict:
         "encoder_bias": _pack(m.encoder_bias),
         "decoder_bias": _pack(m.decoder_bias),
         "decoder_activation": m.decoder_activation,
+        # The training-time mask makes the record's widths self-describing.
+        "mask": pack_mask(mask),
     }
-    # The training-time mask makes the record's widths self-describing.
-    rec["mask"] = _pack_mask(mask) if mask is not None else None
-    return rec
 
 
-def dae_from_record(rec: dict) -> tuple[DaeModel, VariableMask | None]:
+def dae_from_record(rec: dict) -> tuple[DaeModel, VariableMask]:
     model = DaeModel(
         _unpack(rec["weights"]),
         _unpack(rec["encoder_bias"]),
         _unpack(rec["decoder_bias"]),
         rec["decoder_activation"],
     )
-    mask = _unpack_mask(rec["mask"]) if rec.get("mask") is not None else None
-    return model, mask
+    return model, unpack_mask(rec["mask"])
 
 
 def stack_record(m: StackModel) -> dict:
@@ -90,7 +89,7 @@ def stack_record(m: StackModel) -> dict:
         "fine_tuned": m.fine_tuned,
         "layers": [dae_record(layer.dae, layer.mask) for layer in m.layers],
         "top": mlr_record(m.top),
-        "top_mask": _pack_mask(m.top_mask) if m.top_mask is not None else None,
+        "top_mask": pack_mask(m.top_mask),
     }
 
 
@@ -99,10 +98,8 @@ def stack_from_record(rec: dict) -> StackModel:
     for layer_rec in rec["layers"]:
         dae_model, mask = dae_from_record(layer_rec)
         layers.append(StackLayer(mask, dae_model))
-    top_mask = (_unpack_mask(rec["top_mask"])
-                if rec.get("top_mask") is not None else None)
-    return StackModel(layers, mlr_from_record(rec["top"]), top_mask,
-                      rec["fine_tuned"])
+    return StackModel(layers, mlr_from_record(rec["top"]),
+                      unpack_mask(rec["top_mask"]), rec["fine_tuned"])
 
 
 def save_record(path, rec: dict) -> None:
@@ -114,23 +111,10 @@ def load_record(path) -> dict:
     rec = json.loads(Path(path).read_text())
     if rec.get("format") != FORMAT:
         raise ValueError(f"{path} is not a {FORMAT} file")
+    if rec.get("version") != VERSION:
+        raise ValueError(f"{path} has {FORMAT} version {rec.get('version')}; "
+                         f"this program reads version {VERSION}")
     return rec
-
-
-def save_mlr(path, m: MlrModel) -> None:
-    save_record(path, mlr_record(m))
-
-
-def load_mlr(path) -> MlrModel:
-    return mlr_from_record(load_record(path))
-
-
-def save_dae(path, m: DaeModel, mask: VariableMask | None = None) -> None:
-    save_record(path, dae_record(m, mask))
-
-
-def load_dae(path) -> tuple[DaeModel, VariableMask | None]:
-    return dae_from_record(load_record(path))
 
 
 def save_stack(path, m: StackModel) -> None:

@@ -14,8 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .dae import DaeModel, DaeTrainConfig, decode, encode, train_dae, encode_dataset
-from .data import (Dataset, VariableMask, apply_mask, compact, compact_dataset,
-                   expand)
+from .data import Dataset, VariableMask, compact, compact_dataset, expand
 from .errors import ConfigError, DataError, DimensionError
 from .ivs import IvsConfig, IvsResult, run_ivs
 from .mlr import MlrModel, TrainConfig, train_mlr
@@ -32,10 +31,18 @@ class StackLayer:
 
 @dataclass
 class StackModel:
+    """Pre-trained layers, then the top classifier on the last codes kept by
+    top_mask. Constructed without one, the mask keeps every code."""
+
     layers: list[StackLayer]
     top: MlrModel
     top_mask: VariableMask | None = None
     fine_tuned: bool = False
+
+    def __post_init__(self):
+        if self.top_mask is None:
+            width = self.layers[-1].dae.hidden_units if self.layers else self.top.m
+            self.top_mask = VariableMask.all_ones(width)
 
     def check_widths(self) -> None:
         """Chained-width invariant: every mask, DAE, and the top line up."""
@@ -44,12 +51,10 @@ class StackModel:
                 raise DimensionError(f"layer {idx + 1} width != mask popcount")
             if idx > 0 and layer.mask.m != self.layers[idx - 1].dae.hidden_units:
                 raise DimensionError(f"layer {idx + 1} mask length != lower width")
-        last_width = (self.layers[-1].dae.hidden_units if self.layers
-                      else self.top.m)
-        if self.top.m != last_width:
-            raise DimensionError("top classifier width != last hidden width")
-        if self.top_mask is not None and self.top_mask.m != last_width:
+        if self.layers and self.top_mask.m != self.layers[-1].dae.hidden_units:
             raise DimensionError("top mask length != last hidden width")
+        if self.top.m != self.top_mask.popcount:
+            raise DimensionError("top classifier width != top mask popcount")
 
     @property
     def depth(self) -> int:
@@ -86,16 +91,18 @@ def _spawned_seed(rng: Rng) -> int:
     return int(rng.spawn(1)[0].integers(0, 2**63))
 
 
-def pretrain(train: Dataset, valid: Dataset, cfg: StackConfig, rng: Rng,
-             return_ivs: bool = False):
+def pretrain(train: Dataset, valid: Dataset, cfg: StackConfig, rng: Rng
+             ) -> tuple[StackModel, list[IvsResult | None]]:
     """Greedy layer-wise pre-training with per-layer variable selection.
 
     For each layer: select on the current representation (or keep all
     variables when disabled), compact both splits, train the DAE on the
     survivors, and encode to obtain the next representation. Finally a top
-    MLR is trained on the last representation. Each phase draws randomness
-    from its own spawned child stream, so adding depth never perturbs the
-    layers below.
+    MLR is trained on the last representation, compacted by the final
+    selection when that is on. Returns the model and the selection results
+    (one per layer, None where selection is off, then the final one). Each
+    phase draws randomness from its own spawned child stream, so adding
+    depth never perturbs the layers below.
     """
     cur_train, cur_valid = train, valid
     layers: list[StackLayer] = []
@@ -118,23 +125,19 @@ def pretrain(train: Dataset, valid: Dataset, cfg: StackConfig, rng: Rng,
         cur_train = encode_dataset(dae_model, compact_train)
         cur_valid = encode_dataset(dae_model, compact_valid)
 
-    top_mask = None
+    top_mask = VariableMask.all_ones(cur_train.m)
     if cfg.final_ivs:
         final = run_ivs(cur_train, cur_valid, cfg.ivs[-1], rng.spawn(1)[0])
         top_mask = final.mask
         ivs_results.append(final)
 
     top_cfg = replace(cfg.fine_tune, seed=_spawned_seed(rng))
-    top = train_mlr(cur_train, cur_valid,
-                    top_mask if top_mask is not None
-                    else VariableMask.all_ones(cur_train.m),
-                    top_cfg)
+    top = train_mlr(compact_dataset(cur_train, top_mask),
+                    compact_dataset(cur_valid, top_mask), top_cfg)
 
     model = StackModel(layers, top, top_mask, fine_tuned=False)
     model.check_widths()
-    if return_ivs:
-        return model, ivs_results
-    return model
+    return model, ivs_results
 
 
 def _forward(m: StackModel, x: np.ndarray):
@@ -148,7 +151,7 @@ def _forward(m: StackModel, x: np.ndarray):
         h = sigmoid(layer.dae.weights @ c + layer.dae.encoder_bias)
         codes.append(h)
         cur = h
-    top_in = apply_mask(cur, m.top_mask) if m.top_mask is not None else cur
+    top_in = cur[m.top_mask.bits]
     logits = m.top.weights @ top_in + m.top.biases
     return inputs, codes, top_in, logits
 
@@ -168,9 +171,7 @@ def classification_loss_and_grads(m: StackModel, x: np.ndarray, label: int):
     grad_top_w = np.outer(g, top_in)
     grad_top_b = g
 
-    delta = m.top.weights.T @ g
-    if m.top_mask is not None:
-        delta = np.where(m.top_mask.bits, delta, 0.0)
+    delta = expand(m.top.weights.T @ g, m.top_mask)
 
     layer_grads = [None] * len(m.layers)
     for idx in range(len(m.layers) - 1, -1, -1):
@@ -201,20 +202,9 @@ def predict_labels(m: StackModel, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.ndim == 1:
         x = x[None, :]
-    cur = _transform_matrix(m, x)
-    if m.top_mask is not None:
-        cur = apply_mask(cur, m.top_mask)
+    cur = _transform_matrix(m, x)[:, m.top_mask.bits]
     logits = cur @ m.top.weights.T + m.top.biases
     return np.argmax(logits, axis=1) + 1
-
-
-def predict(m: StackModel, x: np.ndarray) -> int:
-    """Class label for one raw-width example."""
-    x = np.asarray(x, dtype=np.float64)
-    expected = m.layers[0].mask.m if m.layers else m.top.m
-    if x.shape != (expected,):
-        raise DimensionError(f"expected raw width {expected}, got {x.shape}")
-    return int(predict_labels(m, x)[0])
 
 
 def _copy_params(m: StackModel):
@@ -230,10 +220,11 @@ def fine_tune(m: StackModel, train: Dataset, valid: Dataset,
               cfg: TrainConfig) -> StackModel:
     """Supervised backpropagation through the top layer and all encoders.
 
-    Masks are frozen: compaction is structural, so dropped variables can
-    never re-enter. Early stopping mirrors the MLR trainer (best validation
-    snapshot, ties to the earlier epoch); with max_epochs = 0 the returned
-    model carries the input parameters unchanged.
+    Masks are frozen: compaction is structural, so dropped variables and
+    dropped top-layer codes can never re-enter. Early stopping mirrors the
+    MLR trainer (best validation snapshot, ties to the earlier epoch); with
+    max_epochs = 0 the returned model carries the input parameters
+    unchanged.
     """
     if train.n == 0:
         raise DataError("cannot fine-tune on an empty dataset")
@@ -252,7 +243,6 @@ def fine_tune(m: StackModel, train: Dataset, valid: Dataset,
     )
     lr = cfg.learning_rate
     rng = make_rng(cfg.seed)
-    frozen_top = None if work.top_mask is None else ~work.top_mask.bits
 
     best_err = _stack_error(work, valid)
     best = _copy_params(work)
@@ -268,8 +258,6 @@ def fine_tune(m: StackModel, train: Dataset, valid: Dataset,
                 layer.dae.encoder_bias -= lr * gb
             work.top.weights -= lr * gtw
             work.top.biases -= lr * gtb
-            if frozen_top is not None:
-                work.top.weights[:, frozen_top] = 0.0
 
         err = _stack_error(work, valid)
         if err < best_err:
@@ -347,10 +335,3 @@ def select_extractors(m: StackModel, layer: int, train: Dataset, valid: Dataset,
         irrelevant_patterns=patterns[~keep],
         ivs=result,
     )
-
-
-def count_task_relevant_extractors(m: StackModel, layer: int, train: Dataset,
-                                   valid: Dataset, ivs_cfg: IvsConfig,
-                                   rng: Rng) -> int:
-    """Number of layer-`layer` hidden units that survive selection."""
-    return select_extractors(m, layer, train, valid, ivs_cfg, rng).count

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sdae_ivs.cli import main as cli_main
@@ -19,19 +19,17 @@ from sdae_ivs.dae import (CROSS_ENTROPY, IDENTITY, SIGMOID, SQUARED, DaeModel,
                           DaeTrainConfig, decode, encode)
 from sdae_ivs.dae import loss as dae_loss
 from sdae_ivs.dae import loss_and_grads as dae_grads
-from sdae_ivs.data import (SyntheticSpec, VariableMask, apply_mask, compact,
-                           expand, gen_synthetic, split)
+from sdae_ivs.data import (SyntheticSpec, VariableMask, compact, expand,
+                           gen_synthetic, split)
 from sdae_ivs.errors import OverThresholdError
 from sdae_ivs.ivs import (IvsConfig, discriminant, normal_vector, run_ivs,
                           task_importance, update_mask)
-from sdae_ivs.mlr import (MlrModel, TrainConfig, cross_entropy, evaluate,
-                          wald_halfwidth)
-from sdae_ivs.mlr import loss_and_grads as mlr_grads
+from sdae_ivs.mlr import (MlrModel, TrainConfig, batch_grads, cross_entropy,
+                          evaluate, wald_halfwidth)
 from sdae_ivs.numerics import derive_rng, make_rng, softmax
 from sdae_ivs.stack import (StackConfig, StackLayer, StackModel,
-                            classification_loss_and_grads,
-                            count_task_relevant_extractors, fine_tune,
-                            predict_labels, pretrain)
+                            classification_loss_and_grads, fine_tune,
+                            predict_labels, pretrain, select_extractors)
 from util import central_diff, grads_close, random_mlr
 
 REPO = Path(__file__).resolve().parent.parent
@@ -99,19 +97,25 @@ def test_criterion_1_wald_interval_reproduction():
 def test_criterion_2_gradient_oracles():
     """MLR, tied-weight DAE, and depth-2 fine-tune gradients all match
     central finite differences (step 1e-6) within 1e-5 relative error on
-    at least 20 random toy instances each."""
+    at least 20 random toy instances each. The MLR check covers the
+    trainer's own minibatch gradient at batch size 1, at larger batches,
+    and with an L2 penalty."""
     step = 1e-6
     for seed in range(20):
         rng = make_rng(seed)
         k, mm = int(rng.integers(2, 5)), int(rng.integers(2, 11))
         model = random_mlr(300 + seed, k, mm, scale=0.8)
-        x = rng.uniform(size=mm)
-        label = int(rng.integers(1, k + 1))
-        _, gw, gb = mlr_grads(model, x, label)
-        assert grads_close(gw, central_diff(
-            lambda: cross_entropy(model, x, label), model.weights, step))
-        assert grads_close(gb, central_diff(
-            lambda: cross_entropy(model, x, label), model.biases, step))
+        batch, l2 = [(1, 0.0), (int(rng.integers(2, 9)), 0.0),
+                     (int(rng.integers(1, 9)), 0.1)][seed % 3]
+        x = rng.uniform(size=(batch, mm))
+        labels = rng.integers(1, k + 1, size=batch)
+        gw, gb = batch_grads(model.weights, model.biases, x, labels, l2)
+
+        def f():
+            return cross_entropy(model, x, labels, l2)
+
+        assert grads_close(gw, central_diff(f, model.weights, step))
+        assert grads_close(gb, central_diff(f, model.biases, step))
 
     for seed in range(20):
         rng = make_rng(1000 + seed)
@@ -230,8 +234,7 @@ def test_criterion_5_paired_trend():
             for enabled in (False, True):
                 cfg = paired_stack_config(depth, enabled)
                 model, ivs_results = pretrain(train, valid, cfg,
-                                              derive_rng(seed, depth),
-                                              return_ivs=True)
+                                              derive_rng(seed, depth))
                 tuned = fine_tune(model, train, valid,
                                   TrainConfig(0.1, 10, 3, seed=seed + 1000))
                 errors[enabled] = evaluate(
@@ -255,15 +258,16 @@ def test_criterion_6_extractor_count_trend():
     train, valid, _, _ = planted_splits(seed)
     models = {}
     for enabled in (False, True):
-        models[enabled] = pretrain(train, valid, paired_stack_config(1, enabled),
-                                   derive_rng(seed, 1))
+        models[enabled], _ = pretrain(train, valid,
+                                      paired_stack_config(1, enabled),
+                                      derive_rng(seed, 1))
     ratios = []
     for threshold in (0.2, 0.3, 0.4):
         probe = IvsConfig(threshold, 8, IVS_TRAINER)
         counts = {
-            enabled: count_task_relevant_extractors(
+            enabled: select_extractors(
                 models[enabled], 1, train, valid, probe,
-                derive_rng(seed, 60, int(threshold * 100)))
+                derive_rng(seed, 60, int(threshold * 100))).count
             for enabled in (False, True)
         }
         ratio = counts[True] / counts[False]
@@ -317,19 +321,26 @@ class TestCriterion8InvariantSuites:
     def test_importance_scale_invariance(self, seed, lam):
         model = random_mlr(seed, k=3, m=5)
         scaled = MlrModel(lam * model.weights, lam * model.biases)
-        base = task_importance(model).importance
-        np.testing.assert_allclose(task_importance(scaled).importance, base,
-                                   atol=1e-12)
+        np.testing.assert_allclose(task_importance(scaled),
+                                   task_importance(model), atol=1e-12)
 
     @settings(max_examples=80)
     @given(st.lists(st.floats(-300, 300, allow_nan=False), min_size=2,
                     max_size=6),
            st.floats(-100, 100, allow_nan=False))
+    @example(logits=[-9.24e-16, 0.0], shift=17.0)
     def test_softmax_shift_invariance(self, logits, shift):
-        base = softmax(logits)
-        shifted = softmax(np.asarray(logits) + shift)
-        assert np.argmax(base) == np.argmax(shifted)
+        z = np.asarray(logits)
+        base = softmax(z)
+        shifted = softmax(z + shift)
         np.testing.assert_allclose(base, shifted, atol=1e-12)
+        # Adding the shift rounds each logit by up to half an ulp of the
+        # shifted magnitudes, and exp cannot resolve gaps below eps near
+        # 1, so a closer top two may legitimately tie or swap.
+        second, top = np.sort(z)[-2:]
+        rounding = np.spacing(np.abs(z + shift).max()) + np.finfo(float).eps
+        if top - second > 2 * rounding:
+            assert np.argmax(base) == np.argmax(shifted)
 
     @settings(max_examples=80)
     @given(st.integers(1, 12), st.integers(0, 2**32 - 1))
@@ -341,7 +352,7 @@ class TestCriterion8InvariantSuites:
             bits[0] = True
         mask = VariableMask(bits)
         np.testing.assert_array_equal(expand(compact(x, mask), mask),
-                                      apply_mask(x, mask))
+                                      np.where(bits, x, 0.0))
 
     @settings(max_examples=80)
     @given(st.integers(0, 15), st.integers(0, 15), st.integers(0, 15))

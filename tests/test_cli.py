@@ -6,6 +6,7 @@ import pytest
 from sdae_ivs.cli import main
 from sdae_ivs.config import load_config
 from sdae_ivs.pgm import read_pgm
+from sdae_ivs.serialize import load_stack
 
 REPO = Path(__file__).resolve().parent.parent
 SMOKE = REPO / "configs" / "smoke_synthetic.ini"
@@ -139,6 +140,62 @@ class TestIvsCommand:
                 assert not plateau
         assert kept[-1] < 100
         assert kept[0] < 100 or len(kept) == 1
+
+
+class TestFinalIvs:
+    def test_run_then_eval_reproduces_every_model(self, tmp_path):
+        patched = tmp_path / "final.ini"
+        patched.write_text(SMOKE.read_text().replace(
+            "[stack]\n", "[stack]\nfinal_ivs = true\n"))
+        out = tmp_path / "final"
+        assert run_cli("run", "--config", patched, "--out", out) == 0
+        report = json.loads((out / "report.json").read_text())
+        entry = report["results"]["sdae_ivs"]["depth1"]
+        assert len(entry["ivs_layers"]) == 2  # layer 1, then the top
+        top_kept = entry["ivs_layers"][1]["final_kept"]
+        model = load_stack(out / entry["model"])
+        assert model.top_mask.popcount == model.top.m == top_kept
+
+        assert run_cli("eval", "--config", patched, "--out", out) == 0
+        recomputed = json.loads((out / "eval.json").read_text())
+        assert [e["matches_report"] for d in recomputed.values()
+                for e in d.values()] == [True, True]
+
+
+class TestConfigKeys:
+    """Every key either takes effect or is rejected with exit 1."""
+
+    def run_patched(self, tmp_path, old, new):
+        patched = tmp_path / "patched.ini"
+        text = SMOKE.read_text()
+        assert old in text
+        patched.write_text(text.replace(old, new))
+        return run_cli("run", "--config", patched, "--out", tmp_path / "o")
+
+    def test_misspelled_key_rejected(self, tmp_path, capsys):
+        assert self.run_patched(tmp_path, "max_iterations = 4",
+                                "max_iteration = 1") == 1
+        assert "[ivs] max_iteration" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line", ["minibatch_size = 20", "l2 = 0.01"])
+    def test_finetune_batching_keys_rejected(self, tmp_path, capsys, line):
+        assert self.run_patched(tmp_path, "[finetune]\n",
+                                f"[finetune]\n{line}\n") == 1
+        assert f"[finetune] {line.split()[0]}" in capsys.readouterr().err
+
+    def test_section_beyond_the_deepest_layer_rejected(self, tmp_path, capsys):
+        assert self.run_patched(tmp_path, "[run]\n",
+                                "[dae.2]\nhidden_units = 4\n\n[run]\n") == 1
+        assert "[dae.2]" in capsys.readouterr().err
+
+    def test_default_section_rejected(self, tmp_path, capsys):
+        assert self.run_patched(tmp_path, "[data]\n",
+                                "[DEFAULT]\nseed = 3\n\n[data]\n") == 1
+        assert "[DEFAULT]" in capsys.readouterr().err
+
+    def test_amat_label_base_on_synthetic_data_rejected(self, tmp_path):
+        assert self.run_patched(tmp_path, "source = synthetic\n",
+                                "source = synthetic\nlabels = one\n") == 1
 
 
 class TestVerbsOnSerializedModels:

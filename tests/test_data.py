@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sdae_ivs.data import (Dataset, SyntheticSpec, VariableMask, apply_mask,
-                           compact, compact_dataset, expand, gen_synthetic,
-                           load_amat, masked_dataset, split)
+from sdae_ivs.data import (Dataset, SyntheticSpec, VariableMask, compact,
+                           compact_dataset, expand, gen_synthetic, load_amat,
+                           split)
 from sdae_ivs.errors import DataError, DimensionError
 from sdae_ivs.numerics import make_rng
 
@@ -41,6 +41,12 @@ class TestLoadAmat:
     def test_feature_outside_unit_interval(self, tmp_path):
         with pytest.raises(DataError, match=r"\[0, 1\]"):
             load_amat(write(tmp_path, "0.5 1.5 0\n"))
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_feature_names_row_and_column(self, tmp_path, value):
+        path = write(tmp_path, f"0.5 0.5 0\n0.5 {value} 1\n")
+        with pytest.raises(DataError, match="row 2, column 2"):
+            load_amat(path)
 
     def test_non_integer_label(self, tmp_path):
         with pytest.raises(DataError, match="non-integer label"):
@@ -124,27 +130,17 @@ class TestSynthetic:
         spec = SyntheticSpec(20, 80, 5, 3.0, 0.5, (1000, 300, 0))
         d, _truth = gen_synthetic(spec, make_rng(17))
         train, valid, _ = split(d, (1000, 300))
-        model = train_mlr(train, valid, VariableMask.all_ones(d.m),
-                          TrainConfig(0.1, 30, 5, seed=1))
+        model = train_mlr(train, valid, TrainConfig(0.1, 30, 5, seed=1))
         err = validation_error(model.weights, model.biases, valid.x, valid.labels)
         assert err <= 0.05
 
 
 class TestMasks:
-    def test_apply_mask_definition(self):
-        out = apply_mask(np.array([0.2, 0.9, 0.4]),
-                         VariableMask(np.array([1, 0, 1], dtype=bool)))
-        np.testing.assert_array_equal(out, [0.2, 0.0, 0.4])
-
-    def test_identity_and_annihilation(self):
-        x = np.array([0.3, 0.7])
-        assert np.array_equal(apply_mask(x, VariableMask.all_ones(2)), x)
-        zeros = apply_mask(x, VariableMask(np.zeros(2, dtype=bool)))
-        assert np.array_equal(zeros, np.zeros(2))
-
     def test_length_mismatch(self):
         with pytest.raises(DimensionError):
-            apply_mask(np.zeros(3), VariableMask.all_ones(4))
+            compact(np.zeros(3), VariableMask.all_ones(4))
+        with pytest.raises(DimensionError):
+            expand(np.zeros(3), VariableMask(np.array([1, 0, 1], dtype=bool)))
 
     def test_compact_expand_example(self):
         mask = VariableMask(np.array([0, 1, 1], dtype=bool))
@@ -159,7 +155,7 @@ class TestMasks:
 
     @settings(max_examples=100)
     @given(st.integers(1, 12), st.integers(0, 2**32 - 1))
-    def test_round_trip_equals_apply_mask(self, m, seed):
+    def test_round_trip_zeroes_dropped_positions(self, m, seed):
         rng = make_rng(seed)
         x = rng.uniform(size=m)
         bits = rng.integers(0, 2, size=m).astype(bool)
@@ -167,14 +163,12 @@ class TestMasks:
             bits[0] = True
         mask = VariableMask(bits)
         np.testing.assert_array_equal(expand(compact(x, mask), mask),
-                                      apply_mask(x, mask))
+                                      np.where(bits, x, 0.0))
 
     def test_dataset_level_helpers(self):
         d = Dataset(np.array([[0.1, 0.2], [0.3, 0.4]]),
                     np.array([1, 2]), 2)
         mask = VariableMask(np.array([0, 1], dtype=bool))
-        masked = masked_dataset(d, mask)
-        assert masked.m == 2 and masked.x[0, 0] == 0.0
         reduced = compact_dataset(d, mask)
         assert reduced.m == 1
         np.testing.assert_array_equal(reduced.x[:, 0], [0.2, 0.4])

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sdae_ivs.data import SyntheticSpec, VariableMask, gen_synthetic, split
+from sdae_ivs.data import (Dataset, SyntheticSpec, VariableMask, gen_synthetic,
+                           split)
 from sdae_ivs.errors import DegenerateModelError, OverThresholdError
 from sdae_ivs.ivs import (IvsConfig, discriminant, normal_vector,
                           pair_importance, run_ivs, task_importance,
@@ -78,26 +79,29 @@ class TestPairImportance:
 class TestTaskImportance:
     def test_two_classes_equal_single_pair(self):
         m = random_mlr(7, k=2, m=5)
-        report = task_importance(m)
         np.testing.assert_array_equal(
-            report.importance, pair_importance(normal_vector(m, 1, 2)))
+            task_importance(m), pair_importance(normal_vector(m, 1, 2)))
 
     def test_componentwise_max_over_pairs(self):
         # Hand-computed three-class case.
         weights = np.array([[0.0, 0.0], [0.2, 1.0], [0.9, 0.1]])
-        report = task_importance(MlrModel(weights, np.zeros(3)))
-        np.testing.assert_allclose(report.pairs[(1, 2)], [0.2, 1.0], atol=1e-15)
-        np.testing.assert_allclose(report.pairs[(1, 3)], [1.0, 1.0 / 9.0],
-                                   atol=1e-15)
-        np.testing.assert_allclose(report.pairs[(2, 3)], [7.0 / 9.0, 1.0],
-                                   atol=1e-15)
-        np.testing.assert_allclose(report.importance, [1.0, 1.0], atol=1e-15)
+        m = MlrModel(weights, np.zeros(3))
+
+        def pair(i, j):
+            return pair_importance(normal_vector(m, i, j))
+
+        np.testing.assert_allclose(pair(1, 2), [0.2, 1.0], atol=1e-15)
+        np.testing.assert_allclose(pair(1, 3), [1.0, 1.0 / 9.0], atol=1e-15)
+        np.testing.assert_allclose(pair(2, 3), [7.0 / 9.0, 1.0], atol=1e-15)
+        np.testing.assert_allclose(task_importance(m), [1.0, 1.0], atol=1e-15)
 
     def test_skips_degenerate_pairs(self):
+        # Pair (1, 2) has no hyperplane; (1, 3) and (2, 3) both score
+        # the normal (1, -2) / sqrt(5).
         weights = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 2.0]])
-        report = task_importance(MlrModel(weights, np.zeros(3)))
-        assert (1, 2) not in report.pairs
-        assert set(report.pairs) == {(1, 3), (2, 3)}
+        np.testing.assert_allclose(
+            task_importance(MlrModel(weights, np.zeros(3))), [0.5, 1.0],
+            atol=1e-15)
 
     def test_all_degenerate_rejected(self):
         with pytest.raises(DegenerateModelError):
@@ -105,9 +109,9 @@ class TestTaskImportance:
 
     def test_range_and_top(self):
         for seed in range(10):
-            report = task_importance(random_mlr(seed, k=3, m=8))
-            assert report.importance.min() >= 0.0
-            assert report.importance.max() == 1.0
+            importance = task_importance(random_mlr(seed, k=3, m=8))
+            assert importance.min() >= 0.0
+            assert importance.max() == 1.0
 
     def test_sensitivity_matches_finite_differences(self):
         # The unit normal must equal the gradient of the normalized
@@ -132,8 +136,7 @@ class TestTaskImportance:
         base = task_importance(model)
         for lam in (0.01, 0.5, 3.0, 1000.0):
             scaled = MlrModel(lam * model.weights, lam * model.biases)
-            report = task_importance(scaled)
-            np.testing.assert_allclose(report.importance, base.importance,
+            np.testing.assert_allclose(task_importance(scaled), base,
                                        atol=1e-12)
 
 
@@ -178,7 +181,7 @@ class TestRunIvs:
         result = run_ivs(train, valid, cfg, make_rng(1))
         assert len(result.history) == 1
         item = result.history[0]
-        expected = update_mask(item.report.importance, 0.3,
+        expected = update_mask(item.importance, 0.3,
                                VariableMask.all_ones(train.m))
         assert result.mask == expected
         assert item.kept == expected.popcount
@@ -226,3 +229,29 @@ class TestRunIvs:
         assert [i.kept for i in a.history] == [i.kept for i in b.history]
         assert [i.validation_error for i in a.history] == \
             [i.validation_error for i in b.history]
+
+    def test_degenerate_pre_classifier_stops_with_best_mask(self):
+        # Every validation label is 1, which the untrained all-zero model
+        # already predicts, so no epoch improves on it and the returned
+        # pre-classifier has no hyperplane to score.
+        train, valid, _ = planted_splits(6)
+        valid = Dataset(valid.x, np.ones(valid.n, dtype=int),
+                        valid.num_classes)
+        cfg = IvsConfig(0.3, max_iterations=10, mlr=QUICK_MLR)
+        result = run_ivs(train, valid, cfg, make_rng(7))
+        assert result.mask == VariableMask.all_ones(train.m)
+        assert len(result.history) == 1
+        item = result.history[0]
+        assert (item.iteration, item.kept) == (1, train.m)
+        assert item.validation_error == 0.0
+        np.testing.assert_array_equal(item.importance, np.zeros(train.m))
+
+    def test_importances_keep_the_input_width(self):
+        train, valid, _ = planted_splits(7)
+        cfg = IvsConfig(0.3, max_iterations=4, mlr=QUICK_MLR)
+        result = run_ivs(train, valid, cfg, make_rng(8))
+        assert len(result.history) > 1
+        for before, item in zip(result.history, result.history[1:]):
+            dropped = before.importance < 0.3
+            assert item.importance.shape == (train.m,)
+            assert np.all(item.importance[dropped] == 0.0)

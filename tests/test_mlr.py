@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from sdae_ivs.data import Dataset, VariableMask
+from sdae_ivs.data import Dataset
 from sdae_ivs.errors import DataError
-from sdae_ivs.mlr import (ErrorReport, MlrModel, TrainConfig, cross_entropy,
-                          evaluate, loss_and_grads, predict_labels,
-                          predict_proba, train_mlr, wald_halfwidth)
+from sdae_ivs.mlr import (ErrorReport, MlrModel, TrainConfig, batch_grads,
+                          cross_entropy, evaluate, predict_labels, train_mlr,
+                          wald_halfwidth)
 from sdae_ivs.numerics import make_rng
 from util import central_diff, grads_close, random_mlr
 
@@ -13,41 +13,41 @@ from util import central_diff, grads_close, random_mlr
 class TestPredict:
     def test_zero_model_is_uniform(self):
         m = MlrModel(np.zeros((4, 3)), np.zeros(4))
-        np.testing.assert_allclose(predict_proba(m, np.ones(3)),
-                                   np.full(4, 0.25), atol=1e-15)
+        for label in range(1, 5):
+            assert cross_entropy(m, np.ones((1, 3)), np.array([label])) == \
+                pytest.approx(np.log(4.0), abs=1e-15)
 
     def test_two_class_reduces_to_sigmoid_of_logit_difference(self):
         # w1 - w2 = (1, 0), equal biases, x = (ln 3, 7) -> p1 = 3/4.
         m = MlrModel(np.array([[1.0, 0.0], [0.0, 0.0]]), np.zeros(2))
-        p = predict_proba(m, np.array([np.log(3.0), 7.0]))
-        assert p[0] == pytest.approx(0.75, abs=1e-12)
+        loss = cross_entropy(m, np.array([[np.log(3.0), 7.0]]), np.array([1]))
+        assert np.exp(-loss) == pytest.approx(0.75, abs=1e-12)
 
     def test_common_weight_shift_keeps_argmax(self):
         rng = make_rng(0)
         m = random_mlr(3, k=4, m=6)
         shift = rng.normal(size=6)
         shifted = MlrModel(m.weights + shift, m.biases)
-        for _ in range(20):
-            x = rng.uniform(size=6)
-            assert np.argmax(predict_proba(m, x)) == \
-                np.argmax(predict_proba(shifted, x))
+        x = rng.uniform(size=(20, 6))
+        np.testing.assert_array_equal(predict_labels(m, x),
+                                      predict_labels(shifted, x))
 
 
 class TestGradients:
     def test_matches_central_differences(self):
-        for seed in range(5):
+        for seed, (batch, l2) in enumerate([(1, 0.0), (7, 0.0), (5, 0.3)] * 2):
             rng = make_rng(seed)
             k, mm = int(rng.integers(2, 5)), int(rng.integers(2, 11))
             model = random_mlr(seed + 100, k, mm, scale=0.7)
-            x = rng.uniform(size=mm)
-            label = int(rng.integers(1, k + 1))
-            _, gw, gb = loss_and_grads(model, x, label)
-            fw = central_diff(lambda: cross_entropy(model, x, label),
-                              model.weights)
-            fb = central_diff(lambda: cross_entropy(model, x, label),
-                              model.biases)
-            assert grads_close(gw, fw)
-            assert grads_close(gb, fb)
+            x = rng.uniform(size=(batch, mm))
+            labels = rng.integers(1, k + 1, size=batch)
+            gw, gb = batch_grads(model.weights, model.biases, x, labels, l2)
+
+            def f():
+                return cross_entropy(model, x, labels, l2)
+
+            assert grads_close(gw, central_diff(f, model.weights))
+            assert grads_close(gb, central_diff(f, model.biases))
 
 
 def separable_toy():
@@ -59,24 +59,16 @@ def separable_toy():
 class TestTraining:
     def test_separable_toy_reaches_zero_training_error(self):
         d = separable_toy()
-        model = train_mlr(d, d, VariableMask.all_ones(2),
-                          TrainConfig(0.1, 200, 200, seed=5))
+        model = train_mlr(d, d, TrainConfig(0.1, 200, 200, seed=5))
         assert np.array_equal(predict_labels(model, d.x), d.labels)
 
     def test_bitwise_deterministic(self):
         d = separable_toy()
         cfg = TrainConfig(0.1, 50, 10, seed=9)
-        a = train_mlr(d, d, VariableMask.all_ones(2), cfg)
-        b = train_mlr(d, d, VariableMask.all_ones(2), cfg)
+        a = train_mlr(d, d, cfg)
+        b = train_mlr(d, d, cfg)
         assert np.array_equal(a.weights, b.weights)
         assert np.array_equal(a.biases, b.biases)
-
-    def test_masked_columns_frozen_at_zero(self):
-        d = separable_toy()
-        mask = VariableMask(np.array([1, 0], dtype=bool))
-        model = train_mlr(d, d, mask, TrainConfig(0.1, 50, 10, seed=2))
-        assert np.all(model.weights[:, 1] == 0.0)
-        assert np.any(model.weights[:, 0] != 0.0)
 
     def test_returns_best_validation_snapshot(self):
         rng = make_rng(4)
@@ -84,8 +76,7 @@ class TestTraining:
                         rng.integers(1, 3, size=40), 2)
         valid = Dataset(rng.uniform(size=(20, 3)),
                         rng.integers(1, 3, size=20), 2)
-        model, history = train_mlr(train, valid, VariableMask.all_ones(3),
-                                   TrainConfig(0.5, 30, 30, seed=1),
+        model, history = train_mlr(train, valid, TrainConfig(0.5, 30, 30, seed=1),
                                    return_history=True)
         returned_err = float(np.mean(predict_labels(model, valid.x)
                                      != valid.labels))
@@ -94,21 +85,18 @@ class TestTraining:
     def test_empty_training_set_rejected(self):
         empty = Dataset(np.zeros((0, 2)), np.zeros(0, dtype=int), 2)
         with pytest.raises(DataError):
-            train_mlr(empty, separable_toy(), VariableMask.all_ones(2),
-                      TrainConfig(0.1, 5, 2, seed=0))
+            train_mlr(empty, separable_toy(), TrainConfig(0.1, 5, 2, seed=0))
 
     def test_empty_validation_set_rejected(self):
         empty = Dataset(np.zeros((0, 2)), np.zeros(0, dtype=int), 2)
         with pytest.raises(DataError):
-            train_mlr(separable_toy(), empty, VariableMask.all_ones(2),
-                      TrainConfig(0.1, 5, 2, seed=0))
+            train_mlr(separable_toy(), empty, TrainConfig(0.1, 5, 2, seed=0))
 
     def test_k_mismatch_rejected(self):
         d = separable_toy()
         other = Dataset(d.x, d.labels, 3)
         with pytest.raises(DataError):
-            train_mlr(d, other, VariableMask.all_ones(2),
-                      TrainConfig(0.1, 5, 2, seed=0))
+            train_mlr(d, other, TrainConfig(0.1, 5, 2, seed=0))
 
 
 class TestEvaluate:

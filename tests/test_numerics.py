@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from sdae_ivs.numerics import (derive_rng, derive_seed, gaussian, make_rng,
-                               sigmoid, softmax)
+from sdae_ivs.numerics import (derive_rng, derive_seed, make_rng, sigmoid,
+                               softmax)
 
 finite = st.floats(min_value=-500, max_value=500, allow_nan=False)
 # Ranges where float64 output resolution can still distinguish neighbours.
@@ -76,31 +76,6 @@ def test_softmax_properties(logits, shift):
     assert abs(p.sum() - 1.0) < 1e-12
     q = softmax(np.asarray(logits) + shift)
     np.testing.assert_allclose(p, q, atol=1e-12)
-
-
-def test_gaussian_degenerate_sd_is_exact():
-    assert gaussian(make_rng(1), 0.3, 0.0) == 0.3
-
-
-def test_gaussian_negative_sd_rejected():
-    with pytest.raises(ValueError):
-        gaussian(make_rng(1), 0.0, -1.0)
-
-
-def test_gaussian_repeatable_stream():
-    a = [gaussian(make_rng(7), 0.0, 1.0) for _ in range(1)]
-    first = [gaussian(make_rng(9), 1.0, 2.0) for _ in range(10)]
-    second = [gaussian(make_rng(9), 1.0, 2.0) for _ in range(10)]
-    assert first == second
-    assert a  # stream exists
-
-
-def test_gaussian_moments():
-    # Standard error of the mean is 1/sqrt(1e5) ~ 0.0032, so +/-0.02 is lax.
-    rng = make_rng(123)
-    draws = np.array([gaussian(rng, 0.0, 1.0) for _ in range(100_000)])
-    assert abs(draws.mean()) < 0.02
-    assert abs(draws.std() - 1.0) < 0.02
 
 
 def test_rng_bitwise_reproducible():

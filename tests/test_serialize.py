@@ -1,11 +1,13 @@
+import json
+
 import numpy as np
+import pytest
 
 from sdae_ivs.dae import DaeModel
 from sdae_ivs.data import VariableMask
 from sdae_ivs.mlr import MlrModel
 from sdae_ivs.numerics import make_rng
-from sdae_ivs.serialize import (load_dae, load_mlr, load_stack, save_dae,
-                                save_mlr, save_stack)
+from sdae_ivs.serialize import VERSION, load_stack, save_stack
 from sdae_ivs.stack import StackLayer, StackModel
 
 rng = make_rng(99)
@@ -18,16 +20,18 @@ def random_stack(top_mask=None, fine_tuned=False):
     mask2 = VariableMask(np.array([1, 1, 0], dtype=bool))
     dae2 = DaeModel(rng.normal(size=(2, 2)), rng.normal(size=2),
                     rng.normal(size=2))
-    top = MlrModel(rng.normal(size=(3, 2)), rng.normal(size=3))
+    width = 2 if top_mask is None else top_mask.popcount
+    top = MlrModel(rng.normal(size=(3, width)), rng.normal(size=3))
     return StackModel([StackLayer(mask1, dae1), StackLayer(mask2, dae2)],
                       top, top_mask, fine_tuned)
 
 
 def test_mlr_round_trip_is_bit_exact(tmp_path):
+    # The top classifier is stored as an MLR record inside the stack file.
     model = MlrModel(rng.normal(size=(4, 7)) * 1e-8, rng.normal(size=4) * 1e8)
     path = tmp_path / "m.json"
-    save_mlr(path, model)
-    loaded = load_mlr(path)
+    save_stack(path, StackModel([], model))
+    loaded = load_stack(path).top
     assert np.array_equal(loaded.weights, model.weights)
     assert np.array_equal(loaded.biases, model.biases)
 
@@ -36,20 +40,13 @@ def test_dae_round_trip_with_mask(tmp_path):
     model = DaeModel(rng.normal(size=(2, 3)), rng.normal(size=2),
                      rng.normal(size=3), "identity")
     mask = VariableMask(np.array([0, 1, 1, 0, 1], dtype=bool))
+    top = MlrModel(rng.normal(size=(2, 2)), rng.normal(size=2))
     path = tmp_path / "d.json"
-    save_dae(path, model, mask)
-    loaded, loaded_mask = load_dae(path)
-    assert np.array_equal(loaded.weights, model.weights)
-    assert loaded.decoder_activation == "identity"
-    assert loaded_mask == mask
-
-
-def test_dae_round_trip_without_mask(tmp_path):
-    model = DaeModel(np.zeros((1, 1)), np.zeros(1), np.zeros(1))
-    path = tmp_path / "d.json"
-    save_dae(path, model)
-    _, mask = load_dae(path)
-    assert mask is None
+    save_stack(path, StackModel([StackLayer(mask, model)], top))
+    (loaded,) = load_stack(path).layers
+    assert np.array_equal(loaded.dae.weights, model.weights)
+    assert loaded.dae.decoder_activation == "identity"
+    assert loaded.mask == mask
 
 
 def test_stack_round_trip(tmp_path):
@@ -70,9 +67,29 @@ def test_stack_round_trip(tmp_path):
     assert np.array_equal(loaded.top.biases, model.top.biases)
 
 
+def test_stack_without_top_mask_loads_with_every_code_kept(tmp_path):
+    path = tmp_path / "s.json"
+    save_stack(path, random_stack())
+    assert load_stack(path).top_mask == VariableMask.all_ones(2)
+
+
 def test_writes_are_byte_identical(tmp_path):
     model = random_stack()
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     save_stack(a, model)
     save_stack(b, model)
     assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize("version", [VERSION - 1, VERSION + 1, None])
+def test_other_versions_rejected_naming_file_and_versions(tmp_path, version):
+    path = tmp_path / "old.json"
+    save_stack(path, random_stack())
+    rec = json.loads(path.read_text())
+    rec["version"] = version
+    path.write_text(json.dumps(rec))
+    with pytest.raises(ValueError) as err:
+        load_stack(path)
+    assert "old.json" in str(err.value)
+    assert f"version {version}" in str(err.value)
+    assert f"version {VERSION}" in str(err.value)

@@ -9,10 +9,9 @@ from sdae_ivs.mlr import MlrModel, TrainConfig, evaluate, train_mlr
 from sdae_ivs.mlr import predict_labels as mlr_predict_labels
 from sdae_ivs.numerics import derive_rng, make_rng
 from sdae_ivs.stack import (StackConfig, StackLayer, StackModel,
-                            classification_loss_and_grads,
-                            count_task_relevant_extractors, fine_tune,
-                            predict, predict_labels, pretrain,
-                            reconstruct_through, select_extractors)
+                            classification_loss_and_grads, fine_tune,
+                            predict_labels, pretrain, reconstruct_through,
+                            select_extractors)
 from util import central_diff, grads_close
 
 EASY = SyntheticSpec(num_relevant=8, num_irrelevant=24, num_classes=3,
@@ -64,7 +63,7 @@ def toy_stack(seed=0, widths=(6, 4, 3), k=2, with_masks=True, top_mask=None):
     top = MlrModel(rng.normal(scale=0.6, size=(k, h2)),
                    rng.normal(scale=0.3, size=k))
     if top_mask is not None:
-        top = MlrModel(np.where(top_mask.bits, top.weights, 0.0), top.biases)
+        top = MlrModel(top.weights[:, top_mask.bits], top.biases)
     model = StackModel([StackLayer(mask1, dae1), StackLayer(mask2, dae2)],
                        top, top_mask)
     model.check_widths()
@@ -75,7 +74,7 @@ class TestPretrain:
     def test_plain_depth1_equals_manual_composition(self):
         train, valid, _, _ = easy_splits(1)
         cfg = stack_cfg(1, ivs_enabled=False)
-        model = pretrain(train, valid, cfg, derive_rng(7, 1))
+        model, _ = pretrain(train, valid, cfg, derive_rng(7, 1))
 
         rng = derive_rng(7, 1)
         manual_dae = train_dae(train, cfg.dae[0], rng.spawn(1)[0])
@@ -84,7 +83,6 @@ class TestPretrain:
         from dataclasses import replace
         top_seed = int(rng.spawn(1)[0].integers(0, 2**63))
         manual_top = train_mlr(rep_train, rep_valid,
-                               VariableMask.all_ones(rep_train.m),
                                replace(cfg.fine_tune, seed=top_seed))
 
         assert model.layers[0].mask == VariableMask.all_ones(train.m)
@@ -96,8 +94,8 @@ class TestPretrain:
 
     def test_depth2_width_bookkeeping(self):
         train, valid, _, _ = easy_splits(2)
-        model = pretrain(train, valid, stack_cfg(2, ivs_enabled=True),
-                         derive_rng(8, 1))
+        model, _ = pretrain(train, valid, stack_cfg(2, ivs_enabled=True),
+                            derive_rng(8, 1))
         first = model.layers[0]
         assert first.dae.input_width == first.mask.popcount
         second = model.layers[1]
@@ -107,16 +105,16 @@ class TestPretrain:
 
     def test_deterministic(self):
         train, valid, _, _ = easy_splits(3)
-        a = pretrain(train, valid, stack_cfg(1, True), derive_rng(5, 1))
-        b = pretrain(train, valid, stack_cfg(1, True), derive_rng(5, 1))
+        a, _ = pretrain(train, valid, stack_cfg(1, True), derive_rng(5, 1))
+        b, _ = pretrain(train, valid, stack_cfg(1, True), derive_rng(5, 1))
         assert a.layers[0].mask == b.layers[0].mask
         assert np.array_equal(a.layers[0].dae.weights, b.layers[0].dae.weights)
         assert np.array_equal(a.top.weights, b.top.weights)
 
     def test_adding_depth_preserves_lower_layer(self):
         train, valid, _, _ = easy_splits(4)
-        shallow = pretrain(train, valid, stack_cfg(1, True), derive_rng(6, 1))
-        deep = pretrain(train, valid, stack_cfg(2, True), derive_rng(6, 1))
+        shallow, _ = pretrain(train, valid, stack_cfg(1, True), derive_rng(6, 1))
+        deep, _ = pretrain(train, valid, stack_cfg(2, True), derive_rng(6, 1))
         assert shallow.layers[0].mask == deep.layers[0].mask
         assert np.array_equal(shallow.layers[0].dae.weights,
                               deep.layers[0].dae.weights)
@@ -127,11 +125,10 @@ class TestPretrain:
         cfg = StackConfig(depth=1, dae=base.dae, ivs=base.ivs,
                           fine_tune=base.fine_tune, ivs_enabled=True,
                           final_ivs=True)
-        model, ivs_results = pretrain(train, valid, cfg, derive_rng(20, 1),
-                                      return_ivs=True)
-        assert model.top_mask is not None
+        model, ivs_results = pretrain(train, valid, cfg, derive_rng(20, 1))
+        assert model.top_mask == ivs_results[-1].mask
         assert model.top_mask.m == model.layers[0].dae.hidden_units
-        assert np.all(model.top.weights[:, ~model.top_mask.bits] == 0.0)
+        assert model.top.m == model.top_mask.popcount
         assert len(ivs_results) == 2  # per-layer pass plus the final pass
         predict_labels(model, valid.x)  # forward path stays consistent
 
@@ -144,25 +141,25 @@ class TestPredict:
         x = rng.uniform(size=(10, 5))
         np.testing.assert_array_equal(predict_labels(model, x),
                                       mlr_predict_labels(top, x))
-        assert predict(model, x[0]) == int(mlr_predict_labels(top, x[:1])[0])
 
     def test_deterministic(self):
         model = toy_stack(1)
-        x = make_rng(2).uniform(size=6)
-        assert predict(model, x) == predict(model, x)
+        x = make_rng(2).uniform(size=(5, 6))
+        np.testing.assert_array_equal(predict_labels(model, x),
+                                      predict_labels(model, x))
 
     def test_single_and_batch_agree(self):
         model = toy_stack(3)
         x = make_rng(4).uniform(size=(7, 6))
         batch = predict_labels(model, x)
-        singles = [predict(model, row) for row in x]
+        singles = [int(predict_labels(model, row)[0]) for row in x]
         assert batch.tolist() == singles
 
 
 class TestFineTune:
     def test_zero_epochs_is_identity(self):
         train, valid, _, _ = easy_splits(5)
-        model = pretrain(train, valid, stack_cfg(1, False), derive_rng(9, 1))
+        model, _ = pretrain(train, valid, stack_cfg(1, False), derive_rng(9, 1))
         tuned = fine_tune(model, train, valid, TrainConfig(0.1, 0, 1, seed=0))
         assert tuned.fine_tuned
         assert np.array_equal(tuned.layers[0].dae.weights,
@@ -170,7 +167,8 @@ class TestFineTune:
         assert np.array_equal(tuned.top.weights, model.top.weights)
 
     def test_gradients_match_finite_differences(self):
-        model = toy_stack(21)
+        model = toy_stack(21, top_mask=VariableMask(np.array([1, 0, 1],
+                                                             dtype=bool)))
         x = make_rng(22).uniform(size=6)
         label = 2
 
@@ -191,20 +189,22 @@ class TestFineTune:
 
     def test_never_degrades_best_validation(self):
         train, valid, _, _ = easy_splits(6)
-        model = pretrain(train, valid, stack_cfg(1, False), derive_rng(10, 1))
+        model, _ = pretrain(train, valid, stack_cfg(1, False), derive_rng(10, 1))
         before = evaluate(lambda x: predict_labels(model, x), valid).error_rate
         tuned = fine_tune(model, train, valid, TrainConfig(0.1, 10, 3, seed=1))
         after = evaluate(lambda x: predict_labels(tuned, x), valid).error_rate
         assert after <= before
 
-    def test_top_mask_columns_stay_zero(self):
+    def test_top_mask_survives_fine_tuning(self):
         top_mask = VariableMask(np.array([1, 0, 1], dtype=bool))
         model = toy_stack(30, top_mask=top_mask)
         rng = make_rng(31)
         train = Dataset(rng.uniform(size=(30, 6)),
                         rng.integers(1, 3, size=30), 2)
         tuned = fine_tune(model, train, train, TrainConfig(0.1, 5, 5, seed=2))
-        assert np.all(tuned.top.weights[:, 1] == 0.0)
+        assert tuned.top_mask == top_mask
+        assert tuned.top.m == 2
+        assert not np.array_equal(tuned.top.weights, model.top.weights)
 
 
 def _forward_for_test(model, x):
@@ -218,8 +218,7 @@ def _forward_for_test(model, x):
         h = sigmoid(layer.dae.weights @ c + layer.dae.encoder_bias)
         codes.append(h)
         cur = h
-    if model.top_mask is not None:
-        cur = np.where(model.top_mask.bits, cur, 0.0)
+    cur = cur[model.top_mask.bits]
     logits = model.top.weights @ cur + model.top.biases
     return inputs, codes, cur, logits
 
@@ -263,15 +262,15 @@ class TestReconstruct:
 class TestExtractors:
     def test_zero_threshold_keeps_all_units(self):
         train, valid, _, _ = easy_splits(7)
-        model = pretrain(train, valid, stack_cfg(1, False), derive_rng(11, 1))
+        model, _ = pretrain(train, valid, stack_cfg(1, False), derive_rng(11, 1))
         cfg = IvsConfig(threshold=0.0, max_iterations=3, mlr=MLR_CFG)
-        count = count_task_relevant_extractors(model, 1, train, valid, cfg,
-                                               make_rng(12))
+        count = select_extractors(model, 1, train, valid, cfg,
+                                  make_rng(12)).count
         assert count == model.layers[0].dae.hidden_units
 
     def test_count_bounded_and_patterns_partition(self):
         train, valid, _, _ = easy_splits(8)
-        model = pretrain(train, valid, stack_cfg(1, True), derive_rng(13, 1))
+        model, _ = pretrain(train, valid, stack_cfg(1, True), derive_rng(13, 1))
         report = select_extractors(model, 1, train, valid, IVS_CFG, make_rng(14))
         h = model.layers[0].dae.hidden_units
         assert 0 < report.count <= h
@@ -296,7 +295,7 @@ class TestEndToEnd:
                 ivs=(IvsConfig(0.3, 8, TrainConfig(0.1, 30, 5, 0)),),
                 fine_tune=TrainConfig(0.1, 10, 3, 0),
                 ivs_enabled=enabled)
-            model = pretrain(train, valid, cfg, derive_rng(0, 1))
+            model, _ = pretrain(train, valid, cfg, derive_rng(0, 1))
             tuned = fine_tune(model, train, valid,
                               TrainConfig(0.1, 10, 3, seed=1000))
             errors[enabled] = evaluate(lambda x: predict_labels(tuned, x),
@@ -305,8 +304,8 @@ class TestEndToEnd:
 
     def test_tuned_depth1_accuracy_on_planted(self):
         train, valid, test, _ = easy_splits(10)
-        model = pretrain(train, valid, stack_cfg(1, True, epochs=10),
-                         derive_rng(17, 1))
+        model, _ = pretrain(train, valid, stack_cfg(1, True, epochs=10),
+                            derive_rng(17, 1))
         tuned = fine_tune(model, train, valid, TrainConfig(0.1, 15, 3, seed=18))
         report = evaluate(lambda x: predict_labels(tuned, x), test)
         assert 1.0 - report.error_rate >= 0.9
