@@ -14,7 +14,7 @@ import numpy as np
 
 from .data import Dataset
 from .errors import ConfigError, DataError, DimensionError
-from .numerics import Rng, make_rng, sigmoid
+from .numerics import Rng, check_finite, make_rng, sigmoid
 
 SIGMOID = "sigmoid"
 IDENTITY = "identity"
@@ -126,15 +126,14 @@ def loss(x: np.ndarray, y: np.ndarray, kind: str = CROSS_ENTROPY) -> float:
     raise ConfigError(f"unknown loss kind {kind!r}")
 
 
-def loss_and_grads(m: DaeModel, x_clean: np.ndarray, x_in: np.ndarray,
-                   kind: str):
-    """Loss plus analytic gradients (weights, encoder bias, decoder bias)
-    for one example fed x_in and reconstructed against x_clean.
+def grads(m: DaeModel, x_clean: np.ndarray, x_in: np.ndarray, kind: str):
+    """Reconstruction plus analytic gradients (weights, encoder bias,
+    decoder bias) of loss(x_clean, reconstruction) for one example fed x_in.
 
     The weight gradient sums the decoder term outer(h, dz) and the encoder
     term outer(da, x_in) because the matrix is shared. This is the exact
     step direction of train_dae, hence the target of the finite-difference
-    oracle.
+    oracle; the loss itself is left to callers that record it.
     """
     if kind == CROSS_ENTROPY and m.decoder_activation != SIGMOID:
         raise ConfigError("cross-entropy needs a sigmoid decoder")
@@ -156,7 +155,7 @@ def loss_and_grads(m: DaeModel, x_clean: np.ndarray, x_in: np.ndarray,
     da = dh * h * (1.0 - h)
     grad_w += np.outer(da, x_in)
     grad_be = da
-    return loss(x_clean, y, kind), grad_w, grad_be, grad_bd
+    return y, grad_w, grad_be, grad_bd
 
 
 def init_dae(input_width: int, cfg: DaeTrainConfig, rng: Rng) -> DaeModel:
@@ -174,7 +173,9 @@ def train_dae(train: Dataset, cfg: DaeTrainConfig, rng: Rng | None = None,
     Per example: draw fresh corruption, encode, decode, take one step
     against the clean input. rng drives init, shuffling, and corruption;
     when omitted it is seeded from cfg.seed, so equal seeds give
-    bitwise-equal models.
+    bitwise-equal models. The per-epoch mean reconstruction loss is
+    computed only under return_history. Parameters that stop being finite
+    raise DivergenceError at the end of that epoch.
     """
     if train.n == 0:
         raise DataError("cannot train on an empty dataset")
@@ -187,17 +188,20 @@ def train_dae(train: Dataset, cfg: DaeTrainConfig, rng: Rng | None = None,
     lr = cfg.learning_rate
     history: list[float] = []
 
-    for _ in range(cfg.epochs):
+    for epoch in range(1, cfg.epochs + 1):
         order = rng.permutation(train.n)
         total = 0.0
         for idx in order:
             x = train.x[idx]
             x_in = corrupt(x, cfg.noise_sd, rng)
-            step_loss, gw, gbe, gbd = loss_and_grads(model, x, x_in, cfg.loss_kind)
+            y, gw, gbe, gbd = grads(model, x, x_in, cfg.loss_kind)
+            if return_history:
+                total += loss(x, y, cfg.loss_kind)
             model.weights -= lr * gw
             model.encoder_bias -= lr * gbe
             model.decoder_bias -= lr * gbd
-            total += step_loss
+        check_finite("DAE pre-training", epoch, model.weights,
+                     model.encoder_bias, model.decoder_bias)
         history.append(total / train.n)
 
     if return_history:

@@ -6,6 +6,7 @@ labels are stored 1-based ({1..K}) regardless of how they appear on disk.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -125,32 +126,28 @@ def load_amat(path, zero_based_labels: bool = True,
               variable_shape: tuple[int, int] | None = None) -> Dataset:
     """Load a whitespace-separated text corpus, one example per row, label last.
 
-    Features must already lie in [0, 1]; values outside, and non-finite
-    values anywhere, raise rather than being rescaled. The label column may
-    be 0-based (default, as in the published MNIST-variant corpora) or
-    1-based on disk.
+    Blank lines are skipped and '#' is an ordinary (non-numeric) field, not
+    a comment. Features must already lie in [0, 1]; values outside, and
+    non-finite values anywhere, raise rather than being rescaled. The label
+    column may be 0-based (default, as in the published MNIST-variant
+    corpora) or 1-based on disk. numpy's C reader parses straight into the
+    float64 matrix, so memory stays near 8 bytes per field.
     """
     path = Path(path)
     try:
-        lines = path.read_text().splitlines()
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data",
+                                    UserWarning)
+            values = np.loadtxt(path, dtype=np.float64, ndmin=2, comments=None)
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
-
-    rows = [ln.split() for ln in lines if ln.strip()]
-    if not rows:
-        raise DataError(f"{path}: file holds no examples")
-    width = len(rows[0])
-    if width < 2:
-        raise DataError(f"{path}: rows need at least one feature and a label")
-    for i, row in enumerate(rows, start=1):
-        if len(row) != width:
-            raise DataError(
-                f"{path}: ragged row {i} has {len(row)} fields, expected {width}"
-            )
-    try:
-        values = np.array(rows, dtype=np.float64)
     except ValueError as exc:
-        raise DataError(f"{path}: non-numeric field ({exc})") from exc
+        raise _malformed_row_error(path, exc) from exc
+
+    if values.shape[0] == 0:
+        raise DataError(f"{path}: file holds no examples")
+    if values.shape[1] < 2:
+        raise DataError(f"{path}: rows need at least one feature and a label")
 
     if not np.isfinite(values).all():
         bad = np.argwhere(~np.isfinite(values))[0]
@@ -175,6 +172,37 @@ def load_amat(path, zero_based_labels: bool = True,
         raise DataError(f"{path}: label below the declared base at row "
                         f"{int(np.argmax(labels < 1)) + 1}")
     return Dataset(features, labels, int(labels.max()), variable_shape)
+
+
+def _malformed_row_error(path: Path, cause: ValueError) -> DataError:
+    """The error for a file the C reader rejected, naming its first bad row.
+
+    Streams the file line by line, numbering non-blank rows: the first
+    ragged row wins, else the first non-numeric field. A file whose every
+    field float() accepts still gets an error, with the reader's message.
+    """
+    width = None
+    non_numeric = None
+    with open(path, errors="replace") as lines:
+        rows = (ln.split() for ln in lines)
+        for i, row in enumerate(filter(None, rows), start=1):
+            if width is None:
+                width = len(row)
+                if width < 2:
+                    return DataError(
+                        f"{path}: rows need at least one feature and a label")
+            if len(row) != width:
+                return DataError(
+                    f"{path}: ragged row {i} has {len(row)} fields, expected {width}"
+                )
+            if non_numeric is None:
+                for field in row:
+                    try:
+                        float(field)
+                    except ValueError as exc:
+                        non_numeric = exc
+                        break
+    return DataError(f"{path}: non-numeric field ({non_numeric or cause})")
 
 
 def split(d: Dataset, sizes: tuple[int, int]) -> tuple[Dataset, Dataset, Dataset]:

@@ -23,3 +23,8 @@ class OverThresholdError(RuntimeError):
 
 class DegenerateModelError(RuntimeError):
     """Every class pair has identical weights, so no variable can be scored."""
+
+
+class DivergenceError(RuntimeError):
+    """Training left its parameters non-finite; the message names the phase
+    and epoch (and the layer, during pre-training)."""

@@ -9,7 +9,7 @@ import numpy as np
 
 from .data import Dataset
 from .errors import DataError, DimensionError
-from .numerics import log_softmax, make_rng, softmax
+from .numerics import check_finite, log_softmax, make_rng, softmax
 
 
 @dataclass
@@ -129,7 +129,8 @@ def train_mlr(train: Dataset, valid: Dataset, cfg: TrainConfig,
     depend on the start). The returned model is the snapshot with the best
     validation error; ties go to the earlier epoch, so a fit that never
     beats the untrained model returns the all-zero model. To drop
-    variables, train on a compacted dataset.
+    variables, train on a compacted dataset. Parameters that stop being
+    finite raise DivergenceError at the end of that epoch.
     """
     if train.n == 0:
         raise DataError("cannot train on an empty dataset")
@@ -157,6 +158,7 @@ def train_mlr(train: Dataset, valid: Dataset, cfg: TrainConfig,
                                  train.labels[idx], cfg.l2)
             weights -= cfg.learning_rate * gw
             biases -= cfg.learning_rate * gb
+        check_finite("MLR training", epoch, weights, biases)
 
         err = validation_error(weights, biases, valid.x, valid.labels)
         history.append((epoch, err))

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import DivergenceError
+
 Rng = np.random.Generator
 
 
@@ -31,6 +33,13 @@ def derive_seed(master_seed: int, *key: int) -> int:
     """64-bit seed derived from a master seed and a key, for config plumbing."""
     ss = np.random.SeedSequence(master_seed, spawn_key=tuple(key))
     return int(ss.generate_state(1, dtype=np.uint64)[0])
+
+
+def check_finite(phase: str, epoch: int, *params: np.ndarray) -> None:
+    """Raise DivergenceError if any parameter array holds an inf or a NaN."""
+    if not all(np.isfinite(p).all() for p in params):
+        raise DivergenceError(f"{phase} diverged at epoch {epoch} (non-finite "
+                              "parameters); lower the learning rate")
 
 
 def sigmoid(z):

@@ -274,6 +274,18 @@ def cmd_ivs(cfg: ExperimentConfig) -> IvsResult:
     return result
 
 
+def _load_model(path: Path, data: Dataset) -> stack_mod.StackModel:
+    """A serialized stack, checked to read data of this width."""
+    if not path.is_file():
+        raise DataError(f"missing model file {path}")
+    model = load_stack(path)
+    width = model.layers[0].mask.m
+    if width != data.m:
+        raise DataError(f"model {path} reads {width} variables, "
+                        f"but the data has {data.m}")
+    return model
+
+
 def cmd_eval(cfg: ExperimentConfig) -> dict:
     """Re-evaluate the serialized tuned models against the test split.
 
@@ -291,7 +303,7 @@ def cmd_eval(cfg: ExperimentConfig) -> dict:
     for variant, depths in report["results"].items():
         recomputed[variant] = {}
         for depth_key, entry in depths.items():
-            model = load_stack(out / entry["model"])
+            model = _load_model(out / entry["model"], test)
             check = evaluate(lambda x: stack_mod.predict_labels(model, x), test)
             recomputed[variant][depth_key] = {
                 "test_error_rate": check.error_rate,
@@ -321,10 +333,7 @@ def cmd_reconstruct(cfg: ExperimentConfig) -> list[str]:
     for variant in cfg.variants:
         for depth in cfg.depths:
             tag = f"{variant}-depth{depth}"
-            model_path = out / "models" / f"{tag}-pretrained.json"
-            if not model_path.is_file():
-                raise DataError(f"missing model file {model_path}")
-            pre = load_stack(model_path)
+            pre = _load_model(out / "models" / f"{tag}-pretrained.json", test)
             paths.append(_write_reconstruction(out, tag, pre, test, cfg))
     return paths
 
@@ -342,9 +351,6 @@ def cmd_export_patterns(cfg: ExperimentConfig) -> list[str]:
     for variant in cfg.variants:
         for depth in cfg.depths:
             tag = f"{variant}-depth{depth}"
-            model_path = out / "models" / f"{tag}-pretrained.json"
-            if not model_path.is_file():
-                raise DataError(f"missing model file {model_path}")
-            pre = load_stack(model_path)
+            pre = _load_model(out / "models" / f"{tag}-pretrained.json", train)
             paths += _write_patterns(out, tag, pre, train, valid, cfg, depth)
     return paths

@@ -15,10 +15,11 @@ import numpy as np
 
 from .dae import DaeModel, DaeTrainConfig, decode, encode, train_dae, encode_dataset
 from .data import Dataset, VariableMask, compact, compact_dataset, expand
-from .errors import ConfigError, DataError, DimensionError
+from .errors import ConfigError, DataError, DimensionError, DivergenceError
 from .ivs import IvsConfig, IvsResult, run_ivs
 from .mlr import MlrModel, TrainConfig, train_mlr
-from .numerics import Rng, log_softmax, make_rng, sigmoid, softmax
+from .numerics import (Rng, check_finite, log_softmax, make_rng, sigmoid,
+                       softmax)
 
 
 @dataclass
@@ -109,17 +110,20 @@ def pretrain(train: Dataset, valid: Dataset, cfg: StackConfig, rng: Rng
     ivs_results: list[IvsResult | None] = []
 
     for idx in range(cfg.depth):
-        if cfg.ivs_enabled:
-            result = run_ivs(cur_train, cur_valid, cfg.ivs[idx], rng.spawn(1)[0])
-            mask = result.mask
-        else:
-            result = None
-            mask = VariableMask.all_ones(cur_train.m)
+        try:
+            if cfg.ivs_enabled:
+                result = run_ivs(cur_train, cur_valid, cfg.ivs[idx],
+                                 rng.spawn(1)[0])
+                mask = result.mask
+            else:
+                result = None
+                mask = VariableMask.all_ones(cur_train.m)
+            compact_train = compact_dataset(cur_train, mask)
+            compact_valid = compact_dataset(cur_valid, mask)
+            dae_model = train_dae(compact_train, cfg.dae[idx], rng.spawn(1)[0])
+        except DivergenceError as exc:
+            raise DivergenceError(f"layer {idx + 1}: {exc}") from exc
         ivs_results.append(result)
-
-        compact_train = compact_dataset(cur_train, mask)
-        compact_valid = compact_dataset(cur_valid, mask)
-        dae_model = train_dae(compact_train, cfg.dae[idx], rng.spawn(1)[0])
         layers.append(StackLayer(mask, dae_model))
 
         cur_train = encode_dataset(dae_model, compact_train)
@@ -224,7 +228,8 @@ def fine_tune(m: StackModel, train: Dataset, valid: Dataset,
     dropped top-layer codes can never re-enter. Early stopping mirrors the
     MLR trainer (best validation snapshot, ties to the earlier epoch); with
     max_epochs = 0 the returned model carries the input parameters
-    unchanged.
+    unchanged. Parameters that stop being finite raise DivergenceError at
+    the end of that epoch.
     """
     if train.n == 0:
         raise DataError("cannot fine-tune on an empty dataset")
@@ -248,7 +253,7 @@ def fine_tune(m: StackModel, train: Dataset, valid: Dataset,
     best = _copy_params(work)
     since_improvement = 0
 
-    for _ in range(cfg.max_epochs):
+    for epoch in range(1, cfg.max_epochs + 1):
         order = rng.permutation(train.n)
         for idx in order:
             _, layer_grads, (gtw, gtb) = classification_loss_and_grads(
@@ -258,6 +263,9 @@ def fine_tune(m: StackModel, train: Dataset, valid: Dataset,
                 layer.dae.encoder_bias -= lr * gb
             work.top.weights -= lr * gtw
             work.top.biases -= lr * gtb
+        check_finite("fine-tuning", epoch, work.top.weights, work.top.biases,
+                     *[l.dae.weights for l in work.layers],
+                     *[l.dae.encoder_bias for l in work.layers])
 
         err = _stack_error(work, valid)
         if err < best_err:

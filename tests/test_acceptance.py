@@ -18,7 +18,7 @@ from sdae_ivs.cli import main as cli_main
 from sdae_ivs.dae import (CROSS_ENTROPY, IDENTITY, SIGMOID, SQUARED, DaeModel,
                           DaeTrainConfig, decode, encode)
 from sdae_ivs.dae import loss as dae_loss
-from sdae_ivs.dae import loss_and_grads as dae_grads
+from sdae_ivs.dae import grads as dae_grads
 from sdae_ivs.data import (SyntheticSpec, VariableMask, compact, expand,
                            gen_synthetic, split)
 from sdae_ivs.errors import OverThresholdError

@@ -94,6 +94,35 @@ class TestEval:
         assert run_cli("eval", "--config", SMOKE, "--out", tmp_path) == 2
 
 
+class TestModelWidth:
+    """Verbs that feed loaded models with data check the data's width."""
+
+    @pytest.mark.parametrize("verb", ["eval", "reconstruct", "export-patterns"])
+    def test_wider_data_is_a_data_error(self, tmp_path, smoke_run, capsys, verb):
+        patched = tmp_path / "wide.ini"
+        patched.write_text(SMOKE.read_text()
+                           .replace("irrelevant = 24", "irrelevant = 25")
+                           .replace("shape = 5 6", "shape = 1 31"))
+        assert run_cli(verb, "--config", patched, "--out", smoke_run) == 2
+        err = capsys.readouterr().err
+        assert "-depth1-" in err and ".json reads 30 variables" in err
+        assert "data has 31" in err
+
+
+class TestDivergence:
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_dae_learning_rate_exits_3_naming_layer_and_epoch(
+            self, tmp_path, capsys):
+        patched = tmp_path / "diverge.ini"
+        patched.write_text(SMOKE.read_text().replace(
+            "learning_rate = 0.1\nepochs = 5",
+            "learning_rate = 1e300\nepochs = 5\nloss = squared\n"
+            "decoder = identity"))
+        assert run_cli("run", "--config", patched, "--out", tmp_path / "o") == 3
+        assert "layer 1: DAE pre-training diverged at epoch 1" in \
+            capsys.readouterr().err
+
+
 class TestIvsCommand:
     def test_artifacts(self, tmp_path):
         out = tmp_path / "ivs_out"

@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
+import sdae_ivs.dae as dae_mod
 from sdae_ivs.dae import (CROSS_ENTROPY, IDENTITY, SIGMOID, SQUARED, DaeModel,
                           DaeTrainConfig, corrupt, decode, encode,
-                          encode_dataset, init_dae, loss, loss_and_grads,
-                          train_dae)
+                          encode_dataset, grads, init_dae, loss, train_dae)
 from sdae_ivs.data import Dataset
-from sdae_ivs.errors import ConfigError
+from sdae_ivs.errors import ConfigError, DivergenceError
 from sdae_ivs.numerics import make_rng
 from util import central_diff, grads_close
 
@@ -95,7 +95,7 @@ class TestLoss:
                            loss_kind=CROSS_ENTROPY, decoder_activation=IDENTITY)
         m = tiny_model(decoder=IDENTITY)
         with pytest.raises(ConfigError):
-            loss_and_grads(m, np.zeros(4), np.zeros(4), CROSS_ENTROPY)
+            grads(m, np.zeros(4), np.zeros(4), CROSS_ENTROPY)
 
     def test_non_negative(self):
         rng = make_rng(8)
@@ -118,7 +118,7 @@ class TestGradients:
             rng = make_rng(50 + seed)
             x_clean = rng.uniform(0.05, 0.95, size=4)
             x_in = x_clean + rng.normal(0, 0.1, size=4)
-            _, gw, gbe, gbd = loss_and_grads(model, x_clean, x_in, kind)
+            _, gw, gbe, gbd = grads(model, x_clean, x_in, kind)
 
             def f():
                 h = encode(model, x_in)
@@ -161,6 +161,35 @@ class TestTraining:
         assert np.array_equal(a.weights, b.weights)
         assert np.array_equal(a.encoder_bias, b.encoder_bias)
         assert np.array_equal(a.decoder_bias, b.decoder_bias)
+
+    def test_loss_computed_only_when_recorded(self, monkeypatch):
+        rng = make_rng(12)
+        d = Dataset(rng.uniform(size=(10, 4)), np.ones(10, dtype=int), 1)
+        cfg = DaeTrainConfig(hidden_units=3, noise_sd=0.2, learning_rate=0.1,
+                             epochs=3, seed=5)
+        calls = []
+
+        def counted(*args):
+            calls.append(1)
+            return loss(*args)
+
+        monkeypatch.setattr(dae_mod, "loss", counted)
+        quiet = train_dae(d, cfg)
+        assert calls == []
+        recorded, history = train_dae(d, cfg, return_history=True)
+        assert len(calls) == d.n * cfg.epochs and len(history) == cfg.epochs
+        assert np.array_equal(quiet.weights, recorded.weights)
+        assert np.array_equal(quiet.decoder_bias, recorded.decoder_bias)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_learning_rate_raises_with_the_epoch(self):
+        d = Dataset(make_rng(13).uniform(size=(12, 5)), np.ones(12, dtype=int), 1)
+        cfg = DaeTrainConfig(hidden_units=3, noise_sd=0.2, learning_rate=1e300,
+                             epochs=3, seed=1, loss_kind=SQUARED,
+                             decoder_activation=IDENTITY)
+        with pytest.raises(DivergenceError,
+                           match="DAE pre-training diverged at epoch 1"):
+            train_dae(d, cfg)
 
     def test_init_bounds(self):
         cfg = DaeTrainConfig(hidden_units=8, noise_sd=0.1, learning_rate=0.1,

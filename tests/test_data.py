@@ -1,4 +1,5 @@
 import os
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -59,6 +60,67 @@ class TestLoadAmat:
     def test_label_below_base(self, tmp_path):
         with pytest.raises(DataError, match="below"):
             load_amat(write(tmp_path, "0.5 0\n"), zero_based_labels=False)
+
+    def test_hash_is_a_field_not_a_comment(self, tmp_path):
+        path = write(tmp_path, "0.5 0.5 0 # a\n0.5 0.5 1 # b\n")
+        with pytest.raises(DataError, match="non-numeric field .*'#'"):
+            load_amat(path)
+
+    def test_ragged_row_after_blank_lines_counts_non_blank_rows(self, tmp_path):
+        path = write(tmp_path, "\n0 0 0\n\n  \n0 0 0\n\n0 0\n")
+        with pytest.raises(DataError,
+                           match="ragged row 3 has 2 fields, expected 3"):
+            load_amat(path)
+
+    def test_ragged_row_reported_before_an_earlier_non_numeric_field(self, tmp_path):
+        path = write(tmp_path, "0 abc 0\n0 0\n")
+        with pytest.raises(DataError, match="ragged row 2"):
+            load_amat(path)
+
+    def test_non_numeric_field_quotes_the_field(self, tmp_path):
+        path = write(tmp_path, "0 0 0\n0 abc 1\n")
+        with pytest.raises(DataError, match="non-numeric field .*'abc'"):
+            load_amat(path)
+
+    @pytest.mark.parametrize("text", ["", "\n", "  \n\t\n"])
+    def test_empty_file_holds_no_examples_without_a_warning(self, tmp_path, text):
+        path = write(tmp_path, text)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(DataError, match="holds no examples"):
+                load_amat(path)
+        assert caught == []
+
+    def test_crlf_line_ends_and_tab_separators(self, tmp_path):
+        path = tmp_path / "toy.amat"
+        path.write_bytes(b"0.25\t0.5 0\r\n1\t0.75\t1\r\n")
+        d = load_amat(path)
+        np.testing.assert_array_equal(d.x, [[0.25, 0.5], [1.0, 0.75]])
+        assert d.labels.tolist() == [1, 2]
+
+    def test_one_row_gives_a_matrix(self, tmp_path):
+        d = load_amat(write(tmp_path, "0.1 0.2 0.3 2"))
+        assert d.x.shape == (1, 3)
+        assert d.labels.tolist() == [3]
+
+    def test_values_equal_python_float_bit_for_bit(self, tmp_path):
+        spellings = ["1e-3", ".5", "1.", "0.1000000000000000055511151231257827",
+                     "0.30000000000000004", "0.99999999999999994", "+.25",
+                     "1E-5", "4.9406564584124654e-324", "-0", "1"]
+        d = load_amat(write(tmp_path, " ".join(spellings) + " 0\n"))
+        expected = np.array([float(s) for s in spellings])
+        assert d.x[0].tobytes() == expected.tobytes()
+
+    @given(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=6),
+           st.sampled_from(["{!r}", "{:.6g}", "{:.25f}", "{:e}"]))
+    def test_formatted_floats_round_trip_like_python_float(
+            self, tmp_path_factory, values, fmt):
+        fields = [fmt.format(v) for v in values]
+        path = tmp_path_factory.getbasetemp() / "formatted.amat"
+        path.write_text(" ".join(fields) + " 0\n")
+        d = load_amat(path)
+        expected = np.array([float(f) for f in fields])
+        assert d.x[0].tobytes() == expected.tobytes()
 
     @pytest.mark.skipif(not BG_RAND_TRAIN.is_file(),
                         reason="bg-rand corpus not available")

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from sdae_ivs.data import Dataset
-from sdae_ivs.errors import DataError
+from sdae_ivs.errors import DataError, DivergenceError
 from sdae_ivs.mlr import (ErrorReport, MlrModel, TrainConfig, batch_grads,
                           cross_entropy, evaluate, predict_labels, train_mlr,
                           wald_halfwidth)
@@ -81,6 +81,13 @@ class TestTraining:
         returned_err = float(np.mean(predict_labels(model, valid.x)
                                      != valid.labels))
         assert all(returned_err <= err for _, err in history)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_learning_rate_raises_with_the_epoch(self):
+        d = separable_toy()
+        with pytest.raises(DivergenceError,
+                           match=r"MLR training diverged at epoch \d"):
+            train_mlr(d, d, TrainConfig(1e308, 5, 5, seed=0))
 
     def test_empty_training_set_rejected(self):
         empty = Dataset(np.zeros((0, 2)), np.zeros(0, dtype=int), 2)

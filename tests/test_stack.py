@@ -1,9 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from sdae_ivs.dae import DaeModel, DaeTrainConfig, decode, encode, encode_dataset, train_dae
 from sdae_ivs.data import (Dataset, SyntheticSpec, VariableMask, compact,
                            expand, gen_synthetic, split)
+from sdae_ivs.errors import DivergenceError
 from sdae_ivs.ivs import IvsConfig
 from sdae_ivs.mlr import MlrModel, TrainConfig, evaluate, train_mlr
 from sdae_ivs.mlr import predict_labels as mlr_predict_labels
@@ -132,6 +135,16 @@ class TestPretrain:
         assert len(ivs_results) == 2  # per-layer pass plus the final pass
         predict_labels(model, valid.x)  # forward path stays consistent
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_divergence_names_the_layer(self):
+        train, valid, _, _ = easy_splits(2)
+        cfg = stack_cfg(2, False)
+        cfg = replace(cfg, dae=(cfg.dae[0],
+                                replace(cfg.dae[1], learning_rate=1e308)))
+        with pytest.raises(DivergenceError,
+                           match="layer 2: DAE pre-training diverged at epoch"):
+            pretrain(train, valid, cfg, derive_rng(9, 1))
+
 
 class TestPredict:
     def test_layerless_stack_equals_mlr(self):
@@ -194,6 +207,14 @@ class TestFineTune:
         tuned = fine_tune(model, train, valid, TrainConfig(0.1, 10, 3, seed=1))
         after = evaluate(lambda x: predict_labels(tuned, x), valid).error_rate
         assert after <= before
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_learning_rate_raises_with_the_epoch(self):
+        train, valid, _, _ = easy_splits(5)
+        model, _ = pretrain(train, valid, stack_cfg(1, False), derive_rng(9, 1))
+        with pytest.raises(DivergenceError,
+                           match="fine-tuning diverged at epoch 1"):
+            fine_tune(model, train, valid, TrainConfig(1e308, 5, 5, seed=0))
 
     def test_top_mask_survives_fine_tuning(self):
         top_mask = VariableMask(np.array([1, 0, 1], dtype=bool))
