@@ -14,7 +14,7 @@ import numpy as np
 
 from .data import Dataset
 from .errors import ConfigError, DataError, DimensionError
-from .numerics import Rng, check_finite, make_rng, sigmoid
+from .numerics import Rng, make_rng, sgd, sigmoid
 
 SIGMOID = "sigmoid"
 IDENTITY = "identity"
@@ -127,19 +127,19 @@ def loss(x: np.ndarray, y: np.ndarray, kind: str = CROSS_ENTROPY) -> float:
 
 
 def grads(m: DaeModel, x_clean: np.ndarray, x_in: np.ndarray, kind: str):
-    """Reconstruction plus analytic gradients (weights, encoder bias,
-    decoder bias) of loss(x_clean, reconstruction) for one example fed x_in.
+    """Reconstruction plus analytic batch-mean gradients (weights, encoder
+    bias, decoder bias) of loss(x_clean, reconstruction) over (B, M') rows
+    fed x_in; a batch of one is one example.
 
-    The weight gradient sums the decoder term outer(h, dz) and the encoder
-    term outer(da, x_in) because the matrix is shared. This is the exact
-    step direction of train_dae, hence the target of the finite-difference
+    The weight gradient sums the decoder term h^T dz and the encoder term
+    da^T x_in because the matrix is shared. This is the exact step
+    direction of train_dae, hence the target of the finite-difference
     oracle; the loss itself is left to callers that record it.
     """
     if kind == CROSS_ENTROPY and m.decoder_activation != SIGMOID:
         raise ConfigError("cross-entropy needs a sigmoid decoder")
     h = encode(m, x_in)
-    z = h @ m.weights + m.decoder_bias
-    y = sigmoid(z) if m.decoder_activation == SIGMOID else z
+    y = decode(m, h)
 
     if kind == CROSS_ENTROPY:
         dz = y - x_clean
@@ -148,14 +148,12 @@ def grads(m: DaeModel, x_clean: np.ndarray, x_in: np.ndarray, kind: str):
         dz = dy * y * (1.0 - y) if m.decoder_activation == SIGMOID else dy
     else:
         raise ConfigError(f"unknown loss kind {kind!r}")
+    dz /= x_clean.shape[0]
 
-    grad_w = np.outer(h, dz)
-    grad_bd = dz
-    dh = m.weights @ dz
-    da = dh * h * (1.0 - h)
-    grad_w += np.outer(da, x_in)
-    grad_be = da
-    return y, grad_w, grad_be, grad_bd
+    da = dz @ m.weights.T * h * (1.0 - h)
+    grad_w = h.T.dot(dz)
+    grad_w += da.T.dot(x_in)
+    return y, grad_w, da.sum(axis=0), dz.sum(axis=0)
 
 
 def init_dae(input_width: int, cfg: DaeTrainConfig, rng: Rng) -> DaeModel:
@@ -185,27 +183,23 @@ def train_dae(train: Dataset, cfg: DaeTrainConfig, rng: Rng | None = None,
         rng = make_rng(cfg.seed)
 
     model = init_dae(train.m, cfg, rng)
-    lr = cfg.learning_rate
-    history: list[float] = []
+    losses: list[float] = []
 
-    for epoch in range(1, cfg.epochs + 1):
-        order = rng.permutation(train.n)
-        total = 0.0
-        for idx in order:
-            x = train.x[idx]
-            x_in = corrupt(x, cfg.noise_sd, rng)
-            y, gw, gbe, gbd = grads(model, x, x_in, cfg.loss_kind)
-            if return_history:
-                total += loss(x, y, cfg.loss_kind)
-            model.weights -= lr * gw
-            model.encoder_bias -= lr * gbe
-            model.decoder_bias -= lr * gbd
-        check_finite("DAE pre-training", epoch, model.weights,
-                     model.encoder_bias, model.decoder_bias)
-        history.append(total / train.n)
+    def step(rows):
+        x = train.x[rows]
+        y, *gradients = grads(model, x, corrupt(x, cfg.noise_sd, rng),
+                              cfg.loss_kind)
+        if return_history:
+            losses.extend(loss(xi, yi, cfg.loss_kind) for xi, yi in zip(x, y))
+        return gradients
+
+    sgd("DAE pre-training",
+        [model.weights, model.encoder_bias, model.decoder_bias], step,
+        cfg.learning_rate, train.n, cfg.epochs, rng)
 
     if return_history:
-        return model, history
+        return model, [sum(losses[lo:lo + train.n]) / train.n
+                       for lo in range(0, len(losses), train.n)]
     return model
 
 

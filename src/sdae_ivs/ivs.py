@@ -17,7 +17,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .data import Dataset, VariableMask, compact_dataset, expand
-from .errors import DegenerateModelError, DimensionError, OverThresholdError
+from .errors import (ConfigError, DegenerateModelError, DimensionError,
+                     OverThresholdError)
 from .mlr import MlrModel, TrainConfig, train_mlr, validation_error
 from .numerics import Rng
 
@@ -32,9 +33,9 @@ class IvsConfig:
 
     def __post_init__(self):
         if not 0.0 <= self.threshold <= 1.0:
-            raise ValueError("threshold must lie in [0, 1]")
+            raise ConfigError("threshold must lie in [0, 1]")
         if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
+            raise ConfigError("max_iterations must be >= 1")
 
 
 @dataclass

@@ -8,8 +8,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset
-from .errors import DataError, DimensionError
-from .numerics import check_finite, log_softmax, make_rng, softmax
+from .errors import ConfigError, DataError, DimensionError
+from .numerics import log_softmax, make_rng, sgd, softmax
 
 
 @dataclass
@@ -53,11 +53,11 @@ class TrainConfig:
 
     def __post_init__(self):
         if self.learning_rate <= 0:
-            raise DataError("learning_rate must be > 0")
+            raise ConfigError("learning_rate must be > 0")
         if self.max_epochs < 0 or self.patience < 1 or self.minibatch_size < 1:
-            raise DataError("epochs/patience/minibatch_size out of range")
+            raise ConfigError("epochs/patience/minibatch_size out of range")
         if self.l2 < 0:
-            raise DataError("l2 must be >= 0")
+            raise ConfigError("l2 must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -139,39 +139,18 @@ def train_mlr(train: Dataset, valid: Dataset, cfg: TrainConfig,
     if train.num_classes != valid.num_classes or train.m != valid.m:
         raise DataError("train and validation sets disagree on M or K")
 
-    k, m = train.num_classes, train.m
-    weights = np.zeros((k, m))
-    biases = np.zeros(k)
-    rng = make_rng(cfg.seed)
-    batch = cfg.minibatch_size
+    weights = np.zeros((train.num_classes, train.m))
+    biases = np.zeros(train.num_classes)
+    history = sgd("MLR training", [weights, biases],
+                  lambda rows: batch_grads(weights, biases, train.x[rows],
+                                           train.labels[rows], cfg.l2),
+                  cfg.learning_rate, train.n, cfg.max_epochs,
+                  make_rng(cfg.seed), batch=cfg.minibatch_size,
+                  score=lambda: validation_error(weights, biases, valid.x,
+                                                 valid.labels),
+                  patience=cfg.patience)
 
-    best_err = validation_error(weights, biases, valid.x, valid.labels)
-    best = (weights.copy(), biases.copy())
-    history = [(0, best_err)]
-    since_improvement = 0
-
-    for epoch in range(1, cfg.max_epochs + 1):
-        order = rng.permutation(train.n)
-        for lo in range(0, train.n, batch):
-            idx = order[lo:lo + batch]
-            gw, gb = batch_grads(weights, biases, train.x[idx],
-                                 train.labels[idx], cfg.l2)
-            weights -= cfg.learning_rate * gw
-            biases -= cfg.learning_rate * gb
-        check_finite("MLR training", epoch, weights, biases)
-
-        err = validation_error(weights, biases, valid.x, valid.labels)
-        history.append((epoch, err))
-        if err < best_err:
-            best_err = err
-            best = (weights.copy(), biases.copy())
-            since_improvement = 0
-        else:
-            since_improvement += 1
-            if since_improvement >= cfg.patience:
-                break
-
-    model = MlrModel(best[0], best[1])
+    model = MlrModel(weights, biases)
     if return_history:
         return model, history
     return model

@@ -42,6 +42,51 @@ def check_finite(phase: str, epoch: int, *params: np.ndarray) -> None:
                               "parameters); lower the learning rate")
 
 
+def sgd(phase, params, grads, learning_rate, n, epochs, rng, batch=1,
+        score=None, patience=0):
+    """Minibatch SGD over n rows, stepping every array in params in place.
+
+    Each epoch shuffles the row indices with rng and, for every slice of
+    `batch` of them, steps along grads(rows), one gradient per parameter.
+    Overflow inside a step is left to check_finite, which raises
+    DivergenceError naming phase and epoch at the end of that epoch.
+
+    With a score (lower is better, e.g. a validation error) training stops
+    early: the score is taken before the first epoch and after each one,
+    training ends after `patience` epochs without a strict improvement,
+    and params are restored to the best-scoring snapshot, so ties keep the
+    earlier epoch. Returns the [(epoch, score)] history from epoch 0
+    (empty without a score).
+    """
+    history = []
+    if score is not None:
+        best_score, best = score(), [p.copy() for p in params]
+        history.append((0, best_score))
+    since_improvement = 0
+    for epoch in range(1, epochs + 1):
+        order = rng.permutation(n)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for lo in range(0, n, batch):
+                for p, g in zip(params, grads(order[lo:lo + batch])):
+                    p -= learning_rate * g
+        check_finite(phase, epoch, *params)
+        if score is None:
+            continue
+        current = score()
+        history.append((epoch, current))
+        if current < best_score:
+            best_score, best = current, [p.copy() for p in params]
+            since_improvement = 0
+        else:
+            since_improvement += 1
+            if since_improvement >= patience:
+                break
+    if score is not None:
+        for p, snapshot in zip(params, best):
+            p[...] = snapshot
+    return history
+
+
 def sigmoid(z):
     """Logistic function 1/(1+e^-z), overflow-safe for any finite input.
 

@@ -227,8 +227,7 @@ def _write_reconstruction(out: Path, tag: str, pre, test: Dataset, cfg) -> str:
     originals = test.x[:n]
     rows = [originals]
     for depth in range(1, pre.depth + 1):
-        rows.append(np.stack([stack_mod.reconstruct_through(pre, x, depth)
-                              for x in originals]))
+        rows.append(stack_mod.reconstruct_through(pre, originals, depth))
     grid = tile_grid(np.concatenate(rows, axis=0), cfg.variable_shape, columns=n)
     path = out / "images" / f"{tag}-reconstruction.pgm"
     write_pgm(path, grid)

@@ -9,6 +9,7 @@ parameters and cannot re-enter during fine-tuning.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -18,8 +19,8 @@ from .data import Dataset, VariableMask, compact, compact_dataset, expand
 from .errors import ConfigError, DataError, DimensionError, DivergenceError
 from .ivs import IvsConfig, IvsResult, run_ivs
 from .mlr import MlrModel, TrainConfig, train_mlr
-from .numerics import (Rng, check_finite, log_softmax, make_rng, sigmoid,
-                       softmax)
+from .mlr import predict_labels as mlr_predict_labels
+from .numerics import Rng, make_rng, sgd, softmax
 
 
 @dataclass
@@ -144,80 +145,58 @@ def pretrain(train: Dataset, valid: Dataset, cfg: StackConfig, rng: Rng
     return model, ivs_results
 
 
-def _forward(m: StackModel, x: np.ndarray):
-    """Per-example forward pass keeping the per-layer tensors for backprop."""
-    inputs = []
-    codes = []
-    cur = np.asarray(x, dtype=np.float64)
-    for layer in m.layers:
-        c = compact(cur, layer.mask)
-        inputs.append(c)
-        h = sigmoid(layer.dae.weights @ c + layer.dae.encoder_bias)
-        codes.append(h)
-        cur = h
-    top_in = cur[m.top_mask.bits]
-    logits = m.top.weights @ top_in + m.top.biases
-    return inputs, codes, top_in, logits
-
-
-def classification_loss_and_grads(m: StackModel, x: np.ndarray, label: int):
-    """Cross-entropy of the stack's prediction and gradients for every
-    trainable parameter: (loss, [(d_weights, d_encoder_bias) per layer],
-    (d_top_weights, d_top_biases)).
-
-    Decoder biases take no gradient; they are not part of the classifier.
-    """
-    inputs, codes, top_in, logits = _forward(m, x)
-    loss = -float(log_softmax(logits)[label - 1])
-
-    g = softmax(logits)
-    g[label - 1] -= 1.0
-    grad_top_w = np.outer(g, top_in)
-    grad_top_b = g
-
-    delta = expand(m.top.weights.T @ g, m.top_mask)
-
-    layer_grads = [None] * len(m.layers)
-    for idx in range(len(m.layers) - 1, -1, -1):
-        h = codes[idx]
-        da = delta * h * (1.0 - h)
-        layer_grads[idx] = (np.outer(da, inputs[idx]), da)
-        if idx > 0:
-            delta = expand(m.layers[idx].dae.weights.T @ da, m.layers[idx].mask)
-
-    return loss, layer_grads, (grad_top_w, grad_top_b)
-
-
-def _transform_matrix(m: StackModel, x: np.ndarray, depth: int | None = None) -> np.ndarray:
-    depth = len(m.layers) if depth is None else depth
+def _forward(m: StackModel, x: np.ndarray, depth: int | None = None,
+             trace: list | None = None) -> np.ndarray:
+    """Codes of a batch of rows (or one row) after the first `depth` layers,
+    all by default. A trace list receives each layer's (compacted input,
+    codes) for backpropagation; without one, only the current layer's
+    tensors are alive at a time."""
     cur = np.asarray(x, dtype=np.float64)
     for layer in m.layers[:depth]:
-        cur = encode(layer.dae, cur[..., layer.mask.bits])
+        c = compact(cur, layer.mask)
+        cur = encode(layer.dae, c)
+        if trace is not None:
+            trace.append((c, cur))
     return cur
+
+
+def fine_tune_params(m: StackModel) -> list[np.ndarray]:
+    """The arrays fine-tuning steps, in the order classification_grads
+    returns their gradients: each layer's weights and encoder bias, then
+    the top classifier's weights and biases. Decoder biases are not part
+    of the classifier and take no gradient."""
+    return [p for l in m.layers for p in (l.dae.weights, l.dae.encoder_bias)] \
+        + [m.top.weights, m.top.biases]
+
+
+def classification_grads(m: StackModel, x: np.ndarray, labels: np.ndarray):
+    """Batch-mean gradients of the stack's cross-entropy over (B, M) rows x
+    with 1-based labels, one per array of fine_tune_params(m)."""
+    trace = []
+    top_in = compact(_forward(m, x, trace=trace), m.top_mask)
+    g = softmax(top_in @ m.top.weights.T + m.top.biases)
+    g[np.arange(len(labels)), labels - 1] -= 1.0
+    g /= len(labels)
+    gradients = [g.T.dot(top_in), g.sum(axis=0)]
+
+    delta = expand(g @ m.top.weights, m.top_mask)
+    for idx in range(len(m.layers) - 1, -1, -1):
+        c, h = trace[idx]
+        da = delta * h * (1.0 - h)
+        gradients[:0] = [da.T.dot(c), da.sum(axis=0)]
+        if idx > 0:
+            delta = expand(da @ m.layers[idx].dae.weights, m.layers[idx].mask)
+    return gradients
 
 
 def transform(m: StackModel, d: Dataset, depth: int | None = None) -> Dataset:
     """Dataset of layer-`depth` codes (defaults to the full stack)."""
-    return Dataset(_transform_matrix(m, d.x, depth), d.labels, d.num_classes, None)
+    return Dataset(_forward(m, d.x, depth), d.labels, d.num_classes, None)
 
 
 def predict_labels(m: StackModel, x: np.ndarray) -> np.ndarray:
     """Vectorized stack prediction; ties resolve to the lowest class index."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim == 1:
-        x = x[None, :]
-    cur = _transform_matrix(m, x)[:, m.top_mask.bits]
-    logits = cur @ m.top.weights.T + m.top.biases
-    return np.argmax(logits, axis=1) + 1
-
-
-def _copy_params(m: StackModel):
-    return ([(l.dae.weights.copy(), l.dae.encoder_bias.copy()) for l in m.layers],
-            (m.top.weights.copy(), m.top.biases.copy()))
-
-
-def _stack_error(m: StackModel, d: Dataset) -> float:
-    return float(np.mean(predict_labels(m, d.x) != d.labels))
+    return mlr_predict_labels(m.top, compact(_forward(m, x), m.top_mask))
 
 
 def fine_tune(m: StackModel, train: Dataset, valid: Dataset,
@@ -229,81 +208,37 @@ def fine_tune(m: StackModel, train: Dataset, valid: Dataset,
     MLR trainer (best validation snapshot, ties to the earlier epoch); with
     max_epochs = 0 the returned model carries the input parameters
     unchanged. Parameters that stop being finite raise DivergenceError at
-    the end of that epoch.
+    the end of that epoch. The input model is left untouched.
     """
     if train.n == 0:
         raise DataError("cannot fine-tune on an empty dataset")
     if valid.n == 0:
         raise DataError("early stopping needs a non-empty validation set")
 
-    work = StackModel(
-        [StackLayer(l.mask, DaeModel(l.dae.weights.copy(),
-                                     l.dae.encoder_bias.copy(),
-                                     l.dae.decoder_bias.copy(),
-                                     l.dae.decoder_activation))
-         for l in m.layers],
-        MlrModel(m.top.weights.copy(), m.top.biases.copy()),
-        m.top_mask,
-        m.fine_tuned,
-    )
-    lr = cfg.learning_rate
-    rng = make_rng(cfg.seed)
-
-    best_err = _stack_error(work, valid)
-    best = _copy_params(work)
-    since_improvement = 0
-
-    for epoch in range(1, cfg.max_epochs + 1):
-        order = rng.permutation(train.n)
-        for idx in order:
-            _, layer_grads, (gtw, gtb) = classification_loss_and_grads(
-                work, train.x[idx], int(train.labels[idx]))
-            for layer, (gw, gb) in zip(work.layers, layer_grads):
-                layer.dae.weights -= lr * gw
-                layer.dae.encoder_bias -= lr * gb
-            work.top.weights -= lr * gtw
-            work.top.biases -= lr * gtb
-        check_finite("fine-tuning", epoch, work.top.weights, work.top.biases,
-                     *[l.dae.weights for l in work.layers],
-                     *[l.dae.encoder_bias for l in work.layers])
-
-        err = _stack_error(work, valid)
-        if err < best_err:
-            best_err = err
-            best = _copy_params(work)
-            since_improvement = 0
-        else:
-            since_improvement += 1
-            if since_improvement >= cfg.patience:
-                break
-
-    layer_params, (top_w, top_b) = best
-    tuned = StackModel(
-        [StackLayer(l.mask, DaeModel(w, be, l.dae.decoder_bias.copy(),
-                                     l.dae.decoder_activation))
-         for l, (w, be) in zip(m.layers, layer_params)],
-        MlrModel(top_w, top_b),
-        m.top_mask,
-        fine_tuned=True,
-    )
+    tuned = copy.deepcopy(m)
+    tuned.fine_tuned = True
+    sgd("fine-tuning", fine_tune_params(tuned),
+        lambda rows: classification_grads(tuned, train.x[rows],
+                                          train.labels[rows]),
+        cfg.learning_rate, train.n, cfg.max_epochs, make_rng(cfg.seed),
+        score=lambda: float(np.mean(predict_labels(tuned, valid.x)
+                                    != valid.labels)),
+        patience=cfg.patience)
     tuned.check_widths()
     return tuned
 
 
 def reconstruct_through(m: StackModel, x: np.ndarray, depth: int) -> np.ndarray:
-    """Encode up through `depth` layers, then decode back to raw width.
+    """Encode one row or a batch of rows up through `depth` layers, then
+    decode back to raw width.
 
     Every decode step expands through that layer's mask, writing zeros at
     the dropped positions, so the result always has the raw input width.
     """
     if not 1 <= depth <= len(m.layers):
         raise DimensionError(f"depth must lie in 1..{len(m.layers)}")
-    cur = np.asarray(x, dtype=np.float64)
-    for layer in m.layers[:depth]:
-        cur = encode(layer.dae, compact(cur, layer.mask))
-
-    for idx in range(depth - 1, -1, -1):
-        layer = m.layers[idx]
+    cur = _forward(m, x, depth)
+    for layer in reversed(m.layers[:depth]):
         cur = expand(decode(layer.dae, cur), layer.mask)
     return cur
 

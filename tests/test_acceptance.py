@@ -28,7 +28,7 @@ from sdae_ivs.mlr import (MlrModel, TrainConfig, batch_grads, cross_entropy,
                           evaluate, wald_halfwidth)
 from sdae_ivs.numerics import derive_rng, make_rng, softmax
 from sdae_ivs.stack import (StackConfig, StackLayer, StackModel,
-                            classification_loss_and_grads, fine_tune,
+                            classification_grads, fine_tune, fine_tune_params,
                             predict_labels, pretrain, select_extractors)
 from util import central_diff, grads_close, random_mlr
 
@@ -97,9 +97,9 @@ def test_criterion_1_wald_interval_reproduction():
 def test_criterion_2_gradient_oracles():
     """MLR, tied-weight DAE, and depth-2 fine-tune gradients all match
     central finite differences (step 1e-6) within 1e-5 relative error on
-    at least 20 random toy instances each. The MLR check covers the
-    trainer's own minibatch gradient at batch size 1, at larger batches,
-    and with an L2 penalty."""
+    at least 20 random toy instances each. Each check covers the
+    trainer's own batch-mean gradient at batch size 1 and at larger
+    batches; the MLR check also covers an L2 penalty."""
     step = 1e-6
     for seed in range(20):
         rng = make_rng(seed)
@@ -122,15 +122,17 @@ def test_criterion_2_gradient_oracles():
         h, mm = int(rng.integers(2, 5)), int(rng.integers(2, 6))
         kind, decoder = [(CROSS_ENTROPY, SIGMOID), (SQUARED, SIGMOID),
                          (SQUARED, IDENTITY)][seed % 3]
+        batch = 1 if seed % 2 else int(rng.integers(2, 9))
         model = DaeModel(rng.normal(scale=0.7, size=(h, mm)),
                          rng.normal(scale=0.4, size=h),
                          rng.normal(scale=0.4, size=mm), decoder)
-        x_clean = rng.uniform(0.05, 0.95, size=mm)
-        x_in = x_clean + rng.normal(0, 0.1, size=mm)
+        x_clean = rng.uniform(0.05, 0.95, size=(batch, mm))
+        x_in = x_clean + rng.normal(0, 0.1, size=(batch, mm))
         _, gw, gbe, gbd = dae_grads(model, x_clean, x_in, kind)
 
         def f():
-            return dae_loss(x_clean, decode(model, encode(model, x_in)), kind)
+            y = decode(model, encode(model, x_in))
+            return np.mean([dae_loss(a, b, kind) for a, b in zip(x_clean, y)])
 
         assert grads_close(gw, central_diff(f, model.weights, step))
         assert grads_close(gbe, central_diff(f, model.encoder_bias, step))
@@ -150,29 +152,25 @@ def test_criterion_2_gradient_oracles():
                                         rng.normal(scale=0.3, size=3)))],
             MlrModel(rng.normal(scale=0.6, size=(k, 3)),
                      rng.normal(scale=0.3, size=k)))
-        x = rng.uniform(size=6)
-        label = int(rng.integers(1, k + 1))
-        loss, layer_grads, (gtw, gtb) = classification_loss_and_grads(
-            stack, x, label)
+        batch = 1 if seed % 2 else int(rng.integers(2, 9))
+        x = rng.uniform(size=(batch, 6))
+        labels = rng.integers(1, k + 1, size=batch)
+        gradients = classification_grads(stack, x, labels)
 
         def f():
-            cur = x
-            for layer in stack.layers:
-                z = layer.dae.weights @ compact(cur, layer.mask) \
-                    + layer.dae.encoder_bias
-                cur = 1.0 / (1.0 + np.exp(-z))
-            logits = stack.top.weights @ cur + stack.top.biases
-            p = softmax(logits)
-            return -float(np.log(p[label - 1]))
+            total = 0.0
+            for row, label in zip(x, labels):
+                cur = row
+                for layer in stack.layers:
+                    z = layer.dae.weights @ compact(cur, layer.mask) \
+                        + layer.dae.encoder_bias
+                    cur = 1.0 / (1.0 + np.exp(-z))
+                logits = stack.top.weights @ cur + stack.top.biases
+                total -= float(np.log(softmax(logits)[label - 1]))
+            return total / batch
 
-        assert loss == pytest.approx(f(), abs=1e-10)
-        for idx, (gw, gb) in enumerate(layer_grads):
-            assert grads_close(gw, central_diff(f, stack.layers[idx].dae.weights,
-                                                step))
-            assert grads_close(gb, central_diff(
-                f, stack.layers[idx].dae.encoder_bias, step))
-        assert grads_close(gtw, central_diff(f, stack.top.weights, step))
-        assert grads_close(gtb, central_diff(f, stack.top.biases, step))
+        for g, param in zip(gradients, fine_tune_params(stack)):
+            assert grads_close(g, central_diff(f, param, step))
 
     announce(2, "MLR, tied DAE, and depth-2 fine-tune gradients match "
                 "finite differences on 20 instances each")

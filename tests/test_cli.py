@@ -110,7 +110,6 @@ class TestModelWidth:
 
 
 class TestDivergence:
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflowing_dae_learning_rate_exits_3_naming_layer_and_epoch(
             self, tmp_path, capsys):
         patched = tmp_path / "diverge.ini"
@@ -119,8 +118,9 @@ class TestDivergence:
             "learning_rate = 1e300\nepochs = 5\nloss = squared\n"
             "decoder = identity"))
         assert run_cli("run", "--config", patched, "--out", tmp_path / "o") == 3
-        assert "layer 1: DAE pre-training diverged at epoch 1" in \
-            capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("error: layer 1: DAE pre-training diverged at "
+                              "epoch 1") and err.count("\n") == 1
 
 
 class TestIvsCommand:
@@ -211,6 +211,19 @@ class TestConfigKeys:
         assert self.run_patched(tmp_path, "[finetune]\n",
                                 f"[finetune]\n{line}\n") == 1
         assert f"[finetune] {line.split()[0]}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("old,new,message", [
+        ("threshold = 0.3", "threshold = 2", "threshold must lie in [0, 1]"),
+        ("max_iterations = 4", "max_iterations = 0", "max_iterations must be >= 1"),
+        ("max_iterations = 4\nlearning_rate = 0.1",
+         "max_iterations = 4\nlearning_rate = -1", "learning_rate must be > 0"),
+        ("patience = 2", "patience = 0", "epochs/patience/minibatch_size"),
+    ])
+    def test_out_of_range_trainer_value_is_a_config_error(
+            self, tmp_path, capsys, old, new, message):
+        assert self.run_patched(tmp_path, old, new) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and message in err
 
     def test_section_beyond_the_deepest_layer_rejected(self, tmp_path, capsys):
         assert self.run_patched(tmp_path, "[run]\n",

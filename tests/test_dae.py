@@ -37,6 +37,12 @@ class TestCorrupt:
         b = corrupt(x, 0.3, make_rng(3))
         assert np.array_equal(a, b)
 
+    def test_one_row_batch_draws_the_vector_noise(self):
+        x = np.linspace(0, 1, 5)
+        a = corrupt(x, 0.3, make_rng(3))
+        b = corrupt(x[None, :], 0.3, make_rng(3))
+        assert b.shape == (1, 5) and np.array_equal(a, b[0])
+
     def test_negative_sd_rejected(self):
         with pytest.raises(ValueError):
             corrupt(np.zeros(2), -0.1, make_rng(0))
@@ -113,16 +119,16 @@ class TestGradients:
         (SQUARED, IDENTITY),
     ])
     def test_tied_weight_gradients_match_finite_differences(self, kind, decoder):
-        for seed in range(5):
+        for seed, batch in zip(range(6), (1, 5, 1, 5, 1, 5)):
             model = tiny_model(seed, h=3, m=4, decoder=decoder)
             rng = make_rng(50 + seed)
-            x_clean = rng.uniform(0.05, 0.95, size=4)
-            x_in = x_clean + rng.normal(0, 0.1, size=4)
+            x_clean = rng.uniform(0.05, 0.95, size=(batch, 4))
+            x_in = x_clean + rng.normal(0, 0.1, size=(batch, 4))
             _, gw, gbe, gbd = grads(model, x_clean, x_in, kind)
 
             def f():
-                h = encode(model, x_in)
-                return loss(x_clean, decode(model, h), kind)
+                y = decode(model, encode(model, x_in))
+                return np.mean([loss(a, b, kind) for a, b in zip(x_clean, y)])
 
             assert grads_close(gw, central_diff(f, model.weights))
             assert grads_close(gbe, central_diff(f, model.encoder_bias))
@@ -181,7 +187,6 @@ class TestTraining:
         assert np.array_equal(quiet.weights, recorded.weights)
         assert np.array_equal(quiet.decoder_bias, recorded.decoder_bias)
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflowing_learning_rate_raises_with_the_epoch(self):
         d = Dataset(make_rng(13).uniform(size=(12, 5)), np.ones(12, dtype=int), 1)
         cfg = DaeTrainConfig(hidden_units=3, noise_sd=0.2, learning_rate=1e300,

@@ -82,7 +82,6 @@ class TestTraining:
                                      != valid.labels))
         assert all(returned_err <= err for _, err in history)
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflowing_learning_rate_raises_with_the_epoch(self):
         d = separable_toy()
         with pytest.raises(DivergenceError,

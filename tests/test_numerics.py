@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from sdae_ivs.numerics import (derive_rng, derive_seed, make_rng, sigmoid,
+from sdae_ivs.errors import DivergenceError
+from sdae_ivs.numerics import (derive_rng, derive_seed, make_rng, sgd, sigmoid,
                                softmax)
 
 finite = st.floats(min_value=-500, max_value=500, allow_nan=False)
@@ -92,3 +93,71 @@ def test_derive_rng_keys_are_independent_and_stable():
     assert not np.array_equal(x, y)
     assert derive_seed(5, 1, 2) == derive_seed(5, 1, 2)
     assert derive_seed(5, 1, 2) != derive_seed(5, 2, 1)
+
+
+class TestSgd:
+    """The one SGD loop, driven by a unit step and a scripted score: with
+    one row and learning rate 1 the parameter reads the epoch count."""
+
+    @staticmethod
+    def run(scores, epochs=10, patience=2):
+        w = np.zeros(1)
+        scripted = iter(scores)
+        history = sgd("toy training", [w], lambda rows: [-np.ones(1)], 1.0, 1,
+                      epochs, make_rng(0), score=lambda: next(scripted),
+                      patience=patience)
+        return w, history
+
+    def test_stops_after_patience_epochs_without_improvement(self):
+        _, history = self.run([5, 4, 4, 6, 1], patience=2)
+        assert history == [(0, 5), (1, 4), (2, 4), (3, 6)]
+
+    def test_equal_score_keeps_the_earlier_snapshot(self):
+        w, _ = self.run([5, 4, 4, 6], patience=2)
+        assert w.tolist() == [1.0]
+
+    def test_restores_the_best_snapshot(self):
+        w, history = self.run([5, 6, 2, 3, 3, 3], patience=3)
+        assert history[-1] == (5, 3)
+        assert w.tolist() == [2.0]
+
+    def test_runs_every_epoch_while_improving(self):
+        w, history = self.run([5, 4, 3], epochs=2)
+        assert history == [(0, 5), (1, 4), (2, 3)]
+        assert w.tolist() == [2.0]
+
+    def test_zero_epochs_leaves_params_and_rng_untouched(self):
+        w = np.array([0.5, -0.5])
+        rng = make_rng(3)
+        history = sgd("toy training", [w], pytest.fail, 1.0, 4, 0, rng,
+                      score=lambda: 0.25, patience=1)
+        assert history == [(0, 0.25)]
+        assert w.tolist() == [0.5, -0.5]
+        assert rng.integers(0, 2**63) == make_rng(3).integers(0, 2**63)
+
+    def test_without_score_runs_every_epoch_and_records_nothing(self):
+        w = np.zeros(1)
+        assert sgd("toy training", [w], lambda rows: [-np.ones(1)], 1.0, 1, 4,
+                   make_rng(0)) == []
+        assert w.tolist() == [4.0]
+
+    def test_each_epoch_visits_a_permutation_in_batches(self):
+        seen = []
+
+        def grads(rows):
+            seen.append(rows.tolist())
+            return [np.zeros(1)]
+
+        sgd("toy training", [np.zeros(1)], grads, 1.0, 5, 2, make_rng(4),
+            batch=2)
+        assert [len(rows) for rows in seen] == [2, 2, 1, 2, 2, 1]
+        for epoch in (seen[:3], seen[3:]):
+            assert sorted(sum(epoch, [])) == [0, 1, 2, 3, 4]
+
+    def test_non_finite_step_raises_naming_phase_and_epoch(self):
+        steps = iter([1.0, 1e308])
+        with pytest.raises(DivergenceError,
+                           match="toy training diverged at epoch 2"):
+            sgd("toy training", [np.zeros(1)],
+                lambda rows: [np.full(1, next(steps))], 1e300, 1, 5,
+                make_rng(0))

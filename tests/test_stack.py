@@ -12,7 +12,7 @@ from sdae_ivs.mlr import MlrModel, TrainConfig, evaluate, train_mlr
 from sdae_ivs.mlr import predict_labels as mlr_predict_labels
 from sdae_ivs.numerics import derive_rng, make_rng
 from sdae_ivs.stack import (StackConfig, StackLayer, StackModel,
-                            classification_loss_and_grads, fine_tune,
+                            classification_grads, fine_tune, fine_tune_params,
                             predict_labels, pretrain, reconstruct_through,
                             select_extractors)
 from util import central_diff, grads_close
@@ -135,7 +135,6 @@ class TestPretrain:
         assert len(ivs_results) == 2  # per-layer pass plus the final pass
         predict_labels(model, valid.x)  # forward path stays consistent
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_names_the_layer(self):
         train, valid, _, _ = easy_splits(2)
         cfg = stack_cfg(2, False)
@@ -182,23 +181,33 @@ class TestFineTune:
     def test_gradients_match_finite_differences(self):
         model = toy_stack(21, top_mask=VariableMask(np.array([1, 0, 1],
                                                              dtype=bool)))
-        x = make_rng(22).uniform(size=6)
-        label = 2
+        params = fine_tune_params(model)
+        assert len(params) == 2 * model.depth + 2
+        rng = make_rng(22)
+        for batch in (1, 4):
+            x = rng.uniform(size=(batch, 6))
+            labels = rng.integers(1, 3, size=batch)
 
-        def f():
-            _, _, _, logits = _forward_for_test(model, x)
-            from sdae_ivs.numerics import log_softmax
-            return -float(log_softmax(logits)[label - 1])
+            def f():
+                from sdae_ivs.numerics import log_softmax
+                return np.mean([
+                    -float(log_softmax(_logits_for_test(model, row))[y - 1])
+                    for row, y in zip(x, labels)])
 
-        loss, layer_grads, (gtw, gtb) = classification_loss_and_grads(
-            model, x, label)
-        assert loss == pytest.approx(f(), abs=1e-12)
-        for idx, (gw, gb) in enumerate(layer_grads):
-            dae = model.layers[idx].dae
-            assert grads_close(gw, central_diff(f, dae.weights))
-            assert grads_close(gb, central_diff(f, dae.encoder_bias))
-        assert grads_close(gtw, central_diff(f, model.top.weights))
-        assert grads_close(gtb, central_diff(f, model.top.biases))
+            gradients = classification_grads(model, x, labels)
+            assert len(gradients) == len(params)
+            for g, p in zip(gradients, params):
+                assert grads_close(g, central_diff(f, p))
+
+    def test_input_model_is_left_untouched(self):
+        model = toy_stack(23)
+        before = [p.copy() for p in fine_tune_params(model)]
+        rng = make_rng(24)
+        train = Dataset(rng.uniform(size=(20, 6)), rng.integers(1, 3, size=20), 2)
+        tuned = fine_tune(model, train, train, TrainConfig(0.1, 3, 3, seed=2))
+        assert all(np.array_equal(a, b)
+                   for a, b in zip(before, fine_tune_params(model)))
+        assert tuned.fine_tuned and not model.fine_tuned
 
     def test_never_degrades_best_validation(self):
         train, valid, _, _ = easy_splits(6)
@@ -208,7 +217,6 @@ class TestFineTune:
         after = evaluate(lambda x: predict_labels(tuned, x), valid).error_rate
         assert after <= before
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflowing_learning_rate_raises_with_the_epoch(self):
         train, valid, _, _ = easy_splits(5)
         model, _ = pretrain(train, valid, stack_cfg(1, False), derive_rng(9, 1))
@@ -228,20 +236,15 @@ class TestFineTune:
         assert not np.array_equal(tuned.top.weights, model.top.weights)
 
 
-def _forward_for_test(model, x):
-    """Independent forward pass used by the finite-difference oracle."""
+def _logits_for_test(model, x):
+    """Independent one-example forward pass used by the finite-difference
+    oracle."""
     from sdae_ivs.numerics import sigmoid
     cur = np.asarray(x, dtype=np.float64)
-    inputs, codes = [], []
     for layer in model.layers:
-        c = compact(cur, layer.mask)
-        inputs.append(c)
-        h = sigmoid(layer.dae.weights @ c + layer.dae.encoder_bias)
-        codes.append(h)
-        cur = h
-    cur = cur[model.top_mask.bits]
-    logits = model.top.weights @ cur + model.top.biases
-    return inputs, codes, cur, logits
+        cur = sigmoid(layer.dae.weights @ compact(cur, layer.mask)
+                      + layer.dae.encoder_bias)
+    return model.top.weights @ cur[model.top_mask.bits] + model.top.biases
 
 
 class TestReconstruct:
@@ -273,6 +276,15 @@ class TestReconstruct:
             MlrModel(np.zeros((2, 4)), np.zeros(2)))
         out = reconstruct_through(model, x[0], 1)
         np.testing.assert_allclose(out, x[0], atol=0.05)
+
+    def test_batch_matches_single_rows(self):
+        model = toy_stack(45)
+        x = make_rng(46).uniform(size=(5, 6))
+        for depth in (1, 2):
+            batch = reconstruct_through(model, x, depth)
+            singles = np.stack([reconstruct_through(model, row, depth)
+                                for row in x])
+            np.testing.assert_allclose(batch, singles, rtol=1e-12, atol=1e-15)
 
     def test_depth_out_of_range(self):
         model = toy_stack(44)
