@@ -50,7 +50,7 @@ def main(argv=None) -> int:
         cfg = load_config(args.config, seed_override=args.seed,
                           out_override=args.out, paper_grid=args.paper_grid)
         if args.verb == "run":
-            report = cmd_run(cfg)
+            cmd_run(cfg)
             print((cfg.out / "summary.txt").read_text(), end="")
             print(f"report: {cfg.out / 'report.json'}")
         elif args.verb == "ivs":

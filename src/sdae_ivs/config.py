@@ -1,16 +1,15 @@
 """Experiment configuration: INI parsing and the benchmark hyper-parameter grid.
 
 Configs are plain key-value text with one section per concern so they diff
-cleanly and can live next to the runs they produced. Seeds inside the
-parsed trainer configs are placeholders; the runner derives the real ones
-from the master seed per depth and phase.
+cleanly and can live next to the runs they produced.
 """
 
 from __future__ import annotations
 
 import configparser
+import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from .dae import CROSS_ENTROPY, SIGMOID, DaeTrainConfig
@@ -18,8 +17,7 @@ from .data import SyntheticSpec
 from .errors import ConfigError
 from .ivs import IvsConfig
 from .mlr import TrainConfig
-
-MAX_DEPTH = 3
+from .stack import MAX_DEPTH
 
 # Validation-set candidate grids used by the published benchmark protocol.
 GRID_PRECLASSIFIER_LR = (0.01, 0.02, 0.05, 0.1)
@@ -137,7 +135,6 @@ def _parse_dae(parser, layer: int, reads: set) -> DaeTrainConfig:
         noise_sd=s.real("noise_sd", required=True),
         learning_rate=s.real("learning_rate", required=True),
         epochs=s.integer("epochs", required=True),
-        seed=0,
         loss_kind=s.text("loss", CROSS_ENTROPY),
         decoder_activation=s.text("decoder", SIGMOID),
     )
@@ -148,7 +145,6 @@ def _parse_train(s: _Section, **batching) -> TrainConfig:
         learning_rate=s.real("learning_rate", required=True),
         max_epochs=s.integer("max_epochs", 50),
         patience=s.integer("patience", 5),
-        seed=0,
         **batching,
     )
 
@@ -195,9 +191,9 @@ def load_config(path, seed_override: int | None = None,
     synthetic = None
     amat_train = amat_valid = amat_test = None
     zero_based_labels = True
-    train_size = data.integer("train_size", 0)
-    valid_size = data.integer("valid_size", 0)
-    test_size = data.integer("test_size", 0)
+    train_size, valid_size, test_size = (
+        data.integer(key, 0, required=source == "synthetic")
+        for key in ("train_size", "valid_size", "test_size"))
 
     if source == "synthetic":
         synthetic = SyntheticSpec(
@@ -206,14 +202,8 @@ def load_config(path, seed_override: int | None = None,
             num_classes=data.integer("classes", required=True),
             class_separation=data.real("separation", required=True),
             noise_sd=data.real("feature_noise_sd", required=True),
-            examples_per_split=(
-                data.integer("train_size", required=True),
-                data.integer("valid_size", required=True),
-                data.integer("test_size", required=True),
-            ),
+            examples_per_split=(train_size, valid_size, test_size),
         )
-        train_size = synthetic.examples_per_split[0]
-        valid_size = synthetic.examples_per_split[1]
     elif source == "amat":
         amat_train = Path(data.text("train", required=True))
         if data.has("valid"):
@@ -222,6 +212,11 @@ def load_config(path, seed_override: int | None = None,
             amat_test = Path(data.text("test"))
         if amat_valid is None and valid_size <= 0:
             raise ConfigError("[data] needs either a valid file or valid_size")
+        if amat_valid is None and train_size <= 0:
+            raise ConfigError("[data] needs train_size when the train file "
+                              "also holds the validation split")
+        if amat_valid is not None and amat_test is None:
+            raise ConfigError("[data] needs a test file when valid is a file")
         labels = data.text("labels", "zero")
         if labels not in ("zero", "one"):
             raise ConfigError(f"[data] labels must be zero or one, got {labels!r}")
@@ -293,89 +288,28 @@ def _in_grid(value, grid) -> bool:
 
 def validate_paper_grid(cfg: ExperimentConfig) -> None:
     """Reject hyper-parameters outside the benchmark candidate sets."""
-    for i, ivs_cfg in enumerate(cfg.ivs, start=1):
-        if not _in_grid(ivs_cfg.mlr.learning_rate, GRID_PRECLASSIFIER_LR):
-            raise ConfigError(
-                f"[ivs] layer {i} learning_rate {ivs_cfg.mlr.learning_rate} "
-                f"outside candidate set {GRID_PRECLASSIFIER_LR}")
-        if not _in_grid(ivs_cfg.threshold, GRID_THRESHOLD):
-            raise ConfigError(
-                f"[ivs] layer {i} threshold {ivs_cfg.threshold} "
-                f"outside candidate set {GRID_THRESHOLD}")
-    for i, dae_cfg in enumerate(cfg.dae, start=1):
-        if not _in_grid(dae_cfg.learning_rate, GRID_TRAIN_LR):
-            raise ConfigError(
-                f"[dae] layer {i} learning_rate {dae_cfg.learning_rate} "
-                f"outside candidate set {GRID_TRAIN_LR}")
-        if not _in_grid(dae_cfg.noise_sd, GRID_NOISE_SD):
-            raise ConfigError(
-                f"[dae] layer {i} noise_sd {dae_cfg.noise_sd} "
-                f"outside candidate set {GRID_NOISE_SD}")
-        if dae_cfg.epochs not in GRID_EPOCHS:
-            raise ConfigError(
-                f"[dae] layer {i} epochs {dae_cfg.epochs} "
-                f"outside candidate set {GRID_EPOCHS}")
-    if not _in_grid(cfg.fine_tune.learning_rate, GRID_TRAIN_LR):
-        raise ConfigError(
-            f"[finetune] learning_rate {cfg.fine_tune.learning_rate} "
-            f"outside candidate set {GRID_TRAIN_LR}")
+    rows = []
+    for i, c in enumerate(cfg.ivs, start=1):
+        rows += [(f"[ivs] layer {i} learning_rate", c.mlr.learning_rate,
+                  GRID_PRECLASSIFIER_LR),
+                 (f"[ivs] layer {i} threshold", c.threshold, GRID_THRESHOLD)]
+    for i, c in enumerate(cfg.dae, start=1):
+        rows += [(f"[dae] layer {i} learning_rate", c.learning_rate,
+                  GRID_TRAIN_LR),
+                 (f"[dae] layer {i} noise_sd", c.noise_sd, GRID_NOISE_SD),
+                 (f"[dae] layer {i} epochs", c.epochs, GRID_EPOCHS)]
+    rows.append(("[finetune] learning_rate", cfg.fine_tune.learning_rate,
+                 GRID_TRAIN_LR))
+    for name, value, grid in rows:
+        if not _in_grid(value, grid):
+            raise ConfigError(f"{name} {value} outside candidate set {grid}")
 
 
 def config_echo(cfg: ExperimentConfig) -> dict:
-    """JSON-ready snapshot of the resolved configuration."""
-    echo = {
-        "source": cfg.source,
-        "train_size": cfg.train_size,
-        "valid_size": cfg.valid_size,
-        "variable_shape": list(cfg.variable_shape) if cfg.variable_shape else None,
-        "depths": list(cfg.depths),
-        "variants": list(cfg.variants),
-        "final_ivs": cfg.final_ivs,
-        "seed": cfg.seed,
-        "dae": [
-            {
-                "hidden_units": c.hidden_units,
-                "noise_sd": c.noise_sd,
-                "learning_rate": c.learning_rate,
-                "epochs": c.epochs,
-                "loss": c.loss_kind,
-                "decoder": c.decoder_activation,
-            }
-            for c in cfg.dae
-        ],
-        "ivs": [
-            {
-                "threshold": c.threshold,
-                "max_iterations": c.max_iterations,
-                "learning_rate": c.mlr.learning_rate,
-                "max_epochs": c.mlr.max_epochs,
-                "patience": c.mlr.patience,
-                "minibatch_size": c.mlr.minibatch_size,
-                "l2": c.mlr.l2,
-            }
-            for c in cfg.ivs
-        ],
-        "finetune": {
-            "learning_rate": cfg.fine_tune.learning_rate,
-            "max_epochs": cfg.fine_tune.max_epochs,
-            "patience": cfg.fine_tune.patience,
-        },
-    }
-    if cfg.source == "synthetic":
-        s = cfg.synthetic
-        echo["synthetic"] = {
-            "relevant": s.num_relevant,
-            "irrelevant": s.num_irrelevant,
-            "classes": s.num_classes,
-            "separation": s.class_separation,
-            "feature_noise_sd": s.noise_sd,
-            "test_size": s.examples_per_split[2],
-        }
-    else:
-        echo["amat"] = {
-            "train": str(cfg.amat_train),
-            "valid": str(cfg.amat_valid) if cfg.amat_valid else None,
-            "test": str(cfg.amat_test) if cfg.amat_test else None,
-            "labels": "zero" if cfg.zero_based_labels else "one",
-        }
-    return echo
+    """JSON-ready snapshot of the resolved configuration under its field
+    names. The output directory is left out, so runs into two directories
+    report alike."""
+    echo = asdict(cfg)
+    del echo["out"]
+    # The JSON round trip turns tuples into lists and paths into strings.
+    return json.loads(json.dumps(echo, default=str))

@@ -14,7 +14,7 @@ import numpy as np
 
 from .data import Dataset
 from .errors import ConfigError, DataError, DimensionError
-from .numerics import Rng, make_rng, sgd, sigmoid
+from .numerics import Rng, sgd, sigmoid
 
 SIGMOID = "sigmoid"
 IDENTITY = "identity"
@@ -60,7 +60,6 @@ class DaeTrainConfig:
     noise_sd: float
     learning_rate: float
     epochs: int
-    seed: int
     loss_kind: str = CROSS_ENTROPY
     decoder_activation: str = SIGMOID
 
@@ -164,23 +163,21 @@ def init_dae(input_width: int, cfg: DaeTrainConfig, rng: Rng) -> DaeModel:
                     cfg.decoder_activation)
 
 
-def train_dae(train: Dataset, cfg: DaeTrainConfig, rng: Rng | None = None,
+def train_dae(train: Dataset, cfg: DaeTrainConfig, rng: Rng,
               return_history: bool = False):
     """Stochastic gradient training over exactly cfg.epochs epochs.
 
     Per example: draw fresh corruption, encode, decode, take one step
-    against the clean input. rng drives init, shuffling, and corruption;
-    when omitted it is seeded from cfg.seed, so equal seeds give
-    bitwise-equal models. The per-epoch mean reconstruction loss is
-    computed only under return_history. Parameters that stop being finite
-    raise DivergenceError at the end of that epoch.
+    against the clean input. rng drives init, shuffling, and corruption,
+    so equally seeded generators give bitwise-equal models. The per-epoch
+    mean reconstruction loss is computed only under return_history.
+    Parameters that stop being finite raise DivergenceError at the end of
+    that epoch.
     """
     if train.n == 0:
         raise DataError("cannot train on an empty dataset")
     if cfg.loss_kind == CROSS_ENTROPY and (train.x.min() < 0 or train.x.max() > 1):
         raise DataError("cross-entropy training needs inputs in [0, 1]")
-    if rng is None:
-        rng = make_rng(cfg.seed)
 
     model = init_dae(train.m, cfg, rng)
     losses: list[float] = []

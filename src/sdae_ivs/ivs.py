@@ -12,7 +12,7 @@ fires.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,7 +20,7 @@ from .data import Dataset, VariableMask, compact_dataset, expand
 from .errors import (ConfigError, DegenerateModelError, DimensionError,
                      OverThresholdError)
 from .mlr import MlrModel, TrainConfig, train_mlr, validation_error
-from .numerics import Rng
+from .numerics import Rng, make_rng
 
 
 @dataclass(frozen=True)
@@ -55,18 +55,34 @@ class IvsResult:
     history: list[IvsIteration]
 
 
-def normal_vector(m: MlrModel, i: int, j: int) -> np.ndarray:
-    """Unit normal of the discriminant hyperplane between classes i and j.
+def _pair_difference(m: MlrModel, i: int, j: int) -> tuple[np.ndarray, float]:
+    """Weight difference of classes i and j and its Euclidean norm.
 
-    Biases shift the hyperplane but do not tilt it, so they never enter.
-    Raises if the two classes share identical weights (no hyperplane).
+    Finite weights too large to square (about 1e154 and up) overflow the
+    plain norm. Only then is the norm taken of the difference divided by
+    its largest magnitude and multiplied back, so ordinary weights keep
+    their exact bits. Raises if the two classes share identical weights
+    (no hyperplane).
     """
     if i == j:
         raise ValueError("need two distinct classes")
     diff = m.weights[i - 1] - m.weights[j - 1]
-    norm = float(np.linalg.norm(diff))
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(diff))
+        if np.isinf(norm):
+            top = float(np.abs(diff).max())
+            norm = float(np.linalg.norm(diff / top)) * top
     if norm == 0.0:
         raise DegenerateModelError(f"classes {i} and {j} have identical weights")
+    return diff, norm
+
+
+def normal_vector(m: MlrModel, i: int, j: int) -> np.ndarray:
+    """Unit normal of the discriminant hyperplane between classes i and j.
+
+    Biases shift the hyperplane but do not tilt it, so they never enter.
+    """
+    diff, norm = _pair_difference(m, i, j)
     return diff / norm
 
 
@@ -76,10 +92,7 @@ def discriminant(m: MlrModel, i: int, j: int, x: np.ndarray) -> float:
     Linear in x, with gradient equal to the unit normal; the
     finite-difference oracle differentiates this.
     """
-    diff = m.weights[i - 1] - m.weights[j - 1]
-    norm = float(np.linalg.norm(diff))
-    if norm == 0.0:
-        raise DegenerateModelError(f"classes {i} and {j} have identical weights")
+    diff, norm = _pair_difference(m, i, j)
     return float((diff @ np.asarray(x, dtype=np.float64)
                   + (m.biases[i - 1] - m.biases[j - 1])) / norm)
 
@@ -150,9 +163,9 @@ def run_ivs(train: Dataset, valid: Dataset, cfg: IvsConfig, rng: Rng) -> IvsResu
     history: list[IvsIteration] = []
 
     for iteration in range(1, cfg.max_iterations + 1):
-        mlr_cfg = replace(cfg.mlr, seed=int(rng.integers(0, 2**63)))
         kept_valid = compact_dataset(valid, mask)
-        model = train_mlr(compact_dataset(train, mask), kept_valid, mlr_cfg)
+        model = train_mlr(compact_dataset(train, mask), kept_valid, cfg.mlr,
+                          make_rng(int(rng.integers(0, 2**63))))
         err = validation_error(model.weights, model.biases, kept_valid.x,
                                kept_valid.labels)
         try:

@@ -9,7 +9,7 @@ import numpy as np
 
 from .data import Dataset
 from .errors import ConfigError, DataError, DimensionError
-from .numerics import log_softmax, make_rng, sgd, softmax
+from .numerics import Rng, log_softmax, sgd, softmax
 
 
 @dataclass
@@ -47,7 +47,6 @@ class TrainConfig:
     learning_rate: float
     max_epochs: int
     patience: int
-    seed: int
     minibatch_size: int = 1
     l2: float = 0.0
 
@@ -121,7 +120,7 @@ def validation_error(weights, biases, x, labels) -> float:
     return float(np.mean(np.argmax(logits, axis=1) + 1 != labels))
 
 
-def train_mlr(train: Dataset, valid: Dataset, cfg: TrainConfig,
+def train_mlr(train: Dataset, valid: Dataset, cfg: TrainConfig, rng: Rng,
               return_history: bool = False):
     """Fit an MLR by minibatch SGD with early stopping.
 
@@ -129,8 +128,9 @@ def train_mlr(train: Dataset, valid: Dataset, cfg: TrainConfig,
     depend on the start). The returned model is the snapshot with the best
     validation error; ties go to the earlier epoch, so a fit that never
     beats the untrained model returns the all-zero model. To drop
-    variables, train on a compacted dataset. Parameters that stop being
-    finite raise DivergenceError at the end of that epoch.
+    variables, train on a compacted dataset. rng shuffles the examples.
+    Parameters that stop being finite raise DivergenceError at the end of
+    that epoch.
     """
     if train.n == 0:
         raise DataError("cannot train on an empty dataset")
@@ -144,8 +144,8 @@ def train_mlr(train: Dataset, valid: Dataset, cfg: TrainConfig,
     history = sgd("MLR training", [weights, biases],
                   lambda rows: batch_grads(weights, biases, train.x[rows],
                                            train.labels[rows], cfg.l2),
-                  cfg.learning_rate, train.n, cfg.max_epochs,
-                  make_rng(cfg.seed), batch=cfg.minibatch_size,
+                  cfg.learning_rate, train.n, cfg.max_epochs, rng,
+                  batch=cfg.minibatch_size,
                   score=lambda: validation_error(weights, biases, valid.x,
                                                  valid.labels),
                   patience=cfg.patience)

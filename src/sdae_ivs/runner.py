@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +22,7 @@ from .data import Dataset, gen_synthetic, load_amat, split
 from .errors import DataError
 from .ivs import IvsResult, run_ivs, write_history_csv, write_importance_csv
 from .mlr import evaluate
-from .numerics import derive_rng, derive_seed
+from .numerics import derive_rng, derive_seed, make_rng
 from .pgm import normalize_unit, tile_grid, write_pgm
 from .serialize import load_stack, pack_mask, save_stack
 from .stack import StackConfig, fine_tune, pretrain, select_extractors
@@ -35,17 +35,6 @@ KEY_EXTRACTORS = 1002
 KEY_IVS_CMD = 1003
 
 
-@dataclass
-class RunReport:
-    """Per-depth error reports for each variant plus everything needed to
-    audit the run: selection histories, artifact paths, config echo."""
-
-    config: dict
-    results: dict
-    artifacts: list[str]
-    wall_time_s: float
-
-
 def load_splits(cfg: ExperimentConfig) -> tuple[Dataset, Dataset, Dataset]:
     """Materialize (train, valid, test) from the configured source."""
     if cfg.source == "synthetic":
@@ -53,18 +42,15 @@ def load_splits(cfg: ExperimentConfig) -> tuple[Dataset, Dataset, Dataset]:
         train, valid, test = split(full, (cfg.train_size, cfg.valid_size))
     else:
         base = load_amat(cfg.amat_train, cfg.zero_based_labels)
-        if cfg.amat_valid is not None:
+        if cfg.amat_valid is None:
+            train, valid, test = split(base, (cfg.train_size, cfg.valid_size))
+        else:
             valid = load_amat(cfg.amat_valid, cfg.zero_based_labels)
             train = base if cfg.train_size <= 0 \
                 else split(base, (cfg.train_size, 0))[0]
-        else:
-            train, valid, _rest = split(base, (cfg.train_size, cfg.valid_size))
         if cfg.amat_test is not None:
+            # load_config requires one whenever valid is a file.
             test = load_amat(cfg.amat_test, cfg.zero_based_labels)
-        elif cfg.amat_valid is None:
-            test = split(base, (cfg.train_size, cfg.valid_size))[2]
-        else:
-            raise DataError("[data] needs a test file when valid is a file")
         if cfg.test_size:
             test = split(test, (cfg.test_size, 0))[0]
 
@@ -79,7 +65,6 @@ def load_splits(cfg: ExperimentConfig) -> tuple[Dataset, Dataset, Dataset]:
 def stack_config(cfg: ExperimentConfig, depth: int, variant: str) -> StackConfig:
     ivs_enabled = variant == VARIANT_SDAE_IVS
     return StackConfig(
-        depth=depth,
         dae=cfg.dae[:depth],
         ivs=cfg.ivs[:depth],
         fine_tune=cfg.fine_tune,
@@ -110,7 +95,7 @@ def _percent(x: float) -> str:
     return f"{100.0 * x:.2f}"
 
 
-def cmd_run(cfg: ExperimentConfig) -> RunReport:
+def cmd_run(cfg: ExperimentConfig) -> None:
     """Full protocol: (load | synthesize) -> pretrain -> fine-tune -> evaluate,
     for every requested depth and variant, writing models and artifacts."""
     started = time.perf_counter()
@@ -131,9 +116,9 @@ def cmd_run(cfg: ExperimentConfig) -> RunReport:
             # the SDAE / SDAE-IVS comparison paired.
             pre, ivs_results = pretrain(train, valid, scfg,
                                         derive_rng(cfg.seed, depth))
-            ft_cfg = replace(cfg.fine_tune,
-                             seed=derive_seed(cfg.seed, KEY_FINETUNE, depth))
-            tuned = fine_tune(pre, train, valid, ft_cfg)
+            tuned = fine_tune(pre, train, valid, cfg.fine_tune,
+                              make_rng(derive_seed(cfg.seed, KEY_FINETUNE,
+                                                   depth)))
 
             test_report = evaluate(lambda x: stack_mod.predict_labels(tuned, x), test)
             valid_report = evaluate(lambda x: stack_mod.predict_labels(tuned, x), valid)
@@ -165,29 +150,21 @@ def cmd_run(cfg: ExperimentConfig) -> RunReport:
                 artifacts += _write_patterns(out, tag, pre, train, valid, cfg, depth)
             results[variant][f"depth{depth}"] = entry
 
-    report = RunReport(
-        config=config_echo(cfg),
-        results=results,
-        artifacts=artifacts,
-        wall_time_s=time.perf_counter() - started,
-    )
-    _write_report(out, report)
-    return report
+    body = {"config": config_echo(cfg), "results": results,
+            "artifacts": artifacts}
+    _write_report(out, body, time.perf_counter() - started)
 
 
-def _write_report(out: Path, report: RunReport) -> None:
-    body = {
-        "config": report.config,
-        "results": report.results,
-        "artifacts": report.artifacts,
-    }
+def _write_report(out: Path, body: dict, wall_time_s: float) -> None:
+    """report.json (deterministic), its wall-time sidecar, and summary.txt."""
     (out / "report.json").write_text(json.dumps(body, sort_keys=True, indent=1) + "\n")
-    (out / "wall_time.txt").write_text(f"{report.wall_time_s:.3f}\n")
+    (out / "wall_time.txt").write_text(f"{wall_time_s:.3f}\n")
 
     lines = ["depth  variant    test error %  ci95 +/- %"]
-    for variant in sorted(report.results):
-        for depth_key in sorted(report.results[variant]):
-            entry = report.results[variant][depth_key]
+    results = body["results"]
+    for variant in sorted(results):
+        for depth_key in sorted(results[variant]):
+            entry = results[variant][depth_key]
             lines.append(
                 f"{depth_key[5:]:>5}  {variant:<9}  "
                 f"{_percent(entry['test_error_rate']):>12}  "

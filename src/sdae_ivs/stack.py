@@ -10,7 +10,7 @@ parameters and cannot re-enter during fine-tuning.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,6 +21,8 @@ from .ivs import IvsConfig, IvsResult, run_ivs
 from .mlr import MlrModel, TrainConfig, train_mlr
 from .mlr import predict_labels as mlr_predict_labels
 from .numerics import Rng, make_rng, sgd, softmax
+
+MAX_DEPTH = 3
 
 
 @dataclass
@@ -73,7 +75,6 @@ class StackConfig:
     default because selection belongs to the auto-encoder layers.
     """
 
-    depth: int
     dae: tuple[DaeTrainConfig, ...]
     ivs: tuple[IvsConfig, ...]
     fine_tune: TrainConfig
@@ -81,12 +82,15 @@ class StackConfig:
     final_ivs: bool = False
 
     def __post_init__(self):
-        if not 1 <= self.depth <= 3:
-            raise ConfigError("depth must be 1, 2, or 3")
-        if len(self.dae) != self.depth:
-            raise ConfigError("need one DAE config per layer")
+        if not 1 <= self.depth <= MAX_DEPTH:
+            raise ConfigError(f"depth must lie in 1..{MAX_DEPTH}")
         if (self.ivs_enabled or self.final_ivs) and len(self.ivs) != self.depth:
             raise ConfigError("need one selection config per layer")
+
+    @property
+    def depth(self) -> int:
+        """Number of layers: one per DAE config."""
+        return len(self.dae)
 
 
 def _spawned_seed(rng: Rng) -> int:
@@ -136,9 +140,9 @@ def pretrain(train: Dataset, valid: Dataset, cfg: StackConfig, rng: Rng
         top_mask = final.mask
         ivs_results.append(final)
 
-    top_cfg = replace(cfg.fine_tune, seed=_spawned_seed(rng))
     top = train_mlr(compact_dataset(cur_train, top_mask),
-                    compact_dataset(cur_valid, top_mask), top_cfg)
+                    compact_dataset(cur_valid, top_mask), cfg.fine_tune,
+                    make_rng(_spawned_seed(rng)))
 
     model = StackModel(layers, top, top_mask, fine_tuned=False)
     model.check_widths()
@@ -200,15 +204,16 @@ def predict_labels(m: StackModel, x: np.ndarray) -> np.ndarray:
 
 
 def fine_tune(m: StackModel, train: Dataset, valid: Dataset,
-              cfg: TrainConfig) -> StackModel:
+              cfg: TrainConfig, rng: Rng) -> StackModel:
     """Supervised backpropagation through the top layer and all encoders.
 
     Masks are frozen: compaction is structural, so dropped variables and
     dropped top-layer codes can never re-enter. Early stopping mirrors the
     MLR trainer (best validation snapshot, ties to the earlier epoch); with
     max_epochs = 0 the returned model carries the input parameters
-    unchanged. Parameters that stop being finite raise DivergenceError at
-    the end of that epoch. The input model is left untouched.
+    unchanged. rng shuffles the examples. Parameters that stop being
+    finite raise DivergenceError at the end of that epoch. The input model
+    is left untouched.
     """
     if train.n == 0:
         raise DataError("cannot fine-tune on an empty dataset")
@@ -220,7 +225,7 @@ def fine_tune(m: StackModel, train: Dataset, valid: Dataset,
     sgd("fine-tuning", fine_tune_params(tuned),
         lambda rows: classification_grads(tuned, train.x[rows],
                                           train.labels[rows]),
-        cfg.learning_rate, train.n, cfg.max_epochs, make_rng(cfg.seed),
+        cfg.learning_rate, train.n, cfg.max_epochs, rng,
         score=lambda: float(np.mean(predict_labels(tuned, valid.x)
                                     != valid.labels)),
         patience=cfg.patience)

@@ -51,7 +51,7 @@ PUBLISHED_TEST_N = 50_000
 PLANTED = SyntheticSpec(num_relevant=20, num_irrelevant=80, num_classes=5,
                         class_separation=3.0, noise_sd=0.5,
                         examples_per_split=(600, 200, 1500))
-IVS_TRAINER = TrainConfig(learning_rate=0.1, max_epochs=30, patience=5, seed=0)
+IVS_TRAINER = TrainConfig(learning_rate=0.1, max_epochs=30, patience=5)
 SELECTION = IvsConfig(threshold=0.3, max_iterations=8, mlr=IVS_TRAINER)
 HIDDEN = (12, 10)
 SEEDS = range(5)
@@ -65,11 +65,10 @@ def planted_splits(seed):
 
 def paired_stack_config(depth, ivs_enabled):
     return StackConfig(
-        depth=depth,
-        dae=tuple(DaeTrainConfig(HIDDEN[i], 0.3, 0.1, 10, 0)
+        dae=tuple(DaeTrainConfig(HIDDEN[i], 0.3, 0.1, 10)
                   for i in range(depth)),
         ivs=tuple(SELECTION for _ in range(depth)),
-        fine_tune=TrainConfig(0.1, 10, 3, 0),
+        fine_tune=TrainConfig(0.1, 10, 3),
         ivs_enabled=ivs_enabled,
     )
 
@@ -234,7 +233,8 @@ def test_criterion_5_paired_trend():
                 model, ivs_results = pretrain(train, valid, cfg,
                                               derive_rng(seed, depth))
                 tuned = fine_tune(model, train, valid,
-                                  TrainConfig(0.1, 10, 3, seed=seed + 1000))
+                                  TrainConfig(0.1, 10, 3),
+                                  make_rng(seed + 1000))
                 errors[enabled] = evaluate(
                     lambda x: predict_labels(tuned, x), test).error_rate
                 if enabled:

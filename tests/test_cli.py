@@ -1,15 +1,19 @@
+import configparser
 import json
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
 
 from sdae_ivs.cli import main
 from sdae_ivs.config import load_config
+from sdae_ivs.errors import ConfigError
 from sdae_ivs.pgm import read_pgm
 from sdae_ivs.serialize import load_stack
 
 REPO = Path(__file__).resolve().parent.parent
 SMOKE = REPO / "configs" / "smoke_synthetic.ini"
+BGRAND = REPO / "configs" / "bgrand_scaled.ini"
 
 
 def run_cli(*argv):
@@ -60,6 +64,15 @@ class TestRun:
     def test_plain_variant_has_no_selection_history(self, smoke_run):
         report = json.loads((smoke_run / "report.json").read_text())
         assert "ivs_layers" not in report["results"]["sdae"]["depth1"]
+
+    def test_config_block_is_the_parsed_config_without_out(self, smoke_run):
+        config = json.loads((smoke_run / "report.json").read_text())["config"]
+        expected = asdict(load_config(SMOKE))
+        del expected["out"]
+        assert json.dumps(config, sort_keys=True) == \
+            json.dumps(expected, sort_keys=True, default=str)
+        assert config["reconstruct_examples"] == 6
+        assert config["export_patterns"] is True
 
 
 class TestDeterminism:
@@ -296,21 +309,32 @@ class TestAmatPlumbing:
         train, valid, test = load_splits(load_config(config))
         assert (train.n, valid.n, test.n) == (30, 20, 25)
 
-    def test_valid_file_without_test_file_rejected(self, tmp_path):
-        from sdae_ivs.config import load_config
-        from sdae_ivs.errors import DataError
-        from sdae_ivs.runner import load_splits
-        self.write_amat(tmp_path / "train.amat", 20, 4, 4)
-        self.write_amat(tmp_path / "valid.amat", 10, 4, 5)
-        config = tmp_path / "c.ini"
-        config.write_text(
-            f"[data]\nsource = amat\ntrain = {tmp_path / 'train.amat'}\n"
-            f"valid = {tmp_path / 'valid.amat'}\n"
+    # Split mistakes are config errors (exit 1), found before any file is
+    # read: the data files named here do not exist.
+    @staticmethod
+    def write_split_config(path, data_lines):
+        path.write_text(
+            "[data]\nsource = amat\ntrain = nowhere/train.amat\n"
+            + data_lines +
             "[dae]\nhidden_units = 4\nnoise_sd = 0.1\nlearning_rate = 0.1\n"
             "epochs = 2\n[ivs]\nthreshold = 0.3\nlearning_rate = 0.1\n"
             "[finetune]\nlearning_rate = 0.1\n")
-        with pytest.raises(DataError):
-            load_splits(load_config(config))
+
+    def test_valid_file_without_test_file_rejected(self, tmp_path, capsys):
+        config = tmp_path / "c.ini"
+        self.write_split_config(config, "valid = nowhere/valid.amat\n")
+        with pytest.raises(ConfigError, match="needs a test file"):
+            load_config(config)
+        assert run_cli("run", "--config", config, "--out", tmp_path / "o") == 1
+        assert "[data] needs a test file" in capsys.readouterr().err
+
+    def test_single_file_split_without_train_size_rejected(self, tmp_path,
+                                                           capsys):
+        config = tmp_path / "c.ini"
+        self.write_split_config(config, "test = nowhere/test.amat\n"
+                                        "valid_size = 10\n")
+        assert run_cli("run", "--config", config, "--out", tmp_path / "o") == 1
+        assert "[data] needs train_size" in capsys.readouterr().err
 
 
 class TestErrors:
@@ -336,13 +360,30 @@ class TestErrors:
 
 
 class TestPaperGrid:
-    def test_rejects_off_grid_learning_rate(self, tmp_path):
+    @pytest.mark.parametrize("section,key,value", [
+        pytest.param("ivs", "learning_rate", "0.3", id="ivs-learning_rate"),
+        pytest.param("ivs", "threshold", "0.6", id="ivs-threshold"),
+        pytest.param("dae", "learning_rate", "0.3", id="dae-learning_rate"),
+        pytest.param("dae", "noise_sd", "0.5", id="dae-noise_sd"),
+        pytest.param("dae", "epochs", "61", id="dae-epochs"),
+        pytest.param("finetune", "learning_rate", "0.3",
+                     id="finetune-learning_rate"),
+    ])
+    def test_rejects_off_grid_value(self, tmp_path, capsys, section, key,
+                                    value):
+        # The scaled benchmark config is on the grid; its corpus is absent,
+        # so only the grid check can make the run exit 1.
+        parser = configparser.ConfigParser(inline_comment_prefixes=(";",))
+        parser.read(BGRAND)
+        parser[section][key] = value
         patched = tmp_path / "offgrid.ini"
-        patched.write_text(SMOKE.read_text().replace(
-            "[dae]\nhidden_units = 8\nnoise_sd = 0.2\nlearning_rate = 0.1\nepochs = 5",
-            "[dae]\nhidden_units = 8\nnoise_sd = 0.2\nlearning_rate = 0.3\nepochs = 60"))
+        with open(patched, "w") as fh:
+            parser.write(fh)
         assert run_cli("run", "--config", patched, "--paper-grid",
                        "--out", tmp_path / "o") == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: [{section}] ")
+        assert f" {key} {value} outside candidate set" in err
 
     def test_accepts_grid_config(self, tmp_path):
         # The scaled benchmark config sits entirely inside the grid except

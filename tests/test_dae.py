@@ -97,7 +97,7 @@ class TestLoss:
 
     def test_cross_entropy_identity_decoder_rejected(self):
         with pytest.raises(ConfigError):
-            DaeTrainConfig(4, 0.1, 0.1, 10, seed=0,
+            DaeTrainConfig(4, 0.1, 0.1, 10,
                            loss_kind=CROSS_ENTROPY, decoder_activation=IDENTITY)
         m = tiny_model(decoder=IDENTITY)
         with pytest.raises(ConfigError):
@@ -144,16 +144,16 @@ class TestTraining:
     def test_loss_decreases_monotonically_when_overfitting(self):
         d = one_example_dataset()
         cfg = DaeTrainConfig(hidden_units=4, noise_sd=0.0, learning_rate=0.1,
-                             epochs=10, seed=3)
-        _, history = train_dae(d, cfg, return_history=True)
+                             epochs=10)
+        _, history = train_dae(d, cfg, make_rng(3), return_history=True)
         assert all(a > b for a, b in zip(history, history[1:]))
 
     def test_one_example_squared_loss_driven_tiny(self):
         d = one_example_dataset()
         cfg = DaeTrainConfig(hidden_units=4, noise_sd=0.0, learning_rate=0.5,
-                             epochs=3000, seed=3, loss_kind=SQUARED,
+                             epochs=3000, loss_kind=SQUARED,
                              decoder_activation=IDENTITY)
-        model = train_dae(d, cfg)
+        model = train_dae(d, cfg, make_rng(3))
         reconstructed = decode(model, encode(model, d.x[0]))
         assert loss(d.x[0], reconstructed, SQUARED) < 1e-3
 
@@ -161,9 +161,9 @@ class TestTraining:
         rng = make_rng(11)
         d = Dataset(rng.uniform(size=(12, 5)), np.ones(12, dtype=int), 1)
         cfg = DaeTrainConfig(hidden_units=3, noise_sd=0.2, learning_rate=0.1,
-                             epochs=4, seed=21)
-        a = train_dae(d, cfg)
-        b = train_dae(d, cfg)
+                             epochs=4)
+        a = train_dae(d, cfg, make_rng(21))
+        b = train_dae(d, cfg, make_rng(21))
         assert np.array_equal(a.weights, b.weights)
         assert np.array_equal(a.encoder_bias, b.encoder_bias)
         assert np.array_equal(a.decoder_bias, b.decoder_bias)
@@ -172,7 +172,7 @@ class TestTraining:
         rng = make_rng(12)
         d = Dataset(rng.uniform(size=(10, 4)), np.ones(10, dtype=int), 1)
         cfg = DaeTrainConfig(hidden_units=3, noise_sd=0.2, learning_rate=0.1,
-                             epochs=3, seed=5)
+                             epochs=3)
         calls = []
 
         def counted(*args):
@@ -180,9 +180,9 @@ class TestTraining:
             return loss(*args)
 
         monkeypatch.setattr(dae_mod, "loss", counted)
-        quiet = train_dae(d, cfg)
+        quiet = train_dae(d, cfg, make_rng(5))
         assert calls == []
-        recorded, history = train_dae(d, cfg, return_history=True)
+        recorded, history = train_dae(d, cfg, make_rng(5), return_history=True)
         assert len(calls) == d.n * cfg.epochs and len(history) == cfg.epochs
         assert np.array_equal(quiet.weights, recorded.weights)
         assert np.array_equal(quiet.decoder_bias, recorded.decoder_bias)
@@ -190,15 +190,15 @@ class TestTraining:
     def test_overflowing_learning_rate_raises_with_the_epoch(self):
         d = Dataset(make_rng(13).uniform(size=(12, 5)), np.ones(12, dtype=int), 1)
         cfg = DaeTrainConfig(hidden_units=3, noise_sd=0.2, learning_rate=1e300,
-                             epochs=3, seed=1, loss_kind=SQUARED,
+                             epochs=3, loss_kind=SQUARED,
                              decoder_activation=IDENTITY)
         with pytest.raises(DivergenceError,
                            match="DAE pre-training diverged at epoch 1"):
-            train_dae(d, cfg)
+            train_dae(d, cfg, make_rng(1))
 
     def test_init_bounds(self):
         cfg = DaeTrainConfig(hidden_units=8, noise_sd=0.1, learning_rate=0.1,
-                             epochs=1, seed=0)
+                             epochs=1)
         model = init_dae(16, cfg, make_rng(1))
         bound = 1.0 / 4.0
         assert np.all(np.abs(model.weights) <= bound)

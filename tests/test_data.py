@@ -192,7 +192,7 @@ class TestSynthetic:
         spec = SyntheticSpec(20, 80, 5, 3.0, 0.5, (1000, 300, 0))
         d, _truth = gen_synthetic(spec, make_rng(17))
         train, valid, _ = split(d, (1000, 300))
-        model = train_mlr(train, valid, TrainConfig(0.1, 30, 5, seed=1))
+        model = train_mlr(train, valid, TrainConfig(0.1, 30, 5), make_rng(1))
         err = validation_error(model.weights, model.biases, valid.x, valid.labels)
         assert err <= 0.05
 

@@ -17,7 +17,7 @@ PLANTED = SyntheticSpec(num_relevant=20, num_irrelevant=80, num_classes=5,
                         class_separation=3.0, noise_sd=0.5,
                         examples_per_split=(1000, 300, 0))
 
-QUICK_MLR = TrainConfig(learning_rate=0.1, max_epochs=30, patience=5, seed=0)
+QUICK_MLR = TrainConfig(learning_rate=0.1, max_epochs=30, patience=5)
 
 
 def planted_splits(seed):
@@ -50,6 +50,17 @@ class TestNormalVector:
         w = np.ones((2, 3))
         with pytest.raises(DegenerateModelError):
             normal_vector(MlrModel(w, np.zeros(2)), 1, 2)
+
+    def test_weights_too_large_to_square_keep_a_unit_normal(self):
+        # Squares of weights near 1e200 overflow; the weights are finite.
+        m = random_mlr(2, k=3, m=4)
+        huge = MlrModel(m.weights * 1e200, m.biases)
+        assert np.linalg.norm(normal_vector(huge, 1, 2)) == \
+            pytest.approx(1.0, abs=1e-12)
+        np.testing.assert_allclose(
+            task_importance(huge),
+            task_importance(MlrModel(huge.weights * 1e-200, m.biases)),
+            rtol=1e-12)
 
 
 class TestPairImportance:

@@ -59,14 +59,14 @@ def separable_toy():
 class TestTraining:
     def test_separable_toy_reaches_zero_training_error(self):
         d = separable_toy()
-        model = train_mlr(d, d, TrainConfig(0.1, 200, 200, seed=5))
+        model = train_mlr(d, d, TrainConfig(0.1, 200, 200), make_rng(5))
         assert np.array_equal(predict_labels(model, d.x), d.labels)
 
     def test_bitwise_deterministic(self):
         d = separable_toy()
-        cfg = TrainConfig(0.1, 50, 10, seed=9)
-        a = train_mlr(d, d, cfg)
-        b = train_mlr(d, d, cfg)
+        cfg = TrainConfig(0.1, 50, 10)
+        a = train_mlr(d, d, cfg, make_rng(9))
+        b = train_mlr(d, d, cfg, make_rng(9))
         assert np.array_equal(a.weights, b.weights)
         assert np.array_equal(a.biases, b.biases)
 
@@ -76,8 +76,8 @@ class TestTraining:
                         rng.integers(1, 3, size=40), 2)
         valid = Dataset(rng.uniform(size=(20, 3)),
                         rng.integers(1, 3, size=20), 2)
-        model, history = train_mlr(train, valid, TrainConfig(0.5, 30, 30, seed=1),
-                                   return_history=True)
+        model, history = train_mlr(train, valid, TrainConfig(0.5, 30, 30),
+                                   make_rng(1), return_history=True)
         returned_err = float(np.mean(predict_labels(model, valid.x)
                                      != valid.labels))
         assert all(returned_err <= err for _, err in history)
@@ -86,23 +86,25 @@ class TestTraining:
         d = separable_toy()
         with pytest.raises(DivergenceError,
                            match=r"MLR training diverged at epoch \d"):
-            train_mlr(d, d, TrainConfig(1e308, 5, 5, seed=0))
+            train_mlr(d, d, TrainConfig(1e308, 5, 5), make_rng(0))
 
     def test_empty_training_set_rejected(self):
         empty = Dataset(np.zeros((0, 2)), np.zeros(0, dtype=int), 2)
         with pytest.raises(DataError):
-            train_mlr(empty, separable_toy(), TrainConfig(0.1, 5, 2, seed=0))
+            train_mlr(empty, separable_toy(), TrainConfig(0.1, 5, 2),
+                      make_rng(0))
 
     def test_empty_validation_set_rejected(self):
         empty = Dataset(np.zeros((0, 2)), np.zeros(0, dtype=int), 2)
         with pytest.raises(DataError):
-            train_mlr(separable_toy(), empty, TrainConfig(0.1, 5, 2, seed=0))
+            train_mlr(separable_toy(), empty, TrainConfig(0.1, 5, 2),
+                      make_rng(0))
 
     def test_k_mismatch_rejected(self):
         d = separable_toy()
         other = Dataset(d.x, d.labels, 3)
         with pytest.raises(DataError):
-            train_mlr(d, other, TrainConfig(0.1, 5, 2, seed=0))
+            train_mlr(d, other, TrainConfig(0.1, 5, 2), make_rng(0))
 
 
 class TestEvaluate:

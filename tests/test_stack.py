@@ -21,7 +21,7 @@ EASY = SyntheticSpec(num_relevant=8, num_irrelevant=24, num_classes=3,
                      class_separation=3.0, noise_sd=0.4,
                      examples_per_split=(300, 100, 200))
 
-MLR_CFG = TrainConfig(learning_rate=0.1, max_epochs=25, patience=4, seed=0)
+MLR_CFG = TrainConfig(learning_rate=0.1, max_epochs=25, patience=4)
 IVS_CFG = IvsConfig(threshold=0.3, max_iterations=6, mlr=MLR_CFG)
 
 
@@ -33,15 +33,14 @@ def easy_splits(seed=0):
 
 def dae_cfg(h, epochs=8, noise=0.2):
     return DaeTrainConfig(hidden_units=h, noise_sd=noise, learning_rate=0.1,
-                          epochs=epochs, seed=0)
+                          epochs=epochs)
 
 
 def stack_cfg(depth, ivs_enabled, hidden=(16, 12, 8), epochs=8):
     return StackConfig(
-        depth=depth,
         dae=tuple(dae_cfg(hidden[i], epochs) for i in range(depth)),
         ivs=tuple(IVS_CFG for _ in range(depth)),
-        fine_tune=TrainConfig(0.1, 20, 4, seed=0),
+        fine_tune=TrainConfig(0.1, 20, 4),
         ivs_enabled=ivs_enabled,
     )
 
@@ -83,10 +82,9 @@ class TestPretrain:
         manual_dae = train_dae(train, cfg.dae[0], rng.spawn(1)[0])
         rep_train = encode_dataset(manual_dae, train)
         rep_valid = encode_dataset(manual_dae, valid)
-        from dataclasses import replace
         top_seed = int(rng.spawn(1)[0].integers(0, 2**63))
-        manual_top = train_mlr(rep_train, rep_valid,
-                               replace(cfg.fine_tune, seed=top_seed))
+        manual_top = train_mlr(rep_train, rep_valid, cfg.fine_tune,
+                               make_rng(top_seed))
 
         assert model.layers[0].mask == VariableMask.all_ones(train.m)
         assert np.array_equal(model.layers[0].dae.weights, manual_dae.weights)
@@ -125,7 +123,7 @@ class TestPretrain:
     def test_final_ivs_masks_the_top_classifier(self):
         train, valid, _, _ = easy_splits(11)
         base = stack_cfg(1, True)
-        cfg = StackConfig(depth=1, dae=base.dae, ivs=base.ivs,
+        cfg = StackConfig(dae=base.dae, ivs=base.ivs,
                           fine_tune=base.fine_tune, ivs_enabled=True,
                           final_ivs=True)
         model, ivs_results = pretrain(train, valid, cfg, derive_rng(20, 1))
@@ -172,7 +170,8 @@ class TestFineTune:
     def test_zero_epochs_is_identity(self):
         train, valid, _, _ = easy_splits(5)
         model, _ = pretrain(train, valid, stack_cfg(1, False), derive_rng(9, 1))
-        tuned = fine_tune(model, train, valid, TrainConfig(0.1, 0, 1, seed=0))
+        tuned = fine_tune(model, train, valid, TrainConfig(0.1, 0, 1),
+                          make_rng(0))
         assert tuned.fine_tuned
         assert np.array_equal(tuned.layers[0].dae.weights,
                               model.layers[0].dae.weights)
@@ -204,7 +203,8 @@ class TestFineTune:
         before = [p.copy() for p in fine_tune_params(model)]
         rng = make_rng(24)
         train = Dataset(rng.uniform(size=(20, 6)), rng.integers(1, 3, size=20), 2)
-        tuned = fine_tune(model, train, train, TrainConfig(0.1, 3, 3, seed=2))
+        tuned = fine_tune(model, train, train, TrainConfig(0.1, 3, 3),
+                          make_rng(2))
         assert all(np.array_equal(a, b)
                    for a, b in zip(before, fine_tune_params(model)))
         assert tuned.fine_tuned and not model.fine_tuned
@@ -213,7 +213,8 @@ class TestFineTune:
         train, valid, _, _ = easy_splits(6)
         model, _ = pretrain(train, valid, stack_cfg(1, False), derive_rng(10, 1))
         before = evaluate(lambda x: predict_labels(model, x), valid).error_rate
-        tuned = fine_tune(model, train, valid, TrainConfig(0.1, 10, 3, seed=1))
+        tuned = fine_tune(model, train, valid, TrainConfig(0.1, 10, 3),
+                          make_rng(1))
         after = evaluate(lambda x: predict_labels(tuned, x), valid).error_rate
         assert after <= before
 
@@ -222,7 +223,8 @@ class TestFineTune:
         model, _ = pretrain(train, valid, stack_cfg(1, False), derive_rng(9, 1))
         with pytest.raises(DivergenceError,
                            match="fine-tuning diverged at epoch 1"):
-            fine_tune(model, train, valid, TrainConfig(1e308, 5, 5, seed=0))
+            fine_tune(model, train, valid, TrainConfig(1e308, 5, 5),
+                      make_rng(0))
 
     def test_top_mask_survives_fine_tuning(self):
         top_mask = VariableMask(np.array([1, 0, 1], dtype=bool))
@@ -230,7 +232,8 @@ class TestFineTune:
         rng = make_rng(31)
         train = Dataset(rng.uniform(size=(30, 6)),
                         rng.integers(1, 3, size=30), 2)
-        tuned = fine_tune(model, train, train, TrainConfig(0.1, 5, 5, seed=2))
+        tuned = fine_tune(model, train, train, TrainConfig(0.1, 5, 5),
+                          make_rng(2))
         assert tuned.top_mask == top_mask
         assert tuned.top.m == 2
         assert not np.array_equal(tuned.top.weights, model.top.weights)
@@ -269,8 +272,8 @@ class TestReconstruct:
         x = np.array([[0.3, 0.7, 0.5, 0.2]])
         d = Dataset(x, np.array([1]), 1)
         cfg = DaeTrainConfig(hidden_units=4, noise_sd=0.0, learning_rate=0.5,
-                             epochs=2000, seed=1)
-        dae = train_dae(d, cfg)
+                             epochs=2000)
+        dae = train_dae(d, cfg, make_rng(1))
         model = StackModel(
             [StackLayer(VariableMask.all_ones(4), dae)],
             MlrModel(np.zeros((2, 4)), np.zeros(2)))
@@ -323,14 +326,13 @@ class TestEndToEnd:
         errors = {}
         for enabled in (False, True):
             cfg = StackConfig(
-                depth=1,
-                dae=(DaeTrainConfig(12, 0.3, 0.1, 10, 0),),
-                ivs=(IvsConfig(0.3, 8, TrainConfig(0.1, 30, 5, 0)),),
-                fine_tune=TrainConfig(0.1, 10, 3, 0),
+                dae=(DaeTrainConfig(12, 0.3, 0.1, 10),),
+                ivs=(IvsConfig(0.3, 8, TrainConfig(0.1, 30, 5)),),
+                fine_tune=TrainConfig(0.1, 10, 3),
                 ivs_enabled=enabled)
             model, _ = pretrain(train, valid, cfg, derive_rng(0, 1))
-            tuned = fine_tune(model, train, valid,
-                              TrainConfig(0.1, 10, 3, seed=1000))
+            tuned = fine_tune(model, train, valid, TrainConfig(0.1, 10, 3),
+                              make_rng(1000))
             errors[enabled] = evaluate(lambda x: predict_labels(tuned, x),
                                        test).error_rate
         assert errors[True] <= errors[False]
@@ -339,6 +341,7 @@ class TestEndToEnd:
         train, valid, test, _ = easy_splits(10)
         model, _ = pretrain(train, valid, stack_cfg(1, True, epochs=10),
                             derive_rng(17, 1))
-        tuned = fine_tune(model, train, valid, TrainConfig(0.1, 15, 3, seed=18))
+        tuned = fine_tune(model, train, valid, TrainConfig(0.1, 15, 3),
+                          make_rng(18))
         report = evaluate(lambda x: predict_labels(tuned, x), test)
         assert 1.0 - report.error_rate >= 0.9
