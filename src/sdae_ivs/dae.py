@@ -182,8 +182,7 @@ def train_dae(train: Dataset, cfg: DaeTrainConfig, rng: Rng,
     model = init_dae(train.m, cfg, rng)
     losses: list[float] = []
 
-    def step(rows):
-        x = train.x[rows]
+    def step(x):
         y, *gradients = grads(model, x, corrupt(x, cfg.noise_sd, rng),
                               cfg.loss_kind)
         if return_history:
@@ -192,7 +191,7 @@ def train_dae(train: Dataset, cfg: DaeTrainConfig, rng: Rng,
 
     sgd("DAE pre-training",
         [model.weights, model.encoder_bias, model.decoder_bias], step,
-        cfg.learning_rate, train.n, cfg.epochs, rng)
+        cfg.learning_rate, (train.x,), cfg.epochs, rng)
 
     if return_history:
         return model, [sum(losses[lo:lo + train.n]) / train.n

@@ -55,9 +55,10 @@ class IvsResult:
     history: list[IvsIteration]
 
 
-def _pair_difference(m: MlrModel, i: int, j: int) -> tuple[np.ndarray, float]:
-    """Weight difference of classes i and j and its Euclidean norm.
+def normal_vector(m: MlrModel, i: int, j: int) -> np.ndarray:
+    """Unit normal of the discriminant hyperplane between classes i and j.
 
+    Biases shift the hyperplane but do not tilt it, so they never enter.
     Finite weights too large to square (about 1e154 and up) overflow the
     plain norm. Only then is the norm taken of the difference divided by
     its largest magnitude and multiplied back, so ordinary weights keep
@@ -74,27 +75,7 @@ def _pair_difference(m: MlrModel, i: int, j: int) -> tuple[np.ndarray, float]:
             norm = float(np.linalg.norm(diff / top)) * top
     if norm == 0.0:
         raise DegenerateModelError(f"classes {i} and {j} have identical weights")
-    return diff, norm
-
-
-def normal_vector(m: MlrModel, i: int, j: int) -> np.ndarray:
-    """Unit normal of the discriminant hyperplane between classes i and j.
-
-    Biases shift the hyperplane but do not tilt it, so they never enter.
-    """
-    diff, norm = _pair_difference(m, i, j)
     return diff / norm
-
-
-def discriminant(m: MlrModel, i: int, j: int, x: np.ndarray) -> float:
-    """Normalized signed distance of x from the (i, j) hyperplane.
-
-    Linear in x, with gradient equal to the unit normal; the
-    finite-difference oracle differentiates this.
-    """
-    diff, norm = _pair_difference(m, i, j)
-    return float((diff @ np.asarray(x, dtype=np.float64)
-                  + (m.biases[i - 1] - m.biases[j - 1])) / norm)
 
 
 def pair_importance(v: np.ndarray) -> np.ndarray:

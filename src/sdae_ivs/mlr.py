@@ -101,18 +101,24 @@ def cross_entropy(m: MlrModel, x: np.ndarray, labels: np.ndarray,
     return loss + 0.5 * l2 * float(np.sum(m.weights * m.weights))
 
 
+def output_delta(weights, biases, xb, yb):
+    """(softmax - one-hot) / B over the batch (xb, yb): the derivative of
+    the batch-mean cross-entropy with respect to the logits."""
+    p = softmax(xb @ weights.T + biases)
+    p[np.arange(xb.shape[0]), yb - 1] -= 1.0
+    p /= xb.shape[0]
+    return p
+
+
 def batch_grads(weights, biases, xb, yb, l2):
     """Gradients (d_weights, d_biases) of cross_entropy over the batch
     (xb, yb): the one step direction of train_mlr, and the function the
     finite-difference oracle checks."""
-    logits = xb @ weights.T + biases
-    p = softmax(logits)
-    p[np.arange(xb.shape[0]), yb - 1] -= 1.0
-    grad_w = p.T @ xb / xb.shape[0]
-    grad_b = p.mean(axis=0)
+    p = output_delta(weights, biases, xb, yb)
+    grad_w = p.T.dot(xb)
     if l2 > 0.0:
         grad_w += l2 * weights
-    return grad_w, grad_b
+    return grad_w, p.sum(axis=0)
 
 
 def validation_error(weights, biases, x, labels) -> float:
@@ -142,10 +148,9 @@ def train_mlr(train: Dataset, valid: Dataset, cfg: TrainConfig, rng: Rng,
     weights = np.zeros((train.num_classes, train.m))
     biases = np.zeros(train.num_classes)
     history = sgd("MLR training", [weights, biases],
-                  lambda rows: batch_grads(weights, biases, train.x[rows],
-                                           train.labels[rows], cfg.l2),
-                  cfg.learning_rate, train.n, cfg.max_epochs, rng,
-                  batch=cfg.minibatch_size,
+                  lambda xb, yb: batch_grads(weights, biases, xb, yb, cfg.l2),
+                  cfg.learning_rate, (train.x, train.labels), cfg.max_epochs,
+                  rng, batch=cfg.minibatch_size,
                   score=lambda: validation_error(weights, biases, valid.x,
                                                  valid.labels),
                   patience=cfg.patience)

@@ -42,14 +42,18 @@ def check_finite(phase: str, epoch: int, *params: np.ndarray) -> None:
                               "parameters); lower the learning rate")
 
 
-def sgd(phase, params, grads, learning_rate, n, epochs, rng, batch=1,
+def sgd(phase, params, grads, learning_rate, data, epochs, rng, batch=1,
         score=None, patience=0):
-    """Minibatch SGD over n rows, stepping every array in params in place.
+    """Minibatch SGD over the rows of data, stepping every array in params
+    in place.
 
-    Each epoch shuffles the row indices with rng and, for every slice of
-    `batch` of them, steps along grads(rows), one gradient per parameter.
-    Overflow inside a step is left to check_finite, which raises
-    DivergenceError naming phase and epoch at the end of that epoch.
+    data is a tuple of row-aligned arrays, such as (inputs, labels). Each
+    epoch gathers every array once in the order of a fresh rng permutation,
+    then steps along grads(*slices) for each run of `batch` consecutive
+    rows, one gradient per parameter. grads must return fresh arrays,
+    because sgd scales them in place by the learning rate. Overflow inside
+    a step is left to check_finite, which raises DivergenceError naming
+    phase and epoch at the end of that epoch.
 
     With a score (lower is better, e.g. a validation error) training stops
     early: the score is taken before the first epoch and after each one,
@@ -58,6 +62,7 @@ def sgd(phase, params, grads, learning_rate, n, epochs, rng, batch=1,
     earlier epoch. Returns the [(epoch, score)] history from epoch 0
     (empty without a score).
     """
+    n = len(data[0])
     history = []
     if score is not None:
         best_score, best = score(), [p.copy() for p in params]
@@ -65,10 +70,13 @@ def sgd(phase, params, grads, learning_rate, n, epochs, rng, batch=1,
     since_improvement = 0
     for epoch in range(1, epochs + 1):
         order = rng.permutation(n)
+        shuffled = [a[order] for a in data]
         with np.errstate(over="ignore", invalid="ignore"):
             for lo in range(0, n, batch):
-                for p, g in zip(params, grads(order[lo:lo + batch])):
-                    p -= learning_rate * g
+                for p, g in zip(params, grads(*[a[lo:lo + batch]
+                                                for a in shuffled])):
+                    g *= learning_rate
+                    p -= g
         check_finite(phase, epoch, *params)
         if score is None:
             continue
@@ -88,17 +96,15 @@ def sgd(phase, params, grads, learning_rate, n, epochs, rng, batch=1,
 
 
 def sigmoid(z):
-    """Logistic function 1/(1+e^-z), overflow-safe for any finite input.
+    """Logistic function 1/(1+e^-z), overflow-safe for any input.
 
-    Accepts scalars or arrays; always evaluates exp on a non-positive
-    argument so |z| up to the float64 limit cannot overflow.
+    Accepts scalars or arrays. One exp of -|z| gives e <= 1, and the result
+    is 1/(1+e) where z >= 0 and e/(1+e) elsewhere, so |z| up to the
+    float64 limit cannot overflow.
     """
     z = np.asarray(z, dtype=np.float64)
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
+    e = np.exp(-np.abs(z))
+    out = np.where(z >= 0, 1.0, e) / (1.0 + e)
     if out.ndim == 0:
         return float(out)
     return out

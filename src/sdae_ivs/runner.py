@@ -99,12 +99,11 @@ def cmd_run(cfg: ExperimentConfig) -> None:
     """Full protocol: (load | synthesize) -> pretrain -> fine-tune -> evaluate,
     for every requested depth and variant, writing models and artifacts."""
     started = time.perf_counter()
+    train, valid, test = load_splits(cfg)
     out = Path(cfg.out)
     (out / "models").mkdir(parents=True, exist_ok=True)
     (out / "csv").mkdir(exist_ok=True)
     (out / "images").mkdir(exist_ok=True)
-
-    train, valid, test = load_splits(cfg)
     results: dict = {}
     artifacts: list[str] = []
 
@@ -235,9 +234,9 @@ def _write_patterns(out: Path, tag: str, pre, train, valid, cfg, depth) -> list[
 
 def cmd_ivs(cfg: ExperimentConfig) -> IvsResult:
     """Standalone selection on the raw training data, with all exports."""
+    train, valid, _ = load_splits(cfg)
     out = Path(cfg.out)
     (out / "ivs").mkdir(parents=True, exist_ok=True)
-    train, valid, _ = load_splits(cfg)
     result = run_ivs(train, valid, cfg.ivs[0], derive_rng(cfg.seed, KEY_IVS_CMD))
 
     write_history_csv(out / "ivs" / "history.csv", result.history)
@@ -297,9 +296,9 @@ def cmd_reconstruct(cfg: ExperimentConfig) -> list[str]:
     from the serialized pre-trained models."""
     if cfg.variable_shape is None:
         raise DataError("reconstruction images need [data] shape")
+    _, _, test = load_splits(cfg)
     out = Path(cfg.out)
     (out / "images").mkdir(parents=True, exist_ok=True)
-    _, _, test = load_splits(cfg)
     if test.n == 0:
         raise DataError("no test examples to reconstruct")
     examples = cfg.reconstruct_examples or 8
@@ -318,10 +317,10 @@ def cmd_export_patterns(cfg: ExperimentConfig) -> list[str]:
     """Relevant/irrelevant first-layer pattern grids from serialized models."""
     if cfg.variable_shape is None:
         raise DataError("pattern images need [data] shape")
+    train, valid, _ = load_splits(cfg)
     out = Path(cfg.out)
     (out / "images").mkdir(parents=True, exist_ok=True)
     (out / "csv").mkdir(exist_ok=True)
-    train, valid, _ = load_splits(cfg)
 
     paths = []
     for variant in cfg.variants:

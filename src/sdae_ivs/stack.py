@@ -18,9 +18,9 @@ from .dae import DaeModel, DaeTrainConfig, decode, encode, train_dae, encode_dat
 from .data import Dataset, VariableMask, compact, compact_dataset, expand
 from .errors import ConfigError, DataError, DimensionError, DivergenceError
 from .ivs import IvsConfig, IvsResult, run_ivs
-from .mlr import MlrModel, TrainConfig, train_mlr
+from .mlr import MlrModel, TrainConfig, output_delta, train_mlr
 from .mlr import predict_labels as mlr_predict_labels
-from .numerics import Rng, make_rng, sgd, softmax
+from .numerics import Rng, make_rng, sgd
 
 MAX_DEPTH = 3
 
@@ -178,9 +178,7 @@ def classification_grads(m: StackModel, x: np.ndarray, labels: np.ndarray):
     with 1-based labels, one per array of fine_tune_params(m)."""
     trace = []
     top_in = compact(_forward(m, x, trace=trace), m.top_mask)
-    g = softmax(top_in @ m.top.weights.T + m.top.biases)
-    g[np.arange(len(labels)), labels - 1] -= 1.0
-    g /= len(labels)
+    g = output_delta(m.top.weights, m.top.biases, top_in, labels)
     gradients = [g.T.dot(top_in), g.sum(axis=0)]
 
     delta = expand(g @ m.top.weights, m.top_mask)
@@ -223,9 +221,8 @@ def fine_tune(m: StackModel, train: Dataset, valid: Dataset,
     tuned = copy.deepcopy(m)
     tuned.fine_tuned = True
     sgd("fine-tuning", fine_tune_params(tuned),
-        lambda rows: classification_grads(tuned, train.x[rows],
-                                          train.labels[rows]),
-        cfg.learning_rate, train.n, cfg.max_epochs, rng,
+        lambda xb, yb: classification_grads(tuned, xb, yb),
+        cfg.learning_rate, (train.x, train.labels), cfg.max_epochs, rng,
         score=lambda: float(np.mean(predict_labels(tuned, valid.x)
                                     != valid.labels)),
         patience=cfg.patience)

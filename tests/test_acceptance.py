@@ -22,15 +22,15 @@ from sdae_ivs.dae import grads as dae_grads
 from sdae_ivs.data import (SyntheticSpec, VariableMask, compact, expand,
                            gen_synthetic, split)
 from sdae_ivs.errors import OverThresholdError
-from sdae_ivs.ivs import (IvsConfig, discriminant, normal_vector, run_ivs,
-                          task_importance, update_mask)
+from sdae_ivs.ivs import (IvsConfig, normal_vector, run_ivs, task_importance,
+                          update_mask)
 from sdae_ivs.mlr import (MlrModel, TrainConfig, batch_grads, cross_entropy,
                           evaluate, wald_halfwidth)
 from sdae_ivs.numerics import derive_rng, make_rng, softmax
 from sdae_ivs.stack import (StackConfig, StackLayer, StackModel,
                             classification_grads, fine_tune, fine_tune_params,
                             predict_labels, pretrain, select_extractors)
-from util import central_diff, grads_close, random_mlr
+from util import central_diff, discriminant, grads_close, random_mlr
 
 REPO = Path(__file__).resolve().parent.parent
 SMOKE = REPO / "configs" / "smoke_synthetic.ini"

@@ -338,7 +338,8 @@ class TestAmatPlumbing:
 
 
 class TestErrors:
-    def test_missing_dataset_file_exit_2_names_path(self, tmp_path, capsys):
+    @staticmethod
+    def missing_data_config(tmp_path):
         config = tmp_path / "missing.ini"
         config.write_text(
             "[data]\nsource = amat\ntrain = nowhere/null.amat\n"
@@ -347,8 +348,18 @@ class TestErrors:
             "epochs = 2\n"
             "[ivs]\nthreshold = 0.3\nlearning_rate = 0.1\n"
             "[finetune]\nlearning_rate = 0.1\n")
+        return config
+
+    def test_missing_dataset_file_exit_2_names_path(self, tmp_path, capsys):
+        config = self.missing_data_config(tmp_path)
         assert run_cli("run", "--config", config, "--out", tmp_path / "o") == 2
         assert "null.amat" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("verb", ["run", "ivs"])
+    def test_missing_dataset_file_creates_no_output(self, tmp_path, verb):
+        config = self.missing_data_config(tmp_path)
+        assert run_cli(verb, "--config", config, "--out", tmp_path / "o") == 2
+        assert not (tmp_path / "o").exists()
 
     def test_missing_config_file(self):
         assert run_cli("run", "--config", "/does/not/exist.ini") == 1

@@ -6,12 +6,11 @@ from hypothesis import strategies as st
 from sdae_ivs.data import (Dataset, SyntheticSpec, VariableMask, gen_synthetic,
                            split)
 from sdae_ivs.errors import DegenerateModelError, OverThresholdError
-from sdae_ivs.ivs import (IvsConfig, discriminant, normal_vector,
-                          pair_importance, run_ivs, task_importance,
-                          update_mask)
+from sdae_ivs.ivs import (IvsConfig, normal_vector, pair_importance, run_ivs,
+                          task_importance, update_mask)
 from sdae_ivs.mlr import MlrModel, TrainConfig
 from sdae_ivs.numerics import make_rng
-from util import random_mlr
+from util import discriminant, random_mlr
 
 PLANTED = SyntheticSpec(num_relevant=20, num_irrelevant=80, num_classes=5,
                         class_separation=3.0, noise_sd=0.5,

@@ -6,7 +6,7 @@ from sdae_ivs.errors import DataError, DivergenceError
 from sdae_ivs.mlr import (ErrorReport, MlrModel, TrainConfig, batch_grads,
                           cross_entropy, evaluate, predict_labels, train_mlr,
                           wald_halfwidth)
-from sdae_ivs.numerics import make_rng
+from sdae_ivs.numerics import make_rng, softmax
 from util import central_diff, grads_close, random_mlr
 
 
@@ -48,6 +48,19 @@ class TestGradients:
 
             assert grads_close(gw, central_diff(f, model.weights))
             assert grads_close(gb, central_diff(f, model.biases))
+
+    def test_batch_of_one_is_the_outer_product_bit_for_bit(self):
+        for seed in range(5):
+            rng = make_rng(seed)
+            k, mm = int(rng.integers(2, 11)), int(rng.integers(2, 800))
+            model = random_mlr(seed + 200, k, mm, scale=0.3)
+            x = rng.uniform(size=(1, mm))
+            label = rng.integers(1, k + 1, size=1)
+            delta = softmax(x @ model.weights.T + model.biases)[0]
+            delta[label[0] - 1] -= 1.0
+            gw, gb = batch_grads(model.weights, model.biases, x, label, 0.0)
+            assert np.array_equal(gw, np.outer(delta, x[0]))
+            assert np.array_equal(gb, delta)
 
 
 def separable_toy():

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from sdae_ivs.errors import DivergenceError
 from sdae_ivs.numerics import (derive_rng, derive_seed, make_rng, sgd, sigmoid,
                                softmax)
+from util import two_branch_sigmoid
 
 finite = st.floats(min_value=-500, max_value=500, allow_nan=False)
 # Ranges where float64 output resolution can still distinguish neighbours.
@@ -50,6 +51,39 @@ def test_sigmoid_strictly_increasing(a, b):
 def test_sigmoid_monotone_over_full_range(a, b):
     lo, hi = min(a, b), max(a, b)
     assert sigmoid(lo) <= sigmoid(hi)
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    return np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+EDGES = [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -2.2e-308, 745.0, -745.0,
+         1e308, -1e308, np.inf, -np.inf]
+
+
+@pytest.mark.parametrize("z", EDGES)
+def test_sigmoid_bit_equal_to_two_branch_reference_at_edges(z):
+    assert same_bits(sigmoid(z), two_branch_sigmoid(z))
+    assert isinstance(sigmoid(z), float)
+
+
+def test_sigmoid_bit_equal_to_two_branch_reference_on_arrays():
+    z = np.array(EDGES)
+    assert same_bits(sigmoid(z), two_branch_sigmoid(z))
+    grid = np.linspace(-40.0, 40.0, 4002).reshape(-1, 3)
+    assert same_bits(sigmoid(grid), two_branch_sigmoid(grid))
+
+
+@given(st.floats(allow_nan=False))
+def test_sigmoid_bit_equal_to_two_branch_reference(z):
+    assert same_bits(sigmoid(z), two_branch_sigmoid(z))
+
+
+@given(st.lists(st.floats(allow_nan=False), min_size=1, max_size=20))
+def test_sigmoid_bit_equal_to_two_branch_reference_vectorized(zs):
+    z = np.array(zs)
+    assert same_bits(sigmoid(z), two_branch_sigmoid(z))
 
 
 def test_softmax_uniform():
@@ -103,9 +137,9 @@ class TestSgd:
     def run(scores, epochs=10, patience=2):
         w = np.zeros(1)
         scripted = iter(scores)
-        history = sgd("toy training", [w], lambda rows: [-np.ones(1)], 1.0, 1,
-                      epochs, make_rng(0), score=lambda: next(scripted),
-                      patience=patience)
+        history = sgd("toy training", [w], lambda rows: [-np.ones(1)], 1.0,
+                      (np.arange(1),), epochs, make_rng(0),
+                      score=lambda: next(scripted), patience=patience)
         return w, history
 
     def test_stops_after_patience_epochs_without_improvement(self):
@@ -129,35 +163,53 @@ class TestSgd:
     def test_zero_epochs_leaves_params_and_rng_untouched(self):
         w = np.array([0.5, -0.5])
         rng = make_rng(3)
-        history = sgd("toy training", [w], pytest.fail, 1.0, 4, 0, rng,
-                      score=lambda: 0.25, patience=1)
+        history = sgd("toy training", [w], pytest.fail, 1.0, (np.arange(4),),
+                      0, rng, score=lambda: 0.25, patience=1)
         assert history == [(0, 0.25)]
         assert w.tolist() == [0.5, -0.5]
         assert rng.integers(0, 2**63) == make_rng(3).integers(0, 2**63)
 
     def test_without_score_runs_every_epoch_and_records_nothing(self):
         w = np.zeros(1)
-        assert sgd("toy training", [w], lambda rows: [-np.ones(1)], 1.0, 1, 4,
-                   make_rng(0)) == []
+        assert sgd("toy training", [w], lambda rows: [-np.ones(1)], 1.0,
+                   (np.arange(1),), 4, make_rng(0)) == []
         assert w.tolist() == [4.0]
 
     def test_each_epoch_visits_a_permutation_in_batches(self):
+        # grads gets contiguous, row-aligned slices of every data array,
+        # and each epoch's rows are one rng permutation.
+        n, epochs = 5, 2
+        x = np.arange(2 * n, dtype=np.float64).reshape(n, 2)
+        labels = np.arange(n) + 100
         seen = []
 
-        def grads(rows):
-            seen.append(rows.tolist())
+        def grads(xb, yb):
+            assert xb.flags.c_contiguous and yb.flags.c_contiguous
+            np.testing.assert_array_equal(xb[:, 0] / 2, yb - 100)
+            seen.append((yb - 100).tolist())
             return [np.zeros(1)]
 
-        sgd("toy training", [np.zeros(1)], grads, 1.0, 5, 2, make_rng(4),
-            batch=2)
+        sgd("toy training", [np.zeros(1)], grads, 1.0, (x, labels), epochs,
+            make_rng(4), batch=2)
         assert [len(rows) for rows in seen] == [2, 2, 1, 2, 2, 1]
+        reference = make_rng(4)
         for epoch in (seen[:3], seen[3:]):
-            assert sorted(sum(epoch, [])) == [0, 1, 2, 3, 4]
+            assert sum(epoch, []) == reference.permutation(n).tolist()
+
+    def test_one_step_is_p_minus_learning_rate_times_g(self):
+        rng = make_rng(5)
+        params = [rng.normal(size=(3, 4)), rng.normal(size=3)]
+        fresh = [rng.normal(size=(3, 4)), rng.normal(size=3)]
+        expected = [p - 0.37 * g for p, g in zip(params, fresh)]
+        sgd("toy training", params, lambda rows: [g.copy() for g in fresh],
+            0.37, (np.arange(1),), 1, make_rng(0))
+        for p, e in zip(params, expected):
+            assert same_bits(p, e)
 
     def test_non_finite_step_raises_naming_phase_and_epoch(self):
         steps = iter([1.0, 1e308])
         with pytest.raises(DivergenceError,
                            match="toy training diverged at epoch 2"):
             sgd("toy training", [np.zeros(1)],
-                lambda rows: [np.full(1, next(steps))], 1e300, 1, 5,
-                make_rng(0))
+                lambda rows: [np.full(1, next(steps))], 1e300,
+                (np.arange(1),), 5, make_rng(0))

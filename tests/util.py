@@ -1,4 +1,5 @@
-"""Shared test helpers: finite differences and small random instances."""
+"""Shared test helpers: finite differences, reference implementations the
+program is checked against, and small random instances."""
 
 import numpy as np
 
@@ -32,3 +33,27 @@ def grads_close(analytic: np.ndarray, numeric: np.ndarray,
 def random_mlr(seed: int, k: int, m: int, scale: float = 1.0) -> MlrModel:
     rng = make_rng(seed)
     return MlrModel(scale * rng.normal(size=(k, m)), scale * rng.normal(size=k))
+
+
+def two_branch_sigmoid(z):
+    """Reference logistic: exp of a non-positive argument on each side of 0,
+    one masked branch per sign. numerics.sigmoid must match it bit for bit."""
+    z = np.asarray(z, dtype=np.float64)
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def discriminant(m: MlrModel, i: int, j: int, x: np.ndarray) -> float:
+    """Normalized signed distance of x from the (i, j) hyperplane.
+
+    Linear in x, with gradient equal to the unit normal; the
+    finite-difference oracle differentiates this.
+    """
+    diff = m.weights[i - 1] - m.weights[j - 1]
+    return float((diff @ np.asarray(x, dtype=np.float64)
+                  + (m.biases[i - 1] - m.biases[j - 1]))
+                 / np.linalg.norm(diff))
