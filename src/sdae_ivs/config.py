@@ -32,142 +32,145 @@ VARIANT_SDAE_IVS = "sdae_ivs"
 
 @dataclass
 class ExperimentConfig:
-    """Everything a run needs: data source, per-layer plans, seed, output."""
+    """Everything a run needs: data source, per-layer plans, seed, output.
+
+    The amat-only fields keep their defaults on synthetic data, whose split
+    sizes are synthetic.examples_per_split.
+    """
 
     source: str
-    synthetic: SyntheticSpec | None
-    amat_train: Path | None
-    amat_valid: Path | None
-    amat_test: Path | None
-    zero_based_labels: bool
-    train_size: int
-    valid_size: int
-    test_size: int
     variable_shape: tuple[int, int] | None
     depths: tuple[int, ...]
     variants: tuple[str, ...]
     dae: tuple[DaeTrainConfig, ...]
     ivs: tuple[IvsConfig, ...]
     fine_tune: TrainConfig
-    final_ivs: bool
     seed: int
     out: Path
     reconstruct_examples: int
     export_patterns: bool
+    synthetic: SyntheticSpec | None = None
+    amat_train: Path | None = None
+    amat_valid: Path | None = None
+    amat_test: Path | None = None
+    zero_based_labels: bool = True
+    train_size: int | None = None
+    valid_size: int | None = None
+    test_size: int | None = None
 
 
-class _Section:
-    """Typed accessors over one INI section, optionally overlaid by a
-    per-layer override section such as [dae.2], with field-naming errors.
+SPLIT_SIZES = ("train_size", "valid_size", "test_size")
+REQUIRED = "required"
 
-    Every section opened and every key looked up is added to `reads`, so
-    load_config can reject whatever it never read.
-    """
 
-    def __init__(self, parser: configparser.ConfigParser, name: str,
-                 reads: set, override: str | None = None):
-        self.reads = reads
-        self.values = {}
-        for sec in (name, override):
-            if sec is not None and parser.has_section(sec):
-                reads.add((sec, None))
-                self.values.update((key, (text, sec))
-                                   for key, text in parser[sec].items())
-        self.name = (f"{name}/{override}" if override is not None
-                     and parser.has_section(override) else name)
+def _choice(**options):
+    """Parser of one of the given words, returning the word's value."""
+    def parse(text: str):
+        if text not in options:
+            raise ValueError(f"must be one of {', '.join(options)}")
+        return options[text]
+    return parse
 
-    def has(self, key: str) -> bool:
-        return key in self.values
 
-    def raw(self, key: str, default=None, required: bool = False):
-        if key in self.values:
-            text, sec = self.values[key]
-            self.reads.add((sec, key))
-            return text
-        if required:
-            raise ConfigError(f"missing required field [{self.name}] {key}")
-        return default
+def _boolean(text: str) -> bool:
+    return _choice(**configparser.ConfigParser.BOOLEAN_STATES)(text.lower())
 
-    def _typed(self, key: str, cast, default, required):
-        text = self.raw(key, None, required)
-        if text is None:
-            return default
+
+def _shape(text: str) -> tuple[int, ...]:
+    shape = tuple(int(tok) for tok in text.split())
+    if len(shape) != 2 or min(shape) < 1:
+        raise ValueError("must be two positive integers H W")
+    return shape
+
+
+def _depths(text: str) -> tuple[int, ...]:
+    depths = tuple(int(tok) for tok in text.split())
+    if not depths or not all(1 <= d <= MAX_DEPTH for d in depths):
+        raise ValueError(f"must be integers in 1..{MAX_DEPTH}")
+    return depths
+
+
+_VARIANTS = {"both": (VARIANT_SDAE, VARIANT_SDAE_IVS), "sdae": (VARIANT_SDAE,),
+             "sdae-ivs": (VARIANT_SDAE_IVS,), "sdae_ivs": (VARIANT_SDAE_IVS,)}
+
+# section -> INI key -> (field, parser, default or REQUIRED). A default is
+# INI text and goes through the parser; None leaves the field None. The
+# "data synthetic" and "data amat" keys are read from [data] for that
+# source only, and [dae.N] / [ivs.N] override [dae] / [ivs] for layer N.
+KEYS = {
+    "data": {
+        "source": ("source", _choice(synthetic="synthetic", amat="amat"),
+                   REQUIRED),
+        "shape": ("variable_shape", _shape, None),
+    },
+    "data synthetic": {
+        "relevant": ("num_relevant", int, REQUIRED),
+        "irrelevant": ("num_irrelevant", int, REQUIRED),
+        "classes": ("num_classes", int, REQUIRED),
+        "separation": ("class_separation", float, REQUIRED),
+        "feature_noise_sd": ("noise_sd", float, REQUIRED),
+        **{key: (key, int, REQUIRED) for key in SPLIT_SIZES},
+    },
+    "data amat": {
+        "train": ("amat_train", Path, REQUIRED),
+        "valid": ("amat_valid", Path, None),
+        "test": ("amat_test", Path, None),
+        "labels": ("zero_based_labels", _choice(zero=True, one=False), "zero"),
+        **{key: (key, int, "0") for key in SPLIT_SIZES},
+    },
+    "stack": {
+        "depths": ("depths", _depths, "1"),
+        "variants": ("variants", _choice(**_VARIANTS), "both"),
+    },
+    "dae": {
+        "hidden_units": ("hidden_units", int, REQUIRED),
+        "noise_sd": ("noise_sd", float, REQUIRED),
+        "learning_rate": ("learning_rate", float, REQUIRED),
+        "epochs": ("epochs", int, REQUIRED),
+        "loss": ("loss_kind", str, CROSS_ENTROPY),
+        "decoder": ("decoder_activation", str, SIGMOID),
+    },
+    "ivs": {
+        "threshold": ("threshold", float, REQUIRED),
+        "max_iterations": ("max_iterations", int, "10"),
+        "learning_rate": ("learning_rate", float, REQUIRED),
+        "max_epochs": ("max_epochs", int, "50"),
+        "patience": ("patience", int, "5"),
+        "minibatch_size": ("minibatch_size", int, "1"),
+        "l2": ("l2", float, "0.0"),
+    },
+    "finetune": {
+        "learning_rate": ("learning_rate", float, REQUIRED),
+        "max_epochs": ("max_epochs", int, "50"),
+        "patience": ("patience", int, "5"),
+    },
+    "run": {
+        "seed": ("seed", int, "0"),
+        "out": ("out", Path, "runs/out"),
+        "reconstruct_examples": ("reconstruct_examples", int, "0"),
+        "export_patterns": ("export_patterns", _boolean, "false"),
+    },
+}
+
+
+def _fields(parser: configparser.ConfigParser, table: str,
+            *sections: str) -> dict:
+    """{field: value} for every key of KEYS[table], read from the INI
+    sections in order, a later section overriding an earlier one."""
+    found = {}
+    for sec in filter(parser.has_section, sections):
+        found.update((key, (sec, text)) for key, text in parser[sec].items())
+    fields = {}
+    for key, (field, parse, default) in KEYS[table].items():
+        sec, text = found.get(key, (sections[0], default))
+        if key not in found and default is REQUIRED:
+            raise ConfigError(f"missing required field [{sec}] {key}")
         try:
-            return cast(text)
+            fields[field] = None if text is None else parse(text)
         except ValueError as exc:
-            raise ConfigError(f"bad value for [{self.name}] {key}: {text!r}") from exc
-
-    def integer(self, key, default=None, required=False):
-        return self._typed(key, int, default, required)
-
-    def real(self, key, default=None, required=False):
-        return self._typed(key, float, default, required)
-
-    def boolean(self, key, default=None, required=False):
-        text = self.raw(key, None, required)
-        if text is None:
-            return default
-        lowered = text.strip().lower()
-        if lowered in ("1", "true", "yes", "on"):
-            return True
-        if lowered in ("0", "false", "no", "off"):
-            return False
-        raise ConfigError(f"bad boolean for [{self.name}] {key}: {text!r}")
-
-    def text(self, key, default=None, required=False):
-        return self.raw(key, default, required)
-
-
-def _parse_shape(section: _Section) -> tuple[int, int] | None:
-    text = section.text("shape")
-    if text is None:
-        return None
-    parts = text.split()
-    if len(parts) != 2:
-        raise ConfigError(f"[{section.name}] shape must be two integers, got {text!r}")
-    return int(parts[0]), int(parts[1])
-
-
-def _parse_dae(parser, layer: int, reads: set) -> DaeTrainConfig:
-    s = _Section(parser, "dae", reads, f"dae.{layer}")
-    return DaeTrainConfig(
-        hidden_units=s.integer("hidden_units", required=True),
-        noise_sd=s.real("noise_sd", required=True),
-        learning_rate=s.real("learning_rate", required=True),
-        epochs=s.integer("epochs", required=True),
-        loss_kind=s.text("loss", CROSS_ENTROPY),
-        decoder_activation=s.text("decoder", SIGMOID),
-    )
-
-
-def _parse_train(s: _Section, **batching) -> TrainConfig:
-    return TrainConfig(
-        learning_rate=s.real("learning_rate", required=True),
-        max_epochs=s.integer("max_epochs", 50),
-        patience=s.integer("patience", 5),
-        **batching,
-    )
-
-
-def _parse_ivs(parser, layer: int, reads: set) -> IvsConfig:
-    s = _Section(parser, "ivs", reads, f"ivs.{layer}")
-    return IvsConfig(
-        threshold=s.real("threshold", required=True),
-        max_iterations=s.integer("max_iterations", 10),
-        mlr=_parse_train(s, minibatch_size=s.integer("minibatch_size", 1),
-                         l2=s.real("l2", 0.0)),
-    )
-
-
-def _reject_unread(parser: configparser.ConfigParser, reads: set) -> None:
-    """A section or key the loader never read would have no effect."""
-    for sec in parser.sections():
-        if (sec, None) not in reads:
-            raise ConfigError(f"section [{sec}] is unknown or deeper than "
-                              "every configured depth")
-        for key in parser[sec]:
-            if (sec, key) not in reads:
-                raise ConfigError(f"unknown key [{sec}] {key}")
+            raise ConfigError(f"bad value for [{sec}] {key}: {text!r} "
+                              f"({exc})") from exc
+    return fields
 
 
 def load_config(path, seed_override: int | None = None,
@@ -185,98 +188,53 @@ def load_config(path, seed_override: int | None = None,
         # most of them would have no effect.
         raise ConfigError(f"{path}: [DEFAULT] sections are not supported")
 
-    reads: set = set()
-    data = _Section(parser, "data", reads)
-    source = data.text("source", required=True)
-    synthetic = None
-    amat_train = amat_valid = amat_test = None
-    zero_based_labels = True
-    train_size, valid_size, test_size = (
-        data.integer(key, 0, required=source == "synthetic")
-        for key in ("train_size", "valid_size", "test_size"))
+    data = _fields(parser, "data", "data")
+    stack = _fields(parser, "stack", "stack")
+    source = f"data {data['source']}"
+    layers = range(1, max(stack["depths"]) + 1)
+    known = {name: KEYS[name]
+             for name in ("stack", "dae", "ivs", "finetune", "run")}
+    known.update((f"{name}.{layer}", KEYS[name]) for name in ("dae", "ivs")
+                 for layer in layers)
+    known["data"] = KEYS["data"].keys() | KEYS[source].keys()
+    for sec in parser.sections():
+        if sec not in known:
+            raise ConfigError(f"section [{sec}] is unknown or deeper than "
+                              "every configured depth")
+        for key in parser[sec]:
+            if key not in known[sec]:
+                raise ConfigError(f"unknown key [{sec}] {key}")
 
-    if source == "synthetic":
-        synthetic = SyntheticSpec(
-            num_relevant=data.integer("relevant", required=True),
-            num_irrelevant=data.integer("irrelevant", required=True),
-            num_classes=data.integer("classes", required=True),
-            class_separation=data.real("separation", required=True),
-            noise_sd=data.real("feature_noise_sd", required=True),
-            examples_per_split=(train_size, valid_size, test_size),
-        )
-    elif source == "amat":
-        amat_train = Path(data.text("train", required=True))
-        if data.has("valid"):
-            amat_valid = Path(data.text("valid"))
-        if data.has("test"):
-            amat_test = Path(data.text("test"))
-        if amat_valid is None and valid_size <= 0:
+    given = _fields(parser, source, "data")
+    if data["source"] == "synthetic":
+        sizes = tuple(given.pop(key) for key in SPLIT_SIZES)
+        given = {"synthetic": SyntheticSpec(**given, examples_per_split=sizes)}
+    elif given["amat_valid"] is None:
+        if given["valid_size"] <= 0:
             raise ConfigError("[data] needs either a valid file or valid_size")
-        if amat_valid is None and train_size <= 0:
+        if given["train_size"] <= 0:
             raise ConfigError("[data] needs train_size when the train file "
                               "also holds the validation split")
-        if amat_valid is not None and amat_test is None:
-            raise ConfigError("[data] needs a test file when valid is a file")
-        labels = data.text("labels", "zero")
-        if labels not in ("zero", "one"):
-            raise ConfigError(f"[data] labels must be zero or one, got {labels!r}")
-        zero_based_labels = labels == "zero"
-    else:
-        raise ConfigError(f"[data] source must be synthetic or amat, got {source!r}")
+    elif given["amat_test"] is None:
+        raise ConfigError("[data] needs a test file when valid is a file")
 
-    stack = _Section(parser, "stack", reads)
-    depth_text = stack.text("depths", "1")
-    try:
-        depths = tuple(int(tok) for tok in depth_text.split())
-    except ValueError:
-        raise ConfigError(f"[stack] depths must be integers, got {depth_text!r}")
-    if not depths or any(not 1 <= d <= MAX_DEPTH for d in depths):
-        raise ConfigError(f"[stack] depths must lie in 1..{MAX_DEPTH}")
-
-    variant_text = stack.text("variants", "both")
-    if variant_text == "both":
-        variants = (VARIANT_SDAE, VARIANT_SDAE_IVS)
-    elif variant_text in (VARIANT_SDAE, "sdae-ivs", VARIANT_SDAE_IVS):
-        variants = (VARIANT_SDAE_IVS if "ivs" in variant_text else VARIANT_SDAE,)
-    else:
-        raise ConfigError("[stack] variants must be both, sdae, or sdae-ivs")
-
-    layers = range(1, max(depths) + 1)
-    dae_cfgs = tuple(_parse_dae(parser, layer, reads) for layer in layers)
-    ivs_cfgs = tuple(_parse_ivs(parser, layer, reads) for layer in layers)
-    fine_tune = _parse_train(_Section(parser, "finetune", reads))
-
-    run = _Section(parser, "run", reads)
-    seed = run.integer("seed", 0)
-    out = Path(run.text("out", "runs/out"))
+    dae = tuple(DaeTrainConfig(**_fields(parser, "dae", "dae", f"dae.{n}"))
+                for n in layers)
+    ivs = []
+    for n in layers:
+        fields = _fields(parser, "ivs", "ivs", f"ivs.{n}")
+        ivs.append(IvsConfig(fields.pop("threshold"),
+                             fields.pop("max_iterations"),
+                             TrainConfig(**fields)))
+    run = _fields(parser, "run", "run")
     if seed_override is not None:
-        seed = seed_override
+        run["seed"] = seed_override
     if out_override is not None:
-        out = Path(out_override)
-
+        run["out"] = Path(out_override)
     cfg = ExperimentConfig(
-        source=source,
-        synthetic=synthetic,
-        amat_train=amat_train,
-        amat_valid=amat_valid,
-        amat_test=amat_test,
-        zero_based_labels=zero_based_labels,
-        train_size=train_size,
-        valid_size=valid_size,
-        test_size=test_size,
-        variable_shape=_parse_shape(data),
-        depths=depths,
-        variants=variants,
-        dae=dae_cfgs,
-        ivs=ivs_cfgs,
-        fine_tune=fine_tune,
-        final_ivs=stack.boolean("final_ivs", False),
-        seed=seed,
-        out=out,
-        reconstruct_examples=run.integer("reconstruct_examples", 0),
-        export_patterns=run.boolean("export_patterns", False),
+        **data, **stack, **run, **given, dae=dae, ivs=tuple(ivs),
+        fine_tune=TrainConfig(**_fields(parser, "finetune", "finetune")),
     )
-    _reject_unread(parser, reads)
     if paper_grid:
         validate_paper_grid(cfg)
     return cfg
@@ -308,8 +266,12 @@ def validate_paper_grid(cfg: ExperimentConfig) -> None:
 def config_echo(cfg: ExperimentConfig) -> dict:
     """JSON-ready snapshot of the resolved configuration under its field
     names. The output directory is left out, so runs into two directories
-    report alike."""
+    report alike, and so are the amat split sizes on synthetic data, which
+    keeps its sizes in synthetic.examples_per_split."""
     echo = asdict(cfg)
     del echo["out"]
+    if cfg.synthetic is not None:
+        for key in SPLIT_SIZES:
+            del echo[key]
     # The JSON round trip turns tuples into lists and paths into strings.
     return json.loads(json.dumps(echo, default=str))

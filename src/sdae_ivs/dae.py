@@ -205,4 +205,4 @@ def encode_dataset(m: DaeModel, d: Dataset) -> Dataset:
     Never corrupts: upper layers train on the representation the encoder
     will actually produce at prediction time.
     """
-    return Dataset(encode(m, d.x), d.labels, d.num_classes, None)
+    return Dataset(encode(m, d.x), d.labels, d.num_classes)

@@ -49,16 +49,11 @@ class VariableMask:
 
 @dataclass
 class Dataset:
-    """Examples in [0,1]^M with 1-based class labels.
-
-    variable_shape, when set, records an (height, width) layout for
-    image-like variables so importance maps and patterns can be rendered.
-    """
+    """Examples in [0,1]^M with 1-based class labels."""
 
     x: np.ndarray
     labels: np.ndarray
     num_classes: int
-    variable_shape: tuple[int, int] | None = None
 
     def __post_init__(self):
         self.x = np.asarray(self.x, dtype=np.float64)
@@ -73,10 +68,6 @@ class Dataset:
             self.labels.min() < 1 or self.labels.max() > self.num_classes
         ):
             raise DataError("labels must lie in {1..K}")
-        if self.variable_shape is not None:
-            h, w = self.variable_shape
-            if h * w != self.x.shape[1]:
-                raise DimensionError("variable_shape does not match M")
 
     @property
     def n(self) -> int:
@@ -122,8 +113,7 @@ class SyntheticSpec:
         return self.num_relevant + self.num_irrelevant
 
 
-def load_amat(path, zero_based_labels: bool = True,
-              variable_shape: tuple[int, int] | None = None) -> Dataset:
+def load_amat(path, zero_based_labels: bool = True) -> Dataset:
     """Load a whitespace-separated text corpus, one example per row, label last.
 
     Blank lines are skipped and '#' is an ordinary (non-numeric) field, not
@@ -171,7 +161,7 @@ def load_amat(path, zero_based_labels: bool = True,
     if labels.min() < 1:
         raise DataError(f"{path}: label below the declared base at row "
                         f"{int(np.argmax(labels < 1)) + 1}")
-    return Dataset(features, labels, int(labels.max()), variable_shape)
+    return Dataset(features, labels, int(labels.max()))
 
 
 def _malformed_row_error(path: Path, cause: ValueError) -> DataError:
@@ -214,7 +204,7 @@ def split(d: Dataset, sizes: tuple[int, int]) -> tuple[Dataset, Dataset, Dataset
         )
 
     def piece(lo, hi):
-        return Dataset(d.x[lo:hi], d.labels[lo:hi], d.num_classes, d.variable_shape)
+        return Dataset(d.x[lo:hi], d.labels[lo:hi], d.num_classes)
 
     return (
         piece(0, n_train),
@@ -275,5 +265,5 @@ def expand(x_reduced: np.ndarray, mask: VariableMask) -> np.ndarray:
 
 
 def compact_dataset(d: Dataset, mask: VariableMask) -> Dataset:
-    """Dataset reduced to the surviving variables (image layout is lost)."""
-    return Dataset(compact(d.x, mask), d.labels, d.num_classes, None)
+    """Dataset reduced to the surviving variables."""
+    return Dataset(compact(d.x, mask), d.labels, d.num_classes)

@@ -39,7 +39,7 @@ def load_splits(cfg: ExperimentConfig) -> tuple[Dataset, Dataset, Dataset]:
     """Materialize (train, valid, test) from the configured source."""
     if cfg.source == "synthetic":
         full, _ = gen_synthetic(cfg.synthetic, derive_rng(cfg.seed, KEY_DATA))
-        train, valid, test = split(full, (cfg.train_size, cfg.valid_size))
+        train, valid, test = split(full, cfg.synthetic.examples_per_split[:2])
     else:
         base = load_amat(cfg.amat_train, cfg.zero_based_labels)
         if cfg.amat_valid is None:
@@ -55,22 +55,11 @@ def load_splits(cfg: ExperimentConfig) -> tuple[Dataset, Dataset, Dataset]:
             test = split(test, (cfg.test_size, 0))[0]
 
     if cfg.variable_shape is not None:
-        train, valid, test = (
-            Dataset(d.x, d.labels, d.num_classes, cfg.variable_shape)
-            for d in (train, valid, test)
-        )
+        h, w = cfg.variable_shape
+        if h * w != train.m:
+            raise DataError(f"[data] shape {h} {w} covers {h * w} variables, "
+                            f"but the data has {train.m}")
     return train, valid, test
-
-
-def stack_config(cfg: ExperimentConfig, depth: int, variant: str) -> StackConfig:
-    ivs_enabled = variant == VARIANT_SDAE_IVS
-    return StackConfig(
-        dae=cfg.dae[:depth],
-        ivs=cfg.ivs[:depth],
-        fine_tune=cfg.fine_tune,
-        ivs_enabled=ivs_enabled,
-        final_ivs=cfg.final_ivs and ivs_enabled,
-    )
 
 
 def _ivs_history_json(results: list[IvsResult | None]) -> list[dict | None]:
@@ -110,7 +99,8 @@ def cmd_run(cfg: ExperimentConfig) -> None:
     for variant in cfg.variants:
         results[variant] = {}
         for depth in cfg.depths:
-            scfg = stack_config(cfg, depth, variant)
+            scfg = StackConfig(cfg.dae[:depth], cfg.ivs[:depth], cfg.fine_tune,
+                               ivs_enabled=variant == VARIANT_SDAE_IVS)
             # One derivation key per depth, shared by both variants, keeps
             # the SDAE / SDAE-IVS comparison paired.
             pre, ivs_results = pretrain(train, valid, scfg,

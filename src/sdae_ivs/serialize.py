@@ -20,7 +20,7 @@ from .mlr import MlrModel
 from .stack import StackLayer, StackModel
 
 FORMAT = "sdae-ivs-model"
-VERSION = 2
+VERSION = 3
 
 
 def _pack(arr: np.ndarray) -> dict:
@@ -45,81 +45,37 @@ def unpack_mask(text: str) -> VariableMask:
     return VariableMask(np.array([c == "1" for c in text], dtype=bool))
 
 
-def mlr_record(m: MlrModel) -> dict:
-    return {
-        "kind": "mlr",
-        "k": m.k,
-        "m": m.m,
-        "weights": _pack(m.weights),
-        "biases": _pack(m.biases),
-    }
-
-
-def mlr_from_record(rec: dict) -> MlrModel:
-    return MlrModel(_unpack(rec["weights"]), _unpack(rec["biases"]))
-
-
-def dae_record(m: DaeModel, mask: VariableMask) -> dict:
-    return {
+def save_stack(path, m: StackModel) -> None:
+    layers = [{
         "kind": "dae",
-        "hidden_units": m.hidden_units,
-        "input_width": m.input_width,
-        "weights": _pack(m.weights),
-        "encoder_bias": _pack(m.encoder_bias),
-        "decoder_bias": _pack(m.decoder_bias),
-        "decoder_activation": m.decoder_activation,
+        "hidden_units": layer.dae.hidden_units,
+        "input_width": layer.dae.input_width,
+        "weights": _pack(layer.dae.weights),
+        "encoder_bias": _pack(layer.dae.encoder_bias),
+        "decoder_bias": _pack(layer.dae.decoder_bias),
+        "decoder_activation": layer.dae.decoder_activation,
         # The training-time mask makes the record's widths self-describing.
-        "mask": pack_mask(mask),
-    }
+        "mask": pack_mask(layer.mask),
+    } for layer in m.layers]
+    top = {"kind": "mlr", "k": m.top.k, "m": m.top.m,
+           "weights": _pack(m.top.weights), "biases": _pack(m.top.biases)}
+    rec = {"format": FORMAT, "version": VERSION, "kind": "stack",
+           "fine_tuned": m.fine_tuned, "layers": layers, "top": top}
+    Path(path).write_text(json.dumps(rec, sort_keys=True) + "\n")
 
 
-def dae_from_record(rec: dict) -> tuple[DaeModel, VariableMask]:
-    model = DaeModel(
-        _unpack(rec["weights"]),
-        _unpack(rec["encoder_bias"]),
-        _unpack(rec["decoder_bias"]),
-        rec["decoder_activation"],
-    )
-    return model, unpack_mask(rec["mask"])
-
-
-def stack_record(m: StackModel) -> dict:
-    return {
-        "kind": "stack",
-        "fine_tuned": m.fine_tuned,
-        "layers": [dae_record(layer.dae, layer.mask) for layer in m.layers],
-        "top": mlr_record(m.top),
-        "top_mask": pack_mask(m.top_mask),
-    }
-
-
-def stack_from_record(rec: dict) -> StackModel:
-    layers = []
-    for layer_rec in rec["layers"]:
-        dae_model, mask = dae_from_record(layer_rec)
-        layers.append(StackLayer(mask, dae_model))
-    return StackModel(layers, mlr_from_record(rec["top"]),
-                      unpack_mask(rec["top_mask"]), rec["fine_tuned"])
-
-
-def save_record(path, rec: dict) -> None:
-    wrapped = {"format": FORMAT, "version": VERSION, **rec}
-    Path(path).write_text(json.dumps(wrapped, sort_keys=True) + "\n")
-
-
-def load_record(path) -> dict:
+def load_stack(path) -> StackModel:
     rec = json.loads(Path(path).read_text())
     if rec.get("format") != FORMAT:
         raise ValueError(f"{path} is not a {FORMAT} file")
     if rec.get("version") != VERSION:
         raise ValueError(f"{path} has {FORMAT} version {rec.get('version')}; "
                          f"this program reads version {VERSION}")
-    return rec
-
-
-def save_stack(path, m: StackModel) -> None:
-    save_record(path, stack_record(m))
-
-
-def load_stack(path) -> StackModel:
-    return stack_from_record(load_record(path))
+    layers = [StackLayer(unpack_mask(layer["mask"]), DaeModel(
+        _unpack(layer["weights"]), _unpack(layer["encoder_bias"]),
+        _unpack(layer["decoder_bias"]), layer["decoder_activation"]))
+        for layer in rec["layers"]]
+    top = rec["top"]
+    return StackModel(layers, MlrModel(_unpack(top["weights"]),
+                                       _unpack(top["biases"])),
+                      rec["fine_tuned"])

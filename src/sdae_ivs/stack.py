@@ -35,18 +35,11 @@ class StackLayer:
 
 @dataclass
 class StackModel:
-    """Pre-trained layers, then the top classifier on the last codes kept by
-    top_mask. Constructed without one, the mask keeps every code."""
+    """Pre-trained layers, then the top classifier on the last codes."""
 
     layers: list[StackLayer]
     top: MlrModel
-    top_mask: VariableMask | None = None
     fine_tuned: bool = False
-
-    def __post_init__(self):
-        if self.top_mask is None:
-            width = self.layers[-1].dae.hidden_units if self.layers else self.top.m
-            self.top_mask = VariableMask.all_ones(width)
 
     def check_widths(self) -> None:
         """Chained-width invariant: every mask, DAE, and the top line up."""
@@ -55,10 +48,8 @@ class StackModel:
                 raise DimensionError(f"layer {idx + 1} width != mask popcount")
             if idx > 0 and layer.mask.m != self.layers[idx - 1].dae.hidden_units:
                 raise DimensionError(f"layer {idx + 1} mask length != lower width")
-        if self.layers and self.top_mask.m != self.layers[-1].dae.hidden_units:
-            raise DimensionError("top mask length != last hidden width")
-        if self.top.m != self.top_mask.popcount:
-            raise DimensionError("top classifier width != top mask popcount")
+        if self.layers and self.top.m != self.layers[-1].dae.hidden_units:
+            raise DimensionError("top classifier width != last hidden width")
 
     @property
     def depth(self) -> int:
@@ -70,31 +61,24 @@ class StackConfig:
     """Per-layer training plans plus the supervised phase.
 
     ivs_enabled=False turns the pipeline into the plain-SDAE baseline
-    (all-ones masks, identity compaction). final_ivs additionally selects
-    hidden units between the last layer and the top classifier; off by
-    default because selection belongs to the auto-encoder layers.
+    (all-ones masks, identity compaction).
     """
 
     dae: tuple[DaeTrainConfig, ...]
     ivs: tuple[IvsConfig, ...]
     fine_tune: TrainConfig
     ivs_enabled: bool = True
-    final_ivs: bool = False
 
     def __post_init__(self):
         if not 1 <= self.depth <= MAX_DEPTH:
             raise ConfigError(f"depth must lie in 1..{MAX_DEPTH}")
-        if (self.ivs_enabled or self.final_ivs) and len(self.ivs) != self.depth:
+        if self.ivs_enabled and len(self.ivs) != self.depth:
             raise ConfigError("need one selection config per layer")
 
     @property
     def depth(self) -> int:
         """Number of layers: one per DAE config."""
         return len(self.dae)
-
-
-def _spawned_seed(rng: Rng) -> int:
-    return int(rng.spawn(1)[0].integers(0, 2**63))
 
 
 def pretrain(train: Dataset, valid: Dataset, cfg: StackConfig, rng: Rng
@@ -104,9 +88,8 @@ def pretrain(train: Dataset, valid: Dataset, cfg: StackConfig, rng: Rng
     For each layer: select on the current representation (or keep all
     variables when disabled), compact both splits, train the DAE on the
     survivors, and encode to obtain the next representation. Finally a top
-    MLR is trained on the last representation, compacted by the final
-    selection when that is on. Returns the model and the selection results
-    (one per layer, None where selection is off, then the final one). Each
+    MLR is trained on the last representation. Returns the model and the
+    selection results (one per layer, None where selection is off). Each
     phase draws randomness from its own spawned child stream, so adding
     depth never perturbs the layers below.
     """
@@ -134,17 +117,9 @@ def pretrain(train: Dataset, valid: Dataset, cfg: StackConfig, rng: Rng
         cur_train = encode_dataset(dae_model, compact_train)
         cur_valid = encode_dataset(dae_model, compact_valid)
 
-    top_mask = VariableMask.all_ones(cur_train.m)
-    if cfg.final_ivs:
-        final = run_ivs(cur_train, cur_valid, cfg.ivs[-1], rng.spawn(1)[0])
-        top_mask = final.mask
-        ivs_results.append(final)
-
-    top = train_mlr(compact_dataset(cur_train, top_mask),
-                    compact_dataset(cur_valid, top_mask), cfg.fine_tune,
-                    make_rng(_spawned_seed(rng)))
-
-    model = StackModel(layers, top, top_mask, fine_tuned=False)
+    top = train_mlr(cur_train, cur_valid, cfg.fine_tune,
+                    make_rng(int(rng.spawn(1)[0].integers(0, 2**63))))
+    model = StackModel(layers, top)
     model.check_widths()
     return model, ivs_results
 
@@ -177,11 +152,11 @@ def classification_grads(m: StackModel, x: np.ndarray, labels: np.ndarray):
     """Batch-mean gradients of the stack's cross-entropy over (B, M) rows x
     with 1-based labels, one per array of fine_tune_params(m)."""
     trace = []
-    top_in = compact(_forward(m, x, trace=trace), m.top_mask)
+    top_in = _forward(m, x, trace=trace)
     g = output_delta(m.top.weights, m.top.biases, top_in, labels)
     gradients = [g.T.dot(top_in), g.sum(axis=0)]
 
-    delta = expand(g @ m.top.weights, m.top_mask)
+    delta = g @ m.top.weights
     for idx in range(len(m.layers) - 1, -1, -1):
         c, h = trace[idx]
         da = delta * h * (1.0 - h)
@@ -191,27 +166,21 @@ def classification_grads(m: StackModel, x: np.ndarray, labels: np.ndarray):
     return gradients
 
 
-def transform(m: StackModel, d: Dataset, depth: int | None = None) -> Dataset:
-    """Dataset of layer-`depth` codes (defaults to the full stack)."""
-    return Dataset(_forward(m, d.x, depth), d.labels, d.num_classes, None)
-
-
 def predict_labels(m: StackModel, x: np.ndarray) -> np.ndarray:
     """Vectorized stack prediction; ties resolve to the lowest class index."""
-    return mlr_predict_labels(m.top, compact(_forward(m, x), m.top_mask))
+    return mlr_predict_labels(m.top, _forward(m, x))
 
 
 def fine_tune(m: StackModel, train: Dataset, valid: Dataset,
               cfg: TrainConfig, rng: Rng) -> StackModel:
     """Supervised backpropagation through the top layer and all encoders.
 
-    Masks are frozen: compaction is structural, so dropped variables and
-    dropped top-layer codes can never re-enter. Early stopping mirrors the
-    MLR trainer (best validation snapshot, ties to the earlier epoch); with
-    max_epochs = 0 the returned model carries the input parameters
-    unchanged. rng shuffles the examples. Parameters that stop being
-    finite raise DivergenceError at the end of that epoch. The input model
-    is left untouched.
+    Masks are frozen: compaction is structural, so dropped variables can
+    never re-enter. Early stopping mirrors the MLR trainer (best validation
+    snapshot, ties to the earlier epoch); with max_epochs = 0 the returned
+    model carries the input parameters unchanged. rng shuffles the
+    examples. Parameters that stop being finite raise DivergenceError at
+    the end of that epoch. The input model is left untouched.
     """
     if train.n == 0:
         raise DataError("cannot fine-tune on an empty dataset")
@@ -247,10 +216,9 @@ def reconstruct_through(m: StackModel, x: np.ndarray, depth: int) -> np.ndarray:
 
 @dataclass
 class ExtractorReport:
-    """Hidden units of one layer split into task-relevant and -irrelevant."""
+    """Hidden units of one layer split into task-relevant and -irrelevant;
+    ivs.mask keeps the relevant ones."""
 
-    count: int
-    mask: VariableMask
     relevant_patterns: np.ndarray
     irrelevant_patterns: np.ndarray
     ivs: IvsResult
@@ -266,17 +234,11 @@ def select_extractors(m: StackModel, layer: int, train: Dataset, valid: Dataset,
     """
     if not 1 <= layer <= len(m.layers):
         raise DimensionError(f"layer must lie in 1..{len(m.layers)}")
-    rep_train = transform(m, train, layer)
-    rep_valid = transform(m, valid, layer)
+    rep_train, rep_valid = (Dataset(_forward(m, d.x, layer), d.labels,
+                                    d.num_classes) for d in (train, valid))
     result = run_ivs(rep_train, rep_valid, ivs_cfg, rng)
 
     stack_layer = m.layers[layer - 1]
     patterns = expand(stack_layer.dae.weights, stack_layer.mask)
     keep = result.mask.bits
-    return ExtractorReport(
-        count=result.mask.popcount,
-        mask=result.mask,
-        relevant_patterns=patterns[keep],
-        irrelevant_patterns=patterns[~keep],
-        ivs=result,
-    )
+    return ExtractorReport(patterns[keep], patterns[~keep], result)

@@ -265,7 +265,7 @@ def test_criterion_6_extractor_count_trend():
         counts = {
             enabled: select_extractors(
                 models[enabled], 1, train, valid, probe,
-                derive_rng(seed, 60, int(threshold * 100))).count
+                derive_rng(seed, 60, int(threshold * 100))).ivs.mask.popcount
             for enabled in (False, True)
         }
         ratio = counts[True] / counts[False]

@@ -1,15 +1,18 @@
 import configparser
 import json
+import os
+import re
+import subprocess
+import sys
 from dataclasses import asdict
 from pathlib import Path
 
 import pytest
 
 from sdae_ivs.cli import main
-from sdae_ivs.config import load_config
+from sdae_ivs.config import KEYS, load_config
 from sdae_ivs.errors import ConfigError
 from sdae_ivs.pgm import read_pgm
-from sdae_ivs.serialize import load_stack
 
 REPO = Path(__file__).resolve().parent.parent
 SMOKE = REPO / "configs" / "smoke_synthetic.ini"
@@ -43,7 +46,6 @@ class TestRun:
     def test_summary_prints_two_decimal_percentages(self, smoke_run):
         body = (smoke_run / "summary.txt").read_text()
         assert "sdae_ivs" in body
-        import re
         assert re.search(r"\d+\.\d{2}", body)
 
     def test_selection_artifacts_written(self, smoke_run):
@@ -68,10 +70,13 @@ class TestRun:
     def test_config_block_is_the_parsed_config_without_out(self, smoke_run):
         config = json.loads((smoke_run / "report.json").read_text())["config"]
         expected = asdict(load_config(SMOKE))
-        del expected["out"]
+        # Synthetic split sizes are listed once, in examples_per_split.
+        for key in ("out", "train_size", "valid_size", "test_size"):
+            del expected[key]
         assert json.dumps(config, sort_keys=True) == \
             json.dumps(expected, sort_keys=True, default=str)
         assert config["reconstruct_examples"] == 6
+        assert config["synthetic"]["examples_per_split"] == [120, 40, 60]
         assert config["export_patterns"] is True
 
 
@@ -184,26 +189,6 @@ class TestIvsCommand:
         assert kept[0] < 100 or len(kept) == 1
 
 
-class TestFinalIvs:
-    def test_run_then_eval_reproduces_every_model(self, tmp_path):
-        patched = tmp_path / "final.ini"
-        patched.write_text(SMOKE.read_text().replace(
-            "[stack]\n", "[stack]\nfinal_ivs = true\n"))
-        out = tmp_path / "final"
-        assert run_cli("run", "--config", patched, "--out", out) == 0
-        report = json.loads((out / "report.json").read_text())
-        entry = report["results"]["sdae_ivs"]["depth1"]
-        assert len(entry["ivs_layers"]) == 2  # layer 1, then the top
-        top_kept = entry["ivs_layers"][1]["final_kept"]
-        model = load_stack(out / entry["model"])
-        assert model.top_mask.popcount == model.top.m == top_kept
-
-        assert run_cli("eval", "--config", patched, "--out", out) == 0
-        recomputed = json.loads((out / "eval.json").read_text())
-        assert [e["matches_report"] for d in recomputed.values()
-                for e in d.values()] == [True, True]
-
-
 class TestConfigKeys:
     """Every key either takes effect or is rejected with exit 1."""
 
@@ -252,6 +237,50 @@ class TestConfigKeys:
         assert self.run_patched(tmp_path, "source = synthetic\n",
                                 "source = synthetic\nlabels = one\n") == 1
 
+    def test_selection_on_the_top_codes_rejected(self, tmp_path, capsys):
+        assert self.run_patched(tmp_path, "[stack]\n",
+                                "[stack]\nfinal_ivs = true\n") == 1
+        assert "unknown key [stack] final_ivs" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("verb", ["run", "ivs"])
+    def test_shape_that_does_not_fit_the_data_is_a_data_error(
+            self, tmp_path, capsys, verb):
+        patched = tmp_path / "patched.ini"
+        patched.write_text(SMOKE.read_text().replace("shape = 5 6",
+                                                     "shape = 5 5"))
+        assert run_cli(verb, "--config", patched, "--out", tmp_path / "o") == 2
+        err = capsys.readouterr().err
+        assert "[data] shape 5 5" in err and "25" in err and "30" in err
+
+
+def config_table_rows(text):
+    """(section, key, default) of each row of the README's config table."""
+    table = text.split("## Config format", 1)[1].split("\n## ", 1)[0]
+    rows = set()
+    for line in table.splitlines():
+        cells = [c.strip() for c in line.strip().strip("|").split("|")]
+        section = re.fullmatch(r"`\[(\w+)\]`\s*(\w*)", cells[0])
+        if section and len(cells) == 4:
+            rows.add((" ".join(filter(None, section.groups())),
+                      cells[1].strip("`"), cells[3].strip("`")))
+    return rows
+
+
+def test_readme_config_table_lists_every_key_and_default():
+    readme = config_table_rows((REPO / "README.md").read_text())
+    table = {(section, key, "none" if default is None else default)
+             for section, keys in KEYS.items()
+             for key, (_, _, default) in keys.items()}
+    assert readme - table == set()
+    assert table - readme == set()
+
+
+def test_importing_the_package_loads_no_numpy():
+    code = "import sdae_ivs, sys; assert 'numpy' not in sys.modules"
+    env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+    assert subprocess.run([sys.executable, "-c", code],
+                          env=env).returncode == 0
+
 
 class TestVerbsOnSerializedModels:
     def test_reconstruct(self, smoke_run):
@@ -279,7 +308,7 @@ class TestAmatPlumbing:
         path.write_text("\n".join(rows) + "\n")
 
     def test_split_single_train_file(self, tmp_path):
-        from sdae_ivs.config import load_config
+        from sdae_ivs.config import KEYS, load_config
         from sdae_ivs.runner import load_splits
         self.write_amat(tmp_path / "train.amat", 60, 8, 1)
         config = tmp_path / "c.ini"
@@ -289,12 +318,13 @@ class TestAmatPlumbing:
             "[dae]\nhidden_units = 4\nnoise_sd = 0.1\nlearning_rate = 0.1\n"
             "epochs = 2\n[ivs]\nthreshold = 0.3\nlearning_rate = 0.1\n"
             "[finetune]\nlearning_rate = 0.1\n")
-        train, valid, test = load_splits(load_config(config))
+        cfg = load_config(config)
+        train, valid, test = load_splits(cfg)
         assert (train.n, valid.n, test.n) == (40, 10, 10)
-        assert train.variable_shape == (2, 4)
+        assert cfg.variable_shape == (2, 4) and train.m == 8
 
     def test_separate_files_with_truncation(self, tmp_path):
-        from sdae_ivs.config import load_config
+        from sdae_ivs.config import KEYS, load_config
         from sdae_ivs.runner import load_splits
         self.write_amat(tmp_path / "train.amat", 50, 8, 2)
         self.write_amat(tmp_path / "test.amat", 40, 8, 3)

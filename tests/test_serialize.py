@@ -13,17 +13,16 @@ from sdae_ivs.stack import StackLayer, StackModel
 rng = make_rng(99)
 
 
-def random_stack(top_mask=None, fine_tuned=False):
+def random_stack(fine_tuned=False):
     mask1 = VariableMask(np.array([1, 0, 1, 1, 1], dtype=bool))
     dae1 = DaeModel(rng.normal(size=(3, 4)), rng.normal(size=3),
                     rng.normal(size=4))
     mask2 = VariableMask(np.array([1, 1, 0], dtype=bool))
     dae2 = DaeModel(rng.normal(size=(2, 2)), rng.normal(size=2),
                     rng.normal(size=2))
-    width = 2 if top_mask is None else top_mask.popcount
-    top = MlrModel(rng.normal(size=(3, width)), rng.normal(size=3))
+    top = MlrModel(rng.normal(size=(3, 2)), rng.normal(size=3))
     return StackModel([StackLayer(mask1, dae1), StackLayer(mask2, dae2)],
-                      top, top_mask, fine_tuned)
+                      top, fine_tuned)
 
 
 def test_mlr_round_trip_is_bit_exact(tmp_path):
@@ -50,13 +49,11 @@ def test_dae_round_trip_with_mask(tmp_path):
 
 
 def test_stack_round_trip(tmp_path):
-    top_mask = VariableMask(np.array([1, 0], dtype=bool))
-    model = random_stack(top_mask=top_mask, fine_tuned=True)
+    model = random_stack(fine_tuned=True)
     path = tmp_path / "s.json"
     save_stack(path, model)
     loaded = load_stack(path)
     assert loaded.fine_tuned
-    assert loaded.top_mask == top_mask
     assert len(loaded.layers) == 2
     for got, want in zip(loaded.layers, model.layers):
         assert got.mask == want.mask
@@ -67,12 +64,6 @@ def test_stack_round_trip(tmp_path):
     assert np.array_equal(loaded.top.biases, model.top.biases)
 
 
-def test_stack_without_top_mask_loads_with_every_code_kept(tmp_path):
-    path = tmp_path / "s.json"
-    save_stack(path, random_stack())
-    assert load_stack(path).top_mask == VariableMask.all_ones(2)
-
-
 def test_writes_are_byte_identical(tmp_path):
     model = random_stack()
     a, b = tmp_path / "a.json", tmp_path / "b.json"
@@ -81,7 +72,7 @@ def test_writes_are_byte_identical(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-@pytest.mark.parametrize("version", [VERSION - 1, VERSION + 1, None])
+@pytest.mark.parametrize("version", [*range(1, VERSION), VERSION + 1, None])
 def test_other_versions_rejected_naming_file_and_versions(tmp_path, version):
     path = tmp_path / "old.json"
     save_stack(path, random_stack())

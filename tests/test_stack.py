@@ -45,7 +45,7 @@ def stack_cfg(depth, ivs_enabled, hidden=(16, 12, 8), epochs=8):
     )
 
 
-def toy_stack(seed=0, widths=(6, 4, 3), k=2, with_masks=True, top_mask=None):
+def toy_stack(seed=0, widths=(6, 4, 3), k=2, with_masks=True):
     """Random depth-2 stack, raw width 6 -> hidden 4 -> hidden 3."""
     rng = make_rng(seed)
     raw, h1, h2 = widths
@@ -64,10 +64,8 @@ def toy_stack(seed=0, widths=(6, 4, 3), k=2, with_masks=True, top_mask=None):
                     rng.normal(scale=0.3, size=mask2.popcount))
     top = MlrModel(rng.normal(scale=0.6, size=(k, h2)),
                    rng.normal(scale=0.3, size=k))
-    if top_mask is not None:
-        top = MlrModel(top.weights[:, top_mask.bits], top.biases)
     model = StackModel([StackLayer(mask1, dae1), StackLayer(mask2, dae2)],
-                       top, top_mask)
+                       top)
     model.check_widths()
     return model
 
@@ -120,19 +118,6 @@ class TestPretrain:
         assert np.array_equal(shallow.layers[0].dae.weights,
                               deep.layers[0].dae.weights)
 
-    def test_final_ivs_masks_the_top_classifier(self):
-        train, valid, _, _ = easy_splits(11)
-        base = stack_cfg(1, True)
-        cfg = StackConfig(dae=base.dae, ivs=base.ivs,
-                          fine_tune=base.fine_tune, ivs_enabled=True,
-                          final_ivs=True)
-        model, ivs_results = pretrain(train, valid, cfg, derive_rng(20, 1))
-        assert model.top_mask == ivs_results[-1].mask
-        assert model.top_mask.m == model.layers[0].dae.hidden_units
-        assert model.top.m == model.top_mask.popcount
-        assert len(ivs_results) == 2  # per-layer pass plus the final pass
-        predict_labels(model, valid.x)  # forward path stays consistent
-
     def test_divergence_names_the_layer(self):
         train, valid, _, _ = easy_splits(2)
         cfg = stack_cfg(2, False)
@@ -178,8 +163,8 @@ class TestFineTune:
         assert np.array_equal(tuned.top.weights, model.top.weights)
 
     def test_gradients_match_finite_differences(self):
-        model = toy_stack(21, top_mask=VariableMask(np.array([1, 0, 1],
-                                                             dtype=bool)))
+        # The partial layer masks keep backprop through each expand checked.
+        model = toy_stack(21)
         params = fine_tune_params(model)
         assert len(params) == 2 * model.depth + 2
         rng = make_rng(22)
@@ -226,18 +211,6 @@ class TestFineTune:
             fine_tune(model, train, valid, TrainConfig(1e308, 5, 5),
                       make_rng(0))
 
-    def test_top_mask_survives_fine_tuning(self):
-        top_mask = VariableMask(np.array([1, 0, 1], dtype=bool))
-        model = toy_stack(30, top_mask=top_mask)
-        rng = make_rng(31)
-        train = Dataset(rng.uniform(size=(30, 6)),
-                        rng.integers(1, 3, size=30), 2)
-        tuned = fine_tune(model, train, train, TrainConfig(0.1, 5, 5),
-                          make_rng(2))
-        assert tuned.top_mask == top_mask
-        assert tuned.top.m == 2
-        assert not np.array_equal(tuned.top.weights, model.top.weights)
-
 
 def _logits_for_test(model, x):
     """Independent one-example forward pass used by the finite-difference
@@ -247,7 +220,7 @@ def _logits_for_test(model, x):
     for layer in model.layers:
         cur = sigmoid(layer.dae.weights @ compact(cur, layer.mask)
                       + layer.dae.encoder_bias)
-    return model.top.weights @ cur[model.top_mask.bits] + model.top.biases
+    return model.top.weights @ cur + model.top.biases
 
 
 class TestReconstruct:
@@ -301,7 +274,7 @@ class TestExtractors:
         model, _ = pretrain(train, valid, stack_cfg(1, False), derive_rng(11, 1))
         cfg = IvsConfig(threshold=0.0, max_iterations=3, mlr=MLR_CFG)
         count = select_extractors(model, 1, train, valid, cfg,
-                                  make_rng(12)).count
+                                  make_rng(12)).ivs.mask.popcount
         assert count == model.layers[0].dae.hidden_units
 
     def test_count_bounded_and_patterns_partition(self):
@@ -309,8 +282,9 @@ class TestExtractors:
         model, _ = pretrain(train, valid, stack_cfg(1, True), derive_rng(13, 1))
         report = select_extractors(model, 1, train, valid, IVS_CFG, make_rng(14))
         h = model.layers[0].dae.hidden_units
-        assert 0 < report.count <= h
-        assert report.relevant_patterns.shape[0] == report.count
+        count = report.ivs.mask.popcount
+        assert 0 < count <= h
+        assert report.relevant_patterns.shape[0] == count
         assert (report.relevant_patterns.shape[0]
                 + report.irrelevant_patterns.shape[0]) == h
         assert report.relevant_patterns.shape[1] == train.m
