@@ -1,8 +1,7 @@
 """Command-line interface.
 
-Verbs: run, ivs, eval, reconstruct, export-patterns. Exit codes: 0 on
-success, 1 for configuration errors, 2 for data errors, 3 for anything
-that fails at runtime.
+Verbs: run, ivs, eval. Exit codes: 0 on success, 1 for configuration
+errors, 2 for data errors, 3 for anything that fails at runtime.
 """
 
 from __future__ import annotations
@@ -12,8 +11,7 @@ import sys
 
 from .config import load_config
 from .errors import ConfigError, DataError
-from .runner import (cmd_eval, cmd_export_patterns, cmd_ivs, cmd_reconstruct,
-                     cmd_run)
+from .runner import cmd_eval, cmd_ivs, cmd_run
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -31,8 +29,6 @@ def build_parser() -> argparse.ArgumentParser:
         ("run", "pretrain, fine-tune, and evaluate per the config"),
         ("ivs", "run variable selection alone and export its artifacts"),
         ("eval", "re-evaluate serialized models from a previous run"),
-        ("reconstruct", "export reconstruction grids from serialized models"),
-        ("export-patterns", "export relevant/irrelevant pattern grids"),
     ):
         p = sub.add_parser(verb, help=help_text)
         p.add_argument("--config", required=True, help="experiment config file")
@@ -73,12 +69,6 @@ def main(argv=None) -> int:
                 print("serialized models disagree with report.json",
                       file=sys.stderr)
                 return EXIT_RUNTIME
-        elif args.verb == "reconstruct":
-            for path in cmd_reconstruct(cfg):
-                print(path)
-        elif args.verb == "export-patterns":
-            for path in cmd_export_patterns(cfg):
-                print(path)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

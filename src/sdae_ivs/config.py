@@ -227,6 +227,11 @@ def load_config(path, seed_override: int | None = None,
                              fields.pop("max_iterations"),
                              TrainConfig(**fields)))
     run = _fields(parser, "run", "run")
+    if run["reconstruct_examples"] < 0:
+        raise ConfigError("[run] reconstruct_examples must be >= 0")
+    for key in ("reconstruct_examples", "export_patterns"):
+        if run[key] and data["variable_shape"] is None:
+            raise ConfigError(f"[run] {key} needs [data] shape to draw images")
     if seed_override is not None:
         run["seed"] = seed_override
     if out_override is not None:

@@ -126,14 +126,14 @@ def loss(x: np.ndarray, y: np.ndarray, kind: str = CROSS_ENTROPY) -> float:
 
 
 def grads(m: DaeModel, x_clean: np.ndarray, x_in: np.ndarray, kind: str):
-    """Reconstruction plus analytic batch-mean gradients (weights, encoder
-    bias, decoder bias) of loss(x_clean, reconstruction) over (B, M') rows
-    fed x_in; a batch of one is one example.
+    """Analytic batch-mean gradients (weights, encoder bias, decoder bias)
+    of loss(x_clean, reconstruction) over (B, M') rows fed x_in; a batch
+    of one is one example.
 
     The weight gradient sums the decoder term h^T dz and the encoder term
     da^T x_in because the matrix is shared. This is the exact step
     direction of train_dae, hence the target of the finite-difference
-    oracle; the loss itself is left to callers that record it.
+    oracle.
     """
     if kind == CROSS_ENTROPY and m.decoder_activation != SIGMOID:
         raise ConfigError("cross-entropy needs a sigmoid decoder")
@@ -152,7 +152,7 @@ def grads(m: DaeModel, x_clean: np.ndarray, x_in: np.ndarray, kind: str):
     da = dz @ m.weights.T * h * (1.0 - h)
     grad_w = h.T.dot(dz)
     grad_w += da.T.dot(x_in)
-    return y, grad_w, da.sum(axis=0), dz.sum(axis=0)
+    return grad_w, da.sum(axis=0), dz.sum(axis=0)
 
 
 def init_dae(input_width: int, cfg: DaeTrainConfig, rng: Rng) -> DaeModel:
@@ -163,16 +163,13 @@ def init_dae(input_width: int, cfg: DaeTrainConfig, rng: Rng) -> DaeModel:
                     cfg.decoder_activation)
 
 
-def train_dae(train: Dataset, cfg: DaeTrainConfig, rng: Rng,
-              return_history: bool = False):
+def train_dae(train: Dataset, cfg: DaeTrainConfig, rng: Rng) -> DaeModel:
     """Stochastic gradient training over exactly cfg.epochs epochs.
 
     Per example: draw fresh corruption, encode, decode, take one step
     against the clean input. rng drives init, shuffling, and corruption,
-    so equally seeded generators give bitwise-equal models. The per-epoch
-    mean reconstruction loss is computed only under return_history.
-    Parameters that stop being finite raise DivergenceError at the end of
-    that epoch.
+    so equally seeded generators give bitwise-equal models. Parameters
+    that stop being finite raise DivergenceError at the end of that epoch.
     """
     if train.n == 0:
         raise DataError("cannot train on an empty dataset")
@@ -180,22 +177,13 @@ def train_dae(train: Dataset, cfg: DaeTrainConfig, rng: Rng,
         raise DataError("cross-entropy training needs inputs in [0, 1]")
 
     model = init_dae(train.m, cfg, rng)
-    losses: list[float] = []
 
     def step(x):
-        y, *gradients = grads(model, x, corrupt(x, cfg.noise_sd, rng),
-                              cfg.loss_kind)
-        if return_history:
-            losses.extend(loss(xi, yi, cfg.loss_kind) for xi, yi in zip(x, y))
-        return gradients
+        return grads(model, x, corrupt(x, cfg.noise_sd, rng), cfg.loss_kind)
 
     sgd("DAE pre-training",
         [model.weights, model.encoder_bias, model.decoder_bias], step,
         cfg.learning_rate, (train.x,), cfg.epochs, rng)
-
-    if return_history:
-        return model, [sum(losses[lo:lo + train.n]) / train.n
-                       for lo in range(0, len(losses), train.n)]
     return model
 
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -62,22 +61,16 @@ def load_splits(cfg: ExperimentConfig) -> tuple[Dataset, Dataset, Dataset]:
     return train, valid, test
 
 
-def _ivs_history_json(results: list[IvsResult | None]) -> list[dict | None]:
-    out = []
-    for result in results:
-        if result is None:
-            out.append(None)
-            continue
-        out.append({
-            "final_kept": result.mask.popcount,
-            "mask_length": result.mask.m,
-            "iterations": [
-                {"iteration": item.iteration, "kept": item.kept,
-                 "validation_error": item.validation_error}
-                for item in result.history
-            ],
-        })
-    return out
+def _ivs_history_json(results: list[IvsResult]) -> list[dict]:
+    return [{
+        "final_kept": result.mask.popcount,
+        "mask_length": result.mask.m,
+        "iterations": [
+            {"iteration": item.iteration, "kept": item.kept,
+             "validation_error": item.validation_error}
+            for item in result.history
+        ],
+    } for result in results]
 
 
 def _percent(x: float) -> str:
@@ -89,6 +82,9 @@ def cmd_run(cfg: ExperimentConfig) -> None:
     for every requested depth and variant, writing models and artifacts."""
     started = time.perf_counter()
     train, valid, test = load_splits(cfg)
+    if test.n == 0:
+        raise DataError("the test split is empty, so there is nothing to "
+                        "evaluate on")
     out = Path(cfg.out)
     (out / "models").mkdir(parents=True, exist_ok=True)
     (out / "csv").mkdir(exist_ok=True)
@@ -99,8 +95,8 @@ def cmd_run(cfg: ExperimentConfig) -> None:
     for variant in cfg.variants:
         results[variant] = {}
         for depth in cfg.depths:
-            scfg = StackConfig(cfg.dae[:depth], cfg.ivs[:depth], cfg.fine_tune,
-                               ivs_enabled=variant == VARIANT_SDAE_IVS)
+            ivs = cfg.ivs[:depth] if variant == VARIANT_SDAE_IVS else ()
+            scfg = StackConfig(cfg.dae[:depth], ivs, cfg.fine_tune)
             # One derivation key per depth, shared by both variants, keeps
             # the SDAE / SDAE-IVS comparison paired.
             pre, ivs_results = pretrain(train, valid, scfg,
@@ -128,14 +124,12 @@ def cmd_run(cfg: ExperimentConfig) -> None:
                 "model": str(tuned_path.relative_to(out)),
                 "pretrained_model": str(pre_path.relative_to(out)),
             }
-            if any(r is not None for r in ivs_results):
+            if ivs_results:
                 entry["ivs_layers"] = _ivs_history_json(ivs_results)
                 artifacts += _write_ivs_artifacts(out, tag, ivs_results, cfg)
-            if (cfg.reconstruct_examples > 0 and cfg.variable_shape is not None
-                    and test.n > 0):
-                path = _write_reconstruction(out, tag, pre, test, cfg)
-                artifacts.append(path)
-            if cfg.export_patterns and cfg.variable_shape is not None:
+            if cfg.reconstruct_examples:
+                artifacts.append(_write_reconstruction(out, tag, pre, test, cfg))
+            if cfg.export_patterns:
                 artifacts += _write_patterns(out, tag, pre, train, valid, cfg, depth)
             results[variant][f"depth{depth}"] = entry
 
@@ -165,8 +159,6 @@ def _write_report(out: Path, body: dict, wall_time_s: float) -> None:
 def _write_ivs_artifacts(out: Path, tag: str, ivs_results, cfg) -> list[str]:
     paths = []
     for layer, result in enumerate(ivs_results, start=1):
-        if result is None:
-            continue
         history_path = out / "csv" / f"{tag}-layer{layer}-history.csv"
         write_history_csv(history_path, result.history)
         paths.append(str(history_path.relative_to(out)))
@@ -239,18 +231,6 @@ def cmd_ivs(cfg: ExperimentConfig) -> IvsResult:
     return result
 
 
-def _load_model(path: Path, data: Dataset) -> stack_mod.StackModel:
-    """A serialized stack, checked to read data of this width."""
-    if not path.is_file():
-        raise DataError(f"missing model file {path}")
-    model = load_stack(path)
-    width = model.layers[0].mask.m
-    if width != data.m:
-        raise DataError(f"model {path} reads {width} variables, "
-                        f"but the data has {data.m}")
-    return model
-
-
 def cmd_eval(cfg: ExperimentConfig) -> dict:
     """Re-evaluate the serialized tuned models against the test split.
 
@@ -268,7 +248,14 @@ def cmd_eval(cfg: ExperimentConfig) -> dict:
     for variant, depths in report["results"].items():
         recomputed[variant] = {}
         for depth_key, entry in depths.items():
-            model = _load_model(out / entry["model"], test)
+            path = out / entry["model"]
+            if not path.is_file():
+                raise DataError(f"missing model file {path}")
+            model = load_stack(path)
+            width = model.layers[0].mask.m
+            if width != test.m:
+                raise DataError(f"model {path} reads {width} variables, "
+                                f"but the data has {test.m}")
             check = evaluate(lambda x: stack_mod.predict_labels(model, x), test)
             recomputed[variant][depth_key] = {
                 "test_error_rate": check.error_rate,
@@ -279,43 +266,3 @@ def cmd_eval(cfg: ExperimentConfig) -> dict:
     (out / "eval.json").write_text(
         json.dumps(recomputed, sort_keys=True, indent=1) + "\n")
     return recomputed
-
-
-def cmd_reconstruct(cfg: ExperimentConfig) -> list[str]:
-    """Reconstruction grids (origin row, then one row per stacked depth)
-    from the serialized pre-trained models."""
-    if cfg.variable_shape is None:
-        raise DataError("reconstruction images need [data] shape")
-    _, _, test = load_splits(cfg)
-    out = Path(cfg.out)
-    (out / "images").mkdir(parents=True, exist_ok=True)
-    if test.n == 0:
-        raise DataError("no test examples to reconstruct")
-    examples = cfg.reconstruct_examples or 8
-
-    cfg = replace(cfg, reconstruct_examples=examples)
-    paths = []
-    for variant in cfg.variants:
-        for depth in cfg.depths:
-            tag = f"{variant}-depth{depth}"
-            pre = _load_model(out / "models" / f"{tag}-pretrained.json", test)
-            paths.append(_write_reconstruction(out, tag, pre, test, cfg))
-    return paths
-
-
-def cmd_export_patterns(cfg: ExperimentConfig) -> list[str]:
-    """Relevant/irrelevant first-layer pattern grids from serialized models."""
-    if cfg.variable_shape is None:
-        raise DataError("pattern images need [data] shape")
-    train, valid, _ = load_splits(cfg)
-    out = Path(cfg.out)
-    (out / "images").mkdir(parents=True, exist_ok=True)
-    (out / "csv").mkdir(exist_ok=True)
-
-    paths = []
-    for variant in cfg.variants:
-        for depth in cfg.depths:
-            tag = f"{variant}-depth{depth}"
-            pre = _load_model(out / "models" / f"{tag}-pretrained.json", train)
-            paths += _write_patterns(out, tag, pre, train, valid, cfg, depth)
-    return paths

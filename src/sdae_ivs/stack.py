@@ -60,20 +60,19 @@ class StackModel:
 class StackConfig:
     """Per-layer training plans plus the supervised phase.
 
-    ivs_enabled=False turns the pipeline into the plain-SDAE baseline
-    (all-ones masks, identity compaction).
+    ivs=() turns the pipeline into the plain-SDAE baseline (all-ones
+    masks, identity compaction).
     """
 
     dae: tuple[DaeTrainConfig, ...]
     ivs: tuple[IvsConfig, ...]
     fine_tune: TrainConfig
-    ivs_enabled: bool = True
 
     def __post_init__(self):
         if not 1 <= self.depth <= MAX_DEPTH:
             raise ConfigError(f"depth must lie in 1..{MAX_DEPTH}")
-        if self.ivs_enabled and len(self.ivs) != self.depth:
-            raise ConfigError("need one selection config per layer")
+        if self.ivs and len(self.ivs) != self.depth:
+            raise ConfigError("need one selection config per layer, or none")
 
     @property
     def depth(self) -> int:
@@ -82,36 +81,34 @@ class StackConfig:
 
 
 def pretrain(train: Dataset, valid: Dataset, cfg: StackConfig, rng: Rng
-             ) -> tuple[StackModel, list[IvsResult | None]]:
+             ) -> tuple[StackModel, list[IvsResult]]:
     """Greedy layer-wise pre-training with per-layer variable selection.
 
     For each layer: select on the current representation (or keep all
     variables when disabled), compact both splits, train the DAE on the
     survivors, and encode to obtain the next representation. Finally a top
     MLR is trained on the last representation. Returns the model and the
-    selection results (one per layer, None where selection is off). Each
+    selection results (one per layer, none when selection is off). Each
     phase draws randomness from its own spawned child stream, so adding
     depth never perturbs the layers below.
     """
     cur_train, cur_valid = train, valid
     layers: list[StackLayer] = []
-    ivs_results: list[IvsResult | None] = []
+    ivs_results: list[IvsResult] = []
 
     for idx in range(cfg.depth):
         try:
-            if cfg.ivs_enabled:
-                result = run_ivs(cur_train, cur_valid, cfg.ivs[idx],
-                                 rng.spawn(1)[0])
-                mask = result.mask
+            if cfg.ivs:
+                ivs_results.append(run_ivs(cur_train, cur_valid, cfg.ivs[idx],
+                                           rng.spawn(1)[0]))
+                mask = ivs_results[-1].mask
             else:
-                result = None
                 mask = VariableMask.all_ones(cur_train.m)
             compact_train = compact_dataset(cur_train, mask)
             compact_valid = compact_dataset(cur_valid, mask)
             dae_model = train_dae(compact_train, cfg.dae[idx], rng.spawn(1)[0])
         except DivergenceError as exc:
             raise DivergenceError(f"layer {idx + 1}: {exc}") from exc
-        ivs_results.append(result)
         layers.append(StackLayer(mask, dae_model))
 
         cur_train = encode_dataset(dae_model, compact_train)

@@ -63,13 +63,12 @@ def planted_splits(seed):
     return train, valid, test, truth
 
 
-def paired_stack_config(depth, ivs_enabled):
+def paired_stack_config(depth, select):
     return StackConfig(
         dae=tuple(DaeTrainConfig(HIDDEN[i], 0.3, 0.1, 10)
                   for i in range(depth)),
-        ivs=tuple(SELECTION for _ in range(depth)),
+        ivs=(SELECTION,) * depth if select else (),
         fine_tune=TrainConfig(0.1, 10, 3),
-        ivs_enabled=ivs_enabled,
     )
 
 
@@ -127,7 +126,7 @@ def test_criterion_2_gradient_oracles():
                          rng.normal(scale=0.4, size=mm), decoder)
         x_clean = rng.uniform(0.05, 0.95, size=(batch, mm))
         x_in = x_clean + rng.normal(0, 0.1, size=(batch, mm))
-        _, gw, gbe, gbd = dae_grads(model, x_clean, x_in, kind)
+        gw, gbe, gbd = dae_grads(model, x_clean, x_in, kind)
 
         def f():
             y = decode(model, encode(model, x_in))

@@ -1,3 +1,4 @@
+import argparse
 import configparser
 import json
 import os
@@ -9,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from sdae_ivs.cli import main
+from sdae_ivs.cli import build_parser, main
 from sdae_ivs.config import KEYS, load_config
 from sdae_ivs.errors import ConfigError
 from sdae_ivs.pgm import read_pgm
@@ -62,6 +63,7 @@ class TestRun:
         img = read_pgm(smoke_run / "images" / "sdae-depth1-reconstruction.pgm")
         assert img.ndim == 2 and img.size > 0
         assert (smoke_run / "csv" / "sdae-depth1-extractors.csv").is_file()
+        assert list((smoke_run / "images").glob("sdae-depth1-patterns-*.pgm"))
 
     def test_plain_variant_has_no_selection_history(self, smoke_run):
         report = json.loads((smoke_run / "report.json").read_text())
@@ -115,7 +117,7 @@ class TestEval:
 class TestModelWidth:
     """Verbs that feed loaded models with data check the data's width."""
 
-    @pytest.mark.parametrize("verb", ["eval", "reconstruct", "export-patterns"])
+    @pytest.mark.parametrize("verb", ["eval"])
     def test_wider_data_is_a_data_error(self, tmp_path, smoke_run, capsys, verb):
         patched = tmp_path / "wide.ini"
         patched.write_text(SMOKE.read_text()
@@ -242,6 +244,34 @@ class TestConfigKeys:
                                 "[stack]\nfinal_ivs = true\n") == 1
         assert "unknown key [stack] final_ivs" in capsys.readouterr().err
 
+    @staticmethod
+    def without_shape(tmp_path, reconstruct, patterns):
+        patched = tmp_path / "no-shape.ini"
+        patched.write_text(SMOKE.read_text().replace("shape = 5 6\n", "")
+                           .replace("reconstruct_examples = 6\n"
+                                    "export_patterns = true",
+                                    f"reconstruct_examples = {reconstruct}\n"
+                                    f"export_patterns = {patterns}"))
+        return patched
+
+    @pytest.mark.parametrize("reconstruct,patterns,key", [
+        (6, "false", "reconstruct_examples"),
+        (0, "true", "export_patterns"),
+    ])
+    def test_image_key_without_shape_rejected(self, tmp_path, capsys,
+                                              reconstruct, patterns, key):
+        patched = self.without_shape(tmp_path, reconstruct, patterns)
+        assert run_cli("run", "--config", patched, "--out", tmp_path / "o") == 1
+        assert f"[run] {key} needs [data] shape" in capsys.readouterr().err
+        off = self.without_shape(tmp_path, 0, "false")
+        assert load_config(off).variable_shape is None
+
+    def test_negative_reconstruct_examples_rejected(self, tmp_path, capsys):
+        assert self.run_patched(tmp_path, "reconstruct_examples = 6",
+                                "reconstruct_examples = -4") == 1
+        assert "[run] reconstruct_examples must be >= 0" in \
+            capsys.readouterr().err
+
     @pytest.mark.parametrize("verb", ["run", "ivs"])
     def test_shape_that_does_not_fit_the_data_is_a_data_error(
             self, tmp_path, capsys, verb):
@@ -275,23 +305,21 @@ def test_readme_config_table_lists_every_key_and_default():
     assert table - readme == set()
 
 
+def test_readme_cli_block_lists_every_verb():
+    block = (REPO / "README.md").read_text().split("## CLI", 1)[1]
+    block = block.split("```sh\n", 1)[1].split("```", 1)[0]
+    readme = {line.split()[1] for line in block.splitlines()}
+    sub = next(action for action in build_parser()._actions
+               if isinstance(action, argparse._SubParsersAction))
+    assert readme - sub.choices.keys() == set()
+    assert sub.choices.keys() - readme == set()
+
+
 def test_importing_the_package_loads_no_numpy():
     code = "import sdae_ivs, sys; assert 'numpy' not in sys.modules"
     env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
     assert subprocess.run([sys.executable, "-c", code],
                           env=env).returncode == 0
-
-
-class TestVerbsOnSerializedModels:
-    def test_reconstruct(self, smoke_run):
-        assert run_cli("reconstruct", "--config", SMOKE,
-                       "--out", smoke_run) == 0
-
-    def test_export_patterns(self, smoke_run):
-        assert run_cli("export-patterns", "--config", SMOKE,
-                       "--out", smoke_run) == 0
-        files = list((smoke_run / "images").glob("*patterns*.pgm"))
-        assert files
 
 
 class TestAmatPlumbing:
@@ -390,6 +418,16 @@ class TestErrors:
         config = self.missing_data_config(tmp_path)
         assert run_cli(verb, "--config", config, "--out", tmp_path / "o") == 2
         assert not (tmp_path / "o").exists()
+
+    def test_empty_test_split_fails_before_training(self, tmp_path, capsys):
+        config = tmp_path / "no-test.ini"
+        config.write_text(SMOKE.read_text().replace("test_size = 60",
+                                                    "test_size = 0"))
+        assert run_cli("run", "--config", config, "--out", tmp_path / "o") == 2
+        assert "test split is empty" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+        # Selection alone needs no test split.
+        assert run_cli("ivs", "--config", config, "--out", tmp_path / "i") == 0
 
     def test_missing_config_file(self):
         assert run_cli("run", "--config", "/does/not/exist.ini") == 1

@@ -36,12 +36,11 @@ def dae_cfg(h, epochs=8, noise=0.2):
                           epochs=epochs)
 
 
-def stack_cfg(depth, ivs_enabled, hidden=(16, 12, 8), epochs=8):
+def stack_cfg(depth, select, hidden=(16, 12, 8), epochs=8):
     return StackConfig(
         dae=tuple(dae_cfg(hidden[i], epochs) for i in range(depth)),
-        ivs=tuple(IVS_CFG for _ in range(depth)),
+        ivs=(IVS_CFG,) * depth if select else (),
         fine_tune=TrainConfig(0.1, 20, 4),
-        ivs_enabled=ivs_enabled,
     )
 
 
@@ -73,8 +72,9 @@ def toy_stack(seed=0, widths=(6, 4, 3), k=2, with_masks=True):
 class TestPretrain:
     def test_plain_depth1_equals_manual_composition(self):
         train, valid, _, _ = easy_splits(1)
-        cfg = stack_cfg(1, ivs_enabled=False)
-        model, _ = pretrain(train, valid, cfg, derive_rng(7, 1))
+        cfg = stack_cfg(1, select=False)
+        model, ivs_results = pretrain(train, valid, cfg, derive_rng(7, 1))
+        assert ivs_results == []
 
         rng = derive_rng(7, 1)
         manual_dae = train_dae(train, cfg.dae[0], rng.spawn(1)[0])
@@ -93,7 +93,7 @@ class TestPretrain:
 
     def test_depth2_width_bookkeeping(self):
         train, valid, _, _ = easy_splits(2)
-        model, _ = pretrain(train, valid, stack_cfg(2, ivs_enabled=True),
+        model, _ = pretrain(train, valid, stack_cfg(2, select=True),
                             derive_rng(8, 1))
         first = model.layers[0]
         assert first.dae.input_width == first.mask.popcount
@@ -301,9 +301,9 @@ class TestEndToEnd:
         for enabled in (False, True):
             cfg = StackConfig(
                 dae=(DaeTrainConfig(12, 0.3, 0.1, 10),),
-                ivs=(IvsConfig(0.3, 8, TrainConfig(0.1, 30, 5)),),
-                fine_tune=TrainConfig(0.1, 10, 3),
-                ivs_enabled=enabled)
+                ivs=(IvsConfig(0.3, 8, TrainConfig(0.1, 30, 5)),) if enabled
+                else (),
+                fine_tune=TrainConfig(0.1, 10, 3))
             model, _ = pretrain(train, valid, cfg, derive_rng(0, 1))
             tuned = fine_tune(model, train, valid, TrainConfig(0.1, 10, 3),
                               make_rng(1000))
