@@ -2,16 +2,27 @@
 
 Verbs: run, ivs, eval. Exit codes: 0 on success, 1 for configuration
 errors, 2 for data errors, 3 for anything that fails at runtime.
+
+BLAS runs one thread: on more threads, whole-split products such as
+(300x784)(784x100) sum in another order and change result bits, so the
+pin is what makes a seed give the same bytes whatever thread count the
+environment asks for. It takes effect because this module sets it before
+its first import that loads numpy, and importing the package alone loads
+none. Library callers choose their own thread count.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
-from .config import load_config
-from .errors import ConfigError, DataError
-from .runner import cmd_eval, cmd_ivs, cmd_run
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+from .config import load_config  # noqa: E402
+from .errors import ConfigError, DataError  # noqa: E402
+from .runner import cmd_eval, cmd_ivs, cmd_run  # noqa: E402
 
 EXIT_OK = 0
 EXIT_CONFIG = 1

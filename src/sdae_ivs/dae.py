@@ -83,7 +83,9 @@ def corrupt(x: np.ndarray, noise_sd: float, rng: Rng) -> np.ndarray:
     if noise_sd < 0:
         raise ValueError("noise_sd must be >= 0")
     x = np.asarray(x, dtype=np.float64)
-    return x + rng.normal(0.0, noise_sd, size=x.shape)
+    out = rng.normal(0.0, noise_sd, size=x.shape)
+    out += x
+    return out
 
 
 def encode(m: DaeModel, x: np.ndarray) -> np.ndarray:
@@ -152,7 +154,7 @@ def grads(m: DaeModel, x_clean: np.ndarray, x_in: np.ndarray, kind: str):
     da = dz @ m.weights.T * h * (1.0 - h)
     grad_w = h.T.dot(dz)
     grad_w += da.T.dot(x_in)
-    return grad_w, da.sum(axis=0), dz.sum(axis=0)
+    return grad_w, np.add.reduce(da, axis=0), np.add.reduce(dz, axis=0)
 
 
 def init_dae(input_width: int, cfg: DaeTrainConfig, rng: Rng) -> DaeModel:
@@ -166,10 +168,13 @@ def init_dae(input_width: int, cfg: DaeTrainConfig, rng: Rng) -> DaeModel:
 def train_dae(train: Dataset, cfg: DaeTrainConfig, rng: Rng) -> DaeModel:
     """Stochastic gradient training over exactly cfg.epochs epochs.
 
-    Per example: draw fresh corruption, encode, decode, take one step
-    against the clean input. rng drives init, shuffling, and corruption,
-    so equally seeded generators give bitwise-equal models. Parameters
-    that stop being finite raise DivergenceError at the end of that epoch.
+    Per example: encode a freshly corrupted copy, decode, take one step
+    against the clean input. Each epoch draws the corruption of all its
+    rows at once, right after the shuffle; normal draws fill row by row,
+    so this is the stream one draw per step would take. rng drives init,
+    shuffling, and corruption, so equally seeded generators give
+    bitwise-equal models. Parameters that stop being finite raise
+    DivergenceError at the end of that epoch.
     """
     if train.n == 0:
         raise DataError("cannot train on an empty dataset")
@@ -177,13 +182,11 @@ def train_dae(train: Dataset, cfg: DaeTrainConfig, rng: Rng) -> DaeModel:
         raise DataError("cross-entropy training needs inputs in [0, 1]")
 
     model = init_dae(train.m, cfg, rng)
-
-    def step(x):
-        return grads(model, x, corrupt(x, cfg.noise_sd, rng), cfg.loss_kind)
-
     sgd("DAE pre-training",
-        [model.weights, model.encoder_bias, model.decoder_bias], step,
-        cfg.learning_rate, (train.x,), cfg.epochs, rng)
+        [model.weights, model.encoder_bias, model.decoder_bias],
+        lambda x, x_in: grads(model, x, x_in, cfg.loss_kind),
+        cfg.learning_rate, (train.x,), cfg.epochs, rng,
+        per_epoch=lambda x: (corrupt(x, cfg.noise_sd, rng),))
     return model
 
 

@@ -18,7 +18,8 @@ from .numerics import Rng
 
 @dataclass
 class VariableMask:
-    """Binary keep/drop vector over input variables (1 = keep)."""
+    """Binary keep/drop vector over input variables (1 = keep); index holds
+    the kept positions in order."""
 
     bits: np.ndarray
 
@@ -26,6 +27,7 @@ class VariableMask:
         self.bits = np.asarray(self.bits, dtype=bool)
         if self.bits.ndim != 1:
             raise DimensionError("mask bits must be a 1-D vector")
+        self.index = np.flatnonzero(self.bits)
 
     @classmethod
     def all_ones(cls, m: int) -> "VariableMask":
@@ -37,7 +39,7 @@ class VariableMask:
 
     @property
     def popcount(self) -> int:
-        return int(self.bits.sum())
+        return self.index.size
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, VariableMask):
@@ -249,7 +251,7 @@ def compact(x: np.ndarray, mask: VariableMask) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.shape[-1] != mask.m:
         raise DimensionError(f"vector width {x.shape[-1]} != mask length {mask.m}")
-    return x[..., mask.bits]
+    return x.take(mask.index, axis=-1)
 
 
 def expand(x_reduced: np.ndarray, mask: VariableMask) -> np.ndarray:
@@ -260,7 +262,7 @@ def expand(x_reduced: np.ndarray, mask: VariableMask) -> np.ndarray:
             f"reduced width {x_reduced.shape[-1]} != mask popcount {mask.popcount}"
         )
     out = np.zeros(x_reduced.shape[:-1] + (mask.m,), dtype=np.float64)
-    out[..., mask.bits] = x_reduced
+    out[..., mask.index] = x_reduced
     return out
 
 

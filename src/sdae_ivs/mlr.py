@@ -101,24 +101,32 @@ def cross_entropy(m: MlrModel, x: np.ndarray, labels: np.ndarray,
     return loss + 0.5 * l2 * float(np.sum(m.weights * m.weights))
 
 
-def output_delta(weights, biases, xb, yb):
-    """(softmax - one-hot) / B over the batch (xb, yb): the derivative of
-    the batch-mean cross-entropy with respect to the logits."""
-    p = softmax(xb @ weights.T + biases)
-    p[np.arange(xb.shape[0]), yb - 1] -= 1.0
+def one_hot(labels: np.ndarray, k: int) -> np.ndarray:
+    """(N, K) targets with a 1 at each 1-based label's column."""
+    return np.eye(k)[labels - 1]
+
+
+def output_delta(weights, biases, xb, tb):
+    """(softmax - one-hot) / B over the batch xb with one-hot targets tb:
+    the derivative of the batch-mean cross-entropy with respect to the
+    logits."""
+    z = xb @ weights.T
+    z += biases
+    p = softmax(z)
+    p -= tb
     p /= xb.shape[0]
     return p
 
 
-def batch_grads(weights, biases, xb, yb, l2):
-    """Gradients (d_weights, d_biases) of cross_entropy over the batch
-    (xb, yb): the one step direction of train_mlr, and the function the
-    finite-difference oracle checks."""
-    p = output_delta(weights, biases, xb, yb)
+def batch_grads(weights, biases, xb, tb, l2):
+    """Gradients (d_weights, d_biases) of cross_entropy over the batch xb
+    with one-hot targets tb: the one step direction of train_mlr, and the
+    function the finite-difference oracle checks."""
+    p = output_delta(weights, biases, xb, tb)
     grad_w = p.T.dot(xb)
     if l2 > 0.0:
         grad_w += l2 * weights
-    return grad_w, p.sum(axis=0)
+    return grad_w, np.add.reduce(p, axis=0)
 
 
 def validation_error(weights, biases, x, labels) -> float:
@@ -134,9 +142,9 @@ def train_mlr(train: Dataset, valid: Dataset, cfg: TrainConfig, rng: Rng,
     depend on the start). The returned model is the snapshot with the best
     validation error; ties go to the earlier epoch, so a fit that never
     beats the untrained model returns the all-zero model. To drop
-    variables, train on a compacted dataset. rng shuffles the examples.
-    Parameters that stop being finite raise DivergenceError at the end of
-    that epoch.
+    variables, train on a compacted dataset. rng shuffles the examples,
+    whose one-hot targets are built once per fit. Parameters that stop
+    being finite raise DivergenceError at the end of that epoch.
     """
     if train.n == 0:
         raise DataError("cannot train on an empty dataset")
@@ -148,8 +156,10 @@ def train_mlr(train: Dataset, valid: Dataset, cfg: TrainConfig, rng: Rng,
     weights = np.zeros((train.num_classes, train.m))
     biases = np.zeros(train.num_classes)
     history = sgd("MLR training", [weights, biases],
-                  lambda xb, yb: batch_grads(weights, biases, xb, yb, cfg.l2),
-                  cfg.learning_rate, (train.x, train.labels), cfg.max_epochs,
+                  lambda xb, tb: batch_grads(weights, biases, xb, tb, cfg.l2),
+                  cfg.learning_rate,
+                  (train.x, one_hot(train.labels, train.num_classes)),
+                  cfg.max_epochs,
                   rng, batch=cfg.minibatch_size,
                   score=lambda: validation_error(weights, biases, valid.x,
                                                  valid.labels),

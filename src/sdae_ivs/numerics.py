@@ -43,17 +43,19 @@ def check_finite(phase: str, epoch: int, *params: np.ndarray) -> None:
 
 
 def sgd(phase, params, grads, learning_rate, data, epochs, rng, batch=1,
-        score=None, patience=0):
+        score=None, patience=0, per_epoch=None):
     """Minibatch SGD over the rows of data, stepping every array in params
     in place.
 
-    data is a tuple of row-aligned arrays, such as (inputs, labels). Each
-    epoch gathers every array once in the order of a fresh rng permutation,
-    then steps along grads(*slices) for each run of `batch` consecutive
-    rows, one gradient per parameter. grads must return fresh arrays,
-    because sgd scales them in place by the learning rate. Overflow inside
-    a step is left to check_finite, which raises DivergenceError naming
-    phase and epoch at the end of that epoch.
+    data is a tuple of row-aligned arrays, such as (inputs, targets). Each
+    epoch gathers every array once in the order of a fresh rng permutation;
+    per_epoch(*gathered), when given, then returns more row-aligned arrays
+    for that epoch (such as one corruption draw of every row), appended to
+    the gathered ones. sgd steps along grads(*slices) for each run of
+    `batch` consecutive rows, one gradient per parameter. grads must return
+    fresh arrays, because sgd scales them in place by the learning rate.
+    Overflow inside a step is left to check_finite, which raises
+    DivergenceError naming phase and epoch at the end of that epoch.
 
     With a score (lower is better, e.g. a validation error) training stops
     early: the score is taken before the first epoch and after each one,
@@ -71,6 +73,8 @@ def sgd(phase, params, grads, learning_rate, data, epochs, rng, batch=1,
     for epoch in range(1, epochs + 1):
         order = rng.permutation(n)
         shuffled = [a[order] for a in data]
+        if per_epoch is not None:
+            shuffled += per_epoch(*shuffled)
         with np.errstate(over="ignore", invalid="ignore"):
             for lo in range(0, n, batch):
                 for p, g in zip(params, grads(*[a[lo:lo + batch]
@@ -114,12 +118,14 @@ def softmax(logits):
     """Max-shifted softmax along the last axis.
 
     Components are positive and sum to 1 (within a few ulp); shifting by the
-    row maximum keeps exp from overflowing.
+    row maximum keeps exp from overflowing. Works in place on the fresh
+    shifted array, so logits is left as it was.
     """
     z = np.asarray(logits, dtype=np.float64)
-    shifted = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+    e = z - np.maximum.reduce(z, axis=-1, keepdims=True)
+    np.exp(e, out=e)
+    e /= np.add.reduce(e, axis=-1, keepdims=True)
+    return e
 
 
 def log_softmax(logits):

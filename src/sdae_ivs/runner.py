@@ -88,7 +88,9 @@ def cmd_run(cfg: ExperimentConfig) -> None:
     out = Path(cfg.out)
     (out / "models").mkdir(parents=True, exist_ok=True)
     (out / "csv").mkdir(exist_ok=True)
-    (out / "images").mkdir(exist_ok=True)
+    if cfg.variable_shape is not None:
+        # Every image needs [data] shape; load_config enforces it.
+        (out / "images").mkdir(exist_ok=True)
     results: dict = {}
     artifacts: list[str] = []
 

@@ -18,7 +18,7 @@ from .dae import DaeModel, DaeTrainConfig, decode, encode, train_dae, encode_dat
 from .data import Dataset, VariableMask, compact, compact_dataset, expand
 from .errors import ConfigError, DataError, DimensionError, DivergenceError
 from .ivs import IvsConfig, IvsResult, run_ivs
-from .mlr import MlrModel, TrainConfig, output_delta, train_mlr
+from .mlr import MlrModel, TrainConfig, one_hot, output_delta, train_mlr
 from .mlr import predict_labels as mlr_predict_labels
 from .numerics import Rng, make_rng, sgd
 
@@ -121,19 +121,34 @@ def pretrain(train: Dataset, valid: Dataset, cfg: StackConfig, rng: Rng
     return model, ivs_results
 
 
-def _forward(m: StackModel, x: np.ndarray, depth: int | None = None,
-             trace: list | None = None) -> np.ndarray:
-    """Codes of a batch of rows (or one row) after the first `depth` layers,
-    all by default. A trace list receives each layer's (compacted input,
+def _encode_layers(layers: list[StackLayer], c: np.ndarray,
+                   trace: list | None = None) -> np.ndarray:
+    """Codes of rows c, already in the first layer's input space, after
+    every layer given. A trace list receives each layer's (compacted input,
     codes) for backpropagation; without one, only the current layer's
     tensors are alive at a time."""
-    cur = np.asarray(x, dtype=np.float64)
-    for layer in m.layers[:depth]:
-        c = compact(cur, layer.mask)
+    cur = c
+    for idx, layer in enumerate(layers):
+        if idx:
+            c = compact(cur, layer.mask)
         cur = encode(layer.dae, c)
         if trace is not None:
             trace.append((c, cur))
     return cur
+
+
+def _layer1_input(m: StackModel, x: np.ndarray) -> np.ndarray:
+    """Raw rows x compacted through layer 1's mask (x itself when the
+    stack has no layers)."""
+    x = np.asarray(x, dtype=np.float64)
+    return compact(x, m.layers[0].mask) if m.layers else x
+
+
+def _forward(m: StackModel, x: np.ndarray, depth: int | None = None
+             ) -> np.ndarray:
+    """Codes of a batch of raw rows (or one row) after the first `depth`
+    layers, all by default."""
+    return _encode_layers(m.layers[:depth], _layer1_input(m, x))
 
 
 def fine_tune_params(m: StackModel) -> list[np.ndarray]:
@@ -145,19 +160,20 @@ def fine_tune_params(m: StackModel) -> list[np.ndarray]:
         + [m.top.weights, m.top.biases]
 
 
-def classification_grads(m: StackModel, x: np.ndarray, labels: np.ndarray):
-    """Batch-mean gradients of the stack's cross-entropy over (B, M) rows x
-    with 1-based labels, one per array of fine_tune_params(m)."""
+def classification_grads(m: StackModel, c1: np.ndarray, targets: np.ndarray):
+    """Batch-mean gradients of the stack's cross-entropy over (B, M') rows
+    c1, already compacted through layer 1's mask, with one-hot targets;
+    one gradient per array of fine_tune_params(m)."""
     trace = []
-    top_in = _forward(m, x, trace=trace)
-    g = output_delta(m.top.weights, m.top.biases, top_in, labels)
-    gradients = [g.T.dot(top_in), g.sum(axis=0)]
+    top_in = _encode_layers(m.layers, c1, trace)
+    g = output_delta(m.top.weights, m.top.biases, top_in, targets)
+    gradients = [g.T.dot(top_in), np.add.reduce(g, axis=0)]
 
     delta = g @ m.top.weights
     for idx in range(len(m.layers) - 1, -1, -1):
         c, h = trace[idx]
         da = delta * h * (1.0 - h)
-        gradients[:0] = [da.T.dot(c), da.sum(axis=0)]
+        gradients[:0] = [da.T.dot(c), np.add.reduce(da, axis=0)]
         if idx > 0:
             delta = expand(da @ m.layers[idx].dae.weights, m.layers[idx].mask)
     return gradients
@@ -173,11 +189,13 @@ def fine_tune(m: StackModel, train: Dataset, valid: Dataset,
     """Supervised backpropagation through the top layer and all encoders.
 
     Masks are frozen: compaction is structural, so dropped variables can
-    never re-enter. Early stopping mirrors the MLR trainer (best validation
-    snapshot, ties to the earlier epoch); with max_epochs = 0 the returned
-    model carries the input parameters unchanged. rng shuffles the
-    examples. Parameters that stop being finite raise DivergenceError at
-    the end of that epoch. The input model is left untouched.
+    never re-enter. The training rows are compacted through layer 1's mask
+    and given one-hot targets once per fit. Early stopping mirrors the MLR
+    trainer (best validation snapshot, ties to the earlier epoch); with
+    max_epochs = 0 the returned model carries the input parameters
+    unchanged. rng shuffles the examples. Parameters that stop being
+    finite raise DivergenceError at the end of that epoch. The input model
+    is left untouched.
     """
     if train.n == 0:
         raise DataError("cannot fine-tune on an empty dataset")
@@ -187,8 +205,10 @@ def fine_tune(m: StackModel, train: Dataset, valid: Dataset,
     tuned = copy.deepcopy(m)
     tuned.fine_tuned = True
     sgd("fine-tuning", fine_tune_params(tuned),
-        lambda xb, yb: classification_grads(tuned, xb, yb),
-        cfg.learning_rate, (train.x, train.labels), cfg.max_epochs, rng,
+        lambda cb, tb: classification_grads(tuned, cb, tb),
+        cfg.learning_rate, (_layer1_input(tuned, train.x),
+                            one_hot(train.labels, tuned.top.k)),
+        cfg.max_epochs, rng,
         score=lambda: float(np.mean(predict_labels(tuned, valid.x)
                                     != valid.labels)),
         patience=cfg.patience)

@@ -25,7 +25,7 @@ from sdae_ivs.errors import OverThresholdError
 from sdae_ivs.ivs import (IvsConfig, normal_vector, run_ivs, task_importance,
                           update_mask)
 from sdae_ivs.mlr import (MlrModel, TrainConfig, batch_grads, cross_entropy,
-                          evaluate, wald_halfwidth)
+                          evaluate, one_hot, wald_halfwidth)
 from sdae_ivs.numerics import derive_rng, make_rng, softmax
 from sdae_ivs.stack import (StackConfig, StackLayer, StackModel,
                             classification_grads, fine_tune, fine_tune_params,
@@ -107,7 +107,8 @@ def test_criterion_2_gradient_oracles():
                      (int(rng.integers(1, 9)), 0.1)][seed % 3]
         x = rng.uniform(size=(batch, mm))
         labels = rng.integers(1, k + 1, size=batch)
-        gw, gb = batch_grads(model.weights, model.biases, x, labels, l2)
+        gw, gb = batch_grads(model.weights, model.biases, x,
+                             one_hot(labels, k), l2)
 
         def f():
             return cross_entropy(model, x, labels, l2)
@@ -153,7 +154,8 @@ def test_criterion_2_gradient_oracles():
         batch = 1 if seed % 2 else int(rng.integers(2, 9))
         x = rng.uniform(size=(batch, 6))
         labels = rng.integers(1, k + 1, size=batch)
-        gradients = classification_grads(stack, x, labels)
+        gradients = classification_grads(stack, compact(x, mask1),
+                                         one_hot(labels, k))
 
         def f():
             total = 0.0

@@ -266,6 +266,12 @@ class TestConfigKeys:
         off = self.without_shape(tmp_path, 0, "false")
         assert load_config(off).variable_shape is None
 
+    def test_run_without_shape_makes_no_images_directory(self, tmp_path):
+        patched = self.without_shape(tmp_path, 0, "false")
+        assert run_cli("run", "--config", patched, "--out", tmp_path / "o") == 0
+        assert (tmp_path / "o" / "report.json").is_file()
+        assert not (tmp_path / "o" / "images").exists()
+
     def test_negative_reconstruct_examples_rejected(self, tmp_path, capsys):
         assert self.run_patched(tmp_path, "reconstruct_examples = 6",
                                 "reconstruct_examples = -4") == 1
@@ -320,6 +326,58 @@ def test_importing_the_package_loads_no_numpy():
     env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
     assert subprocess.run([sys.executable, "-c", code],
                           env=env).returncode == 0
+
+
+WIDE = """
+[data]
+source = synthetic
+relevant = 100
+irrelevant = 684
+classes = 3
+separation = 3.0
+feature_noise_sd = 0.4
+train_size = 300
+valid_size = 100
+test_size = 100
+[stack]
+depths = 1
+variants = sdae
+[dae]
+hidden_units = 100
+noise_sd = 0.2
+learning_rate = 0.1
+epochs = 1
+[ivs]
+threshold = 0.3
+learning_rate = 0.1
+[finetune]
+learning_rate = 0.1
+max_epochs = 2
+patience = 2
+"""
+
+
+def test_run_is_byte_identical_on_one_and_two_blas_threads(tmp_path):
+    # The (300 x 784)(784 x 100) encode of the training split sums in a
+    # different order on two OpenBLAS threads; the CLI pins one.
+    config = tmp_path / "wide.ini"
+    config.write_text(WIDE)
+    outputs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": str(REPO / "src"),
+               "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
+               "MKL_NUM_THREADS": threads}
+        out = tmp_path / f"threads{threads}"
+        subprocess.run([sys.executable, "-m", "sdae_ivs", "run", "--config",
+                        str(config), "--out", str(out)], env=env, check=True,
+                       stdout=subprocess.DEVNULL)
+        outputs.append(out)
+    names = ["report.json"] + [f"models/{p.name}" for p in
+                               sorted((outputs[0] / "models").iterdir())]
+    assert len(names) == 3
+    for name in names:
+        assert (outputs[0] / name).read_bytes() == \
+            (outputs[1] / name).read_bytes(), name
 
 
 class TestAmatPlumbing:

@@ -9,7 +9,7 @@ from sdae_ivs.dae import (CROSS_ENTROPY, IDENTITY, SIGMOID, SQUARED, DaeModel,
 from sdae_ivs.data import Dataset
 from sdae_ivs.errors import ConfigError, DivergenceError
 from sdae_ivs.numerics import make_rng
-from util import central_diff, grads_close
+from util import central_diff, grads_close, per_step_train_dae
 
 
 def tiny_model(seed=0, h=3, m=4, decoder=SIGMOID):
@@ -173,6 +173,18 @@ class TestTraining:
         assert np.array_equal(a.weights, b.weights)
         assert np.array_equal(a.encoder_bias, b.encoder_bias)
         assert np.array_equal(a.decoder_bias, b.decoder_bias)
+
+    @pytest.mark.parametrize("kind,decoder", [(CROSS_ENTROPY, SIGMOID),
+                                              (SQUARED, IDENTITY)])
+    def test_matches_the_per_step_reference_bit_for_bit(self, kind, decoder):
+        d = Dataset(make_rng(14).uniform(size=(23, 7)), np.ones(23, dtype=int), 1)
+        cfg = DaeTrainConfig(hidden_units=5, noise_sd=0.3, learning_rate=0.1,
+                             epochs=3, loss_kind=kind, decoder_activation=decoder)
+        model = train_dae(d, cfg, make_rng(8))
+        reference = per_step_train_dae(d, cfg, make_rng(8))
+        assert np.array_equal(model.weights, reference.weights)
+        assert np.array_equal(model.encoder_bias, reference.encoder_bias)
+        assert np.array_equal(model.decoder_bias, reference.decoder_bias)
 
     def test_overflowing_learning_rate_raises_with_the_epoch(self):
         d = Dataset(make_rng(13).uniform(size=(12, 5)), np.ones(12, dtype=int), 1)

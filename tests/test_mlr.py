@@ -4,10 +4,10 @@ import pytest
 from sdae_ivs.data import Dataset
 from sdae_ivs.errors import DataError, DivergenceError
 from sdae_ivs.mlr import (ErrorReport, MlrModel, TrainConfig, batch_grads,
-                          cross_entropy, evaluate, predict_labels, train_mlr,
-                          wald_halfwidth)
+                          cross_entropy, evaluate, one_hot, predict_labels,
+                          train_mlr, wald_halfwidth)
 from sdae_ivs.numerics import make_rng, softmax
-from util import central_diff, grads_close, random_mlr
+from util import central_diff, grads_close, per_step_train_mlr, random_mlr
 
 
 class TestPredict:
@@ -41,7 +41,8 @@ class TestGradients:
             model = random_mlr(seed + 100, k, mm, scale=0.7)
             x = rng.uniform(size=(batch, mm))
             labels = rng.integers(1, k + 1, size=batch)
-            gw, gb = batch_grads(model.weights, model.biases, x, labels, l2)
+            gw, gb = batch_grads(model.weights, model.biases, x,
+                                 one_hot(labels, k), l2)
 
             def f():
                 return cross_entropy(model, x, labels, l2)
@@ -58,7 +59,8 @@ class TestGradients:
             label = rng.integers(1, k + 1, size=1)
             delta = softmax(x @ model.weights.T + model.biases)[0]
             delta[label[0] - 1] -= 1.0
-            gw, gb = batch_grads(model.weights, model.biases, x, label, 0.0)
+            gw, gb = batch_grads(model.weights, model.biases, x,
+                                 one_hot(label, k), 0.0)
             assert np.array_equal(gw, np.outer(delta, x[0]))
             assert np.array_equal(gb, delta)
 
@@ -82,6 +84,20 @@ class TestTraining:
         b = train_mlr(d, d, cfg, make_rng(9))
         assert np.array_equal(a.weights, b.weights)
         assert np.array_equal(a.biases, b.biases)
+
+    @pytest.mark.parametrize("batch,l2", [(1, 0.0), (5, 0.01)])
+    def test_matches_the_per_step_reference_bit_for_bit(self, batch, l2):
+        rng = make_rng(6)
+        x = rng.uniform(size=(52, 9))
+        labels = 1 + (x[:, 0] > 0.5) + 2 * (x[:, 1] > 0.5)
+        train, valid = Dataset(x[:37], labels[:37], 4), \
+            Dataset(x[37:], labels[37:], 4)
+        cfg = TrainConfig(0.3, 8, 8, minibatch_size=batch, l2=l2)
+        model = train_mlr(train, valid, cfg, make_rng(7))
+        reference = per_step_train_mlr(train, valid, cfg, make_rng(7))
+        assert np.any(model.weights != 0.0)
+        assert np.array_equal(model.weights, reference.weights)
+        assert np.array_equal(model.biases, reference.biases)
 
     def test_returns_best_validation_snapshot(self):
         rng = make_rng(4)

@@ -196,6 +196,34 @@ class TestSgd:
         for epoch in (seen[:3], seen[3:]):
             assert sum(epoch, []) == reference.permutation(n).tolist()
 
+    def test_per_epoch_hook_runs_after_the_permutation_before_the_steps(self):
+        # The hook sees the epoch's gathered rows and draws from the same
+        # rng, so the stream must read permutation, draw, permutation, ...
+        n, rng, events = 4, make_rng(4), []
+        x = np.arange(n, dtype=np.float64)
+
+        def per_epoch(xs):
+            events.append(("epoch", xs.tolist()))
+            return (rng.normal(size=xs.shape),)
+
+        def grads(xb, noise):
+            events.append(("step", xb.tolist(), noise.tolist()))
+            return [np.zeros(1)]
+
+        sgd("toy training", [np.zeros(1)], grads, 1.0, (x,), 2, rng,
+            per_epoch=per_epoch)
+        reference, expected = make_rng(4), []
+        for _ in range(2):
+            order = x[reference.permutation(n)]
+            noise = reference.normal(size=n)
+            expected.append(("epoch", order.tolist()))
+            expected += [("step", [o], [z]) for o, z in zip(order, noise)]
+        assert events == expected
+
+    def test_zero_epochs_never_calls_the_per_epoch_hook(self):
+        assert sgd("toy training", [np.zeros(1)], pytest.fail, 1.0,
+                   (np.arange(3),), 0, make_rng(0), per_epoch=pytest.fail) == []
+
     def test_one_step_is_p_minus_learning_rate_times_g(self):
         rng = make_rng(5)
         params = [rng.normal(size=(3, 4)), rng.normal(size=3)]

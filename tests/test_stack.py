@@ -8,14 +8,14 @@ from sdae_ivs.data import (Dataset, SyntheticSpec, VariableMask, compact,
                            expand, gen_synthetic, split)
 from sdae_ivs.errors import DivergenceError
 from sdae_ivs.ivs import IvsConfig
-from sdae_ivs.mlr import MlrModel, TrainConfig, evaluate, train_mlr
+from sdae_ivs.mlr import MlrModel, TrainConfig, evaluate, one_hot, train_mlr
 from sdae_ivs.mlr import predict_labels as mlr_predict_labels
 from sdae_ivs.numerics import derive_rng, make_rng
 from sdae_ivs.stack import (StackConfig, StackLayer, StackModel,
                             classification_grads, fine_tune, fine_tune_params,
                             predict_labels, pretrain, reconstruct_through,
                             select_extractors)
-from util import central_diff, grads_close
+from util import central_diff, grads_close, per_step_fine_tune
 
 EASY = SyntheticSpec(num_relevant=8, num_irrelevant=24, num_classes=3,
                      class_separation=3.0, noise_sd=0.4,
@@ -178,10 +178,26 @@ class TestFineTune:
                     -float(log_softmax(_logits_for_test(model, row))[y - 1])
                     for row, y in zip(x, labels)])
 
-            gradients = classification_grads(model, x, labels)
+            gradients = classification_grads(
+                model, compact(x, model.layers[0].mask), one_hot(labels, 2))
             assert len(gradients) == len(params)
             for g, p in zip(gradients, params):
                 assert grads_close(g, central_diff(f, p))
+
+    def test_matches_the_per_step_reference_bit_for_bit(self):
+        # Layer 1's mask drops a variable, so the compaction is checked.
+        model = toy_stack(25)
+        x = make_rng(26).uniform(size=(40, 6))
+        labels = 1 + (x[:, 0] > 0.5)
+        train, valid = Dataset(x[:30], labels[:30], 2), \
+            Dataset(x[30:], labels[30:], 2)
+        cfg = TrainConfig(0.5, 6, 6)
+        tuned = fine_tune(model, train, valid, cfg, make_rng(3))
+        reference = per_step_fine_tune(model, train, valid, cfg, make_rng(3))
+        assert not np.array_equal(fine_tune_params(tuned)[0],
+                                  fine_tune_params(model)[0])
+        for a, b in zip(fine_tune_params(tuned), fine_tune_params(reference)):
+            assert np.array_equal(a, b)
 
     def test_input_model_is_left_untouched(self):
         model = toy_stack(23)

@@ -1,10 +1,15 @@
 """Shared test helpers: finite differences, reference implementations the
 program is checked against, and small random instances."""
 
+import copy
+
 import numpy as np
 
-from sdae_ivs.mlr import MlrModel
-from sdae_ivs.numerics import make_rng
+from sdae_ivs.dae import encode, grads, init_dae
+from sdae_ivs.data import expand
+from sdae_ivs.mlr import MlrModel, validation_error
+from sdae_ivs.numerics import make_rng, sgd, softmax
+from sdae_ivs.stack import fine_tune_params, predict_labels
 
 
 def central_diff(f, arr: np.ndarray, step: float = 1e-6) -> np.ndarray:
@@ -57,3 +62,83 @@ def discriminant(m: MlrModel, i: int, j: int, x: np.ndarray) -> float:
     return float((diff @ np.asarray(x, dtype=np.float64)
                   + (m.biases[i - 1] - m.biases[j - 1]))
                  / np.linalg.norm(diff))
+
+
+# Per-step references. Each trainer does its parameter-free work (one-hot
+# targets, corruption, layer-1 compaction) once per fit or per epoch; these
+# do it inside every step instead, through the same sgd loop, and the
+# trainers must match them bit for bit.
+
+def label_output_delta(weights, biases, xb, yb):
+    """(softmax - one-hot) / B, subtracting 1 at each 1-based label."""
+    p = softmax(xb @ weights.T + biases)
+    p[np.arange(xb.shape[0]), yb - 1] -= 1.0
+    p /= xb.shape[0]
+    return p
+
+
+def per_step_train_mlr(train, valid, cfg, rng) -> MlrModel:
+    """train_mlr with label-indexed deltas."""
+    weights = np.zeros((train.num_classes, train.m))
+    biases = np.zeros(train.num_classes)
+
+    def step(xb, yb):
+        p = label_output_delta(weights, biases, xb, yb)
+        grad_w = p.T.dot(xb)
+        if cfg.l2 > 0.0:
+            grad_w += cfg.l2 * weights
+        return grad_w, p.sum(axis=0)
+
+    sgd("MLR training", [weights, biases], step, cfg.learning_rate,
+        (train.x, train.labels), cfg.max_epochs, rng,
+        batch=cfg.minibatch_size,
+        score=lambda: validation_error(weights, biases, valid.x, valid.labels),
+        patience=cfg.patience)
+    return MlrModel(weights, biases)
+
+
+def per_step_train_dae(train, cfg, rng):
+    """train_dae drawing each step's corruption as that step's x + noise."""
+    model = init_dae(train.m, cfg, rng)
+
+    def step(x):
+        x_in = x + rng.normal(0.0, cfg.noise_sd, size=x.shape)
+        return grads(model, x, x_in, cfg.loss_kind)
+
+    sgd("DAE pre-training",
+        [model.weights, model.encoder_bias, model.decoder_bias], step,
+        cfg.learning_rate, (train.x,), cfg.epochs, rng)
+    return model
+
+
+def per_step_classification_grads(m, x, labels):
+    """classification_grads on raw rows with labels: a boolean-mask
+    compaction at every layer and label-indexed deltas."""
+    trace, cur = [], x
+    for layer in m.layers:
+        c = cur[..., layer.mask.bits]
+        cur = encode(layer.dae, c)
+        trace.append((c, cur))
+    g = label_output_delta(m.top.weights, m.top.biases, cur, labels)
+    gradients = [g.T.dot(cur), g.sum(axis=0)]
+    delta = g @ m.top.weights
+    for idx in range(len(m.layers) - 1, -1, -1):
+        c, h = trace[idx]
+        da = delta * h * (1.0 - h)
+        gradients[:0] = [da.T.dot(c), da.sum(axis=0)]
+        if idx > 0:
+            delta = expand(da @ m.layers[idx].dae.weights, m.layers[idx].mask)
+    return gradients
+
+
+def per_step_fine_tune(m, train, valid, cfg, rng):
+    """fine_tune stepping along per_step_classification_grads."""
+    tuned = copy.deepcopy(m)
+    tuned.fine_tuned = True
+    sgd("fine-tuning", fine_tune_params(tuned),
+        lambda xb, yb: per_step_classification_grads(tuned, xb, yb),
+        cfg.learning_rate, (train.x, train.labels), cfg.max_epochs, rng,
+        score=lambda: float(np.mean(predict_labels(tuned, valid.x)
+                                    != valid.labels)),
+        patience=cfg.patience)
+    return tuned
