@@ -12,7 +12,7 @@ import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
-from .dae import CROSS_ENTROPY, SIGMOID, DaeTrainConfig
+from .dae import DaeTrainConfig
 from .data import SyntheticSpec
 from .errors import ConfigError
 from .ivs import IvsConfig
@@ -76,6 +76,12 @@ def _boolean(text: str) -> bool:
     return _choice(**configparser.ConfigParser.BOOLEAN_STATES)(text.lower())
 
 
+def _count(text: str) -> int:
+    if int(text) < 0:
+        raise ValueError("must be a non-negative integer")
+    return int(text)
+
+
 def _shape(text: str) -> tuple[int, ...]:
     shape = tuple(int(tok) for tok in text.split())
     if len(shape) != 2 or min(shape) < 1:
@@ -85,8 +91,9 @@ def _shape(text: str) -> tuple[int, ...]:
 
 def _depths(text: str) -> tuple[int, ...]:
     depths = tuple(int(tok) for tok in text.split())
-    if not depths or not all(1 <= d <= MAX_DEPTH for d in depths):
-        raise ValueError(f"must be integers in 1..{MAX_DEPTH}")
+    if (not depths or len(set(depths)) < len(depths)
+            or not all(1 <= d <= MAX_DEPTH for d in depths)):
+        raise ValueError(f"must be distinct integers in 1..{MAX_DEPTH}")
     return depths
 
 
@@ -109,14 +116,14 @@ KEYS = {
         "classes": ("num_classes", int, REQUIRED),
         "separation": ("class_separation", float, REQUIRED),
         "feature_noise_sd": ("noise_sd", float, REQUIRED),
-        **{key: (key, int, REQUIRED) for key in SPLIT_SIZES},
+        **{key: (key, _count, REQUIRED) for key in SPLIT_SIZES},
     },
     "data amat": {
         "train": ("amat_train", Path, REQUIRED),
         "valid": ("amat_valid", Path, None),
         "test": ("amat_test", Path, None),
         "labels": ("zero_based_labels", _choice(zero=True, one=False), "zero"),
-        **{key: (key, int, "0") for key in SPLIT_SIZES},
+        **{key: (key, _count, "0") for key in SPLIT_SIZES},
     },
     "stack": {
         "depths": ("depths", _depths, "1"),
@@ -127,8 +134,6 @@ KEYS = {
         "noise_sd": ("noise_sd", float, REQUIRED),
         "learning_rate": ("learning_rate", float, REQUIRED),
         "epochs": ("epochs", int, REQUIRED),
-        "loss": ("loss_kind", str, CROSS_ENTROPY),
-        "decoder": ("decoder_activation", str, SIGMOID),
     },
     "ivs": {
         "threshold": ("threshold", float, REQUIRED),
@@ -137,7 +142,6 @@ KEYS = {
         "max_epochs": ("max_epochs", int, "50"),
         "patience": ("patience", int, "5"),
         "minibatch_size": ("minibatch_size", int, "1"),
-        "l2": ("l2", float, "0.0"),
     },
     "finetune": {
         "learning_rate": ("learning_rate", float, REQUIRED),
@@ -145,7 +149,7 @@ KEYS = {
         "patience": ("patience", int, "5"),
     },
     "run": {
-        "seed": ("seed", int, "0"),
+        "seed": ("seed", _count, "0"),
         "out": ("out", Path, "runs/out"),
         "reconstruct_examples": ("reconstruct_examples", int, "0"),
         "export_patterns": ("export_patterns", _boolean, "false"),
@@ -233,6 +237,8 @@ def load_config(path, seed_override: int | None = None,
         if run[key] and data["variable_shape"] is None:
             raise ConfigError(f"[run] {key} needs [data] shape to draw images")
     if seed_override is not None:
+        if seed_override < 0:
+            raise ConfigError("--seed must be a non-negative integer")
         run["seed"] = seed_override
     if out_override is not None:
         run["out"] = Path(out_override)

@@ -1,9 +1,10 @@
 """Single denoising auto-encoder with tied weights.
 
 The encoder maps a (possibly corrupted) input through a sigmoid layer; the
-decoder reuses the transpose of the same weight matrix. Training corrupts
-each example with additive Gaussian noise and reconstructs the clean
-original, so one weight matrix receives gradient from both directions.
+sigmoid decoder reuses the transpose of the same weight matrix. Training
+corrupts each example with additive Gaussian noise and reconstructs the
+clean original under a cross-entropy loss, so inputs must lie in [0, 1],
+and one weight matrix receives gradient from both directions.
 """
 
 from __future__ import annotations
@@ -15,11 +16,6 @@ import numpy as np
 from .data import Dataset
 from .errors import ConfigError, DataError, DimensionError
 from .numerics import Rng, sgd, sigmoid
-
-SIGMOID = "sigmoid"
-IDENTITY = "identity"
-CROSS_ENTROPY = "cross_entropy"
-SQUARED = "squared"
 
 
 @dataclass
@@ -33,7 +29,6 @@ class DaeModel:
     weights: np.ndarray
     encoder_bias: np.ndarray
     decoder_bias: np.ndarray
-    decoder_activation: str = SIGMOID
 
     def __post_init__(self):
         self.weights = np.asarray(self.weights, dtype=np.float64)
@@ -42,8 +37,6 @@ class DaeModel:
         h, m = self.weights.shape
         if self.encoder_bias.shape != (h,) or self.decoder_bias.shape != (m,):
             raise DimensionError("bias widths do not match the weight matrix")
-        if self.decoder_activation not in (SIGMOID, IDENTITY):
-            raise ConfigError(f"unknown decoder activation {self.decoder_activation!r}")
 
     @property
     def hidden_units(self) -> int:
@@ -60,8 +53,6 @@ class DaeTrainConfig:
     noise_sd: float
     learning_rate: float
     epochs: int
-    loss_kind: str = CROSS_ENTROPY
-    decoder_activation: str = SIGMOID
 
     def __post_init__(self):
         if self.hidden_units < 1:
@@ -72,10 +63,6 @@ class DaeTrainConfig:
             raise ConfigError("learning_rate must be > 0")
         if self.epochs < 0:
             raise ConfigError("epochs must be >= 0")
-        if self.loss_kind not in (CROSS_ENTROPY, SQUARED):
-            raise ConfigError(f"unknown loss kind {self.loss_kind!r}")
-        if self.loss_kind == CROSS_ENTROPY and self.decoder_activation != SIGMOID:
-            raise ConfigError("cross-entropy needs a sigmoid decoder")
 
 
 def corrupt(x: np.ndarray, noise_sd: float, rng: Rng) -> np.ndarray:
@@ -97,37 +84,27 @@ def encode(m: DaeModel, x: np.ndarray) -> np.ndarray:
 
 
 def decode(m: DaeModel, h: np.ndarray) -> np.ndarray:
-    """Reconstruction through the transposed (tied) weights plus decoder bias."""
+    """Reconstruction: sigmoid of the code through the transposed (tied)
+    weights plus decoder bias."""
     h = np.asarray(h, dtype=np.float64)
     if h.shape[-1] != m.hidden_units:
         raise DimensionError(f"expected code width {m.hidden_units}, got {h.shape[-1]}")
-    z = h @ m.weights + m.decoder_bias
-    if m.decoder_activation == SIGMOID:
-        return sigmoid(z)
-    return z
+    return sigmoid(h @ m.weights + m.decoder_bias)
 
 
-def loss(x: np.ndarray, y: np.ndarray, kind: str = CROSS_ENTROPY) -> float:
-    """Reconstruction error between a clean input and its reconstruction.
-
-    Cross-entropy treats each component as an independent Bernoulli target
-    and needs y strictly inside (0, 1); squared is a plain L2 distance.
-    """
+def loss(x: np.ndarray, y: np.ndarray) -> float:
+    """Cross-entropy between a clean input and its reconstruction, each
+    component an independent Bernoulli target."""
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if x.shape != y.shape:
         raise DimensionError("input and reconstruction widths differ")
-    if kind == SQUARED:
-        diff = x - y
-        return float(diff @ diff)
-    if kind == CROSS_ENTROPY:
-        # Guard against a fully saturated sigmoid producing an exact 0 or 1.
-        yc = np.clip(y, np.finfo(np.float64).tiny, np.nextafter(1.0, 0.0))
-        return float(-(x @ np.log(yc) + (1.0 - x) @ np.log1p(-yc)))
-    raise ConfigError(f"unknown loss kind {kind!r}")
+    # Guard against a fully saturated sigmoid producing an exact 0 or 1.
+    yc = np.clip(y, np.finfo(np.float64).tiny, np.nextafter(1.0, 0.0))
+    return float(-(x @ np.log(yc) + (1.0 - x) @ np.log1p(-yc)))
 
 
-def grads(m: DaeModel, x_clean: np.ndarray, x_in: np.ndarray, kind: str):
+def grads(m: DaeModel, x_clean: np.ndarray, x_in: np.ndarray):
     """Analytic batch-mean gradients (weights, encoder bias, decoder bias)
     of loss(x_clean, reconstruction) over (B, M') rows fed x_in; a batch
     of one is one example.
@@ -137,18 +114,8 @@ def grads(m: DaeModel, x_clean: np.ndarray, x_in: np.ndarray, kind: str):
     direction of train_dae, hence the target of the finite-difference
     oracle.
     """
-    if kind == CROSS_ENTROPY and m.decoder_activation != SIGMOID:
-        raise ConfigError("cross-entropy needs a sigmoid decoder")
     h = encode(m, x_in)
-    y = decode(m, h)
-
-    if kind == CROSS_ENTROPY:
-        dz = y - x_clean
-    elif kind == SQUARED:
-        dy = 2.0 * (y - x_clean)
-        dz = dy * y * (1.0 - y) if m.decoder_activation == SIGMOID else dy
-    else:
-        raise ConfigError(f"unknown loss kind {kind!r}")
+    dz = decode(m, h) - x_clean
     dz /= x_clean.shape[0]
 
     da = dz @ m.weights.T * h * (1.0 - h)
@@ -161,8 +128,7 @@ def init_dae(input_width: int, cfg: DaeTrainConfig, rng: Rng) -> DaeModel:
     """Uniform weights on [-1/sqrt(M'), +1/sqrt(M')], zero biases."""
     bound = 1.0 / np.sqrt(input_width)
     weights = rng.uniform(-bound, bound, size=(cfg.hidden_units, input_width))
-    return DaeModel(weights, np.zeros(cfg.hidden_units), np.zeros(input_width),
-                    cfg.decoder_activation)
+    return DaeModel(weights, np.zeros(cfg.hidden_units), np.zeros(input_width))
 
 
 def train_dae(train: Dataset, cfg: DaeTrainConfig, rng: Rng) -> DaeModel:
@@ -178,13 +144,13 @@ def train_dae(train: Dataset, cfg: DaeTrainConfig, rng: Rng) -> DaeModel:
     """
     if train.n == 0:
         raise DataError("cannot train on an empty dataset")
-    if cfg.loss_kind == CROSS_ENTROPY and (train.x.min() < 0 or train.x.max() > 1):
+    if train.x.min() < 0 or train.x.max() > 1:
         raise DataError("cross-entropy training needs inputs in [0, 1]")
 
     model = init_dae(train.m, cfg, rng)
     sgd("DAE pre-training",
         [model.weights, model.encoder_bias, model.decoder_bias],
-        lambda x, x_in: grads(model, x, x_in, cfg.loss_kind),
+        lambda x, x_in: grads(model, x, x_in),
         cfg.learning_rate, (train.x,), cfg.epochs, rng,
         per_epoch=lambda x: (corrupt(x, cfg.noise_sd, rng),))
     return model

@@ -40,23 +40,20 @@ class MlrModel:
 class TrainConfig:
     """SGD hyper-parameters shared by the pre-classifier and the top layer.
 
-    patience counts epochs without a validation improvement before stopping;
-    l2 defaults to 0 because early stopping is the overfitting control.
+    patience counts epochs without a validation improvement before stopping,
+    the one overfitting control.
     """
 
     learning_rate: float
     max_epochs: int
     patience: int
     minibatch_size: int = 1
-    l2: float = 0.0
 
     def __post_init__(self):
         if self.learning_rate <= 0:
             raise ConfigError("learning_rate must be > 0")
         if self.max_epochs < 0 or self.patience < 1 or self.minibatch_size < 1:
             raise ConfigError("epochs/patience/minibatch_size out of range")
-        if self.l2 < 0:
-            raise ConfigError("l2 must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -91,14 +88,12 @@ def predict_labels(m: MlrModel, x: np.ndarray) -> np.ndarray:
     return np.argmax(logits, axis=1) + 1
 
 
-def cross_entropy(m: MlrModel, x: np.ndarray, labels: np.ndarray,
-                  l2: float = 0.0) -> float:
-    """Mean negative log posterior of the true classes over a batch, plus
-    0.5 * l2 * ||W||^2: the objective batch_grads differentiates."""
+def cross_entropy(m: MlrModel, x: np.ndarray, labels: np.ndarray) -> float:
+    """Mean negative log posterior of the true classes over a batch: the
+    objective batch_grads differentiates."""
     logp = log_softmax(np.asarray(x, dtype=np.float64) @ m.weights.T + m.biases)
     labels = np.asarray(labels)
-    loss = -float(np.mean(logp[np.arange(labels.size), labels - 1]))
-    return loss + 0.5 * l2 * float(np.sum(m.weights * m.weights))
+    return -float(np.mean(logp[np.arange(labels.size), labels - 1]))
 
 
 def one_hot(labels: np.ndarray, k: int) -> np.ndarray:
@@ -118,15 +113,12 @@ def output_delta(weights, biases, xb, tb):
     return p
 
 
-def batch_grads(weights, biases, xb, tb, l2):
+def batch_grads(weights, biases, xb, tb):
     """Gradients (d_weights, d_biases) of cross_entropy over the batch xb
     with one-hot targets tb: the one step direction of train_mlr, and the
     function the finite-difference oracle checks."""
     p = output_delta(weights, biases, xb, tb)
-    grad_w = p.T.dot(xb)
-    if l2 > 0.0:
-        grad_w += l2 * weights
-    return grad_w, np.add.reduce(p, axis=0)
+    return p.T.dot(xb), np.add.reduce(p, axis=0)
 
 
 def validation_error(weights, biases, x, labels) -> float:
@@ -156,7 +148,7 @@ def train_mlr(train: Dataset, valid: Dataset, cfg: TrainConfig, rng: Rng,
     weights = np.zeros((train.num_classes, train.m))
     biases = np.zeros(train.num_classes)
     history = sgd("MLR training", [weights, biases],
-                  lambda xb, tb: batch_grads(weights, biases, xb, tb, cfg.l2),
+                  lambda xb, tb: batch_grads(weights, biases, xb, tb),
                   cfg.learning_rate,
                   (train.x, one_hot(train.labels, train.num_classes)),
                   cfg.max_epochs,

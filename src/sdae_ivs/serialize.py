@@ -20,7 +20,8 @@ from .mlr import MlrModel
 from .stack import StackLayer, StackModel
 
 FORMAT = "sdae-ivs-model"
-VERSION = 3
+# Version 4: every decoder is a sigmoid; a version-3 file may name another.
+VERSION = 4
 
 
 def _pack(arr: np.ndarray) -> dict:
@@ -53,7 +54,6 @@ def save_stack(path, m: StackModel) -> None:
         "weights": _pack(layer.dae.weights),
         "encoder_bias": _pack(layer.dae.encoder_bias),
         "decoder_bias": _pack(layer.dae.decoder_bias),
-        "decoder_activation": layer.dae.decoder_activation,
         # The training-time mask makes the record's widths self-describing.
         "mask": pack_mask(layer.mask),
     } for layer in m.layers]
@@ -73,7 +73,7 @@ def load_stack(path) -> StackModel:
                          f"this program reads version {VERSION}")
     layers = [StackLayer(unpack_mask(layer["mask"]), DaeModel(
         _unpack(layer["weights"]), _unpack(layer["encoder_bias"]),
-        _unpack(layer["decoder_bias"]), layer["decoder_activation"]))
+        _unpack(layer["decoder_bias"])))
         for layer in rec["layers"]]
     top = rec["top"]
     return StackModel(layers, MlrModel(_unpack(top["weights"]),

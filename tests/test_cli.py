@@ -135,8 +135,7 @@ class TestDivergence:
         patched = tmp_path / "diverge.ini"
         patched.write_text(SMOKE.read_text().replace(
             "learning_rate = 0.1\nepochs = 5",
-            "learning_rate = 1e300\nepochs = 5\nloss = squared\n"
-            "decoder = identity"))
+            "learning_rate = 1e308\nepochs = 5"))
         assert run_cli("run", "--config", patched, "--out", tmp_path / "o") == 3
         err = capsys.readouterr().err
         assert err.startswith("error: layer 1: DAE pre-training diverged at "
@@ -224,6 +223,48 @@ class TestConfigKeys:
         assert self.run_patched(tmp_path, old, new) == 1
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and message in err
+
+    @pytest.mark.parametrize("old,new,named", [
+        ("relevant = 6", "relevant = 0", "num_relevant must be >= 1"),
+        ("classes = 3", "classes = 1", "num_classes must be >= 2"),
+        ("separation = 3.0", "separation = 0", "class_separation must be > 0"),
+        ("feature_noise_sd = 0.4", "feature_noise_sd = -1", "noise_sd must be"),
+        ("train_size = 120", "train_size = -5", "[data] train_size: '-5'"),
+        (None, "source = amat\ntrain = nowhere/a.amat\n"
+         "test = nowhere/b.amat\ntest_size = -1\n", "[data] test_size: '-1'"),
+        ("seed = 42", "seed = -1", "[run] seed: '-1'"),
+        ("depths = 1", "depths = 1 1", "[stack] depths: '1 1' (must be dis"),
+    ], ids=["relevant", "classes", "separation", "feature_noise_sd",
+            "train_size", "amat_test_size", "seed", "repeated_depth"])
+    def test_value_mistake_is_a_config_error_naming_the_key(
+            self, tmp_path, capsys, old, new, named):
+        if old is None:
+            # Swap the synthetic keys of [data] for amat ones; shape stays.
+            old, new = SMOKE.read_text().split("shape")[0], f"[data]\n{new}"
+        assert self.run_patched(tmp_path, old, new) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and named in err
+
+    # Each line sets a removed key to its former default.
+    @pytest.mark.parametrize("section,line", [
+        ("dae", "loss = cross_entropy"), ("dae", "decoder = sigmoid"),
+        ("dae.1", "loss = cross_entropy"), ("ivs", "l2 = 0.0"),
+        ("ivs.1", "l2 = 0.0"),
+    ])
+    def test_removed_objective_keys_are_unknown(self, tmp_path, capsys,
+                                                section, line):
+        old = "[run]\n" if "." in section else f"[{section}]\n"
+        new = f"[{section}]\n{line}\n" + (f"\n{old}" if "." in section else "")
+        assert self.run_patched(tmp_path, old, new) == 1
+        assert f"unknown key [{section}] {line.split()[0]}" in \
+            capsys.readouterr().err
+
+    def test_negative_seed_flag_rejected_naming_it(self, tmp_path, capsys):
+        assert run_cli("run", "--config", SMOKE, "--seed", -1,
+                       "--out", tmp_path / "o") == 1
+        assert "--seed must be a non-negative integer" in \
+            capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_section_beyond_the_deepest_layer_rejected(self, tmp_path, capsys):
         assert self.run_patched(tmp_path, "[run]\n",

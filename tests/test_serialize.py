@@ -37,14 +37,14 @@ def test_mlr_round_trip_is_bit_exact(tmp_path):
 
 def test_dae_round_trip_with_mask(tmp_path):
     model = DaeModel(rng.normal(size=(2, 3)), rng.normal(size=2),
-                     rng.normal(size=3), "identity")
+                     rng.normal(size=3))
     mask = VariableMask(np.array([0, 1, 1, 0, 1], dtype=bool))
     top = MlrModel(rng.normal(size=(2, 2)), rng.normal(size=2))
     path = tmp_path / "d.json"
     save_stack(path, StackModel([StackLayer(mask, model)], top))
     (loaded,) = load_stack(path).layers
     assert np.array_equal(loaded.dae.weights, model.weights)
-    assert loaded.dae.decoder_activation == "identity"
+    assert np.array_equal(loaded.dae.decoder_bias, model.decoder_bias)
     assert loaded.mask == mask
 
 

@@ -84,10 +84,7 @@ def per_step_train_mlr(train, valid, cfg, rng) -> MlrModel:
 
     def step(xb, yb):
         p = label_output_delta(weights, biases, xb, yb)
-        grad_w = p.T.dot(xb)
-        if cfg.l2 > 0.0:
-            grad_w += cfg.l2 * weights
-        return grad_w, p.sum(axis=0)
+        return p.T.dot(xb), p.sum(axis=0)
 
     sgd("MLR training", [weights, biases], step, cfg.learning_rate,
         (train.x, train.labels), cfg.max_epochs, rng,
@@ -103,7 +100,7 @@ def per_step_train_dae(train, cfg, rng):
 
     def step(x):
         x_in = x + rng.normal(0.0, cfg.noise_sd, size=x.shape)
-        return grads(model, x, x_in, cfg.loss_kind)
+        return grads(model, x, x_in)
 
     sgd("DAE pre-training",
         [model.weights, model.encoder_bias, model.decoder_bias], step,
