@@ -158,9 +158,11 @@ KEYS = {
 
 
 def _fields(parser: configparser.ConfigParser, table: str,
-            *sections: str) -> dict:
-    """{field: value} for every key of KEYS[table], read from the INI
-    sections in order, a later section overriding an earlier one."""
+            *sections: str, build=dict):
+    """build(**{field: value}) over every key of KEYS[table], read from the
+    INI sections in order, a later section overriding an earlier one. The
+    range checks of the built dataclasses start their messages with the
+    field; such an error is raised again naming the INI section and key."""
     found = {}
     for sec in filter(parser.has_section, sections):
         found.update((key, (sec, text)) for key, text in parser[sec].items())
@@ -174,7 +176,24 @@ def _fields(parser: configparser.ConfigParser, table: str,
         except ValueError as exc:
             raise ConfigError(f"bad value for [{sec}] {key}: {text!r} "
                               f"({exc})") from exc
-    return fields
+    try:
+        return build(**fields)
+    except ConfigError as exc:
+        field, _, rule = str(exc).partition(" ")
+        keys = [k for k, spec in KEYS[table].items() if spec[0] == field]
+        if not keys:
+            raise
+        sec = found[keys[0]][0] if keys[0] in found else sections[0]
+        raise ConfigError(f"[{sec}] {keys[0]} {rule}") from exc
+
+
+def _synthetic(train_size, valid_size, test_size, **spec) -> SyntheticSpec:
+    return SyntheticSpec(**spec, examples_per_split=(train_size, valid_size,
+                                                     test_size))
+
+
+def _selection(threshold, max_iterations, **trainer) -> IvsConfig:
+    return IvsConfig(threshold, max_iterations, TrainConfig(**trainer))
 
 
 def load_config(path, seed_override: int | None = None,
@@ -209,27 +228,24 @@ def load_config(path, seed_override: int | None = None,
             if key not in known[sec]:
                 raise ConfigError(f"unknown key [{sec}] {key}")
 
-    given = _fields(parser, source, "data")
     if data["source"] == "synthetic":
-        sizes = tuple(given.pop(key) for key in SPLIT_SIZES)
-        given = {"synthetic": SyntheticSpec(**given, examples_per_split=sizes)}
-    elif given["amat_valid"] is None:
-        if given["valid_size"] <= 0:
-            raise ConfigError("[data] needs either a valid file or valid_size")
-        if given["train_size"] <= 0:
-            raise ConfigError("[data] needs train_size when the train file "
-                              "also holds the validation split")
-    elif given["amat_test"] is None:
-        raise ConfigError("[data] needs a test file when valid is a file")
+        given = {"synthetic": _fields(parser, source, "data", build=_synthetic)}
+    else:
+        given = _fields(parser, source, "data")
+        if given["amat_valid"] is None:
+            if given["valid_size"] <= 0:
+                raise ConfigError("[data] needs either a valid file or "
+                                  "valid_size")
+            if given["train_size"] <= 0:
+                raise ConfigError("[data] needs train_size when the train "
+                                  "file also holds the validation split")
+        elif given["amat_test"] is None:
+            raise ConfigError("[data] needs a test file when valid is a file")
 
-    dae = tuple(DaeTrainConfig(**_fields(parser, "dae", "dae", f"dae.{n}"))
+    dae = tuple(_fields(parser, "dae", "dae", f"dae.{n}", build=DaeTrainConfig)
                 for n in layers)
-    ivs = []
-    for n in layers:
-        fields = _fields(parser, "ivs", "ivs", f"ivs.{n}")
-        ivs.append(IvsConfig(fields.pop("threshold"),
-                             fields.pop("max_iterations"),
-                             TrainConfig(**fields)))
+    ivs = tuple(_fields(parser, "ivs", "ivs", f"ivs.{n}", build=_selection)
+                for n in layers)
     run = _fields(parser, "run", "run")
     if run["reconstruct_examples"] < 0:
         raise ConfigError("[run] reconstruct_examples must be >= 0")
@@ -243,8 +259,8 @@ def load_config(path, seed_override: int | None = None,
     if out_override is not None:
         run["out"] = Path(out_override)
     cfg = ExperimentConfig(
-        **data, **stack, **run, **given, dae=dae, ivs=tuple(ivs),
-        fine_tune=TrainConfig(**_fields(parser, "finetune", "finetune")),
+        **data, **stack, **run, **given, dae=dae, ivs=ivs,
+        fine_tune=_fields(parser, "finetune", "finetune", build=TrainConfig),
     )
     if paper_grid:
         validate_paper_grid(cfg)

@@ -108,7 +108,7 @@ class SyntheticSpec:
         if self.noise_sd < 0:
             raise ConfigError("noise_sd must be >= 0")
         if any(s < 0 for s in self.examples_per_split):
-            raise ConfigError("split sizes must be >= 0")
+            raise ConfigError("examples_per_split must be >= 0")
 
     @property
     def m(self) -> int:

@@ -20,7 +20,7 @@ from .data import Dataset, VariableMask, compact_dataset, expand
 from .errors import (ConfigError, DegenerateModelError, DimensionError,
                      OverThresholdError)
 from .mlr import MlrModel, TrainConfig, train_mlr, validation_error
-from .numerics import Rng, make_rng
+from .numerics import Rng
 
 
 @dataclass(frozen=True)
@@ -135,7 +135,8 @@ def run_ivs(train: Dataset, valid: Dataset, cfg: IvsConfig, rng: Rng) -> IvsResu
     pre-classifier never beat the all-zero model, so no variable can be
     scored, or (d) the iteration cap is reached. The returned mask is the
     one produced by the best-validation iteration (every variable if none
-    was accepted), which makes stopping on (b) and (c) safe.
+    was accepted), which makes stopping on (b) and (c) safe. Every
+    pre-classifier shuffles from rng, one after the other.
     """
     mask = VariableMask.all_ones(train.m)
     prev_mask: VariableMask | None = None
@@ -145,8 +146,8 @@ def run_ivs(train: Dataset, valid: Dataset, cfg: IvsConfig, rng: Rng) -> IvsResu
 
     for iteration in range(1, cfg.max_iterations + 1):
         kept_valid = compact_dataset(valid, mask)
-        model = train_mlr(compact_dataset(train, mask), kept_valid, cfg.mlr,
-                          make_rng(int(rng.integers(0, 2**63))))
+        model = train_mlr(compact_dataset(train, mask), kept_valid,
+                          cfg.mlr, rng)
         err = validation_error(model.weights, model.biases, kept_valid.x,
                                kept_valid.labels)
         try:

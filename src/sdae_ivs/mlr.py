@@ -9,7 +9,7 @@ import numpy as np
 
 from .data import Dataset
 from .errors import ConfigError, DataError, DimensionError
-from .numerics import Rng, log_softmax, sgd, softmax
+from .numerics import Rng, sgd, softmax
 
 
 @dataclass
@@ -52,8 +52,12 @@ class TrainConfig:
     def __post_init__(self):
         if self.learning_rate <= 0:
             raise ConfigError("learning_rate must be > 0")
-        if self.max_epochs < 0 or self.patience < 1 or self.minibatch_size < 1:
-            raise ConfigError("epochs/patience/minibatch_size out of range")
+        if self.max_epochs < 0:
+            raise ConfigError("max_epochs must be >= 0")
+        if self.patience < 1:
+            raise ConfigError("patience must be >= 1")
+        if self.minibatch_size < 1:
+            raise ConfigError("minibatch_size must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -88,14 +92,6 @@ def predict_labels(m: MlrModel, x: np.ndarray) -> np.ndarray:
     return np.argmax(logits, axis=1) + 1
 
 
-def cross_entropy(m: MlrModel, x: np.ndarray, labels: np.ndarray) -> float:
-    """Mean negative log posterior of the true classes over a batch: the
-    objective batch_grads differentiates."""
-    logp = log_softmax(np.asarray(x, dtype=np.float64) @ m.weights.T + m.biases)
-    labels = np.asarray(labels)
-    return -float(np.mean(logp[np.arange(labels.size), labels - 1]))
-
-
 def one_hot(labels: np.ndarray, k: int) -> np.ndarray:
     """(N, K) targets with a 1 at each 1-based label's column."""
     return np.eye(k)[labels - 1]
@@ -104,8 +100,10 @@ def one_hot(labels: np.ndarray, k: int) -> np.ndarray:
 def output_delta(weights, biases, xb, tb):
     """(softmax - one-hot) / B over the batch xb with one-hot targets tb:
     the derivative of the batch-mean cross-entropy with respect to the
-    logits."""
+    logits. A tb other than (B, K), such as a label vector, raises."""
     z = xb @ weights.T
+    if tb.shape != z.shape:
+        raise DimensionError(f"targets must be one-hot {z.shape}, not {tb.shape}")
     z += biases
     p = softmax(z)
     p -= tb
@@ -114,9 +112,9 @@ def output_delta(weights, biases, xb, tb):
 
 
 def batch_grads(weights, biases, xb, tb):
-    """Gradients (d_weights, d_biases) of cross_entropy over the batch xb
-    with one-hot targets tb: the one step direction of train_mlr, and the
-    function the finite-difference oracle checks."""
+    """Gradients (d_weights, d_biases) of the batch-mean cross-entropy over
+    the batch xb with one-hot targets tb: the one step direction of
+    train_mlr, and the function the finite-difference oracle checks."""
     p = output_delta(weights, biases, xb, tb)
     return p.T.dot(xb), np.add.reduce(p, axis=0)
 

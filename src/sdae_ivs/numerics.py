@@ -14,25 +14,20 @@ from .errors import DivergenceError
 Rng = np.random.Generator
 
 
-def make_rng(seed: int) -> Rng:
-    """Fresh PCG64 generator; identical seed gives the identical stream."""
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+# Phases of the key (layer or depth, phase) that names each training stream.
+IVS, DAE, TOP, FINE_TUNE, EXTRACTORS = 0, 1, 2, 3, 4
 
 
 def derive_rng(master_seed: int, *key: int) -> Rng:
-    """Independent child generator for a (phase, layer, ...) key.
+    """Independent PCG64 generator for a key such as (layer, phase).
 
-    Children with distinct keys are statistically independent, and adding
-    later phases never perturbs the streams of earlier ones.
+    Equal seeds and keys give identical streams, children with distinct
+    keys are statistically independent, and no stream depends on which
+    other streams were drawn first. With no key it is the plain stream of
+    master_seed.
     """
     ss = np.random.SeedSequence(master_seed, spawn_key=tuple(key))
     return np.random.Generator(np.random.PCG64(ss))
-
-
-def derive_seed(master_seed: int, *key: int) -> int:
-    """64-bit seed derived from a master seed and a key, for config plumbing."""
-    ss = np.random.SeedSequence(master_seed, spawn_key=tuple(key))
-    return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
 def check_finite(phase: str, epoch: int, *params: np.ndarray) -> None:
@@ -126,11 +121,4 @@ def softmax(logits):
     np.exp(e, out=e)
     e /= np.add.reduce(e, axis=-1, keepdims=True)
     return e
-
-
-def log_softmax(logits):
-    """Log of softmax, computed without forming small exponentials."""
-    z = np.asarray(logits, dtype=np.float64)
-    shifted = z - z.max(axis=-1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 

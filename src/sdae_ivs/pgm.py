@@ -5,8 +5,6 @@ Values in [0, 1] map linearly onto 0..255; 1 renders white, 0 black.
 
 from __future__ import annotations
 
-from pathlib import Path
-
 import numpy as np
 
 
@@ -20,31 +18,6 @@ def write_pgm(path, image: np.ndarray) -> None:
     with open(path, "wb") as fh:
         fh.write(f"P5\n{w} {h}\n255\n".encode("ascii"))
         fh.write(levels.tobytes())
-
-
-def read_pgm(path) -> np.ndarray:
-    """Read a binary P5 file back into a float array in [0, 1]."""
-    raw = Path(path).read_bytes()
-    fields = []
-    pos = 0
-    while len(fields) < 4:
-        # Header tokens are whitespace-separated; '#' starts a comment line.
-        while pos < len(raw) and raw[pos : pos + 1].isspace():
-            pos += 1
-        if raw[pos : pos + 1] == b"#":
-            while pos < len(raw) and raw[pos : pos + 1] != b"\n":
-                pos += 1
-            continue
-        start = pos
-        while pos < len(raw) and not raw[pos : pos + 1].isspace():
-            pos += 1
-        fields.append(raw[start:pos])
-    if fields[0] != b"P5":
-        raise ValueError(f"{path} is not a binary PGM file")
-    w, h, maxval = int(fields[1]), int(fields[2]), int(fields[3])
-    pos += 1
-    pixels = np.frombuffer(raw, dtype=np.uint8, count=w * h, offset=pos)
-    return pixels.reshape(h, w).astype(np.float64) / maxval
 
 
 def normalize_unit(values: np.ndarray) -> np.ndarray:

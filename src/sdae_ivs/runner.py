@@ -1,10 +1,11 @@
 """Batch experiment driver behind the CLI verbs.
 
-A run loads or synthesizes data, trains SDAE and/or SDAE-IVS stacks at the
-requested depths, evaluates them, and writes a machine-readable report plus
-image/CSV artifacts. Every random stream derives from the master seed with
-a fixed key, so a repeated run reproduces byte-identical outputs; wall time
-lives in a sidecar file to keep the report itself deterministic.
+A run loads or synthesizes data, pre-trains SDAE and/or SDAE-IVS stacks,
+evaluates them at the requested depths, and writes a machine-readable
+report plus image/CSV artifacts. Every random stream derives from the
+master seed with a fixed key, so a repeated run reproduces byte-identical
+outputs; wall time lives in a sidecar file to keep the report itself
+deterministic.
 """
 
 from __future__ import annotations
@@ -21,17 +22,13 @@ from .data import Dataset, gen_synthetic, load_amat, split
 from .errors import DataError
 from .ivs import IvsResult, run_ivs, write_history_csv, write_importance_csv
 from .mlr import evaluate
-from .numerics import derive_rng, derive_seed, make_rng
+from .numerics import EXTRACTORS, FINE_TUNE, IVS, derive_rng
 from .pgm import normalize_unit, tile_grid, write_pgm
 from .serialize import load_stack, pack_mask, save_stack
-from .stack import StackConfig, fine_tune, pretrain, select_extractors
+from .stack import StackConfig, fine_tune, prefix, pretrain, select_extractors
 
-# Master-seed derivation keys; runner-level keys start at 1000 so they can
-# never collide with the (depth, phase) children spawned inside pretrain.
+# The data's key; one entry long, it never equals a (layer, phase) key.
 KEY_DATA = 1000
-KEY_FINETUNE = 1001
-KEY_EXTRACTORS = 1002
-KEY_IVS_CMD = 1003
 
 
 def load_splits(cfg: ExperimentConfig) -> tuple[Dataset, Dataset, Dataset]:
@@ -78,8 +75,9 @@ def _percent(x: float) -> str:
 
 
 def cmd_run(cfg: ExperimentConfig) -> None:
-    """Full protocol: (load | synthesize) -> pretrain -> fine-tune -> evaluate,
-    for every requested depth and variant, writing models and artifacts."""
+    """Full protocol: (load | synthesize) -> pretrain each variant once, to
+    the deepest depth -> per depth: prefix -> fine-tune -> evaluate. Each
+    depth reports what a run of that depth alone reports."""
     started = time.perf_counter()
     train, valid, test = load_splits(cfg)
     if test.n == 0:
@@ -96,16 +94,14 @@ def cmd_run(cfg: ExperimentConfig) -> None:
 
     for variant in cfg.variants:
         results[variant] = {}
+        ivs = cfg.ivs if variant == VARIANT_SDAE_IVS else ()
+        # cfg.dae holds one plan per layer of the deepest requested depth.
+        deepest, ivs_results = pretrain(
+            train, valid, StackConfig(cfg.dae, ivs, cfg.fine_tune), cfg.seed)
         for depth in cfg.depths:
-            ivs = cfg.ivs[:depth] if variant == VARIANT_SDAE_IVS else ()
-            scfg = StackConfig(cfg.dae[:depth], ivs, cfg.fine_tune)
-            # One derivation key per depth, shared by both variants, keeps
-            # the SDAE / SDAE-IVS comparison paired.
-            pre, ivs_results = pretrain(train, valid, scfg,
-                                        derive_rng(cfg.seed, depth))
+            pre = prefix(deepest, depth, train, valid, cfg.fine_tune, cfg.seed)
             tuned = fine_tune(pre, train, valid, cfg.fine_tune,
-                              make_rng(derive_seed(cfg.seed, KEY_FINETUNE,
-                                                   depth)))
+                              derive_rng(cfg.seed, depth, FINE_TUNE))
 
             test_report = evaluate(lambda x: stack_mod.predict_labels(tuned, x), test)
             valid_report = evaluate(lambda x: stack_mod.predict_labels(tuned, x), valid)
@@ -127,12 +123,13 @@ def cmd_run(cfg: ExperimentConfig) -> None:
                 "pretrained_model": str(pre_path.relative_to(out)),
             }
             if ivs_results:
-                entry["ivs_layers"] = _ivs_history_json(ivs_results)
-                artifacts += _write_ivs_artifacts(out, tag, ivs_results, cfg)
+                entry["ivs_layers"] = _ivs_history_json(ivs_results[:depth])
+                artifacts += _write_ivs_artifacts(out, tag,
+                                                  ivs_results[:depth], cfg)
             if cfg.reconstruct_examples:
                 artifacts.append(_write_reconstruction(out, tag, pre, test, cfg))
             if cfg.export_patterns:
-                artifacts += _write_patterns(out, tag, pre, train, valid, cfg, depth)
+                artifacts += _write_patterns(out, tag, pre, train, valid, cfg)
             results[variant][f"depth{depth}"] = entry
 
     body = {"config": config_echo(cfg), "results": results,
@@ -194,9 +191,9 @@ def _write_reconstruction(out: Path, tag: str, pre, test: Dataset, cfg) -> str:
     return str(path.relative_to(out))
 
 
-def _write_patterns(out: Path, tag: str, pre, train, valid, cfg, depth) -> list[str]:
+def _write_patterns(out: Path, tag: str, pre, train, valid, cfg) -> list[str]:
     report = select_extractors(pre, 1, train, valid, cfg.ivs[0],
-                               derive_rng(cfg.seed, KEY_EXTRACTORS, depth))
+                               derive_rng(cfg.seed, 1, EXTRACTORS))
     paths = []
     for name, patterns in (("relevant", report.relevant_patterns),
                            ("irrelevant", report.irrelevant_patterns)):
@@ -221,7 +218,8 @@ def cmd_ivs(cfg: ExperimentConfig) -> IvsResult:
     train, valid, _ = load_splits(cfg)
     out = Path(cfg.out)
     (out / "ivs").mkdir(parents=True, exist_ok=True)
-    result = run_ivs(train, valid, cfg.ivs[0], derive_rng(cfg.seed, KEY_IVS_CMD))
+    # The stream of run's layer-1 selection, so both find the same mask.
+    result = run_ivs(train, valid, cfg.ivs[0], derive_rng(cfg.seed, 1, IVS))
 
     write_history_csv(out / "ivs" / "history.csv", result.history)
     first = result.history[0].importance

@@ -20,7 +20,7 @@ from .errors import ConfigError, DataError, DimensionError, DivergenceError
 from .ivs import IvsConfig, IvsResult, run_ivs
 from .mlr import MlrModel, TrainConfig, one_hot, output_delta, train_mlr
 from .mlr import predict_labels as mlr_predict_labels
-from .numerics import Rng, make_rng, sgd
+from .numerics import DAE, IVS, TOP, Rng, derive_rng, sgd
 
 MAX_DEPTH = 3
 
@@ -80,7 +80,7 @@ class StackConfig:
         return len(self.dae)
 
 
-def pretrain(train: Dataset, valid: Dataset, cfg: StackConfig, rng: Rng
+def pretrain(train: Dataset, valid: Dataset, cfg: StackConfig, seed: int
              ) -> tuple[StackModel, list[IvsResult]]:
     """Greedy layer-wise pre-training with per-layer variable selection.
 
@@ -88,37 +88,57 @@ def pretrain(train: Dataset, valid: Dataset, cfg: StackConfig, rng: Rng
     variables when disabled), compact both splits, train the DAE on the
     survivors, and encode to obtain the next representation. Finally a top
     MLR is trained on the last representation. Returns the model and the
-    selection results (one per layer, none when selection is off). Each
-    phase draws randomness from its own spawned child stream, so adding
-    depth never perturbs the layers below.
+    selection results (one per layer, none when selection is off).
+
+    Layer k's selection and DAE draw from the streams (seed, k, IVS) and
+    (seed, k, DAE), the top MLR from (seed, depth, TOP). So a deeper stack
+    pre-trained from the same seed holds this one's layers as its first
+    ones, and prefix recovers this stack from it.
     """
     cur_train, cur_valid = train, valid
     layers: list[StackLayer] = []
     ivs_results: list[IvsResult] = []
 
-    for idx in range(cfg.depth):
+    for layer, dae_cfg in enumerate(cfg.dae, start=1):
         try:
             if cfg.ivs:
-                ivs_results.append(run_ivs(cur_train, cur_valid, cfg.ivs[idx],
-                                           rng.spawn(1)[0]))
+                ivs_results.append(run_ivs(cur_train, cur_valid,
+                                           cfg.ivs[layer - 1],
+                                           derive_rng(seed, layer, IVS)))
                 mask = ivs_results[-1].mask
             else:
                 mask = VariableMask.all_ones(cur_train.m)
             compact_train = compact_dataset(cur_train, mask)
             compact_valid = compact_dataset(cur_valid, mask)
-            dae_model = train_dae(compact_train, cfg.dae[idx], rng.spawn(1)[0])
+            dae_model = train_dae(compact_train, dae_cfg,
+                                  derive_rng(seed, layer, DAE))
         except DivergenceError as exc:
-            raise DivergenceError(f"layer {idx + 1}: {exc}") from exc
+            raise DivergenceError(f"layer {layer}: {exc}") from exc
         layers.append(StackLayer(mask, dae_model))
 
         cur_train = encode_dataset(dae_model, compact_train)
         cur_valid = encode_dataset(dae_model, compact_valid)
 
     top = train_mlr(cur_train, cur_valid, cfg.fine_tune,
-                    make_rng(int(rng.spawn(1)[0].integers(0, 2**63))))
+                    derive_rng(seed, cfg.depth, TOP))
     model = StackModel(layers, top)
     model.check_widths()
     return model, ivs_results
+
+
+def prefix(m: StackModel, depth: int, train: Dataset, valid: Dataset,
+           cfg: TrainConfig, seed: int) -> StackModel:
+    """m's first `depth` layers under a top MLR trained on their codes from
+    the stream (seed, depth, TOP): what pretrain returns at that depth
+    from the seed that pre-trained m. At m's own depth this is m."""
+    if not 1 <= depth <= m.depth:
+        raise DimensionError(f"depth must lie in 1..{m.depth}")
+    if depth == m.depth:
+        return m
+    codes = [Dataset(_forward(m, d.x, depth), d.labels, d.num_classes)
+             for d in (train, valid)]
+    return StackModel(m.layers[:depth],
+                      train_mlr(*codes, cfg, derive_rng(seed, depth, TOP)))
 
 
 def _encode_layers(layers: list[StackLayer], c: np.ndarray,

@@ -23,13 +23,15 @@ from sdae_ivs.data import (SyntheticSpec, VariableMask, compact, expand,
 from sdae_ivs.errors import OverThresholdError
 from sdae_ivs.ivs import (IvsConfig, normal_vector, run_ivs, task_importance,
                           update_mask)
-from sdae_ivs.mlr import (MlrModel, TrainConfig, batch_grads, cross_entropy,
-                          evaluate, one_hot, wald_halfwidth)
-from sdae_ivs.numerics import derive_rng, make_rng, softmax
+from sdae_ivs.mlr import (MlrModel, TrainConfig, batch_grads, evaluate,
+                          one_hot, wald_halfwidth)
+from sdae_ivs.numerics import FINE_TUNE, derive_rng, softmax
 from sdae_ivs.stack import (StackConfig, StackLayer, StackModel,
                             classification_grads, fine_tune, fine_tune_params,
-                            predict_labels, pretrain, select_extractors)
-from util import central_diff, discriminant, grads_close, random_mlr
+                            predict_labels, prefix, pretrain,
+                            select_extractors)
+from util import (central_diff, cross_entropy, discriminant, grads_close,
+                  random_mlr)
 
 REPO = Path(__file__).resolve().parent.parent
 SMOKE = REPO / "configs" / "smoke_synthetic.ini"
@@ -54,10 +56,11 @@ IVS_TRAINER = TrainConfig(learning_rate=0.1, max_epochs=30, patience=5)
 SELECTION = IvsConfig(threshold=0.3, max_iterations=8, mlr=IVS_TRAINER)
 HIDDEN = (12, 10)
 SEEDS = range(5)
+PAIRED_SEEDS = range(20)
 
 
 def planted_splits(seed):
-    d, truth = gen_synthetic(PLANTED, make_rng(seed))
+    d, truth = gen_synthetic(PLANTED, derive_rng(seed))
     train, valid, test = split(d, PLANTED.examples_per_split[:2])
     return train, valid, test, truth
 
@@ -99,7 +102,7 @@ def test_criterion_2_gradient_oracles():
     batches."""
     step = 1e-6
     for seed in range(20):
-        rng = make_rng(seed)
+        rng = derive_rng(seed)
         k, mm = int(rng.integers(2, 5)), int(rng.integers(2, 11))
         model = random_mlr(300 + seed, k, mm, scale=0.8)
         batch = [1, int(rng.integers(2, 9)),
@@ -116,7 +119,7 @@ def test_criterion_2_gradient_oracles():
         assert grads_close(gb, central_diff(f, model.biases, step))
 
     for seed in range(20):
-        rng = make_rng(1000 + seed)
+        rng = derive_rng(1000 + seed)
         h, mm = int(rng.integers(2, 5)), int(rng.integers(2, 6))
         batch = 1 if seed % 2 else int(rng.integers(2, 9))
         model = DaeModel(rng.normal(scale=0.7, size=(h, mm)),
@@ -135,7 +138,7 @@ def test_criterion_2_gradient_oracles():
         assert grads_close(gbd, central_diff(f, model.decoder_bias, step))
 
     for seed in range(20):
-        rng = make_rng(2000 + seed)
+        rng = derive_rng(2000 + seed)
         k = int(rng.integers(2, 4))
         mask1 = VariableMask(np.array([1, 1, 0, 1, 1, 1], dtype=bool))
         mask2 = VariableMask(np.array([1, 0, 1, 1], dtype=bool))
@@ -179,7 +182,7 @@ def test_criterion_3_sensitivity_oracle():
     step = 1e-6
     worst = 0.0
     for seed in range(50):
-        rng = make_rng(seed)
+        rng = derive_rng(seed)
         k, mm = int(rng.integers(2, 6)), int(rng.integers(2, 10))
         model = random_mlr(5000 + seed, k, mm)
         i = int(rng.integers(1, k + 1))
@@ -218,33 +221,38 @@ def test_criterion_4_planted_recovery():
 
 def test_criterion_5_paired_trend():
     """With identical seeds and budgets, the selecting pipeline's test error
-    is <= the plain pipeline's in at least 4 of 5 seeds at depths 1 and 2,
-    and selection histories shrink monotonically to below the input width."""
-    for depth in (1, 2):
-        wins = 0
-        details = []
-        for seed in SEEDS:
-            train, valid, test, _ = planted_splits(seed)
-            errors = {}
-            for enabled in (False, True):
-                cfg = paired_stack_config(depth, enabled)
-                model, ivs_results = pretrain(train, valid, cfg,
-                                              derive_rng(seed, depth))
-                tuned = fine_tune(model, train, valid,
-                                  TrainConfig(0.1, 10, 3),
-                                  make_rng(seed + 1000))
-                errors[enabled] = evaluate(
+    is <= the plain pipeline's in at least 16 of 20 seeds at depths 1 and 2,
+    and selection histories shrink monotonically to below the input width.
+    As in `run`, each variant pre-trains once per seed at depth 2, and the
+    depth-1 stack is its prefix."""
+    wins = {1: 0, 2: 0}
+    details = {1: [], 2: []}
+    for seed in PAIRED_SEEDS:
+        train, valid, test, _ = planted_splits(seed)
+        errors = {}
+        for enabled in (False, True):
+            cfg = paired_stack_config(2, enabled)
+            deep, ivs_results = pretrain(train, valid, cfg, seed)
+            if enabled:
+                first_layer = ivs_results[0]
+                kept = [item.kept for item in first_layer.history]
+                assert all(a >= b for a, b in zip(kept, kept[1:]))
+                assert first_layer.mask.popcount < train.m
+            for depth in (1, 2):
+                model = prefix(deep, depth, train, valid, cfg.fine_tune, seed)
+                tuned = fine_tune(model, train, valid, cfg.fine_tune,
+                                  derive_rng(seed, depth, FINE_TUNE))
+                errors[enabled, depth] = evaluate(
                     lambda x: predict_labels(tuned, x), test).error_rate
-                if enabled:
-                    first_layer = ivs_results[0]
-                    kept = [item.kept for item in first_layer.history]
-                    assert all(a >= b for a, b in zip(kept, kept[1:]))
-                    assert first_layer.mask.popcount < train.m
-            wins += errors[True] <= errors[False]
-            details.append(f"{100 * errors[False]:.2f}/{100 * errors[True]:.2f}")
-        assert wins >= 4, f"depth {depth}: only {wins}/5 paired wins"
-        announce(5, f"depth {depth}: {wins}/5 wins "
-                    f"(sdae/sdae-ivs % per seed: {'  '.join(details)})")
+        for depth in (1, 2):
+            wins[depth] += errors[True, depth] <= errors[False, depth]
+            details[depth].append(f"{100 * errors[False, depth]:.2f}/"
+                                  f"{100 * errors[True, depth]:.2f}")
+    for depth in (1, 2):
+        assert wins[depth] >= 16, \
+            f"depth {depth}: only {wins[depth]}/20 paired wins"
+        announce(5, f"depth {depth}: {wins[depth]}/20 wins (sdae/sdae-ivs % "
+                    f"per seed: {'  '.join(details[depth])})")
 
 
 def test_criterion_6_extractor_count_trend():
@@ -255,8 +263,7 @@ def test_criterion_6_extractor_count_trend():
     models = {}
     for enabled in (False, True):
         models[enabled], _ = pretrain(train, valid,
-                                      paired_stack_config(1, enabled),
-                                      derive_rng(seed, 1))
+                                      paired_stack_config(1, enabled), seed)
     ratios = []
     for threshold in (0.2, 0.3, 0.4):
         probe = IvsConfig(threshold, 8, IVS_TRAINER)
@@ -300,7 +307,7 @@ class TestCriterion8InvariantSuites:
     @given(st.integers(1, 12), st.integers(0, 2**32 - 1),
            st.floats(0.0, 1.0, allow_nan=False))
     def test_mask_monotonicity(self, m, seed, threshold):
-        rng = make_rng(seed)
+        rng = derive_rng(seed)
         importance = rng.uniform(size=m)
         bits = rng.integers(0, 2, size=m).astype(bool)
         bits[int(rng.integers(0, m))] = True
@@ -341,7 +348,7 @@ class TestCriterion8InvariantSuites:
     @settings(max_examples=80)
     @given(st.integers(1, 12), st.integers(0, 2**32 - 1))
     def test_compact_expand_round_trip(self, m, seed):
-        rng = make_rng(seed)
+        rng = derive_rng(seed)
         x = rng.uniform(size=m)
         bits = rng.integers(0, 2, size=m).astype(bool)
         if not bits.any():
@@ -355,7 +362,7 @@ class TestCriterion8InvariantSuites:
     def test_split_partition(self, a, b, c):
         from sdae_ivs.data import Dataset
         n = a + b + c
-        rng = make_rng(n + 7)
+        rng = derive_rng(n + 7)
         d = Dataset(rng.uniform(size=(n, 3)), rng.integers(1, 4, size=n), 3)
         train, valid, test = split(d, (a, b))
         np.testing.assert_array_equal(

@@ -10,10 +10,13 @@ from pathlib import Path
 
 import pytest
 
+from sdae_ivs import stack
 from sdae_ivs.cli import build_parser, main
 from sdae_ivs.config import KEYS, load_config
+from sdae_ivs.dae import train_dae
 from sdae_ivs.errors import ConfigError
-from sdae_ivs.pgm import read_pgm
+from sdae_ivs.serialize import load_stack, pack_mask
+from util import read_pgm
 
 REPO = Path(__file__).resolve().parent.parent
 SMOKE = REPO / "configs" / "smoke_synthetic.ini"
@@ -102,6 +105,36 @@ class TestDeterminism:
             (smoke_run / "report.json").read_bytes()
 
 
+    def test_each_depth_of_a_multi_depth_run_equals_its_own_run(
+            self, tmp_path, monkeypatch):
+        trained = []
+        monkeypatch.setattr(stack, "train_dae",
+                            lambda *args: trained.append(args) or train_dae(*args))
+        outs = {}
+        for depths in ("1 2", "1", "2"):
+            patched = tmp_path / f"depths-{depths.replace(' ', '')}.ini"
+            patched.write_text(SMOKE.read_text().replace(
+                "depths = 1", f"depths = {depths}"))
+            outs[depths] = tmp_path / patched.stem
+            trained.clear()
+            assert run_cli("run", "--config", patched,
+                           "--out", outs[depths]) == 0
+            if depths == "1 2":
+                # Each variant trains layers 1 and 2 once.
+                assert len(trained) == 4
+        both = json.loads((outs["1 2"] / "report.json").read_text())
+        for depth in ("1", "2"):
+            alone = json.loads((outs[depth] / "report.json").read_text())
+            for variant, entries in alone["results"].items():
+                assert both["results"][variant][f"depth{depth}"] == \
+                    entries[f"depth{depth}"]
+            # Every model, CSV and image of the single-depth run.
+            assert set(alone["artifacts"]) <= set(both["artifacts"])
+            for name in alone["artifacts"]:
+                assert (outs["1 2"] / name).read_bytes() == \
+                    (outs[depth] / name).read_bytes(), name
+
+
 class TestEval:
     def test_reported_rates_reproduce_exactly(self, smoke_run):
         assert run_cli("eval", "--config", SMOKE, "--out", smoke_run) == 0
@@ -153,6 +186,23 @@ class TestIvsCommand:
         assert (out / "ivs" / "importance.pgm").is_file()
         mask = (out / "ivs" / "mask.txt").read_text().strip()
         assert set(mask) <= {"0", "1"} and len(mask) == 30
+
+    def test_selection_is_the_layer1_selection_of_run(self, tmp_path,
+                                                      smoke_run):
+        out = tmp_path / "ivs_out"
+        assert run_cli("ivs", "--config", SMOKE, "--out", out) == 0
+        mask = (out / "ivs" / "mask.txt").read_text().strip()
+        report = json.loads((smoke_run / "report.json").read_text())
+        entry = report["results"]["sdae_ivs"]["depth1"]
+        for key in ("pretrained_model", "model"):
+            model = load_stack(smoke_run / entry[key])
+            assert pack_mask(model.layers[0].mask) == mask
+        # The importances carry the pre-classifiers' bits, so they show
+        # that both verbs drew the same stream, even where masks agree.
+        for name in ("history", "importance"):
+            assert (out / "ivs" / f"{name}.csv").read_bytes() == (
+                smoke_run / "csv" / f"sdae_ivs-depth1-layer1-{name}.csv"
+            ).read_bytes()
 
     def test_zero_threshold_two_iterations(self, tmp_path):
         patched = tmp_path / "zero.ini"
@@ -212,11 +262,21 @@ class TestConfigKeys:
         assert f"[finetune] {line.split()[0]}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("old,new,message", [
-        ("threshold = 0.3", "threshold = 2", "threshold must lie in [0, 1]"),
-        ("max_iterations = 4", "max_iterations = 0", "max_iterations must be >= 1"),
+        ("threshold = 0.3", "threshold = 2", "[ivs] threshold must lie in [0, 1]"),
+        ("max_iterations = 4", "max_iterations = 0",
+         "[ivs] max_iterations must be >= 1"),
         ("max_iterations = 4\nlearning_rate = 0.1",
-         "max_iterations = 4\nlearning_rate = -1", "learning_rate must be > 0"),
-        ("patience = 2", "patience = 0", "epochs/patience/minibatch_size"),
+         "max_iterations = 4\nlearning_rate = -1",
+         "[ivs] learning_rate must be > 0"),
+        ("patience = 2", "patience = 0", "[finetune] patience must be >= 1"),
+        ("[finetune]\nlearning_rate = 0.1", "[finetune]\nlearning_rate = -1",
+         "[finetune] learning_rate must be > 0"),
+        ("max_epochs = 5", "max_epochs = -1", "[finetune] max_epochs must be >= 0"),
+        ("hidden_units = 8", "hidden_units = 0", "[dae] hidden_units must be >= 1"),
+        ("[run]\n", "[dae.1]\nnoise_sd = -1\n\n[run]\n",
+         "[dae.1] noise_sd must be >= 0"),
+        ("[run]\n", "[ivs.1]\nminibatch_size = 0\n\n[run]\n",
+         "[ivs.1] minibatch_size must be >= 1"),
     ])
     def test_out_of_range_trainer_value_is_a_config_error(
             self, tmp_path, capsys, old, new, message):
@@ -225,10 +285,11 @@ class TestConfigKeys:
         assert err.startswith("config error: ") and message in err
 
     @pytest.mark.parametrize("old,new,named", [
-        ("relevant = 6", "relevant = 0", "num_relevant must be >= 1"),
-        ("classes = 3", "classes = 1", "num_classes must be >= 2"),
-        ("separation = 3.0", "separation = 0", "class_separation must be > 0"),
-        ("feature_noise_sd = 0.4", "feature_noise_sd = -1", "noise_sd must be"),
+        ("relevant = 6", "relevant = 0", "[data] relevant must be >= 1"),
+        ("classes = 3", "classes = 1", "[data] classes must be >= 2"),
+        ("separation = 3.0", "separation = 0", "[data] separation must be > 0"),
+        ("feature_noise_sd = 0.4", "feature_noise_sd = -1",
+         "[data] feature_noise_sd must be >= 0"),
         ("train_size = 120", "train_size = -5", "[data] train_size: '-5'"),
         (None, "source = amat\ntrain = nowhere/a.amat\n"
          "test = nowhere/b.amat\ntest_size = -1\n", "[data] test_size: '-1'"),
@@ -426,8 +487,8 @@ class TestAmatPlumbing:
 
     @staticmethod
     def write_amat(path, n, m, seed):
-        from sdae_ivs.numerics import make_rng
-        rng = make_rng(seed)
+        from sdae_ivs.numerics import derive_rng
+        rng = derive_rng(seed)
         rows = []
         for _ in range(n):
             feats = " ".join(f"{v:.4f}" for v in rng.uniform(size=m))

@@ -7,12 +7,12 @@ from sdae_ivs.dae import (DaeModel, DaeTrainConfig, corrupt, decode, encode,
                           encode_dataset, grads, init_dae, loss, train_dae)
 from sdae_ivs.data import Dataset
 from sdae_ivs.errors import DataError, DivergenceError
-from sdae_ivs.numerics import make_rng
+from sdae_ivs.numerics import derive_rng
 from util import central_diff, grads_close, per_step_train_dae
 
 
 def tiny_model(seed=0, h=3, m=4):
-    rng = make_rng(seed)
+    rng = derive_rng(seed)
     return DaeModel(rng.normal(scale=0.8, size=(h, m)),
                     rng.normal(scale=0.5, size=h),
                     rng.normal(scale=0.5, size=m))
@@ -21,30 +21,30 @@ def tiny_model(seed=0, h=3, m=4):
 class TestCorrupt:
     def test_zero_noise_is_identity(self):
         x = np.array([0.1, 0.9])
-        np.testing.assert_array_equal(corrupt(x, 0.0, make_rng(1)), x)
+        np.testing.assert_array_equal(corrupt(x, 0.0, derive_rng(1)), x)
 
     def test_unbiased(self):
         # Componentwise standard error is 0.2/sqrt(1e4) = 0.002.
         x = np.array([0.3, 0.6, 0.9])
-        rng = make_rng(2)
+        rng = derive_rng(2)
         draws = np.stack([corrupt(x, 0.2, rng) for _ in range(10_000)])
         np.testing.assert_allclose(draws.mean(axis=0), x, atol=0.01)
 
     def test_deterministic_under_seed(self):
         x = np.linspace(0, 1, 5)
-        a = corrupt(x, 0.3, make_rng(3))
-        b = corrupt(x, 0.3, make_rng(3))
+        a = corrupt(x, 0.3, derive_rng(3))
+        b = corrupt(x, 0.3, derive_rng(3))
         assert np.array_equal(a, b)
 
     def test_one_row_batch_draws_the_vector_noise(self):
         x = np.linspace(0, 1, 5)
-        a = corrupt(x, 0.3, make_rng(3))
-        b = corrupt(x[None, :], 0.3, make_rng(3))
+        a = corrupt(x, 0.3, derive_rng(3))
+        b = corrupt(x[None, :], 0.3, derive_rng(3))
         assert b.shape == (1, 5) and np.array_equal(a, b[0])
 
     def test_negative_sd_rejected(self):
         with pytest.raises(ValueError):
-            corrupt(np.zeros(2), -0.1, make_rng(0))
+            corrupt(np.zeros(2), -0.1, derive_rng(0))
 
 
 class TestEncodeDecode:
@@ -59,7 +59,7 @@ class TestEncodeDecode:
 
     def test_codes_strictly_inside_unit_interval(self):
         m = tiny_model(4)
-        rng = make_rng(5)
+        rng = derive_rng(5)
         for _ in range(20):
             h = encode(m, rng.uniform(size=4))
             assert np.all(h > 0) and np.all(h < 1)
@@ -89,7 +89,7 @@ class TestLoss:
         assert at < loss(x, np.array([0.4]))
 
     def test_non_negative(self):
-        rng = make_rng(8)
+        rng = derive_rng(8)
         for _ in range(50):
             x = rng.uniform(size=4)
             y = rng.uniform(0.01, 0.99, size=4)
@@ -100,7 +100,7 @@ class TestGradients:
     def test_tied_weight_gradients_match_finite_differences(self):
         for seed, batch in zip(range(6), (1, 5, 1, 5, 1, 5)):
             model = tiny_model(seed, h=3, m=4)
-            rng = make_rng(50 + seed)
+            rng = derive_rng(50 + seed)
             x_clean = rng.uniform(0.05, 0.95, size=(batch, 4))
             x_in = x_clean + rng.normal(0, 0.1, size=(batch, 4))
             gw, gbe, gbd = grads(model, x_clean, x_in)
@@ -128,7 +128,7 @@ class TestTraining:
         # model k is the 10-epoch run's model after its k-th step.
         history = []
         for k in range(cfg.epochs + 1):
-            model = train_dae(d, replace(cfg, epochs=k), make_rng(3))
+            model = train_dae(d, replace(cfg, epochs=k), derive_rng(3))
             history.append(loss(d.x[0], decode(model, encode(model, d.x[0]))))
         assert all(a > b for a, b in zip(history, history[1:]))
 
@@ -138,27 +138,27 @@ class TestTraining:
         d = one_example_dataset()
         cfg = DaeTrainConfig(hidden_units=4, noise_sd=0.0, learning_rate=0.5,
                              epochs=3000)
-        model = train_dae(d, cfg, make_rng(3))
+        model = train_dae(d, cfg, derive_rng(3))
         diff = decode(model, encode(model, d.x[0])) - d.x[0]
         assert diff @ diff < 1e-12
 
     def test_bitwise_deterministic(self):
-        rng = make_rng(11)
+        rng = derive_rng(11)
         d = Dataset(rng.uniform(size=(12, 5)), np.ones(12, dtype=int), 1)
         cfg = DaeTrainConfig(hidden_units=3, noise_sd=0.2, learning_rate=0.1,
                              epochs=4)
-        a = train_dae(d, cfg, make_rng(21))
-        b = train_dae(d, cfg, make_rng(21))
+        a = train_dae(d, cfg, derive_rng(21))
+        b = train_dae(d, cfg, derive_rng(21))
         assert np.array_equal(a.weights, b.weights)
         assert np.array_equal(a.encoder_bias, b.encoder_bias)
         assert np.array_equal(a.decoder_bias, b.decoder_bias)
 
     def test_matches_the_per_step_reference_bit_for_bit(self):
-        d = Dataset(make_rng(14).uniform(size=(23, 7)), np.ones(23, dtype=int), 1)
+        d = Dataset(derive_rng(14).uniform(size=(23, 7)), np.ones(23, dtype=int), 1)
         cfg = DaeTrainConfig(hidden_units=5, noise_sd=0.3, learning_rate=0.1,
                              epochs=3)
-        model = train_dae(d, cfg, make_rng(8))
-        reference = per_step_train_dae(d, cfg, make_rng(8))
+        model = train_dae(d, cfg, derive_rng(8))
+        reference = per_step_train_dae(d, cfg, derive_rng(8))
         assert np.array_equal(model.weights, reference.weights)
         assert np.array_equal(model.encoder_bias, reference.encoder_bias)
         assert np.array_equal(model.decoder_bias, reference.decoder_bias)
@@ -166,12 +166,12 @@ class TestTraining:
     def test_overflowing_learning_rate_raises_with_the_epoch(self):
         # The sigmoid decoder bounds each step's gradient, so only a rate
         # near the largest float overflows the parameters.
-        d = Dataset(make_rng(13).uniform(size=(12, 30)), np.ones(12, dtype=int), 1)
+        d = Dataset(derive_rng(13).uniform(size=(12, 30)), np.ones(12, dtype=int), 1)
         cfg = DaeTrainConfig(hidden_units=3, noise_sd=0.2, learning_rate=1e308,
                              epochs=3)
         with pytest.raises(DivergenceError,
                            match="DAE pre-training diverged at epoch 1"):
-            train_dae(d, cfg, make_rng(1))
+            train_dae(d, cfg, derive_rng(1))
 
     @pytest.mark.parametrize("value", [-0.1, 1.1])
     def test_inputs_outside_the_unit_interval_rejected(self, value):
@@ -179,12 +179,12 @@ class TestTraining:
         cfg = DaeTrainConfig(hidden_units=2, noise_sd=0.1, learning_rate=0.1,
                              epochs=1)
         with pytest.raises(DataError, match=r"inputs in \[0, 1\]"):
-            train_dae(d, cfg, make_rng(1))
+            train_dae(d, cfg, derive_rng(1))
 
     def test_init_bounds(self):
         cfg = DaeTrainConfig(hidden_units=8, noise_sd=0.1, learning_rate=0.1,
                              epochs=1)
-        model = init_dae(16, cfg, make_rng(1))
+        model = init_dae(16, cfg, derive_rng(1))
         bound = 1.0 / 4.0
         assert np.all(np.abs(model.weights) <= bound)
         assert np.all(model.encoder_bias == 0.0)
@@ -201,7 +201,7 @@ class TestEncodeDataset:
         np.testing.assert_array_equal(coded.x[0], encode(model, d.x[0]))
 
     def test_codes_usable_as_upper_inputs(self):
-        rng = make_rng(9)
+        rng = derive_rng(9)
         d = Dataset(rng.uniform(size=(6, 4)), np.ones(6, dtype=int), 1)
         coded = encode_dataset(tiny_model(3), d)
         assert np.all(coded.x > 0) and np.all(coded.x < 1)

@@ -11,7 +11,7 @@ from sdae_ivs.data import (Dataset, SyntheticSpec, VariableMask, compact,
                            compact_dataset, expand, gen_synthetic, load_amat,
                            split)
 from sdae_ivs.errors import DataError, DimensionError
-from sdae_ivs.numerics import make_rng
+from sdae_ivs.numerics import derive_rng
 
 BG_RAND_TRAIN = Path(os.environ.get(
     "SDAE_IVS_DATA", "data")) / "mnist_background_random_train.amat"
@@ -141,7 +141,7 @@ class TestSplit:
             split(d, (10, 1))
 
     def test_partition_concatenates_back(self):
-        rng = make_rng(0)
+        rng = derive_rng(0)
         d = Dataset(rng.uniform(size=(5, 3)), np.ones(5, dtype=int), 2)
         train, valid, test = split(d, (3, 1))
         assert (train.n, valid.n, test.n) == (3, 1, 1)
@@ -151,7 +151,7 @@ class TestSplit:
     @given(st.integers(0, 20), st.integers(0, 20), st.integers(0, 20))
     def test_partition_property(self, a, b, c):
         n = a + b + c
-        rng = make_rng(n + 1)
+        rng = derive_rng(n + 1)
         d = Dataset(rng.uniform(size=(n, 2)),
                     rng.integers(1, 3, size=n), 2)
         train, valid, test = split(d, (a, b))
@@ -167,32 +167,32 @@ class TestSynthetic:
                          examples_per_split=(30, 10, 10))
 
     def test_deterministic(self):
-        d1, m1 = gen_synthetic(self.spec, make_rng(11))
-        d2, m2 = gen_synthetic(self.spec, make_rng(11))
+        d1, m1 = gen_synthetic(self.spec, derive_rng(11))
+        d2, m2 = gen_synthetic(self.spec, derive_rng(11))
         assert np.array_equal(d1.x, d2.x)
         assert np.array_equal(d1.labels, d2.labels)
         assert m1 == m2
 
     def test_ground_truth_popcount(self):
-        _, truth = gen_synthetic(self.spec, make_rng(3))
+        _, truth = gen_synthetic(self.spec, derive_rng(3))
         assert truth.popcount == self.spec.num_relevant
 
     def test_no_irrelevant_means_all_ones(self):
         spec = SyntheticSpec(4, 0, 3, 2.0, 0.3, (10, 5, 5))
-        _, truth = gen_synthetic(spec, make_rng(3))
+        _, truth = gen_synthetic(spec, derive_rng(3))
         assert truth == VariableMask.all_ones(4)
 
     def test_values_in_unit_interval(self):
-        d, _ = gen_synthetic(self.spec, make_rng(5))
+        d, _ = gen_synthetic(self.spec, derive_rng(5))
         assert d.x.min() >= 0.0 and d.x.max() <= 1.0
 
     def test_easy_spec_supports_accurate_classifier(self):
         # Oracle for selection tests: the planted task must be learnable.
         from sdae_ivs.mlr import TrainConfig, train_mlr, validation_error
         spec = SyntheticSpec(20, 80, 5, 3.0, 0.5, (1000, 300, 0))
-        d, _truth = gen_synthetic(spec, make_rng(17))
+        d, _truth = gen_synthetic(spec, derive_rng(17))
         train, valid, _ = split(d, (1000, 300))
-        model = train_mlr(train, valid, TrainConfig(0.1, 30, 5), make_rng(1))
+        model = train_mlr(train, valid, TrainConfig(0.1, 30, 5), derive_rng(1))
         err = validation_error(model.weights, model.biases, valid.x, valid.labels)
         assert err <= 0.05
 
@@ -218,7 +218,7 @@ class TestMasks:
     @settings(max_examples=100)
     @given(st.integers(1, 12), st.integers(0, 2**32 - 1))
     def test_round_trip_zeroes_dropped_positions(self, m, seed):
-        rng = make_rng(seed)
+        rng = derive_rng(seed)
         x = rng.uniform(size=m)
         bits = rng.integers(0, 2, size=m).astype(bool)
         if not bits.any():

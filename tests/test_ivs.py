@@ -9,7 +9,7 @@ from sdae_ivs.errors import DegenerateModelError, OverThresholdError
 from sdae_ivs.ivs import (IvsConfig, normal_vector, pair_importance, run_ivs,
                           task_importance, update_mask)
 from sdae_ivs.mlr import MlrModel, TrainConfig
-from sdae_ivs.numerics import make_rng
+from sdae_ivs.numerics import derive_rng
 from util import discriminant, random_mlr
 
 PLANTED = SyntheticSpec(num_relevant=20, num_irrelevant=80, num_classes=5,
@@ -20,7 +20,7 @@ QUICK_MLR = TrainConfig(learning_rate=0.1, max_epochs=30, patience=5)
 
 
 def planted_splits(seed):
-    d, truth = gen_synthetic(PLANTED, make_rng(seed))
+    d, truth = gen_synthetic(PLANTED, derive_rng(seed))
     train, valid, _ = split(d, PLANTED.examples_per_split[:2])
     return train, valid, truth
 
@@ -78,7 +78,7 @@ class TestPairImportance:
 
     def test_max_component_exactly_one(self):
         for seed in range(20):
-            v = make_rng(seed).normal(size=6)
+            v = derive_rng(seed).normal(size=6)
             assert pair_importance(v).max() == 1.0
 
     def test_zero_vector_rejected(self):
@@ -128,7 +128,7 @@ class TestTaskImportance:
         # discriminant; quick version of the full acceptance oracle.
         step = 1e-6
         for seed in range(10):
-            rng = make_rng(seed)
+            rng = derive_rng(seed)
             k, mm = int(rng.integers(2, 5)), int(rng.integers(2, 8))
             model = random_mlr(1000 + seed, k, mm)
             i, j = 1, k
@@ -172,7 +172,7 @@ class TestUpdateMask:
     @given(st.integers(1, 10), st.integers(0, 2**32 - 1),
            st.floats(0.0, 1.0, allow_nan=False))
     def test_monotone_shrinkage(self, m, seed, threshold):
-        rng = make_rng(seed)
+        rng = derive_rng(seed)
         importance = rng.uniform(size=m)
         bits = rng.integers(0, 2, size=m).astype(bool)
         bits[int(rng.integers(0, m))] = True
@@ -188,7 +188,7 @@ class TestRunIvs:
     def test_single_iteration_returns_first_update(self):
         train, valid, _ = planted_splits(0)
         cfg = IvsConfig(0.3, max_iterations=1, mlr=QUICK_MLR)
-        result = run_ivs(train, valid, cfg, make_rng(1))
+        result = run_ivs(train, valid, cfg, derive_rng(1))
         assert len(result.history) == 1
         item = result.history[0]
         expected = update_mask(item.importance, 0.3,
@@ -199,7 +199,7 @@ class TestRunIvs:
     def test_zero_threshold_stops_after_two_iterations(self):
         train, valid, _ = planted_splits(1)
         cfg = IvsConfig(0.0, max_iterations=10, mlr=QUICK_MLR)
-        result = run_ivs(train, valid, cfg, make_rng(1))
+        result = run_ivs(train, valid, cfg, derive_rng(1))
         assert len(result.history) == 2
         assert result.mask == VariableMask.all_ones(train.m)
         assert result.history[-1].kept == train.m
@@ -207,7 +207,7 @@ class TestRunIvs:
     def test_planted_recovery(self):
         train, valid, truth = planted_splits(2)
         cfg = IvsConfig(0.3, max_iterations=10, mlr=QUICK_MLR)
-        result = run_ivs(train, valid, cfg, make_rng(3))
+        result = run_ivs(train, valid, cfg, derive_rng(3))
         found = result.mask.bits
         hits = int((found & truth.bits).sum())
         precision = hits / found.sum()
@@ -218,7 +218,7 @@ class TestRunIvs:
     def test_history_popcounts_non_increasing(self):
         train, valid, _ = planted_splits(3)
         cfg = IvsConfig(0.3, max_iterations=10, mlr=QUICK_MLR)
-        result = run_ivs(train, valid, cfg, make_rng(4))
+        result = run_ivs(train, valid, cfg, derive_rng(4))
         kept = [item.kept for item in result.history]
         assert all(a >= b for a, b in zip(kept, kept[1:]))
         assert result.mask.popcount > 0
@@ -226,15 +226,15 @@ class TestRunIvs:
     def test_accepted_iterations_never_degrade_validation(self):
         train, valid, _ = planted_splits(4)
         cfg = IvsConfig(0.3, max_iterations=10, mlr=QUICK_MLR)
-        result = run_ivs(train, valid, cfg, make_rng(5))
+        result = run_ivs(train, valid, cfg, derive_rng(5))
         errs = [item.validation_error for item in result.history[:-1]]
         assert all(a >= b for a, b in zip(errs, errs[1:]))
 
     def test_deterministic(self):
         train, valid, _ = planted_splits(5)
         cfg = IvsConfig(0.3, max_iterations=4, mlr=QUICK_MLR)
-        a = run_ivs(train, valid, cfg, make_rng(6))
-        b = run_ivs(train, valid, cfg, make_rng(6))
+        a = run_ivs(train, valid, cfg, derive_rng(6))
+        b = run_ivs(train, valid, cfg, derive_rng(6))
         assert a.mask == b.mask
         assert [i.kept for i in a.history] == [i.kept for i in b.history]
         assert [i.validation_error for i in a.history] == \
@@ -248,7 +248,7 @@ class TestRunIvs:
         valid = Dataset(valid.x, np.ones(valid.n, dtype=int),
                         valid.num_classes)
         cfg = IvsConfig(0.3, max_iterations=10, mlr=QUICK_MLR)
-        result = run_ivs(train, valid, cfg, make_rng(7))
+        result = run_ivs(train, valid, cfg, derive_rng(7))
         assert result.mask == VariableMask.all_ones(train.m)
         assert len(result.history) == 1
         item = result.history[0]
@@ -259,7 +259,7 @@ class TestRunIvs:
     def test_importances_keep_the_input_width(self):
         train, valid, _ = planted_splits(7)
         cfg = IvsConfig(0.3, max_iterations=4, mlr=QUICK_MLR)
-        result = run_ivs(train, valid, cfg, make_rng(8))
+        result = run_ivs(train, valid, cfg, derive_rng(8))
         assert len(result.history) > 1
         for before, item in zip(result.history, result.history[1:]):
             dropped = before.importance < 0.3

@@ -2,12 +2,13 @@ import numpy as np
 import pytest
 
 from sdae_ivs.data import Dataset
-from sdae_ivs.errors import DataError, DivergenceError
+from sdae_ivs.errors import DataError, DimensionError, DivergenceError
 from sdae_ivs.mlr import (ErrorReport, MlrModel, TrainConfig, batch_grads,
-                          cross_entropy, evaluate, one_hot, predict_labels,
+                          evaluate, one_hot, output_delta, predict_labels,
                           train_mlr, wald_halfwidth)
-from sdae_ivs.numerics import make_rng, softmax
-from util import central_diff, grads_close, per_step_train_mlr, random_mlr
+from sdae_ivs.numerics import derive_rng, softmax
+from util import (central_diff, cross_entropy, grads_close,
+                  per_step_train_mlr, random_mlr)
 
 
 class TestPredict:
@@ -24,7 +25,7 @@ class TestPredict:
         assert np.exp(-loss) == pytest.approx(0.75, abs=1e-12)
 
     def test_common_weight_shift_keeps_argmax(self):
-        rng = make_rng(0)
+        rng = derive_rng(0)
         m = random_mlr(3, k=4, m=6)
         shift = rng.normal(size=6)
         shifted = MlrModel(m.weights + shift, m.biases)
@@ -36,7 +37,7 @@ class TestPredict:
 class TestGradients:
     def test_matches_central_differences(self):
         for seed, batch in enumerate([1, 7, 5] * 2):
-            rng = make_rng(seed)
+            rng = derive_rng(seed)
             k, mm = int(rng.integers(2, 5)), int(rng.integers(2, 11))
             model = random_mlr(seed + 100, k, mm, scale=0.7)
             x = rng.uniform(size=(batch, mm))
@@ -52,7 +53,7 @@ class TestGradients:
 
     def test_batch_of_one_is_the_outer_product_bit_for_bit(self):
         for seed in range(5):
-            rng = make_rng(seed)
+            rng = derive_rng(seed)
             k, mm = int(rng.integers(2, 11)), int(rng.integers(2, 800))
             model = random_mlr(seed + 200, k, mm, scale=0.3)
             x = rng.uniform(size=(1, mm))
@@ -64,6 +65,18 @@ class TestGradients:
             assert np.array_equal(gw, np.outer(delta, x[0]))
             assert np.array_equal(gb, delta)
 
+    @pytest.mark.parametrize("batch", [1, 3])
+    def test_label_vector_targets_raise(self, batch):
+        # B = 1 and B = K (here 3) are the shapes at which a (B,) label
+        # vector would broadcast against the (B, K) softmax.
+        model = random_mlr(7, 3, 4)
+        x = derive_rng(7).uniform(size=(batch, 4))
+        labels = np.arange(1, batch + 1)
+        with pytest.raises(DimensionError, match=r"one-hot \(%d, 3\)" % batch):
+            output_delta(model.weights, model.biases, x, labels)
+        with pytest.raises(DimensionError):
+            batch_grads(model.weights, model.biases, x, labels)
+
 
 def separable_toy():
     x = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
@@ -74,39 +87,39 @@ def separable_toy():
 class TestTraining:
     def test_separable_toy_reaches_zero_training_error(self):
         d = separable_toy()
-        model = train_mlr(d, d, TrainConfig(0.1, 200, 200), make_rng(5))
+        model = train_mlr(d, d, TrainConfig(0.1, 200, 200), derive_rng(5))
         assert np.array_equal(predict_labels(model, d.x), d.labels)
 
     def test_bitwise_deterministic(self):
         d = separable_toy()
         cfg = TrainConfig(0.1, 50, 10)
-        a = train_mlr(d, d, cfg, make_rng(9))
-        b = train_mlr(d, d, cfg, make_rng(9))
+        a = train_mlr(d, d, cfg, derive_rng(9))
+        b = train_mlr(d, d, cfg, derive_rng(9))
         assert np.array_equal(a.weights, b.weights)
         assert np.array_equal(a.biases, b.biases)
 
     @pytest.mark.parametrize("batch", [1, 5])
     def test_matches_the_per_step_reference_bit_for_bit(self, batch):
-        rng = make_rng(6)
+        rng = derive_rng(6)
         x = rng.uniform(size=(52, 9))
         labels = 1 + (x[:, 0] > 0.5) + 2 * (x[:, 1] > 0.5)
         train, valid = Dataset(x[:37], labels[:37], 4), \
             Dataset(x[37:], labels[37:], 4)
         cfg = TrainConfig(0.3, 8, 8, minibatch_size=batch)
-        model = train_mlr(train, valid, cfg, make_rng(7))
-        reference = per_step_train_mlr(train, valid, cfg, make_rng(7))
+        model = train_mlr(train, valid, cfg, derive_rng(7))
+        reference = per_step_train_mlr(train, valid, cfg, derive_rng(7))
         assert np.any(model.weights != 0.0)
         assert np.array_equal(model.weights, reference.weights)
         assert np.array_equal(model.biases, reference.biases)
 
     def test_returns_best_validation_snapshot(self):
-        rng = make_rng(4)
+        rng = derive_rng(4)
         train = Dataset(rng.uniform(size=(40, 3)),
                         rng.integers(1, 3, size=40), 2)
         valid = Dataset(rng.uniform(size=(20, 3)),
                         rng.integers(1, 3, size=20), 2)
         model, history = train_mlr(train, valid, TrainConfig(0.5, 30, 30),
-                                   make_rng(1), return_history=True)
+                                   derive_rng(1), return_history=True)
         returned_err = float(np.mean(predict_labels(model, valid.x)
                                      != valid.labels))
         assert all(returned_err <= err for _, err in history)
@@ -115,25 +128,25 @@ class TestTraining:
         d = separable_toy()
         with pytest.raises(DivergenceError,
                            match=r"MLR training diverged at epoch \d"):
-            train_mlr(d, d, TrainConfig(1e308, 5, 5), make_rng(0))
+            train_mlr(d, d, TrainConfig(1e308, 5, 5), derive_rng(0))
 
     def test_empty_training_set_rejected(self):
         empty = Dataset(np.zeros((0, 2)), np.zeros(0, dtype=int), 2)
         with pytest.raises(DataError):
             train_mlr(empty, separable_toy(), TrainConfig(0.1, 5, 2),
-                      make_rng(0))
+                      derive_rng(0))
 
     def test_empty_validation_set_rejected(self):
         empty = Dataset(np.zeros((0, 2)), np.zeros(0, dtype=int), 2)
         with pytest.raises(DataError):
             train_mlr(separable_toy(), empty, TrainConfig(0.1, 5, 2),
-                      make_rng(0))
+                      derive_rng(0))
 
     def test_k_mismatch_rejected(self):
         d = separable_toy()
         other = Dataset(d.x, d.labels, 3)
         with pytest.raises(DataError):
-            train_mlr(d, other, TrainConfig(0.1, 5, 2), make_rng(0))
+            train_mlr(d, other, TrainConfig(0.1, 5, 2), derive_rng(0))
 
 
 class TestEvaluate:

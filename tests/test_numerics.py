@@ -1,11 +1,12 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from sdae_ivs.errors import DivergenceError
-from sdae_ivs.numerics import (derive_rng, derive_seed, make_rng, sgd, sigmoid,
-                               softmax)
+from sdae_ivs.numerics import derive_rng, sgd, sigmoid, softmax
 from util import two_branch_sigmoid
 
 finite = st.floats(min_value=-500, max_value=500, allow_nan=False)
@@ -114,8 +115,8 @@ def test_softmax_properties(logits, shift):
 
 
 def test_rng_bitwise_reproducible():
-    a = make_rng(42).normal(size=100)
-    b = make_rng(42).normal(size=100)
+    a = derive_rng(42).normal(size=100)
+    b = derive_rng(42).normal(size=100)
     assert np.array_equal(a, b)
 
 
@@ -125,8 +126,18 @@ def test_derive_rng_keys_are_independent_and_stable():
     again = derive_rng(5, 1).normal(size=4)
     assert np.array_equal(x, again)
     assert not np.array_equal(x, y)
-    assert derive_seed(5, 1, 2) == derive_seed(5, 1, 2)
-    assert derive_seed(5, 1, 2) != derive_seed(5, 2, 1)
+    assert not np.array_equal(derive_rng(5, 1, 2).normal(size=4),
+                              derive_rng(5, 2, 1).normal(size=4))
+
+
+def test_only_numerics_makes_generators():
+    # Every other module takes a generator or derives one with derive_rng.
+    src = Path(__file__).resolve().parent.parent / "src" / "sdae_ivs"
+    idioms = ("spawn(", "SeedSequence(", "default_rng", "integers(0, 2**63)")
+    found = [(path.name, idiom) for path in sorted(src.glob("*.py"))
+             if path.name != "numerics.py"
+             for idiom in idioms if idiom in path.read_text()]
+    assert found == []
 
 
 class TestSgd:
@@ -138,7 +149,7 @@ class TestSgd:
         w = np.zeros(1)
         scripted = iter(scores)
         history = sgd("toy training", [w], lambda rows: [-np.ones(1)], 1.0,
-                      (np.arange(1),), epochs, make_rng(0),
+                      (np.arange(1),), epochs, derive_rng(0),
                       score=lambda: next(scripted), patience=patience)
         return w, history
 
@@ -162,17 +173,17 @@ class TestSgd:
 
     def test_zero_epochs_leaves_params_and_rng_untouched(self):
         w = np.array([0.5, -0.5])
-        rng = make_rng(3)
+        rng = derive_rng(3)
         history = sgd("toy training", [w], pytest.fail, 1.0, (np.arange(4),),
                       0, rng, score=lambda: 0.25, patience=1)
         assert history == [(0, 0.25)]
         assert w.tolist() == [0.5, -0.5]
-        assert rng.integers(0, 2**63) == make_rng(3).integers(0, 2**63)
+        assert rng.integers(0, 2**63) == derive_rng(3).integers(0, 2**63)
 
     def test_without_score_runs_every_epoch_and_records_nothing(self):
         w = np.zeros(1)
         assert sgd("toy training", [w], lambda rows: [-np.ones(1)], 1.0,
-                   (np.arange(1),), 4, make_rng(0)) == []
+                   (np.arange(1),), 4, derive_rng(0)) == []
         assert w.tolist() == [4.0]
 
     def test_each_epoch_visits_a_permutation_in_batches(self):
@@ -190,16 +201,16 @@ class TestSgd:
             return [np.zeros(1)]
 
         sgd("toy training", [np.zeros(1)], grads, 1.0, (x, labels), epochs,
-            make_rng(4), batch=2)
+            derive_rng(4), batch=2)
         assert [len(rows) for rows in seen] == [2, 2, 1, 2, 2, 1]
-        reference = make_rng(4)
+        reference = derive_rng(4)
         for epoch in (seen[:3], seen[3:]):
             assert sum(epoch, []) == reference.permutation(n).tolist()
 
     def test_per_epoch_hook_runs_after_the_permutation_before_the_steps(self):
         # The hook sees the epoch's gathered rows and draws from the same
         # rng, so the stream must read permutation, draw, permutation, ...
-        n, rng, events = 4, make_rng(4), []
+        n, rng, events = 4, derive_rng(4), []
         x = np.arange(n, dtype=np.float64)
 
         def per_epoch(xs):
@@ -212,7 +223,7 @@ class TestSgd:
 
         sgd("toy training", [np.zeros(1)], grads, 1.0, (x,), 2, rng,
             per_epoch=per_epoch)
-        reference, expected = make_rng(4), []
+        reference, expected = derive_rng(4), []
         for _ in range(2):
             order = x[reference.permutation(n)]
             noise = reference.normal(size=n)
@@ -222,15 +233,15 @@ class TestSgd:
 
     def test_zero_epochs_never_calls_the_per_epoch_hook(self):
         assert sgd("toy training", [np.zeros(1)], pytest.fail, 1.0,
-                   (np.arange(3),), 0, make_rng(0), per_epoch=pytest.fail) == []
+                   (np.arange(3),), 0, derive_rng(0), per_epoch=pytest.fail) == []
 
     def test_one_step_is_p_minus_learning_rate_times_g(self):
-        rng = make_rng(5)
+        rng = derive_rng(5)
         params = [rng.normal(size=(3, 4)), rng.normal(size=3)]
         fresh = [rng.normal(size=(3, 4)), rng.normal(size=3)]
         expected = [p - 0.37 * g for p, g in zip(params, fresh)]
         sgd("toy training", params, lambda rows: [g.copy() for g in fresh],
-            0.37, (np.arange(1),), 1, make_rng(0))
+            0.37, (np.arange(1),), 1, derive_rng(0))
         for p, e in zip(params, expected):
             assert same_bits(p, e)
 
@@ -240,4 +251,4 @@ class TestSgd:
                            match="toy training diverged at epoch 2"):
             sgd("toy training", [np.zeros(1)],
                 lambda rows: [np.full(1, next(steps))], 1e300,
-                (np.arange(1),), 5, make_rng(0))
+                (np.arange(1),), 5, derive_rng(0))

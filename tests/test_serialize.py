@@ -6,11 +6,11 @@ import pytest
 from sdae_ivs.dae import DaeModel
 from sdae_ivs.data import VariableMask
 from sdae_ivs.mlr import MlrModel
-from sdae_ivs.numerics import make_rng
+from sdae_ivs.numerics import derive_rng
 from sdae_ivs.serialize import VERSION, load_stack, save_stack
 from sdae_ivs.stack import StackLayer, StackModel
 
-rng = make_rng(99)
+rng = derive_rng(99)
 
 
 def random_stack(fine_tuned=False):

@@ -6,16 +6,16 @@ import pytest
 from sdae_ivs.dae import DaeModel, DaeTrainConfig, decode, encode, encode_dataset, train_dae
 from sdae_ivs.data import (Dataset, SyntheticSpec, VariableMask, compact,
                            expand, gen_synthetic, split)
-from sdae_ivs.errors import DivergenceError
+from sdae_ivs.errors import DimensionError, DivergenceError
 from sdae_ivs.ivs import IvsConfig
 from sdae_ivs.mlr import MlrModel, TrainConfig, evaluate, one_hot, train_mlr
 from sdae_ivs.mlr import predict_labels as mlr_predict_labels
-from sdae_ivs.numerics import derive_rng, make_rng
+from sdae_ivs.numerics import DAE, TOP, derive_rng
 from sdae_ivs.stack import (StackConfig, StackLayer, StackModel,
                             classification_grads, fine_tune, fine_tune_params,
-                            predict_labels, pretrain, reconstruct_through,
-                            select_extractors)
-from util import central_diff, grads_close, per_step_fine_tune
+                            predict_labels, prefix, pretrain,
+                            reconstruct_through, select_extractors)
+from util import central_diff, grads_close, log_softmax, per_step_fine_tune
 
 EASY = SyntheticSpec(num_relevant=8, num_irrelevant=24, num_classes=3,
                      class_separation=3.0, noise_sd=0.4,
@@ -26,7 +26,7 @@ IVS_CFG = IvsConfig(threshold=0.3, max_iterations=6, mlr=MLR_CFG)
 
 
 def easy_splits(seed=0):
-    d, truth = gen_synthetic(EASY, make_rng(seed))
+    d, truth = gen_synthetic(EASY, derive_rng(seed))
     train, valid, test = split(d, EASY.examples_per_split[:2])
     return train, valid, test, truth
 
@@ -46,7 +46,7 @@ def stack_cfg(depth, select, hidden=(16, 12, 8), epochs=8):
 
 def toy_stack(seed=0, widths=(6, 4, 3), k=2, with_masks=True):
     """Random depth-2 stack, raw width 6 -> hidden 4 -> hidden 3."""
-    rng = make_rng(seed)
+    rng = derive_rng(seed)
     raw, h1, h2 = widths
     if with_masks:
         bits1 = np.array([1, 1, 0, 1, 1, 1], dtype=bool)[:raw]
@@ -73,16 +73,14 @@ class TestPretrain:
     def test_plain_depth1_equals_manual_composition(self):
         train, valid, _, _ = easy_splits(1)
         cfg = stack_cfg(1, select=False)
-        model, ivs_results = pretrain(train, valid, cfg, derive_rng(7, 1))
+        model, ivs_results = pretrain(train, valid, cfg, 7)
         assert ivs_results == []
 
-        rng = derive_rng(7, 1)
-        manual_dae = train_dae(train, cfg.dae[0], rng.spawn(1)[0])
+        manual_dae = train_dae(train, cfg.dae[0], derive_rng(7, 1, DAE))
         rep_train = encode_dataset(manual_dae, train)
         rep_valid = encode_dataset(manual_dae, valid)
-        top_seed = int(rng.spawn(1)[0].integers(0, 2**63))
         manual_top = train_mlr(rep_train, rep_valid, cfg.fine_tune,
-                               make_rng(top_seed))
+                               derive_rng(7, 1, TOP))
 
         assert model.layers[0].mask == VariableMask.all_ones(train.m)
         assert np.array_equal(model.layers[0].dae.weights, manual_dae.weights)
@@ -93,8 +91,7 @@ class TestPretrain:
 
     def test_depth2_width_bookkeeping(self):
         train, valid, _, _ = easy_splits(2)
-        model, _ = pretrain(train, valid, stack_cfg(2, select=True),
-                            derive_rng(8, 1))
+        model, _ = pretrain(train, valid, stack_cfg(2, select=True), 8)
         first = model.layers[0]
         assert first.dae.input_width == first.mask.popcount
         second = model.layers[1]
@@ -104,19 +101,45 @@ class TestPretrain:
 
     def test_deterministic(self):
         train, valid, _, _ = easy_splits(3)
-        a, _ = pretrain(train, valid, stack_cfg(1, True), derive_rng(5, 1))
-        b, _ = pretrain(train, valid, stack_cfg(1, True), derive_rng(5, 1))
+        a, _ = pretrain(train, valid, stack_cfg(1, True), 5)
+        b, _ = pretrain(train, valid, stack_cfg(1, True), 5)
         assert a.layers[0].mask == b.layers[0].mask
         assert np.array_equal(a.layers[0].dae.weights, b.layers[0].dae.weights)
         assert np.array_equal(a.top.weights, b.top.weights)
 
     def test_adding_depth_preserves_lower_layer(self):
         train, valid, _, _ = easy_splits(4)
-        shallow, _ = pretrain(train, valid, stack_cfg(1, True), derive_rng(6, 1))
-        deep, _ = pretrain(train, valid, stack_cfg(2, True), derive_rng(6, 1))
-        assert shallow.layers[0].mask == deep.layers[0].mask
-        assert np.array_equal(shallow.layers[0].dae.weights,
-                              deep.layers[0].dae.weights)
+        for select in (False, True):
+            shallow, shallow_ivs = pretrain(train, valid,
+                                            stack_cfg(1, select), 6)
+            deep, deep_ivs = pretrain(train, valid, stack_cfg(2, select), 6)
+            assert shallow.layers[0].mask == deep.layers[0].mask
+            assert np.array_equal(shallow.layers[0].dae.weights,
+                                  deep.layers[0].dae.weights)
+            assert [r.mask for r in deep_ivs[:1]] == \
+                [r.mask for r in shallow_ivs]
+            # prefix gives the deep stack's first layer the shallow top.
+            cut = prefix(deep, 1, train, valid,
+                         stack_cfg(1, select).fine_tune, 6)
+            assert cut.layers == deep.layers[:1]
+            assert np.array_equal(cut.top.weights, shallow.top.weights)
+            assert np.array_equal(cut.top.biases, shallow.top.biases)
+        assert prefix(deep, 2, train, valid, MLR_CFG, 6) is deep
+        with pytest.raises(DimensionError):
+            prefix(deep, 3, train, valid, MLR_CFG, 6)
+
+    def test_both_variants_share_the_layer_streams(self):
+        # Threshold 0 keeps every variable, so the selecting stack's DAE
+        # sees the plain stack's input, and must draw the same stream.
+        train, valid, _, _ = easy_splits(4)
+        keep_all = replace(IVS_CFG, threshold=0.0)
+        plain, _ = pretrain(train, valid, stack_cfg(1, False), 6)
+        selecting, _ = pretrain(
+            train, valid, replace(stack_cfg(1, True), ivs=(keep_all,)), 6)
+        assert selecting.layers[0].mask == plain.layers[0].mask
+        assert np.array_equal(selecting.layers[0].dae.weights,
+                              plain.layers[0].dae.weights)
+        assert np.array_equal(selecting.top.weights, plain.top.weights)
 
     def test_divergence_names_the_layer(self):
         train, valid, _, _ = easy_splits(2)
@@ -125,12 +148,12 @@ class TestPretrain:
                                 replace(cfg.dae[1], learning_rate=1e308)))
         with pytest.raises(DivergenceError,
                            match="layer 2: DAE pre-training diverged at epoch"):
-            pretrain(train, valid, cfg, derive_rng(9, 1))
+            pretrain(train, valid, cfg, 9)
 
 
 class TestPredict:
     def test_layerless_stack_equals_mlr(self):
-        rng = make_rng(12)
+        rng = derive_rng(12)
         top = MlrModel(rng.normal(size=(3, 5)), rng.normal(size=3))
         model = StackModel([], top)
         x = rng.uniform(size=(10, 5))
@@ -139,13 +162,13 @@ class TestPredict:
 
     def test_deterministic(self):
         model = toy_stack(1)
-        x = make_rng(2).uniform(size=(5, 6))
+        x = derive_rng(2).uniform(size=(5, 6))
         np.testing.assert_array_equal(predict_labels(model, x),
                                       predict_labels(model, x))
 
     def test_single_and_batch_agree(self):
         model = toy_stack(3)
-        x = make_rng(4).uniform(size=(7, 6))
+        x = derive_rng(4).uniform(size=(7, 6))
         batch = predict_labels(model, x)
         singles = [int(predict_labels(model, row)[0]) for row in x]
         assert batch.tolist() == singles
@@ -154,9 +177,9 @@ class TestPredict:
 class TestFineTune:
     def test_zero_epochs_is_identity(self):
         train, valid, _, _ = easy_splits(5)
-        model, _ = pretrain(train, valid, stack_cfg(1, False), derive_rng(9, 1))
+        model, _ = pretrain(train, valid, stack_cfg(1, False), 9)
         tuned = fine_tune(model, train, valid, TrainConfig(0.1, 0, 1),
-                          make_rng(0))
+                          derive_rng(0))
         assert tuned.fine_tuned
         assert np.array_equal(tuned.layers[0].dae.weights,
                               model.layers[0].dae.weights)
@@ -167,13 +190,12 @@ class TestFineTune:
         model = toy_stack(21)
         params = fine_tune_params(model)
         assert len(params) == 2 * model.depth + 2
-        rng = make_rng(22)
+        rng = derive_rng(22)
         for batch in (1, 4):
             x = rng.uniform(size=(batch, 6))
             labels = rng.integers(1, 3, size=batch)
 
             def f():
-                from sdae_ivs.numerics import log_softmax
                 return np.mean([
                     -float(log_softmax(_logits_for_test(model, row))[y - 1])
                     for row, y in zip(x, labels)])
@@ -187,13 +209,13 @@ class TestFineTune:
     def test_matches_the_per_step_reference_bit_for_bit(self):
         # Layer 1's mask drops a variable, so the compaction is checked.
         model = toy_stack(25)
-        x = make_rng(26).uniform(size=(40, 6))
+        x = derive_rng(26).uniform(size=(40, 6))
         labels = 1 + (x[:, 0] > 0.5)
         train, valid = Dataset(x[:30], labels[:30], 2), \
             Dataset(x[30:], labels[30:], 2)
         cfg = TrainConfig(0.5, 6, 6)
-        tuned = fine_tune(model, train, valid, cfg, make_rng(3))
-        reference = per_step_fine_tune(model, train, valid, cfg, make_rng(3))
+        tuned = fine_tune(model, train, valid, cfg, derive_rng(3))
+        reference = per_step_fine_tune(model, train, valid, cfg, derive_rng(3))
         assert not np.array_equal(fine_tune_params(tuned)[0],
                                   fine_tune_params(model)[0])
         for a, b in zip(fine_tune_params(tuned), fine_tune_params(reference)):
@@ -202,30 +224,30 @@ class TestFineTune:
     def test_input_model_is_left_untouched(self):
         model = toy_stack(23)
         before = [p.copy() for p in fine_tune_params(model)]
-        rng = make_rng(24)
+        rng = derive_rng(24)
         train = Dataset(rng.uniform(size=(20, 6)), rng.integers(1, 3, size=20), 2)
         tuned = fine_tune(model, train, train, TrainConfig(0.1, 3, 3),
-                          make_rng(2))
+                          derive_rng(2))
         assert all(np.array_equal(a, b)
                    for a, b in zip(before, fine_tune_params(model)))
         assert tuned.fine_tuned and not model.fine_tuned
 
     def test_never_degrades_best_validation(self):
         train, valid, _, _ = easy_splits(6)
-        model, _ = pretrain(train, valid, stack_cfg(1, False), derive_rng(10, 1))
+        model, _ = pretrain(train, valid, stack_cfg(1, False), 10)
         before = evaluate(lambda x: predict_labels(model, x), valid).error_rate
         tuned = fine_tune(model, train, valid, TrainConfig(0.1, 10, 3),
-                          make_rng(1))
+                          derive_rng(1))
         after = evaluate(lambda x: predict_labels(tuned, x), valid).error_rate
         assert after <= before
 
     def test_overflowing_learning_rate_raises_with_the_epoch(self):
         train, valid, _, _ = easy_splits(5)
-        model, _ = pretrain(train, valid, stack_cfg(1, False), derive_rng(9, 1))
+        model, _ = pretrain(train, valid, stack_cfg(1, False), 9)
         with pytest.raises(DivergenceError,
                            match="fine-tuning diverged at epoch 1"):
             fine_tune(model, train, valid, TrainConfig(1e308, 5, 5),
-                      make_rng(0))
+                      derive_rng(0))
 
 
 def _logits_for_test(model, x):
@@ -242,7 +264,7 @@ def _logits_for_test(model, x):
 class TestReconstruct:
     def test_depth1_equals_manual_path(self):
         model = toy_stack(40)
-        x = make_rng(41).uniform(size=6)
+        x = derive_rng(41).uniform(size=6)
         manual = expand(decode(model.layers[0].dae,
                                encode(model.layers[0].dae,
                                       compact(x, model.layers[0].mask))),
@@ -251,7 +273,7 @@ class TestReconstruct:
 
     def test_dropped_positions_exactly_zero(self):
         model = toy_stack(42)
-        x = make_rng(43).uniform(size=6)
+        x = derive_rng(43).uniform(size=6)
         for depth in (1, 2):
             out = reconstruct_through(model, x, depth)
             assert out.shape == (6,)
@@ -262,7 +284,7 @@ class TestReconstruct:
         d = Dataset(x, np.array([1]), 1)
         cfg = DaeTrainConfig(hidden_units=4, noise_sd=0.0, learning_rate=0.5,
                              epochs=2000)
-        dae = train_dae(d, cfg, make_rng(1))
+        dae = train_dae(d, cfg, derive_rng(1))
         model = StackModel(
             [StackLayer(VariableMask.all_ones(4), dae)],
             MlrModel(np.zeros((2, 4)), np.zeros(2)))
@@ -271,7 +293,7 @@ class TestReconstruct:
 
     def test_batch_matches_single_rows(self):
         model = toy_stack(45)
-        x = make_rng(46).uniform(size=(5, 6))
+        x = derive_rng(46).uniform(size=(5, 6))
         for depth in (1, 2):
             batch = reconstruct_through(model, x, depth)
             singles = np.stack([reconstruct_through(model, row, depth)
@@ -287,16 +309,16 @@ class TestReconstruct:
 class TestExtractors:
     def test_zero_threshold_keeps_all_units(self):
         train, valid, _, _ = easy_splits(7)
-        model, _ = pretrain(train, valid, stack_cfg(1, False), derive_rng(11, 1))
+        model, _ = pretrain(train, valid, stack_cfg(1, False), 11)
         cfg = IvsConfig(threshold=0.0, max_iterations=3, mlr=MLR_CFG)
         count = select_extractors(model, 1, train, valid, cfg,
-                                  make_rng(12)).ivs.mask.popcount
+                                  derive_rng(12)).ivs.mask.popcount
         assert count == model.layers[0].dae.hidden_units
 
     def test_count_bounded_and_patterns_partition(self):
         train, valid, _, _ = easy_splits(8)
-        model, _ = pretrain(train, valid, stack_cfg(1, True), derive_rng(13, 1))
-        report = select_extractors(model, 1, train, valid, IVS_CFG, make_rng(14))
+        model, _ = pretrain(train, valid, stack_cfg(1, True), 13)
+        report = select_extractors(model, 1, train, valid, IVS_CFG, derive_rng(14))
         h = model.layers[0].dae.hidden_units
         count = report.ivs.mask.popcount
         assert 0 < count <= h
@@ -311,7 +333,7 @@ class TestEndToEnd:
         # Single-seed instance of the paired-trend protocol; the acceptance
         # suite runs the full 5-seed majority version.
         spec = SyntheticSpec(20, 80, 5, 3.0, 0.5, (600, 200, 1500))
-        d, _ = gen_synthetic(spec, make_rng(0))
+        d, _ = gen_synthetic(spec, derive_rng(0))
         train, valid, test = split(d, spec.examples_per_split[:2])
         errors = {}
         for enabled in (False, True):
@@ -320,18 +342,17 @@ class TestEndToEnd:
                 ivs=(IvsConfig(0.3, 8, TrainConfig(0.1, 30, 5)),) if enabled
                 else (),
                 fine_tune=TrainConfig(0.1, 10, 3))
-            model, _ = pretrain(train, valid, cfg, derive_rng(0, 1))
+            model, _ = pretrain(train, valid, cfg, 0)
             tuned = fine_tune(model, train, valid, TrainConfig(0.1, 10, 3),
-                              make_rng(1000))
+                              derive_rng(1000))
             errors[enabled] = evaluate(lambda x: predict_labels(tuned, x),
                                        test).error_rate
         assert errors[True] <= errors[False]
 
     def test_tuned_depth1_accuracy_on_planted(self):
         train, valid, test, _ = easy_splits(10)
-        model, _ = pretrain(train, valid, stack_cfg(1, True, epochs=10),
-                            derive_rng(17, 1))
+        model, _ = pretrain(train, valid, stack_cfg(1, True, epochs=10), 17)
         tuned = fine_tune(model, train, valid, TrainConfig(0.1, 15, 3),
-                          make_rng(18))
+                          derive_rng(18))
         report = evaluate(lambda x: predict_labels(tuned, x), test)
         assert 1.0 - report.error_rate >= 0.9

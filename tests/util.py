@@ -2,13 +2,14 @@
 program is checked against, and small random instances."""
 
 import copy
+from pathlib import Path
 
 import numpy as np
 
 from sdae_ivs.dae import encode, grads, init_dae
 from sdae_ivs.data import expand
 from sdae_ivs.mlr import MlrModel, validation_error
-from sdae_ivs.numerics import make_rng, sgd, softmax
+from sdae_ivs.numerics import derive_rng, sgd, softmax
 from sdae_ivs.stack import fine_tune_params, predict_labels
 
 
@@ -36,8 +37,23 @@ def grads_close(analytic: np.ndarray, numeric: np.ndarray,
 
 
 def random_mlr(seed: int, k: int, m: int, scale: float = 1.0) -> MlrModel:
-    rng = make_rng(seed)
+    rng = derive_rng(seed)
     return MlrModel(scale * rng.normal(size=(k, m)), scale * rng.normal(size=k))
+
+
+def log_softmax(logits):
+    """Log of softmax, computed without forming small exponentials."""
+    z = np.asarray(logits, dtype=np.float64)
+    shifted = z - z.max(axis=-1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+
+
+def cross_entropy(m: MlrModel, x: np.ndarray, labels: np.ndarray) -> float:
+    """Mean negative log posterior of the true classes over a batch: the
+    objective mlr.batch_grads differentiates."""
+    logp = log_softmax(np.asarray(x, dtype=np.float64) @ m.weights.T + m.biases)
+    labels = np.asarray(labels)
+    return -float(np.mean(logp[np.arange(labels.size), labels - 1]))
 
 
 def two_branch_sigmoid(z):
@@ -139,3 +155,11 @@ def per_step_fine_tune(m, train, valid, cfg, rng):
                                     != valid.labels)),
         patience=cfg.patience)
     return tuned
+
+
+def read_pgm(path) -> np.ndarray:
+    """The image pgm.write_pgm wrote to path, as floats in [0, 1]."""
+    magic, size, maxval, pixels = Path(path).read_bytes().split(b"\n", 3)
+    assert magic == b"P5"
+    w, h = map(int, size.split())
+    return np.frombuffer(pixels, dtype=np.uint8).reshape(h, w) / int(maxval)
