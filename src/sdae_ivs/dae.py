@@ -15,7 +15,7 @@ import numpy as np
 
 from .data import Dataset
 from .errors import ConfigError, DataError, DimensionError
-from .numerics import Rng, sgd, sigmoid
+from .numerics import Rng, named_zeros, sgd, sigmoid, sum_rows
 
 
 @dataclass
@@ -104,24 +104,45 @@ def loss(x: np.ndarray, y: np.ndarray) -> float:
     return float(-(x @ np.log(yc) + (1.0 - x) @ np.log1p(-yc)))
 
 
-def grads(m: DaeModel, x_clean: np.ndarray, x_in: np.ndarray):
+def sigmoid_layer(x, weights, bias, out):
+    """sigmoid(x weights + bias) of the rows x, written into out."""
+    x.dot(weights, out=out)
+    out += bias
+    return sigmoid(out, out=out)
+
+
+def workspace(m: DaeModel, x: np.ndarray, batch: int):
+    """Arrays grads writes into over the rows of x in batches of at most
+    `batch`; inputs of another width raise."""
+    if x.shape[-1] != m.input_width:
+        raise DimensionError(f"expected input width {m.input_width}, got {x.shape[-1]}")
+    b, (h, w) = min(batch, len(x)), m.weights.shape
+    return named_zeros(h=(b, h), t=(b, h), da=(b, h), dz=(b, w), grad_w=(h, w),
+                       grad_x=(h, w), grad_be=h, grad_bd=w)
+
+
+def grads(m: DaeModel, x_clean: np.ndarray, x_in: np.ndarray, ws):
     """Analytic batch-mean gradients (weights, encoder bias, decoder bias)
-    of loss(x_clean, reconstruction) over (B, M') rows fed x_in; a batch
-    of one is one example.
+    of loss(x_clean, reconstruction) over (B, M') rows fed x_in, written
+    into ws = workspace(...); a batch of one is one example.
 
     The weight gradient sums the decoder term h^T dz and the encoder term
     da^T x_in because the matrix is shared. This is the exact step
     direction of train_dae, hence the target of the finite-difference
     oracle.
     """
-    h = encode(m, x_in)
-    dz = decode(m, h) - x_clean
-    dz /= x_clean.shape[0]
-
-    da = dz @ m.weights.T * h * (1.0 - h)
-    grad_w = h.T.dot(dz)
-    grad_w += da.T.dot(x_in)
-    return grad_w, np.add.reduce(da, axis=0), np.add.reduce(dz, axis=0)
+    b = len(x_in)
+    h = sigmoid_layer(x_in, m.weights.T, m.encoder_bias, ws.h[:b])
+    dz = sigmoid_layer(h, m.weights, m.decoder_bias, ws.dz[:b])
+    dz -= x_clean
+    if b > 1:
+        dz /= b
+    da = dz.dot(m.weights.T, out=ws.da[:b])
+    da *= h
+    da *= np.subtract(1.0, h, out=ws.t[:b])
+    grad_w = h.T.dot(dz, out=ws.grad_w)
+    grad_w += da.T.dot(x_in, out=ws.grad_x)
+    return grad_w, sum_rows(da, ws.grad_be), sum_rows(dz, ws.grad_bd)
 
 
 def init_dae(input_width: int, cfg: DaeTrainConfig, rng: Rng) -> DaeModel:
@@ -148,9 +169,10 @@ def train_dae(train: Dataset, cfg: DaeTrainConfig, rng: Rng) -> DaeModel:
         raise DataError("cross-entropy training needs inputs in [0, 1]")
 
     model = init_dae(train.m, cfg, rng)
+    ws = workspace(model, train.x, 1)
     sgd("DAE pre-training",
         [model.weights, model.encoder_bias, model.decoder_bias],
-        lambda x, x_in: grads(model, x, x_in),
+        lambda x, x_in: grads(model, x, x_in, ws),
         cfg.learning_rate, (train.x,), cfg.epochs, rng,
         per_epoch=lambda x: (corrupt(x, cfg.noise_sd, rng),))
     return model

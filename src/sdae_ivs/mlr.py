@@ -9,7 +9,7 @@ import numpy as np
 
 from .data import Dataset
 from .errors import ConfigError, DataError, DimensionError
-from .numerics import Rng, sgd, softmax
+from .numerics import Rng, named_zeros, sgd, softmax, sum_rows
 
 
 @dataclass
@@ -97,26 +97,29 @@ def one_hot(labels: np.ndarray, k: int) -> np.ndarray:
     return np.eye(k)[labels - 1]
 
 
-def output_delta(weights, biases, xb, tb):
-    """(softmax - one-hot) / B over the batch xb with one-hot targets tb:
-    the derivative of the batch-mean cross-entropy with respect to the
-    logits. A tb other than (B, K), such as a label vector, raises."""
-    z = xb @ weights.T
-    if tb.shape != z.shape:
-        raise DimensionError(f"targets must be one-hot {z.shape}, not {tb.shape}")
-    z += biases
-    p = softmax(z)
-    p -= tb
-    p /= xb.shape[0]
-    return p
+def workspace(weights, targets, batch):
+    """Arrays batch_grads writes into over one-hot targets (N, K) in batches
+    of at most `batch` rows; targets of another shape, such as labels, raise."""
+    k, m = weights.shape
+    if targets.shape != (len(targets), k):
+        raise DimensionError(f"targets must be one-hot ({len(targets)}, {k}), "
+                             f"not {targets.shape}")
+    return named_zeros(delta=(min(batch, len(targets)), k), grad_w=(k, m),
+                       grad_b=k)
 
 
-def batch_grads(weights, biases, xb, tb):
+def batch_grads(weights, biases, xb, tb, ws):
     """Gradients (d_weights, d_biases) of the batch-mean cross-entropy over
-    the batch xb with one-hot targets tb: the one step direction of
-    train_mlr, and the function the finite-difference oracle checks."""
-    p = output_delta(weights, biases, xb, tb)
-    return p.T.dot(xb), np.add.reduce(p, axis=0)
+    the batch xb with one-hot targets tb, written into ws = workspace(...),
+    whose delta then holds their derivative (softmax - one-hot) / B by the
+    logits: the step of train_mlr and of the fine-tuned top."""
+    p = xb.dot(weights.T, out=ws.delta[:len(xb)])
+    p += biases
+    softmax(p, out=p)
+    p -= tb
+    if len(p) > 1:
+        p /= len(p)
+    return p.T.dot(xb, out=ws.grad_w), sum_rows(p, ws.grad_b)
 
 
 def validation_error(weights, biases, x, labels) -> float:
@@ -145,11 +148,11 @@ def train_mlr(train: Dataset, valid: Dataset, cfg: TrainConfig, rng: Rng,
 
     weights = np.zeros((train.num_classes, train.m))
     biases = np.zeros(train.num_classes)
+    targets = one_hot(train.labels, train.num_classes)
+    ws = workspace(weights, targets, cfg.minibatch_size)
     history = sgd("MLR training", [weights, biases],
-                  lambda xb, tb: batch_grads(weights, biases, xb, tb),
-                  cfg.learning_rate,
-                  (train.x, one_hot(train.labels, train.num_classes)),
-                  cfg.max_epochs,
+                  lambda xb, tb: batch_grads(weights, biases, xb, tb, ws),
+                  cfg.learning_rate, (train.x, targets), cfg.max_epochs,
                   rng, batch=cfg.minibatch_size,
                   score=lambda: validation_error(weights, biases, valid.x,
                                                  valid.labels),

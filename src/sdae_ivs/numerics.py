@@ -7,6 +7,8 @@ operations that need it, never module-global state.
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import numpy as np
 
 from .errors import DivergenceError
@@ -47,9 +49,9 @@ def sgd(phase, params, grads, learning_rate, data, epochs, rng, batch=1,
     per_epoch(*gathered), when given, then returns more row-aligned arrays
     for that epoch (such as one corruption draw of every row), appended to
     the gathered ones. sgd steps along grads(*slices) for each run of
-    `batch` consecutive rows, one gradient per parameter. grads must return
-    fresh arrays, because sgd scales them in place by the learning rate.
-    Overflow inside a step is left to check_finite, which raises
+    `batch` consecutive rows, one gradient per parameter: arrays that are
+    sgd's to scale in place by the learning rate and grads' to reuse on its
+    next call. Overflow inside a step is left to check_finite, which raises
     DivergenceError naming phase and epoch at the end of that epoch.
 
     With a score (lower is better, e.g. a validation error) training stops
@@ -70,10 +72,12 @@ def sgd(phase, params, grads, learning_rate, data, epochs, rng, batch=1,
         shuffled = [a[order] for a in data]
         if per_epoch is not None:
             shuffled += per_epoch(*shuffled)
+        batches = [a.reshape(n, 1, *a.shape[1:]) if batch == 1 else
+                   [a[lo:lo + batch] for lo in range(0, n, batch)]
+                   for a in shuffled]
         with np.errstate(over="ignore", invalid="ignore"):
-            for lo in range(0, n, batch):
-                for p, g in zip(params, grads(*[a[lo:lo + batch]
-                                                for a in shuffled])):
+            for rows in zip(*batches):
+                for p, g in zip(params, grads(*rows)):
                     g *= learning_rate
                     p -= g
         check_finite(phase, epoch, *params)
@@ -94,31 +98,42 @@ def sgd(phase, params, grads, learning_rate, data, epochs, rng, batch=1,
     return history
 
 
-def sigmoid(z):
+def sigmoid(z, out=None):
     """Logistic function 1/(1+e^-z), overflow-safe for any input.
 
-    Accepts scalars or arrays. One exp of -|z| gives e <= 1, and the result
-    is 1/(1+e) where z >= 0 and e/(1+e) elsewhere, so |z| up to the
-    float64 limit cannot overflow.
+    Accepts scalars or arrays, and writes into out (which may be z) when
+    given. exp(fmin(z, 0)) / (1 + e) with e = exp(-|z|) <= 1 is 1/(1+e)
+    where z >= 0 and e/(1+e) elsewhere, so no |z| can overflow.
     """
-    z = np.asarray(z, dtype=np.float64)
-    e = np.exp(-np.abs(z))
-    out = np.where(z >= 0, 1.0, e) / (1.0 + e)
-    if out.ndim == 0:
-        return float(out)
-    return out
+    numerator = np.exp(np.fmin(z, 0.0))
+    e = np.exp(np.copysign(z, -1.0, out=out), out=out)
+    e += 1.0
+    e = np.divide(numerator, e, out=out)
+    return float(e) if e.ndim == 0 else e
 
 
-def softmax(logits):
-    """Max-shifted softmax along the last axis.
+def softmax(logits, out=None):
+    """Max-shifted softmax along the last axis, into out when given.
 
     Components are positive and sum to 1 (within a few ulp); shifting by the
-    row maximum keeps exp from overflowing. Works in place on the fresh
-    shifted array, so logits is left as it was.
+    row maximum keeps exp from overflowing. One row takes scalar reductions,
+    which give the same numbers as the per-row ones.
     """
     z = np.asarray(logits, dtype=np.float64)
-    e = z - np.maximum.reduce(z, axis=-1, keepdims=True)
+    axis, keep = (None, False) if z.size == z.shape[-1] else (-1, True)
+    e = np.subtract(z, np.maximum.reduce(z, axis, keepdims=keep), out=out)
     np.exp(e, out=e)
-    e /= np.add.reduce(e, axis=-1, keepdims=True)
+    e /= np.add.reduce(e, axis, keepdims=keep)
     return e
 
+
+def named_zeros(**shapes) -> SimpleNamespace:
+    """Zero-filled arrays by name and shape: a step's workspace, built once
+    per fit so that no step allocates."""
+    return SimpleNamespace(**{k: np.zeros(s) for k, s in shapes.items()})
+
+
+def sum_rows(delta, out):
+    """Sum over the rows of delta, into out; one row is returned as itself,
+    whose -0.0 (a reduce gives +0.0) moves no parameter that is not -0.0."""
+    return delta[0] if len(delta) == 1 else np.add.reduce(delta, axis=0, out=out)

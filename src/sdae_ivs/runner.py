@@ -46,8 +46,8 @@ def load_splits(cfg: ExperimentConfig) -> tuple[Dataset, Dataset, Dataset]:
                 else split(base, (cfg.train_size, 0))[0]
         if cfg.amat_test is not None:
             # load_config requires one whenever valid is a file.
-            test = load_amat(cfg.amat_test, cfg.zero_based_labels)
-        if cfg.test_size:
+            test = load_test(cfg)
+        elif cfg.test_size:
             test = split(test, (cfg.test_size, 0))[0]
 
     if cfg.variable_shape is not None:
@@ -56,6 +56,14 @@ def load_splits(cfg: ExperimentConfig) -> tuple[Dataset, Dataset, Dataset]:
             raise DataError(f"[data] shape {h} {w} covers {h * w} variables, "
                             f"but the data has {train.m}")
     return train, valid, test
+
+
+def load_test(cfg: ExperimentConfig) -> Dataset:
+    """load_splits' test split, parsing only the [data] test file if any."""
+    if cfg.amat_test is None:
+        return load_splits(cfg)[2]
+    test = load_amat(cfg.amat_test, cfg.zero_based_labels)
+    return split(test, (cfg.test_size, 0))[0] if cfg.test_size else test
 
 
 def _ivs_history_json(results: list[IvsResult]) -> list[dict]:
@@ -98,6 +106,7 @@ def cmd_run(cfg: ExperimentConfig) -> None:
         # cfg.dae holds one plan per layer of the deepest requested depth.
         deepest, ivs_results = pretrain(
             train, valid, StackConfig(cfg.dae, ivs, cfg.fine_tune), cfg.seed)
+        extractors = None  # pattern export selects on the shared layer 1
         for depth in cfg.depths:
             pre = prefix(deepest, depth, train, valid, cfg.fine_tune, cfg.seed)
             tuned = fine_tune(pre, train, valid, cfg.fine_tune,
@@ -129,7 +138,10 @@ def cmd_run(cfg: ExperimentConfig) -> None:
             if cfg.reconstruct_examples:
                 artifacts.append(_write_reconstruction(out, tag, pre, test, cfg))
             if cfg.export_patterns:
-                artifacts += _write_patterns(out, tag, pre, train, valid, cfg)
+                extractors = extractors or select_extractors(
+                    deepest, 1, train, valid, cfg.ivs[0],
+                    derive_rng(cfg.seed, 1, EXTRACTORS))
+                artifacts += _write_patterns(out, tag, extractors, cfg)
             results[variant][f"depth{depth}"] = entry
 
     body = {"config": config_echo(cfg), "results": results,
@@ -191,9 +203,7 @@ def _write_reconstruction(out: Path, tag: str, pre, test: Dataset, cfg) -> str:
     return str(path.relative_to(out))
 
 
-def _write_patterns(out: Path, tag: str, pre, train, valid, cfg) -> list[str]:
-    report = select_extractors(pre, 1, train, valid, cfg.ivs[0],
-                               derive_rng(cfg.seed, 1, EXTRACTORS))
+def _write_patterns(out: Path, tag: str, report, cfg) -> list[str]:
     paths = []
     for name, patterns in (("relevant", report.relevant_patterns),
                            ("irrelevant", report.irrelevant_patterns)):
@@ -242,7 +252,7 @@ def cmd_eval(cfg: ExperimentConfig) -> dict:
     if not report_path.is_file():
         raise DataError(f"no report at {report_path}; run `run` first")
     report = json.loads(report_path.read_text())
-    _, _, test = load_splits(cfg)
+    test = load_test(cfg)
 
     recomputed: dict = {}
     for variant, depths in report["results"].items():

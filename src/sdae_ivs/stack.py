@@ -14,13 +14,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dae import DaeModel, DaeTrainConfig, decode, encode, train_dae, encode_dataset
+from .dae import (DaeModel, DaeTrainConfig, decode, encode, encode_dataset,
+                  sigmoid_layer, train_dae)
 from .data import Dataset, VariableMask, compact, compact_dataset, expand
 from .errors import ConfigError, DataError, DimensionError, DivergenceError
 from .ivs import IvsConfig, IvsResult, run_ivs
-from .mlr import MlrModel, TrainConfig, one_hot, output_delta, train_mlr
+from .mlr import MlrModel, TrainConfig, batch_grads, one_hot, train_mlr
+from .mlr import workspace as top_workspace
 from .mlr import predict_labels as mlr_predict_labels
-from .numerics import DAE, IVS, TOP, Rng, derive_rng, sgd
+from .numerics import DAE, IVS, TOP, Rng, derive_rng, named_zeros, sgd, sum_rows
 
 MAX_DEPTH = 3
 
@@ -141,22 +143,6 @@ def prefix(m: StackModel, depth: int, train: Dataset, valid: Dataset,
                       train_mlr(*codes, cfg, derive_rng(seed, depth, TOP)))
 
 
-def _encode_layers(layers: list[StackLayer], c: np.ndarray,
-                   trace: list | None = None) -> np.ndarray:
-    """Codes of rows c, already in the first layer's input space, after
-    every layer given. A trace list receives each layer's (compacted input,
-    codes) for backpropagation; without one, only the current layer's
-    tensors are alive at a time."""
-    cur = c
-    for idx, layer in enumerate(layers):
-        if idx:
-            c = compact(cur, layer.mask)
-        cur = encode(layer.dae, c)
-        if trace is not None:
-            trace.append((c, cur))
-    return cur
-
-
 def _layer1_input(m: StackModel, x: np.ndarray) -> np.ndarray:
     """Raw rows x compacted through layer 1's mask (x itself when the
     stack has no layers)."""
@@ -168,7 +154,10 @@ def _forward(m: StackModel, x: np.ndarray, depth: int | None = None
              ) -> np.ndarray:
     """Codes of a batch of raw rows (or one row) after the first `depth`
     layers, all by default."""
-    return _encode_layers(m.layers[:depth], _layer1_input(m, x))
+    cur = _layer1_input(m, x)
+    for idx, layer in enumerate(m.layers[:depth]):
+        cur = encode(layer.dae, compact(cur, layer.mask) if idx else cur)
+    return cur
 
 
 def fine_tune_params(m: StackModel) -> list[np.ndarray]:
@@ -180,22 +169,42 @@ def fine_tune_params(m: StackModel) -> list[np.ndarray]:
         + [m.top.weights, m.top.biases]
 
 
-def classification_grads(m: StackModel, c1: np.ndarray, targets: np.ndarray):
+def workspace(m: StackModel, c1: np.ndarray, targets: np.ndarray, batch: int):
+    """Arrays classification_grads writes into over rows c1 and one-hot
+    targets in batches of at most `batch` rows: one workspace per layer, its
+    delta from above zero where a mask drops a unit, then the top's."""
+    if c1.shape[-1] != m.layers[0].dae.input_width:
+        raise DimensionError("rows c1 do not match layer 1's input width")
+    b = min(batch, len(c1))
+    return [named_zeros(c=(b, w), h=(b, h), t=(b, h), da=(b, h), delta=(b, h),
+                        grad_w=(h, w), grad_b=h)
+            for h, w in (layer.dae.weights.shape for layer in m.layers)] \
+        + [top_workspace(m.top.weights, targets, batch)]
+
+
+def classification_grads(m: StackModel, c1: np.ndarray, targets: np.ndarray, ws):
     """Batch-mean gradients of the stack's cross-entropy over (B, M') rows
     c1, already compacted through layer 1's mask, with one-hot targets;
-    one gradient per array of fine_tune_params(m)."""
-    trace = []
-    top_in = _encode_layers(m.layers, c1, trace)
-    g = output_delta(m.top.weights, m.top.biases, top_in, targets)
-    gradients = [g.T.dot(top_in), np.add.reduce(g, axis=0)]
-
-    delta = g @ m.top.weights
+    one gradient per array of fine_tune_params(m), written into
+    ws = workspace(...)."""
+    b, cur = len(c1), c1
+    for idx, (layer, lw) in enumerate(zip(m.layers, ws)):
+        if idx:
+            cur = cur.take(layer.mask.index, axis=1, out=lw.c[:b])
+        cur = sigmoid_layer(cur, layer.dae.weights.T, layer.dae.encoder_bias,
+                            lw.h[:b])
+    gradients = [*batch_grads(m.top.weights, m.top.biases, cur, targets, ws[-1])]
+    delta = ws[-1].delta[:b].dot(m.top.weights, out=ws[-2].delta[:b])
     for idx in range(len(m.layers) - 1, -1, -1):
-        c, h = trace[idx]
-        da = delta * h * (1.0 - h)
-        gradients[:0] = [da.T.dot(c), np.add.reduce(da, axis=0)]
+        layer, lw = m.layers[idx], ws[idx]
+        da = np.multiply(delta, lw.h[:b], out=lw.da[:b])
+        da *= np.subtract(1.0, lw.h[:b], out=lw.t[:b])
+        gradients[:0] = [da.T.dot(lw.c[:b] if idx else c1, out=lw.grad_w),
+                         sum_rows(da, lw.grad_b)]
         if idx > 0:
-            delta = expand(da @ m.layers[idx].dae.weights, m.layers[idx].mask)
+            # Expand through the mask; the compacted input is free by now.
+            delta = ws[idx - 1].delta[:b]
+            delta[:, layer.mask.index] = da.dot(layer.dae.weights, out=lw.c[:b])
     return gradients
 
 
@@ -224,11 +233,11 @@ def fine_tune(m: StackModel, train: Dataset, valid: Dataset,
 
     tuned = copy.deepcopy(m)
     tuned.fine_tuned = True
+    c1, targets = _layer1_input(tuned, train.x), one_hot(train.labels, tuned.top.k)
+    ws = workspace(tuned, c1, targets, 1)
     sgd("fine-tuning", fine_tune_params(tuned),
-        lambda cb, tb: classification_grads(tuned, cb, tb),
-        cfg.learning_rate, (_layer1_input(tuned, train.x),
-                            one_hot(train.labels, tuned.top.k)),
-        cfg.max_epochs, rng,
+        lambda cb, tb: classification_grads(tuned, cb, tb, ws),
+        cfg.learning_rate, (c1, targets), cfg.max_epochs, rng,
         score=lambda: float(np.mean(predict_labels(tuned, valid.x)
                                     != valid.labels)),
         patience=cfg.patience)

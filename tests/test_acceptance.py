@@ -18,6 +18,7 @@ from sdae_ivs.cli import main as cli_main
 from sdae_ivs.dae import DaeModel, DaeTrainConfig, decode, encode
 from sdae_ivs.dae import loss as dae_loss
 from sdae_ivs.dae import grads as dae_grads
+from sdae_ivs.dae import workspace as dae_workspace
 from sdae_ivs.data import (SyntheticSpec, VariableMask, compact, expand,
                            gen_synthetic, split)
 from sdae_ivs.errors import OverThresholdError
@@ -25,11 +26,13 @@ from sdae_ivs.ivs import (IvsConfig, normal_vector, run_ivs, task_importance,
                           update_mask)
 from sdae_ivs.mlr import (MlrModel, TrainConfig, batch_grads, evaluate,
                           one_hot, wald_halfwidth)
+from sdae_ivs.mlr import workspace as mlr_workspace
 from sdae_ivs.numerics import FINE_TUNE, derive_rng, softmax
 from sdae_ivs.stack import (StackConfig, StackLayer, StackModel,
                             classification_grads, fine_tune, fine_tune_params,
                             predict_labels, prefix, pretrain,
                             select_extractors)
+from sdae_ivs.stack import workspace as stack_workspace
 from util import (central_diff, cross_entropy, discriminant, grads_close,
                   random_mlr)
 
@@ -109,8 +112,9 @@ def test_criterion_2_gradient_oracles():
                  int(rng.integers(1, 9))][seed % 3]
         x = rng.uniform(size=(batch, mm))
         labels = rng.integers(1, k + 1, size=batch)
-        gw, gb = batch_grads(model.weights, model.biases, x,
-                             one_hot(labels, k))
+        targets = one_hot(labels, k)
+        gw, gb = batch_grads(model.weights, model.biases, x, targets,
+                             mlr_workspace(model.weights, targets, batch))
 
         def f():
             return cross_entropy(model, x, labels)
@@ -127,7 +131,8 @@ def test_criterion_2_gradient_oracles():
                          rng.normal(scale=0.4, size=mm))
         x_clean = rng.uniform(0.05, 0.95, size=(batch, mm))
         x_in = x_clean + rng.normal(0, 0.1, size=(batch, mm))
-        gw, gbe, gbd = dae_grads(model, x_clean, x_in)
+        gw, gbe, gbd = dae_grads(model, x_clean, x_in,
+                                 dae_workspace(model, x_in, batch))
 
         def f():
             y = decode(model, encode(model, x_in))
@@ -154,8 +159,9 @@ def test_criterion_2_gradient_oracles():
         batch = 1 if seed % 2 else int(rng.integers(2, 9))
         x = rng.uniform(size=(batch, 6))
         labels = rng.integers(1, k + 1, size=batch)
-        gradients = classification_grads(stack, compact(x, mask1),
-                                         one_hot(labels, k))
+        c1, targets = compact(x, mask1), one_hot(labels, k)
+        gradients = classification_grads(
+            stack, c1, targets, stack_workspace(stack, c1, targets, batch))
 
         def f():
             total = 0.0

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from sdae_ivs import stack
+from sdae_ivs import runner, stack
 from sdae_ivs.cli import build_parser, main
 from sdae_ivs.config import KEYS, load_config
 from sdae_ivs.dae import train_dae
@@ -107,9 +107,11 @@ class TestDeterminism:
 
     def test_each_depth_of_a_multi_depth_run_equals_its_own_run(
             self, tmp_path, monkeypatch):
-        trained = []
+        trained, selected = [], []
         monkeypatch.setattr(stack, "train_dae",
                             lambda *args: trained.append(args) or train_dae(*args))
+        monkeypatch.setattr(runner, "select_extractors", lambda *args: (
+            selected.append(args) or stack.select_extractors(*args)))
         outs = {}
         for depths in ("1 2", "1", "2"):
             patched = tmp_path / f"depths-{depths.replace(' ', '')}.ini"
@@ -117,8 +119,11 @@ class TestDeterminism:
                 "depths = 1", f"depths = {depths}"))
             outs[depths] = tmp_path / patched.stem
             trained.clear()
+            selected.clear()
             assert run_cli("run", "--config", patched,
                            "--out", outs[depths]) == 0
+            # Pattern export selects on layer 1 once per variant.
+            assert len(selected) == 2
             if depths == "1 2":
                 # Each variant trains layers 1 and 2 once.
                 assert len(trained) == 4
@@ -526,6 +531,27 @@ class TestAmatPlumbing:
             "[finetune]\nlearning_rate = 0.1\n")
         train, valid, test = load_splits(load_config(config))
         assert (train.n, valid.n, test.n) == (30, 20, 25)
+
+    def test_eval_parses_only_the_test_file(self, tmp_path):
+        self.write_amat(tmp_path / "train.amat", 50, 8, 4)
+        self.write_amat(tmp_path / "test.amat", 30, 8, 5)
+        config = tmp_path / "c.ini"
+        config.write_text(
+            f"[data]\nsource = amat\ntrain = {tmp_path / 'train.amat'}\n"
+            f"test = {tmp_path / 'test.amat'}\n"
+            "train_size = 30\nvalid_size = 20\ntest_size = 25\n"
+            "[stack]\nvariants = both\n"
+            "[dae]\nhidden_units = 4\nnoise_sd = 0.1\nlearning_rate = 0.1\n"
+            "epochs = 2\n[ivs]\nthreshold = 0.3\nlearning_rate = 0.1\n"
+            "max_epochs = 3\n[finetune]\nlearning_rate = 0.1\nmax_epochs = 2\n")
+        out = tmp_path / "o"
+        assert run_cli("run", "--config", config, "--out", out) == 0
+        (tmp_path / "train.amat").unlink()
+        assert run_cli("eval", "--config", config, "--out", out) == 0
+        recomputed = json.loads((out / "eval.json").read_text())
+        entries = [e for depths in recomputed.values() for e in depths.values()]
+        assert len(entries) == 2
+        assert all(e["matches_report"] and e["test_n"] == 25 for e in entries)
 
     # Split mistakes are config errors (exit 1), found before any file is
     # read: the data files named here do not exist.

@@ -3,12 +3,15 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from sdae_ivs import dae
 from sdae_ivs.dae import (DaeModel, DaeTrainConfig, corrupt, decode, encode,
-                          encode_dataset, grads, init_dae, loss, train_dae)
+                          encode_dataset, grads, init_dae, loss, train_dae,
+                          workspace)
 from sdae_ivs.data import Dataset
-from sdae_ivs.errors import DataError, DivergenceError
-from sdae_ivs.numerics import derive_rng
-from util import central_diff, grads_close, per_step_train_dae
+from sdae_ivs.errors import DataError, DimensionError, DivergenceError
+from sdae_ivs.numerics import derive_rng, sgd
+from util import (captured_step, central_diff, fresh_dae_grads, grads_close,
+                  per_step_train_dae)
 
 
 def tiny_model(seed=0, h=3, m=4):
@@ -103,7 +106,8 @@ class TestGradients:
             rng = derive_rng(50 + seed)
             x_clean = rng.uniform(0.05, 0.95, size=(batch, 4))
             x_in = x_clean + rng.normal(0, 0.1, size=(batch, 4))
-            gw, gbe, gbd = grads(model, x_clean, x_in)
+            gw, gbe, gbd = grads(model, x_clean, x_in,
+                                 workspace(model, x_in, batch))
 
             def f():
                 y = decode(model, encode(model, x_in))
@@ -112,6 +116,52 @@ class TestGradients:
             assert grads_close(gw, central_diff(f, model.weights))
             assert grads_close(gbe, central_diff(f, model.encoder_bias))
             assert grads_close(gbd, central_diff(f, model.decoder_bias))
+
+    def test_consecutive_steps_match_the_fresh_reference(self):
+        # One workspace for batches of 3 serves a full batch, a tail of 2
+        # and a single row in turn; no step may see a stale array.
+        model = tiny_model(7, h=3, m=4)
+        rng = derive_rng(57)
+        x_clean = rng.uniform(0.05, 0.95, size=(6, 4))
+        x_in = x_clean + rng.normal(0, 0.1, size=(6, 4))
+        ws = workspace(model, x_in, 3)
+        for rows in (slice(0, 3), slice(3, 5), slice(5, 6), slice(1, 4)):
+            got = grads(model, x_clean[rows], x_in[rows], ws)
+            want = fresh_dae_grads(model, x_clean[rows], x_in[rows])
+            assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+    def test_workspace_checks_the_input_width(self):
+        with pytest.raises(DimensionError, match="expected input width 4, got 5"):
+            workspace(tiny_model(), np.zeros((2, 5)), 1)
+
+    def test_oracle_checks_the_step_sgd_takes(self, monkeypatch):
+        d = Dataset(derive_rng(58).uniform(size=(10, 4)), np.ones(10, dtype=int), 1)
+        cfg = DaeTrainConfig(hidden_units=3, noise_sd=0.2, learning_rate=0.1,
+                             epochs=2)
+        step, model = captured_step(monkeypatch, dae,
+                                    lambda: train_dae(d, cfg, derive_rng(58)))
+        x_clean = d.x[:1]
+        x_in = x_clean + derive_rng(59).normal(0, 0.1, size=(1, 4))
+        gw, gbe, gbd = step(x_clean, x_in)
+
+        def f():
+            return loss(x_clean[0], decode(model, encode(model, x_in[0])))
+
+        assert grads_close(gw, central_diff(f, model.weights))
+        assert grads_close(gbe, central_diff(f, model.encoder_bias))
+        assert grads_close(gbd, central_diff(f, model.decoder_bias))
+
+
+def minibatch_train_dae(train, cfg, rng, batch):
+    """train_dae at a batch size it has no key for, from the same steps."""
+    model = init_dae(train.m, cfg, rng)
+    ws = workspace(model, train.x, batch)
+    sgd("DAE pre-training",
+        [model.weights, model.encoder_bias, model.decoder_bias],
+        lambda x, x_in: grads(model, x, x_in, ws), cfg.learning_rate,
+        (train.x,), cfg.epochs, rng, batch=batch,
+        per_epoch=lambda x: (corrupt(x, cfg.noise_sd, rng),))
+    return model
 
 
 def one_example_dataset():
@@ -154,14 +204,17 @@ class TestTraining:
         assert np.array_equal(a.decoder_bias, b.decoder_bias)
 
     def test_matches_the_per_step_reference_bit_for_bit(self):
+        # 23 rows leave a tail batch of 2 at batch 3.
         d = Dataset(derive_rng(14).uniform(size=(23, 7)), np.ones(23, dtype=int), 1)
         cfg = DaeTrainConfig(hidden_units=5, noise_sd=0.3, learning_rate=0.1,
                              epochs=3)
-        model = train_dae(d, cfg, derive_rng(8))
-        reference = per_step_train_dae(d, cfg, derive_rng(8))
-        assert np.array_equal(model.weights, reference.weights)
-        assert np.array_equal(model.encoder_bias, reference.encoder_bias)
-        assert np.array_equal(model.decoder_bias, reference.decoder_bias)
+        for batch in (1, 3):
+            model = train_dae(d, cfg, derive_rng(8)) if batch == 1 \
+                else minibatch_train_dae(d, cfg, derive_rng(8), batch)
+            reference = per_step_train_dae(d, cfg, derive_rng(8), batch)
+            assert np.array_equal(model.weights, reference.weights)
+            assert np.array_equal(model.encoder_bias, reference.encoder_bias)
+            assert np.array_equal(model.decoder_bias, reference.decoder_bias)
 
     def test_overflowing_learning_rate_raises_with_the_epoch(self):
         # The sigmoid decoder bounds each step's gradient, so only a rate

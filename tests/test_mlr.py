@@ -3,12 +3,14 @@ import pytest
 
 from sdae_ivs.data import Dataset
 from sdae_ivs.errors import DataError, DimensionError, DivergenceError
+from sdae_ivs import mlr
 from sdae_ivs.mlr import (ErrorReport, MlrModel, TrainConfig, batch_grads,
-                          evaluate, one_hot, output_delta, predict_labels,
-                          train_mlr, wald_halfwidth)
+                          evaluate, one_hot, predict_labels, train_mlr,
+                          wald_halfwidth, workspace)
 from sdae_ivs.numerics import derive_rng, softmax
-from util import (central_diff, cross_entropy, grads_close,
-                  per_step_train_mlr, random_mlr)
+from util import (captured_step, central_diff, cross_entropy,
+                  fresh_mlr_grads, grads_close, per_step_train_mlr,
+                  random_mlr)
 
 
 class TestPredict:
@@ -42,8 +44,9 @@ class TestGradients:
             model = random_mlr(seed + 100, k, mm, scale=0.7)
             x = rng.uniform(size=(batch, mm))
             labels = rng.integers(1, k + 1, size=batch)
-            gw, gb = batch_grads(model.weights, model.biases, x,
-                                 one_hot(labels, k))
+            targets = one_hot(labels, k)
+            gw, gb = batch_grads(model.weights, model.biases, x, targets,
+                                 workspace(model.weights, targets, batch))
 
             def f():
                 return cross_entropy(model, x, labels)
@@ -60,22 +63,50 @@ class TestGradients:
             label = rng.integers(1, k + 1, size=1)
             delta = softmax(x @ model.weights.T + model.biases)[0]
             delta[label[0] - 1] -= 1.0
-            gw, gb = batch_grads(model.weights, model.biases, x,
-                                 one_hot(label, k))
+            targets = one_hot(label, k)
+            gw, gb = batch_grads(model.weights, model.biases, x, targets,
+                                 workspace(model.weights, targets, 1))
             assert np.array_equal(gw, np.outer(delta, x[0]))
             assert np.array_equal(gb, delta)
 
     @pytest.mark.parametrize("batch", [1, 3])
     def test_label_vector_targets_raise(self, batch):
         # B = 1 and B = K (here 3) are the shapes at which a (B,) label
-        # vector would broadcast against the (B, K) softmax.
+        # vector would broadcast against the (B, K) softmax. The workspace
+        # checks the targets once, so no step has to.
         model = random_mlr(7, 3, 4)
-        x = derive_rng(7).uniform(size=(batch, 4))
         labels = np.arange(1, batch + 1)
         with pytest.raises(DimensionError, match=r"one-hot \(%d, 3\)" % batch):
-            output_delta(model.weights, model.biases, x, labels)
-        with pytest.raises(DimensionError):
-            batch_grads(model.weights, model.biases, x, labels)
+            workspace(model.weights, labels, batch)
+
+    def test_consecutive_steps_match_the_fresh_reference(self):
+        # One workspace for batches of 3 serves a full batch, a tail of 2
+        # and a single row in turn; no step may see a stale array.
+        model = random_mlr(8, 4, 6)
+        rng = derive_rng(8)
+        x, labels = rng.uniform(size=(6, 6)), rng.integers(1, 5, size=6)
+        targets = one_hot(labels, 4)
+        ws = workspace(model.weights, targets, 3)
+        for rows in (slice(0, 3), slice(3, 5), slice(5, 6), slice(1, 4)):
+            got = batch_grads(model.weights, model.biases, x[rows],
+                              targets[rows], ws)
+            want = fresh_mlr_grads(model.weights, model.biases, x[rows],
+                                   labels[rows])
+            assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+    def test_oracle_checks_the_step_sgd_takes(self, monkeypatch):
+        rng = derive_rng(9)
+        d = Dataset(rng.uniform(size=(20, 5)), rng.integers(1, 4, size=20), 3)
+        step, model = captured_step(monkeypatch, mlr, lambda: train_mlr(
+            d, d, TrainConfig(0.3, 3, 3, minibatch_size=4), derive_rng(9)))
+        x, labels = d.x[:4], d.labels[:4]
+        gw, gb = step(x, one_hot(labels, 3))
+
+        def f():
+            return cross_entropy(model, x, labels)
+
+        assert grads_close(gw, central_diff(f, model.weights))
+        assert grads_close(gb, central_diff(f, model.biases))
 
 
 def separable_toy():
@@ -98,7 +129,7 @@ class TestTraining:
         assert np.array_equal(a.weights, b.weights)
         assert np.array_equal(a.biases, b.biases)
 
-    @pytest.mark.parametrize("batch", [1, 5])
+    @pytest.mark.parametrize("batch", [1, 3, 5])
     def test_matches_the_per_step_reference_bit_for_bit(self, batch):
         rng = derive_rng(6)
         x = rng.uniform(size=(52, 9))

@@ -76,6 +76,17 @@ def test_sigmoid_bit_equal_to_two_branch_reference_on_arrays():
     assert same_bits(sigmoid(grid), two_branch_sigmoid(grid))
 
 
+@pytest.mark.parametrize("z", [np.array(EDGES), np.array([EDGES]),
+                               np.linspace(-40.0, 40.0, 4002).reshape(-1, 3)])
+def test_in_place_sigmoid_bit_equal_to_two_branch_reference(z):
+    # Into a separate array, and over z itself as the SGD steps call it.
+    want = two_branch_sigmoid(z)
+    out = np.full_like(z, np.nan)
+    assert sigmoid(z, out=out) is out and same_bits(out, want)
+    work = z.copy()
+    assert sigmoid(work, out=work) is work and same_bits(work, want)
+
+
 @given(st.floats(allow_nan=False))
 def test_sigmoid_bit_equal_to_two_branch_reference(z):
     assert same_bits(sigmoid(z), two_branch_sigmoid(z))

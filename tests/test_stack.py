@@ -1,3 +1,4 @@
+import copy
 from dataclasses import replace
 
 import numpy as np
@@ -11,11 +12,14 @@ from sdae_ivs.ivs import IvsConfig
 from sdae_ivs.mlr import MlrModel, TrainConfig, evaluate, one_hot, train_mlr
 from sdae_ivs.mlr import predict_labels as mlr_predict_labels
 from sdae_ivs.numerics import DAE, TOP, derive_rng
+from sdae_ivs import stack
+from sdae_ivs.numerics import sgd
 from sdae_ivs.stack import (StackConfig, StackLayer, StackModel,
                             classification_grads, fine_tune, fine_tune_params,
                             predict_labels, prefix, pretrain,
-                            reconstruct_through, select_extractors)
-from util import central_diff, grads_close, log_softmax, per_step_fine_tune
+                            reconstruct_through, select_extractors, workspace)
+from util import (captured_step, central_diff, grads_close, log_softmax,
+                  per_step_classification_grads, per_step_fine_tune)
 
 EASY = SyntheticSpec(num_relevant=8, num_irrelevant=24, num_classes=3,
                      class_separation=3.0, noise_sd=0.4,
@@ -200,26 +204,63 @@ class TestFineTune:
                     -float(log_softmax(_logits_for_test(model, row))[y - 1])
                     for row, y in zip(x, labels)])
 
+            c1, targets = compact(x, model.layers[0].mask), one_hot(labels, 2)
             gradients = classification_grads(
-                model, compact(x, model.layers[0].mask), one_hot(labels, 2))
+                model, c1, targets, workspace(model, c1, targets, batch))
             assert len(gradients) == len(params)
             for g, p in zip(gradients, params):
                 assert grads_close(g, central_diff(f, p))
 
+    @pytest.mark.parametrize("with_masks", [True, False])
+    def test_consecutive_steps_match_the_fresh_reference(self, with_masks):
+        # One workspace for batches of 3 serves a full batch, a tail of 2
+        # and a single row in turn; no step may see a stale array.
+        model = toy_stack(27, with_masks=with_masks)
+        rng = derive_rng(27)
+        x, labels = rng.uniform(size=(6, 6)), rng.integers(1, 3, size=6)
+        c1, targets = compact(x, model.layers[0].mask), one_hot(labels, 2)
+        ws = workspace(model, c1, targets, 3)
+        for rows in (slice(0, 3), slice(3, 5), slice(5, 6), slice(1, 4)):
+            got = classification_grads(model, c1[rows], targets[rows], ws)
+            want = per_step_classification_grads(model, x[rows], labels[rows])
+            assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+    def test_oracle_checks_the_step_sgd_takes(self, monkeypatch):
+        model = toy_stack(28)
+        rng = derive_rng(28)
+        d = Dataset(rng.uniform(size=(12, 6)), rng.integers(1, 3, size=12), 2)
+        step, tuned = captured_step(monkeypatch, stack, lambda: fine_tune(
+            model, d, d, TrainConfig(0.5, 2, 2), derive_rng(29)))
+        x, labels = d.x[:1], d.labels[:1]
+        gradients = step(compact(x, model.layers[0].mask), one_hot(labels, 2))
+
+        def f():
+            return -float(log_softmax(_logits_for_test(tuned, x[0]))[labels[0] - 1])
+
+        for g, p in zip(gradients, fine_tune_params(tuned)):
+            assert grads_close(g, central_diff(f, p))
+
     def test_matches_the_per_step_reference_bit_for_bit(self):
-        # Layer 1's mask drops a variable, so the compaction is checked.
-        model = toy_stack(25)
+        # Layer 1's mask drops a variable, so the compaction is checked, and
+        # layer 2's drops a hidden unit; the all-ones masks of plain SDAE
+        # are checked too. 30 rows leave a tail of 2 at batch 4.
         x = derive_rng(26).uniform(size=(40, 6))
         labels = 1 + (x[:, 0] > 0.5)
         train, valid = Dataset(x[:30], labels[:30], 2), \
             Dataset(x[30:], labels[30:], 2)
         cfg = TrainConfig(0.5, 6, 6)
-        tuned = fine_tune(model, train, valid, cfg, derive_rng(3))
-        reference = per_step_fine_tune(model, train, valid, cfg, derive_rng(3))
-        assert not np.array_equal(fine_tune_params(tuned)[0],
-                                  fine_tune_params(model)[0])
-        for a, b in zip(fine_tune_params(tuned), fine_tune_params(reference)):
-            assert np.array_equal(a, b)
+        for batch, with_masks in ((1, True), (4, True), (1, False)):
+            model = toy_stack(25, with_masks=with_masks)
+            tuned = fine_tune(model, train, valid, cfg, derive_rng(3)) \
+                if batch == 1 else \
+                minibatch_fine_tune(model, train, valid, cfg, derive_rng(3), batch)
+            reference = per_step_fine_tune(model, train, valid, cfg,
+                                           derive_rng(3), batch)
+            assert not np.array_equal(fine_tune_params(tuned)[0],
+                                      fine_tune_params(model)[0])
+            for a, b in zip(fine_tune_params(tuned),
+                            fine_tune_params(reference)):
+                assert np.array_equal(a, b)
 
     def test_input_model_is_left_untouched(self):
         model = toy_stack(23)
@@ -248,6 +289,21 @@ class TestFineTune:
                            match="fine-tuning diverged at epoch 1"):
             fine_tune(model, train, valid, TrainConfig(1e308, 5, 5),
                       derive_rng(0))
+
+
+def minibatch_fine_tune(m, train, valid, cfg, rng, batch):
+    """fine_tune at a batch size it has no key for, from the same steps."""
+    tuned = copy.deepcopy(m)
+    c1 = compact(train.x, tuned.layers[0].mask)
+    targets = one_hot(train.labels, tuned.top.k)
+    ws = workspace(tuned, c1, targets, batch)
+    sgd("fine-tuning", fine_tune_params(tuned),
+        lambda cb, tb: classification_grads(tuned, cb, tb, ws),
+        cfg.learning_rate, (c1, targets), cfg.max_epochs, rng, batch=batch,
+        score=lambda: float(np.mean(predict_labels(tuned, valid.x)
+                                    != valid.labels)),
+        patience=cfg.patience)
+    return tuned
 
 
 def _logits_for_test(model, x):

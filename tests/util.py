@@ -6,10 +6,10 @@ from pathlib import Path
 
 import numpy as np
 
-from sdae_ivs.dae import encode, grads, init_dae
+from sdae_ivs.dae import init_dae
 from sdae_ivs.data import expand
 from sdae_ivs.mlr import MlrModel, validation_error
-from sdae_ivs.numerics import derive_rng, sgd, softmax
+from sdae_ivs.numerics import derive_rng, sgd
 from sdae_ivs.stack import fine_tune_params, predict_labels
 
 
@@ -81,46 +81,64 @@ def discriminant(m: MlrModel, i: int, j: int, x: np.ndarray) -> float:
 
 
 # Per-step references. Each trainer does its parameter-free work (one-hot
-# targets, corruption, layer-1 compaction) once per fit or per epoch; these
-# do it inside every step instead, through the same sgd loop, and the
-# trainers must match them bit for bit.
+# targets, corruption, layer-1 compaction) once per fit or per epoch, and
+# writes every step into a per-fit workspace; these do that work inside
+# every step instead, on fresh arrays and with the plain formulas, through
+# the same sgd loop, and the trainers must match them bit for bit.
+
+def fresh_softmax(logits):
+    """Softmax of each row, max-shifted, on fresh arrays."""
+    e = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
 
 def label_output_delta(weights, biases, xb, yb):
     """(softmax - one-hot) / B, subtracting 1 at each 1-based label."""
-    p = softmax(xb @ weights.T + biases)
+    p = fresh_softmax(xb @ weights.T + biases)
     p[np.arange(xb.shape[0]), yb - 1] -= 1.0
-    p /= xb.shape[0]
-    return p
+    return p / xb.shape[0]
+
+
+def fresh_mlr_grads(weights, biases, xb, yb):
+    """The batch-mean cross-entropy gradients mlr.batch_grads computes."""
+    p = label_output_delta(weights, biases, xb, yb)
+    return p.T.dot(xb), p.sum(axis=0)
 
 
 def per_step_train_mlr(train, valid, cfg, rng) -> MlrModel:
     """train_mlr with label-indexed deltas."""
     weights = np.zeros((train.num_classes, train.m))
     biases = np.zeros(train.num_classes)
-
-    def step(xb, yb):
-        p = label_output_delta(weights, biases, xb, yb)
-        return p.T.dot(xb), p.sum(axis=0)
-
-    sgd("MLR training", [weights, biases], step, cfg.learning_rate,
-        (train.x, train.labels), cfg.max_epochs, rng,
+    sgd("MLR training", [weights, biases],
+        lambda xb, yb: fresh_mlr_grads(weights, biases, xb, yb),
+        cfg.learning_rate, (train.x, train.labels), cfg.max_epochs, rng,
         batch=cfg.minibatch_size,
         score=lambda: validation_error(weights, biases, valid.x, valid.labels),
         patience=cfg.patience)
     return MlrModel(weights, biases)
 
 
-def per_step_train_dae(train, cfg, rng):
+def fresh_dae_grads(m, x_clean, x_in):
+    """The batch-mean gradients dae.grads computes: cross-entropy through
+    the sigmoid decoder, with both terms of the tied weight matrix."""
+    h = two_branch_sigmoid(x_in @ m.weights.T + m.encoder_bias)
+    y = two_branch_sigmoid(h @ m.weights + m.decoder_bias)
+    dz = (y - x_clean) / x_clean.shape[0]
+    da = dz @ m.weights.T * h * (1.0 - h)
+    return h.T.dot(dz) + da.T.dot(x_in), da.sum(axis=0), dz.sum(axis=0)
+
+
+def per_step_train_dae(train, cfg, rng, batch=1):
     """train_dae drawing each step's corruption as that step's x + noise."""
     model = init_dae(train.m, cfg, rng)
 
     def step(x):
         x_in = x + rng.normal(0.0, cfg.noise_sd, size=x.shape)
-        return grads(model, x, x_in)
+        return fresh_dae_grads(model, x, x_in)
 
     sgd("DAE pre-training",
         [model.weights, model.encoder_bias, model.decoder_bias], step,
-        cfg.learning_rate, (train.x,), cfg.epochs, rng)
+        cfg.learning_rate, (train.x,), cfg.epochs, rng, batch=batch)
     return model
 
 
@@ -130,7 +148,8 @@ def per_step_classification_grads(m, x, labels):
     trace, cur = [], x
     for layer in m.layers:
         c = cur[..., layer.mask.bits]
-        cur = encode(layer.dae, c)
+        cur = two_branch_sigmoid(c @ layer.dae.weights.T
+                                 + layer.dae.encoder_bias)
         trace.append((c, cur))
     g = label_output_delta(m.top.weights, m.top.biases, cur, labels)
     gradients = [g.T.dot(cur), g.sum(axis=0)]
@@ -144,17 +163,33 @@ def per_step_classification_grads(m, x, labels):
     return gradients
 
 
-def per_step_fine_tune(m, train, valid, cfg, rng):
+def per_step_fine_tune(m, train, valid, cfg, rng, batch=1):
     """fine_tune stepping along per_step_classification_grads."""
     tuned = copy.deepcopy(m)
     tuned.fine_tuned = True
     sgd("fine-tuning", fine_tune_params(tuned),
         lambda xb, yb: per_step_classification_grads(tuned, xb, yb),
         cfg.learning_rate, (train.x, train.labels), cfg.max_epochs, rng,
+        batch=batch,
         score=lambda: float(np.mean(predict_labels(tuned, valid.x)
                                     != valid.labels)),
         patience=cfg.patience)
     return tuned
+
+
+def captured_step(monkeypatch, module, fit):
+    """The grads function module's trainer hands to sgd when fit() runs,
+    with fit's result."""
+    steps = []
+
+    def spy(phase, params, grads, *args, **kwargs):
+        steps.append(grads)
+        return sgd(phase, params, grads, *args, **kwargs)
+
+    monkeypatch.setattr(module, "sgd", spy)
+    result = fit()
+    assert len(steps) == 1
+    return steps[0], result
 
 
 def read_pgm(path) -> np.ndarray:
