@@ -106,7 +106,13 @@ def cmd_run(cfg: ExperimentConfig) -> None:
         # cfg.dae holds one plan per layer of the deepest requested depth.
         deepest, ivs_results = pretrain(
             train, valid, StackConfig(cfg.dae, ivs, cfg.fine_tune), cfg.seed)
-        extractors = None  # pattern export selects on the shared layer 1
+        # Every depth shares the deepest stack's lower layers, so selection
+        # and pattern artifacts are written once per variant.
+        artifacts += _write_ivs_artifacts(out, variant, ivs_results, cfg)
+        if cfg.export_patterns:
+            artifacts += _write_patterns(out, variant, select_extractors(
+                deepest, 1, train, valid, cfg.ivs[0],
+                derive_rng(cfg.seed, 1, EXTRACTORS)), cfg)
         for depth in cfg.depths:
             pre = prefix(deepest, depth, train, valid, cfg.fine_tune, cfg.seed)
             tuned = fine_tune(pre, train, valid, cfg.fine_tune,
@@ -133,15 +139,8 @@ def cmd_run(cfg: ExperimentConfig) -> None:
             }
             if ivs_results:
                 entry["ivs_layers"] = _ivs_history_json(ivs_results[:depth])
-                artifacts += _write_ivs_artifacts(out, tag,
-                                                  ivs_results[:depth], cfg)
             if cfg.reconstruct_examples:
                 artifacts.append(_write_reconstruction(out, tag, pre, test, cfg))
-            if cfg.export_patterns:
-                extractors = extractors or select_extractors(
-                    deepest, 1, train, valid, cfg.ivs[0],
-                    derive_rng(cfg.seed, 1, EXTRACTORS))
-                artifacts += _write_patterns(out, tag, extractors, cfg)
             results[variant][f"depth{depth}"] = entry
 
     body = {"config": config_echo(cfg), "results": results,

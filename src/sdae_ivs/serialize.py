@@ -16,6 +16,7 @@ import numpy as np
 
 from .data import VariableMask
 from .dae import DaeModel
+from .errors import DimensionError
 from .mlr import MlrModel
 from .stack import StackLayer, StackModel
 
@@ -76,6 +77,11 @@ def load_stack(path) -> StackModel:
         _unpack(layer["decoder_bias"])))
         for layer in rec["layers"]]
     top = rec["top"]
-    return StackModel(layers, MlrModel(_unpack(top["weights"]),
-                                       _unpack(top["biases"])),
-                      rec["fine_tuned"])
+    model = StackModel(layers, MlrModel(_unpack(top["weights"]),
+                                        _unpack(top["biases"])),
+                       rec["fine_tuned"])
+    try:
+        model.check_widths()
+    except DimensionError as exc:
+        raise DimensionError(f"{path}: {exc}") from exc
+    return model

@@ -59,14 +59,14 @@ class TestRun:
         layer = ivs_entry["ivs_layers"][0]
         kept = [item["kept"] for item in layer["iterations"]]
         assert all(a >= b for a, b in zip(kept, kept[1:]))
-        assert (smoke_run / "csv" / "sdae_ivs-depth1-layer1-history.csv").is_file()
-        assert (smoke_run / "images" / "sdae_ivs-depth1-importance.pgm").is_file()
+        assert (smoke_run / "csv" / "sdae_ivs-layer1-history.csv").is_file()
+        assert (smoke_run / "images" / "sdae_ivs-importance.pgm").is_file()
 
     def test_reconstruction_and_pattern_images(self, smoke_run):
         img = read_pgm(smoke_run / "images" / "sdae-depth1-reconstruction.pgm")
         assert img.ndim == 2 and img.size > 0
-        assert (smoke_run / "csv" / "sdae-depth1-extractors.csv").is_file()
-        assert list((smoke_run / "images").glob("sdae-depth1-patterns-*.pgm"))
+        assert (smoke_run / "csv" / "sdae-extractors.csv").is_file()
+        assert list((smoke_run / "images").glob("sdae-patterns-*.pgm"))
 
     def test_plain_variant_has_no_selection_history(self, smoke_run):
         report = json.loads((smoke_run / "report.json").read_text())
@@ -128,16 +128,27 @@ class TestDeterminism:
                 # Each variant trains layers 1 and 2 once.
                 assert len(trained) == 4
         both = json.loads((outs["1 2"] / "report.json").read_text())
+        # Selection and pattern files are tagged by variant alone, written
+        # once each; models and reconstructions by variant and depth.
+        assert len(both["artifacts"]) == len(set(both["artifacts"]))
+        shared = [name for name in both["artifacts"] if "-depth" not in name]
+        assert "csv/sdae_ivs-layer2-history.csv" in shared
+        assert "csv/sdae-extractors.csv" in shared
         for depth in ("1", "2"):
             alone = json.loads((outs[depth] / "report.json").read_text())
             for variant, entries in alone["results"].items():
                 assert both["results"][variant][f"depth{depth}"] == \
                     entries[f"depth{depth}"]
-            # Every model, CSV and image of the single-depth run.
+            # Every model and reconstruction of the single-depth run, and
+            # every per-variant file it shares with the two-depth run.
             assert set(alone["artifacts"]) <= set(both["artifacts"])
             for name in alone["artifacts"]:
                 assert (outs["1 2"] / name).read_bytes() == \
                     (outs[depth] / name).read_bytes(), name
+        # The depth-2 run writes the same per-variant files.
+        two = json.loads((outs["2"] / "report.json").read_text())
+        assert sorted(n for n in two["artifacts"] if "-depth" not in n) == \
+            sorted(shared)
 
 
 class TestEval:
@@ -165,6 +176,26 @@ class TestModelWidth:
         err = capsys.readouterr().err
         assert "-depth1-" in err and ".json reads 30 variables" in err
         assert "data has 31" in err
+
+
+class TestModelFile:
+    def test_mask_that_disagrees_with_its_dae_names_file_and_layer(
+            self, tmp_path, capsys):
+        patched = tmp_path / "deep.ini"
+        patched.write_text(SMOKE.read_text()
+                           .replace("depths = 1", "depths = 2")
+                           .replace("variants = both", "variants = sdae"))
+        out = tmp_path / "deep"
+        assert run_cli("run", "--config", patched, "--out", out) == 0
+        path = out / "models" / "sdae-depth2-tuned.json"
+        rec = json.loads(path.read_text())
+        # Drop one kept unit from layer 2's mask, but not from its DAE.
+        rec["layers"][1]["mask"] = rec["layers"][1]["mask"].replace("1", "0", 1)
+        path.write_text(json.dumps(rec))
+        capsys.readouterr()
+        assert run_cli("eval", "--config", patched, "--out", out) == 3
+        err = capsys.readouterr().err
+        assert str(path) in err and "layer 2" in err
 
 
 class TestDivergence:
@@ -206,18 +237,18 @@ class TestIvsCommand:
         # that both verbs drew the same stream, even where masks agree.
         for name in ("history", "importance"):
             assert (out / "ivs" / f"{name}.csv").read_bytes() == (
-                smoke_run / "csv" / f"sdae_ivs-depth1-layer1-{name}.csv"
+                smoke_run / "csv" / f"sdae_ivs-layer1-{name}.csv"
             ).read_bytes()
 
-    def test_zero_threshold_two_iterations(self, tmp_path):
+    def test_zero_threshold_one_iteration(self, tmp_path):
         patched = tmp_path / "zero.ini"
         patched.write_text(SMOKE.read_text().replace("threshold = 0.3",
                                                      "threshold = 0.0"))
         out = tmp_path / "zero_out"
         assert run_cli("ivs", "--config", patched, "--out", out) == 0
         rows = (out / "ivs" / "history.csv").read_text().splitlines()[1:]
-        assert len(rows) == 2
-        assert rows[-1].split(",")[1] == "30"
+        assert len(rows) == 1
+        assert rows[0].split(",")[1] == "30"
 
     def test_missing_threshold_names_field(self, tmp_path):
         patched = tmp_path / "broken.ini"
