@@ -15,7 +15,8 @@ import numpy as np
 
 from .data import Dataset
 from .errors import ConfigError, DataError, DimensionError
-from .numerics import Rng, named_zeros, sgd, sigmoid, sum_rows
+from .numerics import (Rng, delta_rows, named_zeros, pack, sgd, sigmoid,
+                       sum_rows)
 
 
 @dataclass
@@ -113,18 +114,25 @@ def sigmoid_layer(x, weights, bias, out):
 
 def workspace(m: DaeModel, x: np.ndarray, batch: int):
     """Arrays grads writes into over the rows of x in batches of at most
-    `batch`; inputs of another width raise."""
+    `batch`; inputs of another width raise. The gradients grad_w, grad_be
+    and grad_bd are views of one flat buffer grad laid out like the
+    model's (weights, encoder_bias, decoder_bias); at batch 1 the deltas
+    da and dz are the rows of grad_be and grad_bd."""
     if x.shape[-1] != m.input_width:
         raise DimensionError(f"expected input width {m.input_width}, got {x.shape[-1]}")
     b, (h, w) = min(batch, len(x)), m.weights.shape
-    return named_zeros(h=(b, h), t=(b, h), da=(b, h), dz=(b, w), grad_w=(h, w),
-                       grad_x=(h, w), grad_be=h, grad_bd=w)
+    ws = named_zeros(h=(b, h), t=(b, h), grad_x=(h, w))
+    ws.grad, (ws.grad_w, ws.grad_be, ws.grad_bd) = pack(
+        np.zeros((h, w)), np.zeros(h), np.zeros(w))
+    ws.da, ws.dz = delta_rows(ws.grad_be, b), delta_rows(ws.grad_bd, b)
+    return ws
 
 
 def grads(m: DaeModel, x_clean: np.ndarray, x_in: np.ndarray, ws):
     """Analytic batch-mean gradients (weights, encoder bias, decoder bias)
     of loss(x_clean, reconstruction) over (B, M') rows fed x_in, written
-    into ws = workspace(...); a batch of one is one example.
+    into ws = workspace(...); a batch of one is one example. Returns the
+    flat buffer ws.grad they lie in.
 
     The weight gradient sums the decoder term h^T dz and the encoder term
     da^T x_in because the matrix is shared. This is the exact step
@@ -140,16 +148,22 @@ def grads(m: DaeModel, x_clean: np.ndarray, x_in: np.ndarray, ws):
     da = dz.dot(m.weights.T, out=ws.da[:b])
     da *= h
     da *= np.subtract(1.0, h, out=ws.t[:b])
-    grad_w = h.T.dot(dz, out=ws.grad_w)
-    grad_w += da.T.dot(x_in, out=ws.grad_x)
-    return grad_w, sum_rows(da, ws.grad_be), sum_rows(dz, ws.grad_bd)
+    h.T.dot(dz, out=ws.grad_w)
+    ws.grad_w += da.T.dot(x_in, out=ws.grad_x)
+    sum_rows(da, ws.grad_be)
+    sum_rows(dz, ws.grad_bd)
+    return ws.grad
 
 
-def init_dae(input_width: int, cfg: DaeTrainConfig, rng: Rng) -> DaeModel:
-    """Uniform weights on [-1/sqrt(M'), +1/sqrt(M')], zero biases."""
+def init_dae(input_width: int, cfg: DaeTrainConfig, rng: Rng
+             ) -> tuple[np.ndarray, DaeModel]:
+    """Uniform weights on [-1/sqrt(M'), +1/sqrt(M')], zero biases: a model
+    over views of one flat buffer, returned with it (see numerics.pack)."""
     bound = 1.0 / np.sqrt(input_width)
-    weights = rng.uniform(-bound, bound, size=(cfg.hidden_units, input_width))
-    return DaeModel(weights, np.zeros(cfg.hidden_units), np.zeros(input_width))
+    params, views = pack(
+        rng.uniform(-bound, bound, size=(cfg.hidden_units, input_width)),
+        np.zeros(cfg.hidden_units), np.zeros(input_width))
+    return params, DaeModel(*views)
 
 
 def train_dae(train: Dataset, cfg: DaeTrainConfig, rng: Rng) -> DaeModel:
@@ -168,11 +182,9 @@ def train_dae(train: Dataset, cfg: DaeTrainConfig, rng: Rng) -> DaeModel:
     if train.x.min() < 0 or train.x.max() > 1:
         raise DataError("cross-entropy training needs inputs in [0, 1]")
 
-    model = init_dae(train.m, cfg, rng)
+    params, model = init_dae(train.m, cfg, rng)
     ws = workspace(model, train.x, 1)
-    sgd("DAE pre-training",
-        [model.weights, model.encoder_bias, model.decoder_bias],
-        lambda x, x_in: grads(model, x, x_in, ws),
+    sgd("DAE pre-training", params, lambda x, x_in: grads(model, x, x_in, ws),
         cfg.learning_rate, (train.x,), cfg.epochs, rng,
         per_epoch=lambda x: (corrupt(x, cfg.noise_sd, rng),))
     return model

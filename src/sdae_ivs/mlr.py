@@ -4,12 +4,13 @@ validation early stopping, and error reporting with Wald intervals."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
 from .data import Dataset
 from .errors import ConfigError, DataError, DimensionError
-from .numerics import Rng, named_zeros, sgd, softmax, sum_rows
+from .numerics import Rng, delta_rows, pack, sgd, softmax, sum_rows
 
 
 @dataclass
@@ -97,29 +98,39 @@ def one_hot(labels: np.ndarray, k: int) -> np.ndarray:
     return np.eye(k)[labels - 1]
 
 
-def workspace(weights, targets, batch):
+def workspace(weights, targets, batch, grads=None):
     """Arrays batch_grads writes into over one-hot targets (N, K) in batches
-    of at most `batch` rows; targets of another shape, such as labels, raise."""
+    of at most `batch` rows; targets of another shape, such as labels, raise.
+
+    grads is a (flat buffer, [grad_w, grad_b]) pair, the gradient views
+    lying in the buffer; by default the workspace packs its own. At batch 1
+    the delta is grad_b's own row.
+    """
     k, m = weights.shape
     if targets.shape != (len(targets), k):
         raise DimensionError(f"targets must be one-hot ({len(targets)}, {k}), "
                              f"not {targets.shape}")
-    return named_zeros(delta=(min(batch, len(targets)), k), grad_w=(k, m),
-                       grad_b=k)
+    grad, (grad_w, grad_b) = grads or pack(np.zeros((k, m)), np.zeros(k))
+    return SimpleNamespace(grad=grad, grad_w=grad_w, grad_b=grad_b,
+                           delta=delta_rows(grad_b, min(batch, len(targets))))
 
 
 def batch_grads(weights, biases, xb, tb, ws):
-    """Gradients (d_weights, d_biases) of the batch-mean cross-entropy over
-    the batch xb with one-hot targets tb, written into ws = workspace(...),
-    whose delta then holds their derivative (softmax - one-hot) / B by the
-    logits: the step of train_mlr and of the fine-tuned top."""
+    """Gradients of the batch-mean cross-entropy by the weights and biases
+    over the batch xb with one-hot targets tb, written into ws.grad_w and
+    ws.grad_b of ws = workspace(...), whose delta then holds their
+    derivative (softmax - one-hot) / B by the logits: the step of
+    train_mlr and of the fine-tuned top. Returns the flat buffer ws.grad
+    the two lie in."""
     p = xb.dot(weights.T, out=ws.delta[:len(xb)])
     p += biases
     softmax(p, out=p)
     p -= tb
     if len(p) > 1:
         p /= len(p)
-    return p.T.dot(xb, out=ws.grad_w), sum_rows(p, ws.grad_b)
+    p.T.dot(xb, out=ws.grad_w)
+    sum_rows(p, ws.grad_b)
+    return ws.grad
 
 
 def validation_error(weights, biases, x, labels) -> float:
@@ -146,11 +157,11 @@ def train_mlr(train: Dataset, valid: Dataset, cfg: TrainConfig, rng: Rng,
     if train.num_classes != valid.num_classes or train.m != valid.m:
         raise DataError("train and validation sets disagree on M or K")
 
-    weights = np.zeros((train.num_classes, train.m))
-    biases = np.zeros(train.num_classes)
+    params, (weights, biases) = pack(np.zeros((train.num_classes, train.m)),
+                                     np.zeros(train.num_classes))
     targets = one_hot(train.labels, train.num_classes)
     ws = workspace(weights, targets, cfg.minibatch_size)
-    history = sgd("MLR training", [weights, biases],
+    history = sgd("MLR training", params,
                   lambda xb, tb: batch_grads(weights, biases, xb, tb, ws),
                   cfg.learning_rate, (train.x, targets), cfg.max_epochs,
                   rng, batch=cfg.minibatch_size,

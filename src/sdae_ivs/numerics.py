@@ -32,27 +32,41 @@ def derive_rng(master_seed: int, *key: int) -> Rng:
     return np.random.Generator(np.random.PCG64(ss))
 
 
-def check_finite(phase: str, epoch: int, *params: np.ndarray) -> None:
-    """Raise DivergenceError if any parameter array holds an inf or a NaN."""
-    if not all(np.isfinite(p).all() for p in params):
+def check_finite(phase: str, epoch: int, params: np.ndarray) -> None:
+    """Raise DivergenceError if the flat parameter buffer holds an inf or a
+    NaN."""
+    if not np.isfinite(params).all():
         raise DivergenceError(f"{phase} diverged at epoch {epoch} (non-finite "
                               "parameters); lower the learning rate")
 
 
+def pack(*arrays):
+    """Copies of arrays laid end to end in one float64 buffer, and a view of
+    the buffer shaped like each, in order: a fit's parameters, or its
+    gradients, which sgd then updates in one call whatever their count."""
+    flat = np.concatenate([np.ravel(a) for a in arrays], dtype=np.float64)
+    ends = np.cumsum([np.size(a) for a in arrays])
+    return flat, [flat[end - np.size(a):end].reshape(np.shape(a))
+                  for a, end in zip(arrays, ends)]
+
+
 def sgd(phase, params, grads, learning_rate, data, epochs, rng, batch=1,
         score=None, patience=0, per_epoch=None):
-    """Minibatch SGD over the rows of data, stepping every array in params
+    """Minibatch SGD over the rows of data, stepping the flat buffer params
     in place.
 
-    data is a tuple of row-aligned arrays, such as (inputs, targets). Each
-    epoch gathers every array once in the order of a fresh rng permutation;
-    per_epoch(*gathered), when given, then returns more row-aligned arrays
-    for that epoch (such as one corruption draw of every row), appended to
-    the gathered ones. sgd steps along grads(*slices) for each run of
-    `batch` consecutive rows, one gradient per parameter: arrays that are
-    sgd's to scale in place by the learning rate and grads' to reuse on its
-    next call. Overflow inside a step is left to check_finite, which raises
-    DivergenceError naming phase and epoch at the end of that epoch.
+    params holds every parameter of the fit, the model's arrays being views
+    of it (see pack). data is a tuple of row-aligned arrays, such as
+    (inputs, targets). Each epoch gathers every array once in the order of
+    a fresh rng permutation; per_epoch(*gathered), when given, then returns
+    more row-aligned arrays for that epoch (such as one corruption draw of
+    every row), appended to the gathered ones. sgd steps along
+    grads(*slices) for each run of `batch` consecutive rows: a flat
+    gradient laid out like params, which is sgd's to scale in place by the
+    learning rate and grads' to overwrite on its next call, so a step is
+    two calls whatever the parameter count. Overflow inside a step is left
+    to check_finite, which raises DivergenceError naming phase and epoch
+    at the end of that epoch.
 
     With a score (lower is better, e.g. a validation error) training stops
     early: the score is taken before the first epoch and after each one,
@@ -64,7 +78,7 @@ def sgd(phase, params, grads, learning_rate, data, epochs, rng, batch=1,
     n = len(data[0])
     history = []
     if score is not None:
-        best_score, best = score(), [p.copy() for p in params]
+        best_score, best = score(), params.copy()
         history.append((0, best_score))
     since_improvement = 0
     for epoch in range(1, epochs + 1):
@@ -77,24 +91,23 @@ def sgd(phase, params, grads, learning_rate, data, epochs, rng, batch=1,
                    for a in shuffled]
         with np.errstate(over="ignore", invalid="ignore"):
             for rows in zip(*batches):
-                for p, g in zip(params, grads(*rows)):
-                    g *= learning_rate
-                    p -= g
-        check_finite(phase, epoch, *params)
+                g = grads(*rows)
+                g *= learning_rate
+                params -= g
+        check_finite(phase, epoch, params)
         if score is None:
             continue
         current = score()
         history.append((epoch, current))
         if current < best_score:
-            best_score, best = current, [p.copy() for p in params]
+            best_score, best = current, params.copy()
             since_improvement = 0
         else:
             since_improvement += 1
             if since_improvement >= patience:
                 break
     if score is not None:
-        for p, snapshot in zip(params, best):
-            p[...] = snapshot
+        params[...] = best
     return history
 
 
@@ -133,7 +146,19 @@ def named_zeros(**shapes) -> SimpleNamespace:
     return SimpleNamespace(**{k: np.zeros(s) for k, s in shapes.items()})
 
 
+def delta_rows(grad_b, b):
+    """A (b, width) delta whose rows sum_rows adds into the bias gradient
+    grad_b: at b = 1 grad_b's own row, so that no step copies it."""
+    return grad_b[None] if b == 1 else np.zeros((b, grad_b.size))
+
+
 def sum_rows(delta, out):
-    """Sum over the rows of delta, into out; one row is returned as itself,
-    whose -0.0 (a reduce gives +0.0) moves no parameter that is not -0.0."""
-    return delta[0] if len(delta) == 1 else np.add.reduce(delta, axis=0, out=out)
+    """Sum over the rows of delta, into out. A one-row delta is copied, which
+    keeps its -0.0 (a reduce gives +0.0, which moves a parameter that is
+    -0.0), unless delta and out are views of one buffer: at batch 1 a
+    workspace's one-row deltas are the rows of their bias gradients (see
+    delta_rows), so that no step copies."""
+    if len(delta) > 1:
+        np.add.reduce(delta, axis=0, out=out)
+    elif delta.base is not out.base or out.base is None:
+        out[...] = delta

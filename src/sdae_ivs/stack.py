@@ -9,7 +9,6 @@ parameters and cannot re-enter during fine-tuning.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,7 +21,8 @@ from .ivs import IvsConfig, IvsResult, run_ivs
 from .mlr import MlrModel, TrainConfig, batch_grads, one_hot, train_mlr
 from .mlr import workspace as top_workspace
 from .mlr import predict_labels as mlr_predict_labels
-from .numerics import DAE, IVS, TOP, Rng, derive_rng, named_zeros, sgd, sum_rows
+from .numerics import (DAE, IVS, TOP, Rng, delta_rows, derive_rng, named_zeros,
+                       pack, sgd, sum_rows)
 
 MAX_DEPTH = 3
 
@@ -161,10 +161,10 @@ def _forward(m: StackModel, x: np.ndarray, depth: int | None = None
 
 
 def fine_tune_params(m: StackModel) -> list[np.ndarray]:
-    """The arrays fine-tuning steps, in the order classification_grads
-    returns their gradients: each layer's weights and encoder bias, then
-    the top classifier's weights and biases. Decoder biases are not part
-    of the classifier and take no gradient."""
+    """The arrays fine-tuning steps, in the order of its flat parameter and
+    gradient buffers: each layer's weights and encoder bias, then the top
+    classifier's weights and biases. Decoder biases are not part of the
+    classifier and take no gradient."""
     return [p for l in m.layers for p in (l.dae.weights, l.dae.encoder_bias)] \
         + [m.top.weights, m.top.biases]
 
@@ -172,40 +172,48 @@ def fine_tune_params(m: StackModel) -> list[np.ndarray]:
 def workspace(m: StackModel, c1: np.ndarray, targets: np.ndarray, batch: int):
     """Arrays classification_grads writes into over rows c1 and one-hot
     targets in batches of at most `batch` rows: one workspace per layer, its
-    delta from above zero where a mask drops a unit, then the top's."""
+    delta from above zero where a mask drops a unit, then the top's. The
+    gradients are views of one flat buffer laid out like
+    fine_tune_params(m); at batch 1 each layer's da is its bias gradient's
+    row."""
     if c1.shape[-1] != m.layers[0].dae.input_width:
         raise DimensionError("rows c1 do not match layer 1's input width")
     b = min(batch, len(c1))
-    return [named_zeros(c=(b, w), h=(b, h), t=(b, h), da=(b, h), delta=(b, h),
-                        grad_w=(h, w), grad_b=h)
-            for h, w in (layer.dae.weights.shape for layer in m.layers)] \
-        + [top_workspace(m.top.weights, targets, batch)]
+    grad, views = pack(*map(np.zeros_like, fine_tune_params(m)))
+    layers = []
+    for grad_w, grad_b in zip(views[:-2:2], views[1:-2:2]):
+        h, w = grad_w.shape
+        lw = named_zeros(c=(b, w), h=(b, h), t=(b, h), delta=(b, h))
+        lw.grad_w, lw.grad_b, lw.da = grad_w, grad_b, delta_rows(grad_b, b)
+        layers.append(lw)
+    return layers + [top_workspace(m.top.weights, targets, batch,
+                                   (grad, views[-2:]))]
 
 
 def classification_grads(m: StackModel, c1: np.ndarray, targets: np.ndarray, ws):
     """Batch-mean gradients of the stack's cross-entropy over (B, M') rows
-    c1, already compacted through layer 1's mask, with one-hot targets;
-    one gradient per array of fine_tune_params(m), written into
-    ws = workspace(...)."""
+    c1, already compacted through layer 1's mask, with one-hot targets,
+    written into ws = workspace(...). Returns the flat buffer they lie in,
+    one gradient per array of fine_tune_params(m)."""
     b, cur = len(c1), c1
     for idx, (layer, lw) in enumerate(zip(m.layers, ws)):
         if idx:
             cur = cur.take(layer.mask.index, axis=1, out=lw.c[:b])
         cur = sigmoid_layer(cur, layer.dae.weights.T, layer.dae.encoder_bias,
                             lw.h[:b])
-    gradients = [*batch_grads(m.top.weights, m.top.biases, cur, targets, ws[-1])]
+    grad = batch_grads(m.top.weights, m.top.biases, cur, targets, ws[-1])
     delta = ws[-1].delta[:b].dot(m.top.weights, out=ws[-2].delta[:b])
     for idx in range(len(m.layers) - 1, -1, -1):
         layer, lw = m.layers[idx], ws[idx]
         da = np.multiply(delta, lw.h[:b], out=lw.da[:b])
         da *= np.subtract(1.0, lw.h[:b], out=lw.t[:b])
-        gradients[:0] = [da.T.dot(lw.c[:b] if idx else c1, out=lw.grad_w),
-                         sum_rows(da, lw.grad_b)]
+        da.T.dot(lw.c[:b] if idx else c1, out=lw.grad_w)
+        sum_rows(da, lw.grad_b)
         if idx > 0:
             # Expand through the mask; the compacted input is free by now.
             delta = ws[idx - 1].delta[:b]
             delta[:, layer.mask.index] = da.dot(layer.dae.weights, out=lw.c[:b])
-    return gradients
+    return grad
 
 
 def predict_labels(m: StackModel, x: np.ndarray) -> np.ndarray:
@@ -218,24 +226,31 @@ def fine_tune(m: StackModel, train: Dataset, valid: Dataset,
     """Supervised backpropagation through the top layer and all encoders.
 
     Masks are frozen: compaction is structural, so dropped variables can
-    never re-enter. The training rows are compacted through layer 1's mask
+    never re-enter. The tuned model is built over views of one flat buffer
+    holding copies of fine_tune_params(m), with copies of m's decoder
+    biases and m's own masks, which nothing changes; the input model is
+    left untouched. The training rows are compacted through layer 1's mask
     and given one-hot targets once per fit. Early stopping mirrors the MLR
     trainer (best validation snapshot, ties to the earlier epoch); with
     max_epochs = 0 the returned model carries the input parameters
     unchanged. rng shuffles the examples. Parameters that stop being
-    finite raise DivergenceError at the end of that epoch. The input model
-    is left untouched.
+    finite raise DivergenceError at the end of that epoch.
     """
     if train.n == 0:
         raise DataError("cannot fine-tune on an empty dataset")
     if valid.n == 0:
         raise DataError("early stopping needs a non-empty validation set")
 
-    tuned = copy.deepcopy(m)
-    tuned.fine_tuned = True
+    params, views = pack(*fine_tune_params(m))
+    layers = zip(m.layers, views[:-2:2], views[1:-2:2])
+    tuned = StackModel(
+        [StackLayer(layer.mask, DaeModel(weights, bias,
+                                         layer.dae.decoder_bias.copy()))
+         for layer, weights, bias in layers],
+        MlrModel(*views[-2:]), fine_tuned=True)
     c1, targets = _layer1_input(tuned, train.x), one_hot(train.labels, tuned.top.k)
     ws = workspace(tuned, c1, targets, 1)
-    sgd("fine-tuning", fine_tune_params(tuned),
+    sgd("fine-tuning", params,
         lambda cb, tb: classification_grads(tuned, cb, tb, ws),
         cfg.learning_rate, (c1, targets), cfg.max_epochs, rng,
         score=lambda: float(np.mean(predict_labels(tuned, valid.x)

@@ -32,7 +32,7 @@ from sdae_ivs.stack import (StackConfig, StackLayer, StackModel,
                             select_extractors)
 from sdae_ivs.stack import workspace as stack_workspace
 from util import (central_diff, cross_entropy, discriminant, grads_close,
-                  random_mlr)
+                  random_mlr, split_like)
 
 REPO = Path(__file__).resolve().parent.parent
 SMOKE = REPO / "configs" / "smoke_synthetic.ini"
@@ -111,8 +111,10 @@ def test_criterion_2_gradient_oracles():
         x = rng.uniform(size=(batch, mm))
         labels = rng.integers(1, k + 1, size=batch)
         targets = one_hot(labels, k)
-        gw, gb = batch_grads(model.weights, model.biases, x, targets,
-                             mlr_workspace(model.weights, targets, batch))
+        gw, gb = split_like(
+            batch_grads(model.weights, model.biases, x, targets,
+                        mlr_workspace(model.weights, targets, batch)),
+            (model.weights, model.biases))
 
         def f():
             return cross_entropy(model, x, labels)
@@ -129,8 +131,9 @@ def test_criterion_2_gradient_oracles():
                          rng.normal(scale=0.4, size=mm))
         x_clean = rng.uniform(0.05, 0.95, size=(batch, mm))
         x_in = x_clean + rng.normal(0, 0.1, size=(batch, mm))
-        gw, gbe, gbd = dae_grads(model, x_clean, x_in,
-                                 dae_workspace(model, x_in, batch))
+        gw, gbe, gbd = split_like(
+            dae_grads(model, x_clean, x_in, dae_workspace(model, x_in, batch)),
+            (model.weights, model.encoder_bias, model.decoder_bias))
 
         def f():
             y = decode(model, encode(model, x_in))
@@ -158,8 +161,9 @@ def test_criterion_2_gradient_oracles():
         x = rng.uniform(size=(batch, 6))
         labels = rng.integers(1, k + 1, size=batch)
         c1, targets = compact(x, mask1), one_hot(labels, k)
-        gradients = classification_grads(
-            stack, c1, targets, stack_workspace(stack, c1, targets, batch))
+        gradients = split_like(classification_grads(
+            stack, c1, targets, stack_workspace(stack, c1, targets, batch)),
+            fine_tune_params(stack))
 
         def f():
             total = 0.0

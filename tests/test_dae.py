@@ -10,8 +10,9 @@ from sdae_ivs.dae import (DaeModel, DaeTrainConfig, corrupt, decode, encode,
 from sdae_ivs.data import Dataset
 from sdae_ivs.errors import DataError, DimensionError, DivergenceError
 from sdae_ivs.numerics import derive_rng, sgd
-from util import (captured_step, central_diff, fresh_dae_grads, grads_close,
-                  per_step_train_dae)
+from util import (CONSECUTIVE_RUNS, assert_tiles, captured_step, central_diff,
+                  flatten, fresh_dae_grads, grads_close, per_step_train_dae,
+                  split_like)
 
 
 def tiny_model(seed=0, h=3, m=4):
@@ -106,8 +107,9 @@ class TestGradients:
             rng = derive_rng(50 + seed)
             x_clean = rng.uniform(0.05, 0.95, size=(batch, 4))
             x_in = x_clean + rng.normal(0, 0.1, size=(batch, 4))
-            gw, gbe, gbd = grads(model, x_clean, x_in,
-                                 workspace(model, x_in, batch))
+            gw, gbe, gbd = split_like(
+                grads(model, x_clean, x_in, workspace(model, x_in, batch)),
+                (model.weights, model.encoder_bias, model.decoder_bias))
 
             def f():
                 y = decode(model, encode(model, x_in))
@@ -118,17 +120,19 @@ class TestGradients:
             assert grads_close(gbd, central_diff(f, model.decoder_bias))
 
     def test_consecutive_steps_match_the_fresh_reference(self):
-        # One workspace for batches of 3 serves a full batch, a tail of 2
-        # and a single row in turn; no step may see a stale array.
+        # Each workspace serves the CONSECUTIVE_RUNS in turn: no step may
+        # see a stale array, and the flat buffer sgd reads holds them all.
         model = tiny_model(7, h=3, m=4)
         rng = derive_rng(57)
         x_clean = rng.uniform(0.05, 0.95, size=(6, 4))
         x_in = x_clean + rng.normal(0, 0.1, size=(6, 4))
-        ws = workspace(model, x_in, 3)
-        for rows in (slice(0, 3), slice(3, 5), slice(5, 6), slice(1, 4)):
-            got = grads(model, x_clean[rows], x_in[rows], ws)
-            want = fresh_dae_grads(model, x_clean[rows], x_in[rows])
-            assert all(np.array_equal(a, b) for a, b in zip(got, want))
+        for batch, runs in CONSECUTIVE_RUNS:
+            ws = workspace(model, x_in, batch)
+            for lo, hi in runs:
+                got = grads(model, x_clean[lo:hi], x_in[lo:hi], ws)
+                want = fresh_dae_grads(model, x_clean[lo:hi], x_in[lo:hi])
+                assert got is ws.grad
+                assert np.array_equal(got, flatten(want))
 
     def test_workspace_checks_the_input_width(self):
         with pytest.raises(DimensionError, match="expected input width 4, got 5"):
@@ -138,11 +142,13 @@ class TestGradients:
         d = Dataset(derive_rng(58).uniform(size=(10, 4)), np.ones(10, dtype=int), 1)
         cfg = DaeTrainConfig(hidden_units=3, noise_sd=0.2, learning_rate=0.1,
                              epochs=2)
-        step, model = captured_step(monkeypatch, dae,
-                                    lambda: train_dae(d, cfg, derive_rng(58)))
+        params, step, model = captured_step(
+            monkeypatch, dae, lambda: train_dae(d, cfg, derive_rng(58)))
+        arrays = (model.weights, model.encoder_bias, model.decoder_bias)
+        assert_tiles(params, arrays)
         x_clean = d.x[:1]
         x_in = x_clean + derive_rng(59).normal(0, 0.1, size=(1, 4))
-        gw, gbe, gbd = step(x_clean, x_in)
+        gw, gbe, gbd = split_like(step(x_clean, x_in), arrays)
 
         def f():
             return loss(x_clean[0], decode(model, encode(model, x_in[0])))
@@ -154,12 +160,10 @@ class TestGradients:
 
 def minibatch_train_dae(train, cfg, rng, batch):
     """train_dae at a batch size it has no key for, from the same steps."""
-    model = init_dae(train.m, cfg, rng)
+    params, model = init_dae(train.m, cfg, rng)
     ws = workspace(model, train.x, batch)
-    sgd("DAE pre-training",
-        [model.weights, model.encoder_bias, model.decoder_bias],
-        lambda x, x_in: grads(model, x, x_in, ws), cfg.learning_rate,
-        (train.x,), cfg.epochs, rng, batch=batch,
+    sgd("DAE pre-training", params, lambda x, x_in: grads(model, x, x_in, ws),
+        cfg.learning_rate, (train.x,), cfg.epochs, rng, batch=batch,
         per_epoch=lambda x: (corrupt(x, cfg.noise_sd, rng),))
     return model
 
@@ -237,7 +241,9 @@ class TestTraining:
     def test_init_bounds(self):
         cfg = DaeTrainConfig(hidden_units=8, noise_sd=0.1, learning_rate=0.1,
                              epochs=1)
-        model = init_dae(16, cfg, derive_rng(1))
+        params, model = init_dae(16, cfg, derive_rng(1))
+        assert_tiles(params, (model.weights, model.encoder_bias,
+                              model.decoder_bias))
         bound = 1.0 / 4.0
         assert np.all(np.abs(model.weights) <= bound)
         assert np.all(model.encoder_bias == 0.0)

@@ -8,9 +8,9 @@ from sdae_ivs.mlr import (ErrorReport, MlrModel, TrainConfig, batch_grads,
                           evaluate, one_hot, predict_labels, train_mlr,
                           wald_halfwidth, workspace)
 from sdae_ivs.numerics import derive_rng, softmax
-from util import (captured_step, central_diff, cross_entropy,
-                  fresh_mlr_grads, grads_close, per_step_train_mlr,
-                  random_mlr)
+from util import (CONSECUTIVE_RUNS, assert_tiles, captured_step, central_diff,
+                  cross_entropy, flatten, fresh_mlr_grads, grads_close,
+                  per_step_train_mlr, random_mlr, split_like)
 
 
 class TestPredict:
@@ -45,8 +45,10 @@ class TestGradients:
             x = rng.uniform(size=(batch, mm))
             labels = rng.integers(1, k + 1, size=batch)
             targets = one_hot(labels, k)
-            gw, gb = batch_grads(model.weights, model.biases, x, targets,
-                                 workspace(model.weights, targets, batch))
+            gw, gb = split_like(
+                batch_grads(model.weights, model.biases, x, targets,
+                            workspace(model.weights, targets, batch)),
+                (model.weights, model.biases))
 
             def f():
                 return cross_entropy(model, x, labels)
@@ -64,8 +66,10 @@ class TestGradients:
             delta = softmax(x @ model.weights.T + model.biases)[0]
             delta[label[0] - 1] -= 1.0
             targets = one_hot(label, k)
-            gw, gb = batch_grads(model.weights, model.biases, x, targets,
-                                 workspace(model.weights, targets, 1))
+            gw, gb = split_like(
+                batch_grads(model.weights, model.biases, x, targets,
+                            workspace(model.weights, targets, 1)),
+                (model.weights, model.biases))
             assert np.array_equal(gw, np.outer(delta, x[0]))
             assert np.array_equal(gb, delta)
 
@@ -80,27 +84,31 @@ class TestGradients:
             workspace(model.weights, labels, batch)
 
     def test_consecutive_steps_match_the_fresh_reference(self):
-        # One workspace for batches of 3 serves a full batch, a tail of 2
-        # and a single row in turn; no step may see a stale array.
+        # Each workspace serves the CONSECUTIVE_RUNS in turn: no step may
+        # see a stale array, and the flat buffer sgd reads holds them all.
         model = random_mlr(8, 4, 6)
         rng = derive_rng(8)
         x, labels = rng.uniform(size=(6, 6)), rng.integers(1, 5, size=6)
         targets = one_hot(labels, 4)
-        ws = workspace(model.weights, targets, 3)
-        for rows in (slice(0, 3), slice(3, 5), slice(5, 6), slice(1, 4)):
-            got = batch_grads(model.weights, model.biases, x[rows],
-                              targets[rows], ws)
-            want = fresh_mlr_grads(model.weights, model.biases, x[rows],
-                                   labels[rows])
-            assert all(np.array_equal(a, b) for a, b in zip(got, want))
+        for batch, runs in CONSECUTIVE_RUNS:
+            ws = workspace(model.weights, targets, batch)
+            for lo, hi in runs:
+                got = batch_grads(model.weights, model.biases, x[lo:hi],
+                                  targets[lo:hi], ws)
+                want = fresh_mlr_grads(model.weights, model.biases, x[lo:hi],
+                                       labels[lo:hi])
+                assert got is ws.grad
+                assert np.array_equal(got, flatten(want))
 
     def test_oracle_checks_the_step_sgd_takes(self, monkeypatch):
         rng = derive_rng(9)
         d = Dataset(rng.uniform(size=(20, 5)), rng.integers(1, 4, size=20), 3)
-        step, model = captured_step(monkeypatch, mlr, lambda: train_mlr(
+        params, step, model = captured_step(monkeypatch, mlr, lambda: train_mlr(
             d, d, TrainConfig(0.3, 3, 3, minibatch_size=4), derive_rng(9)))
+        assert_tiles(params, (model.weights, model.biases))
         x, labels = d.x[:4], d.labels[:4]
-        gw, gb = step(x, one_hot(labels, 3))
+        gw, gb = split_like(step(x, one_hot(labels, 3)),
+                            (model.weights, model.biases))
 
         def f():
             return cross_entropy(model, x, labels)

@@ -6,7 +6,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from sdae_ivs.errors import DivergenceError
-from sdae_ivs.numerics import derive_rng, sgd, sigmoid, softmax
+from sdae_ivs.numerics import (delta_rows, derive_rng, pack, sgd, sigmoid,
+                               softmax, sum_rows)
 from util import two_branch_sigmoid
 
 finite = st.floats(min_value=-500, max_value=500, allow_nan=False)
@@ -159,7 +160,7 @@ class TestSgd:
     def run(scores, epochs=10, patience=2):
         w = np.zeros(1)
         scripted = iter(scores)
-        history = sgd("toy training", [w], lambda rows: [-np.ones(1)], 1.0,
+        history = sgd("toy training", w, lambda rows: -np.ones(1), 1.0,
                       (np.arange(1),), epochs, derive_rng(0),
                       score=lambda: next(scripted), patience=patience)
         return w, history
@@ -185,7 +186,7 @@ class TestSgd:
     def test_zero_epochs_leaves_params_and_rng_untouched(self):
         w = np.array([0.5, -0.5])
         rng = derive_rng(3)
-        history = sgd("toy training", [w], pytest.fail, 1.0, (np.arange(4),),
+        history = sgd("toy training", w, pytest.fail, 1.0, (np.arange(4),),
                       0, rng, score=lambda: 0.25, patience=1)
         assert history == [(0, 0.25)]
         assert w.tolist() == [0.5, -0.5]
@@ -193,7 +194,7 @@ class TestSgd:
 
     def test_without_score_runs_every_epoch_and_records_nothing(self):
         w = np.zeros(1)
-        assert sgd("toy training", [w], lambda rows: [-np.ones(1)], 1.0,
+        assert sgd("toy training", w, lambda rows: -np.ones(1), 1.0,
                    (np.arange(1),), 4, derive_rng(0)) == []
         assert w.tolist() == [4.0]
 
@@ -209,9 +210,9 @@ class TestSgd:
             assert xb.flags.c_contiguous and yb.flags.c_contiguous
             np.testing.assert_array_equal(xb[:, 0] / 2, yb - 100)
             seen.append((yb - 100).tolist())
-            return [np.zeros(1)]
+            return np.zeros(1)
 
-        sgd("toy training", [np.zeros(1)], grads, 1.0, (x, labels), epochs,
+        sgd("toy training", np.zeros(1), grads, 1.0, (x, labels), epochs,
             derive_rng(4), batch=2)
         assert [len(rows) for rows in seen] == [2, 2, 1, 2, 2, 1]
         reference = derive_rng(4)
@@ -230,9 +231,9 @@ class TestSgd:
 
         def grads(xb, noise):
             events.append(("step", xb.tolist(), noise.tolist()))
-            return [np.zeros(1)]
+            return np.zeros(1)
 
-        sgd("toy training", [np.zeros(1)], grads, 1.0, (x,), 2, rng,
+        sgd("toy training", np.zeros(1), grads, 1.0, (x,), 2, rng,
             per_epoch=per_epoch)
         reference, expected = derive_rng(4), []
         for _ in range(2):
@@ -243,23 +244,73 @@ class TestSgd:
         assert events == expected
 
     def test_zero_epochs_never_calls_the_per_epoch_hook(self):
-        assert sgd("toy training", [np.zeros(1)], pytest.fail, 1.0,
+        assert sgd("toy training", np.zeros(1), pytest.fail, 1.0,
                    (np.arange(3),), 0, derive_rng(0), per_epoch=pytest.fail) == []
 
     def test_one_step_is_p_minus_learning_rate_times_g(self):
         rng = derive_rng(5)
-        params = [rng.normal(size=(3, 4)), rng.normal(size=3)]
+        arrays = [rng.normal(size=(3, 4)), rng.normal(size=3)]
         fresh = [rng.normal(size=(3, 4)), rng.normal(size=3)]
-        expected = [p - 0.37 * g for p, g in zip(params, fresh)]
-        sgd("toy training", params, lambda rows: [g.copy() for g in fresh],
+        expected = [p - 0.37 * g for p, g in zip(arrays, fresh)]
+        params, views = pack(*arrays)
+        sgd("toy training", params,
+            lambda rows: np.concatenate([g.ravel() for g in fresh]),
             0.37, (np.arange(1),), 1, derive_rng(0))
-        for p, e in zip(params, expected):
+        for p, e in zip(views, expected):
             assert same_bits(p, e)
 
     def test_non_finite_step_raises_naming_phase_and_epoch(self):
         steps = iter([1.0, 1e308])
         with pytest.raises(DivergenceError,
                            match="toy training diverged at epoch 2"):
-            sgd("toy training", [np.zeros(1)],
-                lambda rows: [np.full(1, next(steps))], 1e300,
+            sgd("toy training", np.zeros(1),
+                lambda rows: np.full(1, next(steps)), 1e300,
                 (np.arange(1),), 5, derive_rng(0))
+
+
+class TestPack:
+    def test_views_are_the_buffer_in_order(self):
+        a, b = np.arange(6.0).reshape(2, 3), np.array([-1.0, -2.0])
+        flat, (va, vb) = pack(a, b)
+        assert flat.dtype == np.float64
+        assert flat.tolist() == [0.0, 1.0, 2.0, 3.0, 4.0, 5.0, -1.0, -2.0]
+        assert va.shape == (2, 3) and vb.shape == (2,)
+        assert np.array_equal(va, a) and np.array_equal(vb, b)
+
+    def test_writing_through_a_view_writes_the_buffer(self):
+        a, b = np.zeros((2, 2)), np.zeros(3)
+        flat, (va, vb) = pack(a, b)
+        va[1, 0] = 7.0
+        vb -= 1.0
+        assert flat.tolist() == [0.0, 0.0, 7.0, 0.0, -1.0, -1.0, -1.0]
+        flat *= 2.0
+        assert va[1, 0] == 14.0 and vb.tolist() == [-2.0] * 3
+        # The buffer holds copies: the packed arrays never move.
+        assert not a.any() and not b.any()
+
+
+class TestSumRows:
+    def test_rows_are_summed_into_out(self):
+        out = np.zeros(2)
+        sum_rows(np.array([[1.0, -0.0], [2.0, -0.0], [0.5, 3.0]]), out)
+        assert out.tolist() == [3.5, 3.0]
+
+    def test_one_row_of_another_array_is_copied_keeping_negative_zero(self):
+        # A one-row tail batch of a workspace built for batch 3.
+        delta, out = np.array([[-0.0, 2.0], [5.0, 5.0], [5.0, 5.0]]), np.full(2, 9.0)
+        sum_rows(delta[:1], out)
+        assert same_bits(out, [-0.0, 2.0])
+        assert not np.shares_memory(delta, out)
+
+    def test_own_row_is_left_in_place(self):
+        _, (_, out) = pack(np.ones(3), np.array([-0.0, 3.0]))
+        delta = delta_rows(out, 1)
+        assert delta.shape == (1, 2) and np.shares_memory(delta, out)
+        sum_rows(delta[:1], out)
+        assert same_bits(out, [-0.0, 3.0])
+
+    def test_delta_of_several_rows_is_its_own_array(self):
+        out = np.ones(4)
+        delta = delta_rows(out, 3)
+        assert delta.shape == (3, 4) and not delta.any()
+        assert not np.shares_memory(delta, out)

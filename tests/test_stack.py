@@ -18,8 +18,10 @@ from sdae_ivs.stack import (StackConfig, StackLayer, StackModel,
                             classification_grads, fine_tune, fine_tune_params,
                             predict_labels, prefix, pretrain,
                             reconstruct_through, select_extractors, workspace)
-from util import (captured_step, central_diff, grads_close, log_softmax,
-                  per_step_classification_grads, per_step_fine_tune)
+from util import (CONSECUTIVE_RUNS, assert_tiles, captured_step, central_diff,
+                  flat_params, flatten, grads_close, log_softmax,
+                  per_step_classification_grads, per_step_fine_tune,
+                  split_like)
 
 EASY = SyntheticSpec(num_relevant=8, num_irrelevant=24, num_classes=3,
                      class_separation=3.0, noise_sd=0.4,
@@ -205,34 +207,41 @@ class TestFineTune:
                     for row, y in zip(x, labels)])
 
             c1, targets = compact(x, model.layers[0].mask), one_hot(labels, 2)
-            gradients = classification_grads(
-                model, c1, targets, workspace(model, c1, targets, batch))
+            gradients = split_like(classification_grads(
+                model, c1, targets, workspace(model, c1, targets, batch)), params)
             assert len(gradients) == len(params)
             for g, p in zip(gradients, params):
                 assert grads_close(g, central_diff(f, p))
 
     @pytest.mark.parametrize("with_masks", [True, False])
     def test_consecutive_steps_match_the_fresh_reference(self, with_masks):
-        # One workspace for batches of 3 serves a full batch, a tail of 2
-        # and a single row in turn; no step may see a stale array.
+        # Each workspace serves the CONSECUTIVE_RUNS in turn: no step may
+        # see a stale array, and the flat buffer sgd reads holds them all.
         model = toy_stack(27, with_masks=with_masks)
         rng = derive_rng(27)
         x, labels = rng.uniform(size=(6, 6)), rng.integers(1, 3, size=6)
         c1, targets = compact(x, model.layers[0].mask), one_hot(labels, 2)
-        ws = workspace(model, c1, targets, 3)
-        for rows in (slice(0, 3), slice(3, 5), slice(5, 6), slice(1, 4)):
-            got = classification_grads(model, c1[rows], targets[rows], ws)
-            want = per_step_classification_grads(model, x[rows], labels[rows])
-            assert all(np.array_equal(a, b) for a, b in zip(got, want))
+        for batch, runs in CONSECUTIVE_RUNS:
+            ws = workspace(model, c1, targets, batch)
+            for lo, hi in runs:
+                got = classification_grads(model, c1[lo:hi], targets[lo:hi], ws)
+                want = per_step_classification_grads(model, x[lo:hi],
+                                                     labels[lo:hi])
+                assert got is ws[-1].grad
+                assert np.array_equal(got, flatten(want))
 
     def test_oracle_checks_the_step_sgd_takes(self, monkeypatch):
         model = toy_stack(28)
         rng = derive_rng(28)
         d = Dataset(rng.uniform(size=(12, 6)), rng.integers(1, 3, size=12), 2)
-        step, tuned = captured_step(monkeypatch, stack, lambda: fine_tune(
-            model, d, d, TrainConfig(0.5, 2, 2), derive_rng(29)))
+        params, step, tuned = captured_step(
+            monkeypatch, stack, lambda: fine_tune(
+                model, d, d, TrainConfig(0.5, 2, 2), derive_rng(29)))
+        assert_tiles(params, fine_tune_params(tuned))
         x, labels = d.x[:1], d.labels[:1]
-        gradients = step(compact(x, model.layers[0].mask), one_hot(labels, 2))
+        gradients = split_like(
+            step(compact(x, model.layers[0].mask), one_hot(labels, 2)),
+            fine_tune_params(tuned))
 
         def f():
             return -float(log_softmax(_logits_for_test(tuned, x[0]))[labels[0] - 1])
@@ -272,6 +281,11 @@ class TestFineTune:
         assert all(np.array_equal(a, b)
                    for a, b in zip(before, fine_tune_params(model)))
         assert tuned.fine_tuned and not model.fine_tuned
+        # The tuned decoder biases are copies: writing them leaves m's.
+        for layer, tuned_layer in zip(model.layers, tuned.layers):
+            kept = layer.dae.decoder_bias.copy()
+            tuned_layer.dae.decoder_bias += 1.0
+            assert np.array_equal(layer.dae.decoder_bias, kept)
 
     def test_never_degrades_best_validation(self):
         train, valid, _, _ = easy_splits(6)
@@ -294,10 +308,11 @@ class TestFineTune:
 def minibatch_fine_tune(m, train, valid, cfg, rng, batch):
     """fine_tune at a batch size it has no key for, from the same steps."""
     tuned = copy.deepcopy(m)
+    params = flat_params(tuned)
     c1 = compact(train.x, tuned.layers[0].mask)
     targets = one_hot(train.labels, tuned.top.k)
     ws = workspace(tuned, c1, targets, batch)
-    sgd("fine-tuning", fine_tune_params(tuned),
+    sgd("fine-tuning", params,
         lambda cb, tb: classification_grads(tuned, cb, tb, ws),
         cfg.learning_rate, (c1, targets), cfg.max_epochs, rng, batch=batch,
         score=lambda: float(np.mean(predict_labels(tuned, valid.x)

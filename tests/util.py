@@ -9,7 +9,7 @@ import numpy as np
 from sdae_ivs.dae import init_dae
 from sdae_ivs.data import expand
 from sdae_ivs.mlr import MlrModel, validation_error
-from sdae_ivs.numerics import derive_rng, sgd
+from sdae_ivs.numerics import derive_rng, pack, sgd
 from sdae_ivs.stack import fine_tune_params, predict_labels
 
 
@@ -80,11 +80,45 @@ def discriminant(m: MlrModel, i: int, j: int, x: np.ndarray) -> float:
                  / np.linalg.norm(diff))
 
 
+def flatten(arrays) -> np.ndarray:
+    """The arrays laid end to end in a fresh 1-D array: the flat gradient a
+    list of per-parameter gradients stands for."""
+    return np.concatenate([np.ravel(a) for a in arrays])
+
+
+def split_like(flat: np.ndarray, arrays) -> list[np.ndarray]:
+    """Views of the 1-D flat shaped like arrays and laid end to end, which
+    must cover flat exactly."""
+    sizes = [np.size(a) for a in arrays]
+    assert flat.shape == (sum(sizes),)
+    parts = np.split(flat, np.cumsum(sizes)[:-1])
+    return [part.reshape(np.shape(a)) for part, a in zip(parts, arrays)]
+
+
+# (workspace batch, row runs) stepped in turn through one workspace by the
+# consecutive-step tests: at batch 3 a full batch, a tail of 2, a tail of 1
+# and overlapping rows; at batch 1, where each one-row delta is its bias
+# gradient's row, single rows.
+CONSECUTIVE_RUNS = ((3, ((0, 3), (3, 5), (5, 6), (1, 4))),
+                    (1, ((0, 1), (5, 6), (2, 3))))
+
+
+def assert_tiles(flat: np.ndarray, arrays) -> None:
+    """The arrays are views of flat laid end to end in order, covering it."""
+    offset = flat.__array_interface__["data"][0]
+    for a in arrays:
+        assert a.base is flat and a.flags.c_contiguous
+        assert a.__array_interface__["data"][0] == offset
+        offset += a.nbytes
+    assert offset == flat.__array_interface__["data"][0] + flat.nbytes
+
+
 # Per-step references. Each trainer does its parameter-free work (one-hot
 # targets, corruption, layer-1 compaction) once per fit or per epoch, and
-# writes every step into a per-fit workspace; these do that work inside
-# every step instead, on fresh arrays and with the plain formulas, through
-# the same sgd loop, and the trainers must match them bit for bit.
+# writes every step into a per-fit workspace whose gradients are views of
+# one flat buffer; these do that work inside every step instead, on fresh
+# arrays and with the plain formulas, and hand sgd the fresh gradients
+# concatenated; the trainers must match them bit for bit.
 
 def fresh_softmax(logits):
     """Softmax of each row, max-shifted, on fresh arrays."""
@@ -107,10 +141,10 @@ def fresh_mlr_grads(weights, biases, xb, yb):
 
 def per_step_train_mlr(train, valid, cfg, rng) -> MlrModel:
     """train_mlr with label-indexed deltas."""
-    weights = np.zeros((train.num_classes, train.m))
-    biases = np.zeros(train.num_classes)
-    sgd("MLR training", [weights, biases],
-        lambda xb, yb: fresh_mlr_grads(weights, biases, xb, yb),
+    params, (weights, biases) = pack(np.zeros((train.num_classes, train.m)),
+                                     np.zeros(train.num_classes))
+    sgd("MLR training", params,
+        lambda xb, yb: flatten(fresh_mlr_grads(weights, biases, xb, yb)),
         cfg.learning_rate, (train.x, train.labels), cfg.max_epochs, rng,
         batch=cfg.minibatch_size,
         score=lambda: validation_error(weights, biases, valid.x, valid.labels),
@@ -130,15 +164,14 @@ def fresh_dae_grads(m, x_clean, x_in):
 
 def per_step_train_dae(train, cfg, rng, batch=1):
     """train_dae drawing each step's corruption as that step's x + noise."""
-    model = init_dae(train.m, cfg, rng)
+    params, model = init_dae(train.m, cfg, rng)
 
     def step(x):
         x_in = x + rng.normal(0.0, cfg.noise_sd, size=x.shape)
-        return fresh_dae_grads(model, x, x_in)
+        return flatten(fresh_dae_grads(model, x, x_in))
 
-    sgd("DAE pre-training",
-        [model.weights, model.encoder_bias, model.decoder_bias], step,
-        cfg.learning_rate, (train.x,), cfg.epochs, rng, batch=batch)
+    sgd("DAE pre-training", params, step, cfg.learning_rate, (train.x,),
+        cfg.epochs, rng, batch=batch)
     return model
 
 
@@ -163,12 +196,23 @@ def per_step_classification_grads(m, x, labels):
     return gradients
 
 
+def flat_params(m):
+    """One flat buffer of m's fine_tune_params, which m's layers and top
+    are repointed at, as views of it."""
+    params, views = pack(*fine_tune_params(m))
+    for layer, weights, bias in zip(m.layers, views[:-2:2], views[1:-2:2]):
+        layer.dae.weights, layer.dae.encoder_bias = weights, bias
+    m.top.weights, m.top.biases = views[-2:]
+    return params
+
+
 def per_step_fine_tune(m, train, valid, cfg, rng, batch=1):
     """fine_tune stepping along per_step_classification_grads."""
     tuned = copy.deepcopy(m)
     tuned.fine_tuned = True
-    sgd("fine-tuning", fine_tune_params(tuned),
-        lambda xb, yb: per_step_classification_grads(tuned, xb, yb),
+    params = flat_params(tuned)
+    sgd("fine-tuning", params,
+        lambda xb, yb: flatten(per_step_classification_grads(tuned, xb, yb)),
         cfg.learning_rate, (train.x, train.labels), cfg.max_epochs, rng,
         batch=batch,
         score=lambda: float(np.mean(predict_labels(tuned, valid.x)
@@ -178,18 +222,18 @@ def per_step_fine_tune(m, train, valid, cfg, rng, batch=1):
 
 
 def captured_step(monkeypatch, module, fit):
-    """The grads function module's trainer hands to sgd when fit() runs,
-    with fit's result."""
+    """The flat parameter buffer and the grads function module's trainer
+    hands to sgd when fit() runs, with fit's result."""
     steps = []
 
     def spy(phase, params, grads, *args, **kwargs):
-        steps.append(grads)
+        steps.append((params, grads))
         return sgd(phase, params, grads, *args, **kwargs)
 
     monkeypatch.setattr(module, "sgd", spy)
     result = fit()
     assert len(steps) == 1
-    return steps[0], result
+    return (*steps[0], result)
 
 
 def read_pgm(path) -> np.ndarray:
