@@ -66,7 +66,7 @@ def main(argv=None) -> int:
             print(f"iterations: {len(result.history)}  "
                   f"kept: {result.mask.popcount}/{result.mask.m}  "
                   f"last validation error: {100 * final.validation_error:.2f}%")
-            print(f"artifacts: {cfg.out / 'ivs'}")
+            print(f"artifacts: {cfg.out}")
         elif args.verb == "eval":
             recomputed = cmd_eval(cfg)
             ok = True

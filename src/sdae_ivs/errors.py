@@ -17,14 +17,6 @@ class DimensionError(ValueError):
     """Vector/matrix widths do not line up."""
 
 
-class OverThresholdError(RuntimeError):
-    """Thresholding would drop every variable; lower the threshold or stop."""
-
-
-class DegenerateModelError(RuntimeError):
-    """Every class pair has identical weights, so no variable can be scored."""
-
-
 class DivergenceError(RuntimeError):
     """Training left its parameters non-finite; the message names the phase
     and epoch (and the layer, during pre-training)."""

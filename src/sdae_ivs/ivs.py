@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset, VariableMask, compact_dataset, expand
-from .errors import ConfigError, DegenerateModelError, OverThresholdError
+from .errors import ConfigError
 from .mlr import MlrModel, TrainConfig, train_mlr, validation_error
 from .numerics import Rng
 
@@ -59,7 +59,8 @@ def task_importance(m: MlrModel) -> np.ndarray:
     do not tilt it); dividing by its largest component cancels its length,
     so no norm is taken. Pairs with identical weights have no hyperplane
     and are skipped. Every other pair scores some variable exactly 1, so
-    all zeros means there is nothing to score.
+    the result is all zeros exactly when no pair has a hyperplane: nothing
+    is scored.
     """
     importance = np.zeros(m.m)
     for i in range(m.k - 1):
@@ -69,8 +70,6 @@ def task_importance(m: MlrModel) -> np.ndarray:
         np.maximum(importance,
                    (mags[live] / top[live]).max(axis=0, initial=0.0),
                    out=importance)
-    if not importance.any():
-        raise DegenerateModelError("every class pair is degenerate")
     return importance
 
 
@@ -97,10 +96,7 @@ def run_ivs(train: Dataset, valid: Dataset, cfg: IvsConfig, rng: Rng) -> IvsResu
                           cfg.mlr, rng)
         err = validation_error(model.weights, model.biases, kept_valid.x,
                                kept_valid.labels)
-        try:
-            importance = expand(task_importance(model), mask)
-        except DegenerateModelError:
-            importance = np.zeros(mask.m)
+        importance = expand(task_importance(model), mask)
         # (b), and (c) where nothing is scored, precede the update: a
         # stopping iteration is recorded but never shrinks the mask.
         if err > best_err or not importance.any():
@@ -108,10 +104,8 @@ def run_ivs(train: Dataset, valid: Dataset, cfg: IvsConfig, rng: Rng) -> IvsResu
                                         importance))
             break
 
+        # Some kept variable scores exactly 1 >= threshold, so one stays.
         new_mask = VariableMask(mask.bits & (importance >= cfg.threshold))
-        if not new_mask.popcount:
-            raise OverThresholdError(f"threshold {cfg.threshold} drops every "
-                                     "variable; lower it or stop")
         history.append(IvsIteration(iteration, new_mask.popcount, err,
                                     importance))
         if err < best_err:

@@ -153,12 +153,11 @@ def delta_rows(grad_b, b):
 
 
 def sum_rows(delta, out):
-    """Sum over the rows of delta, into out. A one-row delta is copied, which
-    keeps its -0.0 (a reduce gives +0.0, which moves a parameter that is
-    -0.0), unless delta and out are views of one buffer: at batch 1 a
-    workspace's one-row deltas are the rows of their bias gradients (see
-    delta_rows), so that no step copies."""
-    if len(delta) > 1:
+    """Sum over the rows of delta, into out, unless delta is out's own row,
+    which already holds the sum: at batch 1 a workspace's one-row deltas
+    are the rows of their bias gradients (see delta_rows), so that no step
+    copies. A one-row reduce gives +0.0 for -0.0, which moves no parameter:
+    p - 0.0 and p + 0.0 differ only at p = -0.0, no parameter starts as
+    -0.0, and p - g is -0.0 only if p is."""
+    if len(delta) > 1 or delta.base is not out.base or out.base is None:
         np.add.reduce(delta, axis=0, out=out)
-    elif delta.base is not out.base or out.base is None:
-        out[...] = delta

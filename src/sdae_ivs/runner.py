@@ -25,7 +25,7 @@ from .mlr import evaluate
 from .numerics import EXTRACTORS, FINE_TUNE, IVS, derive_rng
 from .pgm import normalize_unit, tile_grid, write_pgm
 from .serialize import load_stack, pack_mask, save_stack
-from .stack import StackConfig, fine_tune, prefix, pretrain, select_extractors
+from .stack import StackConfig, fine_tune, pretrain, select_extractors
 
 # The data's key; one entry long, it never equals a (layer, phase) key.
 KEY_DATA = 1000
@@ -82,21 +82,25 @@ def _percent(x: float) -> str:
     return f"{100.0 * x:.2f}"
 
 
+def _output_dir(cfg: ExperimentConfig, *subdirs: str) -> Path:
+    """cfg.out with subdirs and csv/ made, and images/ under [data] shape."""
+    out = Path(cfg.out)
+    images = ("images",) if cfg.variable_shape is not None else ()
+    for name in (*subdirs, "csv", *images):
+        (out / name).mkdir(parents=True, exist_ok=True)
+    return out
+
+
 def cmd_run(cfg: ExperimentConfig) -> None:
-    """Full protocol: (load | synthesize) -> pretrain each variant once, to
-    the deepest depth -> per depth: prefix -> fine-tune -> evaluate. Each
-    depth reports what a run of that depth alone reports."""
+    """Full protocol: (load | synthesize) -> pretrain each variant once,
+    with a top MLR at each requested depth -> per depth: fine-tune ->
+    evaluate. Each depth reports what a run of that depth alone reports."""
     started = time.perf_counter()
     train, valid, test = load_splits(cfg)
     if test.n == 0:
         raise DataError("the test split is empty, so there is nothing to "
                         "evaluate on")
-    out = Path(cfg.out)
-    (out / "models").mkdir(parents=True, exist_ok=True)
-    (out / "csv").mkdir(exist_ok=True)
-    if cfg.variable_shape is not None:
-        # Every image needs [data] shape; load_config enforces it.
-        (out / "images").mkdir(exist_ok=True)
+    out = _output_dir(cfg, "models")
     results: dict = {}
     artifacts: list[str] = []
 
@@ -104,17 +108,18 @@ def cmd_run(cfg: ExperimentConfig) -> None:
         results[variant] = {}
         ivs = cfg.ivs if variant == VARIANT_SDAE_IVS else ()
         # cfg.dae holds one plan per layer of the deepest requested depth.
-        deepest, ivs_results = pretrain(
-            train, valid, StackConfig(cfg.dae, ivs, cfg.fine_tune), cfg.seed)
-        # Every depth shares the deepest stack's lower layers, so selection
-        # and pattern artifacts are written once per variant.
+        stacks, ivs_results = pretrain(
+            train, valid, StackConfig(cfg.dae, ivs, cfg.fine_tune), cfg.seed,
+            cfg.depths)
+        # Every depth shares the lower layers, so selection and pattern
+        # artifacts are written once per variant.
         artifacts += _write_ivs_artifacts(out, variant, ivs_results, cfg)
         if cfg.export_patterns:
             artifacts += _write_patterns(out, variant, select_extractors(
-                deepest, 1, train, valid, cfg.ivs[0],
+                stacks[cfg.depths[0]], 1, train, valid, cfg.ivs[0],
                 derive_rng(cfg.seed, 1, EXTRACTORS)), cfg)
         for depth in cfg.depths:
-            pre = prefix(deepest, depth, train, valid, cfg.fine_tune, cfg.seed)
+            pre = stacks[depth]
             tuned = fine_tune(pre, train, valid, cfg.fine_tune,
                               derive_rng(cfg.seed, depth, FINE_TUNE))
 
@@ -223,20 +228,14 @@ def _write_patterns(out: Path, tag: str, report, cfg) -> list[str]:
 
 
 def cmd_ivs(cfg: ExperimentConfig) -> IvsResult:
-    """Standalone selection on the raw training data, with all exports."""
+    """Standalone selection on the raw training data: run's layer-1
+    selection files under run's names, and mask.txt."""
     train, valid, _ = load_splits(cfg)
-    out = Path(cfg.out)
-    (out / "ivs").mkdir(parents=True, exist_ok=True)
+    out = _output_dir(cfg)
     # The stream of run's layer-1 selection, so both find the same mask.
     result = run_ivs(train, valid, cfg.ivs[0], derive_rng(cfg.seed, 1, IVS))
-
-    write_history_csv(out / "ivs" / "history.csv", result.history)
-    first = result.history[0].importance
-    write_importance_csv(out / "ivs" / "importance.csv", first)
-    if cfg.variable_shape is not None:
-        write_pgm(out / "ivs" / "importance.pgm",
-                  first.reshape(cfg.variable_shape))
-    (out / "ivs" / "mask.txt").write_text(pack_mask(result.mask) + "\n")
+    _write_ivs_artifacts(out, VARIANT_SDAE_IVS, [result], cfg)
+    (out / "mask.txt").write_text(pack_mask(result.mask) + "\n")
     return result
 
 

@@ -82,24 +82,29 @@ class StackConfig:
         return len(self.dae)
 
 
-def pretrain(train: Dataset, valid: Dataset, cfg: StackConfig, seed: int
-             ) -> tuple[StackModel, list[IvsResult]]:
+def pretrain(train: Dataset, valid: Dataset, cfg: StackConfig, seed: int,
+             depths: tuple[int, ...]
+             ) -> tuple[dict[int, StackModel], list[IvsResult]]:
     """Greedy layer-wise pre-training with per-layer variable selection.
 
     For each layer: select on the current representation (or keep all
     variables when disabled), compact both splits, train the DAE on the
-    survivors, and encode to obtain the next representation. Finally a top
-    MLR is trained on the last representation. Returns the model and the
-    selection results (one per layer, none when selection is off).
+    survivors, and encode to obtain the next representation. Right after
+    layer d, for each requested depth d, a top MLR is trained on its
+    codes. Returns the depth-d stacks by d, and the selection results
+    (one per layer, none when selection is off).
 
     Layer k's selection and DAE draw from the streams (seed, k, IVS) and
-    (seed, k, DAE), the top MLR from (seed, depth, TOP). So a deeper stack
-    pre-trained from the same seed holds this one's layers as its first
-    ones, and prefix recovers this stack from it.
+    (seed, k, DAE), the depth-d top MLR from (seed, d, TOP). Layer k
+    depends on the layers below it alone, so the depth-d stack is the one
+    a pass over cfg's first d layers gives.
     """
+    if not all(1 <= d <= cfg.depth for d in depths):
+        raise DimensionError(f"depths must lie in 1..{cfg.depth}")
     cur_train, cur_valid = train, valid
     layers: list[StackLayer] = []
     ivs_results: list[IvsResult] = []
+    stacks: dict[int, StackModel] = {}
 
     for layer, dae_cfg in enumerate(cfg.dae, start=1):
         try:
@@ -120,27 +125,12 @@ def pretrain(train: Dataset, valid: Dataset, cfg: StackConfig, seed: int
 
         cur_train = encode_dataset(dae_model, compact_train)
         cur_valid = encode_dataset(dae_model, compact_valid)
-
-    top = train_mlr(cur_train, cur_valid, cfg.fine_tune,
-                    derive_rng(seed, cfg.depth, TOP))
-    model = StackModel(layers, top)
-    model.check_widths()
-    return model, ivs_results
-
-
-def prefix(m: StackModel, depth: int, train: Dataset, valid: Dataset,
-           cfg: TrainConfig, seed: int) -> StackModel:
-    """m's first `depth` layers under a top MLR trained on their codes from
-    the stream (seed, depth, TOP): what pretrain returns at that depth
-    from the seed that pre-trained m. At m's own depth this is m."""
-    if not 1 <= depth <= m.depth:
-        raise DimensionError(f"depth must lie in 1..{m.depth}")
-    if depth == m.depth:
-        return m
-    codes = [Dataset(_forward(m, d.x, depth), d.labels, d.num_classes)
-             for d in (train, valid)]
-    return StackModel(m.layers[:depth],
-                      train_mlr(*codes, cfg, derive_rng(seed, depth, TOP)))
+        if layer in depths:
+            stacks[layer] = StackModel(layers[:], train_mlr(
+                cur_train, cur_valid, cfg.fine_tune,
+                derive_rng(seed, layer, TOP)))
+            stacks[layer].check_widths()
+    return stacks, ivs_results
 
 
 def _layer1_input(m: StackModel, x: np.ndarray) -> np.ndarray:

@@ -28,11 +28,10 @@ from sdae_ivs.mlr import workspace as mlr_workspace
 from sdae_ivs.numerics import FINE_TUNE, derive_rng, softmax
 from sdae_ivs.stack import (StackConfig, StackLayer, StackModel,
                             classification_grads, fine_tune, fine_tune_params,
-                            predict_labels, prefix, pretrain,
-                            select_extractors)
+                            predict_labels, pretrain, select_extractors)
 from sdae_ivs.stack import workspace as stack_workspace
 from util import (central_diff, cross_entropy, discriminant, grads_close,
-                  random_mlr, split_like)
+                  pretrain_deepest, random_mlr, split_like)
 
 REPO = Path(__file__).resolve().parent.parent
 SMOKE = REPO / "configs" / "smoke_synthetic.ini"
@@ -236,8 +235,8 @@ def test_criterion_5_paired_trend():
     """With identical seeds and budgets, the selecting pipeline's test error
     is <= the plain pipeline's in at least 16 of 20 seeds at depths 1 and 2,
     and selection histories shrink monotonically to below the input width.
-    As in `run`, each variant pre-trains once per seed at depth 2, and the
-    depth-1 stack is its prefix."""
+    As in `run`, each variant pre-trains once per seed, two layers deep,
+    with a top MLR at each depth."""
     wins = {1: 0, 2: 0}
     details = {1: [], 2: []}
     for seed in PAIRED_SEEDS:
@@ -245,15 +244,14 @@ def test_criterion_5_paired_trend():
         errors = {}
         for enabled in (False, True):
             cfg = paired_stack_config(2, enabled)
-            deep, ivs_results = pretrain(train, valid, cfg, seed)
+            stacks, ivs_results = pretrain(train, valid, cfg, seed, (1, 2))
             if enabled:
                 first_layer = ivs_results[0]
                 kept = [item.kept for item in first_layer.history]
                 assert all(a >= b for a, b in zip(kept, kept[1:]))
                 assert first_layer.mask.popcount < train.m
             for depth in (1, 2):
-                model = prefix(deep, depth, train, valid, cfg.fine_tune, seed)
-                tuned = fine_tune(model, train, valid, cfg.fine_tune,
+                tuned = fine_tune(stacks[depth], train, valid, cfg.fine_tune,
                                   derive_rng(seed, depth, FINE_TUNE))
                 errors[enabled, depth] = evaluate(
                     lambda x: predict_labels(tuned, x), test).error_rate
@@ -275,8 +273,8 @@ def test_criterion_6_extractor_count_trend():
     train, valid, _, _ = planted_splits(seed)
     models = {}
     for enabled in (False, True):
-        models[enabled], _ = pretrain(train, valid,
-                                      paired_stack_config(1, enabled), seed)
+        models[enabled], _ = pretrain_deepest(
+            train, valid, paired_stack_config(1, enabled), seed)
     ratios = []
     for threshold in (0.2, 0.3, 0.4):
         probe = IvsConfig(threshold, 8, IVS_TRAINER)

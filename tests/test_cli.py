@@ -1,5 +1,6 @@
 import argparse
 import configparser
+import itertools
 import json
 import os
 import re
@@ -113,7 +114,7 @@ class TestDeterminism:
         monkeypatch.setattr(runner, "select_extractors", lambda *args: (
             selected.append(args) or stack.select_extractors(*args)))
         outs = {}
-        for depths in ("1 2", "1", "2"):
+        for depths in ("1 2", "2 1", "1", "2"):
             patched = tmp_path / f"depths-{depths.replace(' ', '')}.ini"
             patched.write_text(SMOKE.read_text().replace(
                 "depths = 1", f"depths = {depths}"))
@@ -124,31 +125,37 @@ class TestDeterminism:
                            "--out", outs[depths]) == 0
             # Pattern export selects on layer 1 once per variant.
             assert len(selected) == 2
-            if depths == "1 2":
+            if " " in depths:
                 # Each variant trains layers 1 and 2 once.
                 assert len(trained) == 4
-        both = json.loads((outs["1 2"] / "report.json").read_text())
-        # Selection and pattern files are tagged by variant alone, written
-        # once each; models and reconstructions by variant and depth.
-        assert len(both["artifacts"]) == len(set(both["artifacts"]))
-        shared = [name for name in both["artifacts"] if "-depth" not in name]
-        assert "csv/sdae_ivs-layer2-history.csv" in shared
-        assert "csv/sdae-extractors.csv" in shared
-        for depth in ("1", "2"):
-            alone = json.loads((outs[depth] / "report.json").read_text())
-            for variant, entries in alone["results"].items():
-                assert both["results"][variant][f"depth{depth}"] == \
-                    entries[f"depth{depth}"]
-            # Every model and reconstruction of the single-depth run, and
-            # every per-variant file it shares with the two-depth run.
-            assert set(alone["artifacts"]) <= set(both["artifacts"])
-            for name in alone["artifacts"]:
-                assert (outs["1 2"] / name).read_bytes() == \
-                    (outs[depth] / name).read_bytes(), name
-        # The depth-2 run writes the same per-variant files.
         two = json.loads((outs["2"] / "report.json").read_text())
-        assert sorted(n for n in two["artifacts"] if "-depth" not in n) == \
-            sorted(shared)
+        for multi in ("1 2", "2 1"):
+            both = json.loads((outs[multi] / "report.json").read_text())
+            # Selection and pattern files are tagged by variant alone,
+            # written once each; models and reconstructions by variant and
+            # depth, in the order the config lists the depths.
+            assert len(both["artifacts"]) == len(set(both["artifacts"]))
+            shared = [n for n in both["artifacts"] if "-depth" not in n]
+            assert "csv/sdae_ivs-layer2-history.csv" in shared
+            assert "csv/sdae-extractors.csv" in shared
+            tags = [re.search(r"-depth(\d)-", n)[1]
+                    for n in both["artifacts"] if "-depth" in n]
+            assert [d for d, _ in itertools.groupby(tags)] == \
+                multi.split() * 2
+            for depth in ("1", "2"):
+                alone = json.loads((outs[depth] / "report.json").read_text())
+                for variant, entries in alone["results"].items():
+                    assert both["results"][variant][f"depth{depth}"] == \
+                        entries[f"depth{depth}"]
+                # Every model and reconstruction of the single-depth run,
+                # and every per-variant file it shares with this run.
+                assert set(alone["artifacts"]) <= set(both["artifacts"])
+                for name in alone["artifacts"]:
+                    assert (outs[multi] / name).read_bytes() == \
+                        (outs[depth] / name).read_bytes(), name
+            # The depth-2 run writes the same per-variant files.
+            assert sorted(n for n in two["artifacts"]
+                          if "-depth" not in n) == sorted(shared)
 
 
 class TestEval:
@@ -211,23 +218,29 @@ class TestDivergence:
                               "epoch 1") and err.count("\n") == 1
 
 
+# The files of run's layer-1 selection, which the ivs verb also writes.
+IVS_FILES = ("csv/sdae_ivs-layer1-history.csv",
+             "csv/sdae_ivs-layer1-importance.csv",
+             "images/sdae_ivs-importance.pgm", "images/sdae_ivs-mask.pgm")
+
+
 class TestIvsCommand:
     def test_artifacts(self, tmp_path):
         out = tmp_path / "ivs_out"
         assert run_cli("ivs", "--config", SMOKE, "--out", out) == 0
-        history = (out / "ivs" / "history.csv").read_text().splitlines()
+        assert sorted(str(f.relative_to(out)) for f in out.rglob("*")
+                      if f.is_file()) == sorted(IVS_FILES + ("mask.txt",))
+        history = (out / IVS_FILES[0]).read_text().splitlines()
         assert history[0] == "iteration,kept,validation_error"
         assert len(history) > 1
-        assert (out / "ivs" / "importance.csv").is_file()
-        assert (out / "ivs" / "importance.pgm").is_file()
-        mask = (out / "ivs" / "mask.txt").read_text().strip()
+        mask = (out / "mask.txt").read_text().strip()
         assert set(mask) <= {"0", "1"} and len(mask) == 30
 
     def test_selection_is_the_layer1_selection_of_run(self, tmp_path,
                                                       smoke_run):
         out = tmp_path / "ivs_out"
         assert run_cli("ivs", "--config", SMOKE, "--out", out) == 0
-        mask = (out / "ivs" / "mask.txt").read_text().strip()
+        mask = (out / "mask.txt").read_text().strip()
         report = json.loads((smoke_run / "report.json").read_text())
         entry = report["results"]["sdae_ivs"]["depth1"]
         for key in ("pretrained_model", "model"):
@@ -235,10 +248,9 @@ class TestIvsCommand:
             assert pack_mask(model.layers[0].mask) == mask
         # The importances carry the pre-classifiers' bits, so they show
         # that both verbs drew the same stream, even where masks agree.
-        for name in ("history", "importance"):
-            assert (out / "ivs" / f"{name}.csv").read_bytes() == (
-                smoke_run / "csv" / f"sdae_ivs-layer1-{name}.csv"
-            ).read_bytes()
+        for name in IVS_FILES:
+            assert (out / name).read_bytes() == \
+                (smoke_run / name).read_bytes(), name
 
     def test_zero_threshold_one_iteration(self, tmp_path):
         patched = tmp_path / "zero.ini"
@@ -246,7 +258,7 @@ class TestIvsCommand:
                                                      "threshold = 0.0"))
         out = tmp_path / "zero_out"
         assert run_cli("ivs", "--config", patched, "--out", out) == 0
-        rows = (out / "ivs" / "history.csv").read_text().splitlines()[1:]
+        rows = (out / IVS_FILES[0]).read_text().splitlines()[1:]
         assert len(rows) == 1
         assert rows[0].split(",")[1] == "30"
 
@@ -260,7 +272,7 @@ class TestIvsCommand:
         out = tmp_path / "planted"
         config = REPO / "configs" / "paired_synthetic.ini"
         assert run_cli("ivs", "--config", config, "--out", out) == 0
-        rows = (out / "ivs" / "history.csv").read_text().splitlines()[1:]
+        rows = (out / IVS_FILES[0]).read_text().splitlines()[1:]
         kept = [int(r.split(",")[1]) for r in rows]
         # Masks shrink monotonically, so equal popcounts mean an identical
         # mask: the history must fall strictly, then flatten into the

@@ -295,11 +295,12 @@ class TestSumRows:
         sum_rows(np.array([[1.0, -0.0], [2.0, -0.0], [0.5, 3.0]]), out)
         assert out.tolist() == [3.5, 3.0]
 
-    def test_one_row_of_another_array_is_copied_keeping_negative_zero(self):
-        # A one-row tail batch of a workspace built for batch 3.
+    def test_one_row_of_another_array_is_reduced_into_out(self):
+        # A one-row tail batch of a workspace built for batch 3; the
+        # reduce gives +0.0 for -0.0, as the docstring says.
         delta, out = np.array([[-0.0, 2.0], [5.0, 5.0], [5.0, 5.0]]), np.full(2, 9.0)
         sum_rows(delta[:1], out)
-        assert same_bits(out, [-0.0, 2.0])
+        assert same_bits(out, [0.0, 2.0])
         assert not np.shares_memory(delta, out)
 
     def test_own_row_is_left_in_place(self):

@@ -16,12 +16,12 @@ from sdae_ivs import stack
 from sdae_ivs.numerics import sgd
 from sdae_ivs.stack import (StackConfig, StackLayer, StackModel,
                             classification_grads, fine_tune, fine_tune_params,
-                            predict_labels, prefix, pretrain,
+                            predict_labels, pretrain,
                             reconstruct_through, select_extractors, workspace)
 from util import (CONSECUTIVE_RUNS, assert_tiles, captured_step, central_diff,
                   flat_params, flatten, grads_close, log_softmax,
                   per_step_classification_grads, per_step_fine_tune,
-                  split_like)
+                  pretrain_deepest, split_like)
 
 EASY = SyntheticSpec(num_relevant=8, num_irrelevant=24, num_classes=3,
                      class_separation=3.0, noise_sd=0.4,
@@ -79,7 +79,7 @@ class TestPretrain:
     def test_plain_depth1_equals_manual_composition(self):
         train, valid, _, _ = easy_splits(1)
         cfg = stack_cfg(1, select=False)
-        model, ivs_results = pretrain(train, valid, cfg, 7)
+        model, ivs_results = pretrain_deepest(train, valid, cfg, 7)
         assert ivs_results == []
 
         manual_dae = train_dae(train, cfg.dae[0], derive_rng(7, 1, DAE))
@@ -97,7 +97,8 @@ class TestPretrain:
 
     def test_depth2_width_bookkeeping(self):
         train, valid, _, _ = easy_splits(2)
-        model, _ = pretrain(train, valid, stack_cfg(2, select=True), 8)
+        model, _ = pretrain_deepest(train, valid, stack_cfg(2, select=True),
+                                    8)
         first = model.layers[0]
         assert first.dae.input_width == first.mask.popcount
         second = model.layers[1]
@@ -107,8 +108,8 @@ class TestPretrain:
 
     def test_deterministic(self):
         train, valid, _, _ = easy_splits(3)
-        a, _ = pretrain(train, valid, stack_cfg(1, True), 5)
-        b, _ = pretrain(train, valid, stack_cfg(1, True), 5)
+        a, _ = pretrain_deepest(train, valid, stack_cfg(1, True), 5)
+        b, _ = pretrain_deepest(train, valid, stack_cfg(1, True), 5)
         assert a.layers[0].mask == b.layers[0].mask
         assert np.array_equal(a.layers[0].dae.weights, b.layers[0].dae.weights)
         assert np.array_equal(a.top.weights, b.top.weights)
@@ -117,30 +118,33 @@ class TestPretrain:
         train, valid, _, _ = easy_splits(4)
         for select in (False, True):
             shallow, shallow_ivs = pretrain(train, valid,
-                                            stack_cfg(1, select), 6)
-            deep, deep_ivs = pretrain(train, valid, stack_cfg(2, select), 6)
-            assert shallow.layers[0].mask == deep.layers[0].mask
-            assert np.array_equal(shallow.layers[0].dae.weights,
-                                  deep.layers[0].dae.weights)
+                                            stack_cfg(1, select), 6, (1,))
+            both, deep_ivs = pretrain(train, valid, stack_cfg(2, select), 6,
+                                      (2, 1))
+            deep, _ = pretrain(train, valid, stack_cfg(2, select), 6, (2,))
+            assert sorted(both) == [1, 2] and list(deep) == [2]
             assert [r.mask for r in deep_ivs[:1]] == \
                 [r.mask for r in shallow_ivs]
-            # prefix gives the deep stack's first layer the shallow top.
-            cut = prefix(deep, 1, train, valid,
-                         stack_cfg(1, select).fine_tune, 6)
-            assert cut.layers == deep.layers[:1]
-            assert np.array_equal(cut.top.weights, shallow.top.weights)
-            assert np.array_equal(cut.top.biases, shallow.top.biases)
-        assert prefix(deep, 2, train, valid, MLR_CFG, 6) is deep
-        with pytest.raises(DimensionError):
-            prefix(deep, 3, train, valid, MLR_CFG, 6)
+            # The depth-1 stack of the two-layer pass is the one-layer
+            # pass's, and asking for it leaves the depth-2 stack as it is.
+            assert both[1].layers == both[2].layers[:1]
+            for depth, alone in ((1, shallow[1]), (2, deep[2])):
+                for a, b in zip(fine_tune_params(both[depth]),
+                                fine_tune_params(alone)):
+                    assert np.array_equal(a, b)
+                assert [l.mask for l in both[depth].layers] == \
+                    [l.mask for l in alone.layers]
+        for depths in ((0,), (1, 3)):
+            with pytest.raises(DimensionError):
+                pretrain(train, valid, stack_cfg(2, False), 6, depths)
 
     def test_both_variants_share_the_layer_streams(self):
         # Threshold 0 keeps every variable, so the selecting stack's DAE
         # sees the plain stack's input, and must draw the same stream.
         train, valid, _, _ = easy_splits(4)
         keep_all = replace(IVS_CFG, threshold=0.0)
-        plain, _ = pretrain(train, valid, stack_cfg(1, False), 6)
-        selecting, _ = pretrain(
+        plain, _ = pretrain_deepest(train, valid, stack_cfg(1, False), 6)
+        selecting, _ = pretrain_deepest(
             train, valid, replace(stack_cfg(1, True), ivs=(keep_all,)), 6)
         assert selecting.layers[0].mask == plain.layers[0].mask
         assert np.array_equal(selecting.layers[0].dae.weights,
@@ -154,7 +158,7 @@ class TestPretrain:
                                 replace(cfg.dae[1], learning_rate=1e308)))
         with pytest.raises(DivergenceError,
                            match="layer 2: DAE pre-training diverged at epoch"):
-            pretrain(train, valid, cfg, 9)
+            pretrain_deepest(train, valid, cfg, 9)
 
 
 class TestPredict:
@@ -183,7 +187,7 @@ class TestPredict:
 class TestFineTune:
     def test_zero_epochs_is_identity(self):
         train, valid, _, _ = easy_splits(5)
-        model, _ = pretrain(train, valid, stack_cfg(1, False), 9)
+        model, _ = pretrain_deepest(train, valid, stack_cfg(1, False), 9)
         tuned = fine_tune(model, train, valid, TrainConfig(0.1, 0, 1),
                           derive_rng(0))
         assert tuned.fine_tuned
@@ -289,7 +293,7 @@ class TestFineTune:
 
     def test_never_degrades_best_validation(self):
         train, valid, _, _ = easy_splits(6)
-        model, _ = pretrain(train, valid, stack_cfg(1, False), 10)
+        model, _ = pretrain_deepest(train, valid, stack_cfg(1, False), 10)
         before = evaluate(lambda x: predict_labels(model, x), valid).error_rate
         tuned = fine_tune(model, train, valid, TrainConfig(0.1, 10, 3),
                           derive_rng(1))
@@ -298,11 +302,34 @@ class TestFineTune:
 
     def test_overflowing_learning_rate_raises_with_the_epoch(self):
         train, valid, _, _ = easy_splits(5)
-        model, _ = pretrain(train, valid, stack_cfg(1, False), 9)
+        model, _ = pretrain_deepest(train, valid, stack_cfg(1, False), 9)
         with pytest.raises(DivergenceError,
                            match="fine-tuning diverged at epoch 1"):
             fine_tune(model, train, valid, TrainConfig(1e308, 5, 5),
                       derive_rng(0))
+
+    def test_no_trained_parameter_is_negative_zero(self):
+        # sum_rows turns a one-row -0.0 into +0.0, which moves a parameter
+        # only if it is -0.0. A column of zeros keeps its MLR weights at
+        # exactly zero while their gradients may be -0.0, and 295 rows in
+        # batches of 7, as a selection config may ask, leave a one-row tail.
+        def zero_column(d):
+            return Dataset(np.column_stack([d.x, np.zeros(d.n)]), d.labels,
+                           d.num_classes)
+
+        train, valid, _, _ = easy_splits(6)
+        train = Dataset(train.x[:295], train.labels[:295], train.num_classes)
+        train, valid = zero_column(train), zero_column(valid)
+        pre = train_mlr(train, valid, TrainConfig(0.1, 10, 10, 7),
+                        derive_rng(1))
+        model, _ = pretrain_deepest(train, valid, stack_cfg(1, False), 2)
+        tuned = fine_tune(model, train, valid, TrainConfig(0.1, 5, 5),
+                          derive_rng(3))
+        params = np.concatenate([pre.weights.ravel(), pre.biases] + [
+            a.ravel() for m in (model, tuned) for a in fine_tune_params(m)
+            + [l.dae.decoder_bias for l in m.layers]])
+        assert not pre.weights[:, -1].any()
+        assert not np.signbit(params[params == 0.0]).any()
 
 
 def minibatch_fine_tune(m, train, valid, cfg, rng, batch):
@@ -380,7 +407,7 @@ class TestReconstruct:
 class TestExtractors:
     def test_zero_threshold_keeps_all_units(self):
         train, valid, _, _ = easy_splits(7)
-        model, _ = pretrain(train, valid, stack_cfg(1, False), 11)
+        model, _ = pretrain_deepest(train, valid, stack_cfg(1, False), 11)
         cfg = IvsConfig(threshold=0.0, max_iterations=3, mlr=MLR_CFG)
         count = select_extractors(model, 1, train, valid, cfg,
                                   derive_rng(12)).ivs.mask.popcount
@@ -388,7 +415,7 @@ class TestExtractors:
 
     def test_count_bounded_and_patterns_partition(self):
         train, valid, _, _ = easy_splits(8)
-        model, _ = pretrain(train, valid, stack_cfg(1, True), 13)
+        model, _ = pretrain_deepest(train, valid, stack_cfg(1, True), 13)
         report = select_extractors(model, 1, train, valid, IVS_CFG, derive_rng(14))
         h = model.layers[0].dae.hidden_units
         count = report.ivs.mask.popcount
@@ -413,7 +440,7 @@ class TestEndToEnd:
                 ivs=(IvsConfig(0.3, 8, TrainConfig(0.1, 30, 5)),) if enabled
                 else (),
                 fine_tune=TrainConfig(0.1, 10, 3))
-            model, _ = pretrain(train, valid, cfg, 0)
+            model, _ = pretrain_deepest(train, valid, cfg, 0)
             tuned = fine_tune(model, train, valid, TrainConfig(0.1, 10, 3),
                               derive_rng(1000))
             errors[enabled] = evaluate(lambda x: predict_labels(tuned, x),
@@ -422,7 +449,8 @@ class TestEndToEnd:
 
     def test_tuned_depth1_accuracy_on_planted(self):
         train, valid, test, _ = easy_splits(10)
-        model, _ = pretrain(train, valid, stack_cfg(1, True, epochs=10), 17)
+        model, _ = pretrain_deepest(train, valid,
+                                    stack_cfg(1, True, epochs=10), 17)
         tuned = fine_tune(model, train, valid, TrainConfig(0.1, 15, 3),
                           derive_rng(18))
         report = evaluate(lambda x: predict_labels(tuned, x), test)

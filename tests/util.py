@@ -10,7 +10,14 @@ from sdae_ivs.dae import init_dae
 from sdae_ivs.data import expand
 from sdae_ivs.mlr import MlrModel, validation_error
 from sdae_ivs.numerics import derive_rng, pack, sgd
-from sdae_ivs.stack import fine_tune_params, predict_labels
+from sdae_ivs.stack import fine_tune_params, predict_labels, pretrain
+
+
+def pretrain_deepest(train, valid, cfg, seed):
+    """stack.pretrain asked for cfg's full depth alone: that stack, and the
+    selection results."""
+    stacks, ivs_results = pretrain(train, valid, cfg, seed, (cfg.depth,))
+    return stacks[cfg.depth], ivs_results
 
 
 def central_diff(f, arr: np.ndarray, step: float = 1e-6) -> np.ndarray:
