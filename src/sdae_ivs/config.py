@@ -17,7 +17,6 @@ from .data import SyntheticSpec
 from .errors import ConfigError
 from .ivs import IvsConfig
 from .mlr import TrainConfig
-from .stack import MAX_DEPTH
 
 # Validation-set candidate grids used by the published benchmark protocol.
 GRID_PRECLASSIFIER_LR = (0.01, 0.02, 0.05, 0.1)
@@ -87,6 +86,9 @@ def _shape(text: str) -> tuple[int, ...]:
     if len(shape) != 2 or min(shape) < 1:
         raise ValueError("must be two positive integers H W")
     return shape
+
+
+MAX_DEPTH = 3
 
 
 def _depths(text: str) -> tuple[int, ...]:
@@ -241,6 +243,9 @@ def load_config(path, seed_override: int | None = None,
                                   "file also holds the validation split")
         elif given["amat_test"] is None:
             raise ConfigError("[data] needs a test file when valid is a file")
+        elif given["valid_size"]:
+            raise ConfigError("[data] valid_size splits the train file, so "
+                              "it cannot be set when valid is a file")
 
     dae = tuple(_fields(parser, "dae", "dae", f"dae.{n}", build=DaeTrainConfig)
                 for n in layers)

@@ -15,7 +15,7 @@ import numpy as np
 
 from .data import Dataset, VariableMask, compact_dataset, expand
 from .errors import ConfigError
-from .mlr import MlrModel, TrainConfig, train_mlr, validation_error
+from .mlr import MlrModel, TrainConfig, predict_labels, train_mlr
 from .numerics import Rng
 
 
@@ -94,8 +94,8 @@ def run_ivs(train: Dataset, valid: Dataset, cfg: IvsConfig, rng: Rng) -> IvsResu
         kept_valid = compact_dataset(valid, mask)
         model = train_mlr(compact_dataset(train, mask), kept_valid,
                           cfg.mlr, rng)
-        err = validation_error(model.weights, model.biases, kept_valid.x,
-                               kept_valid.labels)
+        err = float(np.mean(predict_labels(model, kept_valid.x)
+                            != kept_valid.labels))
         importance = expand(task_importance(model), mask)
         # (b), and (c) where nothing is scored, precede the update: a
         # stopping iteration is recorded but never shrinks the mask.

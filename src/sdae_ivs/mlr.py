@@ -69,10 +69,6 @@ class ErrorReport:
     n: int
     ci95_halfwidth: float
 
-    @classmethod
-    def from_rate(cls, error_rate: float, n: int) -> "ErrorReport":
-        return cls(error_rate, n, wald_halfwidth(error_rate, n))
-
 
 def wald_halfwidth(p: float, n: int) -> float:
     """1.96 * sqrt(p(1-p)/n), the 95% normal-approximation halfwidth."""
@@ -133,11 +129,6 @@ def batch_grads(weights, biases, xb, tb, ws):
     return ws.grad
 
 
-def validation_error(weights, biases, x, labels) -> float:
-    logits = x @ weights.T + biases
-    return float(np.mean(np.argmax(logits, axis=1) + 1 != labels))
-
-
 def train_mlr(train: Dataset, valid: Dataset, cfg: TrainConfig, rng: Rng,
               return_history: bool = False):
     """Fit an MLR by minibatch SGD with early stopping.
@@ -159,17 +150,16 @@ def train_mlr(train: Dataset, valid: Dataset, cfg: TrainConfig, rng: Rng,
 
     params, (weights, biases) = pack(np.zeros((train.num_classes, train.m)),
                                      np.zeros(train.num_classes))
+    model = MlrModel(weights, biases)
     targets = one_hot(train.labels, train.num_classes)
     ws = workspace(weights, targets, cfg.minibatch_size)
     history = sgd("MLR training", params,
                   lambda xb, tb: batch_grads(weights, biases, xb, tb, ws),
                   cfg.learning_rate, (train.x, targets), cfg.max_epochs,
                   rng, batch=cfg.minibatch_size,
-                  score=lambda: validation_error(weights, biases, valid.x,
-                                                 valid.labels),
+                  score=lambda: float(np.mean(predict_labels(model, valid.x)
+                                              != valid.labels)),
                   patience=cfg.patience)
-
-    model = MlrModel(weights, biases)
     if return_history:
         return model, history
     return model
@@ -186,4 +176,4 @@ def evaluate(classify, d: Dataset) -> ErrorReport:
     if predicted.shape != (d.n,):
         raise DimensionError("predictor must return one label per example")
     error_rate = float(np.mean(predicted != d.labels))
-    return ErrorReport.from_rate(error_rate, d.n)
+    return ErrorReport(error_rate, d.n, wald_halfwidth(error_rate, d.n))

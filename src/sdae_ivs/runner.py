@@ -25,7 +25,7 @@ from .mlr import evaluate
 from .numerics import EXTRACTORS, FINE_TUNE, IVS, derive_rng
 from .pgm import normalize_unit, tile_grid, write_pgm
 from .serialize import load_stack, pack_mask, save_stack
-from .stack import StackConfig, fine_tune, pretrain, select_extractors
+from .stack import fine_tune, pretrain, select_extractors
 
 # The data's key; one entry long, it never equals a (layer, phase) key.
 KEY_DATA = 1000
@@ -108,9 +108,8 @@ def cmd_run(cfg: ExperimentConfig) -> None:
         results[variant] = {}
         ivs = cfg.ivs if variant == VARIANT_SDAE_IVS else ()
         # cfg.dae holds one plan per layer of the deepest requested depth.
-        stacks, ivs_results = pretrain(
-            train, valid, StackConfig(cfg.dae, ivs, cfg.fine_tune), cfg.seed,
-            cfg.depths)
+        stacks, ivs_results = pretrain(train, valid, cfg.dae, ivs,
+                                       cfg.fine_tune, cfg.seed, cfg.depths)
         # Every depth shares the lower layers, so selection and pattern
         # artifacts are written once per variant.
         artifacts += _write_ivs_artifacts(out, variant, ivs_results, cfg)

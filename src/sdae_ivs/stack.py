@@ -16,15 +16,13 @@ import numpy as np
 from .dae import (DaeModel, DaeTrainConfig, decode, encode, encode_dataset,
                   sigmoid_layer, train_dae)
 from .data import Dataset, VariableMask, compact, compact_dataset, expand
-from .errors import ConfigError, DataError, DimensionError, DivergenceError
+from .errors import DataError, DimensionError, DivergenceError
 from .ivs import IvsConfig, IvsResult, run_ivs
 from .mlr import MlrModel, TrainConfig, batch_grads, one_hot, train_mlr
 from .mlr import workspace as top_workspace
 from .mlr import predict_labels as mlr_predict_labels
 from .numerics import (DAE, IVS, TOP, Rng, delta_rows, derive_rng, named_zeros,
                        pack, sgd, sum_rows)
-
-MAX_DEPTH = 3
 
 
 @dataclass
@@ -58,59 +56,36 @@ class StackModel:
         return len(self.layers)
 
 
-@dataclass(frozen=True)
-class StackConfig:
-    """Per-layer training plans plus the supervised phase.
-
-    ivs=() turns the pipeline into the plain-SDAE baseline (all-ones
-    masks, identity compaction).
-    """
-
-    dae: tuple[DaeTrainConfig, ...]
-    ivs: tuple[IvsConfig, ...]
-    fine_tune: TrainConfig
-
-    def __post_init__(self):
-        if not 1 <= self.depth <= MAX_DEPTH:
-            raise ConfigError(f"depth must lie in 1..{MAX_DEPTH}")
-        if self.ivs and len(self.ivs) != self.depth:
-            raise ConfigError("need one selection config per layer, or none")
-
-    @property
-    def depth(self) -> int:
-        """Number of layers: one per DAE config."""
-        return len(self.dae)
-
-
-def pretrain(train: Dataset, valid: Dataset, cfg: StackConfig, seed: int,
+def pretrain(train: Dataset, valid: Dataset, dae: tuple[DaeTrainConfig, ...],
+             ivs: tuple[IvsConfig, ...], top: TrainConfig, seed: int,
              depths: tuple[int, ...]
              ) -> tuple[dict[int, StackModel], list[IvsResult]]:
     """Greedy layer-wise pre-training with per-layer variable selection.
 
-    For each layer: select on the current representation (or keep all
-    variables when disabled), compact both splits, train the DAE on the
+    dae holds one DAE plan per layer, and ivs one selection plan per layer
+    or () for plain SDAE (all-ones masks). For each layer: select on the
+    current representation, compact both splits, train the DAE on the
     survivors, and encode to obtain the next representation. Right after
-    layer d, for each requested depth d, a top MLR is trained on its
-    codes. Returns the depth-d stacks by d, and the selection results
-    (one per layer, none when selection is off).
+    layer d, for each requested depth d, a top MLR is trained on its codes
+    by the plan top. Returns the depth-d stacks by d, and the selection
+    results (one per layer, none when selection is off).
 
     Layer k's selection and DAE draw from the streams (seed, k, IVS) and
     (seed, k, DAE), the depth-d top MLR from (seed, d, TOP). Layer k
     depends on the layers below it alone, so the depth-d stack is the one
-    a pass over cfg's first d layers gives.
+    a pass over the first d plans gives.
     """
-    if not all(1 <= d <= cfg.depth for d in depths):
-        raise DimensionError(f"depths must lie in 1..{cfg.depth}")
+    if not all(1 <= d <= len(dae) for d in depths):
+        raise DimensionError(f"depths must lie in 1..{len(dae)}")
     cur_train, cur_valid = train, valid
     layers: list[StackLayer] = []
     ivs_results: list[IvsResult] = []
     stacks: dict[int, StackModel] = {}
 
-    for layer, dae_cfg in enumerate(cfg.dae, start=1):
+    for layer, dae_cfg in enumerate(dae, start=1):
         try:
-            if cfg.ivs:
-                ivs_results.append(run_ivs(cur_train, cur_valid,
-                                           cfg.ivs[layer - 1],
+            if ivs:
+                ivs_results.append(run_ivs(cur_train, cur_valid, ivs[layer - 1],
                                            derive_rng(seed, layer, IVS)))
                 mask = ivs_results[-1].mask
             else:
@@ -127,26 +102,19 @@ def pretrain(train: Dataset, valid: Dataset, cfg: StackConfig, seed: int,
         cur_valid = encode_dataset(dae_model, compact_valid)
         if layer in depths:
             stacks[layer] = StackModel(layers[:], train_mlr(
-                cur_train, cur_valid, cfg.fine_tune,
-                derive_rng(seed, layer, TOP)))
+                cur_train, cur_valid, top, derive_rng(seed, layer, TOP)))
             stacks[layer].check_widths()
     return stacks, ivs_results
-
-
-def _layer1_input(m: StackModel, x: np.ndarray) -> np.ndarray:
-    """Raw rows x compacted through layer 1's mask (x itself when the
-    stack has no layers)."""
-    x = np.asarray(x, dtype=np.float64)
-    return compact(x, m.layers[0].mask) if m.layers else x
 
 
 def _forward(m: StackModel, x: np.ndarray, depth: int | None = None
              ) -> np.ndarray:
     """Codes of a batch of raw rows (or one row) after the first `depth`
-    layers, all by default."""
-    cur = _layer1_input(m, x)
-    for idx, layer in enumerate(m.layers[:depth]):
-        cur = encode(layer.dae, compact(cur, layer.mask) if idx else cur)
+    layers, all by default: each layer encodes its input compacted through
+    its mask."""
+    cur = x
+    for layer in m.layers[:depth]:
+        cur = encode(layer.dae, compact(cur, layer.mask))
     return cur
 
 
@@ -238,7 +206,8 @@ def fine_tune(m: StackModel, train: Dataset, valid: Dataset,
                                          layer.dae.decoder_bias.copy()))
          for layer, weights, bias in layers],
         MlrModel(*views[-2:]), fine_tuned=True)
-    c1, targets = _layer1_input(tuned, train.x), one_hot(train.labels, tuned.top.k)
+    c1 = compact(train.x, tuned.layers[0].mask)
+    targets = one_hot(train.labels, tuned.top.k)
     ws = workspace(tuned, c1, targets, 1)
     sgd("fine-tuning", params,
         lambda cb, tb: classification_grads(tuned, cb, tb, ws),

@@ -26,9 +26,9 @@ from sdae_ivs.mlr import (MlrModel, TrainConfig, batch_grads, evaluate,
                           one_hot, wald_halfwidth)
 from sdae_ivs.mlr import workspace as mlr_workspace
 from sdae_ivs.numerics import FINE_TUNE, derive_rng, softmax
-from sdae_ivs.stack import (StackConfig, StackLayer, StackModel,
-                            classification_grads, fine_tune, fine_tune_params,
-                            predict_labels, pretrain, select_extractors)
+from sdae_ivs.stack import (StackLayer, StackModel, classification_grads,
+                            fine_tune, fine_tune_params, predict_labels,
+                            pretrain, select_extractors)
 from sdae_ivs.stack import workspace as stack_workspace
 from util import (central_diff, cross_entropy, discriminant, grads_close,
                   pretrain_deepest, random_mlr, split_like)
@@ -66,11 +66,12 @@ def planted_splits(seed):
 
 
 def paired_stack_config(depth, select):
-    return StackConfig(
+    """pretrain's dae, ivs and top arguments; top also fine-tunes."""
+    return dict(
         dae=tuple(DaeTrainConfig(HIDDEN[i], 0.3, 0.1, 10)
                   for i in range(depth)),
         ivs=(SELECTION,) * depth if select else (),
-        fine_tune=TrainConfig(0.1, 10, 3),
+        top=TrainConfig(0.1, 10, 3),
     )
 
 
@@ -244,14 +245,15 @@ def test_criterion_5_paired_trend():
         errors = {}
         for enabled in (False, True):
             cfg = paired_stack_config(2, enabled)
-            stacks, ivs_results = pretrain(train, valid, cfg, seed, (1, 2))
+            stacks, ivs_results = pretrain(train, valid, **cfg, seed=seed,
+                                           depths=(1, 2))
             if enabled:
                 first_layer = ivs_results[0]
                 kept = [item.kept for item in first_layer.history]
                 assert all(a >= b for a, b in zip(kept, kept[1:]))
                 assert first_layer.mask.popcount < train.m
             for depth in (1, 2):
-                tuned = fine_tune(stacks[depth], train, valid, cfg.fine_tune,
+                tuned = fine_tune(stacks[depth], train, valid, cfg["top"],
                                   derive_rng(seed, depth, FINE_TUNE))
                 errors[enabled, depth] = evaluate(
                     lambda x: predict_labels(tuned, x), test).error_rate

@@ -623,6 +623,18 @@ class TestAmatPlumbing:
         assert run_cli("run", "--config", config, "--out", tmp_path / "o") == 1
         assert "[data] needs train_size" in capsys.readouterr().err
 
+    def test_valid_size_with_valid_file_rejected(self, tmp_path, capsys):
+        # valid_size splits the train file, so beside a valid file it
+        # would do nothing.
+        config = tmp_path / "c.ini"
+        self.write_split_config(config, "valid = nowhere/valid.amat\n"
+                                        "test = nowhere/test.amat\n"
+                                        "valid_size = 5\n")
+        with pytest.raises(ConfigError, match=r"\[data\] valid_size"):
+            load_config(config)
+        assert run_cli("run", "--config", config, "--out", tmp_path / "o") == 1
+        assert "[data] valid_size" in capsys.readouterr().err
+
 
 class TestErrors:
     @staticmethod

@@ -188,12 +188,12 @@ class TestSynthetic:
 
     def test_easy_spec_supports_accurate_classifier(self):
         # Oracle for selection tests: the planted task must be learnable.
-        from sdae_ivs.mlr import TrainConfig, train_mlr, validation_error
+        from sdae_ivs.mlr import TrainConfig, predict_labels, train_mlr
         spec = SyntheticSpec(20, 80, 5, 3.0, 0.5, (1000, 300, 0))
         d, _truth = gen_synthetic(spec, derive_rng(17))
         train, valid, _ = split(d, (1000, 300))
         model = train_mlr(train, valid, TrainConfig(0.1, 30, 5), derive_rng(1))
-        err = validation_error(model.weights, model.biases, valid.x, valid.labels)
+        err = np.mean(predict_labels(model, valid.x) != valid.labels)
         assert err <= 0.05
 
 

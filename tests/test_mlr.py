@@ -206,8 +206,11 @@ class TestEvaluate:
         assert wald_halfwidth(0.5, 100) == pytest.approx(0.098, abs=1e-15)
 
     def test_error_report_invariant(self):
-        report = ErrorReport.from_rate(0.25, 64)
-        assert report.ci95_halfwidth == wald_halfwidth(0.25, 64)
+        labels = np.arange(64) % 2 + 1
+        d = Dataset(np.zeros((64, 2)), labels, 2)
+        wrong = np.where(np.arange(64) < 16, 3 - labels, labels)
+        report = evaluate(lambda x: wrong, d)
+        assert report == ErrorReport(0.25, 64, wald_halfwidth(0.25, 64))
 
     def test_empty_dataset_rejected(self):
         empty = Dataset(np.zeros((0, 2)), np.zeros(0, dtype=int), 2)

@@ -14,10 +14,10 @@ from sdae_ivs.mlr import predict_labels as mlr_predict_labels
 from sdae_ivs.numerics import DAE, TOP, derive_rng
 from sdae_ivs import stack
 from sdae_ivs.numerics import sgd
-from sdae_ivs.stack import (StackConfig, StackLayer, StackModel,
-                            classification_grads, fine_tune, fine_tune_params,
-                            predict_labels, pretrain,
-                            reconstruct_through, select_extractors, workspace)
+from sdae_ivs.stack import (StackLayer, StackModel, classification_grads,
+                            fine_tune, fine_tune_params, predict_labels,
+                            pretrain, reconstruct_through, select_extractors,
+                            workspace)
 from util import (CONSECUTIVE_RUNS, assert_tiles, captured_step, central_diff,
                   flat_params, flatten, grads_close, log_softmax,
                   per_step_classification_grads, per_step_fine_tune,
@@ -43,11 +43,10 @@ def dae_cfg(h, epochs=8, noise=0.2):
 
 
 def stack_cfg(depth, select, hidden=(16, 12, 8), epochs=8):
-    return StackConfig(
-        dae=tuple(dae_cfg(hidden[i], epochs) for i in range(depth)),
-        ivs=(IVS_CFG,) * depth if select else (),
-        fine_tune=TrainConfig(0.1, 20, 4),
-    )
+    """pretrain's dae, ivs and top arguments."""
+    return dict(dae=tuple(dae_cfg(hidden[i], epochs) for i in range(depth)),
+                ivs=(IVS_CFG,) * depth if select else (),
+                top=TrainConfig(0.1, 20, 4))
 
 
 def toy_stack(seed=0, widths=(6, 4, 3), k=2, with_masks=True):
@@ -82,10 +81,10 @@ class TestPretrain:
         model, ivs_results = pretrain_deepest(train, valid, cfg, 7)
         assert ivs_results == []
 
-        manual_dae = train_dae(train, cfg.dae[0], derive_rng(7, 1, DAE))
+        manual_dae = train_dae(train, cfg["dae"][0], derive_rng(7, 1, DAE))
         rep_train = encode_dataset(manual_dae, train)
         rep_valid = encode_dataset(manual_dae, valid)
-        manual_top = train_mlr(rep_train, rep_valid, cfg.fine_tune,
+        manual_top = train_mlr(rep_train, rep_valid, cfg["top"],
                                derive_rng(7, 1, TOP))
 
         assert model.layers[0].mask == VariableMask.all_ones(train.m)
@@ -118,10 +117,12 @@ class TestPretrain:
         train, valid, _, _ = easy_splits(4)
         for select in (False, True):
             shallow, shallow_ivs = pretrain(train, valid,
-                                            stack_cfg(1, select), 6, (1,))
-            both, deep_ivs = pretrain(train, valid, stack_cfg(2, select), 6,
-                                      (2, 1))
-            deep, _ = pretrain(train, valid, stack_cfg(2, select), 6, (2,))
+                                            **stack_cfg(1, select), seed=6,
+                                            depths=(1,))
+            both, deep_ivs = pretrain(train, valid, **stack_cfg(2, select),
+                                      seed=6, depths=(2, 1))
+            deep, _ = pretrain(train, valid, **stack_cfg(2, select), seed=6,
+                               depths=(2,))
             assert sorted(both) == [1, 2] and list(deep) == [2]
             assert [r.mask for r in deep_ivs[:1]] == \
                 [r.mask for r in shallow_ivs]
@@ -136,7 +137,8 @@ class TestPretrain:
                     [l.mask for l in alone.layers]
         for depths in ((0,), (1, 3)):
             with pytest.raises(DimensionError):
-                pretrain(train, valid, stack_cfg(2, False), 6, depths)
+                pretrain(train, valid, **stack_cfg(2, False), seed=6,
+                         depths=depths)
 
     def test_both_variants_share_the_layer_streams(self):
         # Threshold 0 keeps every variable, so the selecting stack's DAE
@@ -145,7 +147,7 @@ class TestPretrain:
         keep_all = replace(IVS_CFG, threshold=0.0)
         plain, _ = pretrain_deepest(train, valid, stack_cfg(1, False), 6)
         selecting, _ = pretrain_deepest(
-            train, valid, replace(stack_cfg(1, True), ivs=(keep_all,)), 6)
+            train, valid, {**stack_cfg(1, True), "ivs": (keep_all,)}, 6)
         assert selecting.layers[0].mask == plain.layers[0].mask
         assert np.array_equal(selecting.layers[0].dae.weights,
                               plain.layers[0].dae.weights)
@@ -154,8 +156,8 @@ class TestPretrain:
     def test_divergence_names_the_layer(self):
         train, valid, _, _ = easy_splits(2)
         cfg = stack_cfg(2, False)
-        cfg = replace(cfg, dae=(cfg.dae[0],
-                                replace(cfg.dae[1], learning_rate=1e308)))
+        cfg["dae"] = (cfg["dae"][0],
+                      replace(cfg["dae"][1], learning_rate=1e308))
         with pytest.raises(DivergenceError,
                            match="layer 2: DAE pre-training diverged at epoch"):
             pretrain_deepest(train, valid, cfg, 9)
@@ -435,11 +437,11 @@ class TestEndToEnd:
         train, valid, test = split(d, spec.examples_per_split[:2])
         errors = {}
         for enabled in (False, True):
-            cfg = StackConfig(
+            cfg = dict(
                 dae=(DaeTrainConfig(12, 0.3, 0.1, 10),),
                 ivs=(IvsConfig(0.3, 8, TrainConfig(0.1, 30, 5)),) if enabled
                 else (),
-                fine_tune=TrainConfig(0.1, 10, 3))
+                top=TrainConfig(0.1, 10, 3))
             model, _ = pretrain_deepest(train, valid, cfg, 0)
             tuned = fine_tune(model, train, valid, TrainConfig(0.1, 10, 3),
                               derive_rng(1000))

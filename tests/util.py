@@ -8,16 +8,19 @@ import numpy as np
 
 from sdae_ivs.dae import init_dae
 from sdae_ivs.data import expand
-from sdae_ivs.mlr import MlrModel, validation_error
+from sdae_ivs.mlr import MlrModel
 from sdae_ivs.numerics import derive_rng, pack, sgd
 from sdae_ivs.stack import fine_tune_params, predict_labels, pretrain
 
 
-def pretrain_deepest(train, valid, cfg, seed):
-    """stack.pretrain asked for cfg's full depth alone: that stack, and the
-    selection results."""
-    stacks, ivs_results = pretrain(train, valid, cfg, seed, (cfg.depth,))
-    return stacks[cfg.depth], ivs_results
+def pretrain_deepest(train, valid, plans, seed):
+    """stack.pretrain with plans, a dict of its dae, ivs and top arguments,
+    asked for the full depth alone: that stack, and the selection
+    results."""
+    depth = len(plans["dae"])
+    stacks, ivs_results = pretrain(train, valid, **plans, seed=seed,
+                                   depths=(depth,))
+    return stacks[depth], ivs_results
 
 
 def central_diff(f, arr: np.ndarray, step: float = 1e-6) -> np.ndarray:
@@ -147,15 +150,19 @@ def fresh_mlr_grads(weights, biases, xb, yb):
 
 
 def per_step_train_mlr(train, valid, cfg, rng) -> MlrModel:
-    """train_mlr with label-indexed deltas."""
+    """train_mlr with label-indexed deltas, scoring validation error from
+    its own logits."""
     params, (weights, biases) = pack(np.zeros((train.num_classes, train.m)),
                                      np.zeros(train.num_classes))
+
+    def score():
+        logits = valid.x @ weights.T + biases
+        return float(np.mean(np.argmax(logits, axis=1) + 1 != valid.labels))
+
     sgd("MLR training", params,
         lambda xb, yb: flatten(fresh_mlr_grads(weights, biases, xb, yb)),
         cfg.learning_rate, (train.x, train.labels), cfg.max_epochs, rng,
-        batch=cfg.minibatch_size,
-        score=lambda: validation_error(weights, biases, valid.x, valid.labels),
-        patience=cfg.patience)
+        batch=cfg.minibatch_size, score=score, patience=cfg.patience)
     return MlrModel(weights, biases)
 
 
