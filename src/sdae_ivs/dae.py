@@ -81,7 +81,7 @@ def encode(m: DaeModel, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.shape[-1] != m.input_width:
         raise DimensionError(f"expected input width {m.input_width}, got {x.shape[-1]}")
-    return sigmoid(x @ m.weights.T + m.encoder_bias)
+    return sigmoid_layer(x, m.weights.T, m.encoder_bias)
 
 
 def decode(m: DaeModel, h: np.ndarray) -> np.ndarray:
@@ -90,7 +90,7 @@ def decode(m: DaeModel, h: np.ndarray) -> np.ndarray:
     h = np.asarray(h, dtype=np.float64)
     if h.shape[-1] != m.hidden_units:
         raise DimensionError(f"expected code width {m.hidden_units}, got {h.shape[-1]}")
-    return sigmoid(h @ m.weights + m.decoder_bias)
+    return sigmoid_layer(h, m.weights, m.decoder_bias)
 
 
 def loss(x: np.ndarray, y: np.ndarray) -> float:
@@ -105,9 +105,11 @@ def loss(x: np.ndarray, y: np.ndarray) -> float:
     return float(-(x @ np.log(yc) + (1.0 - x) @ np.log1p(-yc)))
 
 
-def sigmoid_layer(x, weights, bias, out):
-    """sigmoid(x weights + bias) of the rows x, written into out."""
-    x.dot(weights, out=out)
+def sigmoid_layer(x, weights, bias, out=None):
+    """sigmoid(x weights + bias) of one row or the rows x, worked out in
+    out, or in one new array by default: every layer of the program, at
+    prediction and in both training steps."""
+    out = x.dot(weights, out=out)
     out += bias
     return sigmoid(out, out=out)
 

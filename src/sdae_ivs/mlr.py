@@ -130,7 +130,7 @@ def batch_grads(weights, biases, xb, tb, ws):
 
 
 def train_mlr(train: Dataset, valid: Dataset, cfg: TrainConfig, rng: Rng,
-              return_history: bool = False):
+              return_history: bool = False, phase: str = "MLR training"):
     """Fit an MLR by minibatch SGD with early stopping.
 
     Weights start at zero (the loss is convex, so the optimum does not
@@ -139,7 +139,7 @@ def train_mlr(train: Dataset, valid: Dataset, cfg: TrainConfig, rng: Rng,
     beats the untrained model returns the all-zero model. To drop
     variables, train on a compacted dataset. rng shuffles the examples,
     whose one-hot targets are built once per fit. Parameters that stop
-    being finite raise DivergenceError at the end of that epoch.
+    being finite raise DivergenceError, naming phase, at that epoch's end.
     """
     if train.n == 0:
         raise DataError("cannot train on an empty dataset")
@@ -153,7 +153,7 @@ def train_mlr(train: Dataset, valid: Dataset, cfg: TrainConfig, rng: Rng,
     model = MlrModel(weights, biases)
     targets = one_hot(train.labels, train.num_classes)
     ws = workspace(weights, targets, cfg.minibatch_size)
-    history = sgd("MLR training", params,
+    history = sgd(phase, params,
                   lambda xb, tb: batch_grads(weights, biases, xb, tb, ws),
                   cfg.learning_rate, (train.x, targets), cfg.max_epochs,
                   rng, batch=cfg.minibatch_size,

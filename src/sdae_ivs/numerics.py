@@ -112,17 +112,17 @@ def sgd(phase, params, grads, learning_rate, data, epochs, rng, batch=1,
 
 
 def sigmoid(z, out=None):
-    """Logistic function 1/(1+e^-z), overflow-safe for any input.
+    """Logistic function 1/(1+e^-z) of an array, overflow-safe for any input.
 
-    Accepts scalars or arrays, and writes into out (which may be z) when
-    given. exp(fmin(z, 0)) / (1 + e) with e = exp(-|z|) <= 1 is 1/(1+e)
-    where z >= 0 and e/(1+e) elsewhere, so no |z| can overflow.
+    Writes into out (which may be z) when given, and makes one temporary,
+    the numerator. exp(fmin(z, 0)) / (1 + e) with e = exp(-|z|) <= 1 is
+    1/(1+e) where z >= 0 and e/(1+e) elsewhere, so no |z| can overflow.
     """
-    numerator = np.exp(np.fmin(z, 0.0))
+    numerator = np.fmin(z, 0.0)
+    np.exp(numerator, out=numerator)
     e = np.exp(np.copysign(z, -1.0, out=out), out=out)
     e += 1.0
-    e = np.divide(numerator, e, out=out)
-    return float(e) if e.ndim == 0 else e
+    return np.divide(numerator, e, out=out)
 
 
 def softmax(logits, out=None):

@@ -41,12 +41,13 @@ def load_splits(cfg: ExperimentConfig) -> tuple[Dataset, Dataset, Dataset]:
         if cfg.amat_valid is None:
             train, valid, test = split(base, (cfg.train_size, cfg.valid_size))
         else:
-            valid = load_amat(cfg.amat_valid, cfg.zero_based_labels)
+            valid = _like_train(cfg.amat_valid, load_amat(
+                cfg.amat_valid, cfg.zero_based_labels), base)
             train = base if cfg.train_size <= 0 \
                 else split(base, (cfg.train_size, 0))[0]
         if cfg.amat_test is not None:
             # load_config requires one whenever valid is a file.
-            test = load_test(cfg)
+            test = _like_train(cfg.amat_test, load_test(cfg), base)
         elif cfg.test_size:
             test = split(test, (cfg.test_size, 0))[0]
 
@@ -56,6 +57,18 @@ def load_splits(cfg: ExperimentConfig) -> tuple[Dataset, Dataset, Dataset]:
             raise DataError(f"[data] shape {h} {w} covers {h * w} variables, "
                             f"but the data has {train.m}")
     return train, valid, test
+
+
+def _like_train(path, d: Dataset, train: Dataset) -> Dataset:
+    """A split read from its own file, given the train file's class count;
+    a label above it or another width is a data error naming the file."""
+    if d.m != train.m:
+        raise DataError(f"{path}: rows hold {d.m} variables, but the train "
+                        f"file's hold {train.m}")
+    if d.num_classes > train.num_classes:
+        raise DataError(f"{path}: labels span {d.num_classes} classes, "
+                        f"more than the train file's {train.num_classes}")
+    return Dataset(d.x, d.labels, train.num_classes)
 
 
 def load_test(cfg: ExperimentConfig) -> Dataset:
@@ -115,7 +128,7 @@ def cmd_run(cfg: ExperimentConfig) -> None:
         artifacts += _write_ivs_artifacts(out, variant, ivs_results, cfg)
         if cfg.export_patterns:
             artifacts += _write_patterns(out, variant, select_extractors(
-                stacks[cfg.depths[0]], 1, train, valid, cfg.ivs[0],
+                stacks[cfg.depths[0]], train, valid, cfg.ivs[0],
                 derive_rng(cfg.seed, 1, EXTRACTORS)), cfg)
         for depth in cfg.depths:
             pre = stacks[depth]

@@ -102,7 +102,8 @@ def pretrain(train: Dataset, valid: Dataset, dae: tuple[DaeTrainConfig, ...],
         cur_valid = encode_dataset(dae_model, compact_valid)
         if layer in depths:
             stacks[layer] = StackModel(layers[:], train_mlr(
-                cur_train, cur_valid, top, derive_rng(seed, layer, TOP)))
+                cur_train, cur_valid, top, derive_rng(seed, layer, TOP),
+                phase=f"depth {layer} top MLR"))
             stacks[layer].check_widths()
     return stacks, ivs_results
 
@@ -129,11 +130,10 @@ def fine_tune_params(m: StackModel) -> list[np.ndarray]:
 
 def workspace(m: StackModel, c1: np.ndarray, targets: np.ndarray, batch: int):
     """Arrays classification_grads writes into over rows c1 and one-hot
-    targets in batches of at most `batch` rows: one workspace per layer, its
-    delta from above zero where a mask drops a unit, then the top's. The
-    gradients are views of one flat buffer laid out like
-    fine_tune_params(m); at batch 1 each layer's da is its bias gradient's
-    row."""
+    targets in batches of at most `batch` rows: one workspace per layer,
+    then the top's. The gradients are views of one flat buffer laid out
+    like fine_tune_params(m); at batch 1 each layer's da is its bias
+    gradient's row."""
     if c1.shape[-1] != m.layers[0].dae.input_width:
         raise DimensionError("rows c1 do not match layer 1's input width")
     b = min(batch, len(c1))
@@ -141,7 +141,7 @@ def workspace(m: StackModel, c1: np.ndarray, targets: np.ndarray, batch: int):
     layers = []
     for grad_w, grad_b in zip(views[:-2:2], views[1:-2:2]):
         h, w = grad_w.shape
-        lw = named_zeros(c=(b, w), h=(b, h), t=(b, h), delta=(b, h))
+        lw = named_zeros(c=(b, w), h=(b, h), t=(b, h))
         lw.grad_w, lw.grad_b, lw.da = grad_w, grad_b, delta_rows(grad_b, b)
         layers.append(lw)
     return layers + [top_workspace(m.top.weights, targets, batch,
@@ -160,17 +160,19 @@ def classification_grads(m: StackModel, c1: np.ndarray, targets: np.ndarray, ws)
         cur = sigmoid_layer(cur, layer.dae.weights.T, layer.dae.encoder_bias,
                             lw.h[:b])
     grad = batch_grads(m.top.weights, m.top.biases, cur, targets, ws[-1])
-    delta = ws[-1].delta[:b].dot(m.top.weights, out=ws[-2].delta[:b])
+    ws[-1].delta[:b].dot(m.top.weights, out=ws[-2].da[:b])
     for idx in range(len(m.layers) - 1, -1, -1):
         layer, lw = m.layers[idx], ws[idx]
-        da = np.multiply(delta, lw.h[:b], out=lw.da[:b])
+        # The delta from above, zero where the mask above drops a unit.
+        da = lw.da[:b]
+        da *= lw.h[:b]
         da *= np.subtract(1.0, lw.h[:b], out=lw.t[:b])
         da.T.dot(lw.c[:b] if idx else c1, out=lw.grad_w)
         sum_rows(da, lw.grad_b)
         if idx > 0:
             # Expand through the mask; the compacted input is free by now.
-            delta = ws[idx - 1].delta[:b]
-            delta[:, layer.mask.index] = da.dot(layer.dae.weights, out=lw.c[:b])
+            ws[idx - 1].da[:b, layer.mask.index] = da.dot(layer.dae.weights,
+                                                          out=lw.c[:b])
     return grad
 
 
@@ -188,11 +190,12 @@ def fine_tune(m: StackModel, train: Dataset, valid: Dataset,
     holding copies of fine_tune_params(m), with copies of m's decoder
     biases and m's own masks, which nothing changes; the input model is
     left untouched. The training rows are compacted through layer 1's mask
-    and given one-hot targets once per fit. Early stopping mirrors the MLR
-    trainer (best validation snapshot, ties to the earlier epoch); with
-    max_epochs = 0 the returned model carries the input parameters
-    unchanged. rng shuffles the examples. Parameters that stop being
-    finite raise DivergenceError at the end of that epoch.
+    and given one-hot targets once per fit, and steps take
+    cfg.minibatch_size rows. Early stopping mirrors the MLR trainer (best
+    validation snapshot, ties to the earlier epoch); with max_epochs = 0
+    the returned model carries the input parameters unchanged. rng shuffles
+    the examples. Parameters that stop being finite raise DivergenceError,
+    naming the depth, at the end of that epoch.
     """
     if train.n == 0:
         raise DataError("cannot fine-tune on an empty dataset")
@@ -208,10 +211,11 @@ def fine_tune(m: StackModel, train: Dataset, valid: Dataset,
         MlrModel(*views[-2:]), fine_tuned=True)
     c1 = compact(train.x, tuned.layers[0].mask)
     targets = one_hot(train.labels, tuned.top.k)
-    ws = workspace(tuned, c1, targets, 1)
-    sgd("fine-tuning", params,
+    ws = workspace(tuned, c1, targets, cfg.minibatch_size)
+    sgd(f"depth {tuned.depth} fine-tuning", params,
         lambda cb, tb: classification_grads(tuned, cb, tb, ws),
         cfg.learning_rate, (c1, targets), cfg.max_epochs, rng,
+        batch=cfg.minibatch_size,
         score=lambda: float(np.mean(predict_labels(tuned, valid.x)
                                     != valid.labels)),
         patience=cfg.patience)
@@ -236,29 +240,22 @@ def reconstruct_through(m: StackModel, x: np.ndarray, depth: int) -> np.ndarray:
 
 @dataclass
 class ExtractorReport:
-    """Hidden units of one layer split into task-relevant and -irrelevant;
-    ivs.mask keeps the relevant ones."""
+    """Layer 1's hidden units split into task-relevant and -irrelevant."""
 
     relevant_patterns: np.ndarray
     irrelevant_patterns: np.ndarray
-    ivs: IvsResult
 
 
-def select_extractors(m: StackModel, layer: int, train: Dataset, valid: Dataset,
+def select_extractors(m: StackModel, train: Dataset, valid: Dataset,
                       ivs_cfg: IvsConfig, rng: Rng) -> ExtractorReport:
-    """Run selection on layer `layer`'s hidden representation.
+    """Run selection on layer 1's hidden representation.
 
     The surviving count is the number of task-relevant feature extractors.
     Weight rows are partitioned by the resulting mask and expanded through
-    the layer's input mask so patterns render at that layer's input width.
+    layer 1's input mask so patterns render at the raw input width.
     """
-    if not 1 <= layer <= len(m.layers):
-        raise DimensionError(f"layer must lie in 1..{len(m.layers)}")
-    rep_train, rep_valid = (Dataset(_forward(m, d.x, layer), d.labels,
+    rep_train, rep_valid = (Dataset(_forward(m, d.x, 1), d.labels,
                                     d.num_classes) for d in (train, valid))
-    result = run_ivs(rep_train, rep_valid, ivs_cfg, rng)
-
-    stack_layer = m.layers[layer - 1]
-    patterns = expand(stack_layer.dae.weights, stack_layer.mask)
-    keep = result.mask.bits
-    return ExtractorReport(patterns[keep], patterns[~keep], result)
+    keep = run_ivs(rep_train, rep_valid, ivs_cfg, rng).mask.bits
+    patterns = expand(m.layers[0].dae.weights, m.layers[0].mask)
+    return ExtractorReport(patterns[keep], patterns[~keep])

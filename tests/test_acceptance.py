@@ -282,8 +282,9 @@ def test_criterion_6_extractor_count_trend():
         probe = IvsConfig(threshold, 8, IVS_TRAINER)
         counts = {
             enabled: select_extractors(
-                models[enabled], 1, train, valid, probe,
-                derive_rng(seed, 60, int(threshold * 100))).ivs.mask.popcount
+                models[enabled], train, valid, probe,
+                derive_rng(seed, 60, int(threshold * 100))
+            ).relevant_patterns.shape[0]
             for enabled in (False, True)
         }
         ratio = counts[True] / counts[False]

@@ -217,6 +217,21 @@ class TestDivergence:
         assert err.startswith("error: layer 1: DAE pre-training diverged at "
                               "epoch 1") and err.count("\n") == 1
 
+    # Both fits read [finetune]: at 1e308 the top MLR overflows, while at
+    # 1e200 its bounded steps stay finite and fine-tuning's do not.
+    @pytest.mark.parametrize("rate, phase", [
+        ("1e308", "depth 1 top MLR"), ("1e200", "depth 1 fine-tuning")],
+        ids=["top_mlr", "fine_tuning"])
+    def test_overflowing_finetune_learning_rate_exits_3_naming_the_phase(
+            self, tmp_path, capsys, rate, phase):
+        patched = tmp_path / "diverge.ini"
+        patched.write_text(SMOKE.read_text().replace(
+            "[finetune]\nlearning_rate = 0.1", f"[finetune]\nlearning_rate = {rate}"))
+        assert run_cli("run", "--config", patched, "--out", tmp_path / "o") == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {phase} diverged at epoch 1") \
+            and err.count("\n") == 1
+
 
 # The files of run's layer-1 selection, which the ivs verb also writes.
 IVS_FILES = ("csv/sdae_ivs-layer1-history.csv",
@@ -534,13 +549,13 @@ class TestAmatPlumbing:
     """load_splits branches used by the corpus configs, on generated files."""
 
     @staticmethod
-    def write_amat(path, n, m, seed):
+    def write_amat(path, n, m, seed, classes=3):
         from sdae_ivs.numerics import derive_rng
         rng = derive_rng(seed)
         rows = []
         for _ in range(n):
             feats = " ".join(f"{v:.4f}" for v in rng.uniform(size=m))
-            rows.append(f"{feats} {int(rng.integers(0, 3))}")
+            rows.append(f"{feats} {int(rng.integers(0, classes))}")
         path.write_text("\n".join(rows) + "\n")
 
     def test_split_single_train_file(self, tmp_path):
@@ -595,6 +610,47 @@ class TestAmatPlumbing:
         entries = [e for depths in recomputed.values() for e in depths.values()]
         assert len(entries) == 2
         assert all(e["matches_report"] and e["test_n"] == 25 for e in entries)
+
+    def three_file_config(self, tmp_path, train, valid, test):
+        """A config over train/valid/test files of (rows, width, classes)."""
+        lines = ""
+        for seed, (name, (n, m, k)) in enumerate(
+                (("train", train), ("valid", valid), ("test", test))):
+            self.write_amat(tmp_path / f"{name}.amat", n, m, seed, k)
+            lines += f"{name} = {tmp_path / f'{name}.amat'}\n"
+        config = tmp_path / "c.ini"
+        config.write_text(
+            "[data]\nsource = amat\n" + lines +
+            "[stack]\nvariants = both\n"
+            "[dae]\nhidden_units = 4\nnoise_sd = 0.1\nlearning_rate = 0.1\n"
+            "epochs = 2\n[ivs]\nthreshold = 0.3\nlearning_rate = 0.1\n"
+            "max_epochs = 3\n[finetune]\nlearning_rate = 0.1\nmax_epochs = 2\n")
+        return config
+
+    def test_split_files_take_the_train_files_classes(self, tmp_path):
+        # The valid file holds labels 0-1 only, the train file 0-2.
+        config = self.three_file_config(tmp_path, (50, 8, 3), (20, 8, 2),
+                                        (20, 8, 3))
+        train, valid, test = runner.load_splits(load_config(config))
+        assert valid.labels.max() == 2
+        assert train.num_classes == valid.num_classes == test.num_classes == 3
+        assert run_cli("run", "--config", config, "--out", tmp_path / "o") == 0
+
+    @pytest.mark.parametrize("split, shape, message", [
+        ("valid", (20, 8, 4), "more than the train file's 3"),
+        ("test", (20, 7, 3), "rows hold 7 variables, but the train file's "
+                             "hold 8")], ids=["valid_labels", "test_width"])
+    def test_split_file_unlike_the_train_file_is_a_data_error(
+            self, tmp_path, capsys, split, shape, message):
+        files = {"valid": (20, 8, 3), "test": (20, 8, 3), split: shape}
+        config = self.three_file_config(tmp_path, (50, 8, 3), files["valid"],
+                                        files["test"])
+        out = tmp_path / "o"
+        assert run_cli("run", "--config", config, "--out", out) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: {tmp_path / split}.amat: ")
+        assert message in err
+        assert not out.exists()  # found before any training
 
     # Split mistakes are config errors (exit 1), found before any file is
     # read: the data files named here do not exist.

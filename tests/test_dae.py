@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -79,6 +80,20 @@ class TestEncodeDecode:
         m.weights += 0.5
         after = decode(m, h)
         assert not np.array_equal(before, after)
+
+    def test_batch_encode_peaks_at_two_outputs(self):
+        # The layer is worked out in its output array, with one temporary
+        # (sigmoid's numerator) beside it; 4 kB covers the array headers.
+        m = tiny_model(7, h=400, m=50)
+        x = derive_rng(8).uniform(size=(2000, 50))
+        encode(m, x)
+        tracemalloc.start()
+        try:
+            encode(m, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * (2000 * 400 * 8) + 4096
 
 
 class TestLoss:

@@ -1,4 +1,3 @@
-import copy
 from dataclasses import replace
 
 import numpy as np
@@ -13,13 +12,12 @@ from sdae_ivs.mlr import MlrModel, TrainConfig, evaluate, one_hot, train_mlr
 from sdae_ivs.mlr import predict_labels as mlr_predict_labels
 from sdae_ivs.numerics import DAE, TOP, derive_rng
 from sdae_ivs import stack
-from sdae_ivs.numerics import sgd
 from sdae_ivs.stack import (StackLayer, StackModel, classification_grads,
                             fine_tune, fine_tune_params, predict_labels,
                             pretrain, reconstruct_through, select_extractors,
                             workspace)
 from util import (CONSECUTIVE_RUNS, assert_tiles, captured_step, central_diff,
-                  flat_params, flatten, grads_close, log_softmax,
+                  flatten, grads_close, log_softmax,
                   per_step_classification_grads, per_step_fine_tune,
                   pretrain_deepest, split_like)
 
@@ -263,14 +261,12 @@ class TestFineTune:
         labels = 1 + (x[:, 0] > 0.5)
         train, valid = Dataset(x[:30], labels[:30], 2), \
             Dataset(x[30:], labels[30:], 2)
-        cfg = TrainConfig(0.5, 6, 6)
         for batch, with_masks in ((1, True), (4, True), (1, False)):
             model = toy_stack(25, with_masks=with_masks)
-            tuned = fine_tune(model, train, valid, cfg, derive_rng(3)) \
-                if batch == 1 else \
-                minibatch_fine_tune(model, train, valid, cfg, derive_rng(3), batch)
+            cfg = TrainConfig(0.5, 6, 6, batch)
+            tuned = fine_tune(model, train, valid, cfg, derive_rng(3))
             reference = per_step_fine_tune(model, train, valid, cfg,
-                                           derive_rng(3), batch)
+                                           derive_rng(3))
             assert not np.array_equal(fine_tune_params(tuned)[0],
                                       fine_tune_params(model)[0])
             for a, b in zip(fine_tune_params(tuned),
@@ -306,7 +302,7 @@ class TestFineTune:
         train, valid, _, _ = easy_splits(5)
         model, _ = pretrain_deepest(train, valid, stack_cfg(1, False), 9)
         with pytest.raises(DivergenceError,
-                           match="fine-tuning diverged at epoch 1"):
+                           match="depth 1 fine-tuning diverged at epoch 1"):
             fine_tune(model, train, valid, TrainConfig(1e308, 5, 5),
                       derive_rng(0))
 
@@ -332,22 +328,6 @@ class TestFineTune:
             + [l.dae.decoder_bias for l in m.layers]])
         assert not pre.weights[:, -1].any()
         assert not np.signbit(params[params == 0.0]).any()
-
-
-def minibatch_fine_tune(m, train, valid, cfg, rng, batch):
-    """fine_tune at a batch size it has no key for, from the same steps."""
-    tuned = copy.deepcopy(m)
-    params = flat_params(tuned)
-    c1 = compact(train.x, tuned.layers[0].mask)
-    targets = one_hot(train.labels, tuned.top.k)
-    ws = workspace(tuned, c1, targets, batch)
-    sgd("fine-tuning", params,
-        lambda cb, tb: classification_grads(tuned, cb, tb, ws),
-        cfg.learning_rate, (c1, targets), cfg.max_epochs, rng, batch=batch,
-        score=lambda: float(np.mean(predict_labels(tuned, valid.x)
-                                    != valid.labels)),
-        patience=cfg.patience)
-    return tuned
 
 
 def _logits_for_test(model, x):
@@ -411,19 +391,18 @@ class TestExtractors:
         train, valid, _, _ = easy_splits(7)
         model, _ = pretrain_deepest(train, valid, stack_cfg(1, False), 11)
         cfg = IvsConfig(threshold=0.0, max_iterations=3, mlr=MLR_CFG)
-        count = select_extractors(model, 1, train, valid, cfg,
-                                  derive_rng(12)).ivs.mask.popcount
+        count = select_extractors(model, train, valid, cfg,
+                                  derive_rng(12)).relevant_patterns.shape[0]
         assert count == model.layers[0].dae.hidden_units
 
     def test_count_bounded_and_patterns_partition(self):
         train, valid, _, _ = easy_splits(8)
         model, _ = pretrain_deepest(train, valid, stack_cfg(1, True), 13)
-        report = select_extractors(model, 1, train, valid, IVS_CFG, derive_rng(14))
+        report = select_extractors(model, train, valid, IVS_CFG, derive_rng(14))
         h = model.layers[0].dae.hidden_units
-        count = report.ivs.mask.popcount
+        count = report.relevant_patterns.shape[0]
         assert 0 < count <= h
-        assert report.relevant_patterns.shape[0] == count
-        assert (report.relevant_patterns.shape[0]
+        assert (count
                 + report.irrelevant_patterns.shape[0]) == h
         assert report.relevant_patterns.shape[1] == train.m
 

@@ -220,7 +220,7 @@ def flat_params(m):
     return params
 
 
-def per_step_fine_tune(m, train, valid, cfg, rng, batch=1):
+def per_step_fine_tune(m, train, valid, cfg, rng):
     """fine_tune stepping along per_step_classification_grads."""
     tuned = copy.deepcopy(m)
     tuned.fine_tuned = True
@@ -228,7 +228,7 @@ def per_step_fine_tune(m, train, valid, cfg, rng, batch=1):
     sgd("fine-tuning", params,
         lambda xb, yb: flatten(per_step_classification_grads(tuned, xb, yb)),
         cfg.learning_rate, (train.x, train.labels), cfg.max_epochs, rng,
-        batch=batch,
+        batch=cfg.minibatch_size,
         score=lambda: float(np.mean(predict_labels(tuned, valid.x)
                                     != valid.labels)),
         patience=cfg.patience)
