@@ -18,13 +18,6 @@ from .errors import ConfigError
 from .ivs import IvsConfig
 from .mlr import TrainConfig
 
-# Validation-set candidate grids used by the published benchmark protocol.
-GRID_PRECLASSIFIER_LR = (0.01, 0.02, 0.05, 0.1)
-GRID_TRAIN_LR = (0.01, 0.05, 0.1, 0.2)
-GRID_THRESHOLD = (0.2, 0.25, 0.3, 0.35, 0.4, 0.45, 0.5)
-GRID_NOISE_SD = (0.1, 0.15, 0.2, 0.25, 0.3, 0.35, 0.4)
-GRID_EPOCHS = (60, 120, 180, 240, 300)
-
 VARIANT_SDAE = "sdae"
 VARIANT_SDAE_IVS = "sdae_ivs"
 
@@ -158,13 +151,25 @@ KEYS = {
     },
 }
 
+# table -> INI key -> the published benchmark's candidates, for --paper-grid.
+PAPER_GRID = {
+    "ivs": {"learning_rate": (0.01, 0.02, 0.05, 0.1),
+            "threshold": (0.2, 0.25, 0.3, 0.35, 0.4, 0.45, 0.5)},
+    "dae": {"learning_rate": (0.01, 0.05, 0.1, 0.2),
+            "noise_sd": (0.1, 0.15, 0.2, 0.25, 0.3, 0.35, 0.4),
+            "epochs": (60, 120, 180, 240, 300)},
+    "finetune": {"learning_rate": (0.01, 0.05, 0.1, 0.2)},
+}
+
 
 def _fields(parser: configparser.ConfigParser, table: str,
-            *sections: str, build=dict):
+            *sections: str, build=dict, paper_grid=False):
     """build(**{field: value}) over every key of KEYS[table], read from the
-    INI sections in order, a later section overriding an earlier one. The
-    range checks of the built dataclasses start their messages with the
-    field; such an error is raised again naming the INI section and key."""
+    INI sections in order, a later section overriding an earlier one, and
+    held to PAPER_GRID under paper_grid. The range checks of the built
+    dataclasses start their messages with the field; such an error is
+    raised again naming the INI section and key."""
+    grid = PAPER_GRID.get(table, {}) if paper_grid else {}
     found = {}
     for sec in filter(parser.has_section, sections):
         found.update((key, (sec, text)) for key, text in parser[sec].items())
@@ -178,6 +183,10 @@ def _fields(parser: configparser.ConfigParser, table: str,
         except ValueError as exc:
             raise ConfigError(f"bad value for [{sec}] {key}: {text!r} "
                               f"({exc})") from exc
+        if key in grid and not any(math.isclose(fields[field], c, rel_tol=1e-12)
+                                   for c in grid[key]):
+            raise ConfigError(f"[{sec}] {key} {fields[field]} outside "
+                              f"candidate set {grid[key]}")
     try:
         return build(**fields)
     except ConfigError as exc:
@@ -247,10 +256,10 @@ def load_config(path, seed_override: int | None = None,
             raise ConfigError("[data] valid_size splits the train file, so "
                               "it cannot be set when valid is a file")
 
-    dae = tuple(_fields(parser, "dae", "dae", f"dae.{n}", build=DaeTrainConfig)
-                for n in layers)
-    ivs = tuple(_fields(parser, "ivs", "ivs", f"ivs.{n}", build=_selection)
-                for n in layers)
+    dae = tuple(_fields(parser, "dae", "dae", f"dae.{n}", build=DaeTrainConfig,
+                        paper_grid=paper_grid) for n in layers)
+    ivs = tuple(_fields(parser, "ivs", "ivs", f"ivs.{n}", build=_selection,
+                        paper_grid=paper_grid) for n in layers)
     run = _fields(parser, "run", "run")
     if run["reconstruct_examples"] < 0:
         raise ConfigError("[run] reconstruct_examples must be >= 0")
@@ -263,36 +272,11 @@ def load_config(path, seed_override: int | None = None,
         run["seed"] = seed_override
     if out_override is not None:
         run["out"] = Path(out_override)
-    cfg = ExperimentConfig(
+    return ExperimentConfig(
         **data, **stack, **run, **given, dae=dae, ivs=ivs,
-        fine_tune=_fields(parser, "finetune", "finetune", build=TrainConfig),
+        fine_tune=_fields(parser, "finetune", "finetune", build=TrainConfig,
+                          paper_grid=paper_grid),
     )
-    if paper_grid:
-        validate_paper_grid(cfg)
-    return cfg
-
-
-def _in_grid(value, grid) -> bool:
-    return any(math.isclose(value, item, rel_tol=1e-12) for item in grid)
-
-
-def validate_paper_grid(cfg: ExperimentConfig) -> None:
-    """Reject hyper-parameters outside the benchmark candidate sets."""
-    rows = []
-    for i, c in enumerate(cfg.ivs, start=1):
-        rows += [(f"[ivs] layer {i} learning_rate", c.mlr.learning_rate,
-                  GRID_PRECLASSIFIER_LR),
-                 (f"[ivs] layer {i} threshold", c.threshold, GRID_THRESHOLD)]
-    for i, c in enumerate(cfg.dae, start=1):
-        rows += [(f"[dae] layer {i} learning_rate", c.learning_rate,
-                  GRID_TRAIN_LR),
-                 (f"[dae] layer {i} noise_sd", c.noise_sd, GRID_NOISE_SD),
-                 (f"[dae] layer {i} epochs", c.epochs, GRID_EPOCHS)]
-    rows.append(("[finetune] learning_rate", cfg.fine_tune.learning_rate,
-                 GRID_TRAIN_LR))
-    for name, value, grid in rows:
-        if not _in_grid(value, grid):
-            raise ConfigError(f"{name} {value} outside candidate set {grid}")
 
 
 def config_echo(cfg: ExperimentConfig) -> dict:

@@ -247,10 +247,13 @@ def gen_synthetic(spec: SyntheticSpec, rng: Rng) -> tuple[Dataset, VariableMask]
 
 
 def compact(x: np.ndarray, mask: VariableMask) -> np.ndarray:
-    """Keep only the masked-in components, in order."""
+    """Keep only the masked-in components, in order, in a C-contiguous
+    array: x itself if it is one and the mask keeps every variable."""
     x = np.asarray(x, dtype=np.float64)
     if x.shape[-1] != mask.m:
         raise DimensionError(f"vector width {x.shape[-1]} != mask length {mask.m}")
+    if mask.popcount == mask.m:
+        return np.ascontiguousarray(x)
     return x.take(mask.index, axis=-1)
 
 

@@ -8,7 +8,6 @@ survivors until a stop criterion fires.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,7 +38,6 @@ class IvsIteration:
     """One selection step: the count kept after it, its validation error,
     and the importance of every input variable (0 where already dropped)."""
 
-    iteration: int
     kept: int
     validation_error: float
     importance: np.ndarray
@@ -90,7 +88,7 @@ def run_ivs(train: Dataset, valid: Dataset, cfg: IvsConfig, rng: Rng) -> IvsResu
     best_mask = mask
     history: list[IvsIteration] = []
 
-    for iteration in range(1, cfg.max_iterations + 1):
+    for _ in range(cfg.max_iterations):
         kept_valid = compact_dataset(valid, mask)
         model = train_mlr(compact_dataset(train, mask), kept_valid,
                           cfg.mlr, rng)
@@ -100,14 +98,12 @@ def run_ivs(train: Dataset, valid: Dataset, cfg: IvsConfig, rng: Rng) -> IvsResu
         # (b), and (c) where nothing is scored, precede the update: a
         # stopping iteration is recorded but never shrinks the mask.
         if err > best_err or not importance.any():
-            history.append(IvsIteration(iteration, mask.popcount, err,
-                                        importance))
+            history.append(IvsIteration(mask.popcount, err, importance))
             break
 
         # Some kept variable scores exactly 1 >= threshold, so one stays.
         new_mask = VariableMask(mask.bits & (importance >= cfg.threshold))
-        history.append(IvsIteration(iteration, new_mask.popcount, err,
-                                    importance))
+        history.append(IvsIteration(new_mask.popcount, err, importance))
         if err < best_err:
             best_err, best_mask = err, new_mask
         if new_mask == mask:
@@ -116,21 +112,3 @@ def run_ivs(train: Dataset, valid: Dataset, cfg: IvsConfig, rng: Rng) -> IvsResu
 
     return IvsResult(best_mask, history)
 
-
-def write_importance_csv(path, importance: np.ndarray) -> None:
-    """Two-column CSV: variable index (1-based) and its task importance."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["variable", "importance"])
-        for d, value in enumerate(np.asarray(importance), start=1):
-            writer.writerow([d, repr(float(value))])
-
-
-def write_history_csv(path, history: list[IvsIteration]) -> None:
-    """Per-iteration kept-variable counts and validation errors."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["iteration", "kept", "validation_error"])
-        for item in history:
-            writer.writerow([item.iteration, item.kept,
-                             repr(item.validation_error)])

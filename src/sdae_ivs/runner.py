@@ -10,6 +10,7 @@ deterministic.
 
 from __future__ import annotations
 
+import csv
 import json
 import time
 from pathlib import Path
@@ -17,10 +18,10 @@ from pathlib import Path
 import numpy as np
 
 from . import stack as stack_mod
-from .config import (VARIANT_SDAE_IVS, ExperimentConfig, config_echo)
+from .config import VARIANT_SDAE_IVS, ExperimentConfig, config_echo
 from .data import Dataset, gen_synthetic, load_amat, split
-from .errors import DataError
-from .ivs import IvsResult, run_ivs, write_history_csv, write_importance_csv
+from .errors import ConfigError, DataError
+from .ivs import IvsResult, run_ivs
 from .mlr import evaluate
 from .numerics import EXTRACTORS, FINE_TUNE, IVS, derive_rng
 from .pgm import normalize_unit, tile_grid, write_pgm
@@ -79,16 +80,31 @@ def load_test(cfg: ExperimentConfig) -> Dataset:
     return split(test, (cfg.test_size, 0))[0] if cfg.test_size else test
 
 
+HISTORY = ("iteration", "kept", "validation_error")
+
+
+def _history(result: IvsResult) -> list[tuple]:
+    """Rows under HISTORY, for the history CSV file and for report.json."""
+    return [(i, item.kept, item.validation_error)
+            for i, item in enumerate(result.history, start=1)]
+
+
 def _ivs_history_json(results: list[IvsResult]) -> list[dict]:
     return [{
         "final_kept": result.mask.popcount,
         "mask_length": result.mask.m,
-        "iterations": [
-            {"iteration": item.iteration, "kept": item.kept,
-             "validation_error": item.validation_error}
-            for item in result.history
-        ],
+        "iterations": [dict(zip(HISTORY, row)) for row in _history(result)],
     } for result in results]
+
+
+def _write_csv(path: Path, header, rows) -> None:
+    """CSV in the csv module's default dialect (lines end in \\r\\n);
+    floats are written as their repr, so they read back bit for bit."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows([repr(v) if isinstance(v, float) else v for v in row]
+                         for row in rows)
 
 
 def _percent(x: float) -> str:
@@ -187,12 +203,13 @@ def _write_ivs_artifacts(out: Path, tag: str, ivs_results, cfg) -> list[str]:
     paths = []
     for layer, result in enumerate(ivs_results, start=1):
         history_path = out / "csv" / f"{tag}-layer{layer}-history.csv"
-        write_history_csv(history_path, result.history)
+        _write_csv(history_path, HISTORY, _history(result))
         paths.append(str(history_path.relative_to(out)))
 
         first = result.history[0].importance
         csv_path = out / "csv" / f"{tag}-layer{layer}-importance.csv"
-        write_importance_csv(csv_path, first)
+        _write_csv(csv_path, ("variable", "importance"),
+                   enumerate(first.tolist(), start=1))
         paths.append(str(csv_path.relative_to(out)))
 
         # Raw-input importances render as an image only for the first layer.
@@ -219,10 +236,10 @@ def _write_reconstruction(out: Path, tag: str, pre, test: Dataset, cfg) -> str:
     return str(path.relative_to(out))
 
 
-def _write_patterns(out: Path, tag: str, report, cfg) -> list[str]:
+def _write_patterns(out: Path, tag: str, extractors, cfg) -> list[str]:
+    """Grids and counts of the (relevant, irrelevant) extractors' rows."""
     paths = []
-    for name, patterns in (("relevant", report.relevant_patterns),
-                           ("irrelevant", report.irrelevant_patterns)):
+    for name, patterns in zip(("relevant", "irrelevant"), extractors):
         if patterns.shape[0] == 0:
             continue
         tiles = np.stack([normalize_unit(row) for row in patterns])
@@ -233,8 +250,7 @@ def _write_patterns(out: Path, tag: str, report, cfg) -> list[str]:
         paths.append(str(path.relative_to(out)))
     counts = out / "csv" / f"{tag}-extractors.csv"
     counts.write_text("relevant,irrelevant\n"
-                      f"{report.relevant_patterns.shape[0]},"
-                      f"{report.irrelevant_patterns.shape[0]}\n")
+                      f"{len(extractors[0])},{len(extractors[1])}\n")
     paths.append(str(counts.relative_to(out)))
     return paths
 
@@ -251,6 +267,15 @@ def cmd_ivs(cfg: ExperimentConfig) -> IvsResult:
     return result
 
 
+def _leaves(echo, path: str = "") -> dict:
+    """A config echo's values by dotted path, list entries counted from 1."""
+    if not isinstance(echo, (dict, list)):
+        return {path[:-1]: echo}
+    items = echo.items() if isinstance(echo, dict) else enumerate(echo, 1)
+    return {leaf: value for key, item in items
+            for leaf, value in _leaves(item, f"{path}{key}.").items()}
+
+
 def cmd_eval(cfg: ExperimentConfig) -> dict:
     """Re-evaluate the serialized tuned models against the test split.
 
@@ -262,6 +287,14 @@ def cmd_eval(cfg: ExperimentConfig) -> dict:
     if not report_path.is_file():
         raise DataError(f"no report at {report_path}; run `run` first")
     report = json.loads(report_path.read_text())
+    # Data from another config would fail the models' checks and blame them.
+    here, there = _leaves(config_echo(cfg)), _leaves(report["config"])
+    for field in sorted(here.keys() | there.keys()):
+        if here.get(field) != there.get(field):
+            raise ConfigError(
+                f"{report_path} was written under another config: {field} is "
+                f"{json.dumps(there.get(field))} there, "
+                f"{json.dumps(here.get(field))} here")
     test = load_test(cfg)
 
     recomputed: dict = {}

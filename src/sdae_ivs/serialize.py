@@ -77,11 +77,9 @@ def load_stack(path) -> StackModel:
         _unpack(layer["decoder_bias"])))
         for layer in rec["layers"]]
     top = rec["top"]
-    model = StackModel(layers, MlrModel(_unpack(top["weights"]),
-                                        _unpack(top["biases"])),
-                       rec["fine_tuned"])
     try:
-        model.check_widths()
+        return StackModel(layers, MlrModel(_unpack(top["weights"]),
+                                           _unpack(top["biases"])),
+                          rec["fine_tuned"])
     except DimensionError as exc:
         raise DimensionError(f"{path}: {exc}") from exc
-    return model

@@ -41,7 +41,7 @@ class StackModel:
     top: MlrModel
     fine_tuned: bool = False
 
-    def check_widths(self) -> None:
+    def __post_init__(self):
         """Chained-width invariant: every mask, DAE, and the top line up."""
         for idx, layer in enumerate(self.layers):
             if layer.dae.input_width != layer.mask.popcount:
@@ -104,7 +104,6 @@ def pretrain(train: Dataset, valid: Dataset, dae: tuple[DaeTrainConfig, ...],
             stacks[layer] = StackModel(layers[:], train_mlr(
                 cur_train, cur_valid, top, derive_rng(seed, layer, TOP),
                 phase=f"depth {layer} top MLR"))
-            stacks[layer].check_widths()
     return stacks, ivs_results
 
 
@@ -219,7 +218,6 @@ def fine_tune(m: StackModel, train: Dataset, valid: Dataset,
         score=lambda: float(np.mean(predict_labels(tuned, valid.x)
                                     != valid.labels)),
         patience=cfg.patience)
-    tuned.check_widths()
     return tuned
 
 
@@ -238,24 +236,16 @@ def reconstruct_through(m: StackModel, x: np.ndarray, depth: int) -> np.ndarray:
     return cur
 
 
-@dataclass
-class ExtractorReport:
-    """Layer 1's hidden units split into task-relevant and -irrelevant."""
-
-    relevant_patterns: np.ndarray
-    irrelevant_patterns: np.ndarray
-
-
 def select_extractors(m: StackModel, train: Dataset, valid: Dataset,
-                      ivs_cfg: IvsConfig, rng: Rng) -> ExtractorReport:
-    """Run selection on layer 1's hidden representation.
+                      ivs_cfg: IvsConfig, rng: Rng) -> tuple[np.ndarray, np.ndarray]:
+    """Run selection on layer 1's hidden representation, splitting its
+    hidden units into task-relevant and -irrelevant feature extractors.
 
-    The surviving count is the number of task-relevant feature extractors.
-    Weight rows are partitioned by the resulting mask and expanded through
+    Returns their weight rows (relevant, irrelevant), expanded through
     layer 1's input mask so patterns render at the raw input width.
     """
     rep_train, rep_valid = (Dataset(_forward(m, d.x, 1), d.labels,
                                     d.num_classes) for d in (train, valid))
     keep = run_ivs(rep_train, rep_valid, ivs_cfg, rng).mask.bits
     patterns = expand(m.layers[0].dae.weights, m.layers[0].mask)
-    return ExtractorReport(patterns[keep], patterns[~keep])
+    return patterns[keep], patterns[~keep]

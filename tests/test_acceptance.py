@@ -281,10 +281,9 @@ def test_criterion_6_extractor_count_trend():
     for threshold in (0.2, 0.3, 0.4):
         probe = IvsConfig(threshold, 8, IVS_TRAINER)
         counts = {
-            enabled: select_extractors(
+            enabled: len(select_extractors(
                 models[enabled], train, valid, probe,
-                derive_rng(seed, 60, int(threshold * 100))
-            ).relevant_patterns.shape[0]
+                derive_rng(seed, 60, int(threshold * 100)))[0])
             for enabled in (False, True)
         }
         ratio = counts[True] / counts[False]

@@ -4,6 +4,7 @@ import itertools
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 from dataclasses import asdict
@@ -169,20 +170,47 @@ class TestEval:
     def test_eval_without_run_fails(self, tmp_path):
         assert run_cli("eval", "--config", SMOKE, "--out", tmp_path) == 2
 
+    @pytest.mark.parametrize("edit, message", [
+        ((("--seed", "5"), "", ""), "seed is 42 there, 5 here"),
+        (((), "irrelevant = 24\n", "irrelevant = 25\n"),
+         "synthetic.num_irrelevant is 24 there, 25 here"),
+        (((), "[ivs]\nthreshold = 0.3", "[ivs]\nthreshold = 0.35"),
+         "ivs.1.threshold is 0.3 there, 0.35 here"),
+    ], ids=["seed", "synthetic", "layer"])
+    def test_another_config_is_a_config_error(self, tmp_path, smoke_run,
+                                              capsys, edit, message):
+        # Data from another config would fail the models' check and blame
+        # them; the config is compared before any data is read.
+        flags, old, new = edit
+        patched = tmp_path / "other.ini"
+        patched.write_text(SMOKE.read_text().replace(old, new))
+        out = tmp_path / "o"
+        shutil.copytree(smoke_run, out, ignore=shutil.ignore_patterns(
+            "eval.json"))
+        assert run_cli("eval", "--config", patched, "--out", out,
+                       *flags) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {out / 'report.json'} was "
+                              "written under another config: ")
+        assert message in err and err.count("\n") == 1
+        assert not (out / "eval.json").exists()
+
 
 class TestModelWidth:
     """Verbs that feed loaded models with data check the data's width."""
 
     @pytest.mark.parametrize("verb", ["eval"])
-    def test_wider_data_is_a_data_error(self, tmp_path, smoke_run, capsys, verb):
-        patched = tmp_path / "wide.ini"
-        patched.write_text(SMOKE.read_text()
-                           .replace("irrelevant = 24", "irrelevant = 25")
-                           .replace("shape = 5 6", "shape = 1 31"))
-        assert run_cli(verb, "--config", patched, "--out", smoke_run) == 2
+    def test_wider_data_is_a_data_error(self, tmp_path, capsys, verb):
+        # The config stays as run read it; only the test file widens.
+        config = TestAmatPlumbing().three_file_config(
+            tmp_path, (50, 8, 3), (20, 8, 3), (20, 8, 3))
+        out = tmp_path / "o"
+        assert run_cli("run", "--config", config, "--out", out) == 0
+        TestAmatPlumbing.write_amat(tmp_path / "test.amat", 20, 9, 2)
+        assert run_cli(verb, "--config", config, "--out", out) == 2
         err = capsys.readouterr().err
-        assert "-depth1-" in err and ".json reads 30 variables" in err
-        assert "data has 31" in err
+        assert "-depth1-" in err and ".json reads 8 variables" in err
+        assert "data has 9" in err
 
 
 class TestModelFile:
@@ -738,6 +766,8 @@ class TestErrors:
 class TestPaperGrid:
     @pytest.mark.parametrize("section,key,value", [
         pytest.param("ivs", "learning_rate", "0.3", id="ivs-learning_rate"),
+        pytest.param("ivs.2", "learning_rate", "0.3",
+                     id="ivs.2-learning_rate"),
         pytest.param("ivs", "threshold", "0.6", id="ivs-threshold"),
         pytest.param("dae", "learning_rate", "0.3", id="dae-learning_rate"),
         pytest.param("dae", "noise_sd", "0.5", id="dae-noise_sd"),
@@ -751,6 +781,9 @@ class TestPaperGrid:
         # so only the grid check can make the run exit 1.
         parser = configparser.ConfigParser(inline_comment_prefixes=(";",))
         parser.read(BGRAND)
+        if section not in parser:  # a layer-2 override needs depth 2
+            parser["stack"]["depths"] = "2"
+            parser[section] = {}
         parser[section][key] = value
         patched = tmp_path / "offgrid.ini"
         with open(patched, "w") as fh:

@@ -309,7 +309,7 @@ class TestRunIvs:
         assert result.mask == VariableMask.all_ones(train.m)
         assert len(result.history) == 1
         item = result.history[0]
-        assert (item.iteration, item.kept) == (1, train.m)
+        assert item.kept == train.m
         assert item.validation_error == 0.0
         np.testing.assert_array_equal(item.importance, np.zeros(train.m))
 

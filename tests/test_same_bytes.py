@@ -1,0 +1,42 @@
+"""Self-test of tools/same_bytes.py on the smoke config: a tree is the same
+as itself, and a copy with one changed constant is not."""
+
+import re
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
+REPO = Path(__file__).resolve().parent.parent
+TOOL = REPO / "tools" / "same_bytes.py"
+SRC = REPO / "src"
+
+
+def same_bytes(parent, change, tmp_path):
+    return subprocess.run(
+        [sys.executable, TOOL, parent, change, "--case", "smoke_synthetic@0",
+         "--work", tmp_path / "work"], capture_output=True, text=True)
+
+
+def test_a_tree_is_the_same_as_itself(tmp_path):
+    done = same_bytes(SRC, SRC, tmp_path)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "same  smoke_synthetic@0 (exit codes 0 0 0)\n"
+
+
+def test_a_changed_constant_differs(tmp_path):
+    change = tmp_path / "src"
+    shutil.copytree(SRC, change, ignore=shutil.ignore_patterns("__pycache__"))
+    runner = change / "sdae_ivs" / "runner.py"
+    text = runner.read_text()
+    assert "KEY_DATA = 1000\n" in text
+    runner.write_text(text.replace("KEY_DATA = 1000\n", "KEY_DATA = 1001\n"))
+    done = same_bytes(SRC, change, tmp_path)
+    assert done.returncode == 1, done.stderr
+    line, = done.stdout.splitlines()
+    # Other data: other models, reports and selection files.
+    assert line.startswith("DIFF  smoke_synthetic@0: ")
+    for name in ("run/report.json", "run/models/sdae-depth1-tuned.json",
+                 "ivs/mask.txt"):
+        assert re.search(rf"[ ,]{re.escape(name)}(,|$)", line), name
+    assert "wall_time.txt" not in line

@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -66,10 +67,16 @@ def toy_stack(seed=0, widths=(6, 4, 3), k=2, with_masks=True):
                     rng.normal(scale=0.3, size=mask2.popcount))
     top = MlrModel(rng.normal(scale=0.6, size=(k, h2)),
                    rng.normal(scale=0.3, size=k))
-    model = StackModel([StackLayer(mask1, dae1), StackLayer(mask2, dae2)],
-                       top)
-    model.check_widths()
-    return model
+    return StackModel([StackLayer(mask1, dae1), StackLayer(mask2, dae2)], top)
+
+
+class TestStackModel:
+    def test_mask_that_disagrees_with_its_dae_names_the_layer(self):
+        model = toy_stack(5)
+        # Layer 2's DAE reads 3 units, but an all-ones mask keeps 4.
+        wide = StackLayer(VariableMask.all_ones(4), model.layers[1].dae)
+        with pytest.raises(DimensionError, match="layer 2 width"):
+            StackModel([model.layers[0], wide], model.top)
 
 
 class TestPretrain:
@@ -182,6 +189,25 @@ class TestPredict:
         batch = predict_labels(model, x)
         singles = [int(predict_labels(model, row)[0]) for row in x]
         assert batch.tolist() == singles
+
+    def test_keep_all_masks_copy_no_codes(self):
+        # Masks that keep every unit pass each layer's codes on as they
+        # are; 4 kB covers the array headers and the small top.
+        rng = derive_rng(15)
+        layers = [StackLayer(VariableMask.all_ones(m), DaeModel(
+            rng.normal(scale=0.1, size=(400, m)), np.zeros(400), np.zeros(m)))
+            for m in (50, 400, 400)]
+        model = StackModel(layers, MlrModel(rng.normal(size=(3, 400)),
+                                            np.zeros(3)))
+        x = rng.uniform(size=(2000, 50))
+        predict_labels(model, x)
+        tracemalloc.start()
+        try:
+            predict_labels(model, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * (2000 * 400 * 8) + 4096
 
 
 class TestFineTune:
@@ -391,20 +417,19 @@ class TestExtractors:
         train, valid, _, _ = easy_splits(7)
         model, _ = pretrain_deepest(train, valid, stack_cfg(1, False), 11)
         cfg = IvsConfig(threshold=0.0, max_iterations=3, mlr=MLR_CFG)
-        count = select_extractors(model, train, valid, cfg,
-                                  derive_rng(12)).relevant_patterns.shape[0]
-        assert count == model.layers[0].dae.hidden_units
+        relevant, _ = select_extractors(model, train, valid, cfg,
+                                        derive_rng(12))
+        assert len(relevant) == model.layers[0].dae.hidden_units
 
     def test_count_bounded_and_patterns_partition(self):
         train, valid, _, _ = easy_splits(8)
         model, _ = pretrain_deepest(train, valid, stack_cfg(1, True), 13)
-        report = select_extractors(model, train, valid, IVS_CFG, derive_rng(14))
+        relevant, irrelevant = select_extractors(model, train, valid, IVS_CFG,
+                                                 derive_rng(14))
         h = model.layers[0].dae.hidden_units
-        count = report.relevant_patterns.shape[0]
-        assert 0 < count <= h
-        assert (count
-                + report.irrelevant_patterns.shape[0]) == h
-        assert report.relevant_patterns.shape[1] == train.m
+        assert 0 < len(relevant) <= h
+        assert len(relevant) + len(irrelevant) == h
+        assert relevant.shape[1] == irrelevant.shape[1] == train.m
 
 
 class TestEndToEnd:

@@ -1,0 +1,169 @@
+"""Check that two source trees of the program write the same bytes.
+
+    python tools/same_bytes.py PARENT_SRC CHANGE_SRC [--case PATTERN ...]
+                               [--work DIR]
+
+PARENT_SRC and CHANGE_SRC are directories that hold the ``sdae_ivs``
+package, such as the ``src/`` of two checkouts. For each case, each tree
+runs ``run``, ``eval`` and ``ivs``, each verb in a fresh process with one
+BLAS thread and no bytecode written. The cases are every ``configs/*.ini``
+whose data files are present, at master seeds 0 and 7, and the config of
+each benchmark workload, written by ``perfbench.workloads.prepare`` with
+PARENT_SRC's program, at master seeds 100 and 101. ``--case`` keeps only
+the cases whose names match one of its shell patterns.
+
+A case is the same when both trees give the same exit codes, the same
+stdout and stderr once the output directory is written as ``<out>``, and
+the same output files byte for byte, ``wall_time.txt`` aside. One line is
+printed per case, giving the exit codes of the verbs when they agree; the
+exit status is 1 if any case differs.
+"""
+
+from __future__ import annotations
+
+import argparse
+import configparser
+import fnmatch
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+REPO = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(REPO))
+from perfbench.workloads import WORKLOADS  # noqa: E402
+
+CONFIG_SEEDS = (0, 7)
+WORKLOAD_SEEDS = (100, 101)
+# The trees' output directories; names of one length keep paths alike.
+TREES = ("parent", "change")
+UNTIMED = "wall_time.txt"
+PREPARE = ("import sys; from pathlib import Path; "
+           "from perfbench.workloads import WORKLOADS, prepare; "
+           "prepare(WORKLOADS[sys.argv[1]], int(sys.argv[2]), Path(sys.argv[3]))")
+
+
+def tree_env(src: Path) -> dict:
+    return dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1",
+                OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+                MKL_NUM_THREADS="1")
+
+
+def check_import(src: Path) -> None:
+    """Exit 2 unless a process given src imports the program from it."""
+    found = subprocess.run(
+        [sys.executable, "-c", "import sdae_ivs; print(sdae_ivs.__file__)"],
+        cwd=REPO, env=tree_env(src), capture_output=True, text=True)
+    where = Path(found.stdout.strip() or ".").resolve()
+    if found.returncode or where.parent != (src / "sdae_ivs").resolve():
+        sys.exit(f"{src} holds no sdae_ivs package "
+                 f"(imported: {found.stdout.strip() or found.stderr.strip()})")
+
+
+def data_present(config: Path) -> bool:
+    """Whether every data file the config names exists, read from REPO."""
+    parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
+    parser.read(config)
+    return all((REPO / parser["data"][key]).is_file()
+               for key in ("train", "valid", "test")
+               if parser.has_option("data", key))
+
+
+def cases(work: Path):
+    """(name, working directory, config, extra flags, workload or None)
+    of every case; workloads are prepared by the caller."""
+    for config in sorted((REPO / "configs").glob("*.ini")):
+        for seed in CONFIG_SEEDS:
+            yield (f"{config.stem}@{seed}", REPO, config,
+                   ["--seed", str(seed)], None)
+    for name in WORKLOADS:
+        for seed in WORKLOAD_SEEDS:
+            yield (f"perfbench/{name}@{seed}", work / f"{name}@{seed}",
+                   Path("config.ini"), [], (name, seed))
+
+
+def run_tree(src: Path, cwd: Path, config: Path, flags, out: Path):
+    """Each verb's (exit code, stdout, stderr), paths under out written as
+    <out>, and the bytes of every output file by relative path."""
+    shutil.rmtree(out, ignore_errors=True)
+    runs = []
+    for verb, into in (("run", "run"), ("eval", "run"), ("ivs", "ivs")):
+        done = subprocess.run(
+            [sys.executable, "-m", "sdae_ivs", verb, "--config", str(config),
+             "--out", str(out / into), *flags],
+            cwd=cwd, env=tree_env(src), capture_output=True, text=True)
+        runs.append((verb, done.returncode,
+                     done.stdout.replace(str(out), "<out>"),
+                     done.stderr.replace(str(out), "<out>")))
+    files = {str(p.relative_to(out)): p.read_bytes() for p in out.rglob("*")
+             if p.is_file() and p.name != UNTIMED}
+    return runs, files
+
+
+def differences(a, b) -> list[str]:
+    """What differs between two run_tree results, one phrase each."""
+    (runs_a, files_a), (runs_b, files_b) = a, b
+    found = []
+    for (verb, code_a, *text_a), (_, code_b, *text_b) in zip(runs_a, runs_b):
+        if code_a != code_b:
+            found.append(f"{verb} exit code {code_a} != {code_b}")
+        found += [f"{verb} {stream}" for stream, x, y
+                  in zip(("stdout", "stderr"), text_a, text_b) if x != y]
+    for name in sorted(files_a.keys() | files_b.keys()):
+        if name not in files_b:
+            found.append(f"{name} only in {TREES[0]}")
+        elif name not in files_a:
+            found.append(f"{name} only in {TREES[1]}")
+        elif files_a[name] != files_b[name]:
+            found.append(name)
+    return found
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("parent_src", type=Path)
+    parser.add_argument("change_src", type=Path)
+    parser.add_argument("--case", action="append", metavar="PATTERN",
+                        help="keep the cases whose names match (repeatable)")
+    parser.add_argument("--work", type=Path,
+                        help="keep the runs here (a removed temporary "
+                             "directory by default)")
+    args = parser.parse_args(argv)
+    srcs = (args.parent_src.resolve(), args.change_src.resolve())
+    for src in srcs:
+        check_import(src)
+
+    with tempfile.TemporaryDirectory() as scratch:
+        work = (args.work or Path(scratch)).resolve()
+        work.mkdir(parents=True, exist_ok=True)
+        chosen = [c for c in cases(work) if not args.case
+                  or any(fnmatch.fnmatchcase(c[0], p) for p in args.case)]
+        if not chosen:
+            print("no case matches", file=sys.stderr)
+            return 2
+        differ = False
+        for name, cwd, config, flags, workload in chosen:
+            if workload is not None:
+                cwd.mkdir(parents=True, exist_ok=True)
+                subprocess.run([sys.executable, "-c", PREPARE,
+                                *map(str, workload), str(cwd)],
+                               cwd=REPO, env=tree_env(srcs[0]), check=True)
+            elif not data_present(config):
+                print(f"skip  {name}: data files absent")
+                continue
+            outs = [work / "out" / name.replace("/", "-") / tree
+                    for tree in TREES]
+            results = [run_tree(src, cwd, config, flags, out)
+                       for src, out in zip(srcs, outs)]
+            found = differences(*results)
+            differ |= bool(found)
+            exits = " ".join(str(run[1]) for run in results[0][0])
+            print(f"DIFF  {name}: {', '.join(found)}" if found
+                  else f"same  {name} (exit codes {exits})")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
