@@ -68,10 +68,26 @@ def _boolean(text: str) -> bool:
     return _choice(**configparser.ConfigParser.BOOLEAN_STATES)(text.lower())
 
 
-def _count(text: str) -> int:
-    if int(text) < 0:
-        raise ValueError("must be a non-negative integer")
-    return int(text)
+def _ruled(kind, rule: str, holds):
+    """Parser of kind(text), which must be finite (else ValueError) and
+    satisfy holds (else ConfigError(rule), which _fields names)."""
+    def parse(text: str):
+        value = kind(text)
+        if kind is float and not math.isfinite(value):
+            raise ValueError("must be finite")
+        if not holds(value):
+            raise ConfigError(rule)
+        return value
+    return parse
+
+
+def _at_least(n: int):
+    return _ruled(int, f"must be >= {n}", lambda value: value >= n)
+
+
+_POSITIVE = _ruled(float, "must be > 0", lambda value: value > 0)
+_NON_NEGATIVE = _ruled(float, "must be >= 0", lambda value: value >= 0)
+_UNIT = _ruled(float, "must lie in [0, 1]", lambda value: 0 <= value <= 1)
 
 
 def _shape(text: str) -> tuple[int, ...]:
@@ -106,47 +122,47 @@ KEYS = {
         "shape": ("variable_shape", _shape, None),
     },
     "data synthetic": {
-        "relevant": ("num_relevant", int, REQUIRED),
-        "irrelevant": ("num_irrelevant", int, REQUIRED),
-        "classes": ("num_classes", int, REQUIRED),
-        "separation": ("class_separation", float, REQUIRED),
-        "feature_noise_sd": ("noise_sd", float, REQUIRED),
-        **{key: (key, _count, REQUIRED) for key in SPLIT_SIZES},
+        "relevant": ("num_relevant", _at_least(1), REQUIRED),
+        "irrelevant": ("num_irrelevant", _at_least(0), REQUIRED),
+        "classes": ("num_classes", _at_least(2), REQUIRED),
+        "separation": ("class_separation", _POSITIVE, REQUIRED),
+        "feature_noise_sd": ("noise_sd", _NON_NEGATIVE, REQUIRED),
+        **{key: (key, _at_least(0), REQUIRED) for key in SPLIT_SIZES},
     },
     "data amat": {
         "train": ("amat_train", Path, REQUIRED),
         "valid": ("amat_valid", Path, None),
         "test": ("amat_test", Path, None),
         "labels": ("zero_based_labels", _choice(zero=True, one=False), "zero"),
-        **{key: (key, _count, "0") for key in SPLIT_SIZES},
+        **{key: (key, _at_least(0), "0") for key in SPLIT_SIZES},
     },
     "stack": {
         "depths": ("depths", _depths, "1"),
         "variants": ("variants", _choice(**_VARIANTS), "both"),
     },
     "dae": {
-        "hidden_units": ("hidden_units", int, REQUIRED),
-        "noise_sd": ("noise_sd", float, REQUIRED),
-        "learning_rate": ("learning_rate", float, REQUIRED),
-        "epochs": ("epochs", int, REQUIRED),
+        "hidden_units": ("hidden_units", _at_least(1), REQUIRED),
+        "noise_sd": ("noise_sd", _NON_NEGATIVE, REQUIRED),
+        "learning_rate": ("learning_rate", _POSITIVE, REQUIRED),
+        "epochs": ("epochs", _at_least(0), REQUIRED),
     },
     "ivs": {
-        "threshold": ("threshold", float, REQUIRED),
-        "max_iterations": ("max_iterations", int, "10"),
-        "learning_rate": ("learning_rate", float, REQUIRED),
-        "max_epochs": ("max_epochs", int, "50"),
-        "patience": ("patience", int, "5"),
-        "minibatch_size": ("minibatch_size", int, "1"),
+        "threshold": ("threshold", _UNIT, REQUIRED),
+        "max_iterations": ("max_iterations", _at_least(1), "10"),
+        "learning_rate": ("learning_rate", _POSITIVE, REQUIRED),
+        "max_epochs": ("max_epochs", _at_least(0), "50"),
+        "patience": ("patience", _at_least(1), "5"),
+        "minibatch_size": ("minibatch_size", _at_least(1), "1"),
     },
     "finetune": {
-        "learning_rate": ("learning_rate", float, REQUIRED),
-        "max_epochs": ("max_epochs", int, "50"),
-        "patience": ("patience", int, "5"),
+        "learning_rate": ("learning_rate", _POSITIVE, REQUIRED),
+        "max_epochs": ("max_epochs", _at_least(0), "50"),
+        "patience": ("patience", _at_least(1), "5"),
     },
     "run": {
-        "seed": ("seed", _count, "0"),
+        "seed": ("seed", _at_least(0), "0"),
         "out": ("out", Path, "runs/out"),
-        "reconstruct_examples": ("reconstruct_examples", int, "0"),
+        "reconstruct_examples": ("reconstruct_examples", _at_least(0), "0"),
         "export_patterns": ("export_patterns", _boolean, "false"),
     },
 }
@@ -163,12 +179,11 @@ PAPER_GRID = {
 
 
 def _fields(parser: configparser.ConfigParser, table: str,
-            *sections: str, build=dict, paper_grid=False):
-    """build(**{field: value}) over every key of KEYS[table], read from the
-    INI sections in order, a later section overriding an earlier one, and
-    held to PAPER_GRID under paper_grid. The range checks of the built
-    dataclasses start their messages with the field; such an error is
-    raised again naming the INI section and key."""
+            *sections: str, paper_grid=False) -> dict:
+    """{field: value} over every key of KEYS[table], read from the INI
+    sections in order, a later section overriding an earlier one, and held
+    to PAPER_GRID under paper_grid. Each error names the section and key
+    that set the value."""
     grid = PAPER_GRID.get(table, {}) if paper_grid else {}
     found = {}
     for sec in filter(parser.has_section, sections):
@@ -180,6 +195,8 @@ def _fields(parser: configparser.ConfigParser, table: str,
             raise ConfigError(f"missing required field [{sec}] {key}")
         try:
             fields[field] = None if text is None else parse(text)
+        except ConfigError as exc:
+            raise ConfigError(f"[{sec}] {key} {exc}") from exc
         except ValueError as exc:
             raise ConfigError(f"bad value for [{sec}] {key}: {text!r} "
                               f"({exc})") from exc
@@ -187,15 +204,7 @@ def _fields(parser: configparser.ConfigParser, table: str,
                                    for c in grid[key]):
             raise ConfigError(f"[{sec}] {key} {fields[field]} outside "
                               f"candidate set {grid[key]}")
-    try:
-        return build(**fields)
-    except ConfigError as exc:
-        field, _, rule = str(exc).partition(" ")
-        keys = [k for k, spec in KEYS[table].items() if spec[0] == field]
-        if not keys:
-            raise
-        sec = found[keys[0]][0] if keys[0] in found else sections[0]
-        raise ConfigError(f"[{sec}] {keys[0]} {rule}") from exc
+    return fields
 
 
 def _synthetic(train_size, valid_size, test_size, **spec) -> SyntheticSpec:
@@ -240,7 +249,7 @@ def load_config(path, seed_override: int | None = None,
                 raise ConfigError(f"unknown key [{sec}] {key}")
 
     if data["source"] == "synthetic":
-        given = {"synthetic": _fields(parser, source, "data", build=_synthetic)}
+        given = {"synthetic": _synthetic(**_fields(parser, source, "data"))}
     else:
         given = _fields(parser, source, "data")
         if given["amat_valid"] is None:
@@ -256,13 +265,13 @@ def load_config(path, seed_override: int | None = None,
             raise ConfigError("[data] valid_size splits the train file, so "
                               "it cannot be set when valid is a file")
 
-    dae = tuple(_fields(parser, "dae", "dae", f"dae.{n}", build=DaeTrainConfig,
-                        paper_grid=paper_grid) for n in layers)
-    ivs = tuple(_fields(parser, "ivs", "ivs", f"ivs.{n}", build=_selection,
-                        paper_grid=paper_grid) for n in layers)
+    dae = tuple(DaeTrainConfig(**_fields(parser, "dae", "dae", f"dae.{n}",
+                                         paper_grid=paper_grid))
+                for n in layers)
+    ivs = tuple(_selection(**_fields(parser, "ivs", "ivs", f"ivs.{n}",
+                                     paper_grid=paper_grid))
+                for n in layers)
     run = _fields(parser, "run", "run")
-    if run["reconstruct_examples"] < 0:
-        raise ConfigError("[run] reconstruct_examples must be >= 0")
     for key in ("reconstruct_examples", "export_patterns"):
         if run[key] and data["variable_shape"] is None:
             raise ConfigError(f"[run] {key} needs [data] shape to draw images")
@@ -274,8 +283,8 @@ def load_config(path, seed_override: int | None = None,
         run["out"] = Path(out_override)
     return ExperimentConfig(
         **data, **stack, **run, **given, dae=dae, ivs=ivs,
-        fine_tune=_fields(parser, "finetune", "finetune", build=TrainConfig,
-                          paper_grid=paper_grid),
+        fine_tune=TrainConfig(**_fields(parser, "finetune", "finetune",
+                                        paper_grid=paper_grid)),
     )
 
 

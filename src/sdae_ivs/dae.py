@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset
-from .errors import ConfigError, DataError, DimensionError
+from .errors import DataError, DimensionError
 from .numerics import (Rng, delta_rows, named_zeros, pack, sgd, sigmoid,
                        sum_rows)
 
@@ -54,16 +54,6 @@ class DaeTrainConfig:
     noise_sd: float
     learning_rate: float
     epochs: int
-
-    def __post_init__(self):
-        if self.hidden_units < 1:
-            raise ConfigError("hidden_units must be >= 1")
-        if self.noise_sd < 0:
-            raise ConfigError("noise_sd must be >= 0")
-        if self.learning_rate <= 0:
-            raise ConfigError("learning_rate must be > 0")
-        if self.epochs < 0:
-            raise ConfigError("epochs must be >= 0")
 
 
 def corrupt(x: np.ndarray, noise_sd: float, rng: Rng) -> np.ndarray:

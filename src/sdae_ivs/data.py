@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DataError, DimensionError
+from .errors import DataError, DimensionError
 from .numerics import Rng
 
 
@@ -95,20 +95,6 @@ class SyntheticSpec:
     class_separation: float
     noise_sd: float
     examples_per_split: tuple[int, int, int]
-
-    def __post_init__(self):
-        if self.num_relevant < 1:
-            raise ConfigError("num_relevant must be >= 1")
-        if self.num_irrelevant < 0:
-            raise ConfigError("num_irrelevant must be >= 0")
-        if self.num_classes < 2:
-            raise ConfigError("num_classes must be >= 2")
-        if self.class_separation <= 0:
-            raise ConfigError("class_separation must be > 0")
-        if self.noise_sd < 0:
-            raise ConfigError("noise_sd must be >= 0")
-        if any(s < 0 for s in self.examples_per_split):
-            raise ConfigError("examples_per_split must be >= 0")
 
     @property
     def m(self) -> int:

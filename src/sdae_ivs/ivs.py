@@ -13,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset, VariableMask, compact_dataset, expand
-from .errors import ConfigError
 from .mlr import MlrModel, TrainConfig, predict_labels, train_mlr
 from .numerics import Rng
 
@@ -25,12 +24,6 @@ class IvsConfig:
     threshold: float
     max_iterations: int
     mlr: TrainConfig
-
-    def __post_init__(self):
-        if not 0.0 <= self.threshold <= 1.0:
-            raise ConfigError("threshold must lie in [0, 1]")
-        if self.max_iterations < 1:
-            raise ConfigError("max_iterations must be >= 1")
 
 
 @dataclass

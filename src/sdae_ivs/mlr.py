@@ -9,7 +9,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .data import Dataset
-from .errors import ConfigError, DataError, DimensionError
+from .errors import DataError, DimensionError
 from .numerics import Rng, delta_rows, pack, sgd, softmax, sum_rows
 
 
@@ -49,16 +49,6 @@ class TrainConfig:
     max_epochs: int
     patience: int
     minibatch_size: int = 1
-
-    def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ConfigError("learning_rate must be > 0")
-        if self.max_epochs < 0:
-            raise ConfigError("max_epochs must be >= 0")
-        if self.patience < 1:
-            raise ConfigError("patience must be >= 1")
-        if self.minibatch_size < 1:
-            raise ConfigError("minibatch_size must be >= 1")
 
 
 @dataclass(frozen=True)

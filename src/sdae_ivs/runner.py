@@ -286,7 +286,14 @@ def cmd_eval(cfg: ExperimentConfig) -> dict:
     report_path = out / "report.json"
     if not report_path.is_file():
         raise DataError(f"no report at {report_path}; run `run` first")
-    report = json.loads(report_path.read_text())
+    try:
+        report = json.loads(report_path.read_text())
+    except json.JSONDecodeError as exc:
+        raise DataError(f"{report_path} is not valid JSON: {exc}") from exc
+    if not (isinstance(report, dict)
+            and {"config", "results"} <= report.keys()):
+        raise DataError(f"{report_path} lacks config or results; "
+                        "run `run` again")
     # Data from another config would fail the models' checks and blame them.
     here, there = _leaves(config_echo(cfg)), _leaves(report["config"])
     for field in sorted(here.keys() | there.keys()):

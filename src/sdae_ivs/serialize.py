@@ -66,20 +66,25 @@ def save_stack(path, m: StackModel) -> None:
 
 
 def load_stack(path) -> StackModel:
-    rec = json.loads(Path(path).read_text())
-    if rec.get("format") != FORMAT:
+    try:
+        rec = json.loads(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path} is not valid JSON: {exc}") from exc
+    if not isinstance(rec, dict) or rec.get("format") != FORMAT:
         raise ValueError(f"{path} is not a {FORMAT} file")
     if rec.get("version") != VERSION:
         raise ValueError(f"{path} has {FORMAT} version {rec.get('version')}; "
                          f"this program reads version {VERSION}")
-    layers = [StackLayer(unpack_mask(layer["mask"]), DaeModel(
-        _unpack(layer["weights"]), _unpack(layer["encoder_bias"]),
-        _unpack(layer["decoder_bias"])))
-        for layer in rec["layers"]]
-    top = rec["top"]
     try:
+        layers = [StackLayer(unpack_mask(layer["mask"]), DaeModel(
+            _unpack(layer["weights"]), _unpack(layer["encoder_bias"]),
+            _unpack(layer["decoder_bias"])))
+            for layer in rec["layers"]]
+        top = rec["top"]
         return StackModel(layers, MlrModel(_unpack(top["weights"]),
                                            _unpack(top["biases"])),
                           rec["fine_tuned"])
     except DimensionError as exc:
         raise DimensionError(f"{path}: {exc}") from exc
+    except KeyError as exc:
+        raise ValueError(f"{path} lacks the field {exc}") from exc

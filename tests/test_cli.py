@@ -195,6 +195,28 @@ class TestEval:
         assert message in err and err.count("\n") == 1
         assert not (out / "eval.json").exists()
 
+    @pytest.mark.parametrize("text, message", [
+        (lambda text: text[:100], "is not valid JSON: "),
+        (lambda text: json.dumps({"config": json.loads(text)["config"]}),
+         "lacks config or results"),
+    ], ids=["truncated", "no_results"])
+    def test_malformed_report_is_a_data_error_naming_it(
+            self, tmp_path, smoke_run, capsys, text, message):
+        out = tmp_path / "o"
+        shutil.copytree(smoke_run, out, ignore=shutil.ignore_patterns(
+            "eval.json"))
+        report = out / "report.json"
+        report.write_text(text(report.read_text()))
+        assert run_cli("eval", "--config", SMOKE, "--out", out) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: {report} {message}")
+
+
+def without_top_weights(text):
+    rec = json.loads(text)
+    del rec["top"]["weights"]
+    return json.dumps(rec)
+
 
 class TestModelWidth:
     """Verbs that feed loaded models with data check the data's width."""
@@ -231,6 +253,21 @@ class TestModelFile:
         assert run_cli("eval", "--config", patched, "--out", out) == 3
         err = capsys.readouterr().err
         assert str(path) in err and "layer 2" in err
+
+    @pytest.mark.parametrize("damage, message", [
+        (lambda text: text[:300], "is not valid JSON: "),
+        (without_top_weights, "lacks the field 'weights'"),
+    ], ids=["truncated", "no_top_weights"])
+    def test_malformed_model_exits_3_naming_the_file(
+            self, tmp_path, smoke_run, capsys, damage, message):
+        out = tmp_path / "o"
+        shutil.copytree(smoke_run, out, ignore=shutil.ignore_patterns(
+            "eval.json"))
+        path = out / "models" / "sdae-depth1-tuned.json"
+        path.write_text(damage(path.read_text()))
+        capsys.readouterr()
+        assert run_cli("eval", "--config", SMOKE, "--out", out) == 3
+        assert capsys.readouterr().err.startswith(f"error: {path} {message}")
 
 
 class TestDivergence:
@@ -368,6 +405,11 @@ class TestConfigKeys:
          "[dae.1] noise_sd must be >= 0"),
         ("[run]\n", "[ivs.1]\nminibatch_size = 0\n\n[run]\n",
          "[ivs.1] minibatch_size must be >= 1"),
+        ("noise_sd = 0.2\nlearning_rate = 0.1",
+         "noise_sd = 0.2\nlearning_rate = 0", "[dae] learning_rate must be > 0"),
+        ("\nepochs = 5", "\nepochs = -1", "[dae] epochs must be >= 0"),
+        ("max_epochs = 10", "max_epochs = -1", "[ivs] max_epochs must be >= 0"),
+        ("patience = 3", "patience = 0", "[ivs] patience must be >= 1"),
     ])
     def test_out_of_range_trainer_value_is_a_config_error(
             self, tmp_path, capsys, old, new, message):
@@ -377,17 +419,22 @@ class TestConfigKeys:
 
     @pytest.mark.parametrize("old,new,named", [
         ("relevant = 6", "relevant = 0", "[data] relevant must be >= 1"),
+        ("irrelevant = 24", "irrelevant = -1",
+         "[data] irrelevant must be >= 0"),
         ("classes = 3", "classes = 1", "[data] classes must be >= 2"),
         ("separation = 3.0", "separation = 0", "[data] separation must be > 0"),
         ("feature_noise_sd = 0.4", "feature_noise_sd = -1",
          "[data] feature_noise_sd must be >= 0"),
-        ("train_size = 120", "train_size = -5", "[data] train_size: '-5'"),
+        ("train_size = 120", "train_size = -5",
+         "[data] train_size must be >= 0"),
         (None, "source = amat\ntrain = nowhere/a.amat\n"
-         "test = nowhere/b.amat\ntest_size = -1\n", "[data] test_size: '-1'"),
-        ("seed = 42", "seed = -1", "[run] seed: '-1'"),
+         "test = nowhere/b.amat\ntest_size = -1\n",
+         "[data] test_size must be >= 0"),
+        ("seed = 42", "seed = -1", "[run] seed must be >= 0"),
         ("depths = 1", "depths = 1 1", "[stack] depths: '1 1' (must be dis"),
-    ], ids=["relevant", "classes", "separation", "feature_noise_sd",
-            "train_size", "amat_test_size", "seed", "repeated_depth"])
+    ], ids=["relevant", "irrelevant", "classes", "separation",
+            "feature_noise_sd", "train_size", "amat_test_size", "seed",
+            "repeated_depth"])
     def test_value_mistake_is_a_config_error_naming_the_key(
             self, tmp_path, capsys, old, new, named):
         if old is None:
@@ -396,6 +443,26 @@ class TestConfigKeys:
         assert self.run_patched(tmp_path, old, new) == 1
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and named in err
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("old,named", [
+        ("separation = 3.0", "[data] separation"),
+        ("feature_noise_sd = 0.4", "[data] feature_noise_sd"),
+        ("\nnoise_sd = 0.2", "[dae] noise_sd"),
+        ("noise_sd = 0.2\nlearning_rate = 0.1", "[dae] learning_rate"),
+        ("threshold = 0.3", "[ivs] threshold"),
+        ("max_iterations = 4\nlearning_rate = 0.1", "[ivs] learning_rate"),
+        ("[finetune]\nlearning_rate = 0.1", "[finetune] learning_rate"),
+    ], ids=["data-separation", "data-feature_noise_sd", "dae-noise_sd",
+            "dae-learning_rate", "ivs-threshold", "ivs-learning_rate",
+            "finetune-learning_rate"])
+    def test_non_finite_real_is_a_config_error_naming_the_key(
+            self, tmp_path, capsys, old, named, value):
+        new = old.rsplit("= ", 1)[0] + f"= {value}"
+        assert self.run_patched(tmp_path, old, new) == 1
+        assert capsys.readouterr().err == (
+            f"config error: bad value for {named}: '{value}' "
+            "(must be finite)\n")
 
     # Each line sets a removed key to its former default.
     @pytest.mark.parametrize("section,line", [

@@ -1,5 +1,6 @@
 """Self-test of tools/same_bytes.py on the smoke config: a tree is the same
-as itself, and a copy with one changed constant is not."""
+as itself, also on a config it rejects, and a copy with one changed
+constant is not."""
 
 import re
 import shutil
@@ -12,9 +13,9 @@ TOOL = REPO / "tools" / "same_bytes.py"
 SRC = REPO / "src"
 
 
-def same_bytes(parent, change, tmp_path):
+def same_bytes(parent, change, tmp_path, case="smoke_synthetic@0"):
     return subprocess.run(
-        [sys.executable, TOOL, parent, change, "--case", "smoke_synthetic@0",
+        [sys.executable, TOOL, parent, change, "--case", case,
          "--work", tmp_path / "work"], capture_output=True, text=True)
 
 
@@ -22,6 +23,12 @@ def test_a_tree_is_the_same_as_itself(tmp_path):
     done = same_bytes(SRC, SRC, tmp_path)
     assert done.returncode == 0, done.stderr
     assert done.stdout == "same  smoke_synthetic@0 (exit codes 0 0 0)\n"
+
+
+def test_a_tree_is_the_same_as_itself_on_a_rejected_config(tmp_path):
+    done = same_bytes(SRC, SRC, tmp_path, "reject/dae.learning_rate")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "same  reject/dae.learning_rate (exit codes 1 1 1)\n"
 
 
 def test_a_changed_constant_differs(tmp_path):

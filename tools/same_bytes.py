@@ -9,8 +9,10 @@ runs ``run``, ``eval`` and ``ivs``, each verb in a fresh process with one
 BLAS thread and no bytecode written. The cases are every ``configs/*.ini``
 whose data files are present, at master seeds 0 and 7, and the config of
 each benchmark workload, written by ``perfbench.workloads.prepare`` with
-PARENT_SRC's program, at master seeds 100 and 101. ``--case`` keeps only
-the cases whose names match one of its shell patterns.
+PARENT_SRC's program, at master seeds 100 and 101. Each ``reject/S.K``
+case sets key K of section S of ``configs/smoke_synthetic.ini`` to a value
+out of its range, so both trees must reject it alike. ``--case`` keeps
+only the cases whose names match one of its shell patterns.
 
 A case is the same when both trees give the same exit codes, the same
 stdout and stderr once the output directory is written as ``<out>``, and
@@ -25,6 +27,7 @@ import argparse
 import configparser
 import fnmatch
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -40,6 +43,20 @@ WORKLOAD_SEEDS = (100, 101)
 # The trees' output directories; names of one length keep paths alike.
 TREES = ("parent", "change")
 UNTIMED = "wall_time.txt"
+SMOKE = REPO / "configs" / "smoke_synthetic.ini"
+# section.key -> a value out of its range, one per ranged key.
+REJECTS = {
+    "data.relevant": "0", "data.irrelevant": "-1", "data.classes": "1",
+    "data.separation": "0", "data.feature_noise_sd": "-1",
+    "data.train_size": "-1", "data.valid_size": "-1", "data.test_size": "-1",
+    "dae.hidden_units": "0", "dae.noise_sd": "-1", "dae.learning_rate": "0",
+    "dae.epochs": "-1",
+    "ivs.threshold": "2", "ivs.max_iterations": "0", "ivs.learning_rate": "0",
+    "ivs.max_epochs": "-1", "ivs.patience": "0", "ivs.minibatch_size": "0",
+    "finetune.learning_rate": "0", "finetune.max_epochs": "-1",
+    "finetune.patience": "0",
+    "run.seed": "-1", "run.reconstruct_examples": "-1",
+}
 PREPARE = ("import sys; from pathlib import Path; "
            "from perfbench.workloads import WORKLOADS, prepare; "
            "prepare(WORKLOADS[sys.argv[1]], int(sys.argv[2]), Path(sys.argv[3]))")
@@ -71,6 +88,20 @@ def data_present(config: Path) -> bool:
                if parser.has_option("data", key))
 
 
+def reject_config(name: str, value: str, path: Path) -> Path:
+    """Write SMOKE with one line setting section.key (the name) to value:
+    the key's line in that section, or a new one after its header."""
+    section, key = name.split(".")
+    header = f"[{section}]\n"
+    head, _, tail = SMOKE.read_text().partition(header)
+    block, bracket, rest = tail.partition("\n[")
+    line = f"{key} = {value}"
+    block, found = re.subn(rf"(?m)^{key} = .*$", line, block)
+    path.write_text(head + header + (block if found else f"{line}\n{block}")
+                    + bracket + rest)
+    return path
+
+
 def cases(work: Path):
     """(name, working directory, config, extra flags, workload or None)
     of every case; workloads are prepared by the caller."""
@@ -82,6 +113,10 @@ def cases(work: Path):
         for seed in WORKLOAD_SEEDS:
             yield (f"perfbench/{name}@{seed}", work / f"{name}@{seed}",
                    Path("config.ini"), [], (name, seed))
+    (work / "reject").mkdir(parents=True, exist_ok=True)
+    for name, value in REJECTS.items():
+        config = reject_config(name, value, work / "reject" / f"{name}.ini")
+        yield f"reject/{name}", REPO, config, [], None
 
 
 def run_tree(src: Path, cwd: Path, config: Path, flags, out: Path):
