@@ -35,8 +35,16 @@ KEY_DATA = 1000
 def load_splits(cfg: ExperimentConfig) -> tuple[Dataset, Dataset, Dataset]:
     """Materialize (train, valid, test) from the configured source."""
     if cfg.source == "synthetic":
-        full, _ = gen_synthetic(cfg.synthetic, derive_rng(cfg.seed, KEY_DATA))
-        train, valid, test = split(full, cfg.synthetic.examples_per_split[:2])
+        spec = cfg.synthetic
+        try:
+            full, _ = gen_synthetic(spec, derive_rng(cfg.seed, KEY_DATA))
+        except MemoryError as exc:
+            n = sum(spec.examples_per_split)
+            raise DataError(
+                f"[data] train_size, valid_size and test_size ask for {n} "
+                f"examples of {spec.m} variables, a float64 matrix of "
+                f"{8 * n * spec.m} bytes, which cannot be allocated") from exc
+        train, valid, test = split(full, spec.examples_per_split[:2])
     else:
         base = load_amat(cfg.amat_train, cfg.zero_based_labels)
         if cfg.amat_valid is None:
@@ -308,6 +316,13 @@ def cmd_eval(cfg: ExperimentConfig) -> dict:
     for variant, depths in report["results"].items():
         recomputed[variant] = {}
         for depth_key, entry in depths.items():
+            where = f"results.{variant}.{depth_key}"
+            if not isinstance(entry, dict):
+                raise DataError(f"{report_path} lacks an object {where}")
+            if not isinstance(entry.get("model"), str):
+                raise DataError(f"{report_path} lacks a string {where}.model")
+            if "test_error_rate" not in entry:
+                raise DataError(f"{report_path} lacks {where}.test_error_rate")
             path = out / entry["model"]
             if not path.is_file():
                 raise DataError(f"missing model file {path}")

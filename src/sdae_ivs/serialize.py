@@ -75,15 +75,25 @@ def load_stack(path) -> StackModel:
     if rec.get("version") != VERSION:
         raise ValueError(f"{path} has {FORMAT} version {rec.get('version')}; "
                          f"this program reads version {VERSION}")
+
+    def read(record, key, where, unpack):
+        # binascii.Error, from bad base64, is a ValueError.
+        try:
+            return unpack(record[key])
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{path} has a malformed {where}{key}: {exc}") \
+                from exc
+
     try:
-        layers = [StackLayer(unpack_mask(layer["mask"]), DaeModel(
-            _unpack(layer["weights"]), _unpack(layer["encoder_bias"]),
-            _unpack(layer["decoder_bias"])))
-            for layer in rec["layers"]]
+        layers = [StackLayer(
+            read(layer, "mask", f"layers[{i}].", unpack_mask),
+            DaeModel(*(read(layer, key, f"layers[{i}].", _unpack)
+                       for key in ("weights", "encoder_bias", "decoder_bias"))))
+            for i, layer in enumerate(rec["layers"])]
         top = rec["top"]
-        return StackModel(layers, MlrModel(_unpack(top["weights"]),
-                                           _unpack(top["biases"])),
-                          rec["fine_tuned"])
+        return StackModel(layers, MlrModel(
+            *(read(top, key, "top.", _unpack) for key in ("weights", "biases"))),
+            rec["fine_tuned"])
     except DimensionError as exc:
         raise DimensionError(f"{path}: {exc}") from exc
     except KeyError as exc:

@@ -159,6 +159,16 @@ class TestDeterminism:
                           if "-depth" not in n) == sorted(shared)
 
 
+def edited(edit):
+    """A function of JSON text: the text with edit applied in place to the
+    value it holds."""
+    def damage(text):
+        value = json.loads(text)
+        edit(value)
+        return json.dumps(value)
+    return damage
+
+
 class TestEval:
     def test_reported_rates_reproduce_exactly(self, smoke_run):
         assert run_cli("eval", "--config", SMOKE, "--out", smoke_run) == 0
@@ -199,7 +209,15 @@ class TestEval:
         (lambda text: text[:100], "is not valid JSON: "),
         (lambda text: json.dumps({"config": json.loads(text)["config"]}),
          "lacks config or results"),
-    ], ids=["truncated", "no_results"])
+        (edited(lambda r: r["results"]["sdae"].update(depth1=3)),
+         "lacks an object results.sdae.depth1"),
+        (edited(lambda r: r["results"]["sdae"]["depth1"].pop("model")),
+         "lacks a string results.sdae.depth1.model"),
+        (edited(lambda r: r["results"]["sdae"]["depth1"].pop(
+            "test_error_rate")),
+         "lacks results.sdae.depth1.test_error_rate"),
+    ], ids=["truncated", "no_results", "entry_not_object", "no_model",
+            "no_test_error_rate"])
     def test_malformed_report_is_a_data_error_naming_it(
             self, tmp_path, smoke_run, capsys, text, message):
         out = tmp_path / "o"
@@ -212,10 +230,6 @@ class TestEval:
         assert err.startswith(f"data error: {report} {message}")
 
 
-def without_top_weights(text):
-    rec = json.loads(text)
-    del rec["top"]["weights"]
-    return json.dumps(rec)
 
 
 class TestModelWidth:
@@ -256,8 +270,17 @@ class TestModelFile:
 
     @pytest.mark.parametrize("damage, message", [
         (lambda text: text[:300], "is not valid JSON: "),
-        (without_top_weights, "lacks the field 'weights'"),
-    ], ids=["truncated", "no_top_weights"])
+        (edited(lambda r: r["top"].pop("weights")),
+         "lacks the field 'weights'"),
+        (edited(lambda r: r["top"].update(weights=5)),
+         "has a malformed top.weights: 'int' object is not subscriptable"),
+        (edited(lambda r: r["top"].update(
+            weights={"data": "AAAA", "shape": [3, 7]})),
+         "has a malformed top.weights: buffer size must be a multiple"),
+        (edited(lambda r: r["layers"][0].update(mask=7)),
+         "has a malformed layers[0].mask: 'int' object is not iterable"),
+    ], ids=["truncated", "no_top_weights", "int_top_weights",
+            "short_top_weights", "int_layer_mask"])
     def test_malformed_model_exits_3_naming_the_file(
             self, tmp_path, smoke_run, capsys, damage, message):
         out = tmp_path / "o"
@@ -820,6 +843,20 @@ class TestErrors:
         assert not (tmp_path / "o").exists()
         # Selection alone needs no test split.
         assert run_cli("ivs", "--config", config, "--out", tmp_path / "i") == 0
+
+    def test_synthetic_split_too_big_to_allocate_is_a_data_error(
+            self, tmp_path, capsys):
+        # 8e15 bytes of labels exceed a 47-bit address space, so the
+        # allocation is refused at once under any overcommit policy.
+        config = tmp_path / "huge.ini"
+        config.write_text(SMOKE.read_text().replace(
+            "train_size = 120", "train_size = 1000000000000000"))
+        assert run_cli("run", "--config", config, "--out", tmp_path / "o") == 2
+        assert capsys.readouterr().err == (
+            "data error: [data] train_size, valid_size and test_size ask "
+            "for 1000000000000100 examples of 30 variables, a float64 matrix "
+            "of 240000000000024000 bytes, which cannot be allocated\n")
+        assert not (tmp_path / "o").exists()
 
     def test_missing_config_file(self):
         assert run_cli("run", "--config", "/does/not/exist.ini") == 1

@@ -1,4 +1,5 @@
 import os
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -12,6 +13,7 @@ from sdae_ivs.data import (Dataset, SyntheticSpec, VariableMask, compact,
                            split)
 from sdae_ivs.errors import DataError, DimensionError
 from sdae_ivs.numerics import derive_rng
+from util import two_scatter_synthetic
 
 BG_RAND_TRAIN = Path(os.environ.get(
     "SDAE_IVS_DATA", "data")) / "mnist_background_random_train.amat"
@@ -161,6 +163,12 @@ class TestSplit:
             np.concatenate([train.labels, valid.labels, test.labels]), d.labels)
 
 
+# The generator calls of perfbench's mnist784 workload and of its amat_io
+# corpus.
+MNIST784 = SyntheticSpec(100, 684, 10, 0.5, 0.65, (300, 250, 2000))
+AMAT_CORPUS = SyntheticSpec(20, 80, 5, 0.5, 0.5, (6000, 0, 18000))
+
+
 class TestSynthetic:
     spec = SyntheticSpec(num_relevant=4, num_irrelevant=6, num_classes=3,
                          class_separation=2.0, noise_sd=0.3,
@@ -185,6 +193,42 @@ class TestSynthetic:
     def test_values_in_unit_interval(self):
         d, _ = gen_synthetic(self.spec, derive_rng(5))
         assert d.x.min() >= 0.0 and d.x.max() <= 1.0
+
+    @pytest.mark.parametrize("spec", [
+        pytest.param(MNIST784, id="mnist784"),
+        pytest.param(SyntheticSpec(4, 0, 3, 2.0, 0.3, (30, 10, 10)),
+                     id="irrelevant0"),
+        pytest.param(SyntheticSpec(4, 6, 3, 2.0, 0.0, (30, 10, 10)),
+                     id="noise0"),
+        pytest.param(SyntheticSpec(1, 9, 3, 2.0, 0.3, (30, 10, 10)),
+                     id="relevant1"),
+        # Row-block tails of 255 rows, none, one row, and one row again
+        # after two full blocks.
+        *(pytest.param(SyntheticSpec(4, 6, 3, 2.0, 0.3, (n - 20, 10, 10)),
+                       id=f"n{n}") for n in (255, 256, 257, 513)),
+    ])
+    def test_same_bytes_as_the_two_scatter_reference(self, spec):
+        d, truth = gen_synthetic(spec, derive_rng(9))
+        ref, ref_truth = two_scatter_synthetic(spec, derive_rng(9))
+        assert d.x.shape == ref.x.shape
+        assert d.x.tobytes() == ref.x.tobytes()
+        assert d.labels.tobytes() == ref.labels.tobytes()
+        assert truth == ref_truth
+
+    @pytest.mark.parametrize("spec", [MNIST784, AMAT_CORPUS],
+                             ids=["mnist784", "amat_io_corpus"])
+    def test_peak_memory_no_higher_than_the_reference(self, spec):
+        # perfbench's prepare runs the generator, and its peak reaches the
+        # benchmark's peak_rss_mb.
+        def peak(generate):
+            tracemalloc.start()
+            try:
+                generate(spec, derive_rng(9))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(gen_synthetic) <= peak(two_scatter_synthetic)
 
     def test_easy_spec_supports_accurate_classifier(self):
         # Oracle for selection tests: the planted task must be learnable.

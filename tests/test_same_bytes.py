@@ -1,6 +1,6 @@
 """Self-test of tools/same_bytes.py on the smoke config: a tree is the same
-as itself, also on a config it rejects, and a copy with one changed
-constant is not."""
+as itself, also on a config it rejects and on the generator's edge cases,
+and a copy with one changed constant is not."""
 
 import re
 import shutil
@@ -29,6 +29,14 @@ def test_a_tree_is_the_same_as_itself_on_a_rejected_config(tmp_path):
     done = same_bytes(SRC, SRC, tmp_path, "reject/dae.learning_rate")
     assert done.returncode == 0, done.stderr
     assert done.stdout == "same  reject/dae.learning_rate (exit codes 1 1 1)\n"
+
+
+def test_a_tree_is_the_same_as_itself_on_the_generator_edge_cases(tmp_path):
+    done = same_bytes(SRC, SRC, tmp_path, "data/*")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "".join(
+        f"same  data/{name} (exit codes 0 0 0)\n"
+        for name in ("irrelevant0", "noise0", "tail1"))
 
 
 def test_a_changed_constant_differs(tmp_path):

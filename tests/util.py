@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 
 from sdae_ivs.dae import init_dae
-from sdae_ivs.data import expand
+from sdae_ivs.data import Dataset, VariableMask, expand
 from sdae_ivs.mlr import MlrModel
 from sdae_ivs.numerics import derive_rng, pack, sgd
 from sdae_ivs.stack import fine_tune_params, predict_labels, pretrain
@@ -21,6 +21,32 @@ def pretrain_deepest(train, valid, plans, seed):
     stacks, ivs_results = pretrain(train, valid, **plans, seed=seed,
                                    depths=(depth,))
     return stacks[depth], ivs_results
+
+
+def two_scatter_synthetic(spec, rng):
+    """data.gen_synthetic writing each block of columns into its shuffled
+    positions with a fancy-index scatter; the generator must match it byte
+    for byte."""
+    m = spec.m
+    n = sum(spec.examples_per_split)
+    perm = rng.permutation(m)
+    relevant_cols = perm[: spec.num_relevant]
+    irrelevant_cols = perm[spec.num_relevant:]
+
+    directions = rng.uniform(-1.0, 1.0, size=(spec.num_classes, spec.num_relevant))
+    means = np.clip(0.5 + spec.class_separation * directions, 0.0, 1.0)
+
+    labels = rng.integers(1, spec.num_classes + 1, size=n)
+    x = np.empty((n, m), dtype=np.float64)
+    jitter = rng.normal(0.0, spec.noise_sd, size=(n, spec.num_relevant)) \
+        if spec.noise_sd > 0 else 0.0
+    x[:, relevant_cols] = np.clip(means[labels - 1] + jitter, 0.0, 1.0)
+    if spec.num_irrelevant:
+        x[:, irrelevant_cols] = rng.uniform(0.0, 1.0, size=(n, spec.num_irrelevant))
+
+    truth = np.zeros(m, dtype=bool)
+    truth[relevant_cols] = True
+    return Dataset(x, labels, spec.num_classes), VariableMask(truth)
 
 
 def central_diff(f, arr: np.ndarray, step: float = 1e-6) -> np.ndarray:

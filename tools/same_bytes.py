@@ -11,8 +11,11 @@ whose data files are present, at master seeds 0 and 7, and the config of
 each benchmark workload, written by ``perfbench.workloads.prepare`` with
 PARENT_SRC's program, at master seeds 100 and 101. Each ``reject/S.K``
 case sets key K of section S of ``configs/smoke_synthetic.ini`` to a value
-out of its range, so both trees must reject it alike. ``--case`` keeps
-only the cases whose names match one of its shell patterns.
+out of its range, so both trees must reject it alike. Each ``data/NAME``
+case edits the generator's settings in that config to an edge case that
+runs: no irrelevant variable, no feature noise, or a last block of one row
+in the generator's row-blocked column reorder. ``--case`` keeps only the
+cases whose names match one of its shell patterns.
 
 A case is the same when both trees give the same exit codes, the same
 stdout and stderr once the output directory is written as ``<out>``, and
@@ -57,6 +60,13 @@ REJECTS = {
     "finetune.patience": "0",
     "run.seed": "-1", "run.reconstruct_examples": "-1",
 }
+# name -> {section.key: value}: generator edge cases that every tree runs.
+DATA_CASES = {
+    "irrelevant0": {"data.irrelevant": "0", "data.shape": "2 3"},
+    "noise0": {"data.feature_noise_sd": "0"},
+    # 413 + 40 + 60 = 513 examples: two blocks of 256 rows and one row.
+    "tail1": {"data.train_size": "413"},
+}
 PREPARE = ("import sys; from pathlib import Path; "
            "from perfbench.workloads import WORKLOADS, prepare; "
            "prepare(WORKLOADS[sys.argv[1]], int(sys.argv[2]), Path(sys.argv[3]))")
@@ -88,17 +98,20 @@ def data_present(config: Path) -> bool:
                if parser.has_option("data", key))
 
 
-def reject_config(name: str, value: str, path: Path) -> Path:
-    """Write SMOKE with one line setting section.key (the name) to value:
-    the key's line in that section, or a new one after its header."""
-    section, key = name.split(".")
-    header = f"[{section}]\n"
-    head, _, tail = SMOKE.read_text().partition(header)
-    block, bracket, rest = tail.partition("\n[")
-    line = f"{key} = {value}"
-    block, found = re.subn(rf"(?m)^{key} = .*$", line, block)
-    path.write_text(head + header + (block if found else f"{line}\n{block}")
-                    + bracket + rest)
+def edited_config(edits: dict, path: Path) -> Path:
+    """Write SMOKE with each section.key of edits set to its value: the
+    key's line in that section, or a new one after its header."""
+    text = SMOKE.read_text()
+    for name, value in edits.items():
+        section, key = name.split(".")
+        header = f"[{section}]\n"
+        head, _, tail = text.partition(header)
+        block, bracket, rest = tail.partition("\n[")
+        line = f"{key} = {value}"
+        block, found = re.subn(rf"(?m)^{key} = .*$", line, block)
+        text = (head + header + (block if found else f"{line}\n{block}")
+                + bracket + rest)
+    path.write_text(text)
     return path
 
 
@@ -113,10 +126,12 @@ def cases(work: Path):
         for seed in WORKLOAD_SEEDS:
             yield (f"perfbench/{name}@{seed}", work / f"{name}@{seed}",
                    Path("config.ini"), [], (name, seed))
-    (work / "reject").mkdir(parents=True, exist_ok=True)
-    for name, value in REJECTS.items():
-        config = reject_config(name, value, work / "reject" / f"{name}.ini")
-        yield f"reject/{name}", REPO, config, [], None
+    edits = [("reject", name, {name: value}) for name, value in REJECTS.items()]
+    edits += [("data", name, edit) for name, edit in DATA_CASES.items()]
+    for kind, name, edit in edits:
+        (work / kind).mkdir(parents=True, exist_ok=True)
+        config = edited_config(edit, work / kind / f"{name}.ini")
+        yield f"{kind}/{name}", REPO, config, [], None
 
 
 def run_tree(src: Path, cwd: Path, config: Path, flags, out: Path):
