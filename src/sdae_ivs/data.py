@@ -121,6 +121,13 @@ def load_amat(path, zero_based_labels: bool = True) -> Dataset:
         raise DataError(f"cannot read {path}: {exc}") from exc
     except ValueError as exc:
         raise _malformed_row_error(path, exc) from exc
+    except MemoryError as exc:
+        rows = width = 0
+        for row in _rows(path):
+            rows, width = rows + 1, width or len(row)
+        raise DataError(f"{path}: {rows} rows of {width} fields need a float64 "
+                        f"matrix of {8 * rows * width} bytes, which cannot be "
+                        "allocated") from exc
 
     if values.shape[0] == 0:
         raise DataError(f"{path}: file holds no examples")
@@ -161,26 +168,30 @@ def _malformed_row_error(path: Path, cause: ValueError) -> DataError:
     """
     width = None
     non_numeric = None
-    with open(path, errors="replace") as lines:
-        rows = (ln.split() for ln in lines)
-        for i, row in enumerate(filter(None, rows), start=1):
-            if width is None:
-                width = len(row)
-                if width < 2:
-                    return DataError(
-                        f"{path}: rows need at least one feature and a label")
-            if len(row) != width:
+    for i, row in enumerate(_rows(path), start=1):
+        if width is None:
+            width = len(row)
+            if width < 2:
                 return DataError(
-                    f"{path}: ragged row {i} has {len(row)} fields, expected {width}"
-                )
-            if non_numeric is None:
-                for field in row:
-                    try:
-                        float(field)
-                    except ValueError as exc:
-                        non_numeric = exc
-                        break
+                    f"{path}: rows need at least one feature and a label")
+        if len(row) != width:
+            return DataError(
+                f"{path}: ragged row {i} has {len(row)} fields, expected {width}"
+            )
+        if non_numeric is None:
+            for field in row:
+                try:
+                    float(field)
+                except ValueError as exc:
+                    non_numeric = exc
+                    break
     return DataError(f"{path}: non-numeric field ({non_numeric or cause})")
+
+
+def _rows(path: Path):
+    """The file's non-blank rows split into fields, streamed line by line."""
+    with open(path, errors="replace") as lines:
+        yield from filter(None, (ln.split() for ln in lines))
 
 
 def split(d: Dataset, sizes: tuple[int, int]) -> tuple[Dataset, Dataset, Dataset]:

@@ -1,5 +1,5 @@
 """Multinomial logistic regression: softmax prediction, SGD training with
-validation early stopping, and error reporting with Wald intervals."""
+validation early stopping, and the error rate with its Wald interval."""
 
 from __future__ import annotations
 
@@ -49,15 +49,6 @@ class TrainConfig:
     max_epochs: int
     patience: int
     minibatch_size: int = 1
-
-
-@dataclass(frozen=True)
-class ErrorReport:
-    """Classification error rate with its 95% Wald interval halfwidth."""
-
-    error_rate: float
-    n: int
-    ci95_halfwidth: float
 
 
 def wald_halfwidth(p: float, n: int) -> float:
@@ -155,8 +146,8 @@ def train_mlr(train: Dataset, valid: Dataset, cfg: TrainConfig, rng: Rng,
     return model
 
 
-def evaluate(classify, d: Dataset) -> ErrorReport:
-    """Error rate of a label predictor over a dataset, with Wald interval.
+def evaluate(classify, d: Dataset) -> float:
+    """Error rate of a label predictor over a dataset.
 
     classify maps an (N, M) matrix to N predicted labels in {1..K}.
     """
@@ -165,5 +156,4 @@ def evaluate(classify, d: Dataset) -> ErrorReport:
     predicted = np.asarray(classify(d.x))
     if predicted.shape != (d.n,):
         raise DimensionError("predictor must return one label per example")
-    error_rate = float(np.mean(predicted != d.labels))
-    return ErrorReport(error_rate, d.n, wald_halfwidth(error_rate, d.n))
+    return float(np.mean(predicted != d.labels))

@@ -22,7 +22,7 @@ from .config import VARIANT_SDAE_IVS, ExperimentConfig, config_echo
 from .data import Dataset, gen_synthetic, load_amat, split
 from .errors import ConfigError, DataError
 from .ivs import IvsResult, run_ivs
-from .mlr import evaluate
+from .mlr import evaluate, wald_halfwidth
 from .numerics import EXTRACTORS, FINE_TUNE, IVS, derive_rng
 from .pgm import normalize_unit, tile_grid, write_pgm
 from .serialize import load_stack, pack_mask, save_stack
@@ -36,14 +36,18 @@ def load_splits(cfg: ExperimentConfig) -> tuple[Dataset, Dataset, Dataset]:
     """Materialize (train, valid, test) from the configured source."""
     if cfg.source == "synthetic":
         spec = cfg.synthetic
+        n = sum(spec.examples_per_split)
+        too_big = DataError(
+            f"[data] train_size, valid_size and test_size ask for {n} "
+            f"examples of {spec.m} variables, a float64 matrix of "
+            f"{8 * n * spec.m} bytes, which cannot be allocated")
+        # Past numpy's index type no draw can be asked for at all.
+        if 8 * n * spec.m > np.iinfo(np.intp).max:
+            raise too_big
         try:
             full, _ = gen_synthetic(spec, derive_rng(cfg.seed, KEY_DATA))
         except MemoryError as exc:
-            n = sum(spec.examples_per_split)
-            raise DataError(
-                f"[data] train_size, valid_size and test_size ask for {n} "
-                f"examples of {spec.m} variables, a float64 matrix of "
-                f"{8 * n * spec.m} bytes, which cannot be allocated") from exc
+            raise too_big from exc
         train, valid, test = split(full, spec.examples_per_split[:2])
     else:
         base = load_amat(cfg.amat_train, cfg.zero_based_labels)
@@ -159,34 +163,43 @@ def cmd_run(cfg: ExperimentConfig) -> None:
             tuned = fine_tune(pre, train, valid, cfg.fine_tune,
                               derive_rng(cfg.seed, depth, FINE_TUNE))
 
-            test_report = evaluate(lambda x: stack_mod.predict_labels(tuned, x), test)
-            valid_report = evaluate(lambda x: stack_mod.predict_labels(tuned, x), valid)
-
-            tag = f"{variant}-depth{depth}"
-            pre_path = out / "models" / f"{tag}-pretrained.json"
-            tuned_path = out / "models" / f"{tag}-tuned.json"
+            pre_path, tuned_path = _model_paths(out, variant, depth)
             save_stack(pre_path, pre)
             save_stack(tuned_path, tuned)
             artifacts += [str(pre_path.relative_to(out)),
                           str(tuned_path.relative_to(out))]
 
             entry = {
-                "test_error_rate": test_report.error_rate,
-                "test_ci95_halfwidth": test_report.ci95_halfwidth,
-                "test_n": test_report.n,
-                "validation_error_rate": valid_report.error_rate,
+                **_scores(tuned, test),
+                "validation_error_rate": evaluate(
+                    lambda x: stack_mod.predict_labels(tuned, x), valid),
                 "model": str(tuned_path.relative_to(out)),
                 "pretrained_model": str(pre_path.relative_to(out)),
             }
             if ivs_results:
                 entry["ivs_layers"] = _ivs_history_json(ivs_results[:depth])
             if cfg.reconstruct_examples:
-                artifacts.append(_write_reconstruction(out, tag, pre, test, cfg))
+                artifacts.append(_write_reconstruction(
+                    out, f"{variant}-depth{depth}", pre, test, cfg))
             results[variant][f"depth{depth}"] = entry
 
     body = {"config": config_echo(cfg), "results": results,
             "artifacts": artifacts}
     _write_report(out, body, time.perf_counter() - started)
+
+
+def _model_paths(out: Path, variant: str, depth: int) -> list[Path]:
+    """The (pretrained, tuned) model files of one variant and depth."""
+    return [out / "models" / f"{variant}-depth{depth}-{stage}.json"
+            for stage in ("pretrained", "tuned")]
+
+
+def _scores(model, test: Dataset) -> dict:
+    """The test fields of a result entry, in report.json and eval.json."""
+    rate = evaluate(lambda x: stack_mod.predict_labels(model, x), test)
+    return {"test_error_rate": rate,
+            "test_ci95_halfwidth": wald_halfwidth(rate, test.n),
+            "test_n": test.n}
 
 
 def _write_report(out: Path, body: dict, wall_time_s: float) -> None:
@@ -285,7 +298,8 @@ def _leaves(echo, path: str = "") -> dict:
 
 
 def cmd_eval(cfg: ExperimentConfig) -> dict:
-    """Re-evaluate the serialized tuned models against the test split.
+    """Re-evaluate the tuned models that `run` writes for cfg against the
+    test split, one per variant and depth.
 
     Reproduces the reported error rates exactly: the models are
     self-contained and evaluation is deterministic.
@@ -298,10 +312,10 @@ def cmd_eval(cfg: ExperimentConfig) -> dict:
         report = json.loads(report_path.read_text())
     except json.JSONDecodeError as exc:
         raise DataError(f"{report_path} is not valid JSON: {exc}") from exc
-    if not (isinstance(report, dict)
-            and {"config", "results"} <= report.keys()):
-        raise DataError(f"{report_path} lacks config or results; "
-                        "run `run` again")
+    for key in ("config", "results"):
+        if not (isinstance(report, dict) and isinstance(report.get(key), dict)):
+            raise DataError(f"{report_path} lacks an object {key}; "
+                            "run `run` again")
     # Data from another config would fail the models' checks and blame them.
     here, there = _leaves(config_echo(cfg)), _leaves(report["config"])
     for field in sorted(here.keys() | there.keys()):
@@ -310,34 +324,30 @@ def cmd_eval(cfg: ExperimentConfig) -> dict:
                 f"{report_path} was written under another config: {field} is "
                 f"{json.dumps(there.get(field))} there, "
                 f"{json.dumps(here.get(field))} here")
+    reported = _leaves(report["results"], "results.")
     test = load_test(cfg)
 
     recomputed: dict = {}
-    for variant, depths in report["results"].items():
-        recomputed[variant] = {}
-        for depth_key, entry in depths.items():
-            where = f"results.{variant}.{depth_key}"
-            if not isinstance(entry, dict):
-                raise DataError(f"{report_path} lacks an object {where}")
-            if not isinstance(entry.get("model"), str):
-                raise DataError(f"{report_path} lacks a string {where}.model")
-            if "test_error_rate" not in entry:
-                raise DataError(f"{report_path} lacks {where}.test_error_rate")
-            path = out / entry["model"]
+    for variant in cfg.variants:
+        for depth in cfg.depths:
+            field = f"results.{variant}.depth{depth}.test_error_rate"
+            if field not in reported:
+                raise DataError(f"{report_path} lacks {field}")
+            path = _model_paths(out, variant, depth)[1]
             if not path.is_file():
                 raise DataError(f"missing model file {path}")
             model = load_stack(path)
+            if model.depth != depth:
+                raise ValueError(f"{path} holds {model.depth} layers, "
+                                 f"not {depth}")
             width = model.layers[0].mask.m
             if width != test.m:
                 raise DataError(f"model {path} reads {width} variables, "
                                 f"but the data has {test.m}")
-            check = evaluate(lambda x: stack_mod.predict_labels(model, x), test)
-            recomputed[variant][depth_key] = {
-                "test_error_rate": check.error_rate,
-                "test_ci95_halfwidth": check.ci95_halfwidth,
-                "test_n": check.n,
-                "matches_report": check.error_rate == entry["test_error_rate"],
-            }
+            scores = _scores(model, test)
+            scores["matches_report"] = \
+                scores["test_error_rate"] == reported[field]
+            recomputed.setdefault(variant, {})[f"depth{depth}"] = scores
     (out / "eval.json").write_text(
         json.dumps(recomputed, sort_keys=True, indent=1) + "\n")
     return recomputed

@@ -85,6 +85,10 @@ def load_stack(path) -> StackModel:
                 from exc
 
     try:
+        if not isinstance(rec["layers"], list):
+            raise ValueError(f"{path} has a malformed layers: '"
+                             f"{type(rec['layers']).__name__}' object is not "
+                             "a list")
         layers = [StackLayer(
             read(layer, "mask", f"layers[{i}].", unpack_mask),
             DaeModel(*(read(layer, key, f"layers[{i}].", _unpack)

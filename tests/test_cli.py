@@ -208,15 +208,21 @@ class TestEval:
     @pytest.mark.parametrize("text, message", [
         (lambda text: text[:100], "is not valid JSON: "),
         (lambda text: json.dumps({"config": json.loads(text)["config"]}),
-         "lacks config or results"),
+         "lacks an object results"),
+        (edited(lambda r: r.update(config=5)), "lacks an object config"),
+        (edited(lambda r: r.update(results={})),
+         "lacks results.sdae.depth1.test_error_rate"),
+        (edited(lambda r: r["results"].pop("sdae")),
+         "lacks results.sdae.depth1.test_error_rate"),
+        (edited(lambda r: r["results"].update(sdae=5)),
+         "lacks results.sdae.depth1.test_error_rate"),
         (edited(lambda r: r["results"]["sdae"].update(depth1=3)),
-         "lacks an object results.sdae.depth1"),
-        (edited(lambda r: r["results"]["sdae"]["depth1"].pop("model")),
-         "lacks a string results.sdae.depth1.model"),
+         "lacks results.sdae.depth1.test_error_rate"),
         (edited(lambda r: r["results"]["sdae"]["depth1"].pop(
             "test_error_rate")),
          "lacks results.sdae.depth1.test_error_rate"),
-    ], ids=["truncated", "no_results", "entry_not_object", "no_model",
+    ], ids=["truncated", "no_results", "config_not_object", "results_empty",
+            "no_variant", "variant_not_object", "entry_not_object",
             "no_test_error_rate"])
     def test_malformed_report_is_a_data_error_naming_it(
             self, tmp_path, smoke_run, capsys, text, message):
@@ -228,6 +234,36 @@ class TestEval:
         assert run_cli("eval", "--config", SMOKE, "--out", out) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"data error: {report} {message}")
+
+    def test_the_configs_own_model_is_evaluated(self, tmp_path, smoke_run):
+        # eval opens the file run writes for each variant and depth, not
+        # the one the report's model field names.
+        out = tmp_path / "o"
+        shutil.copytree(smoke_run, out, ignore=shutil.ignore_patterns(
+            "eval.json"))
+        report = out / "report.json"
+        report.write_text(edited(lambda r: r["results"]["sdae"]["depth1"].update(
+            model="models/sdae_ivs-depth1-tuned.json"))(report.read_text()))
+        assert run_cli("eval", "--config", SMOKE, "--out", out) == 0
+        recomputed = json.loads((out / "eval.json").read_text())
+        assert recomputed["sdae"]["depth1"]["matches_report"] is True
+
+    def test_each_depth_and_variant_of_the_config_is_evaluated(self, tmp_path):
+        patched = tmp_path / "deep.ini"
+        patched.write_text(SMOKE.read_text()
+                           .replace("depths = 1", "depths = 1 2")
+                           .replace("variants = both", "variants = sdae"))
+        out = tmp_path / "deep"
+        assert run_cli("run", "--config", patched, "--out", out) == 0
+        assert run_cli("eval", "--config", patched, "--out", out) == 0
+        recomputed = json.loads((out / "eval.json").read_text())
+        reported = json.loads((out / "report.json").read_text())["results"]
+        assert {v: sorted(d) for v, d in recomputed.items()} == \
+            {"sdae": ["depth1", "depth2"]}
+        for depth_key, entry in recomputed["sdae"].items():
+            assert entry == {**{key: reported["sdae"][depth_key][key] for key
+                                in ("test_error_rate", "test_ci95_halfwidth",
+                                    "test_n")}, "matches_report": True}
 
 
 
@@ -279,8 +315,12 @@ class TestModelFile:
          "has a malformed top.weights: buffer size must be a multiple"),
         (edited(lambda r: r["layers"][0].update(mask=7)),
          "has a malformed layers[0].mask: 'int' object is not iterable"),
+        (edited(lambda r: r.update(layers=5)),
+         "has a malformed layers: 'int' object is not a list"),
+        (edited(lambda r: r.update(layers=[])), "holds 0 layers, not 1"),
     ], ids=["truncated", "no_top_weights", "int_top_weights",
-            "short_top_weights", "int_layer_mask"])
+            "short_top_weights", "int_layer_mask", "int_layers",
+            "no_layers"])
     def test_malformed_model_exits_3_naming_the_file(
             self, tmp_path, smoke_run, capsys, damage, message):
         out = tmp_path / "o"
@@ -856,6 +896,23 @@ class TestErrors:
             "data error: [data] train_size, valid_size and test_size ask "
             "for 1000000000000100 examples of 30 variables, a float64 matrix "
             "of 240000000000024000 bytes, which cannot be allocated\n")
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("train_size", [10 ** 19, 2 ** 60],
+                             ids=["beyond_int64", "2**60"])
+    def test_split_beyond_the_index_type_is_refused_before_any_draw(
+            self, tmp_path, capsys, monkeypatch, train_size):
+        monkeypatch.setattr(runner, "gen_synthetic",
+                            lambda *args: pytest.fail("data was drawn"))
+        config = tmp_path / "huge.ini"
+        config.write_text(SMOKE.read_text().replace(
+            "train_size = 120", f"train_size = {train_size}"))
+        assert run_cli("run", "--config", config, "--out", tmp_path / "o") == 2
+        n = train_size + 100
+        assert capsys.readouterr().err == (
+            "data error: [data] train_size, valid_size and test_size ask "
+            f"for {n} examples of 30 variables, a float64 matrix of "
+            f"{8 * n * 30} bytes, which cannot be allocated\n")
         assert not (tmp_path / "o").exists()
 
     def test_missing_config_file(self):

@@ -93,6 +93,20 @@ class TestLoadAmat:
                 load_amat(path)
         assert caught == []
 
+    def test_matrix_too_big_to_allocate_names_file_and_bytes(
+            self, tmp_path, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise MemoryError
+
+        # Blank lines are not rows; the first row's fields give the width.
+        path = write(tmp_path, "0.1 0.2 0.3 0\n\n0.4 0.5 0.6 1\n  \n1 1 1 2\n")
+        monkeypatch.setattr(np, "loadtxt", refuse)
+        with pytest.raises(DataError) as caught:
+            load_amat(path)
+        assert str(caught.value) == (
+            f"{path}: 3 rows of 4 fields need a float64 matrix of 96 bytes, "
+            "which cannot be allocated")
+
     def test_crlf_line_ends_and_tab_separators(self, tmp_path):
         path = tmp_path / "toy.amat"
         path.write_bytes(b"0.25\t0.5 0\r\n1\t0.75\t1\r\n")

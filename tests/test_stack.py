@@ -318,10 +318,10 @@ class TestFineTune:
     def test_never_degrades_best_validation(self):
         train, valid, _, _ = easy_splits(6)
         model, _ = pretrain_deepest(train, valid, stack_cfg(1, False), 10)
-        before = evaluate(lambda x: predict_labels(model, x), valid).error_rate
+        before = evaluate(lambda x: predict_labels(model, x), valid)
         tuned = fine_tune(model, train, valid, TrainConfig(0.1, 10, 3),
                           derive_rng(1))
-        after = evaluate(lambda x: predict_labels(tuned, x), valid).error_rate
+        after = evaluate(lambda x: predict_labels(tuned, x), valid)
         assert after <= before
 
     def test_overflowing_learning_rate_raises_with_the_epoch(self):
@@ -450,7 +450,7 @@ class TestEndToEnd:
             tuned = fine_tune(model, train, valid, TrainConfig(0.1, 10, 3),
                               derive_rng(1000))
             errors[enabled] = evaluate(lambda x: predict_labels(tuned, x),
-                                       test).error_rate
+                                       test)
         assert errors[True] <= errors[False]
 
     def test_tuned_depth1_accuracy_on_planted(self):
@@ -459,5 +459,4 @@ class TestEndToEnd:
                                     stack_cfg(1, True, epochs=10), 17)
         tuned = fine_tune(model, train, valid, TrainConfig(0.1, 15, 3),
                           derive_rng(18))
-        report = evaluate(lambda x: predict_labels(tuned, x), test)
-        assert 1.0 - report.error_rate >= 0.9
+        assert 1.0 - evaluate(lambda x: predict_labels(tuned, x), test) >= 0.9

@@ -14,8 +14,10 @@ case sets key K of section S of ``configs/smoke_synthetic.ini`` to a value
 out of its range, so both trees must reject it alike. Each ``data/NAME``
 case edits the generator's settings in that config to an edge case that
 runs: no irrelevant variable, no feature noise, or a last block of one row
-in the generator's row-blocked column reorder. ``--case`` keeps only the
-cases whose names match one of its shell patterns.
+in the generator's row-blocked column reorder. Each ``stack/NAME`` case
+runs that config at depths 1 and 2 for one variant, so ``eval`` checks
+two models of one variant. ``--case`` keeps only the cases whose names
+match one of its shell patterns.
 
 A case is the same when both trees give the same exit codes, the same
 stdout and stderr once the output directory is written as ``<out>``, and
@@ -66,6 +68,11 @@ DATA_CASES = {
     "noise0": {"data.feature_noise_sd": "0"},
     # 413 + 40 + 60 = 513 examples: two blocks of 256 rows and one row.
     "tail1": {"data.train_size": "413"},
+}
+# name -> {section.key: value}: one variant at two depths.
+STACK_CASES = {
+    "sdae12": {"stack.depths": "1 2", "stack.variants": "sdae"},
+    "ivs12": {"stack.depths": "1 2", "stack.variants": "sdae_ivs"},
 }
 PREPARE = ("import sys; from pathlib import Path; "
            "from perfbench.workloads import WORKLOADS, prepare; "
@@ -128,6 +135,7 @@ def cases(work: Path):
                    Path("config.ini"), [], (name, seed))
     edits = [("reject", name, {name: value}) for name, value in REJECTS.items()]
     edits += [("data", name, edit) for name, edit in DATA_CASES.items()]
+    edits += [("stack", name, edit) for name, edit in STACK_CASES.items()]
     for kind, name, edit in edits:
         (work / kind).mkdir(parents=True, exist_ok=True)
         config = edited_config(edit, work / kind / f"{name}.ini")
