@@ -32,9 +32,6 @@ class DaeModel:
     decoder_bias: np.ndarray
 
     def __post_init__(self):
-        self.weights = np.asarray(self.weights, dtype=np.float64)
-        self.encoder_bias = np.asarray(self.encoder_bias, dtype=np.float64)
-        self.decoder_bias = np.asarray(self.decoder_bias, dtype=np.float64)
         h, m = self.weights.shape
         if self.encoder_bias.shape != (h,) or self.decoder_bias.shape != (m,):
             raise DimensionError("bias widths do not match the weight matrix")
@@ -58,15 +55,13 @@ class DaeTrainConfig:
 
 def corrupt(x: np.ndarray, noise_sd: float, rng: Rng) -> np.ndarray:
     """Additive Gaussian corruption, unclipped; the clean x stays the target."""
-    x = np.asarray(x, dtype=np.float64)
     out = rng.normal(0.0, noise_sd, size=x.shape)
     out += x
     return out
 
 
 def encode(m: DaeModel, x: np.ndarray) -> np.ndarray:
-    """Hidden code: sigmoid(W x + b); works on one vector or an (N, M') batch."""
-    x = np.asarray(x, dtype=np.float64)
+    """Hidden codes sigmoid(x W^T + b) of the (N, M') rows x."""
     if x.shape[-1] != m.input_width:
         raise DimensionError(f"expected input width {m.input_width}, got {x.shape[-1]}")
     return sigmoid_layer(x, m.weights.T, m.encoder_bias)
@@ -75,7 +70,6 @@ def encode(m: DaeModel, x: np.ndarray) -> np.ndarray:
 def decode(m: DaeModel, h: np.ndarray) -> np.ndarray:
     """Reconstruction: sigmoid of the code through the transposed (tied)
     weights plus decoder bias."""
-    h = np.asarray(h, dtype=np.float64)
     if h.shape[-1] != m.hidden_units:
         raise DimensionError(f"expected code width {m.hidden_units}, got {h.shape[-1]}")
     return sigmoid_layer(h, m.weights, m.decoder_bias)

@@ -1,7 +1,9 @@
 """Datasets, variable masks, the .amat loader, and the planted-noise generator.
 
 Conventions: feature matrices are (N, M) float64 with entries in [0, 1];
-labels are stored 1-based ({1..K}) regardless of how they appear on disk.
+labels are int64 and stored 1-based ({1..K}) regardless of how they appear
+on disk. load_amat and gen_synthetic fix these types where data enters the
+program (and serialize where models do); nothing below them converts.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ class VariableMask:
     bits: np.ndarray
 
     def __post_init__(self):
-        self.bits = np.asarray(self.bits, dtype=bool)
         if self.bits.ndim != 1:
             raise DimensionError("mask bits must be a 1-D vector")
         self.index = np.flatnonzero(self.bits)
@@ -58,8 +59,6 @@ class Dataset:
     num_classes: int
 
     def __post_init__(self):
-        self.x = np.asarray(self.x, dtype=np.float64)
-        self.labels = np.asarray(self.labels, dtype=np.int64)
         if self.x.ndim != 2:
             raise DimensionError("examples must form an (N, M) matrix")
         if self.labels.shape != (self.x.shape[0],):
@@ -152,10 +151,14 @@ def load_amat(path, zero_based_labels: bool = True) -> Dataset:
     if not np.all(raw_labels == np.floor(raw_labels)):
         bad = int(np.argmax(raw_labels != np.floor(raw_labels))) + 1
         raise DataError(f"{path}: non-integer label at row {bad}")
-    labels = raw_labels.astype(np.int64) + (1 if zero_based_labels else 0)
-    if labels.min() < 1:
-        raise DataError(f"{path}: label below the declared base at row "
-                        f"{int(np.argmax(labels < 1)) + 1}")
+    # Checked before the int64 cast, which no out-of-range label survives.
+    base = 0 if zero_based_labels else 1
+    for bad, what in ((raw_labels < base, "below the declared base"),
+                      (raw_labels >= 2.0 ** 63, "too large for a class")):
+        if bad.any():
+            raise DataError(f"{path}: label {what} at row "
+                            f"{int(np.argmax(bad)) + 1}")
+    labels = raw_labels.astype(np.int64) + (1 - base)
     return Dataset(features, labels, int(labels.max()))
 
 
@@ -232,7 +235,7 @@ def gen_synthetic(spec: SyntheticSpec, rng: Rng) -> tuple[Dataset, VariableMask]
     directions = rng.uniform(-1.0, 1.0, size=(spec.num_classes, spec.num_relevant))
     means = np.clip(0.5 + spec.class_separation * directions, 0.0, 1.0)
 
-    labels = rng.integers(1, spec.num_classes + 1, size=n)
+    labels = rng.integers(1, spec.num_classes + 1, size=n, dtype=np.int64)
     x = np.empty((n, m), dtype=np.float64)
     jitter = rng.normal(0.0, spec.noise_sd, size=(n, spec.num_relevant)) \
         if spec.noise_sd > 0 else 0.0
@@ -254,7 +257,6 @@ def gen_synthetic(spec: SyntheticSpec, rng: Rng) -> tuple[Dataset, VariableMask]
 def compact(x: np.ndarray, mask: VariableMask) -> np.ndarray:
     """Keep only the masked-in components, in order, in a C-contiguous
     array: x itself if it is one and the mask keeps every variable."""
-    x = np.asarray(x, dtype=np.float64)
     if x.shape[-1] != mask.m:
         raise DimensionError(f"vector width {x.shape[-1]} != mask length {mask.m}")
     if mask.popcount == mask.m:
@@ -264,7 +266,6 @@ def compact(x: np.ndarray, mask: VariableMask) -> np.ndarray:
 
 def expand(x_reduced: np.ndarray, mask: VariableMask) -> np.ndarray:
     """Inverse of compact: write dropped positions back as 0."""
-    x_reduced = np.asarray(x_reduced, dtype=np.float64)
     if x_reduced.shape[-1] != mask.popcount:
         raise DimensionError(
             f"reduced width {x_reduced.shape[-1]} != mask popcount {mask.popcount}"

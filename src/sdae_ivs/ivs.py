@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset, VariableMask, compact_dataset, expand
-from .mlr import MlrModel, TrainConfig, predict_labels, train_mlr
+from .mlr import MlrModel, TrainConfig, evaluate, predict_labels, train_mlr
 from .numerics import Rng
 
 
@@ -85,8 +85,7 @@ def run_ivs(train: Dataset, valid: Dataset, cfg: IvsConfig, rng: Rng) -> IvsResu
         kept_valid = compact_dataset(valid, mask)
         model = train_mlr(compact_dataset(train, mask), kept_valid,
                           cfg.mlr, rng)
-        err = float(np.mean(predict_labels(model, kept_valid.x)
-                            != kept_valid.labels))
+        err = evaluate(predict_labels(model, kept_valid.x), kept_valid)
         importance = expand(task_importance(model), mask)
         # (b), and (c) where nothing is scored, precede the update: a
         # stopping iteration is recorded but never shrinks the mask.

@@ -21,8 +21,6 @@ class MlrModel:
     biases: np.ndarray
 
     def __post_init__(self):
-        self.weights = np.asarray(self.weights, dtype=np.float64)
-        self.biases = np.asarray(self.biases, dtype=np.float64)
         if self.weights.ndim != 2 or self.biases.shape != (self.weights.shape[0],):
             raise DimensionError("weights must be (K, M) with K biases")
         if self.k < 2:
@@ -61,9 +59,6 @@ def wald_halfwidth(p: float, n: int) -> float:
 def predict_labels(m: MlrModel, x: np.ndarray) -> np.ndarray:
     """Argmax class labels (1-based) for a matrix of examples; ties pick the
     lowest class index."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim == 1:
-        x = x[None, :]
     if x.shape[1] != m.m:
         raise DimensionError(f"expected inputs of width {m.m}, got {x.shape[1]}")
     logits = x @ m.weights.T + m.biases
@@ -72,7 +67,9 @@ def predict_labels(m: MlrModel, x: np.ndarray) -> np.ndarray:
 
 def one_hot(labels: np.ndarray, k: int) -> np.ndarray:
     """(N, K) targets with a 1 at each 1-based label's column."""
-    return np.eye(k)[labels - 1]
+    targets = np.zeros((len(labels), k))
+    targets[np.arange(len(labels)), labels - 1] = 1.0
+    return targets
 
 
 def workspace(weights, targets, batch, grads=None):
@@ -138,22 +135,17 @@ def train_mlr(train: Dataset, valid: Dataset, cfg: TrainConfig, rng: Rng,
                   lambda xb, tb: batch_grads(weights, biases, xb, tb, ws),
                   cfg.learning_rate, (train.x, targets), cfg.max_epochs,
                   rng, batch=cfg.minibatch_size,
-                  score=lambda: float(np.mean(predict_labels(model, valid.x)
-                                              != valid.labels)),
+                  score=lambda: evaluate(predict_labels(model, valid.x), valid),
                   patience=cfg.patience)
     if return_history:
         return model, history
     return model
 
 
-def evaluate(classify, d: Dataset) -> float:
-    """Error rate of a label predictor over a dataset.
-
-    classify maps an (N, M) matrix to N predicted labels in {1..K}.
-    """
+def evaluate(predicted: np.ndarray, d: Dataset) -> float:
+    """Error rate of predicted labels, one per example of d, against d's."""
     if d.n == 0:
         raise DataError("cannot evaluate on an empty dataset")
-    predicted = np.asarray(classify(d.x))
     if predicted.shape != (d.n,):
-        raise DimensionError("predictor must return one label per example")
+        raise DimensionError("need one predicted label per example")
     return float(np.mean(predicted != d.labels))

@@ -125,14 +125,13 @@ def sigmoid(z, out=None):
     return np.divide(numerator, e, out=out)
 
 
-def softmax(logits, out=None):
+def softmax(z, out=None):
     """Max-shifted softmax along the last axis, into out when given.
 
     Components are positive and sum to 1 (within a few ulp); shifting by the
     row maximum keeps exp from overflowing. One row takes scalar reductions,
     which give the same numbers as the per-row ones.
     """
-    z = np.asarray(logits, dtype=np.float64)
     axis, keep = (None, False) if z.size == z.shape[-1] else (-1, True)
     e = np.subtract(z, np.maximum.reduce(z, axis, keepdims=keep), out=out)
     np.exp(e, out=e)

@@ -10,7 +10,6 @@ import numpy as np
 
 def write_pgm(path, image: np.ndarray) -> None:
     """Write a 2-D array with entries in [0, 1] as an 8-bit P5 file."""
-    image = np.asarray(image, dtype=np.float64)
     if image.ndim != 2:
         raise ValueError("PGM export needs a 2-D image")
     h, w = image.shape
@@ -22,17 +21,20 @@ def write_pgm(path, image: np.ndarray) -> None:
 
 def normalize_unit(values: np.ndarray) -> np.ndarray:
     """Min-max rescale into [0, 1]; a constant array maps to 0.5."""
-    values = np.asarray(values, dtype=np.float64)
     lo, hi = values.min(), values.max()
     if hi == lo:
         return np.full_like(values, 0.5)
     return (values - lo) / (hi - lo)
 
 
-def tile_grid(tiles: np.ndarray, shape: tuple[int, int], columns: int,
-              gap: int = 1, gap_value: float = 0.5) -> np.ndarray:
-    """Lay out row-vectors as (h, w) tiles in a grid, separated by gap pixels."""
-    tiles = np.asarray(tiles, dtype=np.float64)
+# Pixels between tiles, and their value.
+_GAP, _GAP_VALUE = 1, 0.5
+
+
+def tile_grid(tiles: np.ndarray, shape: tuple[int, int], columns: int
+              ) -> np.ndarray:
+    """Lay out the rows of the matrix tiles as (h, w) images in a grid of
+    `columns` columns, one mid-grey pixel apart."""
     if tiles.ndim != 2:
         raise ValueError("tiles must be a matrix of flattened images")
     h, w = shape
@@ -40,10 +42,10 @@ def tile_grid(tiles: np.ndarray, shape: tuple[int, int], columns: int,
         raise ValueError("tile width does not match the image shape")
     n = tiles.shape[0]
     rows = max(1, -(-n // columns))
-    grid = np.full((rows * h + gap * (rows - 1),
-                    columns * w + gap * (columns - 1)), gap_value)
+    grid = np.full((rows * h + _GAP * (rows - 1),
+                    columns * w + _GAP * (columns - 1)), _GAP_VALUE)
     for i in range(n):
         r, c = divmod(i, columns)
-        grid[r * (h + gap): r * (h + gap) + h,
-             c * (w + gap): c * (w + gap) + w] = tiles[i].reshape(h, w)
+        grid[r * (h + _GAP): r * (h + _GAP) + h,
+             c * (w + _GAP): c * (w + _GAP) + w] = tiles[i].reshape(h, w)
     return grid

@@ -51,6 +51,11 @@ def load_splits(cfg: ExperimentConfig) -> tuple[Dataset, Dataset, Dataset]:
         train, valid, test = split(full, spec.examples_per_split[:2])
     else:
         base = load_amat(cfg.amat_train, cfg.zero_based_labels)
+        # A class count past the row count can only come from a stray label.
+        if not 2 <= base.num_classes <= base.n:
+            raise DataError(f"{cfg.amat_train}: the labels span K = "
+                            f"{base.num_classes} classes over {base.n} rows, "
+                            f"but training needs 2 <= K <= {base.n}")
         if cfg.amat_valid is None:
             train, valid, test = split(base, (cfg.train_size, cfg.valid_size))
         else:
@@ -172,7 +177,7 @@ def cmd_run(cfg: ExperimentConfig) -> None:
             entry = {
                 **_scores(tuned, test),
                 "validation_error_rate": evaluate(
-                    lambda x: stack_mod.predict_labels(tuned, x), valid),
+                    stack_mod.predict_labels(tuned, valid.x), valid),
                 "model": str(tuned_path.relative_to(out)),
                 "pretrained_model": str(pre_path.relative_to(out)),
             }
@@ -196,7 +201,7 @@ def _model_paths(out: Path, variant: str, depth: int) -> list[Path]:
 
 def _scores(model, test: Dataset) -> dict:
     """The test fields of a result entry, in report.json and eval.json."""
-    rate = evaluate(lambda x: stack_mod.predict_labels(model, x), test)
+    rate = evaluate(stack_mod.predict_labels(model, test.x), test)
     return {"test_error_rate": rate,
             "test_ci95_halfwidth": wald_halfwidth(rate, test.n),
             "test_n": test.n}
@@ -288,13 +293,18 @@ def cmd_ivs(cfg: ExperimentConfig) -> IvsResult:
     return result
 
 
-def _leaves(echo, path: str = "") -> dict:
-    """A config echo's values by dotted path, list entries counted from 1."""
-    if not isinstance(echo, (dict, list)):
-        return {path[:-1]: echo}
-    items = echo.items() if isinstance(echo, dict) else enumerate(echo, 1)
-    return {leaf: value for key, item in items
-            for leaf, value in _leaves(item, f"{path}{key}.").items()}
+def _leaves(value, path: tuple = ()) -> dict:
+    """A JSON value's leaves by key path, a tuple of its object keys and its
+    list indices, counted from 1: no key can stand for a nested path."""
+    if not isinstance(value, (dict, list)):
+        return {path: value}
+    items = value.items() if isinstance(value, dict) else enumerate(value, 1)
+    return {leaf: item_leaf for key, item in items
+            for leaf, item_leaf in _leaves(item, path + (key,)).items()}
+
+
+def _dotted(path: tuple) -> str:
+    return ".".join(map(str, path))
 
 
 def cmd_eval(cfg: ExperimentConfig) -> dict:
@@ -318,21 +328,24 @@ def cmd_eval(cfg: ExperimentConfig) -> dict:
                             "run `run` again")
     # Data from another config would fail the models' checks and blame them.
     here, there = _leaves(config_echo(cfg)), _leaves(report["config"])
-    for field in sorted(here.keys() | there.keys()):
+    for field in sorted(here.keys() | there.keys(),
+                        key=lambda path: (_dotted(path), repr(path))):
         if here.get(field) != there.get(field):
             raise ConfigError(
-                f"{report_path} was written under another config: {field} is "
+                f"{report_path} was written under another config: "
+                f"{_dotted(field)} is "
                 f"{json.dumps(there.get(field))} there, "
                 f"{json.dumps(here.get(field))} here")
-    reported = _leaves(report["results"], "results.")
+    reported = _leaves(report["results"], ("results",))
     test = load_test(cfg)
 
     recomputed: dict = {}
     for variant in cfg.variants:
         for depth in cfg.depths:
-            field = f"results.{variant}.depth{depth}.test_error_rate"
-            if field not in reported:
-                raise DataError(f"{report_path} lacks {field}")
+            field = ("results", variant, f"depth{depth}", "test_error_rate")
+            if not isinstance(reported.get(field), float):
+                raise DataError(f"{report_path} lacks {_dotted(field)} "
+                                "as a float")
             path = _model_paths(out, variant, depth)[1]
             if not path.is_file():
                 raise DataError(f"missing model file {path}")

@@ -26,7 +26,6 @@ VERSION = 4
 
 
 def _pack(arr: np.ndarray) -> dict:
-    arr = np.asarray(arr, dtype=np.float64)
     return {
         "shape": list(arr.shape),
         "data": base64.b64encode(arr.astype("<f8").tobytes()).decode("ascii"),

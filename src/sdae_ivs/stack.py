@@ -18,7 +18,8 @@ from .dae import (DaeModel, DaeTrainConfig, decode, encode, encode_dataset,
 from .data import Dataset, VariableMask, compact, compact_dataset, expand
 from .errors import DataError, DimensionError, DivergenceError
 from .ivs import IvsConfig, IvsResult, run_ivs
-from .mlr import MlrModel, TrainConfig, batch_grads, one_hot, train_mlr
+from .mlr import (MlrModel, TrainConfig, batch_grads, evaluate, one_hot,
+                  train_mlr)
 from .mlr import workspace as top_workspace
 from .mlr import predict_labels as mlr_predict_labels
 from .numerics import (DAE, IVS, TOP, Rng, delta_rows, derive_rng, named_zeros,
@@ -109,9 +110,8 @@ def pretrain(train: Dataset, valid: Dataset, dae: tuple[DaeTrainConfig, ...],
 
 def _forward(m: StackModel, x: np.ndarray, depth: int | None = None
              ) -> np.ndarray:
-    """Codes of a batch of raw rows (or one row) after the first `depth`
-    layers, all by default: each layer encodes its input compacted through
-    its mask."""
+    """Codes of the raw rows x after the first `depth` layers, all by
+    default: each layer encodes its input compacted through its mask."""
     cur = x
     for layer in m.layers[:depth]:
         cur = encode(layer.dae, compact(cur, layer.mask))
@@ -215,15 +215,14 @@ def fine_tune(m: StackModel, train: Dataset, valid: Dataset,
         lambda cb, tb: classification_grads(tuned, cb, tb, ws),
         cfg.learning_rate, (c1, targets), cfg.max_epochs, rng,
         batch=cfg.minibatch_size,
-        score=lambda: float(np.mean(predict_labels(tuned, valid.x)
-                                    != valid.labels)),
+        score=lambda: evaluate(predict_labels(tuned, valid.x), valid),
         patience=cfg.patience)
     return tuned
 
 
 def reconstruct_through(m: StackModel, x: np.ndarray, depth: int) -> np.ndarray:
-    """Encode one row or a batch of rows up through `depth` layers, then
-    decode back to raw width.
+    """Encode the raw rows x up through `depth` layers, then decode back
+    to raw width.
 
     Every decode step expands through that layer's mask, writing zeros at
     the dropped positions, so the result always has the raw input width.

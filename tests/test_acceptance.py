@@ -256,7 +256,7 @@ def test_criterion_5_paired_trend():
                 tuned = fine_tune(stacks[depth], train, valid, cfg["top"],
                                   derive_rng(seed, depth, FINE_TUNE))
                 errors[enabled, depth] = evaluate(
-                    lambda x: predict_labels(tuned, x), test)
+                    predict_labels(tuned, test.x), test)
         for depth in (1, 2):
             wins[depth] += errors[True, depth] <= errors[False, depth]
             details[depth].append(f"{100 * errors[False, depth]:.2f}/"

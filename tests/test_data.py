@@ -63,6 +63,19 @@ class TestLoadAmat:
         with pytest.raises(DataError, match="below"):
             load_amat(write(tmp_path, "0.5 0\n"), zero_based_labels=False)
 
+    @pytest.mark.parametrize("label, message", [
+        ("1e300", "too large for a class at row 2"),
+        ("9223372036854775808", "too large for a class at row 2"),
+        ("-1e300", "below the declared base at row 2")],
+        ids=["1e300", "2**63", "-1e300"])
+    def test_label_out_of_int64_range_names_row_without_a_warning(
+            self, tmp_path, label, message):
+        path = write(tmp_path, f"0.5 0\n0.5 {label}\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match=message):
+                load_amat(path)
+
     def test_hash_is_a_field_not_a_comment(self, tmp_path):
         path = write(tmp_path, "0.5 0.5 0 # a\n0.5 0.5 1 # b\n")
         with pytest.raises(DataError, match="non-numeric field .*'#'"):

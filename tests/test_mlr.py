@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -188,6 +190,27 @@ class TestTraining:
             train_mlr(d, other, TrainConfig(0.1, 5, 2), derive_rng(0))
 
 
+class TestOneHot:
+    def test_rows_of_the_identity(self):
+        labels = derive_rng(3).integers(1, 11, size=300)
+        targets = one_hot(labels, 10)
+        assert targets.dtype == np.float64 and targets.flags.c_contiguous
+        assert np.array_equal(targets, np.eye(10)[labels - 1])
+
+    def test_peak_memory_is_the_targets_alone_at_large_k(self):
+        # 31 labels of 4001 classes: the targets take 1 MB, and a 4001 x
+        # 4001 identity would take 128 MB.
+        labels = np.arange(1, 4002, 133)
+        tracemalloc.start()
+        try:
+            targets = one_hot(labels, 4001)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert targets.shape == (31, 4001)
+        assert peak < 1.1 * targets.nbytes
+
+
 class TestEvaluate:
     def test_wald_matches_published_presentation(self):
         # 11.85% over 50000 examples prints as +/-0.28.
@@ -197,7 +220,7 @@ class TestEvaluate:
 
     def test_all_correct(self):
         d = separable_toy()
-        assert evaluate(lambda x: d.labels, d) == 0.0
+        assert evaluate(d.labels, d) == 0.0
 
     def test_half_wrong_halfwidth(self):
         assert wald_halfwidth(0.5, 100) == pytest.approx(0.098, abs=1e-15)
@@ -206,9 +229,9 @@ class TestEvaluate:
         labels = np.arange(64) % 2 + 1
         d = Dataset(np.zeros((64, 2)), labels, 2)
         wrong = np.where(np.arange(64) < 16, 3 - labels, labels)
-        assert evaluate(lambda x: wrong, d) == 0.25
+        assert evaluate(wrong, d) == 0.25
 
     def test_empty_dataset_rejected(self):
         empty = Dataset(np.zeros((0, 2)), np.zeros(0, dtype=int), 2)
         with pytest.raises(DataError):
-            evaluate(lambda x: np.zeros(0), empty)
+            evaluate(np.zeros(0, dtype=np.int64), empty)

@@ -104,12 +104,12 @@ def test_sigmoid_bit_equal_to_two_branch_reference_vectorized(zs):
 
 
 def test_softmax_uniform():
-    np.testing.assert_allclose(softmax([0.0, 0.0, 0.0]), np.full(3, 1 / 3),
+    np.testing.assert_allclose(softmax(np.zeros(3)), np.full(3, 1 / 3),
                                atol=1e-15)
 
 
 def test_softmax_two_class_analytic():
-    np.testing.assert_allclose(softmax([0.0, np.log(3.0)]), [0.25, 0.75],
+    np.testing.assert_allclose(softmax(np.array([0.0, np.log(3.0)])), [0.25, 0.75],
                                atol=1e-15)
 
 
@@ -123,10 +123,10 @@ def test_softmax_shift_invariance_large_constant():
 
 @given(st.lists(no_underflow, min_size=2, max_size=8), st.floats(-100, 100))
 def test_softmax_properties(logits, shift):
-    p = softmax(logits)
+    p = softmax(np.array(logits))
     assert np.all(p > 0)
     assert abs(p.sum() - 1.0) < 1e-12
-    q = softmax(np.asarray(logits) + shift)
+    q = softmax(np.array(logits) + shift)
     np.testing.assert_allclose(p, q, atol=1e-12)
 
 

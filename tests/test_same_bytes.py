@@ -1,12 +1,16 @@
 """Self-test of tools/same_bytes.py on the smoke config: a tree is the same
 as itself, also on a config it rejects and on the generator's edge cases,
-and a copy with one changed constant is not."""
+and a copy with one changed constant is not. Its reject cases cover every
+ranged config key."""
 
+import importlib.util
 import re
 import shutil
 import subprocess
 import sys
 from pathlib import Path
+
+from sdae_ivs.config import KEYS
 
 REPO = Path(__file__).resolve().parent.parent
 TOOL = REPO / "tools" / "same_bytes.py"
@@ -55,3 +59,16 @@ def test_a_changed_constant_differs(tmp_path):
                  "ivs/mask.txt"):
         assert re.search(rf"[ ,]{re.escape(name)}(,|$)", line), name
     assert "wall_time.txt" not in line
+
+
+def test_every_ranged_key_has_a_reject_case():
+    # The keys whose parser checks a range, by [section] as the INI names
+    # it; "data synthetic" and "data amat" keys are [data] keys.
+    spec = importlib.util.spec_from_file_location("same_bytes", TOOL)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    ranged = {f"{table.split()[0]}.{key}"
+              for table, keys in KEYS.items()
+              for key, (_, parse, _) in keys.items()
+              if parse.__qualname__ == "_ruled.<locals>.parse"}
+    assert set(tool.REJECTS) == ranged

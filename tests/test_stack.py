@@ -187,7 +187,8 @@ class TestPredict:
         model = toy_stack(3)
         x = derive_rng(4).uniform(size=(7, 6))
         batch = predict_labels(model, x)
-        singles = [int(predict_labels(model, row)[0]) for row in x]
+        singles = [int(predict_labels(model, x[i:i + 1])[0])
+                   for i in range(len(x))]
         assert batch.tolist() == singles
 
     def test_keep_all_masks_copy_no_codes(self):
@@ -318,10 +319,10 @@ class TestFineTune:
     def test_never_degrades_best_validation(self):
         train, valid, _, _ = easy_splits(6)
         model, _ = pretrain_deepest(train, valid, stack_cfg(1, False), 10)
-        before = evaluate(lambda x: predict_labels(model, x), valid)
+        before = evaluate(predict_labels(model, valid.x), valid)
         tuned = fine_tune(model, train, valid, TrainConfig(0.1, 10, 3),
                           derive_rng(1))
-        after = evaluate(lambda x: predict_labels(tuned, x), valid)
+        after = evaluate(predict_labels(tuned, valid.x), valid)
         assert after <= before
 
     def test_overflowing_learning_rate_raises_with_the_epoch(self):
@@ -449,8 +450,7 @@ class TestEndToEnd:
             model, _ = pretrain_deepest(train, valid, cfg, 0)
             tuned = fine_tune(model, train, valid, TrainConfig(0.1, 10, 3),
                               derive_rng(1000))
-            errors[enabled] = evaluate(lambda x: predict_labels(tuned, x),
-                                       test)
+            errors[enabled] = evaluate(predict_labels(tuned, test.x), test)
         assert errors[True] <= errors[False]
 
     def test_tuned_depth1_accuracy_on_planted(self):
@@ -459,4 +459,4 @@ class TestEndToEnd:
                                     stack_cfg(1, True, epochs=10), 17)
         tuned = fine_tune(model, train, valid, TrainConfig(0.1, 15, 3),
                           derive_rng(18))
-        assert 1.0 - evaluate(lambda x: predict_labels(tuned, x), test) >= 0.9
+        assert 1.0 - evaluate(predict_labels(tuned, test.x), test) >= 0.9
