@@ -15,8 +15,8 @@ import numpy as np
 
 from .data import Dataset
 from .errors import DataError, DimensionError
-from .numerics import (Rng, delta_rows, named_zeros, pack, sgd, sigmoid,
-                       sum_rows)
+from .numerics import (Rng, delta_rows, map_blocks, named_zeros, pack, sgd,
+                       sigmoid, sum_rows)
 
 
 @dataclass
@@ -179,6 +179,8 @@ def encode_dataset(m: DaeModel, d: Dataset) -> Dataset:
     """Deterministic codes of the clean inputs, labels carried through.
 
     Never corrupts: upper layers train on the representation the encoder
-    will actually produce at prediction time.
+    will actually produce at prediction time. Encodes a block of rows at
+    a time (see numerics.map_blocks), with the bits of one whole product.
     """
-    return Dataset(encode(m, d.x), d.labels, d.num_classes)
+    return Dataset(map_blocks(lambda rows: encode(m, rows), d.x), d.labels,
+                   d.num_classes)

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError, DimensionError
-from .numerics import Rng
+from .numerics import BLOCK_ROWS, Rng
 
 
 @dataclass
@@ -215,10 +215,6 @@ def split(d: Dataset, sizes: tuple[int, int]) -> tuple[Dataset, Dataset, Dataset
     )
 
 
-# Rows per block of gen_synthetic's column reorder.
-_REORDER_ROWS = 256
-
-
 def gen_synthetic(spec: SyntheticSpec, rng: Rng) -> tuple[Dataset, VariableMask]:
     """Generate a planted-relevance dataset and its ground-truth mask.
 
@@ -241,12 +237,15 @@ def gen_synthetic(spec: SyntheticSpec, rng: Rng) -> tuple[Dataset, VariableMask]
         if spec.noise_sd > 0 else 0.0
     np.clip(means[labels - 1] + jitter, 0.0, 1.0, out=x[:, :spec.num_relevant])
     del jitter
-    x[:, spec.num_relevant:] = rng.uniform(0.0, 1.0, size=(n, spec.num_irrelevant))
-    # Column j belongs at perm[j]. Reordering a block of rows at a time
-    # keeps the copy small, and take is cheaper than a column scatter.
+    # Column j belongs at perm[j]. Drawing the irrelevant block and
+    # reordering a block of rows at a time keeps the temporaries small
+    # (uniform draws fill row by row, so the stream is that of one draw),
+    # and take is cheaper than a column scatter.
     order = np.argsort(perm)
-    for lo in range(0, n, _REORDER_ROWS):
-        rows = slice(lo, lo + _REORDER_ROWS)
+    for lo in range(0, n, BLOCK_ROWS):
+        rows = slice(lo, lo + BLOCK_ROWS)
+        noise = x[rows, spec.num_relevant:]
+        noise[...] = rng.uniform(0.0, 1.0, size=noise.shape)
         x[rows] = x[rows].take(order, axis=1)
 
     truth = np.zeros(m, dtype=bool)

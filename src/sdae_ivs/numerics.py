@@ -60,7 +60,8 @@ def sgd(phase, params, grads, learning_rate, data, epochs, rng, batch=1,
     (inputs, targets). Each epoch gathers every array once in the order of
     a fresh rng permutation; per_epoch(*gathered), when given, then returns
     more row-aligned arrays for that epoch (such as one corruption draw of
-    every row), appended to the gathered ones. sgd steps along
+    every row), appended to the gathered ones; an epoch's arrays are freed
+    before the next epoch gathers its own. sgd steps along
     grads(*slices) for each run of `batch` consecutive rows: a flat
     gradient laid out like params, which is sgd's to scale in place by the
     learning rate and grads' to overwrite on its next call, so a step is
@@ -75,25 +76,13 @@ def sgd(phase, params, grads, learning_rate, data, epochs, rng, batch=1,
     earlier epoch. Returns the [(epoch, score)] history from epoch 0
     (empty without a score).
     """
-    n = len(data[0])
     history = []
     if score is not None:
         best_score, best = score(), params.copy()
         history.append((0, best_score))
     since_improvement = 0
     for epoch in range(1, epochs + 1):
-        order = rng.permutation(n)
-        shuffled = [a[order] for a in data]
-        if per_epoch is not None:
-            shuffled += per_epoch(*shuffled)
-        batches = [a.reshape(n, 1, *a.shape[1:]) if batch == 1 else
-                   [a[lo:lo + batch] for lo in range(0, n, batch)]
-                   for a in shuffled]
-        with np.errstate(over="ignore", invalid="ignore"):
-            for rows in zip(*batches):
-                g = grads(*rows)
-                g *= learning_rate
-                params -= g
+        _epoch(params, grads, learning_rate, data, rng, batch, per_epoch)
         check_finite(phase, epoch, params)
         if score is None:
             continue
@@ -109,6 +98,54 @@ def sgd(phase, params, grads, learning_rate, data, epochs, rng, batch=1,
     if score is not None:
         params[...] = best
     return history
+
+
+def _epoch(params, grads, learning_rate, data, rng, batch, per_epoch):
+    """One epoch of sgd, whose gathered rows are freed on return, so that
+    no two epochs' rows are held at once."""
+    n = len(data[0])
+    order = rng.permutation(n)
+    shuffled = [a[order] for a in data]
+    if per_epoch is not None:
+        shuffled += per_epoch(*shuffled)
+    batches = [a.reshape(n, 1, *a.shape[1:]) if batch == 1 else
+               [a[lo:lo + batch] for lo in range(0, n, batch)]
+               for a in shuffled]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for rows in zip(*batches):
+            g = grads(*rows)
+            g *= learning_rate
+            params -= g
+
+
+# Rows per block wherever the program works through rows a block at a
+# time. Products over blocks this long or longer gave each row the bits of
+# one whole-matrix product, and shorter ones need not, so row_blocks makes
+# none shorter.
+BLOCK_ROWS = 256
+
+
+def row_blocks(n):
+    """Slices over rows 0..n in order, BLOCK_ROWS each, the last also taking
+    the short tail: fewer than 2 * BLOCK_ROWS rows make one block."""
+    ends = [BLOCK_ROWS * i for i in range(max(n // BLOCK_ROWS, 1))] + [n]
+    return [slice(lo, hi) for lo, hi in zip(ends, ends[1:])]
+
+
+def map_blocks(f, x):
+    """f of the rows x, one block of row_blocks at a time, stacked into one
+    new array, so that f's temporaries are one block's; f must map each
+    row alone. One block gives f(x) itself."""
+    head, *rest = row_blocks(len(x))
+    first = f(x[head])
+    if not rest:
+        return first
+    out = np.empty((len(x), *first.shape[1:]))
+    out[head] = first
+    del first
+    for rows in rest:
+        out[rows] = f(x[rows])
+    return out
 
 
 def sigmoid(z, out=None):

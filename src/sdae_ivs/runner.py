@@ -295,8 +295,9 @@ def cmd_ivs(cfg: ExperimentConfig) -> IvsResult:
 
 def _leaves(value, path: tuple = ()) -> dict:
     """A JSON value's leaves by key path, a tuple of its object keys and its
-    list indices, counted from 1: no key can stand for a nested path."""
-    if not isinstance(value, (dict, list)):
+    list indices, counted from 1: no key can stand for a nested path. An
+    empty object or list is a leaf, so that it is not taken for nothing."""
+    if not isinstance(value, (dict, list)) or not value:
         return {path: value}
     items = value.items() if isinstance(value, dict) else enumerate(value, 1)
     return {leaf: item_leaf for key, item in items
@@ -305,6 +306,14 @@ def _leaves(value, path: tuple = ()) -> dict:
 
 def _dotted(path: tuple) -> str:
     return ".".join(map(str, path))
+
+
+# A leaf one side lacks, which equals no JSON value, null included.
+_ABSENT = object()
+
+
+def _shown(value) -> str:
+    return "absent" if value is _ABSENT else json.dumps(value)
 
 
 def cmd_eval(cfg: ExperimentConfig) -> dict:
@@ -330,12 +339,12 @@ def cmd_eval(cfg: ExperimentConfig) -> dict:
     here, there = _leaves(config_echo(cfg)), _leaves(report["config"])
     for field in sorted(here.keys() | there.keys(),
                         key=lambda path: (_dotted(path), repr(path))):
-        if here.get(field) != there.get(field):
+        ours, theirs = here.get(field, _ABSENT), there.get(field, _ABSENT)
+        if ours != theirs:
             raise ConfigError(
                 f"{report_path} was written under another config: "
-                f"{_dotted(field)} is "
-                f"{json.dumps(there.get(field))} there, "
-                f"{json.dumps(here.get(field))} here")
+                f"{_dotted(field)} is {_shown(theirs)} there, "
+                f"{_shown(ours)} here")
     reported = _leaves(report["results"], ("results",))
     test = load_test(cfg)
 

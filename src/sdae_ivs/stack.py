@@ -22,8 +22,8 @@ from .mlr import (MlrModel, TrainConfig, batch_grads, evaluate, one_hot,
                   train_mlr)
 from .mlr import workspace as top_workspace
 from .mlr import predict_labels as mlr_predict_labels
-from .numerics import (DAE, IVS, TOP, Rng, delta_rows, derive_rng, named_zeros,
-                       pack, sgd, sum_rows)
+from .numerics import (DAE, IVS, TOP, Rng, delta_rows, derive_rng, map_blocks,
+                       named_zeros, pack, sgd, sum_rows)
 
 
 @dataclass
@@ -111,11 +111,14 @@ def pretrain(train: Dataset, valid: Dataset, dae: tuple[DaeTrainConfig, ...],
 def _forward(m: StackModel, x: np.ndarray, depth: int | None = None
              ) -> np.ndarray:
     """Codes of the raw rows x after the first `depth` layers, all by
-    default: each layer encodes its input compacted through its mask."""
-    cur = x
-    for layer in m.layers[:depth]:
-        cur = encode(layer.dae, compact(cur, layer.mask))
-    return cur
+    default: each layer encodes its input compacted through its mask. A
+    block of rows goes through every layer before the next block (see
+    numerics.map_blocks), so only the last layer's codes are whole."""
+    def chain(cur):
+        for layer in m.layers[:depth]:
+            cur = encode(layer.dae, compact(cur, layer.mask))
+        return cur
+    return map_blocks(chain, x)
 
 
 def fine_tune_params(m: StackModel) -> list[np.ndarray]:

@@ -251,7 +251,29 @@ class TestEval:
         assert run_cli("eval", "--config", SMOKE, "--out", out) == 1
         assert capsys.readouterr().err == (
             f"config error: {report} was written under another config: "
-            "synthetic.class_separation is null there, 3.0 here\n")
+            "synthetic.class_separation is absent there, 3.0 here\n")
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda config: config.pop("amat_test"),
+         "amat_test is absent there, null here"),
+        (lambda config: config["dae"][0].update(extra=None),
+         "dae.1.extra is null there, absent here"),
+        (lambda config: config.update(extra={}),
+         "extra is {} there, absent here"),
+    ], ids=["null_key_deleted", "null_key_added", "empty_object_added"])
+    def test_a_key_one_side_lacks_is_not_null(self, tmp_path, smoke_run,
+                                              capsys, edit, message):
+        out = tmp_path / "o"
+        shutil.copytree(smoke_run, out, ignore=shutil.ignore_patterns(
+            "eval.json"))
+        report = out / "report.json"
+        report.write_text(edited(lambda r: edit(r["config"]))(
+            report.read_text()))
+        assert run_cli("eval", "--config", SMOKE, "--out", out) == 1
+        assert capsys.readouterr().err == (
+            f"config error: {report} was written under another config: "
+            f"{message}\n")
+        assert not (out / "eval.json").exists()
 
     def test_the_configs_own_model_is_evaluated(self, tmp_path, smoke_run):
         # eval opens the file run writes for each variant and depth, not

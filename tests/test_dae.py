@@ -264,6 +264,24 @@ class TestTraining:
         assert np.all(model.encoder_bias == 0.0)
         assert np.all(model.decoder_bias == 0.0)
 
+    def test_later_epochs_hold_no_more_than_the_first(self):
+        # Each epoch's gathered rows and corruption are freed before the
+        # next epoch gathers its own; 4 kB covers the bookkeeping.
+        train = Dataset(derive_rng(12).uniform(size=(600, 40)),
+                        np.ones(600, dtype=np.int64), 1)
+
+        def peak(epochs):
+            cfg = DaeTrainConfig(hidden_units=16, noise_sd=0.2,
+                                 learning_rate=0.1, epochs=epochs)
+            tracemalloc.start()
+            try:
+                train_dae(train, cfg, derive_rng(13))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(3) <= peak(1) + 4096
+
 
 class TestEncodeDataset:
     def test_single_example(self):

@@ -12,7 +12,7 @@ from sdae_ivs.data import (Dataset, SyntheticSpec, VariableMask, compact,
                            compact_dataset, expand, gen_synthetic, load_amat,
                            split)
 from sdae_ivs.errors import DataError, DimensionError
-from sdae_ivs.numerics import derive_rng
+from sdae_ivs.numerics import BLOCK_ROWS, derive_rng
 from util import two_scatter_synthetic
 
 BG_RAND_TRAIN = Path(os.environ.get(
@@ -256,6 +256,22 @@ class TestSynthetic:
                 tracemalloc.stop()
 
         assert peak(gen_synthetic) <= peak(two_scatter_synthetic)
+
+    def test_peak_memory_is_the_data_the_planted_block_and_one_block(self):
+        # Beyond x and the labels the generator holds the planted block's
+        # jitter and class means, then one block of rows: its uniform
+        # draws and its reordered copy, whose (BLOCK_ROWS, m) bounds both;
+        # 4 kB covers the small arrays and headers.
+        spec, n = MNIST784, sum(MNIST784.examples_per_split)
+        tracemalloc.start()
+        try:
+            gen_synthetic(spec, derive_rng(9))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        planted = n * spec.num_relevant * 8
+        assert peak <= n * spec.m * 8 + n * 8 + 2 * planted \
+            + BLOCK_ROWS * spec.m * 8 + 4096
 
     def test_easy_spec_supports_accurate_classifier(self):
         # Oracle for selection tests: the planted task must be learnable.

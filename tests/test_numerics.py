@@ -6,8 +6,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from sdae_ivs.errors import DivergenceError
-from sdae_ivs.numerics import (delta_rows, derive_rng, pack, sgd, sigmoid,
-                               softmax, sum_rows)
+from sdae_ivs.numerics import (BLOCK_ROWS, delta_rows, derive_rng, map_blocks,
+                               pack, row_blocks, sgd, sigmoid, softmax,
+                               sum_rows)
 from util import two_branch_sigmoid
 
 finite = st.floats(min_value=-500, max_value=500, allow_nan=False)
@@ -319,3 +320,28 @@ class TestSumRows:
         delta = delta_rows(out, 3)
         assert delta.shape == (3, 4) and not delta.any()
         assert not np.shares_memory(delta, out)
+
+
+@pytest.mark.parametrize("n", [0, 1, 255, 256, 511, 512, 513, 767, 768, 6000])
+def test_row_blocks_cover_the_rows_with_no_short_block(n):
+    blocks = row_blocks(n)
+    assert [i for rows in blocks for i in range(n)[rows]] == list(range(n))
+    sizes = [rows.stop - rows.start for rows in blocks]
+    if n < 2 * BLOCK_ROWS:
+        assert sizes == [n]
+    else:
+        assert all(BLOCK_ROWS <= size < 2 * BLOCK_ROWS for size in sizes)
+
+
+def test_map_blocks_stacks_the_blocks_and_passes_one_block_whole():
+    x = np.arange(3.0 * 600).reshape(600, 3)
+    seen = []
+
+    def f(rows):
+        seen.append(len(rows))
+        return rows[:, :2] * 2.0
+
+    np.testing.assert_array_equal(map_blocks(f, x), x[:, :2] * 2.0)
+    assert seen == [256, 344]
+    small = x[:10]
+    assert np.shares_memory(map_blocks(lambda rows: rows, small), small)

@@ -1,7 +1,7 @@
 """Self-test of tools/same_bytes.py on the smoke config: a tree is the same
-as itself, also on a config it rejects and on the generator's edge cases,
-and a copy with one changed constant is not. Its reject cases cover every
-ranged config key."""
+as itself, also on a config it rejects, on the generator's edge cases and
+on the row-block cases, and a copy with one changed constant is not. Its
+reject cases cover every ranged config key."""
 
 import importlib.util
 import re
@@ -41,6 +41,14 @@ def test_a_tree_is_the_same_as_itself_on_the_generator_edge_cases(tmp_path):
     assert done.stdout == "".join(
         f"same  data/{name} (exit codes 0 0 0)\n"
         for name in ("irrelevant0", "noise0", "tail1"))
+
+
+def test_a_tree_is_the_same_as_itself_on_the_row_block_cases(tmp_path):
+    done = same_bytes(SRC, SRC, tmp_path, "blocks/*")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "".join(
+        f"same  blocks/{name} (exit codes 0 0 0)\n"
+        for name in ("classes2", "hidden16"))
 
 
 def test_a_changed_constant_differs(tmp_path):

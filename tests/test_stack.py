@@ -11,7 +11,7 @@ from sdae_ivs.errors import DimensionError, DivergenceError
 from sdae_ivs.ivs import IvsConfig
 from sdae_ivs.mlr import MlrModel, TrainConfig, evaluate, one_hot, train_mlr
 from sdae_ivs.mlr import predict_labels as mlr_predict_labels
-from sdae_ivs.numerics import DAE, TOP, derive_rng
+from sdae_ivs.numerics import BLOCK_ROWS, DAE, TOP, derive_rng
 from sdae_ivs import stack
 from sdae_ivs.stack import (StackLayer, StackModel, classification_grads,
                             fine_tune, fine_tune_params, predict_labels,
@@ -20,7 +20,7 @@ from sdae_ivs.stack import (StackLayer, StackModel, classification_grads,
 from util import (CONSECUTIVE_RUNS, assert_tiles, captured_step, central_diff,
                   flatten, grads_close, log_softmax,
                   per_step_classification_grads, per_step_fine_tune,
-                  pretrain_deepest, split_like)
+                  pretrain_deepest, split_like, unblocked_forward)
 
 EASY = SyntheticSpec(num_relevant=8, num_irrelevant=24, num_classes=3,
                      class_separation=3.0, noise_sd=0.4,
@@ -209,6 +209,60 @@ class TestPredict:
         finally:
             tracemalloc.stop()
         assert peak <= 3 * (2000 * 400 * 8) + 4096
+
+
+def compacting_stack(hidden, raw=60, k=3):
+    """Random depth-2 stack, raw -> hidden -> hidden, each mask dropping
+    every fourth variable."""
+    rng = derive_rng(31, hidden)
+    layers = []
+    for width in (raw, hidden):
+        mask = VariableMask(np.arange(width) % 4 != 0)
+        layers.append(StackLayer(mask, DaeModel(
+            rng.normal(scale=0.5, size=(hidden, mask.popcount)),
+            rng.normal(scale=0.3, size=hidden),
+            np.zeros(mask.popcount))))
+    return StackModel(layers, MlrModel(rng.normal(size=(k, hidden)),
+                                       rng.normal(size=k)))
+
+
+class TestRowBlocks:
+    """Codes are worked out BLOCK_ROWS rows at a time, with the bits of one
+    product over all the rows, and prediction holds only the final codes
+    beyond one block's temporaries."""
+
+    @pytest.mark.parametrize("hidden", [8, 16, 32, 100])
+    @pytest.mark.parametrize("n", [1, 255, 256, 257, 511, 512, 513, 6000])
+    def test_same_bytes_as_one_product_per_layer(self, n, hidden):
+        model = compacting_stack(hidden)
+        x = derive_rng(32, n).uniform(size=(n, 60))
+        codes = stack._forward(model, x)
+        assert codes.shape == (n, hidden)
+        assert codes.tobytes() == unblocked_forward(model, x).tobytes()
+        layer = model.layers[0]
+        d = Dataset(compact(x, layer.mask), np.ones(n, dtype=np.int64), 1)
+        assert encode_dataset(layer.dae, d).x.tobytes() == \
+            encode(layer.dae, d.x).tobytes()
+
+    def test_prediction_peak_beyond_codes_and_labels_does_not_grow(self):
+        # What grows with the rows is the final codes, the top's logits
+        # (one product over all the rows, and its sum with the biases)
+        # and the labels.
+        model = compacting_stack(32, k=3)
+
+        def beyond(n):
+            x = derive_rng(33, n).uniform(size=(n, 60))
+            predict_labels(model, x)
+            tracemalloc.start()
+            try:
+                predict_labels(model, x)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            return peak - n * (32 + 2 * 3 + 1) * 8
+
+        assert beyond(8 * BLOCK_ROWS) > 0
+        assert beyond(32 * BLOCK_ROWS) <= beyond(8 * BLOCK_ROWS)
 
 
 class TestFineTune:

@@ -6,8 +6,8 @@ from pathlib import Path
 
 import numpy as np
 
-from sdae_ivs.dae import init_dae
-from sdae_ivs.data import Dataset, VariableMask, expand
+from sdae_ivs.dae import encode, init_dae
+from sdae_ivs.data import Dataset, VariableMask, compact, expand
 from sdae_ivs.mlr import MlrModel
 from sdae_ivs.numerics import derive_rng, pack, sgd
 from sdae_ivs.stack import fine_tune_params, predict_labels, pretrain
@@ -47,6 +47,14 @@ def two_scatter_synthetic(spec, rng):
     truth = np.zeros(m, dtype=bool)
     truth[relevant_cols] = True
     return Dataset(x, labels, spec.num_classes), VariableMask(truth)
+
+
+def unblocked_forward(m, x):
+    """stack._forward with one product per layer over all the rows x; the
+    blocked chain must match it byte for byte."""
+    for layer in m.layers:
+        x = encode(layer.dae, compact(x, layer.mask))
+    return x
 
 
 def central_diff(f, arr: np.ndarray, step: float = 1e-6) -> np.ndarray:

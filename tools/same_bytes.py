@@ -14,7 +14,10 @@ case sets key K of section S of ``configs/smoke_synthetic.ini`` to a value
 out of its range, so both trees must reject it alike. Each ``data/NAME``
 case edits the generator's settings in that config to an edge case that
 runs: no irrelevant variable, no feature noise, or a last block of one row
-in the generator's row-blocked column reorder. Each ``stack/NAME`` case
+in the generator's row-blocked column reorder. Each ``blocks/NAME`` case
+edits the split sizes so that prediction, and at ``hidden16`` encoding,
+go through several row blocks whose last one takes the tail, with a
+2-class top at ``classes2``. Each ``stack/NAME`` case
 runs that config at depths 1 and 2 for one variant, so ``eval`` checks
 two models of one variant. ``--case`` keeps only the cases whose names
 match one of its shell patterns.
@@ -68,6 +71,14 @@ DATA_CASES = {
     "noise0": {"data.feature_noise_sd": "0"},
     # 413 + 40 + 60 = 513 examples: two blocks of 256 rows and one row.
     "tail1": {"data.train_size": "413"},
+}
+# name -> {section.key: value}: splits that prediction and encoding take in
+# several row blocks, the last one longer, with a 2-class top and at 16
+# hidden units.
+BLOCK_CASES = {
+    "classes2": {"data.classes": "2", "data.test_size": "1100"},
+    "hidden16": {"data.train_size": "600", "data.valid_size": "300",
+                 "data.test_size": "1100", "dae.hidden_units": "16"},
 }
 # name -> {section.key: value}: one variant at two depths.
 STACK_CASES = {
@@ -135,6 +146,7 @@ def cases(work: Path):
                    Path("config.ini"), [], (name, seed))
     edits = [("reject", name, {name: value}) for name, value in REJECTS.items()]
     edits += [("data", name, edit) for name, edit in DATA_CASES.items()]
+    edits += [("blocks", name, edit) for name, edit in BLOCK_CASES.items()]
     edits += [("stack", name, edit) for name, edit in STACK_CASES.items()]
     for kind, name, edit in edits:
         (work / kind).mkdir(parents=True, exist_ok=True)
