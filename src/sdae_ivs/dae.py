@@ -15,8 +15,8 @@ import numpy as np
 
 from .data import Dataset
 from .errors import DataError, DimensionError
-from .numerics import (Rng, delta_rows, map_blocks, named_zeros, pack, sgd,
-                       sigmoid, sum_rows)
+from .numerics import (Rng, delta_rows, map_blocks, pack, sgd, sigmoid,
+                       sum_rows)
 
 
 @dataclass
@@ -32,6 +32,8 @@ class DaeModel:
     decoder_bias: np.ndarray
 
     def __post_init__(self):
+        if self.weights.ndim != 2:
+            raise DimensionError("weights must be (H, M')")
         h, m = self.weights.shape
         if self.encoder_bias.shape != (h,) or self.decoder_bias.shape != (m,):
             raise DimensionError("bias widths do not match the weight matrix")
@@ -97,47 +99,53 @@ def sigmoid_layer(x, weights, bias, out=None):
     return sigmoid(out, out=out)
 
 
-def workspace(m: DaeModel, x: np.ndarray, batch: int):
-    """Arrays grads writes into over the rows of x in batches of at most
-    `batch`; inputs of another width raise. The gradients grad_w, grad_be
-    and grad_bd are views of one flat buffer grad laid out like the
-    model's (weights, encoder_bias, decoder_bias); at batch 1 the deltas
-    da and dz are the rows of grad_be and grad_bd."""
-    if x.shape[-1] != m.input_width:
-        raise DimensionError(f"expected input width {m.input_width}, got {x.shape[-1]}")
-    b, (h, w) = min(batch, len(x)), m.weights.shape
-    ws = named_zeros(h=(b, h), t=(b, h), grad_x=(h, w))
-    ws.grad, (ws.grad_w, ws.grad_be, ws.grad_bd) = pack(
-        np.zeros((h, w)), np.zeros(h), np.zeros(w))
-    ws.da, ws.dz = delta_rows(ws.grad_be, b), delta_rows(ws.grad_bd, b)
-    return ws
+def sigmoid_backward(da, h, t, x, grad_w, grad_b):
+    """The backward step through a sigmoid layer h = sigmoid(x W^T + b):
+    da, the derivative by h, becomes da * h(1 - h), the derivative by the
+    pre-activation, with t a scratch array like h; then grad_w = da^T x
+    and grad_b is the sum of da's rows. Every layer's backward step in
+    training, as sigmoid_layer is every forward step."""
+    da *= h
+    da *= np.subtract(1.0, h, out=t)
+    da.T.dot(x, out=grad_w)
+    sum_rows(da, grad_b)
 
 
-def grads(m: DaeModel, x_clean: np.ndarray, x_in: np.ndarray, ws):
-    """Analytic batch-mean gradients (weights, encoder bias, decoder bias)
-    of loss(x_clean, reconstruction) over (B, M') rows fed x_in, written
-    into ws = workspace(...); a batch of one is one example. Returns the
-    flat buffer ws.grad they lie in.
+def gradient(m: DaeModel, batch: int):
+    """The step of train_dae over batches of at most `batch` rows:
+    grads(x_clean, x_in) writes the analytic batch-mean gradients
+    (weights, encoder bias, decoder bias) of loss(x_clean, reconstruction)
+    over (B, M') rows fed x_in into one flat buffer laid out like the
+    model's arrays, and returns it; a batch of one is one example. The
+    buffers are built here, once per fit; at batch 1 the deltas da and dz
+    are the rows of the bias gradients.
 
-    The weight gradient sums the decoder term h^T dz and the encoder term
-    da^T x_in because the matrix is shared. This is the exact step
+    The weight gradient sums the encoder term da^T x_in and the decoder
+    term h^T dz because the matrix is shared. This is the exact step
     direction of train_dae, hence the target of the finite-difference
     oracle.
     """
-    b = len(x_in)
-    h = sigmoid_layer(x_in, m.weights.T, m.encoder_bias, ws.h[:b])
-    dz = sigmoid_layer(h, m.weights, m.decoder_bias, ws.dz[:b])
-    dz -= x_clean
-    if b > 1:
-        dz /= b
-    da = dz.dot(m.weights.T, out=ws.da[:b])
-    da *= h
-    da *= np.subtract(1.0, h, out=ws.t[:b])
-    h.T.dot(dz, out=ws.grad_w)
-    ws.grad_w += da.T.dot(x_in, out=ws.grad_x)
-    sum_rows(da, ws.grad_be)
-    sum_rows(dz, ws.grad_bd)
-    return ws.grad
+    grad, (grad_w, grad_be, grad_bd) = pack(
+        np.zeros_like(m.weights), np.zeros_like(m.encoder_bias),
+        np.zeros_like(m.decoder_bias))
+    enc_delta = delta_rows(grad_be, batch)
+    dec_delta = delta_rows(grad_bd, batch)
+    codes, t = np.zeros_like(enc_delta), np.zeros_like(enc_delta)
+    decoder_term = np.zeros_like(m.weights)
+
+    def grads(x_clean, x_in):
+        n = len(x_in)
+        h = sigmoid_layer(x_in, m.weights.T, m.encoder_bias, codes[:n])
+        dz = sigmoid_layer(h, m.weights, m.decoder_bias, dec_delta[:n])
+        dz -= x_clean
+        if n > 1:
+            dz /= n
+        da = dz.dot(m.weights.T, out=enc_delta[:n])
+        sigmoid_backward(da, h, t[:n], x_in, grad_w, grad_be)
+        np.add(grad_w, h.T.dot(dz, out=decoder_term), out=grad_w)
+        sum_rows(dz, grad_bd)
+        return grad
+    return grads
 
 
 def init_dae(input_width: int, cfg: DaeTrainConfig, rng: Rng
@@ -168,9 +176,8 @@ def train_dae(train: Dataset, cfg: DaeTrainConfig, rng: Rng) -> DaeModel:
         raise DataError("cross-entropy training needs inputs in [0, 1]")
 
     params, model = init_dae(train.m, cfg, rng)
-    ws = workspace(model, train.x, 1)
-    sgd("DAE pre-training", params, lambda x, x_in: grads(model, x, x_in, ws),
-        cfg.learning_rate, (train.x,), cfg.epochs, rng,
+    sgd("DAE pre-training", params, gradient(model, 1), cfg.learning_rate,
+        (train.x,), cfg.epochs, rng,
         per_epoch=lambda x: (corrupt(x, cfg.noise_sd, rng),))
     return model
 

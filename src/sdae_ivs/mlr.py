@@ -4,7 +4,6 @@ validation early stopping, and the error rate with its Wald interval."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -58,11 +57,14 @@ def wald_halfwidth(p: float, n: int) -> float:
 
 def predict_labels(m: MlrModel, x: np.ndarray) -> np.ndarray:
     """Argmax class labels (1-based) for a matrix of examples; ties pick the
-    lowest class index."""
+    lowest class index. One (N, K) array holds the logits."""
     if x.shape[1] != m.m:
         raise DimensionError(f"expected inputs of width {m.m}, got {x.shape[1]}")
-    logits = x @ m.weights.T + m.biases
-    return np.argmax(logits, axis=1) + 1
+    logits = x @ m.weights.T
+    logits += m.biases
+    labels = np.argmax(logits, axis=1)
+    labels += 1
+    return labels
 
 
 def one_hot(labels: np.ndarray, k: int) -> np.ndarray:
@@ -72,39 +74,36 @@ def one_hot(labels: np.ndarray, k: int) -> np.ndarray:
     return targets
 
 
-def workspace(weights, targets, batch, grads=None):
-    """Arrays batch_grads writes into over one-hot targets (N, K) in batches
-    of at most `batch` rows; targets of another shape, such as labels, raise.
-
-    grads is a (flat buffer, [grad_w, grad_b]) pair, the gradient views
-    lying in the buffer; by default the workspace packs its own. At batch 1
-    the delta is grad_b's own row.
-    """
-    k, m = weights.shape
-    if targets.shape != (len(targets), k):
-        raise DimensionError(f"targets must be one-hot ({len(targets)}, {k}), "
-                             f"not {targets.shape}")
-    grad, (grad_w, grad_b) = grads or pack(np.zeros((k, m)), np.zeros(k))
-    return SimpleNamespace(grad=grad, grad_w=grad_w, grad_b=grad_b,
-                           delta=delta_rows(grad_b, min(batch, len(targets))))
-
-
-def batch_grads(weights, biases, xb, tb, ws):
-    """Gradients of the batch-mean cross-entropy by the weights and biases
-    over the batch xb with one-hot targets tb, written into ws.grad_w and
-    ws.grad_b of ws = workspace(...), whose delta then holds their
-    derivative (softmax - one-hot) / B by the logits: the step of
-    train_mlr and of the fine-tuned top. Returns the flat buffer ws.grad
-    the two lie in."""
-    p = xb.dot(weights.T, out=ws.delta[:len(xb)])
+def output_delta(weights, biases, xb, tb, out):
+    """(softmax - one-hot) / B of the logits of the B rows xb under the
+    one-hot targets tb, worked out in out: the derivative of the batch-mean
+    cross-entropy by the logits, at the MLR's step and the fine-tuned
+    top's."""
+    p = xb.dot(weights.T, out=out)
     p += biases
     softmax(p, out=p)
     p -= tb
     if len(p) > 1:
         p /= len(p)
-    p.T.dot(xb, out=ws.grad_w)
-    sum_rows(p, ws.grad_b)
-    return ws.grad
+    return p
+
+
+def gradient(m: MlrModel, batch: int):
+    """The step of train_mlr over batches of at most `batch` rows:
+    grads(xb, tb) writes the batch-mean cross-entropy gradients by m's
+    weights and biases, with one-hot targets tb, into one flat buffer laid
+    out like them, and returns it. The buffers are built here, once per
+    fit; at batch 1 the delta is the bias gradient's row."""
+    grad, (grad_w, grad_b) = pack(np.zeros_like(m.weights),
+                                  np.zeros_like(m.biases))
+    delta = delta_rows(grad_b, batch)
+
+    def grads(xb, tb):
+        p = output_delta(m.weights, m.biases, xb, tb, delta[:len(xb)])
+        p.T.dot(xb, out=grad_w)
+        sum_rows(p, grad_b)
+        return grad
+    return grads
 
 
 def train_mlr(train: Dataset, valid: Dataset, cfg: TrainConfig, rng: Rng,
@@ -130,9 +129,8 @@ def train_mlr(train: Dataset, valid: Dataset, cfg: TrainConfig, rng: Rng,
                                      np.zeros(train.num_classes))
     model = MlrModel(weights, biases)
     targets = one_hot(train.labels, train.num_classes)
-    ws = workspace(weights, targets, cfg.minibatch_size)
     history = sgd(phase, params,
-                  lambda xb, tb: batch_grads(weights, biases, xb, tb, ws),
+                  gradient(model, min(cfg.minibatch_size, train.n)),
                   cfg.learning_rate, (train.x, targets), cfg.max_epochs,
                   rng, batch=cfg.minibatch_size,
                   score=lambda: evaluate(predict_labels(model, valid.x), valid),

@@ -7,8 +7,6 @@ operations that need it, never module-global state.
 
 from __future__ import annotations
 
-from types import SimpleNamespace
-
 import numpy as np
 
 from .errors import DivergenceError
@@ -176,12 +174,6 @@ def softmax(z, out=None):
     return e
 
 
-def named_zeros(**shapes) -> SimpleNamespace:
-    """Zero-filled arrays by name and shape: a step's workspace, built once
-    per fit so that no step allocates."""
-    return SimpleNamespace(**{k: np.zeros(s) for k, s in shapes.items()})
-
-
 def delta_rows(grad_b, b):
     """A (b, width) delta whose rows sum_rows adds into the bias gradient
     grad_b: at b = 1 grad_b's own row, so that no step copies it."""
@@ -190,8 +182,8 @@ def delta_rows(grad_b, b):
 
 def sum_rows(delta, out):
     """Sum over the rows of delta, into out, unless delta is out's own row,
-    which already holds the sum: at batch 1 a workspace's one-row deltas
-    are the rows of their bias gradients (see delta_rows), so that no step
+    which already holds the sum: at batch 1 a step's one-row deltas are
+    the rows of their bias gradients (see delta_rows), so that no step
     copies. A one-row reduce gives +0.0 for -0.0, which moves no parameter:
     p - 0.0 and p + 0.0 differ only at p = -0.0, no parameter starts as
     -0.0, and p - g is -0.0 only if p is."""

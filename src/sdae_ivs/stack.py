@@ -14,16 +14,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dae import (DaeModel, DaeTrainConfig, decode, encode, encode_dataset,
-                  sigmoid_layer, train_dae)
+                  sigmoid_backward, sigmoid_layer, train_dae)
 from .data import Dataset, VariableMask, compact, compact_dataset, expand
 from .errors import DataError, DimensionError, DivergenceError
 from .ivs import IvsConfig, IvsResult, run_ivs
-from .mlr import (MlrModel, TrainConfig, batch_grads, evaluate, one_hot,
+from .mlr import (MlrModel, TrainConfig, evaluate, one_hot, output_delta,
                   train_mlr)
-from .mlr import workspace as top_workspace
 from .mlr import predict_labels as mlr_predict_labels
 from .numerics import (DAE, IVS, TOP, Rng, delta_rows, derive_rng, map_blocks,
-                       named_zeros, pack, sgd, sum_rows)
+                       pack, sgd, sum_rows)
 
 
 @dataclass
@@ -130,52 +129,43 @@ def fine_tune_params(m: StackModel) -> list[np.ndarray]:
         + [m.top.weights, m.top.biases]
 
 
-def workspace(m: StackModel, c1: np.ndarray, targets: np.ndarray, batch: int):
-    """Arrays classification_grads writes into over rows c1 and one-hot
-    targets in batches of at most `batch` rows: one workspace per layer,
-    then the top's. The gradients are views of one flat buffer laid out
-    like fine_tune_params(m); at batch 1 each layer's da is its bias
-    gradient's row."""
-    if c1.shape[-1] != m.layers[0].dae.input_width:
-        raise DimensionError("rows c1 do not match layer 1's input width")
-    b = min(batch, len(c1))
+def gradient(m: StackModel, batch: int):
+    """The step of fine_tune over batches of at most `batch` rows:
+    grads(c1, tb) writes the batch-mean gradients of the stack's
+    cross-entropy over (B, M') rows c1, already compacted through layer
+    1's mask, with one-hot targets tb, into one flat buffer laid out like
+    fine_tune_params(m), and returns it. The buffers are built here, once
+    per fit; at batch 1 each delta is its bias gradient's row."""
     grad, views = pack(*map(np.zeros_like, fine_tune_params(m)))
-    layers = []
-    for grad_w, grad_b in zip(views[:-2:2], views[1:-2:2]):
-        h, w = grad_w.shape
-        lw = named_zeros(c=(b, w), h=(b, h), t=(b, h))
-        lw.grad_w, lw.grad_b, lw.da = grad_w, grad_b, delta_rows(grad_b, b)
-        layers.append(lw)
-    return layers + [top_workspace(m.top.weights, targets, batch,
-                                   (grad, views[-2:]))]
+    grad_w, grad_b = views[::2], views[1::2]
+    deltas = [delta_rows(g, batch) for g in grad_b]
+    # Each layer's compacted input (layer 1 reads c1), codes and scratch.
+    bufs = [[np.zeros((batch, n)) for n in (w, h, h)]
+            for h, w in (g.shape for g in grad_w[:-1])]
 
-
-def classification_grads(m: StackModel, c1: np.ndarray, targets: np.ndarray, ws):
-    """Batch-mean gradients of the stack's cross-entropy over (B, M') rows
-    c1, already compacted through layer 1's mask, with one-hot targets,
-    written into ws = workspace(...). Returns the flat buffer they lie in,
-    one gradient per array of fine_tune_params(m)."""
-    b, cur = len(c1), c1
-    for idx, (layer, lw) in enumerate(zip(m.layers, ws)):
-        if idx:
-            cur = cur.take(layer.mask.index, axis=1, out=lw.c[:b])
-        cur = sigmoid_layer(cur, layer.dae.weights.T, layer.dae.encoder_bias,
-                            lw.h[:b])
-    grad = batch_grads(m.top.weights, m.top.biases, cur, targets, ws[-1])
-    ws[-1].delta[:b].dot(m.top.weights, out=ws[-2].da[:b])
-    for idx in range(len(m.layers) - 1, -1, -1):
-        layer, lw = m.layers[idx], ws[idx]
-        # The delta from above, zero where the mask above drops a unit.
-        da = lw.da[:b]
-        da *= lw.h[:b]
-        da *= np.subtract(1.0, lw.h[:b], out=lw.t[:b])
-        da.T.dot(lw.c[:b] if idx else c1, out=lw.grad_w)
-        sum_rows(da, lw.grad_b)
-        if idx > 0:
-            # Expand through the mask; the compacted input is free by now.
-            ws[idx - 1].da[:b, layer.mask.index] = da.dot(layer.dae.weights,
-                                                          out=lw.c[:b])
-    return grad
+    def grads(c1, tb):
+        n, cur = len(c1), c1
+        for idx, (layer, (c, h, _)) in enumerate(zip(m.layers, bufs)):
+            if idx:
+                cur = cur.take(layer.mask.index, axis=1, out=c[:n])
+            cur = sigmoid_layer(cur, layer.dae.weights.T,
+                                layer.dae.encoder_bias, h[:n])
+        p = output_delta(m.top.weights, m.top.biases, cur, tb, deltas[-1][:n])
+        p.T.dot(cur, out=grad_w[-1])
+        sum_rows(p, grad_b[-1])
+        p.dot(m.top.weights, out=deltas[-2][:n])
+        for idx in range(m.depth - 1, -1, -1):
+            (c, h, t), da = bufs[idx], deltas[idx][:n]
+            # The delta from above, zero where the mask above drops a unit.
+            sigmoid_backward(da, h[:n], t[:n], c[:n] if idx else c1,
+                             grad_w[idx], grad_b[idx])
+            if idx:
+                # Expand through the mask; the compacted input is free by now.
+                layer = m.layers[idx]
+                deltas[idx - 1][:n, layer.mask.index] = da.dot(
+                    layer.dae.weights, out=c[:n])
+        return grad
+    return grads
 
 
 def predict_labels(m: StackModel, x: np.ndarray) -> np.ndarray:
@@ -213,11 +203,9 @@ def fine_tune(m: StackModel, train: Dataset, valid: Dataset,
         MlrModel(*views[-2:]), fine_tuned=True)
     c1 = compact(train.x, tuned.layers[0].mask)
     targets = one_hot(train.labels, tuned.top.k)
-    ws = workspace(tuned, c1, targets, cfg.minibatch_size)
     sgd(f"depth {tuned.depth} fine-tuning", params,
-        lambda cb, tb: classification_grads(tuned, cb, tb, ws),
-        cfg.learning_rate, (c1, targets), cfg.max_epochs, rng,
-        batch=cfg.minibatch_size,
+        gradient(tuned, min(cfg.minibatch_size, train.n)), cfg.learning_rate,
+        (c1, targets), cfg.max_epochs, rng, batch=cfg.minibatch_size,
         score=lambda: evaluate(predict_labels(tuned, valid.x), valid),
         patience=cfg.patience)
     return tuned

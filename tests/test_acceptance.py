@@ -17,19 +17,18 @@ from hypothesis import strategies as st
 from sdae_ivs.cli import main as cli_main
 from sdae_ivs.dae import DaeModel, DaeTrainConfig, decode, encode
 from sdae_ivs.dae import loss as dae_loss
-from sdae_ivs.dae import grads as dae_grads
-from sdae_ivs.dae import workspace as dae_workspace
+from sdae_ivs.dae import gradient as dae_gradient
 from sdae_ivs.data import (SyntheticSpec, VariableMask, compact, expand,
                            gen_synthetic, split)
 from sdae_ivs.ivs import IvsConfig, run_ivs, task_importance
-from sdae_ivs.mlr import (MlrModel, TrainConfig, batch_grads, evaluate,
-                          one_hot, wald_halfwidth)
-from sdae_ivs.mlr import workspace as mlr_workspace
+from sdae_ivs.mlr import (MlrModel, TrainConfig, evaluate, one_hot,
+                          wald_halfwidth)
+from sdae_ivs.mlr import gradient as mlr_gradient
 from sdae_ivs.numerics import FINE_TUNE, derive_rng, softmax
-from sdae_ivs.stack import (StackLayer, StackModel, classification_grads,
-                            fine_tune, fine_tune_params, predict_labels,
-                            pretrain, select_extractors)
-from sdae_ivs.stack import workspace as stack_workspace
+from sdae_ivs.stack import (StackLayer, StackModel, fine_tune,
+                            fine_tune_params, predict_labels, pretrain,
+                            select_extractors)
+from sdae_ivs.stack import gradient as stack_gradient
 from util import (central_diff, cross_entropy, discriminant, grads_close,
                   pretrain_deepest, random_mlr, split_like)
 
@@ -111,10 +110,8 @@ def test_criterion_2_gradient_oracles():
         x = rng.uniform(size=(batch, mm))
         labels = rng.integers(1, k + 1, size=batch)
         targets = one_hot(labels, k)
-        gw, gb = split_like(
-            batch_grads(model.weights, model.biases, x, targets,
-                        mlr_workspace(model.weights, targets, batch)),
-            (model.weights, model.biases))
+        gw, gb = split_like(mlr_gradient(model, batch)(x, targets),
+                            (model.weights, model.biases))
 
         def f():
             return cross_entropy(model, x, labels)
@@ -132,7 +129,7 @@ def test_criterion_2_gradient_oracles():
         x_clean = rng.uniform(0.05, 0.95, size=(batch, mm))
         x_in = x_clean + rng.normal(0, 0.1, size=(batch, mm))
         gw, gbe, gbd = split_like(
-            dae_grads(model, x_clean, x_in, dae_workspace(model, x_in, batch)),
+            dae_gradient(model, batch)(x_clean, x_in),
             (model.weights, model.encoder_bias, model.decoder_bias))
 
         def f():
@@ -161,9 +158,8 @@ def test_criterion_2_gradient_oracles():
         x = rng.uniform(size=(batch, 6))
         labels = rng.integers(1, k + 1, size=batch)
         c1, targets = compact(x, mask1), one_hot(labels, k)
-        gradients = split_like(classification_grads(
-            stack, c1, targets, stack_workspace(stack, c1, targets, batch)),
-            fine_tune_params(stack))
+        gradients = split_like(stack_gradient(stack, batch)(c1, targets),
+                               fine_tune_params(stack))
 
         def f():
             total = 0.0

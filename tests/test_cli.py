@@ -372,6 +372,23 @@ class TestModelFile:
         assert run_cli("eval", "--config", SMOKE, "--out", out) == 3
         assert capsys.readouterr().err.startswith(f"error: {path} {message}")
 
+    @pytest.mark.parametrize("where", ["layer", "top"])
+    def test_one_dimensional_weights_exit_3_naming_the_file(
+            self, tmp_path, smoke_run, capsys, where):
+        out = tmp_path / "o"
+        shutil.copytree(smoke_run, out, ignore=shutil.ignore_patterns(
+            "eval.json"))
+        path = out / "models" / "sdae-depth1-tuned.json"
+        rec = json.loads(path.read_text())
+        record = rec["layers"][0] if where == "layer" else rec["top"]
+        weights = record["weights"]
+        weights["shape"] = [int(np.prod(weights["shape"]))]
+        path.write_text(json.dumps(rec))
+        capsys.readouterr()
+        assert run_cli("eval", "--config", SMOKE, "--out", out) == 3
+        assert capsys.readouterr().err.startswith(
+            f"error: {path}: weights must be (")
+
 
 class TestDivergence:
     def test_overflowing_dae_learning_rate_exits_3_naming_layer_and_epoch(

@@ -6,14 +6,13 @@ import pytest
 
 from sdae_ivs import dae
 from sdae_ivs.dae import (DaeModel, DaeTrainConfig, corrupt, decode, encode,
-                          encode_dataset, grads, init_dae, loss, train_dae,
-                          workspace)
+                          encode_dataset, gradient, init_dae, loss, train_dae)
 from sdae_ivs.data import Dataset
-from sdae_ivs.errors import DataError, DimensionError, DivergenceError
+from sdae_ivs.errors import DataError, DivergenceError
 from sdae_ivs.numerics import derive_rng, sgd
 from util import (CONSECUTIVE_RUNS, assert_tiles, captured_step, central_diff,
                   flatten, fresh_dae_grads, grads_close, per_step_train_dae,
-                  split_like)
+                  split_like, step_peak)
 
 
 def tiny_model(seed=0, h=3, m=4):
@@ -123,7 +122,7 @@ class TestGradients:
             x_clean = rng.uniform(0.05, 0.95, size=(batch, 4))
             x_in = x_clean + rng.normal(0, 0.1, size=(batch, 4))
             gw, gbe, gbd = split_like(
-                grads(model, x_clean, x_in, workspace(model, x_in, batch)),
+                gradient(model, batch)(x_clean, x_in),
                 (model.weights, model.encoder_bias, model.decoder_bias))
 
             def f():
@@ -135,23 +134,36 @@ class TestGradients:
             assert grads_close(gbd, central_diff(f, model.decoder_bias))
 
     def test_consecutive_steps_match_the_fresh_reference(self):
-        # Each workspace serves the CONSECUTIVE_RUNS in turn: no step may
-        # see a stale array, and the flat buffer sgd reads holds them all.
+        # Each gradient closure serves the CONSECUTIVE_RUNS in turn: no
+        # step may see a stale array, and every step returns the one flat
+        # buffer that sgd reads.
         model = tiny_model(7, h=3, m=4)
         rng = derive_rng(57)
         x_clean = rng.uniform(0.05, 0.95, size=(6, 4))
         x_in = x_clean + rng.normal(0, 0.1, size=(6, 4))
         for batch, runs in CONSECUTIVE_RUNS:
-            ws = workspace(model, x_in, batch)
+            grads, returned = gradient(model, batch), []
             for lo, hi in runs:
-                got = grads(model, x_clean[lo:hi], x_in[lo:hi], ws)
+                returned.append(grads(x_clean[lo:hi], x_in[lo:hi]))
                 want = fresh_dae_grads(model, x_clean[lo:hi], x_in[lo:hi])
-                assert got is ws.grad
-                assert np.array_equal(got, flatten(want))
+                assert np.array_equal(returned[-1], flatten(want))
+            assert all(got is returned[0] for got in returned)
 
-    def test_workspace_checks_the_input_width(self):
-        with pytest.raises(DimensionError, match="expected input width 4, got 5"):
-            workspace(tiny_model(), np.zeros((2, 5)), 1)
+    @pytest.mark.parametrize("batch", [1, 5])
+    def test_steps_allocate_no_parameter_sized_array(self, batch):
+        # The closure's buffers are built once per fit. A step's own
+        # temporary is sigmoid's numerator, one (B, H) or (B, M') array;
+        # a (300, 200) one would take 480 kB. 2 kB covers the headers.
+        model = tiny_model(4, h=300, m=200)
+        rng = derive_rng(60)
+        x_clean = rng.uniform(size=(10 * batch, 200))
+        x_in = x_clean + rng.normal(0, 0.1, size=x_clean.shape)
+        batches = [(x_clean[lo:lo + batch], x_in[lo:lo + batch])
+                   for lo in range(0, len(x_in), batch)]
+        grads = gradient(model, batch)
+        once = step_peak(grads, batches, 1)
+        assert step_peak(grads, batches, 200) == once
+        assert once < 8 * batch * 300 + 2048
 
     def test_oracle_checks_the_step_sgd_takes(self, monkeypatch):
         d = Dataset(derive_rng(58).uniform(size=(10, 4)), np.ones(10, dtype=int), 1)
@@ -176,8 +188,7 @@ class TestGradients:
 def minibatch_train_dae(train, cfg, rng, batch):
     """train_dae at a batch size it has no key for, from the same steps."""
     params, model = init_dae(train.m, cfg, rng)
-    ws = workspace(model, train.x, batch)
-    sgd("DAE pre-training", params, lambda x, x_in: grads(model, x, x_in, ws),
+    sgd("DAE pre-training", params, gradient(model, batch),
         cfg.learning_rate, (train.x,), cfg.epochs, rng, batch=batch,
         per_epoch=lambda x: (corrupt(x, cfg.noise_sd, rng),))
     return model

@@ -4,15 +4,14 @@ import numpy as np
 import pytest
 
 from sdae_ivs.data import Dataset
-from sdae_ivs.errors import DataError, DimensionError, DivergenceError
+from sdae_ivs.errors import DataError, DivergenceError
 from sdae_ivs import mlr
-from sdae_ivs.mlr import (MlrModel, TrainConfig, batch_grads,
-                          evaluate, one_hot, predict_labels, train_mlr,
-                          wald_halfwidth, workspace)
+from sdae_ivs.mlr import (MlrModel, TrainConfig, evaluate, gradient, one_hot,
+                          predict_labels, train_mlr, wald_halfwidth)
 from sdae_ivs.numerics import derive_rng, softmax
 from util import (CONSECUTIVE_RUNS, assert_tiles, captured_step, central_diff,
                   cross_entropy, flatten, fresh_mlr_grads, grads_close,
-                  per_step_train_mlr, random_mlr, split_like)
+                  per_step_train_mlr, random_mlr, split_like, step_peak)
 
 
 class TestPredict:
@@ -37,6 +36,21 @@ class TestPredict:
         np.testing.assert_array_equal(predict_labels(m, x),
                                       predict_labels(shifted, x))
 
+    def test_peak_memory_is_one_logits_array_and_the_labels(self):
+        # 8192 rows at K = 10: the logits take 640 kB and the labels 64 kB;
+        # 4 kB covers the array headers.
+        m = random_mlr(4, k=10, m=100)
+        x = derive_rng(4).uniform(size=(8192, 100))
+        tracemalloc.start()
+        try:
+            labels = predict_labels(m, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(labels, np.argmax(x @ m.weights.T + m.biases,
+                                                axis=1) + 1)
+        assert peak <= 8192 * 10 * 8 + labels.nbytes + 4096
+
 
 class TestGradients:
     def test_matches_central_differences(self):
@@ -47,10 +61,8 @@ class TestGradients:
             x = rng.uniform(size=(batch, mm))
             labels = rng.integers(1, k + 1, size=batch)
             targets = one_hot(labels, k)
-            gw, gb = split_like(
-                batch_grads(model.weights, model.biases, x, targets,
-                            workspace(model.weights, targets, batch)),
-                (model.weights, model.biases))
+            gw, gb = split_like(gradient(model, batch)(x, targets),
+                                (model.weights, model.biases))
 
             def f():
                 return cross_entropy(model, x, labels)
@@ -68,39 +80,43 @@ class TestGradients:
             delta = softmax(x @ model.weights.T + model.biases)[0]
             delta[label[0] - 1] -= 1.0
             targets = one_hot(label, k)
-            gw, gb = split_like(
-                batch_grads(model.weights, model.biases, x, targets,
-                            workspace(model.weights, targets, 1)),
-                (model.weights, model.biases))
+            gw, gb = split_like(gradient(model, 1)(x, targets),
+                                (model.weights, model.biases))
             assert np.array_equal(gw, np.outer(delta, x[0]))
             assert np.array_equal(gb, delta)
 
-    @pytest.mark.parametrize("batch", [1, 3])
-    def test_label_vector_targets_raise(self, batch):
-        # B = 1 and B = K (here 3) are the shapes at which a (B,) label
-        # vector would broadcast against the (B, K) softmax. The workspace
-        # checks the targets once, so no step has to.
-        model = random_mlr(7, 3, 4)
-        labels = np.arange(1, batch + 1)
-        with pytest.raises(DimensionError, match=r"one-hot \(%d, 3\)" % batch):
-            workspace(model.weights, labels, batch)
-
     def test_consecutive_steps_match_the_fresh_reference(self):
-        # Each workspace serves the CONSECUTIVE_RUNS in turn: no step may
-        # see a stale array, and the flat buffer sgd reads holds them all.
+        # Each gradient closure serves the CONSECUTIVE_RUNS in turn: no
+        # step may see a stale array, and every step returns the one flat
+        # buffer that sgd reads.
         model = random_mlr(8, 4, 6)
         rng = derive_rng(8)
         x, labels = rng.uniform(size=(6, 6)), rng.integers(1, 5, size=6)
         targets = one_hot(labels, 4)
         for batch, runs in CONSECUTIVE_RUNS:
-            ws = workspace(model.weights, targets, batch)
+            grads, returned = gradient(model, batch), []
             for lo, hi in runs:
-                got = batch_grads(model.weights, model.biases, x[lo:hi],
-                                  targets[lo:hi], ws)
+                returned.append(grads(x[lo:hi], targets[lo:hi]))
                 want = fresh_mlr_grads(model.weights, model.biases, x[lo:hi],
                                        labels[lo:hi])
-                assert got is ws.grad
-                assert np.array_equal(got, flatten(want))
+                assert np.array_equal(returned[-1], flatten(want))
+            assert all(got is returned[0] for got in returned)
+
+    @pytest.mark.parametrize("batch", [1, 5])
+    def test_steps_allocate_no_parameter_sized_array(self, batch):
+        # The closure's buffers are built once per fit, and a step makes
+        # no temporary of (B, K) or more; a (10, 300) one would take 24 kB.
+        # 2 kB covers the headers.
+        model = random_mlr(10, 10, 300)
+        rng = derive_rng(10)
+        x = rng.uniform(size=(10 * batch, 300))
+        targets = one_hot(rng.integers(1, 11, size=len(x)), 10)
+        batches = [(x[lo:lo + batch], targets[lo:lo + batch])
+                   for lo in range(0, len(x), batch)]
+        grads = gradient(model, batch)
+        once = step_peak(grads, batches, 1)
+        assert step_peak(grads, batches, 200) == once
+        assert once < 8 * batch * 300 + 2048
 
     def test_oracle_checks_the_step_sgd_takes(self, monkeypatch):
         rng = derive_rng(9)

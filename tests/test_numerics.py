@@ -301,7 +301,7 @@ class TestSumRows:
         assert out.tolist() == [3.5, 3.0]
 
     def test_one_row_of_another_array_is_reduced_into_out(self):
-        # A one-row tail batch of a workspace built for batch 3; the
+        # A one-row tail batch of a delta built for batch 3; the
         # reduce gives +0.0 for -0.0, as the docstring says.
         delta, out = np.array([[-0.0, 2.0], [5.0, 5.0], [5.0, 5.0]]), np.full(2, 9.0)
         sum_rows(delta[:1], out)

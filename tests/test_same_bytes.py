@@ -1,7 +1,7 @@
 """Self-test of tools/same_bytes.py on the smoke config: a tree is the same
-as itself, also on a config it rejects, on the generator's edge cases and
-on the row-block cases, and a copy with one changed constant is not. Its
-reject cases cover every ranged config key."""
+as itself, also on a config it rejects, on the generator's edge cases, on
+the row-block cases and on the minibatch cases, and a copy with one
+changed constant is not. Its reject cases cover every ranged config key."""
 
 import importlib.util
 import re
@@ -49,6 +49,14 @@ def test_a_tree_is_the_same_as_itself_on_the_row_block_cases(tmp_path):
     assert done.stdout == "".join(
         f"same  blocks/{name} (exit codes 0 0 0)\n"
         for name in ("classes2", "hidden16"))
+
+
+def test_a_tree_is_the_same_as_itself_on_the_minibatch_cases(tmp_path):
+    done = same_bytes(SRC, SRC, tmp_path, "batch/*")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "".join(
+        f"same  batch/{name} (exit codes 0 0 0)\n"
+        for name in ("ivs7", "ivs200"))
 
 
 def test_a_changed_constant_differs(tmp_path):

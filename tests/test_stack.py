@@ -13,13 +13,12 @@ from sdae_ivs.mlr import MlrModel, TrainConfig, evaluate, one_hot, train_mlr
 from sdae_ivs.mlr import predict_labels as mlr_predict_labels
 from sdae_ivs.numerics import BLOCK_ROWS, DAE, TOP, derive_rng
 from sdae_ivs import stack
-from sdae_ivs.stack import (StackLayer, StackModel, classification_grads,
-                            fine_tune, fine_tune_params, predict_labels,
-                            pretrain, reconstruct_through, select_extractors,
-                            workspace)
+from sdae_ivs.stack import (StackLayer, StackModel, fine_tune,
+                            fine_tune_params, gradient, predict_labels,
+                            pretrain, reconstruct_through, select_extractors)
 from util import (CONSECUTIVE_RUNS, assert_tiles, captured_step, central_diff,
                   flatten, grads_close, log_softmax,
-                  per_step_classification_grads, per_step_fine_tune,
+                  per_step_fine_tune, per_step_stack_grads,
                   pretrain_deepest, split_like, unblocked_forward)
 
 EASY = SyntheticSpec(num_relevant=8, num_irrelevant=24, num_classes=3,
@@ -292,28 +291,27 @@ class TestFineTune:
                     for row, y in zip(x, labels)])
 
             c1, targets = compact(x, model.layers[0].mask), one_hot(labels, 2)
-            gradients = split_like(classification_grads(
-                model, c1, targets, workspace(model, c1, targets, batch)), params)
+            gradients = split_like(gradient(model, batch)(c1, targets), params)
             assert len(gradients) == len(params)
             for g, p in zip(gradients, params):
                 assert grads_close(g, central_diff(f, p))
 
     @pytest.mark.parametrize("with_masks", [True, False])
     def test_consecutive_steps_match_the_fresh_reference(self, with_masks):
-        # Each workspace serves the CONSECUTIVE_RUNS in turn: no step may
-        # see a stale array, and the flat buffer sgd reads holds them all.
+        # Each gradient closure serves the CONSECUTIVE_RUNS in turn: no
+        # step may see a stale array, and every step returns the one flat
+        # buffer that sgd reads.
         model = toy_stack(27, with_masks=with_masks)
         rng = derive_rng(27)
         x, labels = rng.uniform(size=(6, 6)), rng.integers(1, 3, size=6)
         c1, targets = compact(x, model.layers[0].mask), one_hot(labels, 2)
         for batch, runs in CONSECUTIVE_RUNS:
-            ws = workspace(model, c1, targets, batch)
+            grads, returned = gradient(model, batch), []
             for lo, hi in runs:
-                got = classification_grads(model, c1[lo:hi], targets[lo:hi], ws)
-                want = per_step_classification_grads(model, x[lo:hi],
-                                                     labels[lo:hi])
-                assert got is ws[-1].grad
-                assert np.array_equal(got, flatten(want))
+                returned.append(grads(c1[lo:hi], targets[lo:hi]))
+                want = per_step_stack_grads(model, x[lo:hi], labels[lo:hi])
+                assert np.array_equal(returned[-1], flatten(want))
+            assert all(got is returned[0] for got in returned)
 
     def test_oracle_checks_the_step_sgd_takes(self, monkeypatch):
         model = toy_stack(28)

@@ -2,6 +2,7 @@
 program is checked against, and small random instances."""
 
 import copy
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -94,7 +95,7 @@ def log_softmax(logits):
 
 def cross_entropy(m: MlrModel, x: np.ndarray, labels: np.ndarray) -> float:
     """Mean negative log posterior of the true classes over a batch: the
-    objective mlr.batch_grads differentiates."""
+    objective mlr.gradient differentiates."""
     logp = log_softmax(np.asarray(x, dtype=np.float64) @ m.weights.T + m.biases)
     labels = np.asarray(labels)
     return -float(np.mean(logp[np.arange(labels.size), labels - 1]))
@@ -139,12 +140,26 @@ def split_like(flat: np.ndarray, arrays) -> list[np.ndarray]:
     return [part.reshape(np.shape(a)) for part, a in zip(parts, arrays)]
 
 
-# (workspace batch, row runs) stepped in turn through one workspace by the
-# consecutive-step tests: at batch 3 a full batch, a tail of 2, a tail of 1
+# (closure batch, row runs) stepped in turn through one gradient closure by
+# the consecutive-step tests: at batch 3 a full batch, a tail of 2, a tail of 1
 # and overlapping rows; at batch 1, where each one-row delta is its bias
 # gradient's row, single rows.
 CONSECUTIVE_RUNS = ((3, ((0, 3), (3, 5), (5, 6), (1, 4))),
                     (1, ((0, 1), (5, 6), (2, 3))))
+
+
+def step_peak(grads, batches, steps: int) -> int:
+    """tracemalloc's peak over `steps` calls of a gradient closure, taking
+    its arguments from the tuples of batches in turn, after one untraced
+    call that warms the interpreter's caches."""
+    grads(*batches[0])
+    tracemalloc.start()
+    try:
+        for i in range(steps):
+            grads(*batches[i % len(batches)])
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def assert_tiles(flat: np.ndarray, arrays) -> None:
@@ -159,10 +174,11 @@ def assert_tiles(flat: np.ndarray, arrays) -> None:
 
 # Per-step references. Each trainer does its parameter-free work (one-hot
 # targets, corruption, layer-1 compaction) once per fit or per epoch, and
-# writes every step into a per-fit workspace whose gradients are views of
-# one flat buffer; these do that work inside every step instead, on fresh
-# arrays and with the plain formulas, and hand sgd the fresh gradients
-# concatenated; the trainers must match them bit for bit.
+# writes every step into buffers its gradient closure builds once per fit,
+# the gradients being views of one flat buffer; these do that work inside
+# every step instead, on fresh arrays and with the plain formulas, and hand
+# sgd the fresh gradients concatenated; the trainers must match them bit
+# for bit.
 
 def fresh_softmax(logits):
     """Softmax of each row, max-shifted, on fresh arrays."""
@@ -178,7 +194,8 @@ def label_output_delta(weights, biases, xb, yb):
 
 
 def fresh_mlr_grads(weights, biases, xb, yb):
-    """The batch-mean cross-entropy gradients mlr.batch_grads computes."""
+    """The batch-mean cross-entropy gradients mlr.gradient's step
+    computes."""
     p = label_output_delta(weights, biases, xb, yb)
     return p.T.dot(xb), p.sum(axis=0)
 
@@ -201,8 +218,9 @@ def per_step_train_mlr(train, valid, cfg, rng) -> MlrModel:
 
 
 def fresh_dae_grads(m, x_clean, x_in):
-    """The batch-mean gradients dae.grads computes: cross-entropy through
-    the sigmoid decoder, with both terms of the tied weight matrix."""
+    """The batch-mean gradients dae.gradient's step computes:
+    cross-entropy through the sigmoid decoder, with both terms of the tied
+    weight matrix."""
     h = two_branch_sigmoid(x_in @ m.weights.T + m.encoder_bias)
     y = two_branch_sigmoid(h @ m.weights + m.decoder_bias)
     dz = (y - x_clean) / x_clean.shape[0]
@@ -223,8 +241,8 @@ def per_step_train_dae(train, cfg, rng, batch=1):
     return model
 
 
-def per_step_classification_grads(m, x, labels):
-    """classification_grads on raw rows with labels: a boolean-mask
+def per_step_stack_grads(m, x, labels):
+    """stack.gradient's step on raw rows with labels: a boolean-mask
     compaction at every layer and label-indexed deltas."""
     trace, cur = [], x
     for layer in m.layers:
@@ -255,12 +273,12 @@ def flat_params(m):
 
 
 def per_step_fine_tune(m, train, valid, cfg, rng):
-    """fine_tune stepping along per_step_classification_grads."""
+    """fine_tune stepping along per_step_stack_grads."""
     tuned = copy.deepcopy(m)
     tuned.fine_tuned = True
     params = flat_params(tuned)
     sgd("fine-tuning", params,
-        lambda xb, yb: flatten(per_step_classification_grads(tuned, xb, yb)),
+        lambda xb, yb: flatten(per_step_stack_grads(tuned, xb, yb)),
         cfg.learning_rate, (train.x, train.labels), cfg.max_epochs, rng,
         batch=cfg.minibatch_size,
         score=lambda: float(np.mean(predict_labels(tuned, valid.x)

@@ -17,7 +17,9 @@ runs: no irrelevant variable, no feature noise, or a last block of one row
 in the generator's row-blocked column reorder. Each ``blocks/NAME`` case
 edits the split sizes so that prediction, and at ``hidden16`` encoding,
 go through several row blocks whose last one takes the tail, with a
-2-class top at ``classes2``. Each ``stack/NAME`` case
+2-class top at ``classes2``. Each ``batch/NAME`` case sets the selection
+MLR's minibatch size, to 7 (a one-row tail batch) or to more rows than
+the training split holds. Each ``stack/NAME`` case
 runs that config at depths 1 and 2 for one variant, so ``eval`` checks
 two models of one variant. ``--case`` keeps only the cases whose names
 match one of its shell patterns.
@@ -79,6 +81,13 @@ BLOCK_CASES = {
     "classes2": {"data.classes": "2", "data.test_size": "1100"},
     "hidden16": {"data.train_size": "600", "data.valid_size": "300",
                  "data.test_size": "1100", "dae.hidden_units": "16"},
+}
+# name -> {section.key: value}: selection's MLR stepping several rows at a
+# time, the only steps above batch 1: 120 training rows make 17 batches of
+# 7 and a one-row tail, or one batch larger than the split.
+BATCH_CASES = {
+    "ivs7": {"ivs.minibatch_size": "7"},
+    "ivs200": {"ivs.minibatch_size": "200"},
 }
 # name -> {section.key: value}: one variant at two depths.
 STACK_CASES = {
@@ -147,6 +156,7 @@ def cases(work: Path):
     edits = [("reject", name, {name: value}) for name, value in REJECTS.items()]
     edits += [("data", name, edit) for name, edit in DATA_CASES.items()]
     edits += [("blocks", name, edit) for name, edit in BLOCK_CASES.items()]
+    edits += [("batch", name, edit) for name, edit in BATCH_CASES.items()]
     edits += [("stack", name, edit) for name, edit in STACK_CASES.items()]
     for kind, name, edit in edits:
         (work / kind).mkdir(parents=True, exist_ok=True)
