@@ -127,7 +127,9 @@ KEYS = {
         "classes": ("num_classes", _at_least(2), REQUIRED),
         "separation": ("class_separation", _POSITIVE, REQUIRED),
         "feature_noise_sd": ("noise_sd", _NON_NEGATIVE, REQUIRED),
-        **{key: (key, _at_least(0), REQUIRED) for key in SPLIT_SIZES},
+        # The ivs verb needs no test split; run refuses an empty one.
+        **{key: (key, _at_least(least), REQUIRED)
+           for key, least in zip(SPLIT_SIZES, (1, 1, 0))},
     },
     "data amat": {
         "train": ("amat_train", Path, REQUIRED),
@@ -244,6 +246,10 @@ def load_config(path, seed_override: int | None = None,
         if sec not in known:
             raise ConfigError(f"section [{sec}] is unknown or deeper than "
                               "every configured depth")
+        if sec.startswith("ivs.") and sec != "ivs.1" \
+                and VARIANT_SDAE_IVS not in stack["variants"]:
+            raise ConfigError(f"section [{sec}] has no effect: no variant "
+                              "selects above layer 1")
         for key in parser[sec]:
             if key not in known[sec]:
                 raise ConfigError(f"unknown key [{sec}] {key}")

@@ -58,8 +58,6 @@ def wald_halfwidth(p: float, n: int) -> float:
 def predict_labels(m: MlrModel, x: np.ndarray) -> np.ndarray:
     """Argmax class labels (1-based) for a matrix of examples; ties pick the
     lowest class index. One (N, K) array holds the logits."""
-    if x.shape[1] != m.m:
-        raise DimensionError(f"expected inputs of width {m.m}, got {x.shape[1]}")
     logits = x @ m.weights.T
     logits += m.biases
     labels = np.argmax(logits, axis=1)
@@ -120,8 +118,6 @@ def train_mlr(train: Dataset, valid: Dataset, cfg: TrainConfig, rng: Rng,
     """
     if train.n == 0:
         raise DataError("cannot train on an empty dataset")
-    if valid.n == 0:
-        raise DataError("early stopping needs a non-empty validation set")
     if train.num_classes != valid.num_classes or train.m != valid.m:
         raise DataError("train and validation sets disagree on M or K")
 

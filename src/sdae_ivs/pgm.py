@@ -10,8 +10,6 @@ import numpy as np
 
 def write_pgm(path, image: np.ndarray) -> None:
     """Write a 2-D array with entries in [0, 1] as an 8-bit P5 file."""
-    if image.ndim != 2:
-        raise ValueError("PGM export needs a 2-D image")
     h, w = image.shape
     levels = np.rint(np.clip(image, 0.0, 1.0) * 255.0).astype(np.uint8)
     with open(path, "wb") as fh:
@@ -35,11 +33,7 @@ def tile_grid(tiles: np.ndarray, shape: tuple[int, int], columns: int
               ) -> np.ndarray:
     """Lay out the rows of the matrix tiles as (h, w) images in a grid of
     `columns` columns, one mid-grey pixel apart."""
-    if tiles.ndim != 2:
-        raise ValueError("tiles must be a matrix of flattened images")
     h, w = shape
-    if tiles.shape[1] != h * w:
-        raise ValueError("tile width does not match the image shape")
     n = tiles.shape[0]
     rows = max(1, -(-n // columns))
     grid = np.full((rows * h + _GAP * (rows - 1),

@@ -56,18 +56,20 @@ def load_splits(cfg: ExperimentConfig) -> tuple[Dataset, Dataset, Dataset]:
             raise DataError(f"{cfg.amat_train}: the labels span K = "
                             f"{base.num_classes} classes over {base.n} rows, "
                             f"but training needs 2 <= K <= {base.n}")
+        path = cfg.amat_train
+        train, rest = _cut(base, cfg.train_size, path, "train_size")
         if cfg.amat_valid is None:
-            train, valid, test = split(base, (cfg.train_size, cfg.valid_size))
+            valid, test = _cut(rest, cfg.valid_size, path, "valid_size",
+                               "train_size leaves")
         else:
             valid = _like_train(cfg.amat_valid, load_amat(
                 cfg.amat_valid, cfg.zero_based_labels), base)
-            train = base if cfg.train_size <= 0 \
-                else split(base, (cfg.train_size, 0))[0]
         if cfg.amat_test is not None:
             # load_config requires one whenever valid is a file.
             test = _like_train(cfg.amat_test, load_test(cfg), base)
-        elif cfg.test_size:
-            test = split(test, (cfg.test_size, 0))[0]
+        else:
+            test = _cut(test, cfg.test_size, path, "test_size",
+                        "train_size and valid_size leave")[0]
 
     if cfg.variable_shape is not None:
         h, w = cfg.variable_shape
@@ -75,6 +77,17 @@ def load_splits(cfg: ExperimentConfig) -> tuple[Dataset, Dataset, Dataset]:
             raise DataError(f"[data] shape {h} {w} covers {h * w} variables, "
                             f"but the data has {train.m}")
     return train, valid, test
+
+
+def _cut(d: Dataset, n: int, path, key: str, held="the file holds"):
+    """(the first n rows of d, the rest), all of d for n = 0, where n is the
+    [data] key's value and d the rows of the file path that held counts; a
+    larger n is a data error naming the file, the key and both counts."""
+    if n > d.n:
+        raise DataError(f"{path}: [data] {key} asks for {n} rows, but "
+                        f"{held} {d.n}")
+    head, _, rest = split(d, (n or d.n, 0))
+    return head, rest
 
 
 def _like_train(path, d: Dataset, train: Dataset) -> Dataset:
@@ -94,7 +107,7 @@ def load_test(cfg: ExperimentConfig) -> Dataset:
     if cfg.amat_test is None:
         return load_splits(cfg)[2]
     test = load_amat(cfg.amat_test, cfg.zero_based_labels)
-    return split(test, (cfg.test_size, 0))[0] if cfg.test_size else test
+    return _cut(test, cfg.test_size, cfg.amat_test, "test_size")[0]
 
 
 HISTORY = ("iteration", "kept", "validation_error")

@@ -191,8 +191,6 @@ def fine_tune(m: StackModel, train: Dataset, valid: Dataset,
     """
     if train.n == 0:
         raise DataError("cannot fine-tune on an empty dataset")
-    if valid.n == 0:
-        raise DataError("early stopping needs a non-empty validation set")
 
     params, views = pack(*fine_tune_params(m))
     layers = zip(m.layers, views[:-2:2], views[1:-2:2])

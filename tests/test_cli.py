@@ -1,4 +1,5 @@
 import argparse
+import base64
 import configparser
 import itertools
 import json
@@ -305,6 +306,40 @@ class TestEval:
                                 in ("test_error_rate", "test_ci95_halfwidth",
                                     "test_n")}, "matches_report": True}
 
+    def test_a_reported_rate_that_differs_exits_3(self, tmp_path, smoke_run,
+                                                  capsys):
+        out = tmp_path / "o"
+        shutil.copytree(smoke_run, out, ignore=shutil.ignore_patterns(
+            "eval.json"))
+        report = out / "report.json"
+        report.write_text(edited(lambda r: r["results"]["sdae"]["depth1"]
+                                 .update(test_error_rate=0.987654))(
+            report.read_text()))
+        capsys.readouterr()
+        assert run_cli("eval", "--config", SMOKE, "--out", out) == 3
+        captured = capsys.readouterr()
+        lines = captured.out.splitlines()
+        assert lines[0].startswith("sdae depth1: ")
+        assert lines[0].endswith("% (matches report: False)")
+        assert lines[1].endswith("% (matches report: True)")
+        assert captured.err == "serialized models disagree with report.json\n"
+        recomputed = json.loads((out / "eval.json").read_text())
+        assert recomputed["sdae"]["depth1"]["matches_report"] is False
+        assert recomputed["sdae_ivs"]["depth1"]["matches_report"] is True
+
+    def test_a_missing_tuned_model_is_a_data_error(self, tmp_path, smoke_run,
+                                                   capsys):
+        out = tmp_path / "o"
+        shutil.copytree(smoke_run, out, ignore=shutil.ignore_patterns(
+            "eval.json"))
+        path = out / "models" / "sdae-depth1-tuned.json"
+        path.unlink()
+        capsys.readouterr()
+        assert run_cli("eval", "--config", SMOKE, "--out", out) == 2
+        assert capsys.readouterr().err == \
+            f"data error: missing model file {path}\n"
+        assert not (out / "eval.json").exists()
+
 
 
 
@@ -358,9 +393,11 @@ class TestModelFile:
         (edited(lambda r: r.update(layers=5)),
          "has a malformed layers: 'int' object is not a list"),
         (edited(lambda r: r.update(layers=[])), "holds 0 layers, not 1"),
+        (edited(lambda r: r.update(format="other")),
+         "is not a sdae-ivs-model file"),
     ], ids=["truncated", "no_top_weights", "int_top_weights",
             "short_top_weights", "int_layer_mask", "int_layers",
-            "no_layers"])
+            "no_layers", "other_format"])
     def test_malformed_model_exits_3_naming_the_file(
             self, tmp_path, smoke_run, capsys, damage, message):
         out = tmp_path / "o"
@@ -388,6 +425,59 @@ class TestModelFile:
         assert run_cli("eval", "--config", SMOKE, "--out", out) == 3
         assert capsys.readouterr().err.startswith(
             f"error: {path}: weights must be (")
+
+    @staticmethod
+    def array_record(arr):
+        """The model file's record of arr."""
+        return {"shape": list(arr.shape), "data": base64.b64encode(
+            arr.astype("<f8").tobytes()).decode("ascii")}
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda rec, h, k: rec["top"].update(
+            weights=np.zeros((1, h)), biases=np.zeros(1)),
+         "need at least two classes"),
+        (lambda rec, h, k: rec["layers"][0].update(
+            encoder_bias=np.zeros(h + 1)),
+         "bias widths do not match the weight matrix"),
+        (lambda rec, h, k: rec["top"].update(
+            weights=np.zeros((k, h + 1)), biases=np.zeros(k)),
+         "top classifier width != last hidden width"),
+    ], ids=["one_class_top", "encoder_bias_width", "top_width"])
+    def test_widths_that_disagree_exit_3_naming_the_file(
+            self, tmp_path, smoke_run, capsys, edit, message):
+        out = tmp_path / "o"
+        shutil.copytree(smoke_run, out, ignore=shutil.ignore_patterns(
+            "eval.json"))
+        path = out / "models" / "sdae-depth1-tuned.json"
+        rec = json.loads(path.read_text())
+        # edit(rec, H, K) puts arrays in; each is written as its record.
+        edit(rec, rec["top"]["m"], rec["top"]["k"])
+        for record in (rec["top"], rec["layers"][0]):
+            for key, value in record.items():
+                if isinstance(value, np.ndarray):
+                    record[key] = self.array_record(value)
+        path.write_text(json.dumps(rec))
+        capsys.readouterr()
+        assert run_cli("eval", "--config", SMOKE, "--out", out) == 3
+        assert capsys.readouterr().err == f"error: {path}: {message}\n"
+
+    def test_layer_2_mask_of_another_length_exits_3_naming_the_file(
+            self, tmp_path, capsys):
+        patched = tmp_path / "deep.ini"
+        patched.write_text(SMOKE.read_text()
+                           .replace("depths = 1", "depths = 2")
+                           .replace("variants = both", "variants = sdae"))
+        out = tmp_path / "deep"
+        assert run_cli("run", "--config", patched, "--out", out) == 0
+        path = out / "models" / "sdae-depth2-tuned.json"
+        rec = json.loads(path.read_text())
+        # One more dropped unit: the popcount holds, the length does not.
+        rec["layers"][1]["mask"] += "0"
+        path.write_text(json.dumps(rec))
+        capsys.readouterr()
+        assert run_cli("eval", "--config", patched, "--out", out) == 3
+        assert capsys.readouterr().err == \
+            f"error: {path}: layer 2 mask length != lower width\n"
 
 
 class TestDivergence:
@@ -546,7 +636,7 @@ class TestConfigKeys:
         ("feature_noise_sd = 0.4", "feature_noise_sd = -1",
          "[data] feature_noise_sd must be >= 0"),
         ("train_size = 120", "train_size = -5",
-         "[data] train_size must be >= 0"),
+         "[data] train_size must be >= 1"),
         (None, "source = amat\ntrain = nowhere/a.amat\n"
          "test = nowhere/b.amat\ntest_size = -1\n",
          "[data] test_size must be >= 0"),
@@ -605,6 +695,55 @@ class TestConfigKeys:
             capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("variants", ["both", "sdae"])
+    @pytest.mark.parametrize("key", ["train_size", "valid_size"])
+    def test_empty_synthetic_split_is_refused_before_any_output(
+            self, tmp_path, capsys, key, variants):
+        patched = tmp_path / "patched.ini"
+        text = re.sub(rf"(?m)^{key} = .*$", f"{key} = 0", SMOKE.read_text())
+        patched.write_text(text.replace("variants = both",
+                                        f"variants = {variants}"))
+        for verb in ("run", "ivs"):
+            assert run_cli(verb, "--config", patched,
+                           "--out", tmp_path / "o") == 1
+            assert capsys.readouterr().err == \
+                f"config error: [data] {key} must be >= 1\n"
+        assert not (tmp_path / "o").exists()
+
+    @staticmethod
+    def deep_selection_config(tmp_path, variants, section):
+        patched = tmp_path / "patched.ini"
+        patched.write_text(SMOKE.read_text()
+                           .replace("depths = 1", "depths = 1 2")
+                           .replace("variants = both",
+                                    f"variants = {variants}")
+                           .replace("[run]\n", f"[{section}]\nthreshold = 0.9"
+                                                "\n\n[run]\n"))
+        return patched
+
+    def test_selection_plan_above_layer_1_without_selection_rejected(
+            self, tmp_path, capsys):
+        # No variant selects, so [ivs.2] would change nothing.
+        patched = self.deep_selection_config(tmp_path, "sdae", "ivs.2")
+        for verb in ("run", "ivs", "eval"):
+            assert run_cli(verb, "--config", patched,
+                           "--out", tmp_path / "o") == 1
+            assert capsys.readouterr().err == (
+                "config error: section [ivs.2] has no effect: no variant "
+                "selects above layer 1\n")
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("variants, section, layer", [
+        ("sdae_ivs", "ivs.2", 2), ("both", "ivs.2", 2), ("sdae", "ivs.1", 1)])
+    def test_selection_plan_that_is_read_is_accepted(
+            self, tmp_path, variants, section, layer):
+        # Without selection, the ivs verb and export_patterns still read
+        # layer 1's plan.
+        cfg = load_config(self.deep_selection_config(tmp_path, variants,
+                                                     section))
+        assert [plan.threshold for plan in cfg.ivs] == \
+            [0.9 if n == layer else 0.3 for n in (1, 2)]
+
     def test_section_beyond_the_deepest_layer_rejected(self, tmp_path, capsys):
         assert self.run_patched(tmp_path, "[run]\n",
                                 "[dae.2]\nhidden_units = 4\n\n[run]\n") == 1
@@ -645,6 +784,20 @@ class TestConfigKeys:
         assert f"[run] {key} needs [data] shape" in capsys.readouterr().err
         off = self.without_shape(tmp_path, 0, "false")
         assert load_config(off).variable_shape is None
+
+    @pytest.mark.parametrize("text, message", [
+        (lambda text: text.replace("shape = 5 6", "shape = 2 3 4"),
+         "bad value for [data] shape: '2 3 4' (must be two positive "
+         "integers H W)"),
+        (lambda text: text.replace("[data]\n", ""), "cannot parse "),
+    ], ids=["three_dimensions", "no_section_header"])
+    def test_malformed_config_text_is_a_config_error(self, tmp_path, capsys,
+                                                      text, message):
+        patched = tmp_path / "patched.ini"
+        patched.write_text(text(SMOKE.read_text()))
+        assert run_cli("run", "--config", patched, "--out", tmp_path / "o") == 1
+        assert capsys.readouterr().err.startswith(f"config error: {message}")
+        assert not (tmp_path / "o").exists()
 
     def test_run_without_shape_makes_no_images_directory(self, tmp_path):
         patched = self.without_shape(tmp_path, 0, "false")
@@ -827,9 +980,14 @@ class TestAmatPlumbing:
 
     def three_file_config(self, tmp_path, train, valid, test):
         """A config over train/valid/test files of (rows, width, classes)."""
-        lines = ""
-        for seed, (name, (n, m, k)) in enumerate(
-                (("train", train), ("valid", valid), ("test", test))):
+        return self.amat_config(tmp_path, dict(train=train, valid=valid,
+                                               test=test))
+
+    def amat_config(self, tmp_path, files, sizes=""):
+        """A config over the files {name: (rows, width, classes)}, with the
+        [data] lines sizes."""
+        lines = sizes
+        for seed, (name, (n, m, k)) in enumerate(files.items()):
             self.write_amat(tmp_path / f"{name}.amat", n, m, seed, k)
             lines += f"{name} = {tmp_path / f'{name}.amat'}\n"
         config = tmp_path / "c.ini"
@@ -840,6 +998,45 @@ class TestAmatPlumbing:
             "epochs = 2\n[ivs]\nthreshold = 0.3\nlearning_rate = 0.1\n"
             "max_epochs = 3\n[finetune]\nlearning_rate = 0.1\nmax_epochs = 2\n")
         return config
+
+    def test_test_size_cuts_the_rest_of_the_train_file(self, tmp_path):
+        # 60 rows: 40 to train, 10 to validate, 7 of the other 10 to test.
+        config = self.amat_config(
+            tmp_path, dict(train=(60, 8, 3)),
+            "train_size = 40\nvalid_size = 10\ntest_size = 7\n")
+        out = tmp_path / "o"
+        assert run_cli("run", "--config", config, "--out", out) == 0
+        results = json.loads((out / "report.json").read_text())["results"]
+        assert [entry["depth1"]["test_n"] for entry in results.values()] \
+            == [7, 7]
+
+    # A split size past the rows there are names the file, the key and
+    # both counts.
+    @pytest.mark.parametrize("names, sizes, where, message", [
+        (("train",), (500, 10, 0), "train",
+         "train_size asks for 500 rows, but the file holds 100"),
+        (("train",), (95, 10, 0), "train",
+         "valid_size asks for 10 rows, but train_size leaves 5"),
+        (("train",), (60, 20, 30), "train",
+         "test_size asks for 30 rows, but train_size and valid_size leave 20"),
+        (("train", "valid", "test"), (500, 0, 0), "train",
+         "train_size asks for 500 rows, but the file holds 100"),
+        (("train", "valid", "test"), (0, 0, 30), "test",
+         "test_size asks for 30 rows, but the file holds 20"),
+    ], ids=["train_size", "valid_size", "test_size_of_the_rest",
+            "train_size_beside_a_valid_file", "test_size_of_a_test_file"])
+    def test_split_size_past_the_rows_is_a_data_error_naming_the_key(
+            self, tmp_path, capsys, names, sizes, where, message):
+        rows = dict(train=(100, 8, 3), valid=(20, 8, 3), test=(20, 8, 3))
+        config = self.amat_config(
+            tmp_path, {name: rows[name] for name in names},
+            "".join(f"{key} = {n}\n" for key, n in zip(
+                ("train_size", "valid_size", "test_size"), sizes) if n))
+        out = tmp_path / "o"
+        assert run_cli("run", "--config", config, "--out", out) == 2
+        assert capsys.readouterr().err == \
+            f"data error: {tmp_path / where}.amat: [data] {message}\n"
+        assert not out.exists()
 
     def test_split_files_take_the_train_files_classes(self, tmp_path):
         # The valid file holds labels 0-1 only, the train file 0-2.
@@ -919,6 +1116,15 @@ class TestAmatPlumbing:
         assert run_cli("run", "--config", config, "--out", tmp_path / "o") == 1
         assert "[data] needs train_size" in capsys.readouterr().err
 
+    def test_single_file_split_without_valid_size_rejected(self, tmp_path,
+                                                           capsys):
+        config = tmp_path / "c.ini"
+        self.write_split_config(config, "test = nowhere/test.amat\n"
+                                        "train_size = 10\n")
+        assert run_cli("run", "--config", config, "--out", tmp_path / "o") == 1
+        assert capsys.readouterr().err == (
+            "config error: [data] needs either a valid file or valid_size\n")
+
     def test_valid_size_with_valid_file_rejected(self, tmp_path, capsys):
         # valid_size splits the train file, so beside a valid file it
         # would do nothing.
@@ -987,6 +1193,22 @@ class TestErrors:
         config = self.missing_data_config(tmp_path)
         assert run_cli(verb, "--config", config, "--out", tmp_path / "o") == 2
         assert not (tmp_path / "o").exists()
+
+    # A one-column file, and one whose first row has one field and whose
+    # next row is ragged, which numpy's reader rejects.
+    @pytest.mark.parametrize("text", ["0.5\n0.25\n", "0.5\n0.25 0.5 1\n"],
+                             ids=["one_column", "one_field_then_ragged"])
+    def test_amat_rows_without_a_feature_exit_2_naming_the_file(
+            self, tmp_path, capsys, text):
+        train = tmp_path / "train.amat"
+        train.write_text(text)
+        config = tmp_path / "c.ini"
+        config.write_text(self.missing_data_config(tmp_path).read_text()
+                          .replace("nowhere/null.amat", str(train)))
+        assert run_cli("run", "--config", config, "--out", tmp_path / "o") == 2
+        assert capsys.readouterr().err == (
+            f"data error: {train}: rows need at least one feature and a "
+            "label\n")
 
     def test_empty_test_split_fails_before_training(self, tmp_path, capsys):
         config = tmp_path / "no-test.ini"

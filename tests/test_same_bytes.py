@@ -1,9 +1,11 @@
 """Self-test of tools/same_bytes.py on the smoke config: a tree is the same
 as itself, also on a config it rejects, on the generator's edge cases, on
-the row-block cases and on the minibatch cases, and a copy with one
-changed constant is not. Its reject cases cover every ranged config key."""
+the row-block cases, on the minibatch cases and on the .amat cases, and a
+copy with one changed constant is not. Its reject cases cover every ranged
+config key."""
 
 import importlib.util
+import json
 import re
 import shutil
 import subprocess
@@ -57,6 +59,21 @@ def test_a_tree_is_the_same_as_itself_on_the_minibatch_cases(tmp_path):
     assert done.stdout == "".join(
         f"same  batch/{name} (exit codes 0 0 0)\n"
         for name in ("ivs7", "ivs200"))
+
+
+def test_a_tree_is_the_same_as_itself_on_the_amat_cases(tmp_path):
+    done = same_bytes(SRC, SRC, tmp_path, "amat/*")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "".join(
+        f"same  amat/{name} (exit codes 0 0 0)\n"
+        for name in ("files", "split", "one"))
+    # The test split: the whole test file, or 50 rows cut by test_size.
+    for name, tests in (("files", 60), ("split", 50), ("one", 50)):
+        report = json.loads((tmp_path / "work" / "out" / f"amat-{name}" /
+                             "parent" / "run" / "report.json").read_text())
+        assert report["config"]["source"] == "amat"
+        assert {entry["depth1"]["test_n"]
+                for entry in report["results"].values()} == {tests}
 
 
 def test_a_changed_constant_differs(tmp_path):

@@ -4,14 +4,16 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from sdae_ivs.dae import DaeModel, DaeTrainConfig, decode, encode, encode_dataset, train_dae
+from sdae_ivs.dae import (DaeModel, DaeTrainConfig, decode, encode,
+                          encode_dataset, loss, train_dae)
 from sdae_ivs.data import (Dataset, SyntheticSpec, VariableMask, compact,
                            expand, gen_synthetic, split)
-from sdae_ivs.errors import DimensionError, DivergenceError
+from sdae_ivs.errors import DataError, DimensionError, DivergenceError
 from sdae_ivs.ivs import IvsConfig
 from sdae_ivs.mlr import MlrModel, TrainConfig, evaluate, one_hot, train_mlr
 from sdae_ivs.mlr import predict_labels as mlr_predict_labels
 from sdae_ivs.numerics import BLOCK_ROWS, DAE, TOP, derive_rng
+from sdae_ivs.pgm import tile_grid, write_pgm
 from sdae_ivs import stack
 from sdae_ivs.stack import (StackLayer, StackModel, fine_tune,
                             fine_tune_params, gradient, predict_labels,
@@ -512,3 +514,46 @@ class TestEndToEnd:
         tuned = fine_tune(model, train, valid, TrainConfig(0.1, 15, 3),
                           derive_rng(18))
         assert 1.0 - evaluate(predict_labels(tuned, test.x), test) >= 0.9
+
+
+def _empty_valid(fit):
+    """fit(train, valid) on 10 training rows of toy_stack's raw width and a
+    validation split of none."""
+    d = Dataset(derive_rng(3).uniform(size=(10, 6)),
+                np.tile([1, 2], 5).astype(np.int64), 2)
+    return lambda path: fit(d, Dataset(d.x[:0], d.labels[:0], 2))
+
+
+_DAE = DaeModel(np.zeros((3, 5)), np.zeros(3), np.zeros(5))
+
+
+# No function below the entry points checks the shape of what it is given:
+# each input below is refused by the first product or the first score that
+# reads it, before any output exists.
+@pytest.mark.parametrize("call, error, message", [
+    (lambda path: encode(_DAE, np.zeros((4, 6))), ValueError, "not aligned"),
+    (lambda path: decode(_DAE, np.zeros((4, 2))), ValueError, "not aligned"),
+    (lambda path: loss(np.zeros(4), np.full(5, 0.5)), ValueError, "mismatch"),
+    (lambda path: mlr_predict_labels(MlrModel(np.zeros((3, 5)), np.zeros(3)),
+                                     np.zeros((4, 6))),
+     ValueError, "mismatch"),
+    (lambda path: write_pgm(path, np.zeros(6)), ValueError, "unpack"),
+    (lambda path: tile_grid(np.zeros(12), (2, 3), 2), ValueError,
+     "cannot reshape"),
+    (lambda path: tile_grid(np.zeros((2, 5)), (2, 3), 2), ValueError,
+     "cannot reshape"),
+    (_empty_valid(lambda train, valid: train_mlr(
+        train, valid, TrainConfig(0.1, 5, 2), derive_rng(0))),
+     DataError, "cannot evaluate on an empty dataset"),
+    (_empty_valid(lambda train, valid: fine_tune(
+        toy_stack(), train, valid, TrainConfig(0.1, 5, 2), derive_rng(0))),
+     DataError, "cannot evaluate on an empty dataset"),
+], ids=["dae.encode", "dae.decode", "dae.loss", "mlr.predict_labels",
+        "pgm.write_pgm", "pgm.tile_grid-ndim", "pgm.tile_grid-width",
+        "mlr.train_mlr", "stack.fine_tune"])
+def test_input_of_a_deleted_recheck_is_still_refused(tmp_path, call, error,
+                                                      message):
+    path = tmp_path / "image.pgm"
+    with pytest.raises(error, match=message):
+        call(path)
+    assert not path.exists()

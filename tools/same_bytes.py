@@ -21,7 +21,11 @@ go through several row blocks whose last one takes the tail, with a
 MLR's minibatch size, to 7 (a one-row tail batch) or to more rows than
 the training split holds. Each ``stack/NAME`` case
 runs that config at depths 1 and 2 for one variant, so ``eval`` checks
-two models of one variant. ``--case`` keeps only the cases whose names
+two models of one variant. Each ``amat/NAME`` case runs that config's
+plans on ``.amat`` files that the tool writes, the same for both trees:
+train, valid and test files; one file split by sizes, with ``test_size``
+cutting the rest; or 1-based labels, with ``test_size`` cutting a test
+file. ``--case`` keeps only the cases whose names
 match one of its shell patterns.
 
 A case is the same when both trees give the same exit codes, the same
@@ -46,7 +50,8 @@ from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO))
-from perfbench.workloads import WORKLOADS  # noqa: E402
+import numpy as np  # noqa: E402
+from perfbench.workloads import WORKLOADS, write_amat  # noqa: E402
 
 CONFIG_SEEDS = (0, 7)
 WORKLOAD_SEEDS = (100, 101)
@@ -94,6 +99,17 @@ STACK_CASES = {
     "sdae12": {"stack.depths": "1 2", "stack.variants": "sdae"},
     "ivs12": {"stack.depths": "1 2", "stack.variants": "sdae_ivs"},
 }
+# name -> ({file: rows}, [data] lines): .amat layouts of a corpus shaped
+# like the smoke config's data, 30 variables of which 6 carry one of 3
+# classes; the files' labels are 1-based where the lines say labels = one.
+AMAT_CASES = {
+    "files": ({"train": 120, "valid": 40, "test": 60}, ""),
+    "split": ({"train": 220},
+              "train_size = 120\nvalid_size = 40\ntest_size = 50\n"),
+    "one": ({"train": 160, "test": 60}, "labels = one\ntrain_size = 120\n"
+                                        "valid_size = 40\ntest_size = 50\n"),
+}
+AMAT_SEED = 11
 PREPARE = ("import sys; from pathlib import Path; "
            "from perfbench.workloads import WORKLOADS, prepare; "
            "prepare(WORKLOADS[sys.argv[1]], int(sys.argv[2]), Path(sys.argv[3]))")
@@ -142,6 +158,27 @@ def edited_config(edits: dict, path: Path) -> Path:
     return path
 
 
+def amat_config(directory: Path, rows: dict, lines: str) -> Path:
+    """Write the .amat files of rows into directory, and SMOKE with its
+    [data] section over them; the same arguments write the same bytes."""
+    directory.mkdir(parents=True, exist_ok=True)
+    rng = np.random.default_rng(AMAT_SEED)
+    means = rng.uniform(0.2, 0.8, size=(3, 6))
+    for name, n in rows.items():
+        labels = rng.integers(1, 4, size=n)
+        x = rng.uniform(size=(n, 30))
+        x[:, :6] = np.clip(means[labels - 1] + rng.normal(0.0, 0.1, (n, 6)),
+                           0.0, 1.0)
+        path = directory / f"{name}.amat"
+        write_amat(path, x, labels + ("labels = one" in lines))
+        lines += f"{name} = {path}\n"
+    plans = SMOKE.read_text().partition("\n[stack]\n")[2]
+    config = directory.with_suffix(".ini")
+    config.write_text(f"[data]\nsource = amat\n{lines}shape = 5 6\n\n"
+                      f"[stack]\n{plans}")
+    return config
+
+
 def cases(work: Path):
     """(name, working directory, config, extra flags, workload or None)
     of every case; workloads are prepared by the caller."""
@@ -162,6 +199,9 @@ def cases(work: Path):
         (work / kind).mkdir(parents=True, exist_ok=True)
         config = edited_config(edit, work / kind / f"{name}.ini")
         yield f"{kind}/{name}", REPO, config, [], None
+    for name, (rows, lines) in AMAT_CASES.items():
+        config = amat_config(work / "amat" / name, rows, lines)
+        yield f"amat/{name}", REPO, config, [], None
 
 
 def run_tree(src: Path, cwd: Path, config: Path, flags, out: Path):
