@@ -151,7 +151,8 @@ def init_dae(input_width: int, cfg: DaeTrainConfig, rng: Rng
     return params, DaeModel(*views)
 
 
-def train_dae(train: Dataset, cfg: DaeTrainConfig, rng: Rng) -> DaeModel:
+def train_dae(train: Dataset, cfg: DaeTrainConfig, rng: Rng,
+              phase: str = "DAE pre-training") -> DaeModel:
     """Stochastic gradient training over exactly cfg.epochs epochs.
 
     Per example: encode a freshly corrupted copy, decode, take one step
@@ -160,15 +161,13 @@ def train_dae(train: Dataset, cfg: DaeTrainConfig, rng: Rng) -> DaeModel:
     so this is the stream one draw per step would take. rng drives init,
     shuffling, and corruption, so equally seeded generators give
     bitwise-equal models. Parameters that stop being finite raise
-    DivergenceError at the end of that epoch.
+    DivergenceError, naming phase, at the end of that epoch.
     """
-    if train.n == 0:
-        raise DataError("cannot train on an empty dataset")
-    if train.x.min() < 0 or train.x.max() > 1:
+    if train.x.min(initial=0.0) < 0 or train.x.max(initial=1.0) > 1:
         raise DataError("cross-entropy training needs inputs in [0, 1]")
 
     params, model = init_dae(train.m, cfg, rng)
-    sgd("DAE pre-training", params, gradient(model, 1), cfg.learning_rate,
+    sgd(phase, params, gradient(model, 1), cfg.learning_rate,
         (train.x,), cfg.epochs, rng,
         per_epoch=lambda x: (corrupt(x, cfg.noise_sd, rng),))
     return model

@@ -198,12 +198,9 @@ def _rows(path: Path):
 
 
 def split(d: Dataset, sizes: tuple[int, int]) -> tuple[Dataset, Dataset, Dataset]:
-    """Order-preserving (train, valid, test) split; the remainder is the test set."""
+    """Order-preserving (train, valid, test) split; the remainder is the
+    test set. The callers check that the sizes fit d."""
     n_train, n_valid = sizes
-    if n_train < 0 or n_valid < 0 or n_train + n_valid > d.n:
-        raise DataError(
-            f"split sizes {sizes} exceed the {d.n} available examples"
-        )
 
     def piece(lo, hi):
         return Dataset(d.x[lo:hi], d.labels[lo:hi], d.num_classes)

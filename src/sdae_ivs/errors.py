@@ -18,5 +18,5 @@ class DimensionError(ValueError):
 
 
 class DivergenceError(RuntimeError):
-    """Training left its parameters non-finite; the message names the phase
-    and epoch (and the layer, during pre-training)."""
+    """Training left its parameters non-finite; the message names the fit's
+    phase (and its layer, if any) and the epoch."""

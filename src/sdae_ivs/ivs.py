@@ -64,7 +64,8 @@ def task_importance(m: MlrModel) -> np.ndarray:
     return importance
 
 
-def run_ivs(train: Dataset, valid: Dataset, cfg: IvsConfig, rng: Rng) -> IvsResult:
+def run_ivs(train: Dataset, valid: Dataset, cfg: IvsConfig, rng: Rng,
+            phase: str = "MLR training") -> IvsResult:
     """Iterative selection: train a fresh pre-classifier on the surviving
     variables, score them, shrink the mask, repeat.
 
@@ -74,7 +75,7 @@ def run_ivs(train: Dataset, valid: Dataset, cfg: IvsConfig, rng: Rng) -> IvsResu
     scored, or (d) the iteration cap is reached. The returned mask is the
     one produced by the best-validation iteration (every variable if none
     was accepted), which makes stopping on (b) and (c) safe. Every
-    pre-classifier shuffles from rng, one after the other.
+    pre-classifier, named phase in its failures, shuffles from rng in turn.
     """
     mask = VariableMask.all_ones(train.m)
     best_err = np.inf
@@ -84,7 +85,7 @@ def run_ivs(train: Dataset, valid: Dataset, cfg: IvsConfig, rng: Rng) -> IvsResu
     for _ in range(cfg.max_iterations):
         kept_valid = compact_dataset(valid, mask)
         model = train_mlr(compact_dataset(train, mask), kept_valid,
-                          cfg.mlr, rng)
+                          cfg.mlr, rng, phase=phase)
         err = evaluate(predict_labels(model, kept_valid.x), kept_valid)
         importance = expand(task_importance(model), mask)
         # (b), and (c) where nothing is scored, precede the update: a

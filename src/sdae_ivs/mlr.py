@@ -116,8 +116,6 @@ def train_mlr(train: Dataset, valid: Dataset, cfg: TrainConfig, rng: Rng,
     whose one-hot targets are built once per fit. Parameters that stop
     being finite raise DivergenceError, naming phase, at that epoch's end.
     """
-    if train.n == 0:
-        raise DataError("cannot train on an empty dataset")
     if train.num_classes != valid.num_classes or train.m != valid.m:
         raise DataError("train and validation sets disagree on M or K")
 

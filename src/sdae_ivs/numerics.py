@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DivergenceError
+from .errors import DataError, DivergenceError
 
 Rng = np.random.Generator
 
@@ -65,7 +65,7 @@ def sgd(phase, params, grads, learning_rate, data, epochs, rng, batch=1,
     learning rate and grads' to overwrite on its next call, so a step is
     two calls whatever the parameter count. Overflow inside a step is left
     to check_finite, which raises DivergenceError naming phase and epoch
-    at the end of that epoch.
+    at the end of that epoch; no rows at all is a DataError naming phase.
 
     With a score (lower is better, e.g. a validation error) training stops
     early: the score is taken before the first epoch and after each one,
@@ -74,6 +74,8 @@ def sgd(phase, params, grads, learning_rate, data, epochs, rng, batch=1,
     earlier epoch. Returns the [(epoch, score)] history from epoch 0
     (empty without a score).
     """
+    if len(data[0]) == 0:
+        raise DataError(f"{phase} needs at least one training row")
     history = []
     if score is not None:
         best_score, best = score(), params.copy()

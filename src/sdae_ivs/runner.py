@@ -300,7 +300,8 @@ def cmd_ivs(cfg: ExperimentConfig) -> IvsResult:
     train, valid, _ = load_splits(cfg)
     out = _output_dir(cfg)
     # The stream of run's layer-1 selection, so both find the same mask.
-    result = run_ivs(train, valid, cfg.ivs[0], derive_rng(cfg.seed, 1, IVS))
+    result = run_ivs(train, valid, cfg.ivs[0], derive_rng(cfg.seed, 1, IVS),
+                     phase="layer 1: MLR training")
     _write_ivs_artifacts(out, VARIANT_SDAE_IVS, [result], cfg)
     (out / "mask.txt").write_text(pack_mask(result.mask) + "\n")
     return result

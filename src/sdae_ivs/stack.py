@@ -16,7 +16,7 @@ import numpy as np
 from .dae import (DaeModel, DaeTrainConfig, decode, encode, encode_dataset,
                   sigmoid_backward, sigmoid_layer, train_dae)
 from .data import Dataset, VariableMask, compact, compact_dataset, expand
-from .errors import DataError, DimensionError, DivergenceError
+from .errors import DimensionError
 from .ivs import IvsConfig, IvsResult, run_ivs
 from .mlr import (MlrModel, TrainConfig, evaluate, one_hot, output_delta,
                   train_mlr)
@@ -83,19 +83,18 @@ def pretrain(train: Dataset, valid: Dataset, dae: tuple[DaeTrainConfig, ...],
     stacks: dict[int, StackModel] = {}
 
     for layer, dae_cfg in enumerate(dae, start=1):
-        try:
-            if ivs:
-                ivs_results.append(run_ivs(cur_train, cur_valid, ivs[layer - 1],
-                                           derive_rng(seed, layer, IVS)))
-                mask = ivs_results[-1].mask
-            else:
-                mask = VariableMask.all_ones(cur_train.m)
-            compact_train = compact_dataset(cur_train, mask)
-            compact_valid = compact_dataset(cur_valid, mask)
-            dae_model = train_dae(compact_train, dae_cfg,
-                                  derive_rng(seed, layer, DAE))
-        except DivergenceError as exc:
-            raise DivergenceError(f"layer {layer}: {exc}") from exc
+        if ivs:
+            ivs_results.append(run_ivs(
+                cur_train, cur_valid, ivs[layer - 1], derive_rng(seed, layer, IVS),
+                phase=f"layer {layer}: MLR training"))
+            mask = ivs_results[-1].mask
+        else:
+            mask = VariableMask.all_ones(cur_train.m)
+        compact_train = compact_dataset(cur_train, mask)
+        compact_valid = compact_dataset(cur_valid, mask)
+        dae_model = train_dae(compact_train, dae_cfg,
+                              derive_rng(seed, layer, DAE),
+                              phase=f"layer {layer}: DAE pre-training")
         layers.append(StackLayer(mask, dae_model))
 
         cur_train = encode_dataset(dae_model, compact_train)
@@ -109,10 +108,13 @@ def pretrain(train: Dataset, valid: Dataset, dae: tuple[DaeTrainConfig, ...],
 
 def _forward(m: StackModel, x: np.ndarray, depth: int | None = None
              ) -> np.ndarray:
-    """Codes of the raw rows x after the first `depth` layers, all by
-    default: each layer encodes its input compacted through its mask. A
-    block of rows goes through every layer before the next block (see
+    """Codes of the (N, M) raw rows x after the first `depth` layers, all
+    by default: each layer encodes its input compacted through its mask.
+    A block of rows goes through every layer before the next block (see
     numerics.map_blocks), so only the last layer's codes are whole."""
+    if x.ndim != 2:
+        raise DimensionError(f"rows must form an (N, M) matrix, not shape {x.shape}")
+
     def chain(cur):
         for layer in m.layers[:depth]:
             cur = encode(layer.dae, compact(cur, layer.mask))
@@ -189,9 +191,6 @@ def fine_tune(m: StackModel, train: Dataset, valid: Dataset,
     the examples. Parameters that stop being finite raise DivergenceError,
     naming the depth, at the end of that epoch.
     """
-    if train.n == 0:
-        raise DataError("cannot fine-tune on an empty dataset")
-
     params, views = pack(*fine_tune_params(m))
     layers = zip(m.layers, views[:-2:2], views[1:-2:2])
     tuned = StackModel(
@@ -234,6 +233,7 @@ def select_extractors(m: StackModel, train: Dataset, valid: Dataset,
     """
     rep_train, rep_valid = (Dataset(_forward(m, d.x, 1), d.labels,
                                     d.num_classes) for d in (train, valid))
-    keep = run_ivs(rep_train, rep_valid, ivs_cfg, rng).mask.bits
+    keep = run_ivs(rep_train, rep_valid, ivs_cfg, rng,
+                   phase="pattern export: MLR training").mask.bits
     patterns = expand(m.layers[0].dae.weights, m.layers[0].mask)
     return patterns[keep], patterns[~keep]

@@ -104,8 +104,8 @@ class TestDeterminism:
     def test_each_depth_of_a_multi_depth_run_equals_its_own_run(
             self, tmp_path, monkeypatch):
         trained, selected = [], []
-        monkeypatch.setattr(stack, "train_dae",
-                            lambda *args: trained.append(args) or train_dae(*args))
+        monkeypatch.setattr(stack, "train_dae", lambda *args, **kwargs: (
+            trained.append(args) or train_dae(*args, **kwargs)))
         monkeypatch.setattr(runner, "select_extractors", lambda *args: (
             selected.append(args) or stack.select_extractors(*args)))
         outs = {}
@@ -503,6 +503,26 @@ class TestDivergence:
         patched.write_text(SMOKE.read_text().replace(
             "[finetune]\nlearning_rate = 0.1", f"[finetune]\nlearning_rate = {rate}"))
         assert run_cli("run", "--config", patched, "--out", tmp_path / "o") == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {phase} diverged at epoch 1") \
+            and err.count("\n") == 1
+
+    # Selection fits read [ivs]: each names where it runs, layer 1 of the
+    # SDAE-IVS stack or the pattern export, which the plain SDAE variant
+    # reaches first.
+    @pytest.mark.parametrize("verb, export, phase", [
+        ("run", "false", "layer 1: MLR training"),
+        ("run", "true", "pattern export: MLR training"),
+        ("ivs", "true", "layer 1: MLR training")],
+        ids=["run", "run_patterns", "ivs"])
+    def test_overflowing_ivs_learning_rate_exits_3_naming_the_fit(
+            self, tmp_path, capsys, verb, export, phase):
+        patched = tmp_path / "diverge.ini"
+        patched.write_text(SMOKE.read_text().replace(
+            "max_iterations = 4\nlearning_rate = 0.1",
+            "max_iterations = 4\nlearning_rate = 1e308").replace(
+            "export_patterns = true", f"export_patterns = {export}"))
+        assert run_cli(verb, "--config", patched, "--out", tmp_path / "o") == 3
         err = capsys.readouterr().err
         assert err.startswith(f"error: {phase} diverged at epoch 1") \
             and err.count("\n") == 1

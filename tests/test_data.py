@@ -164,11 +164,6 @@ class TestSplit:
         train, valid, test = split(d, (10000, 2000))
         assert (train.n, valid.n, test.n) == (10000, 2000, 0)
 
-    def test_oversized_split_rejected(self):
-        d = Dataset(np.zeros((10, 2)), np.ones(10, dtype=int), 2)
-        with pytest.raises(DataError):
-            split(d, (10, 1))
-
     def test_partition_concatenates_back(self):
         rng = derive_rng(0)
         d = Dataset(rng.uniform(size=(5, 3)), np.ones(5, dtype=int), 2)

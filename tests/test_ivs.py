@@ -205,8 +205,8 @@ class TestUpdateMask:
         # The first update keeps every variable, so selection stops there
         # after one pre-classifier fit.
         fits = []
-        monkeypatch.setattr(ivs, "train_mlr", lambda *args: (
-            fits.append(args) or train_mlr(*args)))
+        monkeypatch.setattr(ivs, "train_mlr", lambda *args, **kwargs: (
+            fits.append(args) or train_mlr(*args, **kwargs)))
         train, valid, _ = planted_splits(1)
         cfg = IvsConfig(0.0, max_iterations=10, mlr=QUICK_MLR)
         result = run_ivs(train, valid, cfg, derive_rng(1))

@@ -187,12 +187,6 @@ class TestTraining:
                            match=r"MLR training diverged at epoch \d"):
             train_mlr(d, d, TrainConfig(1e308, 5, 5), derive_rng(0))
 
-    def test_empty_training_set_rejected(self):
-        empty = Dataset(np.zeros((0, 2)), np.zeros(0, dtype=int), 2)
-        with pytest.raises(DataError):
-            train_mlr(empty, separable_toy(), TrainConfig(0.1, 5, 2),
-                      derive_rng(0))
-
     def test_empty_validation_set_rejected(self):
         empty = Dataset(np.zeros((0, 2)), np.zeros(0, dtype=int), 2)
         with pytest.raises(DataError):

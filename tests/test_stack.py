@@ -425,7 +425,7 @@ def _logits_for_test(model, x):
 class TestReconstruct:
     def test_depth1_equals_manual_path(self):
         model = toy_stack(40)
-        x = derive_rng(41).uniform(size=6)
+        x = derive_rng(41).uniform(size=(1, 6))
         manual = expand(decode(model.layers[0].dae,
                                encode(model.layers[0].dae,
                                       compact(x, model.layers[0].mask))),
@@ -434,11 +434,11 @@ class TestReconstruct:
 
     def test_dropped_positions_exactly_zero(self):
         model = toy_stack(42)
-        x = derive_rng(43).uniform(size=6)
+        x = derive_rng(43).uniform(size=(1, 6))
         for depth in (1, 2):
             out = reconstruct_through(model, x, depth)
-            assert out.shape == (6,)
-            assert out[2] == 0.0  # dropped by the first-layer mask
+            assert out.shape == (1, 6)
+            assert out[0, 2] == 0.0  # dropped by the first-layer mask
 
     def test_overfit_single_example_reconstructs(self):
         x = np.array([[0.3, 0.7, 0.5, 0.2]])
@@ -449,22 +449,33 @@ class TestReconstruct:
         model = StackModel(
             [StackLayer(VariableMask.all_ones(4), dae)],
             MlrModel(np.zeros((2, 4)), np.zeros(2)))
-        out = reconstruct_through(model, x[0], 1)
-        np.testing.assert_allclose(out, x[0], atol=0.05)
+        out = reconstruct_through(model, x, 1)
+        np.testing.assert_allclose(out, x, atol=0.05)
 
     def test_batch_matches_single_rows(self):
         model = toy_stack(45)
         x = derive_rng(46).uniform(size=(5, 6))
         for depth in (1, 2):
             batch = reconstruct_through(model, x, depth)
-            singles = np.stack([reconstruct_through(model, row, depth)
-                                for row in x])
+            singles = np.concatenate([reconstruct_through(model, row, depth)
+                                      for row in x[:, None]])
             np.testing.assert_allclose(batch, singles, rtol=1e-12, atol=1e-15)
 
     def test_depth_out_of_range(self):
         model = toy_stack(44)
         with pytest.raises(Exception):
-            reconstruct_through(model, np.zeros(6), 3)
+            reconstruct_through(model, np.zeros((1, 6)), 3)
+
+    # 784 variables make several row blocks of a 1-D row's components, so
+    # a row must come as a (1, M) matrix to be read as one.
+    @pytest.mark.parametrize("through", [
+        lambda m, x: reconstruct_through(m, x, 1),
+        lambda m, x: predict_labels(m, x)], ids=["reconstruct", "predict"])
+    def test_a_row_that_is_not_a_matrix_is_refused_naming_its_shape(
+            self, through):
+        model = toy_stack(47, widths=(784, 4, 3), with_masks=False)
+        with pytest.raises(DimensionError, match=r"not shape \(784,\)"):
+            through(model, np.zeros(784))
 
 
 class TestExtractors:
@@ -557,3 +568,24 @@ def test_input_of_a_deleted_recheck_is_still_refused(tmp_path, call, error,
     with pytest.raises(error, match=message):
         call(path)
     assert not path.exists()
+
+
+# sgd refuses a fit of no training rows, naming its phase, before it
+# scores the validation split.
+@pytest.mark.parametrize("fit, phase", [
+    (lambda train, valid: train_mlr(train, valid, TrainConfig(0.1, 5, 2),
+                                    derive_rng(0)), "MLR training"),
+    (lambda train, valid: train_dae(train, dae_cfg(3), derive_rng(0)),
+     "DAE pre-training"),
+    (lambda train, valid: fine_tune(
+        StackModel([StackLayer(VariableMask.all_ones(5), _DAE)],
+                   MlrModel(np.zeros((2, 3)), np.zeros(2))),
+        train, valid, TrainConfig(0.1, 5, 2), derive_rng(0)),
+     "depth 1 fine-tuning"),
+], ids=["mlr.train_mlr", "dae.train_dae", "stack.fine_tune"])
+def test_zero_row_training_set_is_refused_naming_its_phase(fit, phase):
+    valid = Dataset(derive_rng(4).uniform(size=(4, 5)),
+                    np.array([1, 2, 1, 2]), 2)
+    with pytest.raises(DataError,
+                       match=f"^{phase} needs at least one training row$"):
+        fit(Dataset(valid.x[:0], valid.labels[:0], 2), valid)

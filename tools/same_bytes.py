@@ -41,7 +41,6 @@ import argparse
 import configparser
 import fnmatch
 import os
-import re
 import shutil
 import subprocess
 import sys
@@ -142,19 +141,14 @@ def data_present(config: Path) -> bool:
 
 
 def edited_config(edits: dict, path: Path) -> Path:
-    """Write SMOKE with each section.key of edits set to its value: the
-    key's line in that section, or a new one after its header."""
-    text = SMOKE.read_text()
+    """Write SMOKE with each section.key of edits set to its value, the
+    section being one that SMOKE holds."""
+    parser = configparser.ConfigParser(interpolation=None)
+    parser.read(SMOKE)
     for name, value in edits.items():
-        section, key = name.split(".")
-        header = f"[{section}]\n"
-        head, _, tail = text.partition(header)
-        block, bracket, rest = tail.partition("\n[")
-        line = f"{key} = {value}"
-        block, found = re.subn(rf"(?m)^{key} = .*$", line, block)
-        text = (head + header + (block if found else f"{line}\n{block}")
-                + bracket + rest)
-    path.write_text(text)
+        parser.set(*name.split("."), value)
+    with open(path, "w") as fh:
+        parser.write(fh)
     return path
 
 
