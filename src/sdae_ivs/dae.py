@@ -56,8 +56,9 @@ class DaeTrainConfig:
 
 
 def corrupt(x: np.ndarray, noise_sd: float, rng: Rng) -> np.ndarray:
-    """Additive Gaussian corruption, unclipped; the clean x stays the target."""
-    out = rng.normal(0.0, noise_sd, size=x.shape)
+    """Additive Gaussian corruption in x's dtype, drawn in float64 so that
+    every dtype takes one stream, unclipped; the clean x stays the target."""
+    out = rng.normal(0.0, noise_sd, size=x.shape).astype(x.dtype, copy=False)
     out += x
     return out
 
@@ -78,7 +79,7 @@ def loss(x: np.ndarray, y: np.ndarray) -> float:
     each component an independent Bernoulli target; rows of two lengths fail
     in the products. perfbench's tracer wraps it by name, so it stays here."""
     # Guard against a fully saturated sigmoid producing an exact 0 or 1.
-    yc = np.clip(y, np.finfo(np.float64).tiny, np.nextafter(1.0, 0.0))
+    yc = np.clip(y, np.finfo(y.dtype).tiny, np.nextafter(y.dtype.type(1), 0))
     return float(-(x @ np.log(yc) + (1.0 - x) @ np.log1p(-yc)))
 
 
@@ -140,14 +141,15 @@ def gradient(m: DaeModel, batch: int):
     return grads
 
 
-def init_dae(input_width: int, cfg: DaeTrainConfig, rng: Rng
+def init_dae(input_width: int, cfg: DaeTrainConfig, rng: Rng, dtype
              ) -> tuple[np.ndarray, DaeModel]:
-    """Uniform weights on [-1/sqrt(M'), +1/sqrt(M')], zero biases: a model
-    over views of one flat buffer, returned with it (see numerics.pack)."""
+    """Uniform weights on [-1/sqrt(M'), +1/sqrt(M')] drawn as float64, zero
+    biases, in dtype: one flat buffer and a model over its views (pack)."""
     bound = 1.0 / np.sqrt(input_width)
     params, views = pack(
-        rng.uniform(-bound, bound, size=(cfg.hidden_units, input_width)),
-        np.zeros(cfg.hidden_units), np.zeros(input_width))
+        rng.uniform(-bound, bound, size=(cfg.hidden_units, input_width)
+                    ).astype(dtype, copy=False),
+        np.zeros(cfg.hidden_units, dtype), np.zeros(input_width, dtype))
     return params, DaeModel(*views)
 
 
@@ -166,7 +168,7 @@ def train_dae(train: Dataset, cfg: DaeTrainConfig, rng: Rng,
     if train.x.min(initial=0.0) < 0 or train.x.max(initial=1.0) > 1:
         raise DataError("cross-entropy training needs inputs in [0, 1]")
 
-    params, model = init_dae(train.m, cfg, rng)
+    params, model = init_dae(train.m, cfg, rng, train.x.dtype)
     sgd(phase, params, gradient(model, 1), cfg.learning_rate,
         (train.x,), cfg.epochs, rng,
         per_epoch=lambda x: (corrupt(x, cfg.noise_sd, rng),))

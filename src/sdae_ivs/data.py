@@ -3,7 +3,7 @@
 Conventions: feature matrices are (N, M) float64 with entries in [0, 1];
 labels are int64 and stored 1-based ({1..K}) regardless of how they appear
 on disk. load_amat and gen_synthetic fix these types where data enters the
-program (and serialize where models do); nothing below them converts.
+program (and serialize where models do); below, only stack.NETWORK converts.
 """
 
 from __future__ import annotations
@@ -266,7 +266,7 @@ def expand(x_reduced: np.ndarray, mask: VariableMask) -> np.ndarray:
         raise DimensionError(
             f"reduced width {x_reduced.shape[-1]} != mask popcount {mask.popcount}"
         )
-    out = np.zeros(x_reduced.shape[:-1] + (mask.m,), dtype=np.float64)
+    out = np.zeros(x_reduced.shape[:-1] + (mask.m,), x_reduced.dtype)
     out[..., mask.index] = x_reduced
     return out
 

@@ -65,9 +65,9 @@ def predict_labels(m: MlrModel, x: np.ndarray) -> np.ndarray:
     return labels
 
 
-def one_hot(labels: np.ndarray, k: int) -> np.ndarray:
-    """(N, K) targets with a 1 at each 1-based label's column."""
-    targets = np.zeros((len(labels), k))
+def one_hot(labels: np.ndarray, k: int, dtype) -> np.ndarray:
+    """(N, K) targets of dtype with a 1 at each 1-based label's column."""
+    targets = np.zeros((len(labels), k), dtype)
     targets[np.arange(len(labels)), labels - 1] = 1.0
     return targets
 
@@ -108,21 +108,23 @@ def train_mlr(train: Dataset, valid: Dataset, cfg: TrainConfig, rng: Rng,
               return_history: bool = False, phase: str = "MLR training"):
     """Fit an MLR by minibatch SGD with early stopping.
 
-    Weights start at zero (the loss is convex, so the optimum does not
-    depend on the start). The returned model is the snapshot with the best
-    validation error; ties go to the earlier epoch, so a fit that never
-    beats the untrained model returns the all-zero model. To drop
-    variables, train on a compacted dataset. rng shuffles the examples,
-    whose one-hot targets are built once per fit. Parameters that stop
-    being finite raise DivergenceError, naming phase, at that epoch's end.
+    Weights start at zero in train's dtype (the loss is convex, so the
+    optimum does not depend on the start). The returned model is the
+    snapshot with the best validation error; ties go to the earlier epoch,
+    so a fit that never beats the untrained model returns the all-zero
+    model. To drop variables, train on a compacted dataset. rng shuffles
+    the examples, whose one-hot targets are built once per fit. Parameters
+    that stop being finite raise DivergenceError, naming phase, at that
+    epoch's end.
     """
     if train.num_classes != valid.num_classes or train.m != valid.m:
         raise DataError("train and validation sets disagree on M or K")
 
-    params, (weights, biases) = pack(np.zeros((train.num_classes, train.m)),
-                                     np.zeros(train.num_classes))
+    k, dtype = train.num_classes, train.x.dtype
+    params, (weights, biases) = pack(np.zeros((k, train.m), dtype),
+                                     np.zeros(k, dtype))
     model = MlrModel(weights, biases)
-    targets = one_hot(train.labels, train.num_classes)
+    targets = one_hot(train.labels, k, dtype)
     history = sgd(phase, params,
                   gradient(model, min(cfg.minibatch_size, train.n)),
                   cfg.learning_rate, (train.x, targets), cfg.max_epochs,

@@ -1,8 +1,9 @@
 """Scalar/vector primitives and seeded randomness shared by all training code.
 
-Everything is 64-bit float; gradient checks at ~1e-5 relative tolerance are
-not feasible in 32-bit. Randomness is PCG64 threaded explicitly through the
-operations that need it, never module-global state.
+Each function computes in the dtype of the arrays it is given (stack.NETWORK
+for the networks); gradient checks at ~1e-5 relative tolerance need float64.
+Randomness is PCG64 threaded explicitly through the operations that need
+it, never module-global state.
 """
 
 from __future__ import annotations
@@ -39,10 +40,10 @@ def check_finite(phase: str, epoch: int, params: np.ndarray) -> None:
 
 
 def pack(*arrays):
-    """Copies of arrays laid end to end in one float64 buffer, and a view of
-    the buffer shaped like each, in order: a fit's parameters, or its
+    """Copies of arrays laid end to end in one buffer of their dtype, and a
+    view of it shaped like each, in order: a fit's parameters, or its
     gradients, which sgd then updates in one call whatever their count."""
-    flat = np.concatenate([np.ravel(a) for a in arrays], dtype=np.float64)
+    flat = np.concatenate([np.ravel(a) for a in arrays])
     ends = np.cumsum([np.size(a) for a in arrays])
     return flat, [flat[end - np.size(a):end].reshape(np.shape(a))
                   for a, end in zip(arrays, ends)]
@@ -140,7 +141,7 @@ def map_blocks(f, x):
     first = f(x[head])
     if not rest:
         return first
-    out = np.empty((len(x), *first.shape[1:]))
+    out = np.empty((len(x), *first.shape[1:]), first.dtype)
     out[head] = first
     del first
     for rows in rest:
@@ -179,7 +180,7 @@ def softmax(z, out=None):
 def delta_rows(grad_b, b):
     """A (b, width) delta whose rows sum_rows adds into the bias gradient
     grad_b: at b = 1 grad_b's own row, so that no step copies it."""
-    return grad_b[None] if b == 1 else np.zeros((b, grad_b.size))
+    return grad_b[None] if b == 1 else np.zeros((b, grad_b.size), grad_b.dtype)
 
 
 def sum_rows(delta, out):

@@ -288,8 +288,7 @@ def _write_patterns(out: Path, tag: str, extractors, cfg) -> list[str]:
         write_pgm(path, grid)
         paths.append(str(path.relative_to(out)))
     counts = out / "csv" / f"{tag}-extractors.csv"
-    counts.write_text("relevant,irrelevant\n"
-                      f"{len(extractors[0])},{len(extractors[1])}\n")
+    _write_csv(counts, ("relevant", "irrelevant"), [map(len, extractors)])
     paths.append(str(counts.relative_to(out)))
     return paths
 

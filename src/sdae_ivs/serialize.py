@@ -1,9 +1,10 @@
 """Model persistence with value-exact round trips.
 
-Records are JSON with float64 arrays embedded as base64 of their
-little-endian bytes, so loading reproduces every parameter bit for bit and
-writing the same model twice produces identical files (no timestamps, no
-platform-dependent float text).
+Records are JSON with float32 arrays (stack.NETWORK) embedded as base64 of
+their little-endian bytes, and each layer's mask as a string of 0s and 1s,
+so loading reproduces every parameter bit for bit and writing the same
+model twice produces identical files (no timestamps, no platform-dependent
+float text).
 """
 
 from __future__ import annotations
@@ -21,20 +22,20 @@ from .mlr import MlrModel
 from .stack import StackLayer, StackModel
 
 FORMAT = "sdae-ivs-model"
-# Version 4: every decoder is a sigmoid; a version-3 file may name another.
-VERSION = 4
+# Version 5: float32 arrays, and no field that an array's shape holds.
+VERSION = 5
 
 
 def _pack(arr: np.ndarray) -> dict:
     return {
         "shape": list(arr.shape),
-        "data": base64.b64encode(arr.astype("<f8").tobytes()).decode("ascii"),
+        "data": base64.b64encode(arr.astype("<f4").tobytes()).decode("ascii"),
     }
 
 
 def _unpack(rec: dict) -> np.ndarray:
     raw = base64.b64decode(rec["data"])
-    return np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(rec["shape"])
+    return np.frombuffer(raw, dtype="<f4").astype(np.float32).reshape(rec["shape"])
 
 
 def pack_mask(mask: VariableMask) -> str:
@@ -48,19 +49,14 @@ def unpack_mask(text: str) -> VariableMask:
 
 def save_stack(path, m: StackModel) -> None:
     layers = [{
-        "kind": "dae",
-        "hidden_units": layer.dae.hidden_units,
-        "input_width": layer.dae.input_width,
         "weights": _pack(layer.dae.weights),
         "encoder_bias": _pack(layer.dae.encoder_bias),
         "decoder_bias": _pack(layer.dae.decoder_bias),
-        # The training-time mask makes the record's widths self-describing.
         "mask": pack_mask(layer.mask),
     } for layer in m.layers]
-    top = {"kind": "mlr", "k": m.top.k, "m": m.top.m,
-           "weights": _pack(m.top.weights), "biases": _pack(m.top.biases)}
-    rec = {"format": FORMAT, "version": VERSION, "kind": "stack",
-           "fine_tuned": m.fine_tuned, "layers": layers, "top": top}
+    top = {"weights": _pack(m.top.weights), "biases": _pack(m.top.biases)}
+    rec = {"format": FORMAT, "version": VERSION, "fine_tuned": m.fine_tuned,
+           "layers": layers, "top": top}
     Path(path).write_text(json.dumps(rec, sort_keys=True) + "\n")
 
 
@@ -94,6 +90,9 @@ def load_stack(path) -> StackModel:
                        for key in ("weights", "encoder_bias", "decoder_bias"))))
             for i, layer in enumerate(rec["layers"])]
         top = rec["top"]
+        if not isinstance(rec["fine_tuned"], bool):
+            raise ValueError(f"{path} has a malformed fine_tuned: "
+                             f"{json.dumps(rec['fine_tuned'])} is not a boolean")
         return StackModel(layers, MlrModel(
             *(read(top, key, "top.", _unpack) for key in ("weights", "biases"))),
             rec["fine_tuned"])

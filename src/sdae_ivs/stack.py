@@ -15,7 +15,7 @@ import numpy as np
 
 from .dae import (DaeModel, DaeTrainConfig, decode, encode, encode_dataset,
                   sigmoid_backward, sigmoid_layer, train_dae)
-from .data import Dataset, VariableMask, compact, compact_dataset, expand
+from .data import Dataset, VariableMask, compact, expand
 from .errors import DimensionError
 from .ivs import IvsConfig, IvsResult, run_ivs
 from .mlr import (MlrModel, TrainConfig, evaluate, one_hot, output_delta,
@@ -23,6 +23,12 @@ from .mlr import (MlrModel, TrainConfig, evaluate, one_hot, output_delta,
 from .mlr import predict_labels as mlr_predict_labels
 from .numerics import (DAE, IVS, TOP, Rng, delta_rows, derive_rng, map_blocks,
                        pack, sgd, sum_rows)
+
+# The networks' dtype: layer 1's DAE reads its rows rounded to it, and every
+# layer above, the top classifier and fine-tuning follow. It halves the bytes
+# of the passes that bound a batch-1 step. Layer 1's selection keeps the
+# loaded float64 rows: its stop rule reacts to validation noise.
+NETWORK = np.float32
 
 
 @dataclass
@@ -64,11 +70,11 @@ def pretrain(train: Dataset, valid: Dataset, dae: tuple[DaeTrainConfig, ...],
 
     dae holds one DAE plan per layer, and ivs one selection plan per layer
     or () for plain SDAE (all-ones masks). For each layer: select on the
-    current representation, compact both splits, train the DAE on the
-    survivors, and encode to obtain the next representation. Right after
-    layer d, for each requested depth d, a top MLR is trained on its codes
-    by the plan top. Returns the depth-d stacks by d, and the selection
-    results (one per layer, none when selection is off).
+    current representation, compact both splits into NETWORK, train the
+    DAE on the survivors, and encode to obtain the next representation.
+    Right after layer d, for each requested depth d, a top MLR is trained
+    on its codes by the plan top. Returns the depth-d stacks by d, and the
+    selection results (one per layer, none when selection is off).
 
     Layer k's selection and DAE draw from the streams (seed, k, IVS) and
     (seed, k, DAE), the depth-d top MLR from (seed, d, TOP). Layer k
@@ -90,8 +96,9 @@ def pretrain(train: Dataset, valid: Dataset, dae: tuple[DaeTrainConfig, ...],
             mask = ivs_results[-1].mask
         else:
             mask = VariableMask.all_ones(cur_train.m)
-        compact_train = compact_dataset(cur_train, mask)
-        compact_valid = compact_dataset(cur_valid, mask)
+        compact_train, compact_valid = (
+            Dataset(compact(d.x, mask).astype(NETWORK, copy=False), d.labels,
+                    d.num_classes) for d in (cur_train, cur_valid))
         dae_model = train_dae(compact_train, dae_cfg,
                               derive_rng(seed, layer, DAE),
                               phase=f"layer {layer}: DAE pre-training")
@@ -109,17 +116,22 @@ def pretrain(train: Dataset, valid: Dataset, dae: tuple[DaeTrainConfig, ...],
 def _forward(m: StackModel, x: np.ndarray, depth: int | None = None
              ) -> np.ndarray:
     """Codes of the (N, M) raw rows x after the first `depth` layers, all
-    by default: each layer encodes its input compacted through its mask.
-    A block of rows goes through every layer before the next block (see
+    by default: each layer encodes its input as its DAE reads it. A block
+    of rows goes through every layer before the next block (see
     numerics.map_blocks), so only the last layer's codes are whole."""
     if x.ndim != 2:
         raise DimensionError(f"rows must form an (N, M) matrix, not shape {x.shape}")
 
     def chain(cur):
         for layer in m.layers[:depth]:
-            cur = encode(layer.dae, compact(cur, layer.mask))
+            cur = encode(layer.dae, _dae_rows(cur, layer))
         return cur
     return map_blocks(chain, x)
+
+
+def _dae_rows(x: np.ndarray, layer: StackLayer) -> np.ndarray:
+    """x compacted through layer's mask, in the dtype of its DAE."""
+    return compact(x, layer.mask).astype(layer.dae.weights.dtype, copy=False)
 
 
 def fine_tune_params(m: StackModel) -> list[np.ndarray]:
@@ -142,7 +154,7 @@ def gradient(m: StackModel, batch: int):
     grad_w, grad_b = views[::2], views[1::2]
     deltas = [delta_rows(g, batch) for g in grad_b]
     # Each layer's compacted input (layer 1 reads c1), codes and scratch.
-    bufs = [[np.zeros((batch, n)) for n in (w, h, h)]
+    bufs = [[np.zeros((batch, n), grad.dtype) for n in (w, h, h)]
             for h, w in (g.shape for g in grad_w[:-1])]
 
     def grads(c1, tb):
@@ -183,7 +195,7 @@ def fine_tune(m: StackModel, train: Dataset, valid: Dataset,
     never re-enter. The tuned model is built over views of one flat buffer
     holding copies of fine_tune_params(m), with copies of m's decoder
     biases and m's own masks, which nothing changes; the input model is
-    left untouched. The training rows are compacted through layer 1's mask
+    left untouched. The training rows are taken as layer 1's DAE reads them
     and given one-hot targets once per fit, and steps take
     cfg.minibatch_size rows. Early stopping mirrors the MLR trainer (best
     validation snapshot, ties to the earlier epoch); with max_epochs = 0
@@ -198,8 +210,8 @@ def fine_tune(m: StackModel, train: Dataset, valid: Dataset,
                                          layer.dae.decoder_bias.copy()))
          for layer, weights, bias in layers],
         MlrModel(*views[-2:]), fine_tuned=True)
-    c1 = compact(train.x, tuned.layers[0].mask)
-    targets = one_hot(train.labels, tuned.top.k)
+    c1 = _dae_rows(train.x, tuned.layers[0])
+    targets = one_hot(train.labels, tuned.top.k, c1.dtype)
     sgd(f"depth {tuned.depth} fine-tuning", params,
         gradient(tuned, min(cfg.minibatch_size, train.n)), cfg.learning_rate,
         (c1, targets), cfg.max_epochs, rng, batch=cfg.minibatch_size,

@@ -109,7 +109,7 @@ def test_criterion_2_gradient_oracles():
                  int(rng.integers(1, 9))][seed % 3]
         x = rng.uniform(size=(batch, mm))
         labels = rng.integers(1, k + 1, size=batch)
-        targets = one_hot(labels, k)
+        targets = one_hot(labels, k, np.float64)
         gw, gb = split_like(mlr_gradient(model, batch)(x, targets),
                             (model.weights, model.biases))
 
@@ -157,7 +157,7 @@ def test_criterion_2_gradient_oracles():
         batch = 1 if seed % 2 else int(rng.integers(2, 9))
         x = rng.uniform(size=(batch, 6))
         labels = rng.integers(1, k + 1, size=batch)
-        c1, targets = compact(x, mask1), one_hot(labels, k)
+        c1, targets = compact(x, mask1), one_hot(labels, k, np.float64)
         gradients = split_like(stack_gradient(stack, batch)(c1, targets),
                                fine_tune_params(stack))
 

@@ -1,6 +1,7 @@
 import argparse
 import base64
 import configparser
+import csv
 import itertools
 import json
 import os
@@ -14,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sdae_ivs import runner, stack
+from sdae_ivs import ivs, runner, stack
 from sdae_ivs.cli import build_parser, main
 from sdae_ivs.config import KEYS, load_config
 from sdae_ivs.dae import DaeModel, train_dae
@@ -74,6 +75,20 @@ class TestRun:
         assert img.ndim == 2 and img.size > 0
         assert (smoke_run / "csv" / "sdae-extractors.csv").is_file()
         assert list((smoke_run / "images").glob("sdae-patterns-*.pgm"))
+
+    def test_every_csv_reads_back_with_crlf_line_endings(self, smoke_run):
+        paths = sorted((smoke_run / "csv").glob("*.csv"))
+        assert smoke_run / "csv" / "sdae-extractors.csv" in paths
+        for path in paths:
+            raw = path.read_bytes()
+            assert raw.endswith(b"\r\n") and b"\n" not in raw.replace(
+                b"\r\n", b""), path.name
+            with open(path, newline="") as fh:
+                rows = list(csv.reader(fh))
+            assert len(rows) > 1 and all(len(row) == len(rows[0])
+                                         for row in rows), path.name
+        counts = (smoke_run / "csv" / "sdae-extractors.csv").read_bytes()
+        assert counts.startswith(b"relevant,irrelevant\r\n")
 
     def test_plain_variant_has_no_selection_history(self, smoke_run):
         report = json.loads((smoke_run / "report.json").read_text())
@@ -409,6 +424,21 @@ class TestModelFile:
         assert run_cli("eval", "--config", SMOKE, "--out", out) == 3
         assert capsys.readouterr().err.startswith(f"error: {path} {message}")
 
+    def test_version_4_file_exits_3_naming_the_file_and_both_versions(
+            self, tmp_path, smoke_run, capsys):
+        out = tmp_path / "o"
+        shutil.copytree(smoke_run, out, ignore=shutil.ignore_patterns(
+            "eval.json"))
+        path = out / "models" / "sdae-depth1-tuned.json"
+        path.write_text(edited(lambda r: r.update(version=4))(
+            path.read_text()))
+        capsys.readouterr()
+        assert run_cli("eval", "--config", SMOKE, "--out", out) == 3
+        assert capsys.readouterr().err == (
+            f"error: {path} has sdae-ivs-model version 4; this program "
+            "reads version 5\n")
+        assert not (out / "eval.json").exists()
+
     @pytest.mark.parametrize("where", ["layer", "top"])
     def test_one_dimensional_weights_exit_3_naming_the_file(
             self, tmp_path, smoke_run, capsys, where):
@@ -430,7 +460,7 @@ class TestModelFile:
     def array_record(arr):
         """The model file's record of arr."""
         return {"shape": list(arr.shape), "data": base64.b64encode(
-            arr.astype("<f8").tobytes()).decode("ascii")}
+            arr.astype("<f4").tobytes()).decode("ascii")}
 
     @pytest.mark.parametrize("edit, message", [
         (lambda rec, h, k: rec["top"].update(
@@ -451,7 +481,8 @@ class TestModelFile:
         path = out / "models" / "sdae-depth1-tuned.json"
         rec = json.loads(path.read_text())
         # edit(rec, H, K) puts arrays in; each is written as its record.
-        edit(rec, rec["top"]["m"], rec["top"]["k"])
+        k, h = rec["top"]["weights"]["shape"]
+        edit(rec, h, k)
         for record in (rec["top"], rec["layers"][0]):
             for key, value in record.items():
                 if isinstance(value, np.ndarray):
@@ -492,20 +523,41 @@ class TestDivergence:
         assert err.startswith("error: layer 1: DAE pre-training diverged at "
                               "epoch 1") and err.count("\n") == 1
 
-    # Both fits read [finetune]: at 1e308 the top MLR overflows, while at
-    # 1e200 its bounded steps stay finite and fine-tuning's do not.
-    @pytest.mark.parametrize("rate, phase", [
-        ("1e308", "depth 1 top MLR"), ("1e200", "depth 1 fine-tuning")],
-        ids=["top_mlr", "fine_tuning"])
-    def test_overflowing_finetune_learning_rate_exits_3_naming_the_phase(
-            self, tmp_path, capsys, rate, phase):
+    @staticmethod
+    def finetune_rate(tmp_path, rate):
         patched = tmp_path / "diverge.ini"
         patched.write_text(SMOKE.read_text().replace(
             "[finetune]\nlearning_rate = 0.1", f"[finetune]\nlearning_rate = {rate}"))
+        return patched
+
+    # Both fits read [finetune] and step float32 networks: 1e308 is past
+    # float32's range, so the top MLR overflows, while at 1e30 its bounded
+    # steps stay finite and fine-tuning's do not.
+    @pytest.mark.parametrize("rate, phase", [
+        ("1e308", "depth 1 top MLR"), ("1e30", "depth 1 fine-tuning")],
+        ids=["top_mlr", "fine_tuning"])
+    def test_overflowing_finetune_learning_rate_exits_3_naming_the_phase(
+            self, tmp_path, capsys, rate, phase):
+        patched = self.finetune_rate(tmp_path, rate)
         assert run_cli("run", "--config", patched, "--out", tmp_path / "o") == 3
         err = capsys.readouterr().err
         assert err.startswith(f"error: {phase} diverged at epoch 1") \
             and err.count("\n") == 1
+
+    def test_rate_past_float32_prints_one_line_and_no_cast_warning(
+            self, tmp_path):
+        # In a process of its own, as a user runs it: numpy would print
+        # "overflow encountered in cast" when sgd rounds the rate to the
+        # networks' dtype outside its errstate.
+        env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+        done = subprocess.run(
+            [sys.executable, "-m", "sdae_ivs", "run", "--config",
+             str(self.finetune_rate(tmp_path, "1e308")), "--out",
+             str(tmp_path / "o")], env=env, capture_output=True, text=True)
+        assert done.returncode == 3
+        assert done.stderr.startswith("error: depth 1 top MLR diverged at "
+                                      "epoch 1") \
+            and done.stderr.count("\n") == 1
 
     # Selection fits read [ivs]: each names where it runs, layer 1 of the
     # SDAE-IVS stack or the pattern export, which the plain SDAE variant
@@ -1159,24 +1211,39 @@ class TestAmatPlumbing:
 
 
 class TestArrayTypes:
-    # The array fields of each dataclass; float64 unless named here.
+    # The array fields of each dataclass.
     FIELDS = {Dataset: ("x", "labels"), VariableMask: ("bits",),
               DaeModel: ("weights", "encoder_bias", "decoder_bias"),
               MlrModel: ("weights", "biases")}
-    DTYPES = {(Dataset, "labels"): np.int64, (VariableMask, "bits"): np.bool_}
+    # The phase of the fits that select on the loaded rows.
+    LAYER1_SELECTION = "layer 1: MLR training"
 
     @pytest.mark.parametrize("source", ["synthetic", "amat"])
     def test_every_verb_builds_its_arrays_with_their_types(
             self, tmp_path, monkeypatch, source):
         # No constructor converts, so the program must hand each one the
-        # ndarray type that load_amat, gen_synthetic, numerics.pack and
-        # serialize fix where data and models enter.
-        seen = []
+        # ndarray type that load_amat, gen_synthetic, numerics.pack,
+        # stack.NETWORK and serialize fix: the loaded rows and the layer-1
+        # selection in float64, every DAE and every other MLR in float32.
+        seen, loaded, layer1 = [], [], []
         for cls, names in self.FIELDS.items():
             def record(obj, _cls=cls, _names=names, _init=cls.__post_init__):
                 seen.extend((_cls, name, getattr(obj, name)) for name in _names)
                 _init(obj)
             monkeypatch.setattr(cls, "__post_init__", record)
+        for name in ("load_splits", "load_test"):
+            def load(cfg, _load=getattr(runner, name)):
+                splits = _load(cfg)
+                loaded.extend([splits] if isinstance(splits, Dataset) else splits)
+                return splits
+            monkeypatch.setattr(runner, name, load)
+        for module in (ivs, stack):
+            def fit(*args, _fit=module.train_mlr, **kwargs):
+                model = _fit(*args, **kwargs)
+                if kwargs["phase"] == self.LAYER1_SELECTION:
+                    layer1.append(model)
+                return model
+            monkeypatch.setattr(module, "train_mlr", fit)
         config = SMOKE if source == "synthetic" else \
             TestAmatPlumbing().three_file_config(tmp_path, (50, 8, 3),
                                                  (20, 8, 3), (20, 8, 3))
@@ -1184,10 +1251,21 @@ class TestArrayTypes:
         for verb in ("run", "eval", "ivs"):
             assert run_cli(verb, "--config", config, "--out", out) == 0
         assert {cls for cls, _, _ in seen} == set(self.FIELDS)
+        assert loaded and layer1
+        assert all(d.x.dtype == np.float64 for d in loaded)
+        selection = {id(a) for m in layer1 for a in (m.weights, m.biases)}
+        expected = {(Dataset, "labels"): np.int64,
+                    (VariableMask, "bits"): np.bool_,
+                    (DaeModel, "weights"): np.float32,
+                    (DaeModel, "encoder_bias"): np.float32,
+                    (DaeModel, "decoder_bias"): np.float32}
         for cls, name, value in seen:
             assert type(value) is np.ndarray, (cls.__name__, name)
-            assert value.dtype == self.DTYPES.get((cls, name), np.float64), \
-                (cls.__name__, name, value.dtype)
+            if cls is MlrModel:
+                want = np.float64 if id(value) in selection else np.float32
+            else:
+                want = expected.get((cls, name), value.dtype)
+            assert value.dtype == want, (cls.__name__, name, value.dtype)
 
 
 class TestErrors:

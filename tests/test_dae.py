@@ -50,6 +50,13 @@ class TestCorrupt:
         with pytest.raises(ValueError):
             corrupt(np.zeros(2), -0.1, derive_rng(0))
 
+    def test_float32_rows_take_the_float64_stream_rounded(self):
+        x = np.linspace(0, 1, 6, dtype=np.float32)
+        noise = corrupt(np.zeros(6), 0.3, derive_rng(4))
+        got = corrupt(x, 0.3, derive_rng(4))
+        assert got.dtype == np.float32
+        assert np.array_equal(got, noise.astype(np.float32) + x)
+
 
 class TestEncodeDecode:
     def test_zero_parameters_encode_to_half(self):
@@ -112,6 +119,12 @@ class TestLoss:
             x = rng.uniform(size=4)
             y = rng.uniform(0.01, 0.99, size=4)
             assert loss(x, y) >= 0.0
+
+    def test_saturated_reconstruction_is_clipped_in_its_own_dtype(self):
+        # A float32 1.0 is clipped to the float32 below 1, not float64's.
+        below = np.nextafter(np.float32(1), np.float32(0))
+        value = loss(np.zeros(1, np.float32), np.ones(1, np.float32))
+        assert value == pytest.approx(-np.log1p(-float(below)), rel=1e-6)
 
 
 class TestGradients:
@@ -187,7 +200,7 @@ class TestGradients:
 
 def minibatch_train_dae(train, cfg, rng, batch):
     """train_dae at a batch size it has no key for, from the same steps."""
-    params, model = init_dae(train.m, cfg, rng)
+    params, model = init_dae(train.m, cfg, rng, train.x.dtype)
     sgd("DAE pre-training", params, gradient(model, batch),
         cfg.learning_rate, (train.x,), cfg.epochs, rng, batch=batch,
         per_epoch=lambda x: (corrupt(x, cfg.noise_sd, rng),))
@@ -267,13 +280,18 @@ class TestTraining:
     def test_init_bounds(self):
         cfg = DaeTrainConfig(hidden_units=8, noise_sd=0.1, learning_rate=0.1,
                              epochs=1)
-        params, model = init_dae(16, cfg, derive_rng(1))
+        params, model = init_dae(16, cfg, derive_rng(1), np.float64)
         assert_tiles(params, (model.weights, model.encoder_bias,
                               model.decoder_bias))
         bound = 1.0 / 4.0
         assert np.all(np.abs(model.weights) <= bound)
         assert np.all(model.encoder_bias == 0.0)
         assert np.all(model.decoder_bias == 0.0)
+        # float32 takes the same draws, rounded.
+        params32, model32 = init_dae(16, cfg, derive_rng(1), np.float32)
+        assert params32.dtype == np.float32
+        assert np.array_equal(model32.weights,
+                              model.weights.astype(np.float32))
 
     def test_later_epochs_hold_no_more_than_the_first(self):
         # Each epoch's gathered rows and corruption are freed before the

@@ -60,7 +60,7 @@ class TestGradients:
             model = random_mlr(seed + 100, k, mm, scale=0.7)
             x = rng.uniform(size=(batch, mm))
             labels = rng.integers(1, k + 1, size=batch)
-            targets = one_hot(labels, k)
+            targets = one_hot(labels, k, np.float64)
             gw, gb = split_like(gradient(model, batch)(x, targets),
                                 (model.weights, model.biases))
 
@@ -79,7 +79,7 @@ class TestGradients:
             label = rng.integers(1, k + 1, size=1)
             delta = softmax(x @ model.weights.T + model.biases)[0]
             delta[label[0] - 1] -= 1.0
-            targets = one_hot(label, k)
+            targets = one_hot(label, k, np.float64)
             gw, gb = split_like(gradient(model, 1)(x, targets),
                                 (model.weights, model.biases))
             assert np.array_equal(gw, np.outer(delta, x[0]))
@@ -92,7 +92,7 @@ class TestGradients:
         model = random_mlr(8, 4, 6)
         rng = derive_rng(8)
         x, labels = rng.uniform(size=(6, 6)), rng.integers(1, 5, size=6)
-        targets = one_hot(labels, 4)
+        targets = one_hot(labels, 4, np.float64)
         for batch, runs in CONSECUTIVE_RUNS:
             grads, returned = gradient(model, batch), []
             for lo, hi in runs:
@@ -110,7 +110,7 @@ class TestGradients:
         model = random_mlr(10, 10, 300)
         rng = derive_rng(10)
         x = rng.uniform(size=(10 * batch, 300))
-        targets = one_hot(rng.integers(1, 11, size=len(x)), 10)
+        targets = one_hot(rng.integers(1, 11, size=len(x)), 10, np.float64)
         batches = [(x[lo:lo + batch], targets[lo:lo + batch])
                    for lo in range(0, len(x), batch)]
         grads = gradient(model, batch)
@@ -125,7 +125,7 @@ class TestGradients:
             d, d, TrainConfig(0.3, 3, 3, minibatch_size=4), derive_rng(9)))
         assert_tiles(params, (model.weights, model.biases))
         x, labels = d.x[:4], d.labels[:4]
-        gw, gb = split_like(step(x, one_hot(labels, 3)),
+        gw, gb = split_like(step(x, one_hot(labels, 3, np.float64)),
                             (model.weights, model.biases))
 
         def f():
@@ -203,9 +203,10 @@ class TestTraining:
 class TestOneHot:
     def test_rows_of_the_identity(self):
         labels = derive_rng(3).integers(1, 11, size=300)
-        targets = one_hot(labels, 10)
-        assert targets.dtype == np.float64 and targets.flags.c_contiguous
-        assert np.array_equal(targets, np.eye(10)[labels - 1])
+        for dtype in (np.float64, np.float32):
+            targets = one_hot(labels, 10, dtype)
+            assert targets.dtype == dtype and targets.flags.c_contiguous
+            assert np.array_equal(targets, np.eye(10)[labels - 1])
 
     def test_peak_memory_is_the_targets_alone_at_large_k(self):
         # 31 labels of 4001 classes: the targets take 1 MB, and a 4001 x
@@ -213,7 +214,7 @@ class TestOneHot:
         labels = np.arange(1, 4002, 133)
         tracemalloc.start()
         try:
-            targets = one_hot(labels, 4001)
+            targets = one_hot(labels, 4001, np.float64)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -282,6 +282,14 @@ class TestPack:
         assert va.shape == (2, 3) and vb.shape == (2,)
         assert np.array_equal(va, a) and np.array_equal(vb, b)
 
+    def test_buffer_and_views_keep_the_arrays_dtype(self):
+        flat, views = pack(np.ones((2, 2), np.float32), np.zeros(3, np.float32))
+        assert flat.dtype == np.float32
+        assert all(v.dtype == np.float32 and v.base is flat for v in views)
+        assert delta_rows(views[1], 4).dtype == np.float32
+        x = np.ones((600, 3), np.float32)
+        assert map_blocks(lambda rows: rows * 2, x).dtype == np.float32
+
     def test_writing_through_a_view_writes_the_buffer(self):
         a, b = np.zeros((2, 2)), np.zeros(3)
         flat, (va, vb) = pack(a, b)

@@ -1,3 +1,4 @@
+import base64
 import json
 
 import numpy as np
@@ -13,21 +14,24 @@ from sdae_ivs.stack import StackLayer, StackModel
 rng = derive_rng(99)
 
 
+def normal(*shape, scale=1.0):
+    """float32 normal draws: models hold the networks' dtype."""
+    return (scale * rng.normal(size=shape)).astype(np.float32)
+
+
 def random_stack(fine_tuned=False):
     mask1 = VariableMask(np.array([1, 0, 1, 1, 1], dtype=bool))
-    dae1 = DaeModel(rng.normal(size=(3, 4)), rng.normal(size=3),
-                    rng.normal(size=4))
+    dae1 = DaeModel(normal(3, 4), normal(3), normal(4))
     mask2 = VariableMask(np.array([1, 1, 0], dtype=bool))
-    dae2 = DaeModel(rng.normal(size=(2, 2)), rng.normal(size=2),
-                    rng.normal(size=2))
-    top = MlrModel(rng.normal(size=(3, 2)), rng.normal(size=3))
+    dae2 = DaeModel(normal(2, 2), normal(2), normal(2))
+    top = MlrModel(normal(3, 2), normal(3))
     return StackModel([StackLayer(mask1, dae1), StackLayer(mask2, dae2)],
                       top, fine_tuned)
 
 
 def test_mlr_round_trip_is_bit_exact(tmp_path):
     # The top classifier is stored as an MLR record inside the stack file.
-    model = MlrModel(rng.normal(size=(4, 7)) * 1e-8, rng.normal(size=4) * 1e8)
+    model = MlrModel(normal(4, 7, scale=1e-8), normal(4, scale=1e8))
     path = tmp_path / "m.json"
     save_stack(path, StackModel([], model))
     loaded = load_stack(path).top
@@ -36,10 +40,9 @@ def test_mlr_round_trip_is_bit_exact(tmp_path):
 
 
 def test_dae_round_trip_with_mask(tmp_path):
-    model = DaeModel(rng.normal(size=(2, 3)), rng.normal(size=2),
-                     rng.normal(size=3))
+    model = DaeModel(normal(2, 3), normal(2), normal(3))
     mask = VariableMask(np.array([0, 1, 1, 0, 1], dtype=bool))
-    top = MlrModel(rng.normal(size=(2, 2)), rng.normal(size=2))
+    top = MlrModel(normal(2, 2), normal(2))
     path = tmp_path / "d.json"
     save_stack(path, StackModel([StackLayer(mask, model)], top))
     (loaded,) = load_stack(path).layers
@@ -62,6 +65,36 @@ def test_stack_round_trip(tmp_path):
         assert np.array_equal(got.dae.decoder_bias, want.dae.decoder_bias)
     assert np.array_equal(loaded.top.weights, model.top.weights)
     assert np.array_equal(loaded.top.biases, model.top.biases)
+
+
+def test_records_hold_float32_arrays_and_no_field_the_shapes_hold(tmp_path):
+    path = tmp_path / "s.json"
+    save_stack(path, random_stack())
+    rec = json.loads(path.read_text())
+    assert set(rec) == {"format", "version", "fine_tuned", "layers", "top"}
+    assert set(rec["top"]) == {"weights", "biases"}
+    assert all(set(layer) == {"weights", "encoder_bias", "decoder_bias",
+                              "mask"} for layer in rec["layers"])
+    assert len(base64.b64decode(rec["top"]["weights"]["data"])) == 4 * 3 * 2
+    loaded = load_stack(path)
+    arrays = [loaded.top.weights, loaded.top.biases] + [
+        a for layer in loaded.layers for a in (
+            layer.dae.weights, layer.dae.encoder_bias, layer.dae.decoder_bias)]
+    assert all(a.dtype == np.float32 and a.flags.writeable for a in arrays)
+
+
+@pytest.mark.parametrize("value", [1, 0, "true", None])
+def test_fine_tuned_that_is_not_a_boolean_is_refused_naming_the_file(
+        tmp_path, value):
+    path = tmp_path / "s.json"
+    save_stack(path, random_stack())
+    rec = json.loads(path.read_text())
+    rec["fine_tuned"] = value
+    path.write_text(json.dumps(rec))
+    with pytest.raises(ValueError) as err:
+        load_stack(path)
+    assert str(err.value) == (f"{path} has a malformed fine_tuned: "
+                              f"{json.dumps(value)} is not a boolean")
 
 
 def test_writes_are_byte_identical(tmp_path):

@@ -87,9 +87,12 @@ class TestPretrain:
         model, ivs_results = pretrain_deepest(train, valid, cfg, 7)
         assert ivs_results == []
 
-        manual_dae = train_dae(train, cfg["dae"][0], derive_rng(7, 1, DAE))
-        rep_train = encode_dataset(manual_dae, train)
-        rep_valid = encode_dataset(manual_dae, valid)
+        # The DAE reads the rows rounded to float32.
+        rows, valid_rows = (Dataset(d.x.astype(np.float32), d.labels,
+                                    d.num_classes) for d in (train, valid))
+        manual_dae = train_dae(rows, cfg["dae"][0], derive_rng(7, 1, DAE))
+        rep_train = encode_dataset(manual_dae, rows)
+        rep_valid = encode_dataset(manual_dae, valid_rows)
         manual_top = train_mlr(rep_train, rep_valid, cfg["top"],
                                derive_rng(7, 1, TOP))
 
@@ -99,6 +102,26 @@ class TestPretrain:
                               manual_dae.encoder_bias)
         assert np.array_equal(model.top.weights, manual_top.weights)
         assert np.array_equal(model.top.biases, manual_top.biases)
+
+    def test_networks_read_float32_and_layer1_selection_the_loaded_rows(
+            self, monkeypatch):
+        train, valid, _, _ = easy_splits(2)
+        seen = []
+
+        def spy(name, fit):
+            def record(*args, **kwargs):
+                seen.append((name, [a for a in args if isinstance(a, Dataset)]))
+                return fit(*args, **kwargs)
+            monkeypatch.setattr(stack, name, record)
+
+        for name in ("run_ivs", "train_dae", "train_mlr"):
+            spy(name, getattr(stack, name))
+        pretrain_deepest(train, valid, stack_cfg(2, select=True), 4)
+        assert [name for name, _ in seen] == [
+            "run_ivs", "train_dae", "run_ivs", "train_dae", "train_mlr"]
+        assert seen[0][1][0].x is train.x and seen[0][1][1].x is valid.x
+        for name, given in seen[1:]:
+            assert all(d.x.dtype == np.float32 for d in given), name
 
     def test_depth2_width_bookkeeping(self):
         train, valid, _, _ = easy_splits(2)
@@ -292,7 +315,8 @@ class TestFineTune:
                     -float(log_softmax(_logits_for_test(model, row))[y - 1])
                     for row, y in zip(x, labels)])
 
-            c1, targets = compact(x, model.layers[0].mask), one_hot(labels, 2)
+            c1 = compact(x, model.layers[0].mask)
+            targets = one_hot(labels, 2, np.float64)
             gradients = split_like(gradient(model, batch)(c1, targets), params)
             assert len(gradients) == len(params)
             for g, p in zip(gradients, params):
@@ -306,7 +330,8 @@ class TestFineTune:
         model = toy_stack(27, with_masks=with_masks)
         rng = derive_rng(27)
         x, labels = rng.uniform(size=(6, 6)), rng.integers(1, 3, size=6)
-        c1, targets = compact(x, model.layers[0].mask), one_hot(labels, 2)
+        c1 = compact(x, model.layers[0].mask)
+        targets = one_hot(labels, 2, np.float64)
         for batch, runs in CONSECUTIVE_RUNS:
             grads, returned = gradient(model, batch), []
             for lo, hi in runs:
@@ -325,7 +350,8 @@ class TestFineTune:
         assert_tiles(params, fine_tune_params(tuned))
         x, labels = d.x[:1], d.labels[:1]
         gradients = split_like(
-            step(compact(x, model.layers[0].mask), one_hot(labels, 2)),
+            step(compact(x, model.layers[0].mask),
+                 one_hot(labels, 2, np.float64)),
             fine_tune_params(tuned))
 
         def f():

@@ -230,7 +230,7 @@ def fresh_dae_grads(m, x_clean, x_in):
 
 def per_step_train_dae(train, cfg, rng, batch=1):
     """train_dae drawing each step's corruption as that step's x + noise."""
-    params, model = init_dae(train.m, cfg, rng)
+    params, model = init_dae(train.m, cfg, rng, train.x.dtype)
 
     def step(x):
         x_in = x + rng.normal(0.0, cfg.noise_sd, size=x.shape)
