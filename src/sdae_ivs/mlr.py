@@ -50,8 +50,6 @@ class TrainConfig:
 
 def wald_halfwidth(p: float, n: int) -> float:
     """1.96 * sqrt(p(1-p)/n), the 95% normal-approximation halfwidth."""
-    if n < 1:
-        raise DataError("need n >= 1 for a confidence interval")
     return 1.96 * float(np.sqrt(p * (1.0 - p) / n))
 
 

@@ -167,14 +167,14 @@ def cmd_run(cfg: ExperimentConfig) -> None:
         results[variant] = {}
         ivs = cfg.ivs if variant == VARIANT_SDAE_IVS else ()
         # cfg.dae holds one plan per layer of the deepest requested depth.
-        stacks, ivs_results = pretrain(train, valid, cfg.dae, ivs,
-                                       cfg.fine_tune, cfg.seed, cfg.depths)
-        # Every depth shares the lower layers, so selection and pattern
-        # artifacts are written once per variant.
+        stacks, ivs_results, first = pretrain(
+            train, valid, cfg.dae, ivs, cfg.fine_tune, cfg.seed, cfg.depths)
+        # Every depth shares the selections and layer 1 as trained, so
+        # selection and pattern artifacts are written once per variant.
         artifacts += _write_ivs_artifacts(out, variant, ivs_results, cfg)
         if cfg.export_patterns:
             artifacts += _write_patterns(out, variant, select_extractors(
-                stacks[cfg.depths[0]], train, valid, cfg.ivs[0],
+                stacks[cfg.depths[0]].mask, first, train, valid, cfg.ivs[0],
                 derive_rng(cfg.seed, 1, EXTRACTORS)), cfg)
         for depth in cfg.depths:
             pre = stacks[depth]
@@ -375,7 +375,7 @@ def cmd_eval(cfg: ExperimentConfig) -> dict:
             if model.depth != depth:
                 raise ValueError(f"{path} holds {model.depth} layers, "
                                  f"not {depth}")
-            width = model.layers[0].mask.m
+            width = model.mask.m
             if width != test.m:
                 raise DataError(f"model {path} reads {width} variables, "
                                 f"but the data has {test.m}")

@@ -1,10 +1,10 @@
 """Model persistence with value-exact round trips.
 
 Records are JSON with float32 arrays (stack.NETWORK) embedded as base64 of
-their little-endian bytes, and each layer's mask as a string of 0s and 1s,
-so loading reproduces every parameter bit for bit and writing the same
-model twice produces identical files (no timestamps, no platform-dependent
-float text).
+their little-endian bytes, and the stack's input mask, as a string of 0s
+and 1s, at layers[0].mask, so loading reproduces every parameter bit for
+bit and writing the same model twice produces identical files (no
+timestamps, no platform-dependent float text).
 """
 
 from __future__ import annotations
@@ -19,11 +19,11 @@ from .data import VariableMask
 from .dae import DaeModel
 from .errors import DimensionError
 from .mlr import MlrModel
-from .stack import StackLayer, StackModel
+from .stack import StackModel
 
 FORMAT = "sdae-ivs-model"
-# Version 5: float32 arrays, and no field that an array's shape holds.
-VERSION = 5
+# Version 6: one mask, over the raw input, and no fine_tuned flag.
+VERSION = 6
 
 
 def _pack(arr: np.ndarray) -> dict:
@@ -44,19 +44,22 @@ def pack_mask(mask: VariableMask) -> str:
 
 
 def unpack_mask(text: str) -> VariableMask:
+    """The mask pack_mask wrote; anything but a string of 0s and 1s is a
+    ValueError."""
+    if not isinstance(text, str) or not set(text) <= {"0", "1"}:
+        raise ValueError("not a string of 0s and 1s")
     return VariableMask(np.array([c == "1" for c in text], dtype=bool))
 
 
 def save_stack(path, m: StackModel) -> None:
     layers = [{
-        "weights": _pack(layer.dae.weights),
-        "encoder_bias": _pack(layer.dae.encoder_bias),
-        "decoder_bias": _pack(layer.dae.decoder_bias),
-        "mask": pack_mask(layer.mask),
-    } for layer in m.layers]
+        "weights": _pack(dae.weights),
+        "encoder_bias": _pack(dae.encoder_bias),
+        "decoder_bias": _pack(dae.decoder_bias),
+    } for dae in m.layers]
+    layers[0]["mask"] = pack_mask(m.mask)
     top = {"weights": _pack(m.top.weights), "biases": _pack(m.top.biases)}
-    rec = {"format": FORMAT, "version": VERSION, "fine_tuned": m.fine_tuned,
-           "layers": layers, "top": top}
+    rec = {"format": FORMAT, "version": VERSION, "layers": layers, "top": top}
     Path(path).write_text(json.dumps(rec, sort_keys=True) + "\n")
 
 
@@ -80,22 +83,20 @@ def load_stack(path) -> StackModel:
                 from exc
 
     try:
-        if not isinstance(rec["layers"], list):
+        layers = rec["layers"]
+        if not isinstance(layers, list):
             raise ValueError(f"{path} has a malformed layers: '"
-                             f"{type(rec['layers']).__name__}' object is not "
-                             "a list")
-        layers = [StackLayer(
-            read(layer, "mask", f"layers[{i}].", unpack_mask),
-            DaeModel(*(read(layer, key, f"layers[{i}].", _unpack)
-                       for key in ("weights", "encoder_bias", "decoder_bias"))))
-            for i, layer in enumerate(rec["layers"])]
+                             f"{type(layers).__name__}' object is not a list")
+        if not layers:
+            raise ValueError(f"{path} has no layers")
         top = rec["top"]
-        if not isinstance(rec["fine_tuned"], bool):
-            raise ValueError(f"{path} has a malformed fine_tuned: "
-                             f"{json.dumps(rec['fine_tuned'])} is not a boolean")
-        return StackModel(layers, MlrModel(
-            *(read(top, key, "top.", _unpack) for key in ("weights", "biases"))),
-            rec["fine_tuned"])
+        return StackModel(
+            read(layers[0], "mask", "layers[0].", unpack_mask),
+            [DaeModel(*(read(layer, key, f"layers[{i}].", _unpack)
+                        for key in ("weights", "encoder_bias", "decoder_bias")))
+             for i, layer in enumerate(layers)],
+            MlrModel(*(read(top, key, "top.", _unpack)
+                       for key in ("weights", "biases"))))
     except DimensionError as exc:
         raise DimensionError(f"{path}: {exc}") from exc
     except KeyError as exc:

@@ -25,7 +25,7 @@ from sdae_ivs.mlr import (MlrModel, TrainConfig, evaluate, one_hot,
                           wald_halfwidth)
 from sdae_ivs.mlr import gradient as mlr_gradient
 from sdae_ivs.numerics import FINE_TUNE, derive_rng, softmax
-from sdae_ivs.stack import (StackLayer, StackModel, fine_tune,
+from sdae_ivs.stack import (StackModel, fine_tune,
                             fine_tune_params, predict_labels, pretrain,
                             select_extractors)
 from sdae_ivs.stack import gradient as stack_gradient
@@ -143,31 +143,30 @@ def test_criterion_2_gradient_oracles():
     for seed in range(20):
         rng = derive_rng(2000 + seed)
         k = int(rng.integers(2, 4))
-        mask1 = VariableMask(np.array([1, 1, 0, 1, 1, 1], dtype=bool))
-        mask2 = VariableMask(np.array([1, 0, 1, 1], dtype=bool))
+        mask = VariableMask(np.array([1, 1, 0, 1, 1, 1], dtype=bool))
         stack = StackModel(
-            [StackLayer(mask1, DaeModel(rng.normal(scale=0.6, size=(4, 5)),
-                                        rng.normal(scale=0.3, size=4),
-                                        rng.normal(scale=0.3, size=5))),
-             StackLayer(mask2, DaeModel(rng.normal(scale=0.6, size=(3, 3)),
-                                        rng.normal(scale=0.3, size=3),
-                                        rng.normal(scale=0.3, size=3)))],
+            mask,
+            [DaeModel(rng.normal(scale=0.6, size=(4, 5)),
+                      rng.normal(scale=0.3, size=4),
+                      rng.normal(scale=0.3, size=5)),
+             DaeModel(rng.normal(scale=0.6, size=(3, 4)),
+                      rng.normal(scale=0.3, size=3),
+                      rng.normal(scale=0.3, size=4))],
             MlrModel(rng.normal(scale=0.6, size=(k, 3)),
                      rng.normal(scale=0.3, size=k)))
         batch = 1 if seed % 2 else int(rng.integers(2, 9))
         x = rng.uniform(size=(batch, 6))
         labels = rng.integers(1, k + 1, size=batch)
-        c1, targets = compact(x, mask1), one_hot(labels, k, np.float64)
+        c1, targets = compact(x, mask), one_hot(labels, k, np.float64)
         gradients = split_like(stack_gradient(stack, batch)(c1, targets),
                                fine_tune_params(stack))
 
         def f():
             total = 0.0
             for row, label in zip(x, labels):
-                cur = row
-                for layer in stack.layers:
-                    z = layer.dae.weights @ compact(cur, layer.mask) \
-                        + layer.dae.encoder_bias
+                cur = compact(row, mask)
+                for dae in stack.layers:
+                    z = dae.weights @ cur + dae.encoder_bias
                     cur = 1.0 / (1.0 + np.exp(-z))
                 logits = stack.top.weights @ cur + stack.top.biases
                 total -= float(np.log(softmax(logits)[label - 1]))
@@ -241,8 +240,8 @@ def test_criterion_5_paired_trend():
         errors = {}
         for enabled in (False, True):
             cfg = paired_stack_config(2, enabled)
-            stacks, ivs_results = pretrain(train, valid, **cfg, seed=seed,
-                                           depths=(1, 2))
+            stacks, ivs_results, _ = pretrain(train, valid, **cfg,
+                                              seed=seed, depths=(1, 2))
             if enabled:
                 first_layer = ivs_results[0]
                 kept = [item.kept for item in first_layer.history]
@@ -271,14 +270,15 @@ def test_criterion_6_extractor_count_trend():
     train, valid, _, _ = planted_splits(seed)
     models = {}
     for enabled in (False, True):
-        models[enabled], _ = pretrain_deepest(
+        model, _ = pretrain_deepest(
             train, valid, paired_stack_config(1, enabled), seed)
+        models[enabled] = model.mask, model.layers[0]
     ratios = []
     for threshold in (0.2, 0.3, 0.4):
         probe = IvsConfig(threshold, 8, IVS_TRAINER)
         counts = {
             enabled: len(select_extractors(
-                models[enabled], train, valid, probe,
+                *models[enabled], train, valid, probe,
                 derive_rng(seed, 60, int(threshold * 100)))[0])
             for enabled in (False, True)
         }

@@ -377,22 +377,42 @@ class TestModelWidth:
 
 class TestModelFile:
     def test_mask_that_disagrees_with_its_dae_names_file_and_layer(
-            self, tmp_path, capsys):
-        patched = tmp_path / "deep.ini"
-        patched.write_text(SMOKE.read_text()
-                           .replace("depths = 1", "depths = 2")
-                           .replace("variants = both", "variants = sdae"))
-        out = tmp_path / "deep"
-        assert run_cli("run", "--config", patched, "--out", out) == 0
-        path = out / "models" / "sdae-depth2-tuned.json"
+            self, tmp_path, smoke_run, capsys):
+        out = tmp_path / "o"
+        shutil.copytree(smoke_run, out, ignore=shutil.ignore_patterns(
+            "eval.json"))
+        path = out / "models" / "sdae-depth1-tuned.json"
         rec = json.loads(path.read_text())
-        # Drop one kept unit from layer 2's mask, but not from its DAE.
-        rec["layers"][1]["mask"] = rec["layers"][1]["mask"].replace("1", "0", 1)
+        # Drop one kept variable from the mask, but not from layer 1's DAE.
+        rec["layers"][0]["mask"] = rec["layers"][0]["mask"].replace("1", "0", 1)
         path.write_text(json.dumps(rec))
         capsys.readouterr()
-        assert run_cli("eval", "--config", patched, "--out", out) == 3
-        err = capsys.readouterr().err
-        assert str(path) in err and "layer 2" in err
+        assert run_cli("eval", "--config", SMOKE, "--out", out) == 3
+        assert capsys.readouterr().err == \
+            f"error: {path}: layer 1 reads 30 inputs, not 29\n"
+
+    # Each mask below loaded and evaluated at exit 0 while any character
+    # but 1 read as a drop and any iterable was taken.
+    @pytest.mark.parametrize("edit", [
+        lambda mask: mask.replace("0", "2"),
+        lambda mask: mask.replace("0", "x"),
+        list], ids=["digit_2", "letter_x", "json_list"])
+    def test_malformed_mask_exits_3_naming_the_file(
+            self, tmp_path, smoke_run, capsys, edit):
+        out = tmp_path / "o"
+        shutil.copytree(smoke_run, out, ignore=shutil.ignore_patterns(
+            "eval.json"))
+        path = out / "models" / "sdae_ivs-depth1-tuned.json"
+        rec = json.loads(path.read_text())
+        assert "0" in rec["layers"][0]["mask"]
+        rec["layers"][0]["mask"] = edit(rec["layers"][0]["mask"])
+        path.write_text(json.dumps(rec))
+        capsys.readouterr()
+        assert run_cli("eval", "--config", SMOKE, "--out", out) == 3
+        assert capsys.readouterr().err == (
+            f"error: {path} has a malformed layers[0].mask: not a string of "
+            "0s and 1s\n")
+        assert not (out / "eval.json").exists()
 
     @pytest.mark.parametrize("damage, message", [
         (lambda text: text[:300], "is not valid JSON: "),
@@ -404,10 +424,10 @@ class TestModelFile:
             weights={"data": "AAAA", "shape": [3, 7]})),
          "has a malformed top.weights: buffer size must be a multiple"),
         (edited(lambda r: r["layers"][0].update(mask=7)),
-         "has a malformed layers[0].mask: 'int' object is not iterable"),
+         "has a malformed layers[0].mask: not a string of 0s and 1s"),
         (edited(lambda r: r.update(layers=5)),
          "has a malformed layers: 'int' object is not a list"),
-        (edited(lambda r: r.update(layers=[])), "holds 0 layers, not 1"),
+        (edited(lambda r: r.update(layers=[])), "has no layers"),
         (edited(lambda r: r.update(format="other")),
          "is not a sdae-ivs-model file"),
     ], ids=["truncated", "no_top_weights", "int_top_weights",
@@ -436,7 +456,7 @@ class TestModelFile:
         assert run_cli("eval", "--config", SMOKE, "--out", out) == 3
         assert capsys.readouterr().err == (
             f"error: {path} has sdae-ivs-model version 4; this program "
-            "reads version 5\n")
+            "reads version 6\n")
         assert not (out / "eval.json").exists()
 
     @pytest.mark.parametrize("where", ["layer", "top"])
@@ -492,7 +512,7 @@ class TestModelFile:
         assert run_cli("eval", "--config", SMOKE, "--out", out) == 3
         assert capsys.readouterr().err == f"error: {path}: {message}\n"
 
-    def test_layer_2_mask_of_another_length_exits_3_naming_the_file(
+    def test_layer_2_that_reads_another_width_exits_3_naming_the_file(
             self, tmp_path, capsys):
         patched = tmp_path / "deep.ini"
         patched.write_text(SMOKE.read_text()
@@ -502,13 +522,17 @@ class TestModelFile:
         assert run_cli("run", "--config", patched, "--out", out) == 0
         path = out / "models" / "sdae-depth2-tuned.json"
         rec = json.loads(path.read_text())
-        # One more dropped unit: the popcount holds, the length does not.
-        rec["layers"][1]["mask"] += "0"
+        # Layer 1 loses its last unit, which layer 2 still reads.
+        first = rec["layers"][0]
+        h, m = first["weights"]["shape"]
+        for key, arr in (("weights", np.zeros((h - 1, m))),
+                         ("encoder_bias", np.zeros(h - 1))):
+            first[key] = self.array_record(arr)
         path.write_text(json.dumps(rec))
         capsys.readouterr()
         assert run_cli("eval", "--config", patched, "--out", out) == 3
         assert capsys.readouterr().err == \
-            f"error: {path}: layer 2 mask length != lower width\n"
+            f"error: {path}: layer 2 reads {h} inputs, not {h - 1}\n"
 
 
 class TestDivergence:
@@ -607,7 +631,7 @@ class TestIvsCommand:
         entry = report["results"]["sdae_ivs"]["depth1"]
         for key in ("pretrained_model", "model"):
             model = load_stack(smoke_run / entry[key])
-            assert pack_mask(model.layers[0].mask) == mask
+            assert pack_mask(model.mask) == mask
         # The importances carry the pre-classifiers' bits, so they show
         # that both verbs drew the same stream, even where masks agree.
         for name in IVS_FILES:

@@ -9,7 +9,7 @@ from sdae_ivs.data import VariableMask
 from sdae_ivs.mlr import MlrModel
 from sdae_ivs.numerics import derive_rng
 from sdae_ivs.serialize import VERSION, load_stack, save_stack
-from sdae_ivs.stack import StackLayer, StackModel
+from sdae_ivs.stack import StackModel
 
 rng = derive_rng(99)
 
@@ -19,21 +19,20 @@ def normal(*shape, scale=1.0):
     return (scale * rng.normal(size=shape)).astype(np.float32)
 
 
-def random_stack(fine_tuned=False):
-    mask1 = VariableMask(np.array([1, 0, 1, 1, 1], dtype=bool))
+def random_stack():
+    mask = VariableMask(np.array([1, 0, 1, 1, 1], dtype=bool))
     dae1 = DaeModel(normal(3, 4), normal(3), normal(4))
-    mask2 = VariableMask(np.array([1, 1, 0], dtype=bool))
-    dae2 = DaeModel(normal(2, 2), normal(2), normal(2))
+    dae2 = DaeModel(normal(2, 3), normal(2), normal(3))
     top = MlrModel(normal(3, 2), normal(3))
-    return StackModel([StackLayer(mask1, dae1), StackLayer(mask2, dae2)],
-                      top, fine_tuned)
+    return StackModel(mask, [dae1, dae2], top)
 
 
 def test_mlr_round_trip_is_bit_exact(tmp_path):
     # The top classifier is stored as an MLR record inside the stack file.
     model = MlrModel(normal(4, 7, scale=1e-8), normal(4, scale=1e8))
     path = tmp_path / "m.json"
-    save_stack(path, StackModel([], model))
+    save_stack(path, StackModel(VariableMask.all_ones(2), [DaeModel(
+        normal(7, 2), normal(7), normal(2))], model))
     loaded = load_stack(path).top
     assert np.array_equal(loaded.weights, model.weights)
     assert np.array_equal(loaded.biases, model.biases)
@@ -44,25 +43,25 @@ def test_dae_round_trip_with_mask(tmp_path):
     mask = VariableMask(np.array([0, 1, 1, 0, 1], dtype=bool))
     top = MlrModel(normal(2, 2), normal(2))
     path = tmp_path / "d.json"
-    save_stack(path, StackModel([StackLayer(mask, model)], top))
-    (loaded,) = load_stack(path).layers
-    assert np.array_equal(loaded.dae.weights, model.weights)
-    assert np.array_equal(loaded.dae.decoder_bias, model.decoder_bias)
+    save_stack(path, StackModel(mask, [model], top))
+    loaded = load_stack(path)
+    (dae,) = loaded.layers
+    assert np.array_equal(dae.weights, model.weights)
+    assert np.array_equal(dae.decoder_bias, model.decoder_bias)
     assert loaded.mask == mask
 
 
 def test_stack_round_trip(tmp_path):
-    model = random_stack(fine_tuned=True)
+    model = random_stack()
     path = tmp_path / "s.json"
     save_stack(path, model)
     loaded = load_stack(path)
-    assert loaded.fine_tuned
+    assert loaded.mask == model.mask
     assert len(loaded.layers) == 2
     for got, want in zip(loaded.layers, model.layers):
-        assert got.mask == want.mask
-        assert np.array_equal(got.dae.weights, want.dae.weights)
-        assert np.array_equal(got.dae.encoder_bias, want.dae.encoder_bias)
-        assert np.array_equal(got.dae.decoder_bias, want.dae.decoder_bias)
+        assert np.array_equal(got.weights, want.weights)
+        assert np.array_equal(got.encoder_bias, want.encoder_bias)
+        assert np.array_equal(got.decoder_bias, want.decoder_bias)
     assert np.array_equal(loaded.top.weights, model.top.weights)
     assert np.array_equal(loaded.top.biases, model.top.biases)
 
@@ -71,30 +70,19 @@ def test_records_hold_float32_arrays_and_no_field_the_shapes_hold(tmp_path):
     path = tmp_path / "s.json"
     save_stack(path, random_stack())
     rec = json.loads(path.read_text())
-    assert set(rec) == {"format", "version", "fine_tuned", "layers", "top"}
+    assert set(rec) == {"format", "version", "layers", "top"}
     assert set(rec["top"]) == {"weights", "biases"}
-    assert all(set(layer) == {"weights", "encoder_bias", "decoder_bias",
-                              "mask"} for layer in rec["layers"])
+    # The input mask is written once, with layer 1.
+    arrays = {"weights", "encoder_bias", "decoder_bias"}
+    assert [set(layer) for layer in rec["layers"]] == [arrays | {"mask"},
+                                                        arrays]
+    assert rec["layers"][0]["mask"] == "10111"
     assert len(base64.b64decode(rec["top"]["weights"]["data"])) == 4 * 3 * 2
     loaded = load_stack(path)
     arrays = [loaded.top.weights, loaded.top.biases] + [
-        a for layer in loaded.layers for a in (
-            layer.dae.weights, layer.dae.encoder_bias, layer.dae.decoder_bias)]
+        a for dae in loaded.layers for a in (
+            dae.weights, dae.encoder_bias, dae.decoder_bias)]
     assert all(a.dtype == np.float32 and a.flags.writeable for a in arrays)
-
-
-@pytest.mark.parametrize("value", [1, 0, "true", None])
-def test_fine_tuned_that_is_not_a_boolean_is_refused_naming_the_file(
-        tmp_path, value):
-    path = tmp_path / "s.json"
-    save_stack(path, random_stack())
-    rec = json.loads(path.read_text())
-    rec["fine_tuned"] = value
-    path.write_text(json.dumps(rec))
-    with pytest.raises(ValueError) as err:
-        load_stack(path)
-    assert str(err.value) == (f"{path} has a malformed fine_tuned: "
-                              f"{json.dumps(value)} is not a boolean")
 
 
 def test_writes_are_byte_identical(tmp_path):

@@ -1,9 +1,11 @@
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from sdae_ivs.config import load_config
 from sdae_ivs.dae import (DaeModel, DaeTrainConfig, decode, encode,
                           encode_dataset, loss, train_dae)
 from sdae_ivs.data import (Dataset, SyntheticSpec, VariableMask, compact,
@@ -14,14 +16,17 @@ from sdae_ivs.mlr import MlrModel, TrainConfig, evaluate, one_hot, train_mlr
 from sdae_ivs.mlr import predict_labels as mlr_predict_labels
 from sdae_ivs.numerics import BLOCK_ROWS, DAE, TOP, derive_rng
 from sdae_ivs.pgm import tile_grid, write_pgm
+from sdae_ivs.runner import load_splits
 from sdae_ivs import stack
-from sdae_ivs.stack import (StackLayer, StackModel, fine_tune,
+from sdae_ivs.stack import (StackModel, fine_tune,
                             fine_tune_params, gradient, predict_labels,
                             pretrain, reconstruct_through, select_extractors)
 from util import (CONSECUTIVE_RUNS, assert_tiles, captured_step, central_diff,
-                  flatten, grads_close, log_softmax,
-                  per_step_fine_tune, per_step_stack_grads,
+                  flatten, grads_close, log_softmax, masked_fine_tune,
+                  masked_stack_logits, per_step_fine_tune, per_step_stack_grads,
                   pretrain_deepest, split_like, unblocked_forward)
+
+REPO = Path(__file__).resolve().parent.parent
 
 EASY = SyntheticSpec(num_relevant=8, num_irrelevant=24, num_classes=3,
                      class_separation=3.0, noise_sd=0.4,
@@ -49,35 +54,38 @@ def stack_cfg(depth, select, hidden=(16, 12, 8), epochs=8):
                 top=TrainConfig(0.1, 20, 4))
 
 
-def toy_stack(seed=0, widths=(6, 4, 3), k=2, with_masks=True):
+def toy_stack(seed=0, widths=(6, 4, 3), k=2, with_mask=True):
     """Random depth-2 stack, raw width 6 -> hidden 4 -> hidden 3."""
     rng = derive_rng(seed)
     raw, h1, h2 = widths
-    if with_masks:
-        bits1 = np.array([1, 1, 0, 1, 1, 1], dtype=bool)[:raw]
-        bits2 = np.array([1, 0, 1, 1], dtype=bool)[:h1]
-    else:
-        bits1 = np.ones(raw, dtype=bool)
-        bits2 = np.ones(h1, dtype=bool)
-    mask1, mask2 = VariableMask(bits1), VariableMask(bits2)
-    dae1 = DaeModel(rng.normal(scale=0.6, size=(h1, mask1.popcount)),
+    bits = np.array([1, 1, 0, 1, 1, 1], dtype=bool)[:raw] if with_mask \
+        else np.ones(raw, dtype=bool)
+    mask = VariableMask(bits)
+    dae1 = DaeModel(rng.normal(scale=0.6, size=(h1, mask.popcount)),
                     rng.normal(scale=0.3, size=h1),
-                    rng.normal(scale=0.3, size=mask1.popcount))
-    dae2 = DaeModel(rng.normal(scale=0.6, size=(h2, mask2.popcount)),
+                    rng.normal(scale=0.3, size=mask.popcount))
+    dae2 = DaeModel(rng.normal(scale=0.6, size=(h2, h1)),
                     rng.normal(scale=0.3, size=h2),
-                    rng.normal(scale=0.3, size=mask2.popcount))
+                    rng.normal(scale=0.3, size=h1))
     top = MlrModel(rng.normal(scale=0.6, size=(k, h2)),
                    rng.normal(scale=0.3, size=k))
-    return StackModel([StackLayer(mask1, dae1), StackLayer(mask2, dae2)], top)
+    return StackModel(mask, [dae1, dae2], top)
 
 
 class TestStackModel:
     def test_mask_that_disagrees_with_its_dae_names_the_layer(self):
         model = toy_stack(5)
-        # Layer 2's DAE reads 3 units, but an all-ones mask keeps 4.
-        wide = StackLayer(VariableMask.all_ones(4), model.layers[1].dae)
-        with pytest.raises(DimensionError, match="layer 2 width"):
-            StackModel([model.layers[0], wide], model.top)
+        # Layer 1's DAE reads 5 variables, but an all-ones mask keeps 6.
+        with pytest.raises(DimensionError,
+                           match="^layer 1 reads 5 inputs, not 6$"):
+            StackModel(VariableMask.all_ones(6), model.layers, model.top)
+        # Layer 2's DAE reads 4 codes, but layer 1 without a unit has 3.
+        first = model.layers[0]
+        narrow = DaeModel(first.weights[1:], first.encoder_bias[1:],
+                          first.decoder_bias)
+        with pytest.raises(DimensionError,
+                           match="^layer 2 reads 4 inputs, not 3$"):
+            StackModel(model.mask, [narrow, model.layers[1]], model.top)
 
 
 class TestPretrain:
@@ -96,9 +104,9 @@ class TestPretrain:
         manual_top = train_mlr(rep_train, rep_valid, cfg["top"],
                                derive_rng(7, 1, TOP))
 
-        assert model.layers[0].mask == VariableMask.all_ones(train.m)
-        assert np.array_equal(model.layers[0].dae.weights, manual_dae.weights)
-        assert np.array_equal(model.layers[0].dae.encoder_bias,
+        assert model.mask == VariableMask.all_ones(train.m)
+        assert np.array_equal(model.layers[0].weights, manual_dae.weights)
+        assert np.array_equal(model.layers[0].encoder_bias,
                               manual_dae.encoder_bias)
         assert np.array_equal(model.top.weights, manual_top.weights)
         assert np.array_equal(model.top.biases, manual_top.biases)
@@ -127,47 +135,98 @@ class TestPretrain:
         train, valid, _, _ = easy_splits(2)
         model, _ = pretrain_deepest(train, valid, stack_cfg(2, select=True),
                                     8)
-        first = model.layers[0]
-        assert first.dae.input_width == first.mask.popcount
-        second = model.layers[1]
-        assert second.mask.m == first.dae.hidden_units
-        assert second.dae.input_width == second.mask.popcount
-        assert model.top.m == second.dae.hidden_units
+        first, second = model.layers
+        assert first.input_width == model.mask.popcount
+        assert second.input_width == first.hidden_units
+        assert model.top.m == second.hidden_units
 
     def test_deterministic(self):
         train, valid, _, _ = easy_splits(3)
         a, _ = pretrain_deepest(train, valid, stack_cfg(1, True), 5)
         b, _ = pretrain_deepest(train, valid, stack_cfg(1, True), 5)
-        assert a.layers[0].mask == b.layers[0].mask
-        assert np.array_equal(a.layers[0].dae.weights, b.layers[0].dae.weights)
+        assert a.mask == b.mask
+        assert np.array_equal(a.layers[0].weights, b.layers[0].weights)
         assert np.array_equal(a.top.weights, b.top.weights)
 
     def test_adding_depth_preserves_lower_layer(self):
         train, valid, _, _ = easy_splits(4)
         for select in (False, True):
-            shallow, shallow_ivs = pretrain(train, valid,
-                                            **stack_cfg(1, select), seed=6,
-                                            depths=(1,))
-            both, deep_ivs = pretrain(train, valid, **stack_cfg(2, select),
-                                      seed=6, depths=(2, 1))
-            deep, _ = pretrain(train, valid, **stack_cfg(2, select), seed=6,
-                               depths=(2,))
+            shallow, shallow_ivs, _ = pretrain(
+                train, valid, **stack_cfg(1, select), seed=6, depths=(1,))
+            both, deep_ivs, first = pretrain(
+                train, valid, **stack_cfg(2, select), seed=6, depths=(2, 1))
+            deep, _, _ = pretrain(train, valid, **stack_cfg(2, select),
+                                  seed=6, depths=(2,))
             assert sorted(both) == [1, 2] and list(deep) == [2]
             assert [r.mask for r in deep_ivs[:1]] == \
                 [r.mask for r in shallow_ivs]
+            # The depth-1 stack holds layer 1 whole, as the depth-2 stack
+            # holds it before layer 2's selection prunes it.
+            assert both[1].depth == 1 and both[1].layers[0] is first
+            kept = deep_ivs[1].mask.index if select \
+                else np.arange(first.hidden_units)
+            pruned = both[2].layers[0]
+            assert np.array_equal(pruned.weights, first.weights[kept])
+            assert np.array_equal(pruned.encoder_bias, first.encoder_bias[kept])
+            assert np.array_equal(pruned.decoder_bias, first.decoder_bias)
             # The depth-1 stack of the two-layer pass is the one-layer
             # pass's, and asking for it leaves the depth-2 stack as it is.
-            assert both[1].layers == both[2].layers[:1]
             for depth, alone in ((1, shallow[1]), (2, deep[2])):
                 for a, b in zip(fine_tune_params(both[depth]),
                                 fine_tune_params(alone)):
                     assert np.array_equal(a, b)
-                assert [l.mask for l in both[depth].layers] == \
-                    [l.mask for l in alone.layers]
+                assert both[depth].mask == alone.mask
         for depths in ((0,), (1, 3)):
             with pytest.raises(DimensionError):
                 pretrain(train, valid, **stack_cfg(2, False), seed=6,
                          depths=depths)
+
+    def test_selection_above_layer_1_prunes_the_layer_below(self, tmp_path):
+        # Layer 2's selection keeps 9 of layer 1's 12 units here. The stack
+        # must compute what the same layers compute when layer 1 is whole
+        # and layer 2 reads it through that mask, where the dropped units
+        # are computed at every step and take zero gradient.
+        config = tmp_path / "paired.ini"
+        config.write_text((REPO / "configs" / "paired_synthetic.ini")
+                          .read_text() + "\n[ivs.2]\nthreshold = 0.6\n")
+        cfg = load_config(config, 1)
+        train, valid, test = load_splits(cfg)
+        stacks, ivs_results, first = pretrain(
+            train, valid, cfg.dae, cfg.ivs, cfg.fine_tune, cfg.seed, (2,))
+        model, kept = stacks[2], ivs_results[1].mask
+        assert (kept.m, kept.popcount) == (12, 9)
+        assert model.layers[0].hidden_units == kept.popcount
+
+        def wide(arrays, cls):
+            return cls(*(a.astype(np.float64) for a in arrays))
+
+        layers = [wide((d.weights, d.encoder_bias, d.decoder_bias), DaeModel)
+                  for d in (first, *model.layers)]
+        top = wide((model.top.weights, model.top.biases), MlrModel)
+        pruned = StackModel(model.mask, layers[1:], top)
+        masked = [(model.mask, layers[0]), (kept, layers[2])]
+        logits = masked_stack_logits(masked, top, test.x)
+        codes = stack._forward(pruned.mask, pruned.layers, test.x)
+        assert np.array_equal(codes @ top.weights.T + top.biases, logits)
+        assert np.array_equal(predict_labels(pruned, test.x),
+                              np.argmax(logits, axis=1) + 1)
+
+        epoch = replace(cfg.fine_tune, learning_rate=0.2, max_epochs=1)
+        tuned = fine_tune(pruned, train, valid, epoch, derive_rng(0))
+        masked, masked_top = masked_fine_tune(masked, top, train, valid,
+                                              epoch, derive_rng(0))
+        assert not np.array_equal(tuned.top.weights, top.weights)
+        whole = masked[0][1]
+        dropped = np.setdiff1d(np.arange(12), kept.index)
+        assert np.array_equal(whole.weights[dropped], layers[0].weights[dropped])
+        assert np.array_equal(whole.encoder_bias[dropped],
+                              layers[0].encoder_bias[dropped])
+        # Products of another width may round the last bit otherwise.
+        want = [whole.weights[kept.index], whole.encoder_bias[kept.index],
+                masked[1][1].weights, masked[1][1].encoder_bias,
+                masked_top.weights, masked_top.biases]
+        for got, expected in zip(fine_tune_params(tuned), want):
+            np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-12)
 
     def test_both_variants_share_the_layer_streams(self):
         # Threshold 0 keeps every variable, so the selecting stack's DAE
@@ -177,9 +236,9 @@ class TestPretrain:
         plain, _ = pretrain_deepest(train, valid, stack_cfg(1, False), 6)
         selecting, _ = pretrain_deepest(
             train, valid, {**stack_cfg(1, True), "ivs": (keep_all,)}, 6)
-        assert selecting.layers[0].mask == plain.layers[0].mask
-        assert np.array_equal(selecting.layers[0].dae.weights,
-                              plain.layers[0].dae.weights)
+        assert selecting.mask == plain.mask
+        assert np.array_equal(selecting.layers[0].weights,
+                              plain.layers[0].weights)
         assert np.array_equal(selecting.top.weights, plain.top.weights)
 
     def test_divergence_names_the_layer(self):
@@ -196,7 +255,7 @@ class TestPredict:
     def test_layerless_stack_equals_mlr(self):
         rng = derive_rng(12)
         top = MlrModel(rng.normal(size=(3, 5)), rng.normal(size=3))
-        model = StackModel([], top)
+        model = StackModel(VariableMask.all_ones(5), [], top)
         x = rng.uniform(size=(10, 5))
         np.testing.assert_array_equal(predict_labels(model, x),
                                       mlr_predict_labels(top, x))
@@ -216,14 +275,14 @@ class TestPredict:
         assert batch.tolist() == singles
 
     def test_keep_all_masks_copy_no_codes(self):
-        # Masks that keep every unit pass each layer's codes on as they
-        # are; 4 kB covers the array headers and the small top.
+        # A mask that keeps every variable passes the rows on as they are,
+        # and each layer reads the codes below it as they are; 4 kB covers
+        # the array headers and the small top.
         rng = derive_rng(15)
-        layers = [StackLayer(VariableMask.all_ones(m), DaeModel(
-            rng.normal(scale=0.1, size=(400, m)), np.zeros(400), np.zeros(m)))
-            for m in (50, 400, 400)]
-        model = StackModel(layers, MlrModel(rng.normal(size=(3, 400)),
-                                            np.zeros(3)))
+        layers = [DaeModel(rng.normal(scale=0.1, size=(400, m)),
+                           np.zeros(400), np.zeros(m)) for m in (50, 400, 400)]
+        model = StackModel(VariableMask.all_ones(50), layers,
+                           MlrModel(rng.normal(size=(3, 400)), np.zeros(3)))
         x = rng.uniform(size=(2000, 50))
         predict_labels(model, x)
         tracemalloc.start()
@@ -236,18 +295,15 @@ class TestPredict:
 
 
 def compacting_stack(hidden, raw=60, k=3):
-    """Random depth-2 stack, raw -> hidden -> hidden, each mask dropping
+    """Random depth-2 stack, raw -> hidden -> hidden, its mask dropping
     every fourth variable."""
     rng = derive_rng(31, hidden)
-    layers = []
-    for width in (raw, hidden):
-        mask = VariableMask(np.arange(width) % 4 != 0)
-        layers.append(StackLayer(mask, DaeModel(
-            rng.normal(scale=0.5, size=(hidden, mask.popcount)),
-            rng.normal(scale=0.3, size=hidden),
-            np.zeros(mask.popcount))))
-    return StackModel(layers, MlrModel(rng.normal(size=(k, hidden)),
-                                       rng.normal(size=k)))
+    mask = VariableMask(np.arange(raw) % 4 != 0)
+    layers = [DaeModel(rng.normal(scale=0.5, size=(hidden, width)),
+                       rng.normal(scale=0.3, size=hidden), np.zeros(width))
+              for width in (mask.popcount, hidden)]
+    return StackModel(mask, layers, MlrModel(rng.normal(size=(k, hidden)),
+                                             rng.normal(size=k)))
 
 
 class TestRowBlocks:
@@ -260,13 +316,12 @@ class TestRowBlocks:
     def test_same_bytes_as_one_product_per_layer(self, n, hidden):
         model = compacting_stack(hidden)
         x = derive_rng(32, n).uniform(size=(n, 60))
-        codes = stack._forward(model, x)
+        codes = stack._forward(model.mask, model.layers, x)
         assert codes.shape == (n, hidden)
         assert codes.tobytes() == unblocked_forward(model, x).tobytes()
-        layer = model.layers[0]
-        d = Dataset(compact(x, layer.mask), np.ones(n, dtype=np.int64), 1)
-        assert encode_dataset(layer.dae, d).x.tobytes() == \
-            encode(layer.dae, d.x).tobytes()
+        d = Dataset(compact(x, model.mask), np.ones(n, dtype=np.int64), 1)
+        assert encode_dataset(model.layers[0], d).x.tobytes() == \
+            encode(model.layers[0], d.x).tobytes()
 
     def test_prediction_peak_beyond_codes_and_labels_does_not_grow(self):
         # What grows with the rows is the final codes, the top's logits
@@ -295,13 +350,12 @@ class TestFineTune:
         model, _ = pretrain_deepest(train, valid, stack_cfg(1, False), 9)
         tuned = fine_tune(model, train, valid, TrainConfig(0.1, 0, 1),
                           derive_rng(0))
-        assert tuned.fine_tuned
-        assert np.array_equal(tuned.layers[0].dae.weights,
-                              model.layers[0].dae.weights)
+        assert np.array_equal(tuned.layers[0].weights,
+                              model.layers[0].weights)
         assert np.array_equal(tuned.top.weights, model.top.weights)
 
     def test_gradients_match_finite_differences(self):
-        # The partial layer masks keep backprop through each expand checked.
+        # The partial input mask keeps the compacted rows checked.
         model = toy_stack(21)
         params = fine_tune_params(model)
         assert len(params) == 2 * model.depth + 2
@@ -315,22 +369,22 @@ class TestFineTune:
                     -float(log_softmax(_logits_for_test(model, row))[y - 1])
                     for row, y in zip(x, labels)])
 
-            c1 = compact(x, model.layers[0].mask)
+            c1 = compact(x, model.mask)
             targets = one_hot(labels, 2, np.float64)
             gradients = split_like(gradient(model, batch)(c1, targets), params)
             assert len(gradients) == len(params)
             for g, p in zip(gradients, params):
                 assert grads_close(g, central_diff(f, p))
 
-    @pytest.mark.parametrize("with_masks", [True, False])
-    def test_consecutive_steps_match_the_fresh_reference(self, with_masks):
+    @pytest.mark.parametrize("with_mask", [True, False])
+    def test_consecutive_steps_match_the_fresh_reference(self, with_mask):
         # Each gradient closure serves the CONSECUTIVE_RUNS in turn: no
         # step may see a stale array, and every step returns the one flat
         # buffer that sgd reads.
-        model = toy_stack(27, with_masks=with_masks)
+        model = toy_stack(27, with_mask=with_mask)
         rng = derive_rng(27)
         x, labels = rng.uniform(size=(6, 6)), rng.integers(1, 3, size=6)
-        c1 = compact(x, model.layers[0].mask)
+        c1 = compact(x, model.mask)
         targets = one_hot(labels, 2, np.float64)
         for batch, runs in CONSECUTIVE_RUNS:
             grads, returned = gradient(model, batch), []
@@ -350,7 +404,7 @@ class TestFineTune:
         assert_tiles(params, fine_tune_params(tuned))
         x, labels = d.x[:1], d.labels[:1]
         gradients = split_like(
-            step(compact(x, model.layers[0].mask),
+            step(compact(x, model.mask),
                  one_hot(labels, 2, np.float64)),
             fine_tune_params(tuned))
 
@@ -361,15 +415,15 @@ class TestFineTune:
             assert grads_close(g, central_diff(f, p))
 
     def test_matches_the_per_step_reference_bit_for_bit(self):
-        # Layer 1's mask drops a variable, so the compaction is checked, and
-        # layer 2's drops a hidden unit; the all-ones masks of plain SDAE
-        # are checked too. 30 rows leave a tail of 2 at batch 4.
+        # The mask drops a variable, so the compaction is checked; the
+        # all-ones mask of plain SDAE is checked too. 30 rows leave a tail
+        # of 2 at batch 4.
         x = derive_rng(26).uniform(size=(40, 6))
         labels = 1 + (x[:, 0] > 0.5)
         train, valid = Dataset(x[:30], labels[:30], 2), \
             Dataset(x[30:], labels[30:], 2)
-        for batch, with_masks in ((1, True), (4, True), (1, False)):
-            model = toy_stack(25, with_masks=with_masks)
+        for batch, with_mask in ((1, True), (4, True), (1, False)):
+            model = toy_stack(24, with_mask=with_mask)
             cfg = TrainConfig(0.5, 6, 6, batch)
             tuned = fine_tune(model, train, valid, cfg, derive_rng(3))
             reference = per_step_fine_tune(model, train, valid, cfg,
@@ -389,12 +443,11 @@ class TestFineTune:
                           derive_rng(2))
         assert all(np.array_equal(a, b)
                    for a, b in zip(before, fine_tune_params(model)))
-        assert tuned.fine_tuned and not model.fine_tuned
         # The tuned decoder biases are copies: writing them leaves m's.
-        for layer, tuned_layer in zip(model.layers, tuned.layers):
-            kept = layer.dae.decoder_bias.copy()
-            tuned_layer.dae.decoder_bias += 1.0
-            assert np.array_equal(layer.dae.decoder_bias, kept)
+        for dae, tuned_dae in zip(model.layers, tuned.layers):
+            kept = dae.decoder_bias.copy()
+            tuned_dae.decoder_bias += 1.0
+            assert np.array_equal(dae.decoder_bias, kept)
 
     def test_never_degrades_best_validation(self):
         train, valid, _, _ = easy_splits(6)
@@ -432,7 +485,7 @@ class TestFineTune:
                           derive_rng(3))
         params = np.concatenate([pre.weights.ravel(), pre.biases] + [
             a.ravel() for m in (model, tuned) for a in fine_tune_params(m)
-            + [l.dae.decoder_bias for l in m.layers]])
+            + [dae.decoder_bias for dae in m.layers]])
         assert not pre.weights[:, -1].any()
         assert not np.signbit(params[params == 0.0]).any()
 
@@ -441,10 +494,9 @@ def _logits_for_test(model, x):
     """Independent one-example forward pass used by the finite-difference
     oracle."""
     from sdae_ivs.numerics import sigmoid
-    cur = np.asarray(x, dtype=np.float64)
-    for layer in model.layers:
-        cur = sigmoid(layer.dae.weights @ compact(cur, layer.mask)
-                      + layer.dae.encoder_bias)
+    cur = compact(np.asarray(x, dtype=np.float64), model.mask)
+    for dae in model.layers:
+        cur = sigmoid(dae.weights @ cur + dae.encoder_bias)
     return model.top.weights @ cur + model.top.biases
 
 
@@ -452,10 +504,10 @@ class TestReconstruct:
     def test_depth1_equals_manual_path(self):
         model = toy_stack(40)
         x = derive_rng(41).uniform(size=(1, 6))
-        manual = expand(decode(model.layers[0].dae,
-                               encode(model.layers[0].dae,
-                                      compact(x, model.layers[0].mask))),
-                        model.layers[0].mask)
+        manual = expand(decode(model.layers[0],
+                               encode(model.layers[0],
+                                      compact(x, model.mask))),
+                        model.mask)
         np.testing.assert_array_equal(reconstruct_through(model, x, 1), manual)
 
     def test_dropped_positions_exactly_zero(self):
@@ -472,9 +524,8 @@ class TestReconstruct:
         cfg = DaeTrainConfig(hidden_units=4, noise_sd=0.0, learning_rate=0.5,
                              epochs=2000)
         dae = train_dae(d, cfg, derive_rng(1))
-        model = StackModel(
-            [StackLayer(VariableMask.all_ones(4), dae)],
-            MlrModel(np.zeros((2, 4)), np.zeros(2)))
+        model = StackModel(VariableMask.all_ones(4), [dae],
+                           MlrModel(np.zeros((2, 4)), np.zeros(2)))
         out = reconstruct_through(model, x, 1)
         np.testing.assert_allclose(out, x, atol=0.05)
 
@@ -499,7 +550,7 @@ class TestReconstruct:
         lambda m, x: predict_labels(m, x)], ids=["reconstruct", "predict"])
     def test_a_row_that_is_not_a_matrix_is_refused_naming_its_shape(
             self, through):
-        model = toy_stack(47, widths=(784, 4, 3), with_masks=False)
+        model = toy_stack(47, widths=(784, 4, 3), with_mask=False)
         with pytest.raises(DimensionError, match=r"not shape \(784,\)"):
             through(model, np.zeros(784))
 
@@ -509,16 +560,16 @@ class TestExtractors:
         train, valid, _, _ = easy_splits(7)
         model, _ = pretrain_deepest(train, valid, stack_cfg(1, False), 11)
         cfg = IvsConfig(threshold=0.0, max_iterations=3, mlr=MLR_CFG)
-        relevant, _ = select_extractors(model, train, valid, cfg,
-                                        derive_rng(12))
-        assert len(relevant) == model.layers[0].dae.hidden_units
+        relevant, _ = select_extractors(model.mask, model.layers[0], train,
+                                        valid, cfg, derive_rng(12))
+        assert len(relevant) == model.layers[0].hidden_units
 
     def test_count_bounded_and_patterns_partition(self):
         train, valid, _, _ = easy_splits(8)
         model, _ = pretrain_deepest(train, valid, stack_cfg(1, True), 13)
-        relevant, irrelevant = select_extractors(model, train, valid, IVS_CFG,
-                                                 derive_rng(14))
-        h = model.layers[0].dae.hidden_units
+        relevant, irrelevant = select_extractors(
+            model.mask, model.layers[0], train, valid, IVS_CFG, derive_rng(14))
+        h = model.layers[0].hidden_units
         assert 0 < len(relevant) <= h
         assert len(relevant) + len(irrelevant) == h
         assert relevant.shape[1] == irrelevant.shape[1] == train.m
@@ -604,7 +655,7 @@ def test_input_of_a_deleted_recheck_is_still_refused(tmp_path, call, error,
     (lambda train, valid: train_dae(train, dae_cfg(3), derive_rng(0)),
      "DAE pre-training"),
     (lambda train, valid: fine_tune(
-        StackModel([StackLayer(VariableMask.all_ones(5), _DAE)],
+        StackModel(VariableMask.all_ones(5), [_DAE],
                    MlrModel(np.zeros((2, 3)), np.zeros(2))),
         train, valid, TrainConfig(0.1, 5, 2), derive_rng(0)),
      "depth 1 fine-tuning"),

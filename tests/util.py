@@ -1,17 +1,16 @@
 """Shared test helpers: finite differences, reference implementations the
 program is checked against, and small random instances."""
 
-import copy
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 
-from sdae_ivs.dae import encode, init_dae
+from sdae_ivs.dae import DaeModel, encode, init_dae
 from sdae_ivs.data import Dataset, VariableMask, compact, expand
 from sdae_ivs.mlr import MlrModel
 from sdae_ivs.numerics import derive_rng, pack, sgd
-from sdae_ivs.stack import fine_tune_params, predict_labels, pretrain
+from sdae_ivs.stack import StackModel, pretrain
 
 
 def pretrain_deepest(train, valid, plans, seed):
@@ -19,8 +18,8 @@ def pretrain_deepest(train, valid, plans, seed):
     asked for the full depth alone: that stack, and the selection
     results."""
     depth = len(plans["dae"])
-    stacks, ivs_results = pretrain(train, valid, **plans, seed=seed,
-                                   depths=(depth,))
+    stacks, ivs_results, _ = pretrain(train, valid, **plans, seed=seed,
+                                      depths=(depth,))
     return stacks[depth], ivs_results
 
 
@@ -53,8 +52,9 @@ def two_scatter_synthetic(spec, rng):
 def unblocked_forward(m, x):
     """stack._forward with one product per layer over all the rows x; the
     blocked chain must match it byte for byte."""
-    for layer in m.layers:
-        x = encode(layer.dae, compact(x, layer.mask))
+    x = compact(x, m.mask)
+    for dae in m.layers:
+        x = encode(dae, x)
     return x
 
 
@@ -241,50 +241,83 @@ def per_step_train_dae(train, cfg, rng, batch=1):
     return model
 
 
+def masked_layers(m):
+    """m's layers as the (mask, DaeModel) pairs of masked_stack_grads:
+    layer 1 reads the rows through m's mask, each layer above reads every
+    code of the one below."""
+    masks = [m.mask] + [VariableMask.all_ones(dae.input_width)
+                        for dae in m.layers[1:]]
+    return list(zip(masks, m.layers))
+
+
 def per_step_stack_grads(m, x, labels):
     """stack.gradient's step on raw rows with labels: a boolean-mask
     compaction at every layer and label-indexed deltas."""
+    return masked_stack_grads(masked_layers(m), m.top, x, labels)
+
+
+def masked_stack_grads(layers, top, x, labels):
+    """The batch-mean fine-tuning gradients of a stack whose every layer is
+    a (mask, DaeModel) pair reading its input through its own mask, by a
+    boolean-mask compaction, with label-indexed deltas: [weights, encoder
+    bias] per layer, then the top's. A unit that the mask above drops takes
+    zero gradient."""
     trace, cur = [], x
-    for layer in m.layers:
-        c = cur[..., layer.mask.bits]
-        cur = two_branch_sigmoid(c @ layer.dae.weights.T
-                                 + layer.dae.encoder_bias)
+    for mask, dae in layers:
+        c = cur[..., mask.bits]
+        cur = two_branch_sigmoid(c @ dae.weights.T + dae.encoder_bias)
         trace.append((c, cur))
-    g = label_output_delta(m.top.weights, m.top.biases, cur, labels)
+    g = label_output_delta(top.weights, top.biases, cur, labels)
     gradients = [g.T.dot(cur), g.sum(axis=0)]
-    delta = g @ m.top.weights
-    for idx in range(len(m.layers) - 1, -1, -1):
+    delta = g @ top.weights
+    for idx in range(len(layers) - 1, -1, -1):
         c, h = trace[idx]
         da = delta * h * (1.0 - h)
         gradients[:0] = [da.T.dot(c), da.sum(axis=0)]
         if idx > 0:
-            delta = expand(da @ m.layers[idx].dae.weights, m.layers[idx].mask)
+            mask, dae = layers[idx]
+            delta = expand(da @ dae.weights, mask)
     return gradients
 
 
-def flat_params(m):
-    """One flat buffer of m's fine_tune_params, which m's layers and top
-    are repointed at, as views of it."""
-    params, views = pack(*fine_tune_params(m))
-    for layer, weights, bias in zip(m.layers, views[:-2:2], views[1:-2:2]):
-        layer.dae.weights, layer.dae.encoder_bias = weights, bias
-    m.top.weights, m.top.biases = views[-2:]
-    return params
+def masked_stack_logits(layers, top, x):
+    """The logits of the rows x through layers, (mask, DaeModel) pairs as
+    masked_stack_grads reads them, and then top."""
+    for mask, dae in layers:
+        x = two_branch_sigmoid(x[..., mask.bits] @ dae.weights.T
+                               + dae.encoder_bias)
+    return x @ top.weights.T + top.biases
+
+
+def masked_fine_tune(layers, top, train, valid, cfg, rng):
+    """stack.fine_tune of the stack that layers, (mask, DaeModel) pairs as
+    masked_stack_grads reads them, and top make: copies of their arrays,
+    stepped along masked_stack_grads and scored by masked_stack_logits,
+    returned as (layers, top). Every layer keeps every unit, so a unit
+    that the mask above drops is computed at each step and never moves."""
+    arrays = [a for _, dae in layers for a in (dae.weights, dae.encoder_bias)] \
+        + [top.weights, top.biases]
+    params, views = pack(*arrays)
+    tuned = [(mask, DaeModel(w, b, dae.decoder_bias))
+             for (mask, dae), w, b in zip(layers, views[:-2:2], views[1:-2:2])]
+    tuned_top = MlrModel(*views[-2:])
+
+    def score():
+        logits = masked_stack_logits(tuned, tuned_top, valid.x)
+        return float(np.mean(np.argmax(logits, axis=1) + 1 != valid.labels))
+
+    sgd("fine-tuning", params,
+        lambda xb, yb: flatten(masked_stack_grads(tuned, tuned_top, xb, yb)),
+        cfg.learning_rate, (train.x, train.labels), cfg.max_epochs, rng,
+        batch=cfg.minibatch_size, score=score, patience=cfg.patience)
+    return tuned, tuned_top
 
 
 def per_step_fine_tune(m, train, valid, cfg, rng):
     """fine_tune stepping along per_step_stack_grads."""
-    tuned = copy.deepcopy(m)
-    tuned.fine_tuned = True
-    params = flat_params(tuned)
-    sgd("fine-tuning", params,
-        lambda xb, yb: flatten(per_step_stack_grads(tuned, xb, yb)),
-        cfg.learning_rate, (train.x, train.labels), cfg.max_epochs, rng,
-        batch=cfg.minibatch_size,
-        score=lambda: float(np.mean(predict_labels(tuned, valid.x)
-                                    != valid.labels)),
-        patience=cfg.patience)
-    return tuned
+    layers, top = masked_fine_tune(masked_layers(m), m.top, train, valid,
+                                   cfg, rng)
+    return StackModel(m.mask, [dae for _, dae in layers], top)
 
 
 def captured_step(monkeypatch, module, fit):

@@ -20,8 +20,9 @@ go through several row blocks whose last one takes the tail, with a
 2-class top at ``classes2``. Each ``batch/NAME`` case sets the selection
 MLR's minibatch size, to 7 (a one-row tail batch) or to more rows than
 the training split holds. Each ``stack/NAME`` case
-runs that config at depths 1 and 2 for one variant, so ``eval`` checks
-two models of one variant. Each ``amat/NAME`` case runs that config's
+runs that config for one variant at depths 1 and 2, so ``eval`` checks
+two models of one variant, or at depth 2 alone, so that pattern export
+has no depth-1 stack to read layer 1 from. Each ``amat/NAME`` case runs that config's
 plans on ``.amat`` files that the tool writes, the same for both trees:
 train, valid and test files; one file split by sizes, with ``test_size``
 cutting the rest; or 1-based labels, with ``test_size`` cutting a test
@@ -93,10 +94,11 @@ BATCH_CASES = {
     "ivs7": {"ivs.minibatch_size": "7"},
     "ivs200": {"ivs.minibatch_size": "200"},
 }
-# name -> {section.key: value}: one variant at two depths.
+# name -> {section.key: value}: one variant at two depths, or at depth 2.
 STACK_CASES = {
     "sdae12": {"stack.depths": "1 2", "stack.variants": "sdae"},
     "ivs12": {"stack.depths": "1 2", "stack.variants": "sdae_ivs"},
+    "ivs2": {"stack.depths": "2", "stack.variants": "sdae_ivs"},
 }
 # name -> ({file: rows}, [data] lines): .amat layouts of a corpus shaped
 # like the smoke config's data, 30 variables of which 6 carry one of 3
