@@ -15,8 +15,8 @@ import numpy as np
 
 from .data import Dataset
 from .errors import DataError, DimensionError
-from .numerics import (Rng, delta_rows, map_blocks, pack, sgd, sigmoid,
-                       sum_rows)
+from .numerics import (Pending, Rng, delta_rows, map_blocks, pack, sgd,
+                       sigmoid, sum_rows, takes_pending, times)
 
 
 @dataclass
@@ -86,59 +86,70 @@ def loss(x: np.ndarray, y: np.ndarray) -> float:
 def sigmoid_layer(x, weights, bias, out=None):
     """sigmoid(x weights + bias) of one row or the rows x, worked out in
     out, or in one new array by default: every layer of the program, at
-    prediction and in both training steps."""
-    out = x.dot(weights, out=out)
+    prediction and in both training steps. weights may be a Pending's
+    product (see numerics.times)."""
+    out = times(x, weights, out)
     out += bias
     return sigmoid(out, out=out)
 
 
-def sigmoid_backward(da, h, t, x, grad_w, grad_b):
-    """The backward step through a sigmoid layer h = sigmoid(x W^T + b):
-    da, the derivative by h, becomes da * h(1 - h), the derivative by the
-    pre-activation, with t a scratch array like h; then grad_w = da^T x
-    and grad_b is the sum of da's rows. Every layer's backward step in
+def sigmoid_backward(da, h, t):
+    """The backward step through a sigmoid layer h = sigmoid(a), in place:
+    da, the derivative by h, becomes da * h(1 - h), the derivative by a,
+    with t a scratch array like h. Every layer's backward step in
     training, as sigmoid_layer is every forward step."""
     da *= h
     da *= np.subtract(1.0, h, out=t)
-    da.T.dot(x, out=grad_w)
-    sum_rows(da, grad_b)
+    return da
 
 
-def gradient(m: DaeModel, batch: int):
-    """The step of train_dae over batches of at most `batch` rows:
-    grads(x_clean, x_in) writes the analytic batch-mean gradients
-    (weights, encoder bias, decoder bias) of loss(x_clean, reconstruction)
-    over (B, M') rows fed x_in into one flat buffer laid out like the
-    model's arrays, and returns it; a batch of one is one example. The
-    buffers are built here, once per fit; at batch 1 the deltas da and dz
-    are the rows of the bias gradients.
+def gradient(m: DaeModel, batch: int, learning_rate: float):
+    """The step of train_dae over batches of at most `batch` rows at
+    learning_rate, and the Pending updates it pushes to: grads(x_clean,
+    x_in) writes the analytic batch-mean gradients (weights, encoder bias,
+    decoder bias) of loss(x_clean, reconstruction) over (B, M') rows fed
+    x_in into one flat buffer laid out like the model's arrays, and
+    returns it; a batch of one is one example. The buffers are built here,
+    once per fit; at batch 1 the deltas da and dz are the rows of the bias
+    gradients.
 
     The weight gradient sums the encoder term da^T x_in and the decoder
-    term h^T dz because the matrix is shared. This is the exact step
-    direction of train_dae, hence the target of the finite-difference
-    oracle.
+    term h^T dz because the matrix is shared. A matrix that takes pending
+    updates (numerics.takes_pending) leaves the flat buffer: the step
+    pushes the two terms' factors to its Pending, the one update returned,
+    and every product goes through it. This is the exact step direction of
+    train_dae, hence the target of the finite-difference oracle.
     """
-    grad, (grad_w, grad_be, grad_bd) = pack(
-        np.zeros_like(m.weights), np.zeros_like(m.encoder_bias),
-        np.zeros_like(m.decoder_bias))
+    pending = [Pending(m.weights, learning_rate, batch)] \
+        if takes_pending(m.weights) else []
+    arrays = (m.weights, m.encoder_bias, m.decoder_bias)
+    grad, views = pack(*map(np.zeros_like, arrays[1:] if pending else arrays))
+    grad_w, grad_be, grad_bd = [None, *views] if pending else views
+    encoder, decoder = (pending[0].times_t, pending[0].times) if pending \
+        else (m.weights.T, m.weights)
     enc_delta = delta_rows(grad_be, batch)
     dec_delta = delta_rows(grad_bd, batch)
     codes, t = np.zeros_like(enc_delta), np.zeros_like(enc_delta)
-    decoder_term = np.zeros_like(m.weights)
+    decoder_term = None if pending else np.zeros_like(m.weights)
 
     def grads(x_clean, x_in):
         n = len(x_in)
-        h = sigmoid_layer(x_in, m.weights.T, m.encoder_bias, codes[:n])
-        dz = sigmoid_layer(h, m.weights, m.decoder_bias, dec_delta[:n])
+        h = sigmoid_layer(x_in, encoder, m.encoder_bias, codes[:n])
+        dz = sigmoid_layer(h, decoder, m.decoder_bias, dec_delta[:n])
         dz -= x_clean
         if n > 1:
             dz /= n
-        da = dz.dot(m.weights.T, out=enc_delta[:n])
-        sigmoid_backward(da, h, t[:n], x_in, grad_w, grad_be)
-        np.add(grad_w, h.T.dot(dz, out=decoder_term), out=grad_w)
+        da = sigmoid_backward(times(dz, encoder, enc_delta[:n]), h, t[:n])
+        if pending:
+            pending[0].push(da, x_in)
+            pending[0].push(h, dz)
+        else:
+            da.T.dot(x_in, out=grad_w)
+            np.add(grad_w, h.T.dot(dz, out=decoder_term), out=grad_w)
+        sum_rows(da, grad_be)
         sum_rows(dz, grad_bd)
         return grad
-    return grads
+    return grads, pending
 
 
 def init_dae(input_width: int, cfg: DaeTrainConfig, rng: Rng, dtype
@@ -169,9 +180,10 @@ def train_dae(train: Dataset, cfg: DaeTrainConfig, rng: Rng,
         raise DataError("cross-entropy training needs inputs in [0, 1]")
 
     params, model = init_dae(train.m, cfg, rng, train.x.dtype)
-    sgd(phase, params, gradient(model, 1), cfg.learning_rate,
-        (train.x,), cfg.epochs, rng,
-        per_epoch=lambda x: (corrupt(x, cfg.noise_sd, rng),))
+    grads, pending = gradient(model, 1, cfg.learning_rate)
+    sgd(phase, params, grads, cfg.learning_rate, (train.x,), cfg.epochs, rng,
+        per_epoch=lambda x: (corrupt(x, cfg.noise_sd, rng),),
+        pending=pending)
     return model
 
 

@@ -70,12 +70,11 @@ def one_hot(labels: np.ndarray, k: int, dtype) -> np.ndarray:
     return targets
 
 
-def output_delta(weights, biases, xb, tb, out):
-    """(softmax - one-hot) / B of the logits of the B rows xb under the
-    one-hot targets tb, worked out in out: the derivative of the batch-mean
-    cross-entropy by the logits, at the MLR's step and the fine-tuned
-    top's."""
-    p = xb.dot(weights.T, out=out)
+def output_delta(p, biases, tb):
+    """(softmax - one-hot) / B of the logits p + biases of B rows under the
+    one-hot targets tb, worked out in p, the rows times the weights: the
+    derivative of the batch-mean cross-entropy by the logits, at the MLR's
+    step and the fine-tuned top's."""
     p += biases
     softmax(p, out=p)
     p -= tb
@@ -95,7 +94,8 @@ def gradient(m: MlrModel, batch: int):
     delta = delta_rows(grad_b, batch)
 
     def grads(xb, tb):
-        p = output_delta(m.weights, m.biases, xb, tb, delta[:len(xb)])
+        p = output_delta(xb.dot(m.weights.T, out=delta[:len(xb)]), m.biases,
+                         tb)
         p.T.dot(xb, out=grad_w)
         sum_rows(p, grad_b)
         return grad

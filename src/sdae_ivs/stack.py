@@ -23,8 +23,8 @@ from .ivs import IvsConfig, IvsResult, run_ivs
 from .mlr import (MlrModel, TrainConfig, evaluate, one_hot, output_delta,
                   train_mlr)
 from .mlr import predict_labels as mlr_predict_labels
-from .numerics import (DAE, IVS, TOP, Rng, delta_rows, derive_rng, map_blocks,
-                       pack, sgd, sum_rows)
+from .numerics import (DAE, IVS, TOP, Pending, Rng, delta_rows, derive_rng,
+                       map_blocks, pack, sgd, sum_rows, takes_pending, times)
 
 # The networks' dtype: layer 1's DAE reads its rows rounded to it, and every
 # layer above, the top classifier and fine-tuning follow. It halves the bytes
@@ -44,7 +44,10 @@ class StackModel:
     top: MlrModel
 
     def __post_init__(self):
-        """Chained-width invariant: the mask, the DAEs and the top line up."""
+        """Chained-width invariant: at least one layer, and the mask, the
+        DAEs and the top line up."""
+        if not self.layers:
+            raise DimensionError("a stack needs at least one layer")
         width = self.mask.popcount
         for idx, dae in enumerate(self.layers):
             if dae.input_width != width:
@@ -148,37 +151,51 @@ def fine_tune_params(m: StackModel) -> list[np.ndarray]:
         + [m.top.weights, m.top.biases]
 
 
-def gradient(m: StackModel, batch: int):
-    """The step of fine_tune over batches of at most `batch` rows:
-    grads(c1, tb) writes the batch-mean gradients of the stack's
-    cross-entropy over (B, M') rows c1, already compacted through the input
-    mask, with one-hot targets tb, into one flat buffer laid out like
-    fine_tune_params(m), and returns it. The buffers are built here, once
-    per fit; at batch 1 each delta is its bias gradient's row."""
-    grad, views = pack(*map(np.zeros_like, fine_tune_params(m)))
-    grad_w, grad_b = views[::2], views[1::2]
+def gradient(m: StackModel, batch: int, learning_rate: float):
+    """The step of fine_tune over batches of at most `batch` rows at
+    learning_rate, and the Pending updates it pushes to: grads(c1, tb)
+    writes the batch-mean gradients of the stack's cross-entropy over
+    (B, M') rows c1, already compacted through the input mask, with
+    one-hot targets tb, into one flat buffer laid out like
+    fine_tune_params(m) less the matrices that take pending updates
+    (numerics.takes_pending), and returns it. Each of those matrices has
+    a Pending, returned in the order of fine_tune_params, which takes its
+    steps and every product with it. The buffers are built here, once per
+    fit; at batch 1 each delta is its bias gradient's row."""
+    params = fine_tune_params(m)
+    weights = params[::2]
+    lazy = [Pending(w, learning_rate, batch) if takes_pending(w) else None
+            for w in weights]
+    grad, views = pack(*(np.zeros_like(p) for p in params
+                         if not takes_pending(p)))
+    views = iter(views)
+    grad_p = [None if takes_pending(p) else next(views) for p in params]
+    grad_w, grad_b = grad_p[::2], grad_p[1::2]
+    forward = [w.T if p is None else p.times_t for p, w in zip(lazy, weights)]
+    backward = [w if p is None else p.times for p, w in zip(lazy, weights)]
     deltas = [delta_rows(g, batch) for g in grad_b]
     # Each layer's codes, which the layer above reads, and its scratch.
     bufs = [np.zeros((2, batch, g.size), grad.dtype) for g in grad_b[:-1]]
 
     def grads(c1, tb):
         n, codes = len(c1), [c1]
-        for dae, (h, _) in zip(m.layers, bufs):
-            codes.append(sigmoid_layer(codes[-1], dae.weights.T,
-                                       dae.encoder_bias, h[:n]))
-        p = output_delta(m.top.weights, m.top.biases, codes[-1], tb,
-                         deltas[-1][:n])
-        p.T.dot(codes[-1], out=grad_w[-1])
-        sum_rows(p, grad_b[-1])
-        p.dot(m.top.weights, out=deltas[-2][:n])
-        for idx in range(m.depth - 1, -1, -1):
-            da = deltas[idx][:n]
-            sigmoid_backward(da, codes[idx + 1], bufs[idx][1][:n], codes[idx],
-                             grad_w[idx], grad_b[idx])
+        for dae, w, (h, _) in zip(m.layers, forward, bufs):
+            codes.append(sigmoid_layer(codes[-1], w, dae.encoder_bias, h[:n]))
+        output_delta(times(codes[-1], forward[-1], deltas[-1][:n]),
+                     m.top.biases, tb)
+        for idx in range(m.depth, -1, -1):
+            delta = deltas[idx][:n]
+            if idx < m.depth:
+                sigmoid_backward(delta, codes[idx + 1], bufs[idx][1][:n])
+            sum_rows(delta, grad_b[idx])
             if idx:
-                da.dot(m.layers[idx].weights, out=deltas[idx - 1][:n])
+                times(delta, backward[idx], deltas[idx - 1][:n])
+            if lazy[idx] is None:
+                delta.T.dot(codes[idx], out=grad_w[idx])
+            else:
+                lazy[idx].push(delta, codes[idx])
         return grad
-    return grads
+    return grads, [p for p in lazy if p is not None]
 
 
 def predict_labels(m: StackModel, x: np.ndarray) -> np.ndarray:
@@ -192,7 +209,8 @@ def fine_tune(m: StackModel, train: Dataset, valid: Dataset,
 
     The input mask is frozen and every unit of every layer takes part, so
     nothing dropped can re-enter. The tuned model is built over views of
-    one flat buffer holding copies of fine_tune_params(m), with copies of
+    one flat buffer holding copies of fine_tune_params(m), the matrices
+    that take pending updates (numerics.takes_pending) first, with copies of
     m's decoder biases and m's own mask, which nothing changes; the input
     model is left untouched. The training rows are taken as layer 1's DAE
     reads them and given one-hot targets once per fit, and steps take
@@ -202,18 +220,24 @@ def fine_tune(m: StackModel, train: Dataset, valid: Dataset,
     the examples. Parameters that stop being finite raise DivergenceError,
     naming the depth, at the end of that epoch.
     """
-    params, views = pack(*fine_tune_params(m))
+    arrays = fine_tune_params(m)
+    # The matrices that take pending updates lead the flat buffer (see sgd).
+    order = sorted(range(len(arrays)),
+                   key=lambda i: not takes_pending(arrays[i]))
+    params, packed = pack(*(arrays[i] for i in order))
+    views = [packed[order.index(i)] for i in range(len(arrays))]
     tuned = StackModel(m.mask, [
         DaeModel(weights, bias, dae.decoder_bias.copy())
         for dae, weights, bias in zip(m.layers, views[:-2:2], views[1:-2:2])],
         MlrModel(*views[-2:]))
     c1 = compact(train.x, m.mask).astype(params.dtype, copy=False)
     targets = one_hot(train.labels, tuned.top.k, c1.dtype)
-    sgd(f"depth {tuned.depth} fine-tuning", params,
-        gradient(tuned, min(cfg.minibatch_size, train.n)), cfg.learning_rate,
+    grads, pending = gradient(tuned, min(cfg.minibatch_size, train.n),
+                              cfg.learning_rate)
+    sgd(f"depth {tuned.depth} fine-tuning", params, grads, cfg.learning_rate,
         (c1, targets), cfg.max_epochs, rng, batch=cfg.minibatch_size,
         score=lambda: evaluate(predict_labels(tuned, valid.x), valid),
-        patience=cfg.patience)
+        patience=cfg.patience, pending=pending)
     return tuned
 
 

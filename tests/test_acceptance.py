@@ -30,7 +30,7 @@ from sdae_ivs.stack import (StackModel, fine_tune,
                             select_extractors)
 from sdae_ivs.stack import gradient as stack_gradient
 from util import (central_diff, cross_entropy, discriminant, grads_close,
-                  pretrain_deepest, random_mlr, split_like)
+                  pretrain_deepest, random_mlr, split_like, step_direction)
 
 REPO = Path(__file__).resolve().parent.parent
 SMOKE = REPO / "configs" / "smoke_synthetic.ini"
@@ -98,8 +98,10 @@ def test_criterion_2_gradient_oracles():
     """MLR, tied-weight DAE, and depth-2 fine-tune gradients all match
     central finite differences (step 1e-6) within 1e-5 relative error on
     at least 20 random toy instances each. Each check covers the
-    trainer's own batch-mean gradient at batch size 1 and at larger
-    batches."""
+    trainer's own batch-mean step at batch size 1 and at larger batches:
+    one step and a write-back move each parameter by -lr times its
+    central difference, on small matrices (eager steps) and on one DAE
+    and one stack past the size rule (pending steps)."""
     step = 1e-6
     for seed in range(20):
         rng = derive_rng(seed)
@@ -119,18 +121,25 @@ def test_criterion_2_gradient_oracles():
         assert grads_close(gw, central_diff(f, model.weights, step))
         assert grads_close(gb, central_diff(f, model.biases, step))
 
-    for seed in range(20):
+    # Instance 20 of the DAE and of the stack is past the size rule, where
+    # the trainers take pending steps (numerics.PENDING_SIZE).
+    for seed in range(21):
         rng = derive_rng(1000 + seed)
         h, mm = int(rng.integers(2, 5)), int(rng.integers(2, 6))
         batch = 1 if seed % 2 else int(rng.integers(2, 9))
-        model = DaeModel(rng.normal(scale=0.7, size=(h, mm)),
+        scale = 0.7
+        if seed == 20:
+            h, mm, batch, scale = 128, 130, 2, 0.1
+        model = DaeModel(rng.normal(scale=scale, size=(h, mm)),
                          rng.normal(scale=0.4, size=h),
                          rng.normal(scale=0.4, size=mm))
         x_clean = rng.uniform(0.05, 0.95, size=(batch, mm))
         x_in = x_clean + rng.normal(0, 0.1, size=(batch, mm))
-        gw, gbe, gbd = split_like(
-            dae_gradient(model, batch)(x_clean, x_in),
-            (model.weights, model.encoder_bias, model.decoder_bias))
+        grads, pending = dae_gradient(model, batch, 0.1)
+        assert len(pending) == (seed == 20)
+        gw, gbe, gbd = step_direction(
+            (model.weights, model.encoder_bias, model.decoder_bias), grads,
+            pending, 0.1, x_clean, x_in)
 
         def f():
             y = decode(model, encode(model, x_in))
@@ -140,26 +149,32 @@ def test_criterion_2_gradient_oracles():
         assert grads_close(gbe, central_diff(f, model.encoder_bias, step))
         assert grads_close(gbd, central_diff(f, model.decoder_bias, step))
 
-    for seed in range(20):
+    for seed in range(21):
         rng = derive_rng(2000 + seed)
         k = int(rng.integers(2, 4))
-        mask = VariableMask(np.array([1, 1, 0, 1, 1, 1], dtype=bool))
+        bits = [1, 1, 0, 1, 1, 1]
+        h1, scale = 4, 0.6
+        if seed == 20:
+            bits, h1, scale = [1] * 129 + [0], 128, 0.1
+        mask = VariableMask(np.array(bits, dtype=bool))
         stack = StackModel(
             mask,
-            [DaeModel(rng.normal(scale=0.6, size=(4, 5)),
-                      rng.normal(scale=0.3, size=4),
-                      rng.normal(scale=0.3, size=5)),
-             DaeModel(rng.normal(scale=0.6, size=(3, 4)),
+            [DaeModel(rng.normal(scale=scale, size=(h1, mask.popcount)),
+                      rng.normal(scale=0.3, size=h1),
+                      rng.normal(scale=0.3, size=mask.popcount)),
+             DaeModel(rng.normal(scale=scale, size=(3, h1)),
                       rng.normal(scale=0.3, size=3),
-                      rng.normal(scale=0.3, size=4))],
+                      rng.normal(scale=0.3, size=h1))],
             MlrModel(rng.normal(scale=0.6, size=(k, 3)),
                      rng.normal(scale=0.3, size=k)))
-        batch = 1 if seed % 2 else int(rng.integers(2, 9))
-        x = rng.uniform(size=(batch, 6))
+        batch = 1 if seed % 2 or seed == 20 else int(rng.integers(2, 9))
+        x = rng.uniform(size=(batch, len(bits)))
         labels = rng.integers(1, k + 1, size=batch)
         c1, targets = compact(x, mask), one_hot(labels, k, np.float64)
-        gradients = split_like(stack_gradient(stack, batch)(c1, targets),
-                               fine_tune_params(stack))
+        grads, pending = stack_gradient(stack, batch, 0.1)
+        assert len(pending) == (seed == 20)
+        gradients = step_direction(fine_tune_params(stack), grads, pending,
+                                   0.1, c1, targets)
 
         def f():
             total = 0.0
@@ -176,7 +191,8 @@ def test_criterion_2_gradient_oracles():
             assert grads_close(g, central_diff(f, param, step))
 
     announce(2, "MLR, tied DAE, and depth-2 fine-tune gradients match "
-                "finite differences on 20 instances each")
+                "finite differences on 20 instances each, and the DAE's and "
+                "the stack's pending steps on one more")
 
 
 def test_criterion_3_sensitivity_oracle():

@@ -547,6 +547,22 @@ class TestDivergence:
         assert err.startswith("error: layer 1: DAE pre-training diverged at "
                               "epoch 1") and err.count("\n") == 1
 
+    def test_overflowing_pending_dae_exits_3_with_one_line(self, tmp_path,
+                                                            capsys):
+        # 600 units over plain SDAE's 30 inputs take pending steps
+        # (numerics.PENDING_SIZE), whose overflow sgd finds at the write-back
+        # before check_finite.
+        patched = tmp_path / "diverge.ini"
+        patched.write_text(SMOKE.read_text().replace(
+            "variants = both", "variants = sdae").replace(
+            "hidden_units = 8", "hidden_units = 600").replace(
+            "learning_rate = 0.1\nepochs = 5",
+            "learning_rate = 1e308\nepochs = 5"))
+        assert run_cli("run", "--config", patched, "--out", tmp_path / "o") == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: layer 1: DAE pre-training diverged at "
+                              "epoch 1") and err.count("\n") == 1
+
     @staticmethod
     def finetune_rate(tmp_path, rate):
         patched = tmp_path / "diverge.ini"

@@ -9,10 +9,11 @@ from sdae_ivs.dae import (DaeModel, DaeTrainConfig, corrupt, decode, encode,
                           encode_dataset, gradient, init_dae, loss, train_dae)
 from sdae_ivs.data import Dataset
 from sdae_ivs.errors import DataError, DivergenceError
-from sdae_ivs.numerics import derive_rng, sgd
+from sdae_ivs import numerics
+from sdae_ivs.numerics import PENDING_ROWS, derive_rng, pack, sgd
 from util import (CONSECUTIVE_RUNS, assert_tiles, captured_step, central_diff,
                   flatten, fresh_dae_grads, grads_close, per_step_train_dae,
-                  split_like, step_peak)
+                  step_direction, step_peak, two_branch_sigmoid)
 
 
 def tiny_model(seed=0, h=3, m=4):
@@ -127,24 +128,59 @@ class TestLoss:
         assert value == pytest.approx(-np.log1p(-float(below)), rel=1e-6)
 
 
+def flat_model(seed, h, m):
+    """tiny_model's arrays as views of one flat buffer, as a fit holds
+    them: the buffer and the model. Weights wider than 4 inputs shrink by
+    2 / sqrt(m), so that the wide layer's sigmoids do not saturate, where
+    rounding in the loss swamps central differences."""
+    params, views = pack(*arrays_of(tiny_model(seed, h, m)))
+    views[0] *= min(1.0, 2.0 / np.sqrt(m))
+    return params, DaeModel(*views)
+
+
+def arrays_of(model):
+    """The model's arrays themselves, in the order of its flat buffer."""
+    return model.weights, model.encoder_bias, model.decoder_bias
+
+
+def batch_loss(model, x_clean, x_in):
+    """The batch-mean cross-entropy of the reconstructions of x_in against
+    x_clean, from the plain formulas."""
+    h = two_branch_sigmoid(x_in @ model.weights.T + model.encoder_bias)
+    y = two_branch_sigmoid(h @ model.weights + model.decoder_bias)
+    return -float(np.mean(np.sum(x_clean * np.log(y)
+                                 + (1 - x_clean) * np.log1p(-y), axis=1)))
+
+
+# (hidden units, input width) on each side of numerics.PENDING_SIZE: the
+# small matrix takes eager steps, the wide one pending updates.
+SIDES = {"eager": (3, 4), "pending": (128, 130)}
+
+
 class TestGradients:
     def test_tied_weight_gradients_match_finite_differences(self):
-        for seed, batch in zip(range(6), (1, 5, 1, 5, 1, 5)):
-            model = tiny_model(seed, h=3, m=4)
+        self.check_finite_differences("eager")
+
+    def test_pending_steps_match_finite_differences(self):
+        self.check_finite_differences("pending")
+
+    @staticmethod
+    def check_finite_differences(side):
+        # One step and a write-back move each parameter by -lr times its
+        # central difference.
+        h, m = SIDES[side]
+        for seed, batch in zip(range(6 if side == "eager" else 2), (1, 5) * 3):
+            params, model = flat_model(seed, h, m)
+            arrays = arrays_of(model)
+            grads, pending = gradient(model, batch, 0.1)
+            assert len(pending) == (side == "pending")
             rng = derive_rng(50 + seed)
-            x_clean = rng.uniform(0.05, 0.95, size=(batch, 4))
-            x_in = x_clean + rng.normal(0, 0.1, size=(batch, 4))
-            gw, gbe, gbd = split_like(
-                gradient(model, batch)(x_clean, x_in),
-                (model.weights, model.encoder_bias, model.decoder_bias))
-
-            def f():
-                y = decode(model, encode(model, x_in))
-                return np.mean([loss(a, b) for a, b in zip(x_clean, y)])
-
-            assert grads_close(gw, central_diff(f, model.weights))
-            assert grads_close(gbe, central_diff(f, model.encoder_bias))
-            assert grads_close(gbd, central_diff(f, model.decoder_bias))
+            x_clean = rng.uniform(0.05, 0.95, size=(batch, m))
+            x_in = x_clean + rng.normal(0, 0.1, size=(batch, m))
+            steps = step_direction(arrays, grads, pending, 0.1, x_clean, x_in)
+            for g, p in zip(steps, arrays):
+                assert grads_close(g, central_diff(
+                    lambda: batch_loss(model, x_clean, x_in), p))
 
     def test_consecutive_steps_match_the_fresh_reference(self):
         # Each gradient closure serves the CONSECUTIVE_RUNS in turn: no
@@ -155,7 +191,7 @@ class TestGradients:
         x_clean = rng.uniform(0.05, 0.95, size=(6, 4))
         x_in = x_clean + rng.normal(0, 0.1, size=(6, 4))
         for batch, runs in CONSECUTIVE_RUNS:
-            grads, returned = gradient(model, batch), []
+            (grads, _), returned = gradient(model, batch, 0.1), []
             for lo, hi in runs:
                 returned.append(grads(x_clean[lo:hi], x_in[lo:hi]))
                 want = fresh_dae_grads(model, x_clean[lo:hi], x_in[lo:hi])
@@ -164,46 +200,61 @@ class TestGradients:
 
     @pytest.mark.parametrize("batch", [1, 5])
     def test_steps_allocate_no_parameter_sized_array(self, batch):
-        # The closure's buffers are built once per fit. A step's own
-        # temporary is sigmoid's numerator, one (B, H) or (B, M') array;
-        # a (300, 200) one would take 480 kB. 2 kB covers the headers.
-        model = tiny_model(4, h=300, m=200)
+        # The closure's buffers, and a Pending's write-back product, are
+        # built once per fit. A step's own temporary is sigmoid's
+        # numerator, one (B, H) or (B, M') array; a (300, 200) one would
+        # take 480 kB. 2 kB covers the headers. The (300, 200) matrix
+        # takes pending steps, the (100, 100) one eager steps.
+        for h, m in ((300, 200), (100, 100)):
+            self.check_step_peak(batch, h, m)
+
+    @staticmethod
+    def check_step_peak(batch, h, m):
+        model = tiny_model(4, h=h, m=m)
         rng = derive_rng(60)
-        x_clean = rng.uniform(size=(10 * batch, 200))
+        x_clean = rng.uniform(size=(10 * batch, m))
         x_in = x_clean + rng.normal(0, 0.1, size=x_clean.shape)
         batches = [(x_clean[lo:lo + batch], x_in[lo:lo + batch])
                    for lo in range(0, len(x_in), batch)]
-        grads = gradient(model, batch)
+        grads, _ = gradient(model, batch, 0.1)
         once = step_peak(grads, batches, 1)
         assert step_peak(grads, batches, 200) == once
-        assert once < 8 * batch * 300 + 2048
+        assert once < 8 * batch * max(h, m) + 2048
 
     def test_oracle_checks_the_step_sgd_takes(self, monkeypatch):
-        d = Dataset(derive_rng(58).uniform(size=(10, 4)), np.ones(10, dtype=int), 1)
-        cfg = DaeTrainConfig(hidden_units=3, noise_sd=0.2, learning_rate=0.1,
+        self.check_trainer_step(monkeypatch, "eager")
+
+    def test_oracle_checks_the_pending_step_sgd_takes(self, monkeypatch):
+        self.check_trainer_step(monkeypatch, "pending")
+
+    @staticmethod
+    def check_trainer_step(monkeypatch, side):
+        h, m = SIDES[side]
+        d = Dataset(derive_rng(58).uniform(size=(10, m)),
+                    np.ones(10, dtype=int), 1)
+        cfg = DaeTrainConfig(hidden_units=h, noise_sd=0.2, learning_rate=0.1,
                              epochs=2)
-        params, step, model = captured_step(
+        params, step, pending, model = captured_step(
             monkeypatch, dae, lambda: train_dae(d, cfg, derive_rng(58)))
-        arrays = (model.weights, model.encoder_bias, model.decoder_bias)
+        arrays = arrays_of(model)
         assert_tiles(params, arrays)
+        assert [p.weights for p in pending] == \
+            ([model.weights] if side == "pending" else [])
         x_clean = d.x[:1]
-        x_in = x_clean + derive_rng(59).normal(0, 0.1, size=(1, 4))
-        gw, gbe, gbd = split_like(step(x_clean, x_in), arrays)
-
-        def f():
-            return loss(x_clean[0], decode(model, encode(model, x_in[0])))
-
-        assert grads_close(gw, central_diff(f, model.weights))
-        assert grads_close(gbe, central_diff(f, model.encoder_bias))
-        assert grads_close(gbd, central_diff(f, model.decoder_bias))
+        x_in = x_clean + derive_rng(59).normal(0, 0.1, size=(1, m))
+        steps = step_direction(arrays, step, pending, 0.1, x_clean, x_in)
+        for g, p in zip(steps, arrays):
+            assert grads_close(g, central_diff(
+                lambda: batch_loss(model, x_clean, x_in), p))
 
 
 def minibatch_train_dae(train, cfg, rng, batch):
     """train_dae at a batch size it has no key for, from the same steps."""
     params, model = init_dae(train.m, cfg, rng, train.x.dtype)
-    sgd("DAE pre-training", params, gradient(model, batch),
-        cfg.learning_rate, (train.x,), cfg.epochs, rng, batch=batch,
-        per_epoch=lambda x: (corrupt(x, cfg.noise_sd, rng),))
+    grads, pending = gradient(model, batch, cfg.learning_rate)
+    sgd("DAE pre-training", params, grads, cfg.learning_rate, (train.x,),
+        cfg.epochs, rng, batch=batch,
+        per_epoch=lambda x: (corrupt(x, cfg.noise_sd, rng),), pending=pending)
     return model
 
 
@@ -258,6 +309,43 @@ class TestTraining:
             assert np.array_equal(model.weights, reference.weights)
             assert np.array_equal(model.encoder_bias, reference.encoder_bias)
             assert np.array_equal(model.decoder_bias, reference.decoder_bias)
+
+    @pytest.mark.parametrize("batch", [1, 3])
+    def test_pending_updates_match_the_per_step_reference(self, monkeypatch,
+                                                           batch):
+        # 23 rows push 46 factor rows an epoch at batch 1, and 8 batches of
+        # at most 3 rows, the last of 2, push 46 at batch 3: buffers of 16
+        # rows are written back when full, in mid-epoch, and with a
+        # partial fill at each epoch's end.
+        held = []
+        write_back = numerics.Pending.write_back
+        monkeypatch.setattr(numerics.Pending, "write_back", lambda self: (
+            held.append(self.held), write_back(self)))
+        h, m = SIDES["pending"]
+        d = Dataset(derive_rng(14).uniform(size=(23, m)),
+                    np.ones(23, dtype=int), 1)
+        cfg = DaeTrainConfig(hidden_units=h, noise_sd=0.3, learning_rate=0.1,
+                             epochs=3)
+        model = train_dae(d, cfg, derive_rng(8)) if batch == 1 \
+            else minibatch_train_dae(d, cfg, derive_rng(8), batch)
+        reference = per_step_train_dae(d, cfg, derive_rng(8), batch)
+        for a, b in zip(arrays_of(model), arrays_of(reference)):
+            np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12)
+        assert not np.array_equal(model.weights, reference.weights)
+        full = PENDING_ROWS - PENDING_ROWS % batch
+        assert held.count(full) >= 6 and held[-1] not in (0, full)
+
+    def test_pending_overflow_raises_with_the_epoch(self):
+        # Past the size rule the overflow is in the write-back, which sgd
+        # runs before check_finite, and no RuntimeWarning escapes.
+        h, m = SIDES["pending"]
+        d = Dataset(derive_rng(13).uniform(size=(12, m)),
+                    np.ones(12, dtype=int), 1)
+        cfg = DaeTrainConfig(hidden_units=h, noise_sd=0.2,
+                             learning_rate=1e308, epochs=3)
+        with pytest.raises(DivergenceError,
+                           match="DAE pre-training diverged at epoch 1"):
+            train_dae(d, cfg, derive_rng(1))
 
     def test_overflowing_learning_rate_raises_with_the_epoch(self):
         # The sigmoid decoder bounds each step's gradient, so only a rate

@@ -121,9 +121,12 @@ class TestGradients:
     def test_oracle_checks_the_step_sgd_takes(self, monkeypatch):
         rng = derive_rng(9)
         d = Dataset(rng.uniform(size=(20, 5)), rng.integers(1, 4, size=20), 3)
-        params, step, model = captured_step(monkeypatch, mlr, lambda: train_mlr(
-            d, d, TrainConfig(0.3, 3, 3, minibatch_size=4), derive_rng(9)))
+        params, step, pending, model = captured_step(
+            monkeypatch, mlr, lambda: train_mlr(
+                d, d, TrainConfig(0.3, 3, 3, minibatch_size=4), derive_rng(9)))
         assert_tiles(params, (model.weights, model.biases))
+        # The MLR steps every matrix eagerly, whatever its size.
+        assert not pending
         x, labels = d.x[:4], d.labels[:4]
         gw, gb = split_like(step(x, one_hot(labels, 3, np.float64)),
                             (model.weights, model.biases))

@@ -6,9 +6,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from sdae_ivs.errors import DivergenceError
-from sdae_ivs.numerics import (BLOCK_ROWS, delta_rows, derive_rng, map_blocks,
-                               pack, row_blocks, sgd, sigmoid, softmax,
-                               sum_rows)
+from sdae_ivs.numerics import (BLOCK_ROWS, PENDING_ROWS, Pending, delta_rows,
+                               derive_rng, map_blocks, pack, row_blocks, sgd,
+                               sigmoid, softmax, sum_rows, takes_pending)
 from util import two_branch_sigmoid
 
 finite = st.floats(min_value=-500, max_value=500, allow_nan=False)
@@ -271,6 +271,61 @@ class TestSgd:
             sgd("toy training", np.zeros(1),
                 lambda rows: np.full(1, next(steps)), 1e300,
                 (np.arange(1),), 5, derive_rng(0))
+
+    def test_pending_updates_are_written_back_before_each_score(self):
+        # The 2 x 2 matrix leads params. Each step pushes a step of +1 to
+        # each of its entries and returns a gradient of -1 for the last
+        # entry, so every entry reads 3 after each epoch of 3 rows, and the
+        # score, the snapshot and the restored parameters see them all.
+        params, seen = np.zeros(5), []
+        lazy = Pending(params[:4].reshape(2, 2), 1.0, 1)
+
+        def grads(rows):
+            lazy.push(-np.ones((1, 2)), np.ones((1, 2)))
+            return -np.ones(1)
+
+        def score():
+            seen.append(params.tolist())
+            return (-1, -2, 0)[len(seen) - 1]
+
+        history = sgd("toy training", params, grads, 1.0, (np.arange(3),), 5,
+                      derive_rng(0), score=score, patience=1, pending=[lazy])
+        assert history == [(0, -1), (1, -2), (2, 0)]
+        assert seen == [[0.0] * 5, [3.0] * 5, [6.0] * 5]
+        assert params.tolist() == [3.0] * 5 and lazy.held == 0
+
+
+class TestPending:
+    def test_products_and_write_back_use_the_matrix_the_steps_reached(self):
+        rng = derive_rng(6)
+        w = rng.normal(size=(3, 5))
+        lazy = Pending(w, 0.5, 2)
+        a, b = rng.normal(size=(2, 3)), rng.normal(size=(2, 5))
+        lazy.push(a, b)
+        reached = w - 0.5 * a.T @ b
+        x, h = rng.normal(size=(2, 5)), rng.normal(size=(2, 3))
+        np.testing.assert_allclose(lazy.times_t(x, np.empty((2, 3))),
+                                   x @ reached.T, rtol=1e-13)
+        np.testing.assert_allclose(lazy.times(h, np.empty((2, 5))),
+                                   h @ reached, rtol=1e-13)
+        lazy.write_back()
+        assert lazy.held == 0
+        np.testing.assert_allclose(w, reached, rtol=1e-13)
+        assert np.array_equal(lazy.times(h, np.empty((2, 5))), h @ w)
+
+    def test_a_full_buffer_is_written_back_before_the_next_push(self):
+        w = np.zeros((2, 3))
+        lazy = Pending(w, 1.0, 1)
+        for _ in range(PENDING_ROWS):
+            lazy.push(np.ones((1, 2)), np.ones((1, 3)))
+        assert lazy.held == PENDING_ROWS and not w.any()
+        lazy.push(np.ones((1, 2)), np.ones((1, 3)))
+        assert lazy.held == 1 and (w == -PENDING_ROWS).all()
+
+    def test_the_size_rule_takes_matrices_of_at_least_2_14_elements(self):
+        assert takes_pending(np.zeros((128, 128)))
+        assert not takes_pending(np.zeros((127, 129)))
+        assert not takes_pending(np.zeros(2 ** 15))
 
 
 class TestPack:

@@ -23,8 +23,9 @@ from sdae_ivs.stack import (StackModel, fine_tune,
                             pretrain, reconstruct_through, select_extractors)
 from util import (CONSECUTIVE_RUNS, assert_tiles, captured_step, central_diff,
                   flatten, grads_close, log_softmax, masked_fine_tune,
-                  masked_stack_logits, per_step_fine_tune, per_step_stack_grads,
-                  pretrain_deepest, split_like, unblocked_forward)
+                  masked_layers, masked_stack_logits, per_step_fine_tune,
+                  per_step_stack_grads, pretrain_deepest, step_direction,
+                  unblocked_forward)
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -72,6 +73,37 @@ def toy_stack(seed=0, widths=(6, 4, 3), k=2, with_mask=True):
     return StackModel(mask, [dae1, dae2], top)
 
 
+def wide_stack(seed, widths, k=2):
+    """Random depth-2 stack, raw width -> hidden -> hidden, its mask
+    dropping every third variable, with weights of scale 1/sqrt(fan-in) so
+    that wide layers do not saturate."""
+    rng = derive_rng(seed)
+    raw, h1, h2 = widths
+    mask = VariableMask(np.arange(raw) % 3 != 2)
+    layers = [DaeModel(rng.normal(scale=1 / np.sqrt(m), size=(h, m)),
+                       rng.normal(scale=0.3, size=h), np.zeros(m))
+              for h, m in ((h1, mask.popcount), (h2, h1))]
+    return StackModel(mask, layers, MlrModel(
+        rng.normal(scale=1 / np.sqrt(h2), size=(k, h2)), rng.normal(size=k)))
+
+
+# Stacks on each side of numerics.PENDING_SIZE: every matrix small; layer
+# 1's 128 x 130 matrix pending; layer 2's 128 x 130 pending, behind layer
+# 1's eager one and its bias in the order of fine_tune_params; the top's
+# 130 x 128 matrix pending, for 130 classes of which the rows use 2.
+SIDES = {"eager": lambda seed: toy_stack(seed),
+         "first": lambda seed: wide_stack(seed, (195, 128, 4)),
+         "second": lambda seed: wide_stack(seed, (6, 130, 128)),
+         "top": lambda seed: wide_stack(seed, (6, 4, 128), k=130)}
+
+
+def batch_cross_entropy(m, x, labels):
+    """The batch-mean cross-entropy of the stack m on raw rows x, from the
+    plain formulas."""
+    logp = log_softmax(masked_stack_logits(masked_layers(m), m.top, x))
+    return -float(np.mean(logp[np.arange(len(x)), labels - 1]))
+
+
 class TestStackModel:
     def test_mask_that_disagrees_with_its_dae_names_the_layer(self):
         model = toy_stack(5)
@@ -86,6 +118,14 @@ class TestStackModel:
         with pytest.raises(DimensionError,
                            match="^layer 2 reads 4 inputs, not 3$"):
             StackModel(model.mask, [narrow, model.layers[1]], model.top)
+
+    def test_a_stack_without_layers_is_refused(self):
+        # save_stack writes the mask into layer 1's record and load_stack
+        # refuses a file without layers, so no stack is layerless.
+        top = MlrModel(derive_rng(12).normal(size=(3, 5)), np.zeros(3))
+        with pytest.raises(DimensionError,
+                           match="^a stack needs at least one layer$"):
+            StackModel(VariableMask.all_ones(5), [], top)
 
 
 class TestPretrain:
@@ -252,14 +292,6 @@ class TestPretrain:
 
 
 class TestPredict:
-    def test_layerless_stack_equals_mlr(self):
-        rng = derive_rng(12)
-        top = MlrModel(rng.normal(size=(3, 5)), rng.normal(size=3))
-        model = StackModel(VariableMask.all_ones(5), [], top)
-        x = rng.uniform(size=(10, 5))
-        np.testing.assert_array_equal(predict_labels(model, x),
-                                      mlr_predict_labels(top, x))
-
     def test_deterministic(self):
         model = toy_stack(1)
         x = derive_rng(2).uniform(size=(5, 6))
@@ -355,26 +387,33 @@ class TestFineTune:
         assert np.array_equal(tuned.top.weights, model.top.weights)
 
     def test_gradients_match_finite_differences(self):
-        # The partial input mask keeps the compacted rows checked.
-        model = toy_stack(21)
+        self.check_finite_differences("eager")
+
+    @pytest.mark.parametrize("side", ["first", "second", "top"])
+    def test_pending_steps_match_finite_differences(self, side):
+        self.check_finite_differences(side)
+
+    @staticmethod
+    def check_finite_differences(side):
+        # One step and a write-back move each parameter by -lr times its
+        # central difference; the partial input mask keeps the compacted
+        # rows checked.
+        model = SIDES[side](21)
         params = fine_tune_params(model)
         assert len(params) == 2 * model.depth + 2
         rng = derive_rng(22)
-        for batch in (1, 4):
-            x = rng.uniform(size=(batch, 6))
+        raw = model.mask.bits.size
+        for batch in (1, 4) if side == "eager" else (3,):
+            x = rng.uniform(size=(batch, raw))
             labels = rng.integers(1, 3, size=batch)
-
-            def f():
-                return np.mean([
-                    -float(log_softmax(_logits_for_test(model, row))[y - 1])
-                    for row, y in zip(x, labels)])
-
             c1 = compact(x, model.mask)
-            targets = one_hot(labels, 2, np.float64)
-            gradients = split_like(gradient(model, batch)(c1, targets), params)
-            assert len(gradients) == len(params)
-            for g, p in zip(gradients, params):
-                assert grads_close(g, central_diff(f, p))
+            targets = one_hot(labels, model.top.k, np.float64)
+            grads, pending = gradient(model, batch, 0.5)
+            assert len(pending) == (side != "eager")
+            steps = step_direction(params, grads, pending, 0.5, c1, targets)
+            for g, p in zip(steps, params):
+                assert grads_close(g, central_diff(
+                    lambda: batch_cross_entropy(model, x, labels), p))
 
     @pytest.mark.parametrize("with_mask", [True, False])
     def test_consecutive_steps_match_the_fresh_reference(self, with_mask):
@@ -387,7 +426,7 @@ class TestFineTune:
         c1 = compact(x, model.mask)
         targets = one_hot(labels, 2, np.float64)
         for batch, runs in CONSECUTIVE_RUNS:
-            grads, returned = gradient(model, batch), []
+            (grads, _), returned = gradient(model, batch, 0.1), []
             for lo, hi in runs:
                 returned.append(grads(c1[lo:hi], targets[lo:hi]))
                 want = per_step_stack_grads(model, x[lo:hi], labels[lo:hi])
@@ -395,24 +434,35 @@ class TestFineTune:
             assert all(got is returned[0] for got in returned)
 
     def test_oracle_checks_the_step_sgd_takes(self, monkeypatch):
-        model = toy_stack(28)
+        self.check_trainer_step(monkeypatch, "eager")
+
+    @pytest.mark.parametrize("side", ["first", "second"])
+    def test_oracle_checks_the_pending_step_sgd_takes(self, monkeypatch,
+                                                      side):
+        self.check_trainer_step(monkeypatch, side)
+
+    @staticmethod
+    def check_trainer_step(monkeypatch, side):
+        model = SIDES[side](28)
         rng = derive_rng(28)
-        d = Dataset(rng.uniform(size=(12, 6)), rng.integers(1, 3, size=12), 2)
-        params, step, tuned = captured_step(
+        raw = model.mask.bits.size
+        d = Dataset(rng.uniform(size=(12, raw)), rng.integers(1, 3, size=12), 2)
+        params, step, pending, tuned = captured_step(
             monkeypatch, stack, lambda: fine_tune(
                 model, d, d, TrainConfig(0.5, 2, 2), derive_rng(29)))
-        assert_tiles(params, fine_tune_params(tuned))
+        arrays = fine_tune_params(tuned)
+        # The pending matrices lead the flat buffer, the rest follow.
+        lazy = [p.weights for p in pending]
+        assert len(lazy) == (side != "eager")
+        assert_tiles(params, lazy + [a for a in arrays
+                                     if not any(a is w for w in lazy)])
         x, labels = d.x[:1], d.labels[:1]
-        gradients = split_like(
-            step(compact(x, model.mask),
-                 one_hot(labels, 2, np.float64)),
-            fine_tune_params(tuned))
-
-        def f():
-            return -float(log_softmax(_logits_for_test(tuned, x[0]))[labels[0] - 1])
-
-        for g, p in zip(gradients, fine_tune_params(tuned)):
-            assert grads_close(g, central_diff(f, p))
+        steps = step_direction(arrays, step, pending, 0.5,
+                               compact(x, model.mask),
+                               one_hot(labels, 2, np.float64))
+        for g, p in zip(steps, arrays):
+            assert grads_close(g, central_diff(
+                lambda: batch_cross_entropy(tuned, x, labels), p))
 
     def test_matches_the_per_step_reference_bit_for_bit(self):
         # The mask drops a variable, so the compaction is checked; the
@@ -433,6 +483,35 @@ class TestFineTune:
             for a, b in zip(fine_tune_params(tuned),
                             fine_tune_params(reference)):
                 assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("side", ["first", "second", "top"])
+    def test_pending_updates_match_the_per_step_reference(self, side):
+        # At batch 1, 50 rows fill the buffers of 16 rows three times an
+        # epoch and leave 2 for the epoch's end; at batch 4 a tail of 2
+        # rows ends each epoch. Early stopping scores and snapshots
+        # written-back parameters.
+        # Each rate makes the best validation epoch a later one than 0, so
+        # the tuned stack has moved.
+        model = SIDES[side](24)
+        rng = derive_rng(26)
+        x = rng.uniform(size=(90, model.mask.bits.size))
+        labels = 1 + (x[:, 0] > 0.5)
+        k = model.top.k
+        train, valid = Dataset(x[:50], labels[:50], k), \
+            Dataset(x[50:], labels[50:], k)
+        rates = {"first": (0.5, 0.5), "second": (0.02, 0.05),
+                 "top": (0.5, 0.5)}[side]
+        for batch, rate in zip((1, 4), rates):
+            cfg = TrainConfig(rate, 4, 2, batch)
+            tuned = fine_tune(model, train, valid, cfg, derive_rng(3))
+            reference = per_step_fine_tune(model, train, valid, cfg,
+                                           derive_rng(3))
+            moved = [not np.array_equal(a, b) for a, b in zip(
+                fine_tune_params(tuned), fine_tune_params(model))]
+            assert all(moved)
+            for a, b in zip(fine_tune_params(tuned),
+                            fine_tune_params(reference)):
+                np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12)
 
     def test_input_model_is_left_untouched(self):
         model = toy_stack(23)
@@ -488,16 +567,6 @@ class TestFineTune:
             + [dae.decoder_bias for dae in m.layers]])
         assert not pre.weights[:, -1].any()
         assert not np.signbit(params[params == 0.0]).any()
-
-
-def _logits_for_test(model, x):
-    """Independent one-example forward pass used by the finite-difference
-    oracle."""
-    from sdae_ivs.numerics import sigmoid
-    cur = compact(np.asarray(x, dtype=np.float64), model.mask)
-    for dae in model.layers:
-        cur = sigmoid(dae.weights @ cur + dae.encoder_bias)
-    return model.top.weights @ cur + model.top.biases
 
 
 class TestReconstruct:

@@ -321,18 +321,40 @@ def per_step_fine_tune(m, train, valid, cfg, rng):
 
 
 def captured_step(monkeypatch, module, fit):
-    """The flat parameter buffer and the grads function module's trainer
-    hands to sgd when fit() runs, with fit's result."""
+    """The flat parameter buffer, the grads function and the Pending
+    updates that module's trainer hands to sgd when fit() runs, with
+    fit's result."""
     steps = []
 
     def spy(phase, params, grads, *args, **kwargs):
-        steps.append((params, grads))
+        steps.append((params, grads, kwargs.get("pending", ())))
         return sgd(phase, params, grads, *args, **kwargs)
 
     monkeypatch.setattr(module, "sgd", spy)
     result = fit()
     assert len(steps) == 1
     return (*steps[0], result)
+
+
+def step_direction(arrays, grads, pending, learning_rate, *rows):
+    """(before - after) / learning_rate of each of a fit's parameter arrays
+    over one step of grads on rows as sgd takes it, followed by a
+    write-back of every Pending update: the flat gradient, which covers
+    the arrays that are no Pending's matrix, in order, is scaled and
+    subtracted, and each Pending takes its step. The arrays are restored
+    after. On both sides of the size rule this is the gradient that the
+    finite-difference oracles check."""
+    before = [a.copy() for a in arrays]
+    lazy = [p.weights for p in pending]
+    eager = [a for a in arrays if not any(a is w for w in lazy)]
+    for a, g in zip(eager, split_like(grads(*rows), eager)):
+        a -= learning_rate * g
+    for p in pending:
+        p.write_back()
+    direction = [(b - a) / learning_rate for a, b in zip(arrays, before)]
+    for a, b in zip(arrays, before):
+        a[...] = b
+    return direction
 
 
 def read_pgm(path) -> np.ndarray:
