@@ -10,13 +10,14 @@ and one weight matrix receives gradient from both directions.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
 from .data import Dataset
 from .errors import DataError, DimensionError
-from .numerics import (Pending, Rng, delta_rows, map_blocks, pack, sgd,
-                       sigmoid, sum_rows, takes_pending, times)
+from .numerics import (Pending, Rng, delta_rows, map_blocks, matrix_product,
+                       pack, sgd, sigmoid, takes_pending)
 
 
 @dataclass
@@ -83,12 +84,11 @@ def loss(x: np.ndarray, y: np.ndarray) -> float:
     return float(-(x @ np.log(yc) + (1.0 - x) @ np.log1p(-yc)))
 
 
-def sigmoid_layer(x, weights, bias, out=None):
-    """sigmoid(x weights + bias) of one row or the rows x, worked out in
-    out, or in one new array by default: every layer of the program, at
-    prediction and in both training steps. weights may be a Pending's
-    product (see numerics.times)."""
-    out = times(x, weights, out)
+def sigmoid_layer(x, weights, bias):
+    """sigmoid(x weights + bias) of one row or the rows x, in one new
+    array: every layer of the program at prediction. The training steps
+    take the same operations into the buffers of their plans."""
+    out = x.dot(weights)
     out += bias
     return sigmoid(out, out=out)
 
@@ -97,7 +97,7 @@ def sigmoid_backward(da, h, t):
     """The backward step through a sigmoid layer h = sigmoid(a), in place:
     da, the derivative by h, becomes da * h(1 - h), the derivative by a,
     with t a scratch array like h. Every layer's backward step in
-    training, as sigmoid_layer is every forward step."""
+    training."""
     da *= h
     da *= np.subtract(1.0, h, out=t)
     return da
@@ -109,9 +109,10 @@ def gradient(m: DaeModel, batch: int, learning_rate: float):
     x_in) writes the analytic batch-mean gradients (weights, encoder bias,
     decoder bias) of loss(x_clean, reconstruction) over (B, M') rows fed
     x_in into one flat buffer laid out like the model's arrays, and
-    returns it; a batch of one is one example. The buffers are built here,
-    once per fit; at batch 1 the deltas da and dz are the rows of the bias
-    gradients.
+    returns it; a batch of one is one example. The flat buffer is built
+    here, once per fit, and the step's buffers once per row count B (its
+    plan); at B = 1 the deltas da and dz are the rows of the bias
+    gradients, which need no sum.
 
     The weight gradient sums the encoder term da^T x_in and the decoder
     term h^T dz because the matrix is shared. A matrix that takes pending
@@ -126,28 +127,43 @@ def gradient(m: DaeModel, batch: int, learning_rate: float):
     grad, views = pack(*map(np.zeros_like, arrays[1:] if pending else arrays))
     grad_w, grad_be, grad_bd = [None, *views] if pending else views
     encoder, decoder = (pending[0].times_t, pending[0].times) if pending \
-        else (m.weights.T, m.weights)
-    enc_delta = delta_rows(grad_be, batch)
-    dec_delta = delta_rows(grad_bd, batch)
-    codes, t = np.zeros_like(enc_delta), np.zeros_like(enc_delta)
+        else (matrix_product(m.weights.T), matrix_product(m.weights))
+    # The biases as (1, width) rows, which numpy adds to a one-row step
+    # without broadcasting, through no iterator.
+    encoder_bias, decoder_bias = m.encoder_bias[None], m.decoder_bias[None]
     decoder_term = None if pending else np.zeros_like(m.weights)
 
+    @cache
+    def plan(n):
+        """A step of n rows: the codes h and the scratch t of their
+        sigmoid and of its backward step, the delta dz and the scratch of
+        its sigmoid, the delta da, the transposes of h and da, and whether
+        the deltas are summed into the bias gradients."""
+        h, dz, da = np.zeros((n, len(grad_be)), grad.dtype), \
+            delta_rows(grad_bd, n), delta_rows(grad_be, n)
+        return h, np.zeros_like(h), dz, np.zeros_like(dz), da, h.T, da.T, n > 1
+
     def grads(x_clean, x_in):
-        n = len(x_in)
-        h = sigmoid_layer(x_in, encoder, m.encoder_bias, codes[:n])
-        dz = sigmoid_layer(h, decoder, m.decoder_bias, dec_delta[:n])
+        h, t, dz, numerator, da, h_t, da_t, summed = plan(len(x_in))
+        encoder(x_in, h)
+        h += encoder_bias
+        sigmoid(h, out=h, numerator=t)
+        decoder(h, dz)
+        dz += decoder_bias
+        sigmoid(dz, out=dz, numerator=numerator)
         dz -= x_clean
-        if n > 1:
-            dz /= n
-        da = sigmoid_backward(times(dz, encoder, enc_delta[:n]), h, t[:n])
+        if summed:
+            dz /= len(x_in)
+        sigmoid_backward(encoder(dz, da), h, t)
         if pending:
             pending[0].push(da, x_in)
             pending[0].push(h, dz)
         else:
-            da.T.dot(x_in, out=grad_w)
-            np.add(grad_w, h.T.dot(dz, out=decoder_term), out=grad_w)
-        sum_rows(da, grad_be)
-        sum_rows(dz, grad_bd)
+            da_t.dot(x_in, out=grad_w)
+            np.add(grad_w, h_t.dot(dz, out=decoder_term), out=grad_w)
+        if summed:
+            np.add.reduce(da, axis=0, out=grad_be)
+            np.add.reduce(dz, axis=0, out=grad_bd)
         return grad
     return grads, pending
 

@@ -4,12 +4,13 @@ validation early stopping, and the error rate with its Wald interval."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
 from .data import Dataset
 from .errors import DataError, DimensionError
-from .numerics import Rng, delta_rows, pack, sgd, softmax, sum_rows
+from .numerics import Rng, delta_rows, pack, sgd, softmax
 
 
 @dataclass
@@ -83,21 +84,32 @@ def output_delta(p, biases, tb):
     return p
 
 
-def gradient(m: MlrModel, batch: int):
-    """The step of train_mlr over batches of at most `batch` rows:
-    grads(xb, tb) writes the batch-mean cross-entropy gradients by m's
-    weights and biases, with one-hot targets tb, into one flat buffer laid
-    out like them, and returns it. The buffers are built here, once per
-    fit; at batch 1 the delta is the bias gradient's row."""
+def gradient(m: MlrModel):
+    """The step of train_mlr: grads(xb, tb) writes the batch-mean
+    cross-entropy gradients by m's weights and biases over the B rows xb,
+    with one-hot targets tb, into one flat buffer laid out like them, and
+    returns it. The flat buffer is built here, once per fit, and the
+    step's delta and its transpose once per row count B (its plan); at
+    B = 1 the delta is the bias gradient's row, which needs no sum."""
     grad, (grad_w, grad_b) = pack(np.zeros_like(m.weights),
                                   np.zeros_like(m.biases))
-    delta = delta_rows(grad_b, batch)
+    # The biases as a (1, K) row, which numpy adds to a one-row step
+    # without broadcasting, through no iterator.
+    weights_t, biases = m.weights.T, m.biases[None]
+
+    @cache
+    def plan(n):
+        """A step of n rows: its delta, the delta's transpose, and whether
+        the delta is summed into the bias gradient."""
+        delta = delta_rows(grad_b, n)
+        return delta, delta.T, n > 1
 
     def grads(xb, tb):
-        p = output_delta(xb.dot(m.weights.T, out=delta[:len(xb)]), m.biases,
-                         tb)
-        p.T.dot(xb, out=grad_w)
-        sum_rows(p, grad_b)
+        delta, delta_t, summed = plan(len(xb))
+        output_delta(xb.dot(weights_t, out=delta), biases, tb)
+        delta_t.dot(xb, out=grad_w)
+        if summed:
+            np.add.reduce(delta, axis=0, out=grad_b)
         return grad
     return grads
 
@@ -123,10 +135,9 @@ def train_mlr(train: Dataset, valid: Dataset, cfg: TrainConfig, rng: Rng,
                                      np.zeros(k, dtype))
     model = MlrModel(weights, biases)
     targets = one_hot(train.labels, k, dtype)
-    history = sgd(phase, params,
-                  gradient(model, min(cfg.minibatch_size, train.n)),
-                  cfg.learning_rate, (train.x, targets), cfg.max_epochs,
-                  rng, batch=cfg.minibatch_size,
+    history = sgd(phase, params, gradient(model), cfg.learning_rate,
+                  (train.x, targets), cfg.max_epochs, rng,
+                  batch=cfg.minibatch_size,
                   score=lambda: evaluate(predict_labels(model, valid.x), valid),
                   patience=cfg.patience)
     if return_history:

@@ -64,13 +64,16 @@ def sgd(phase, params, grads, learning_rate, data, epochs, rng, batch=1,
     grads(*slices) for each run of `batch` consecutive rows: a flat
     gradient laid out like params, which is sgd's to scale in place by the
     learning rate and grads' to overwrite on its next call, so a step is
-    two calls whatever the parameter count. pending lists the Pending
-    updates that grads pushes its large matrices' steps to instead: their
-    matrices lead params, grads' gradient covers the rest, and sgd writes
-    each back at the end of every epoch, so that nothing is pending at a
-    score, a snapshot or the return. Overflow inside a step is left to
-    check_finite, which raises DivergenceError naming phase and epoch at
-    the end of that epoch; no rows at all is a DataError naming phase.
+    two calls whatever the parameter count. The trainers' grads build the
+    buffers of a step once per row count (a plan), on its first call with
+    that many rows: one plan at batch 1, two with a short last batch.
+    pending lists the Pending updates that grads pushes its large
+    matrices' steps to instead: their matrices lead params, grads'
+    gradient covers the rest, and sgd writes each back at the end of
+    every epoch, so that nothing is pending at a score, a snapshot or the
+    return. Overflow inside a step is left to check_finite, which raises
+    DivergenceError naming phase and epoch at the end of that epoch; no
+    rows at all is a DataError naming phase.
 
     With a score (lower is better, e.g. a validation error) training stops
     early: the score is taken before the first epoch and after each one,
@@ -141,10 +144,11 @@ PENDING_SIZE = 2 ** 14
 PENDING_ROWS = 16
 
 
-def times(x, weights, out):
-    """x weights, in out: weights is a matrix, or a Pending's times or
-    times_t, the product with the matrix its steps have reached."""
-    return weights(x, out) if callable(weights) else x.dot(weights, out=out)
+def matrix_product(weights):
+    """The product of a matrix that takes eager steps, as a callable (x,
+    out) -> x weights in out, as a Pending's times and times_t are the
+    products of a matrix that takes pending steps."""
+    return lambda x, out: x.dot(weights, out=out)
 
 
 def takes_pending(a) -> bool:
@@ -244,14 +248,15 @@ def map_blocks(f, x):
     return out
 
 
-def sigmoid(z, out=None):
+def sigmoid(z, out=None, numerator=None):
     """Logistic function 1/(1+e^-z) of an array, overflow-safe for any input.
 
-    Writes into out (which may be z) when given, and makes one temporary,
-    the numerator. exp(fmin(z, 0)) / (1 + e) with e = exp(-|z|) <= 1 is
+    Writes into out (which may be z) when given, and works out the
+    numerator in `numerator`, an array like z, when given, or else in one
+    temporary. exp(fmin(z, 0)) / (1 + e) with e = exp(-|z|) <= 1 is
     1/(1+e) where z >= 0 and e/(1+e) elsewhere, so no |z| can overflow.
     """
-    numerator = np.fmin(z, 0.0)
+    numerator = np.fmin(z, 0.0, out=numerator)
     np.exp(numerator, out=numerator)
     e = np.exp(np.copysign(z, -1.0, out=out), out=out)
     e += 1.0
@@ -272,18 +277,12 @@ def softmax(z, out=None):
     return e
 
 
-def delta_rows(grad_b, b):
-    """A (b, width) delta whose rows sum_rows adds into the bias gradient
-    grad_b: at b = 1 grad_b's own row, so that no step copies it."""
-    return grad_b[None] if b == 1 else np.zeros((b, grad_b.size), grad_b.dtype)
-
-
-def sum_rows(delta, out):
-    """Sum over the rows of delta, into out, unless delta is out's own row,
-    which already holds the sum: at batch 1 a step's one-row deltas are
-    the rows of their bias gradients (see delta_rows), so that no step
-    copies. A one-row reduce gives +0.0 for -0.0, which moves no parameter:
-    p - 0.0 and p + 0.0 differ only at p = -0.0, no parameter starts as
-    -0.0, and p - g is -0.0 only if p is."""
-    if len(delta) > 1 or delta.base is not out.base or out.base is None:
-        np.add.reduce(delta, axis=0, out=out)
+def delta_rows(grad_b, n):
+    """The (n, width) delta of a step of n rows whose sum over the rows is
+    the bias gradient grad_b: at n = 1 grad_b's own row, so that the step
+    neither copies nor sums it, and at n > 1 an array of its own, summed
+    into grad_b by one reduce. A one-row delta may thus leave -0.0 in
+    grad_b, which moves no parameter: p - 0.0 and p + 0.0 differ only at
+    p = -0.0, no parameter starts as -0.0, and p - g is -0.0 only if p
+    is."""
+    return grad_b[None] if n == 1 else np.zeros((n, grad_b.size), grad_b.dtype)

@@ -12,19 +12,21 @@ during fine-tuning.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
 from .dae import (DaeModel, DaeTrainConfig, decode, encode, encode_dataset,
-                  sigmoid_backward, sigmoid_layer, train_dae)
-from .data import Dataset, VariableMask, compact, expand
+                  sigmoid_backward, train_dae)
+from .data import Dataset, VariableMask, compact, compact_dataset, expand
 from .errors import DimensionError
 from .ivs import IvsConfig, IvsResult, run_ivs
 from .mlr import (MlrModel, TrainConfig, evaluate, one_hot, output_delta,
                   train_mlr)
 from .mlr import predict_labels as mlr_predict_labels
 from .numerics import (DAE, IVS, TOP, Pending, Rng, delta_rows, derive_rng,
-                       map_blocks, pack, sgd, sum_rows, takes_pending, times)
+                       map_blocks, matrix_product, pack, sgd, sigmoid,
+                       takes_pending)
 
 # The networks' dtype: layer 1's DAE reads its rows rounded to it, and every
 # layer above, the top classifier and fine-tuning follow. It halves the bytes
@@ -102,9 +104,11 @@ def pretrain(train: Dataset, valid: Dataset, dae: tuple[DaeTrainConfig, ...],
             masks.append(ivs_results[-1].mask)
         else:
             masks.append(VariableMask.all_ones(cur_train.m))
+        # Through compact_dataset, which perfbench's tracer times.
         compact_train, compact_valid = (
-            Dataset(compact(d.x, masks[-1]).astype(NETWORK, copy=False),
-                    d.labels, d.num_classes) for d in (cur_train, cur_valid))
+            Dataset(compact_dataset(d, masks[-1]).x.astype(
+                NETWORK, copy=False), d.labels, d.num_classes)
+            for d in (cur_train, cur_valid))
         layers.append(train_dae(compact_train, dae_cfg,
                                 derive_rng(seed, layer, DAE),
                                 phase=f"layer {layer}: DAE pre-training"))
@@ -160,10 +164,14 @@ def gradient(m: StackModel, batch: int, learning_rate: float):
     fine_tune_params(m) less the matrices that take pending updates
     (numerics.takes_pending), and returns it. Each of those matrices has
     a Pending, returned in the order of fine_tune_params, which takes its
-    steps and every product with it. The buffers are built here, once per
-    fit; at batch 1 each delta is its bias gradient's row."""
+    steps and every product with it. The flat buffer, the products and
+    the weight steps are built here, once per fit, and the step's buffers
+    once per row count B (its plan); at B = 1 each delta is its bias
+    gradient's row, which needs no sum."""
     params = fine_tune_params(m)
-    weights = params[::2]
+    # The biases as (1, width) rows, which numpy adds to a one-row step
+    # without broadcasting, through no iterator.
+    weights, biases = params[::2], [b[None] for b in params[1::2]]
     lazy = [Pending(w, learning_rate, batch) if takes_pending(w) else None
             for w in weights]
     grad, views = pack(*(np.zeros_like(p) for p in params
@@ -171,31 +179,59 @@ def gradient(m: StackModel, batch: int, learning_rate: float):
     views = iter(views)
     grad_p = [None if takes_pending(p) else next(views) for p in params]
     grad_w, grad_b = grad_p[::2], grad_p[1::2]
-    forward = [w.T if p is None else p.times_t for p, w in zip(lazy, weights)]
-    backward = [w if p is None else p.times for p, w in zip(lazy, weights)]
-    deltas = [delta_rows(g, batch) for g in grad_b]
-    # Each layer's codes, which the layer above reads, and its scratch.
-    bufs = [np.zeros((2, batch, g.size), grad.dtype) for g in grad_b[:-1]]
+    forward = [matrix_product(w.T) if p is None else p.times_t
+               for p, w in zip(lazy, weights)]
+    backward = [matrix_product(w) if p is None else p.times
+                for p, w in zip(lazy, weights)]
+    steps = [_outer_product_into(g) if p is None else p.push
+             for p, g in zip(lazy, grad_w)]
+
+    @cache
+    def plan(n):
+        """A step of n rows: upward, each layer's product, bias, codes and
+        the scratch of their sigmoid and of its backward step; the top's
+        product, bias and delta; downward from the top, each delta with
+        the codes and scratch of its layer's sigmoid (None at the top),
+        the bias gradient it is summed into (None at n = 1), the product
+        that carries it down and the delta below (None at layer 1), the
+        weight step, and the layer's input (None at layer 1, which reads
+        the step's rows)."""
+        deltas = [delta_rows(g, n) for g in grad_b]
+        codes = [np.zeros_like(d) for d in deltas[:-1]]
+        scratch = [np.zeros_like(h) for h in codes]
+        sigmoids = [*zip(codes, scratch), (None, None)]
+        down = [(deltas[i], *sigmoids[i], grad_b[i] if n > 1 else None,
+                 *((backward[i], deltas[i - 1]) if i else (None, None)),
+                 steps[i], codes[i - 1] if i else None)
+                for i in reversed(range(len(deltas)))]
+        return (list(zip(forward[:-1], biases[:-1], codes, scratch)),
+                (forward[-1], biases[-1], deltas[-1]), down)
 
     def grads(c1, tb):
-        n, codes = len(c1), [c1]
-        for dae, w, (h, _) in zip(m.layers, forward, bufs):
-            codes.append(sigmoid_layer(codes[-1], w, dae.encoder_bias, h[:n]))
-        output_delta(times(codes[-1], forward[-1], deltas[-1][:n]),
-                     m.top.biases, tb)
-        for idx in range(m.depth, -1, -1):
-            delta = deltas[idx][:n]
-            if idx < m.depth:
-                sigmoid_backward(delta, codes[idx + 1], bufs[idx][1][:n])
-            sum_rows(delta, grad_b[idx])
-            if idx:
-                times(delta, backward[idx], deltas[idx - 1][:n])
-            if lazy[idx] is None:
-                delta.T.dot(codes[idx], out=grad_w[idx])
-            else:
-                lazy[idx].push(delta, codes[idx])
+        up, (product, bias, delta), down = plan(len(c1))
+        cur = c1
+        for product_h, bias_h, h, t in up:
+            product_h(cur, h)
+            h += bias_h
+            cur = sigmoid(h, out=h, numerator=t)
+        output_delta(product(cur, delta), bias, tb)
+        for delta, h, t, bias_grad, carry, below, step, inputs in down:
+            if h is not None:
+                sigmoid_backward(delta, h, t)
+            if bias_grad is not None:
+                np.add.reduce(delta, axis=0, out=bias_grad)
+            if carry is not None:
+                carry(delta, below)
+            step(delta, c1 if inputs is None else inputs)
         return grad
     return grads, [p for p in lazy if p is not None]
+
+
+def _outer_product_into(grad):
+    """The step of a matrix that takes eager steps, (a, b) -> a^T b in
+    grad, its slot of the flat gradient, as a Pending's push is the step
+    of one that takes pending steps."""
+    return lambda a, b: a.T.dot(b, out=grad)
 
 
 def predict_labels(m: StackModel, x: np.ndarray) -> np.ndarray:

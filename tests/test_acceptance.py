@@ -112,7 +112,7 @@ def test_criterion_2_gradient_oracles():
         x = rng.uniform(size=(batch, mm))
         labels = rng.integers(1, k + 1, size=batch)
         targets = one_hot(labels, k, np.float64)
-        gw, gb = split_like(mlr_gradient(model, batch)(x, targets),
+        gw, gb = split_like(mlr_gradient(model)(x, targets),
                             (model.weights, model.biases))
 
         def f():

@@ -11,9 +11,11 @@ from sdae_ivs.data import Dataset
 from sdae_ivs.errors import DataError, DivergenceError
 from sdae_ivs import numerics
 from sdae_ivs.numerics import PENDING_ROWS, derive_rng, pack, sgd
-from util import (CONSECUTIVE_RUNS, assert_tiles, captured_step, central_diff,
-                  flatten, fresh_dae_grads, grads_close, per_step_train_dae,
-                  step_direction, step_peak, two_branch_sigmoid)
+from util import (ALTERNATING_RUNS, CONSECUTIVE_RUNS, assert_tiles, captured_step, central_diff,
+                  check_alternating_steps, check_steps_allocate_no_array,
+                  flatten, fresh_dae_grads,
+                  grads_close, per_step_train_dae, step_direction,
+                  two_branch_sigmoid)
 
 
 def tiny_model(seed=0, h=3, m=4):
@@ -198,28 +200,40 @@ class TestGradients:
                 assert np.array_equal(returned[-1], flatten(want))
             assert all(got is returned[0] for got in returned)
 
+    @pytest.mark.parametrize("side", ["eager", "pending"])
+    def test_plans_serve_no_stale_view(self, side):
+        # One closure takes the ALTERNATING_RUNS, each row count through
+        # its own plan, and moves the model as sgd does in between.
+        h, m = SIDES[side]
+        _, model = flat_model(61, h, m)
+        rng = derive_rng(61)
+        x_clean = rng.uniform(0.05, 0.95, size=(15, m))
+        x_in = x_clean + rng.normal(0, 0.1, size=x_clean.shape)
+        grads, pending = gradient(model, ALTERNATING_RUNS[0], 0.1)
+        assert len(pending) == (side == "pending")
+        check_alternating_steps(
+            grads, pending, arrays_of(model),
+            lambda lo, hi: (x_clean[lo:hi], x_in[lo:hi]),
+            lambda lo, hi: fresh_dae_grads(model, x_clean[lo:hi],
+                                           x_in[lo:hi]), 0.1)
+
     @pytest.mark.parametrize("batch", [1, 5])
     def test_steps_allocate_no_parameter_sized_array(self, batch):
-        # The closure's buffers, and a Pending's write-back product, are
-        # built once per fit. A step's own temporary is sigmoid's
-        # numerator, one (B, H) or (B, M') array; a (300, 200) one would
-        # take 480 kB. 2 kB covers the headers. The (300, 200) matrix
-        # takes pending steps, the (100, 100) one eager steps.
+        # A step's buffers are those of its plan, built by its first call
+        # with B rows, and a Pending's write-back product is built once
+        # per fit, so a step allocates no array: at one row it stays under
+        # 768 bytes, where a (1, 100) float64 array takes 800 alone. The
+        # (300, 200) matrix takes pending steps, the (100, 100) one eager
+        # steps.
         for h, m in ((300, 200), (100, 100)):
-            self.check_step_peak(batch, h, m)
-
-    @staticmethod
-    def check_step_peak(batch, h, m):
-        model = tiny_model(4, h=h, m=m)
-        rng = derive_rng(60)
-        x_clean = rng.uniform(size=(10 * batch, m))
-        x_in = x_clean + rng.normal(0, 0.1, size=x_clean.shape)
-        batches = [(x_clean[lo:lo + batch], x_in[lo:lo + batch])
-                   for lo in range(0, len(x_in), batch)]
-        grads, _ = gradient(model, batch, 0.1)
-        once = step_peak(grads, batches, 1)
-        assert step_peak(grads, batches, 200) == once
-        assert once < 8 * batch * max(h, m) + 2048
+            model = tiny_model(4, h=h, m=m)
+            rng = derive_rng(60)
+            x_clean = rng.uniform(size=(10 * batch, m))
+            x_in = x_clean + rng.normal(0, 0.1, size=x_clean.shape)
+            batches = [(x_clean[lo:lo + batch], x_in[lo:lo + batch])
+                       for lo in range(0, len(x_in), batch)]
+            grads, _ = gradient(model, batch, 0.1)
+            check_steps_allocate_no_array(grads, batches, max(h, m), 768)
 
     def test_oracle_checks_the_step_sgd_takes(self, monkeypatch):
         self.check_trainer_step(monkeypatch, "eager")

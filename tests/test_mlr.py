@@ -9,9 +9,11 @@ from sdae_ivs import mlr
 from sdae_ivs.mlr import (MlrModel, TrainConfig, evaluate, gradient, one_hot,
                           predict_labels, train_mlr, wald_halfwidth)
 from sdae_ivs.numerics import derive_rng, softmax
-from util import (CONSECUTIVE_RUNS, assert_tiles, captured_step, central_diff,
-                  cross_entropy, flatten, fresh_mlr_grads, grads_close,
-                  per_step_train_mlr, random_mlr, split_like, step_peak)
+from util import (CONSECUTIVE_RUNS, assert_tiles, captured_step,
+                  central_diff, check_alternating_steps,
+                  check_steps_allocate_no_array, cross_entropy, flatten,
+                  fresh_mlr_grads, grads_close, per_step_train_mlr,
+                  random_mlr, split_like)
 
 
 class TestPredict:
@@ -61,7 +63,7 @@ class TestGradients:
             x = rng.uniform(size=(batch, mm))
             labels = rng.integers(1, k + 1, size=batch)
             targets = one_hot(labels, k, np.float64)
-            gw, gb = split_like(gradient(model, batch)(x, targets),
+            gw, gb = split_like(gradient(model)(x, targets),
                                 (model.weights, model.biases))
 
             def f():
@@ -80,7 +82,7 @@ class TestGradients:
             delta = softmax(x @ model.weights.T + model.biases)[0]
             delta[label[0] - 1] -= 1.0
             targets = one_hot(label, k, np.float64)
-            gw, gb = split_like(gradient(model, 1)(x, targets),
+            gw, gb = split_like(gradient(model)(x, targets),
                                 (model.weights, model.biases))
             assert np.array_equal(gw, np.outer(delta, x[0]))
             assert np.array_equal(gb, delta)
@@ -93,8 +95,8 @@ class TestGradients:
         rng = derive_rng(8)
         x, labels = rng.uniform(size=(6, 6)), rng.integers(1, 5, size=6)
         targets = one_hot(labels, 4, np.float64)
-        for batch, runs in CONSECUTIVE_RUNS:
-            grads, returned = gradient(model, batch), []
+        for _, runs in CONSECUTIVE_RUNS:
+            grads, returned = gradient(model), []
             for lo, hi in runs:
                 returned.append(grads(x[lo:hi], targets[lo:hi]))
                 want = fresh_mlr_grads(model.weights, model.biases, x[lo:hi],
@@ -102,21 +104,39 @@ class TestGradients:
                 assert np.array_equal(returned[-1], flatten(want))
             assert all(got is returned[0] for got in returned)
 
+    @pytest.mark.parametrize("k, m", [(4, 6), (64, 300)])
+    def test_plans_serve_no_stale_view(self, k, m):
+        # One closure takes the ALTERNATING_RUNS, each row count through
+        # its own plan, and moves the model as sgd does in between; the
+        # MLR steps its 4 x 6 and its 64 x 300 matrix, on each side of
+        # numerics.PENDING_SIZE, eagerly.
+        model = random_mlr(11, k, m)
+        rng = derive_rng(11)
+        x, labels = rng.uniform(size=(15, m)), rng.integers(1, k + 1, size=15)
+        targets = one_hot(labels, k, np.float64)
+        check_alternating_steps(
+            gradient(model), [], (model.weights, model.biases),
+            lambda lo, hi: (x[lo:hi], targets[lo:hi]),
+            lambda lo, hi: fresh_mlr_grads(model.weights, model.biases,
+                                           x[lo:hi], labels[lo:hi]), 0.1)
+
     @pytest.mark.parametrize("batch", [1, 5])
     def test_steps_allocate_no_parameter_sized_array(self, batch):
-        # The closure's buffers are built once per fit, and a step makes
-        # no temporary of (B, K) or more; a (10, 300) one would take 24 kB.
-        # 2 kB covers the headers.
-        model = random_mlr(10, 10, 300)
-        rng = derive_rng(10)
-        x = rng.uniform(size=(10 * batch, 300))
-        targets = one_hot(rng.integers(1, 11, size=len(x)), 10, np.float64)
-        batches = [(x[lo:lo + batch], targets[lo:lo + batch])
-                   for lo in range(0, len(x), batch)]
-        grads = gradient(model, batch)
-        once = step_peak(grads, batches, 1)
-        assert step_peak(grads, batches, 200) == once
-        assert once < 8 * batch * 300 + 2048
+        # A step's buffers are those of its plan, built by its first call
+        # with B rows, so a step allocates no array: at one row it stays
+        # under 1536 bytes, which the one-row softmax's reductions (1 kB)
+        # and Python objects take, where a (1, 300) float64 array takes
+        # 2400 alone. The MLR steps its 10 x 300 and its 64 x 300 matrix,
+        # on each side of numerics.PENDING_SIZE, eagerly.
+        for k in (10, 64):
+            model = random_mlr(10, k, 300)
+            rng = derive_rng(10)
+            x = rng.uniform(size=(10 * batch, 300))
+            targets = one_hot(rng.integers(1, k + 1, size=len(x)), k,
+                              np.float64)
+            batches = [(x[lo:lo + batch], targets[lo:lo + batch])
+                       for lo in range(0, len(x), batch)]
+            check_steps_allocate_no_array(gradient(model), batches, k, 1536)
 
     def test_oracle_checks_the_step_sgd_takes(self, monkeypatch):
         rng = derive_rng(9)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from sdae_ivs.errors import DivergenceError
 from sdae_ivs.numerics import (BLOCK_ROWS, PENDING_ROWS, Pending, delta_rows,
                                derive_rng, map_blocks, pack, row_blocks, sgd,
-                               sigmoid, softmax, sum_rows, takes_pending)
+                               sigmoid, softmax, takes_pending)
 from util import two_branch_sigmoid
 
 finite = st.floats(min_value=-500, max_value=500, allow_nan=False)
@@ -85,12 +85,16 @@ def test_sigmoid_bit_equal_to_two_branch_reference_on_arrays():
 @pytest.mark.parametrize("z", [np.array(EDGES), np.array([EDGES]),
                                np.linspace(-40.0, 40.0, 4002).reshape(-1, 3)])
 def test_in_place_sigmoid_bit_equal_to_two_branch_reference(z):
-    # Into a separate array, and over z itself as the SGD steps call it.
+    # Into a separate array, over z itself, and over z itself with the
+    # numerator in a scratch array, as the SGD steps call it.
     want = two_branch_sigmoid(z)
     out = np.full_like(z, np.nan)
     assert sigmoid(z, out=out) is out and same_bits(out, want)
     work = z.copy()
     assert sigmoid(work, out=work) is work and same_bits(work, want)
+    work, scratch = z.copy(), np.full_like(z, np.nan)
+    assert sigmoid(work, out=work, numerator=scratch) is work
+    assert same_bits(work, want)
 
 
 @given(st.floats(allow_nan=False))
@@ -357,26 +361,14 @@ class TestPack:
         assert not a.any() and not b.any()
 
 
-class TestSumRows:
-    def test_rows_are_summed_into_out(self):
-        out = np.zeros(2)
-        sum_rows(np.array([[1.0, -0.0], [2.0, -0.0], [0.5, 3.0]]), out)
-        assert out.tolist() == [3.5, 3.0]
-
-    def test_one_row_of_another_array_is_reduced_into_out(self):
-        # A one-row tail batch of a delta built for batch 3; the
-        # reduce gives +0.0 for -0.0, as the docstring says.
-        delta, out = np.array([[-0.0, 2.0], [5.0, 5.0], [5.0, 5.0]]), np.full(2, 9.0)
-        sum_rows(delta[:1], out)
-        assert same_bits(out, [0.0, 2.0])
-        assert not np.shares_memory(delta, out)
-
-    def test_own_row_is_left_in_place(self):
+class TestDeltaRows:
+    def test_one_row_is_the_bias_gradients_own_row(self):
+        # A one-row step writes its delta into the bias gradient itself,
+        # -0.0 included, as the docstring says.
         _, (_, out) = pack(np.ones(3), np.array([-0.0, 3.0]))
         delta = delta_rows(out, 1)
         assert delta.shape == (1, 2) and np.shares_memory(delta, out)
-        sum_rows(delta[:1], out)
-        assert same_bits(out, [-0.0, 3.0])
+        assert same_bits(delta[0], [-0.0, 3.0])
 
     def test_delta_of_several_rows_is_its_own_array(self):
         out = np.ones(4)

@@ -58,7 +58,7 @@ def test_a_tree_is_the_same_as_itself_on_the_minibatch_cases(tmp_path):
     assert done.returncode == 0, done.stderr
     assert done.stdout == "".join(
         f"same  batch/{name} (exit codes 0 0 0)\n"
-        for name in ("ivs7", "ivs200"))
+        for name in ("ivs7", "ivs200", "ivs7-12"))
 
 
 def test_a_tree_is_the_same_as_itself_on_the_amat_cases(tmp_path):

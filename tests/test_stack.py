@@ -21,9 +21,11 @@ from sdae_ivs import stack
 from sdae_ivs.stack import (StackModel, fine_tune,
                             fine_tune_params, gradient, predict_labels,
                             pretrain, reconstruct_through, select_extractors)
-from util import (CONSECUTIVE_RUNS, assert_tiles, captured_step, central_diff,
-                  flatten, grads_close, log_softmax, masked_fine_tune,
-                  masked_layers, masked_stack_logits, per_step_fine_tune,
+from util import (ALTERNATING_RUNS, CONSECUTIVE_RUNS, assert_tiles,
+                  captured_step, central_diff, check_alternating_steps,
+                  check_steps_allocate_no_array, flatten, grads_close,
+                  log_softmax, masked_fine_tune, masked_layers,
+                  masked_stack_logits, per_step_fine_tune,
                   per_step_stack_grads, pretrain_deepest, step_direction,
                   unblocked_forward)
 
@@ -433,6 +435,50 @@ class TestFineTune:
                 assert np.array_equal(returned[-1], flatten(want))
             assert all(got is returned[0] for got in returned)
 
+    @pytest.mark.parametrize("side", ["eager", "top"])
+    def test_plans_serve_no_stale_view(self, side):
+        # One closure takes the ALTERNATING_RUNS, each row count through
+        # its own plan, and moves the stack as sgd does in between. Where
+        # layer 1 or 2 is pending, per_step_stack_grads' boolean-mask copy
+        # of its input is not C-contiguous, and the product with that
+        # copy at 130 columns differs from the step's in the last bits,
+        # so those layouts are left to the per-step trainer test's 1e-12.
+        model = SIDES[side](32)
+        rng = derive_rng(32)
+        x = rng.uniform(size=(15, model.mask.bits.size))
+        labels = rng.integers(1, 3, size=15)
+        c1 = compact(x, model.mask)
+        targets = one_hot(labels, model.top.k, np.float64)
+        grads, pending = gradient(model, ALTERNATING_RUNS[0], 0.1)
+        assert len(pending) == (side != "eager")
+        check_alternating_steps(
+            grads, pending, fine_tune_params(model),
+            lambda lo, hi: (c1[lo:hi], targets[lo:hi]),
+            lambda lo, hi: per_step_stack_grads(model, x[lo:hi],
+                                                labels[lo:hi]), 0.1)
+
+    @pytest.mark.parametrize("batch", [1, 5])
+    def test_steps_allocate_no_parameter_sized_array(self, batch):
+        # A step's buffers are those of its plan, built by its first call
+        # with B rows, and a Pending's write-back product is built once
+        # per fit, so a step allocates no array: at one row it stays under
+        # 1536 bytes, which the one-row softmax's reductions (1 kB) and
+        # Python objects take, where a (1, 200) float64 array takes 1600
+        # alone. The mask keeps 200 of 300 variables; every matrix of the
+        # 60-wide stack takes eager steps, every one of the 200-wide stack
+        # pending steps.
+        for widths, k in (((300, 60, 200), 60), ((300, 200, 200), 200)):
+            model = wide_stack(30, widths, k)
+            rng = derive_rng(31)
+            c1 = compact(rng.uniform(size=(10 * batch, 300)), model.mask)
+            targets = one_hot(rng.integers(1, k + 1, size=len(c1)), k,
+                              np.float64)
+            batches = [(c1[lo:lo + batch], targets[lo:lo + batch])
+                       for lo in range(0, len(c1), batch)]
+            grads, pending = gradient(model, batch, 0.1)
+            assert len(pending) == 3 * (k == 200)
+            check_steps_allocate_no_array(grads, batches, 200, 1536)
+
     def test_oracle_checks_the_step_sgd_takes(self, monkeypatch):
         self.check_trainer_step(monkeypatch, "eager")
 
@@ -546,10 +592,11 @@ class TestFineTune:
                       derive_rng(0))
 
     def test_no_trained_parameter_is_negative_zero(self):
-        # sum_rows turns a one-row -0.0 into +0.0, which moves a parameter
-        # only if it is -0.0. A column of zeros keeps its MLR weights at
-        # exactly zero while their gradients may be -0.0, and 295 rows in
-        # batches of 7, as a selection config may ask, leave a one-row tail.
+        # A one-row step leaves a -0.0 delta in its bias gradient, which
+        # moves a parameter only if it is -0.0 (numerics.delta_rows). A
+        # column of zeros keeps its MLR weights at exactly zero while their
+        # gradients may be -0.0, and 295 rows in batches of 7, as a
+        # selection config may ask, leave a one-row tail.
         def zero_column(d):
             return Dataset(np.column_stack([d.x, np.zeros(d.n)]), d.labels,
                            d.num_classes)

@@ -148,6 +148,38 @@ CONSECUTIVE_RUNS = ((3, ((0, 3), (3, 5), (5, 6), (1, 4))),
                     (1, ((0, 1), (5, 6), (2, 3))))
 
 
+# (closure batch, row runs) of the stale-plan tests: a full batch, a tail
+# of 1, a full batch again, a tail of 2 and a full batch, so that each row
+# count's plan serves again after another's.
+ALTERNATING_RUNS = (4, ((0, 4), (4, 5), (5, 9), (9, 11), (11, 15)))
+
+
+def check_alternating_steps(grads, pending, arrays, rows, reference,
+                            learning_rate) -> None:
+    """Step grads, a closure built for ALTERNATING_RUNS' batch over the
+    fit's arrays, on rows(lo, hi) for each of its runs, as sgd takes a
+    step: the flat gradient, scaled, is subtracted from the arrays that
+    take eager steps, and every Pending is written back. Before each step
+    reference(lo, hi) gives the fresh gradients of the arrays, and the
+    flat gradient must equal those of the eager arrays bit for bit, a
+    pending matrix's products being plain ones after the write-back; each
+    pending matrix must move by learning_rate times its own to 1e-12."""
+    lazy = [p.weights for p in pending]
+    eager = [a for a in arrays if not any(a is w for w in lazy)]
+    for lo, hi in ALTERNATING_RUNS[1]:
+        want = {id(a): g for a, g in zip(arrays, reference(lo, hi))}
+        before = [w.copy() for w in lazy]
+        got = grads(*rows(lo, hi))
+        assert np.array_equal(got, flatten([want[id(a)] for a in eager]))
+        for a, g in zip(eager, split_like(got, eager)):
+            a -= learning_rate * g
+        for p, b in zip(pending, before):
+            p.write_back()
+            np.testing.assert_allclose((b - p.weights) / learning_rate,
+                                       want[id(p.weights)], rtol=1e-12,
+                                       atol=1e-12)
+
+
 def step_peak(grads, batches, steps: int) -> int:
     """tracemalloc's peak over `steps` calls of a gradient closure, taking
     its arguments from the tuples of batches in turn, after one untraced
@@ -160,6 +192,23 @@ def step_peak(grads, batches, steps: int) -> int:
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def check_steps_allocate_no_array(grads, batches, widest: int,
+                                  one_row_bound: int) -> None:
+    """A gradient closure's steps on batches, of B rows each, allocate no
+    array of their own: the tracemalloc peak of 200 steps is at most that
+    of one, so it does not grow, and one step's stays under a fixed
+    bound. At B = 1 every bias is a row like the step's, and the bound is
+    one_row_bound, which the caller sets under what one float64 row of
+    its widths takes. At B > 1 numpy adds each bias row to the B rows
+    through a buffer of B times its width elements and about 1.1 kB of
+    iterator, which 8 B widest + 1536 bytes let through, widest being the
+    widest bias, and no second array of that size."""
+    b = len(batches[0][0])
+    once = step_peak(grads, batches, 1)
+    assert step_peak(grads, batches, 200) <= once
+    assert once < (one_row_bound if b == 1 else 8 * b * widest + 1536)
 
 
 def assert_tiles(flat: np.ndarray, arrays) -> None:

@@ -19,7 +19,8 @@ edits the split sizes so that prediction, and at ``hidden16`` encoding,
 go through several row blocks whose last one takes the tail, with a
 2-class top at ``classes2``. Each ``batch/NAME`` case sets the selection
 MLR's minibatch size, to 7 (a one-row tail batch) or to more rows than
-the training split holds. Each ``stack/NAME`` case
+the training split holds, and at ``ivs7-12`` selects at layers 1 and 2
+for one variant. Each ``stack/NAME`` case
 runs that config for one variant at depths 1 and 2, so ``eval`` checks
 two models of one variant, or at depth 2 alone, so that pattern export
 has no depth-1 stack to read layer 1 from. Each ``amat/NAME`` case runs that config's
@@ -89,10 +90,14 @@ BLOCK_CASES = {
 }
 # name -> {section.key: value}: selection's MLR stepping several rows at a
 # time, the only steps above batch 1: 120 training rows make 17 batches of
-# 7 and a one-row tail, or one batch larger than the split.
+# 7 and a one-row tail, or one batch larger than the split. At ivs7-12 the
+# layer-2 selection and the pattern export step the float32 MLR at both
+# row counts too.
 BATCH_CASES = {
     "ivs7": {"ivs.minibatch_size": "7"},
     "ivs200": {"ivs.minibatch_size": "200"},
+    "ivs7-12": {"ivs.minibatch_size": "7", "stack.depths": "1 2",
+                "stack.variants": "sdae_ivs"},
 }
 # name -> {section.key: value}: one variant at two depths, or at depth 2.
 STACK_CASES = {
