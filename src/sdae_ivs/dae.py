@@ -17,7 +17,7 @@ import numpy as np
 from .data import Dataset
 from .errors import DataError, DimensionError
 from .numerics import (Pending, Rng, delta_rows, map_blocks, matrix_product,
-                       pack, sgd, sigmoid, takes_pending)
+                       pack, sgd, sigmoid, sigmoid_backward, takes_pending)
 
 
 @dataclass
@@ -91,16 +91,6 @@ def sigmoid_layer(x, weights, bias):
     out = x.dot(weights)
     out += bias
     return sigmoid(out, out=out)
-
-
-def sigmoid_backward(da, h, t):
-    """The backward step through a sigmoid layer h = sigmoid(a), in place:
-    da, the derivative by h, becomes da * h(1 - h), the derivative by a,
-    with t a scratch array like h. Every layer's backward step in
-    training."""
-    da *= h
-    da *= np.subtract(1.0, h, out=t)
-    return da
 
 
 def gradient(m: DaeModel, batch: int, learning_rate: float):

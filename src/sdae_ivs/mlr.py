@@ -71,13 +71,13 @@ def one_hot(labels: np.ndarray, k: int, dtype) -> np.ndarray:
     return targets
 
 
-def output_delta(p, biases, tb):
+def output_delta(p, biases, tb, total):
     """(softmax - one-hot) / B of the logits p + biases of B rows under the
-    one-hot targets tb, worked out in p, the rows times the weights: the
-    derivative of the batch-mean cross-entropy by the logits, at the MLR's
-    step and the fine-tuned top's."""
+    one-hot targets tb, worked out in p, the rows times the weights, and
+    total (see softmax): the batch-mean cross-entropy's derivative by the
+    logits, at the MLR's step and the fine-tuned top's."""
     p += biases
-    softmax(p, out=p)
+    softmax(p, out=p, total=total)
     p -= tb
     if len(p) > 1:
         p /= len(p)
@@ -89,8 +89,8 @@ def gradient(m: MlrModel):
     cross-entropy gradients by m's weights and biases over the B rows xb,
     with one-hot targets tb, into one flat buffer laid out like them, and
     returns it. The flat buffer is built here, once per fit, and the
-    step's delta and its transpose once per row count B (its plan); at
-    B = 1 the delta is the bias gradient's row, which needs no sum."""
+    step's delta, its transpose and softmax's total once per row count B
+    (its plan); at B = 1 the delta is the bias gradient's row, unsummed."""
     grad, (grad_w, grad_b) = pack(np.zeros_like(m.weights),
                                   np.zeros_like(m.biases))
     # The biases as a (1, K) row, which numpy adds to a one-row step
@@ -99,14 +99,15 @@ def gradient(m: MlrModel):
 
     @cache
     def plan(n):
-        """A step of n rows: its delta, the delta's transpose, and whether
-        the delta is summed into the bias gradient."""
+        """A step of n rows: its delta, the delta's transpose, softmax's
+        total, and whether the delta is summed into the bias gradient."""
         delta = delta_rows(grad_b, n)
-        return delta, delta.T, n > 1
+        total = np.zeros(() if n == 1 else (n, 1), grad.dtype)
+        return delta, delta.T, total, n > 1
 
     def grads(xb, tb):
-        delta, delta_t, summed = plan(len(xb))
-        output_delta(xb.dot(weights_t, out=delta), biases, tb)
+        delta, delta_t, total, summed = plan(len(xb))
+        output_delta(xb.dot(weights_t, out=delta), biases, tb, total)
         delta_t.dot(xb, out=grad_w)
         if summed:
             np.add.reduce(delta, axis=0, out=grad_b)

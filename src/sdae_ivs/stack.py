@@ -17,7 +17,7 @@ from functools import cache
 import numpy as np
 
 from .dae import (DaeModel, DaeTrainConfig, decode, encode, encode_dataset,
-                  sigmoid_backward, train_dae)
+                  train_dae)
 from .data import Dataset, VariableMask, compact, compact_dataset, expand
 from .errors import DimensionError
 from .ivs import IvsConfig, IvsResult, run_ivs
@@ -26,7 +26,7 @@ from .mlr import (MlrModel, TrainConfig, evaluate, one_hot, output_delta,
 from .mlr import predict_labels as mlr_predict_labels
 from .numerics import (DAE, IVS, TOP, Pending, Rng, delta_rows, derive_rng,
                        map_blocks, matrix_product, pack, sgd, sigmoid,
-                       takes_pending)
+                       sigmoid_backward, takes_pending)
 
 # The networks' dtype: layer 1's DAE reads its rows rounded to it, and every
 # layer above, the top classifier and fine-tuning follow. It halves the bytes
@@ -190,12 +190,12 @@ def gradient(m: StackModel, batch: int, learning_rate: float):
     def plan(n):
         """A step of n rows: upward, each layer's product, bias, codes and
         the scratch of their sigmoid and of its backward step; the top's
-        product, bias and delta; downward from the top, each delta with
-        the codes and scratch of its layer's sigmoid (None at the top),
-        the bias gradient it is summed into (None at n = 1), the product
-        that carries it down and the delta below (None at layer 1), the
-        weight step, and the layer's input (None at layer 1, which reads
-        the step's rows)."""
+        product, bias, delta and softmax's total; downward from the top,
+        each delta with the codes and scratch of its layer's sigmoid (None
+        at the top), the bias gradient it is summed into (None at n = 1),
+        the product that carries it down and the delta below (None at
+        layer 1), the weight step, and the layer's input (None at layer 1,
+        which reads the step's rows)."""
         deltas = [delta_rows(g, n) for g in grad_b]
         codes = [np.zeros_like(d) for d in deltas[:-1]]
         scratch = [np.zeros_like(h) for h in codes]
@@ -204,17 +204,18 @@ def gradient(m: StackModel, batch: int, learning_rate: float):
                  *((backward[i], deltas[i - 1]) if i else (None, None)),
                  steps[i], codes[i - 1] if i else None)
                 for i in reversed(range(len(deltas)))]
+        total = np.zeros(() if n == 1 else (n, 1), grad.dtype)
         return (list(zip(forward[:-1], biases[:-1], codes, scratch)),
-                (forward[-1], biases[-1], deltas[-1]), down)
+                (forward[-1], biases[-1], deltas[-1], total), down)
 
     def grads(c1, tb):
-        up, (product, bias, delta), down = plan(len(c1))
+        up, (product, bias, delta, total), down = plan(len(c1))
         cur = c1
         for product_h, bias_h, h, t in up:
             product_h(cur, h)
             h += bias_h
             cur = sigmoid(h, out=h, numerator=t)
-        output_delta(product(cur, delta), bias, tb)
+        output_delta(product(cur, delta), bias, tb, total)
         for delta, h, t, bias_grad, carry, below, step, inputs in down:
             if h is not None:
                 sigmoid_backward(delta, h, t)

@@ -123,11 +123,13 @@ class TestGradients:
     @pytest.mark.parametrize("batch", [1, 5])
     def test_steps_allocate_no_parameter_sized_array(self, batch):
         # A step's buffers are those of its plan, built by its first call
-        # with B rows, so a step allocates no array: at one row it stays
-        # under 1536 bytes, which the one-row softmax's reductions (1 kB)
-        # and Python objects take, where a (1, 300) float64 array takes
-        # 2400 alone. The MLR steps its 10 x 300 and its 64 x 300 matrix,
-        # on each side of numerics.PENDING_SIZE, eagerly.
+        # with B rows, softmax's reductions included, so a step allocates
+        # no array: at one row it stays under 1536 bytes, where a (1, 300)
+        # float64 array takes 2400 alone. tracemalloc read a one-row peak
+        # of 968 B of Python objects and views (1072 B when the one-row
+        # softmax reduced to numpy scalars). The MLR steps its 10 x 300
+        # and its 64 x 300 matrix, on each side of numerics.PENDING_SIZE,
+        # eagerly.
         for k in (10, 64):
             model = random_mlr(10, k, 300)
             rng = derive_rng(10)

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from sdae_ivs.errors import DivergenceError
 from sdae_ivs.numerics import (BLOCK_ROWS, PENDING_ROWS, Pending, delta_rows,
                                derive_rng, map_blocks, pack, row_blocks, sgd,
-                               sigmoid, softmax, takes_pending)
+                               sigmoid, sigmoid_backward, softmax,
+                               takes_pending)
 from util import two_branch_sigmoid
 
 finite = st.floats(min_value=-500, max_value=500, allow_nan=False)
@@ -330,6 +331,79 @@ class TestPending:
         assert takes_pending(np.zeros((128, 128)))
         assert not takes_pending(np.zeros((127, 129)))
         assert not takes_pending(np.zeros(2 ** 15))
+
+
+def identical(a, b):
+    """The same dtype, shape and bytes."""
+    return a.dtype == b.dtype and a.shape == b.shape \
+        and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("rows", [1, 5])
+class TestDtypeOperands:
+    """The steps' 0-d operands of the step's dtype give the bits of the
+    Python floats and numpy scalars they replace (NEP 50: a Python float is
+    cast to the array's dtype), on one row and on several."""
+
+    @staticmethod
+    def draw(rows, dtype, width=7, seed=40):
+        return derive_rng(seed).normal(scale=4.0, size=(rows, width)
+                                       ).astype(dtype)
+
+    def test_sigmoid_and_its_backward_step_match_python_floats(self, rows,
+                                                               dtype):
+        z = self.draw(rows, dtype)
+        e = np.exp(np.copysign(z, -1.0))
+        e += 1.0
+        want = np.exp(np.fmin(z, 0.0)) / e
+        assert identical(sigmoid(z), want)
+        da = self.draw(rows, dtype, seed=41)
+        expected = da * want * np.subtract(1.0, want)
+        got = sigmoid_backward(da, want, np.empty_like(want))
+        assert identical(got, expected)
+
+    def test_softmax_into_a_reduction_buffer_matches_softmax(self, rows,
+                                                             dtype):
+        z = self.draw(rows, dtype)
+        total = np.zeros(() if rows == 1 else (rows, 1), dtype)
+        assert identical(softmax(z.copy(), total=total), softmax(z))
+        work = z.copy()
+        assert softmax(work, out=work, total=total) is work
+        assert identical(work, softmax(z))
+
+    @pytest.mark.parametrize("rate", [0.1, 0.01, 0.2, 1 / 3])
+    def test_sgd_step_matches_a_python_float_rate(self, rows, dtype, rate):
+        params, g = self.draw(rows, dtype).ravel(), \
+            self.draw(rows, dtype, seed=41).ravel()
+        want = g.copy()
+        want *= rate
+        want = params - want
+        sgd("toy training", params, lambda rows: g.copy(), rate,
+            (np.arange(1),), 1, derive_rng(0))
+        assert identical(params, want)
+
+    @pytest.mark.parametrize("rate", [0.1, 0.01, 0.2, 1 / 3])
+    def test_pending_push_matches_a_python_float_rate(self, rows, dtype,
+                                                      rate):
+        a, b = self.draw(rows, dtype, 3), self.draw(rows, dtype, 5, seed=41)
+        lazy = Pending(np.zeros((3, 5), dtype), rate, rows)
+        lazy.push(a, b)
+        assert identical(lazy.u[:rows], np.multiply(a, rate))
+        assert identical(lazy.v[:rows], b)
+
+
+def test_rate_past_float32_is_inf_with_no_warning():
+    # pytest turns a RuntimeWarning into an error: casting 1e308 to
+    # float32 outside errstate warns "overflow encountered in cast".
+    lazy = Pending(np.zeros((2, 2), np.float32), 1e308, 1)
+    assert lazy.learning_rate.dtype == np.float32
+    assert lazy.learning_rate.shape == () and np.isposinf(lazy.learning_rate)
+    with pytest.raises(DivergenceError,
+                       match="toy training diverged at epoch 1"):
+        sgd("toy training", np.zeros(1, np.float32),
+            lambda rows: np.ones(1, np.float32), 1e308, (np.arange(1),), 1,
+            derive_rng(0))
 
 
 class TestPack:

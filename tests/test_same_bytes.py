@@ -1,8 +1,8 @@
 """Self-test of tools/same_bytes.py on the smoke config: a tree is the same
-as itself, also on a config it rejects, on the generator's edge cases, on
-the row-block cases, on the minibatch cases and on the .amat cases, and a
-copy with one changed constant is not. Its reject cases cover every ranged
-config key."""
+as itself, also on a config it rejects, on one whose DAE diverges, on the
+generator's edge cases, on the row-block cases, on the minibatch cases and
+on the .amat cases, and a copy with one changed constant is not. Its reject
+cases cover every ranged config key."""
 
 import importlib.util
 import json
@@ -35,6 +35,14 @@ def test_a_tree_is_the_same_as_itself_on_a_rejected_config(tmp_path):
     done = same_bytes(SRC, SRC, tmp_path, "reject/dae.learning_rate")
     assert done.returncode == 0, done.stderr
     assert done.stdout == "same  reject/dae.learning_rate (exit codes 1 1 1)\n"
+
+
+def test_a_tree_is_the_same_as_itself_on_a_diverging_config(tmp_path):
+    # run exits 3 naming the fit, eval finds no report, ivs trains no DAE.
+    done = same_bytes(SRC, SRC, tmp_path, "diverge/dae.learning_rate")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == \
+        "same  diverge/dae.learning_rate (exit codes 3 2 0)\n"
 
 
 def test_a_tree_is_the_same_as_itself_on_the_generator_edge_cases(tmp_path):

@@ -435,14 +435,13 @@ class TestFineTune:
                 assert np.array_equal(returned[-1], flatten(want))
             assert all(got is returned[0] for got in returned)
 
-    @pytest.mark.parametrize("side", ["eager", "top"])
+    @pytest.mark.parametrize("side", ["eager", "first", "second", "top"])
     def test_plans_serve_no_stale_view(self, side):
         # One closure takes the ALTERNATING_RUNS, each row count through
-        # its own plan, and moves the stack as sgd does in between. Where
-        # layer 1 or 2 is pending, per_step_stack_grads' boolean-mask copy
-        # of its input is not C-contiguous, and the product with that
-        # copy at 130 columns differs from the step's in the last bits,
-        # so those layouts are left to the per-step trainer test's 1e-12.
+        # its own plan, and moves the stack as sgd does in between, on each
+        # side of numerics.PENDING_SIZE: per_step_stack_grads compacts each
+        # layer's input into a C-contiguous copy, as the step's rows are, so
+        # its products have the step's bits where layer 1 or 2 is pending.
         model = SIDES[side](32)
         rng = derive_rng(32)
         x = rng.uniform(size=(15, model.mask.bits.size))
@@ -462,11 +461,12 @@ class TestFineTune:
         # A step's buffers are those of its plan, built by its first call
         # with B rows, and a Pending's write-back product is built once
         # per fit, so a step allocates no array: at one row it stays under
-        # 1536 bytes, which the one-row softmax's reductions (1 kB) and
-        # Python objects take, where a (1, 200) float64 array takes 1600
-        # alone. The mask keeps 200 of 300 variables; every matrix of the
-        # 60-wide stack takes eager steps, every one of the 200-wide stack
-        # pending steps.
+        # 1536 bytes, where a (1, 200) float64 array takes 1600 alone.
+        # tracemalloc read a one-row peak of 968 B, or 1032 B with pending
+        # matrices, of Python objects and views (104 B more when the
+        # one-row softmax reduced to numpy scalars). The mask keeps 200 of
+        # 300 variables; every matrix of the 60-wide stack takes eager
+        # steps, every one of the 200-wide stack pending steps.
         for widths, k in (((300, 60, 200), 60), ((300, 200, 200), 200)):
             model = wide_stack(30, widths, k)
             rng = derive_rng(31)

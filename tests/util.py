@@ -308,12 +308,13 @@ def per_step_stack_grads(m, x, labels):
 def masked_stack_grads(layers, top, x, labels):
     """The batch-mean fine-tuning gradients of a stack whose every layer is
     a (mask, DaeModel) pair reading its input through its own mask, by a
-    boolean-mask compaction, with label-indexed deltas: [weights, encoder
+    boolean-mask compaction into a C-contiguous copy, whose products have
+    the bits of the step's, with label-indexed deltas: [weights, encoder
     bias] per layer, then the top's. A unit that the mask above drops takes
     zero gradient."""
     trace, cur = [], x
     for mask, dae in layers:
-        c = cur[..., mask.bits]
+        c = np.ascontiguousarray(cur[..., mask.bits])
         cur = two_branch_sigmoid(c @ dae.weights.T + dae.encoder_bias)
         trace.append((c, cur))
     g = label_output_delta(top.weights, top.biases, cur, labels)

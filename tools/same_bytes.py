@@ -11,10 +11,13 @@ whose data files are present, at master seeds 0 and 7, and the config of
 each benchmark workload, written by ``perfbench.workloads.prepare`` with
 PARENT_SRC's program, at master seeds 100 and 101. Each ``reject/S.K``
 case sets key K of section S of ``configs/smoke_synthetic.ini`` to a value
-out of its range, so both trees must reject it alike. Each ``data/NAME``
-case edits the generator's settings in that config to an edge case that
-runs: no irrelevant variable, no feature noise, or a last block of one row
-in the generator's row-blocked column reorder. Each ``blocks/NAME`` case
+out of its range, so both trees must reject it alike. Each
+``diverge/S.K`` case sets a learning rate of that config so high that a
+fit diverges, so both trees must exit 3 with the same one-line error, and
+a stray warning on stderr shows as a difference. Each ``data/NAME`` case
+edits the generator's settings in that config to an edge case that runs:
+no irrelevant variable, no feature noise, or a last block of one row in
+the generator's row-blocked column reorder. Each ``blocks/NAME`` case
 edits the split sizes so that prediction, and at ``hidden16`` encoding,
 go through several row blocks whose last one takes the tail, with a
 2-class top at ``classes2``. Each ``batch/NAME`` case sets the selection
@@ -73,6 +76,10 @@ REJECTS = {
     "finetune.patience": "0",
     "run.seed": "-1", "run.reconstruct_examples": "-1",
 }
+# section.key -> a learning rate at which a fit of SMOKE diverges: the
+# float32 DAE at a rate past float32's range, fine-tuning at one at which
+# the top MLR, which reads the same rate, stays finite.
+DIVERGES = {"dae.learning_rate": "1e308", "finetune.learning_rate": "1e30"}
 # name -> {section.key: value}: generator edge cases that every tree runs.
 DATA_CASES = {
     "irrelevant0": {"data.irrelevant": "0", "data.shape": "2 3"},
@@ -192,6 +199,8 @@ def cases(work: Path):
             yield (f"perfbench/{name}@{seed}", work / f"{name}@{seed}",
                    Path("config.ini"), [], (name, seed))
     edits = [("reject", name, {name: value}) for name, value in REJECTS.items()]
+    edits += [("diverge", name, {name: value})
+              for name, value in DIVERGES.items()]
     edits += [("data", name, edit) for name, edit in DATA_CASES.items()]
     edits += [("blocks", name, edit) for name, edit in BLOCK_CASES.items()]
     edits += [("batch", name, edit) for name, edit in BATCH_CASES.items()]
