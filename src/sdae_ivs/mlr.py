@@ -4,13 +4,13 @@ validation early stopping, and the error rate with its Wald interval."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
 
 import numpy as np
 
+from .chain import gradient
 from .data import Dataset
 from .errors import DataError, DimensionError
-from .numerics import Rng, delta_rows, pack, sgd, softmax
+from .numerics import Rng, pack, sgd, softmax
 
 
 @dataclass
@@ -71,50 +71,6 @@ def one_hot(labels: np.ndarray, k: int, dtype) -> np.ndarray:
     return targets
 
 
-def output_delta(p, biases, tb, total):
-    """(softmax - one-hot) / B of the logits p + biases of B rows under the
-    one-hot targets tb, worked out in p, the rows times the weights, and
-    total (see softmax): the batch-mean cross-entropy's derivative by the
-    logits, at the MLR's step and the fine-tuned top's."""
-    p += biases
-    softmax(p, out=p, total=total)
-    p -= tb
-    if len(p) > 1:
-        p /= len(p)
-    return p
-
-
-def gradient(m: MlrModel):
-    """The step of train_mlr: grads(xb, tb) writes the batch-mean
-    cross-entropy gradients by m's weights and biases over the B rows xb,
-    with one-hot targets tb, into one flat buffer laid out like them, and
-    returns it. The flat buffer is built here, once per fit, and the
-    step's delta, its transpose and softmax's total once per row count B
-    (its plan); at B = 1 the delta is the bias gradient's row, unsummed."""
-    grad, (grad_w, grad_b) = pack(np.zeros_like(m.weights),
-                                  np.zeros_like(m.biases))
-    # The biases as a (1, K) row, which numpy adds to a one-row step
-    # without broadcasting, through no iterator.
-    weights_t, biases = m.weights.T, m.biases[None]
-
-    @cache
-    def plan(n):
-        """A step of n rows: its delta, the delta's transpose, softmax's
-        total, and whether the delta is summed into the bias gradient."""
-        delta = delta_rows(grad_b, n)
-        total = np.zeros(() if n == 1 else (n, 1), grad.dtype)
-        return delta, delta.T, total, n > 1
-
-    def grads(xb, tb):
-        delta, delta_t, total, summed = plan(len(xb))
-        output_delta(xb.dot(weights_t, out=delta), biases, tb, total)
-        delta_t.dot(xb, out=grad_w)
-        if summed:
-            np.add.reduce(delta, axis=0, out=grad_b)
-        return grad
-    return grads
-
-
 def train_mlr(train: Dataset, valid: Dataset, cfg: TrainConfig, rng: Rng,
               return_history: bool = False, phase: str = "MLR training"):
     """Fit an MLR by minibatch SGD with early stopping.
@@ -124,9 +80,10 @@ def train_mlr(train: Dataset, valid: Dataset, cfg: TrainConfig, rng: Rng,
     snapshot with the best validation error; ties go to the earlier epoch,
     so a fit that never beats the untrained model returns the all-zero
     model. To drop variables, train on a compacted dataset. rng shuffles
-    the examples, whose one-hot targets are built once per fit. Parameters
-    that stop being finite raise DivergenceError, naming phase, at that
-    epoch's end.
+    the examples, whose one-hot targets are built once per fit. The step is
+    chain.gradient's one softmax layer, built with no learning rate, so
+    that the matrix steps eagerly at every width. Parameters that stop
+    being finite raise DivergenceError, naming phase, at that epoch's end.
     """
     if train.num_classes != valid.num_classes or train.m != valid.m:
         raise DataError("train and validation sets disagree on M or K")
@@ -136,7 +93,8 @@ def train_mlr(train: Dataset, valid: Dataset, cfg: TrainConfig, rng: Rng,
                                      np.zeros(k, dtype))
     model = MlrModel(weights, biases)
     targets = one_hot(train.labels, k, dtype)
-    history = sgd(phase, params, gradient(model), cfg.learning_rate,
+    grads, _ = gradient([(weights, biases, False)], softmax)
+    history = sgd(phase, params, grads, cfg.learning_rate,
                   (train.x, targets), cfg.max_epochs, rng,
                   batch=cfg.minibatch_size,
                   score=lambda: evaluate(predict_labels(model, valid.x), valid),

@@ -63,14 +63,16 @@ def sgd(phase, params, grads, learning_rate, data, epochs, rng, batch=1,
     (inputs, targets). Each epoch gathers every array once in the order of
     a fresh rng permutation; per_epoch(*gathered), when given, then returns
     more row-aligned arrays for that epoch (such as one corruption draw of
-    every row), appended to the gathered ones; an epoch's arrays are freed
-    before the next epoch gathers its own. sgd steps along
+    every row), which lead the gathered ones, so that a step reads (x,
+    target) whether its inputs are drawn or gathered; an epoch's arrays
+    are freed before the next epoch gathers its own. sgd steps along
     grads(*slices) for each run of `batch` consecutive rows: a flat
     gradient laid out like params, which is sgd's to scale in place by the
     learning rate and grads' to overwrite on its next call, so a step is
-    two calls whatever the parameter count. The trainers' grads build the
-    buffers of a step once per row count (a plan), on its first call with
-    that many rows: one plan at batch 1, two with a short last batch.
+    two calls whatever the parameter count. The trainers' grads
+    (chain.gradient) build the buffers of a step once per row count (a
+    plan), on its first call with that many rows: one plan at batch 1,
+    two with a short last batch.
     pending lists the Pending updates that grads pushes its large
     matrices' steps to instead: their matrices lead params, grads'
     gradient covers the rest, and sgd writes each back at the end of
@@ -122,7 +124,7 @@ def _epoch(params, grads, rate, data, rng, batch, per_epoch, pending):
     order = rng.permutation(n)
     shuffled = [a[order] for a in data]
     if per_epoch is not None:
-        shuffled += per_epoch(*shuffled)
+        shuffled = [*per_epoch(*shuffled), *shuffled]
     batches = [a.reshape(n, 1, *a.shape[1:]) if batch == 1 else
                [a[lo:lo + batch] for lo in range(0, n, batch)]
                for a in shuffled]
@@ -146,13 +148,6 @@ PENDING_SIZE = 2 ** 14
 # back is one product of inner dimension 16 and one pass over the matrix,
 # where each eager step makes about five passes.
 PENDING_ROWS = 16
-
-
-def matrix_product(weights):
-    """The product of a matrix that takes eager steps, as a callable (x,
-    out) -> x weights in out, as a Pending's times and times_t are the
-    products of a matrix that takes pending steps."""
-    return lambda x, out: x.dot(weights, out=out)
 
 
 def takes_pending(a) -> bool:

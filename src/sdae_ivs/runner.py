@@ -160,6 +160,9 @@ def cmd_run(cfg: ExperimentConfig) -> None:
         raise DataError("the test split is empty, so there is nothing to "
                         "evaluate on")
     out = _output_dir(cfg, "models")
+    # An earlier run's report would vouch for the files this one overwrites.
+    for name in ("report.json", "summary.txt", "wall_time.txt"):
+        (out / name).unlink(missing_ok=True)
     results: dict = {}
     artifacts: list[str] = []
 

@@ -12,21 +12,19 @@ during fine-tuning.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
 
 import numpy as np
 
+from .chain import gradient
 from .dae import (DaeModel, DaeTrainConfig, decode, encode, encode_dataset,
                   train_dae)
 from .data import Dataset, VariableMask, compact, compact_dataset, expand
 from .errors import DimensionError
 from .ivs import IvsConfig, IvsResult, run_ivs
-from .mlr import (MlrModel, TrainConfig, evaluate, one_hot, output_delta,
-                  train_mlr)
+from .mlr import MlrModel, TrainConfig, evaluate, one_hot, train_mlr
 from .mlr import predict_labels as mlr_predict_labels
-from .numerics import (DAE, IVS, TOP, Pending, Rng, delta_rows, derive_rng,
-                       map_blocks, matrix_product, pack, sgd, sigmoid,
-                       sigmoid_backward, takes_pending)
+from .numerics import (DAE, IVS, TOP, Rng, derive_rng, map_blocks, pack, sgd,
+                       softmax, takes_pending)
 
 # The networks' dtype: layer 1's DAE reads its rows rounded to it, and every
 # layer above, the top classifier and fine-tuning follow. It halves the bytes
@@ -155,86 +153,6 @@ def fine_tune_params(m: StackModel) -> list[np.ndarray]:
         + [m.top.weights, m.top.biases]
 
 
-def gradient(m: StackModel, batch: int, learning_rate: float):
-    """The step of fine_tune over batches of at most `batch` rows at
-    learning_rate, and the Pending updates it pushes to: grads(c1, tb)
-    writes the batch-mean gradients of the stack's cross-entropy over
-    (B, M') rows c1, already compacted through the input mask, with
-    one-hot targets tb, into one flat buffer laid out like
-    fine_tune_params(m) less the matrices that take pending updates
-    (numerics.takes_pending), and returns it. Each of those matrices has
-    a Pending, returned in the order of fine_tune_params, which takes its
-    steps and every product with it. The flat buffer, the products and
-    the weight steps are built here, once per fit, and the step's buffers
-    once per row count B (its plan); at B = 1 each delta is its bias
-    gradient's row, which needs no sum."""
-    params = fine_tune_params(m)
-    # The biases as (1, width) rows, which numpy adds to a one-row step
-    # without broadcasting, through no iterator.
-    weights, biases = params[::2], [b[None] for b in params[1::2]]
-    lazy = [Pending(w, learning_rate, batch) if takes_pending(w) else None
-            for w in weights]
-    grad, views = pack(*(np.zeros_like(p) for p in params
-                         if not takes_pending(p)))
-    views = iter(views)
-    grad_p = [None if takes_pending(p) else next(views) for p in params]
-    grad_w, grad_b = grad_p[::2], grad_p[1::2]
-    forward = [matrix_product(w.T) if p is None else p.times_t
-               for p, w in zip(lazy, weights)]
-    backward = [matrix_product(w) if p is None else p.times
-                for p, w in zip(lazy, weights)]
-    steps = [_outer_product_into(g) if p is None else p.push
-             for p, g in zip(lazy, grad_w)]
-
-    @cache
-    def plan(n):
-        """A step of n rows: upward, each layer's product, bias, codes and
-        the scratch of their sigmoid and of its backward step; the top's
-        product, bias, delta and softmax's total; downward from the top,
-        each delta with the codes and scratch of its layer's sigmoid (None
-        at the top), the bias gradient it is summed into (None at n = 1),
-        the product that carries it down and the delta below (None at
-        layer 1), the weight step, and the layer's input (None at layer 1,
-        which reads the step's rows)."""
-        deltas = [delta_rows(g, n) for g in grad_b]
-        codes = [np.zeros_like(d) for d in deltas[:-1]]
-        scratch = [np.zeros_like(h) for h in codes]
-        sigmoids = [*zip(codes, scratch), (None, None)]
-        down = [(deltas[i], *sigmoids[i], grad_b[i] if n > 1 else None,
-                 *((backward[i], deltas[i - 1]) if i else (None, None)),
-                 steps[i], codes[i - 1] if i else None)
-                for i in reversed(range(len(deltas)))]
-        total = np.zeros(() if n == 1 else (n, 1), grad.dtype)
-        return (list(zip(forward[:-1], biases[:-1], codes, scratch)),
-                (forward[-1], biases[-1], deltas[-1], total), down)
-
-    def grads(c1, tb):
-        up, (product, bias, delta, total), down = plan(len(c1))
-        cur = c1
-        for product_h, bias_h, h, t in up:
-            product_h(cur, h)
-            h += bias_h
-            cur = sigmoid(h, out=h, numerator=t)
-        output_delta(product(cur, delta), bias, tb, total)
-        for delta, h, t, bias_grad, carry, below, step, inputs in down:
-            if h is not None:
-                sigmoid_backward(delta, h, t)
-            if bias_grad is not None:
-                np.add.reduce(delta, axis=0, out=bias_grad)
-            if carry is not None:
-                carry(delta, below)
-            step(delta, c1 if inputs is None else inputs)
-        return grad
-    return grads, [p for p in lazy if p is not None]
-
-
-def _outer_product_into(grad):
-    """The step of a matrix that takes eager steps, (a, b) -> a^T b in
-    grad, its slot of the flat gradient, as a Pending's push is the step
-    of one that takes pending steps."""
-    return lambda a, b: a.T.dot(b, out=grad)
-
-
 def predict_labels(m: StackModel, x: np.ndarray) -> np.ndarray:
     """Vectorized stack prediction; ties resolve to the lowest class index."""
     return mlr_predict_labels(m.top, _forward(m.mask, m.layers, x))
@@ -242,7 +160,8 @@ def predict_labels(m: StackModel, x: np.ndarray) -> np.ndarray:
 
 def fine_tune(m: StackModel, train: Dataset, valid: Dataset,
               cfg: TrainConfig, rng: Rng) -> StackModel:
-    """Supervised backpropagation through the top layer and all encoders.
+    """Supervised backpropagation through the top layer and all encoders,
+    along chain.gradient of the encoders under the top.
 
     The input mask is frozen and every unit of every layer takes part, so
     nothing dropped can re-enter. The tuned model is built over views of
@@ -269,8 +188,9 @@ def fine_tune(m: StackModel, train: Dataset, valid: Dataset,
         MlrModel(*views[-2:]))
     c1 = compact(train.x, m.mask).astype(params.dtype, copy=False)
     targets = one_hot(train.labels, tuned.top.k, c1.dtype)
-    grads, pending = gradient(tuned, min(cfg.minibatch_size, train.n),
-                              cfg.learning_rate)
+    grads, pending = gradient(
+        [(w, b, False) for w, b in zip(views[::2], views[1::2])], softmax,
+        min(cfg.minibatch_size, train.n), cfg.learning_rate)
     sgd(f"depth {tuned.depth} fine-tuning", params, grads, cfg.learning_rate,
         (c1, targets), cfg.max_epochs, rng, batch=cfg.minibatch_size,
         score=lambda: evaluate(predict_labels(tuned, valid.x), valid),

@@ -17,20 +17,18 @@ from hypothesis import strategies as st
 from sdae_ivs.cli import main as cli_main
 from sdae_ivs.dae import DaeModel, DaeTrainConfig, decode, encode
 from sdae_ivs.dae import loss as dae_loss
-from sdae_ivs.dae import gradient as dae_gradient
 from sdae_ivs.data import (SyntheticSpec, VariableMask, compact, expand,
                            gen_synthetic, split)
 from sdae_ivs.ivs import IvsConfig, run_ivs, task_importance
 from sdae_ivs.mlr import (MlrModel, TrainConfig, evaluate, one_hot,
                           wald_halfwidth)
-from sdae_ivs.mlr import gradient as mlr_gradient
 from sdae_ivs.numerics import FINE_TUNE, derive_rng, softmax
 from sdae_ivs.stack import (StackModel, fine_tune,
                             fine_tune_params, predict_labels, pretrain,
                             select_extractors)
-from sdae_ivs.stack import gradient as stack_gradient
-from util import (central_diff, cross_entropy, discriminant, grads_close,
-                  pretrain_deepest, random_mlr, split_like, step_direction)
+from util import (central_diff, chain_step, cross_entropy, discriminant,
+                  grads_close, pretrain_deepest, random_mlr, split_like,
+                  step_direction)
 
 REPO = Path(__file__).resolve().parent.parent
 SMOKE = REPO / "configs" / "smoke_synthetic.ini"
@@ -112,7 +110,7 @@ def test_criterion_2_gradient_oracles():
         x = rng.uniform(size=(batch, mm))
         labels = rng.integers(1, k + 1, size=batch)
         targets = one_hot(labels, k, np.float64)
-        gw, gb = split_like(mlr_gradient(model)(x, targets),
+        gw, gb = split_like(chain_step(model)[0](x, targets),
                             (model.weights, model.biases))
 
         def f():
@@ -135,11 +133,11 @@ def test_criterion_2_gradient_oracles():
                          rng.normal(scale=0.4, size=mm))
         x_clean = rng.uniform(0.05, 0.95, size=(batch, mm))
         x_in = x_clean + rng.normal(0, 0.1, size=(batch, mm))
-        grads, pending = dae_gradient(model, batch, 0.1)
+        grads, pending = chain_step(model, batch, 0.1)
         assert len(pending) == (seed == 20)
         gw, gbe, gbd = step_direction(
             (model.weights, model.encoder_bias, model.decoder_bias), grads,
-            pending, 0.1, x_clean, x_in)
+            pending, 0.1, x_in, x_clean)
 
         def f():
             y = decode(model, encode(model, x_in))
@@ -171,7 +169,7 @@ def test_criterion_2_gradient_oracles():
         x = rng.uniform(size=(batch, len(bits)))
         labels = rng.integers(1, k + 1, size=batch)
         c1, targets = compact(x, mask), one_hot(labels, k, np.float64)
-        grads, pending = stack_gradient(stack, batch, 0.1)
+        grads, pending = chain_step(stack, batch, 0.1)
         assert len(pending) == (seed == 20)
         gradients = step_direction(fine_tune_params(stack), grads, pending,
                                    0.1, c1, targets)

@@ -342,6 +342,22 @@ class TestEval:
         assert recomputed["sdae"]["depth1"]["matches_report"] is False
         assert recomputed["sdae_ivs"]["depth1"]["matches_report"] is True
 
+    def test_a_model_of_another_depth_exits_3_naming_the_file_and_depths(
+            self, tmp_path, capsys):
+        patched = tmp_path / "deep.ini"
+        patched.write_text(SMOKE.read_text()
+                           .replace("depths = 1", "depths = 1 2")
+                           .replace("variants = both", "variants = sdae"))
+        out = tmp_path / "deep"
+        assert run_cli("run", "--config", patched, "--out", out) == 0
+        path = out / "models" / "sdae-depth1-tuned.json"
+        shutil.copyfile(out / "models" / "sdae-depth2-tuned.json", path)
+        capsys.readouterr()
+        assert run_cli("eval", "--config", patched, "--out", out) == 3
+        assert capsys.readouterr().err == \
+            f"error: {path} holds 2 layers, not 1\n"
+        assert not (out / "eval.json").exists()
+
     def test_a_missing_tuned_model_is_a_data_error(self, tmp_path, smoke_run,
                                                    capsys):
         out = tmp_path / "o"
@@ -618,6 +634,30 @@ class TestDivergence:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {phase} diverged at epoch 1") \
             and err.count("\n") == 1
+
+    def test_a_failed_run_leaves_no_report_of_an_earlier_one(
+            self, tmp_path, smoke_run, capsys):
+        # Rerun into a finished run's directory: the plain variant writes
+        # its models over the earlier ones before selection diverges, so
+        # the earlier report, sidecar and summary must not survive to vouch
+        # for them.
+        out = tmp_path / "o"
+        shutil.copytree(smoke_run, out, ignore=shutil.ignore_patterns(
+            "eval.json"))
+        patched = tmp_path / "diverge.ini"
+        patched.write_text(SMOKE.read_text().replace(
+            "max_iterations = 4\nlearning_rate = 0.1",
+            "max_iterations = 4\nlearning_rate = 1e308").replace(
+            "export_patterns = true", "export_patterns = false"))
+        assert run_cli("run", "--config", patched, "--seed", "43", "--out",
+                       out) == 3
+        model = Path("models") / "sdae-depth1-tuned.json"
+        assert (out / model).read_bytes() != (smoke_run / model).read_bytes()
+        for name in ("report.json", "summary.txt", "wall_time.txt"):
+            assert not (out / name).exists()
+        capsys.readouterr()
+        assert run_cli("eval", "--config", SMOKE, "--out", out) == 2
+        assert capsys.readouterr().err.startswith("data error: no report at ")
 
 
 # The files of run's layer-1 selection, which the ivs verb also writes.

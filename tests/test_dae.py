@@ -6,12 +6,13 @@ import pytest
 
 from sdae_ivs import dae
 from sdae_ivs.dae import (DaeModel, DaeTrainConfig, corrupt, decode, encode,
-                          encode_dataset, gradient, init_dae, loss, train_dae)
+                          encode_dataset, init_dae, loss, train_dae)
 from sdae_ivs.data import Dataset
 from sdae_ivs.errors import DataError, DivergenceError
 from sdae_ivs import numerics
 from sdae_ivs.numerics import PENDING_ROWS, derive_rng, pack, sgd
-from util import (ALTERNATING_RUNS, CONSECUTIVE_RUNS, assert_tiles, captured_step, central_diff,
+from util import (ALTERNATING_RUNS, CONSECUTIVE_RUNS, assert_tiles,
+                  captured_step, central_diff, chain_step,
                   check_alternating_steps, check_steps_allocate_no_array,
                   flatten, fresh_dae_grads,
                   grads_close, per_step_train_dae, step_direction,
@@ -174,12 +175,12 @@ class TestGradients:
         for seed, batch in zip(range(6 if side == "eager" else 2), (1, 5) * 3):
             params, model = flat_model(seed, h, m)
             arrays = arrays_of(model)
-            grads, pending = gradient(model, batch, 0.1)
+            grads, pending = chain_step(model, batch, 0.1)
             assert len(pending) == (side == "pending")
             rng = derive_rng(50 + seed)
             x_clean = rng.uniform(0.05, 0.95, size=(batch, m))
             x_in = x_clean + rng.normal(0, 0.1, size=(batch, m))
-            steps = step_direction(arrays, grads, pending, 0.1, x_clean, x_in)
+            steps = step_direction(arrays, grads, pending, 0.1, x_in, x_clean)
             for g, p in zip(steps, arrays):
                 assert grads_close(g, central_diff(
                     lambda: batch_loss(model, x_clean, x_in), p))
@@ -193,9 +194,9 @@ class TestGradients:
         x_clean = rng.uniform(0.05, 0.95, size=(6, 4))
         x_in = x_clean + rng.normal(0, 0.1, size=(6, 4))
         for batch, runs in CONSECUTIVE_RUNS:
-            (grads, _), returned = gradient(model, batch, 0.1), []
+            (grads, _), returned = chain_step(model, batch, 0.1), []
             for lo, hi in runs:
-                returned.append(grads(x_clean[lo:hi], x_in[lo:hi]))
+                returned.append(grads(x_in[lo:hi], x_clean[lo:hi]))
                 want = fresh_dae_grads(model, x_clean[lo:hi], x_in[lo:hi])
                 assert np.array_equal(returned[-1], flatten(want))
             assert all(got is returned[0] for got in returned)
@@ -209,11 +210,11 @@ class TestGradients:
         rng = derive_rng(61)
         x_clean = rng.uniform(0.05, 0.95, size=(15, m))
         x_in = x_clean + rng.normal(0, 0.1, size=x_clean.shape)
-        grads, pending = gradient(model, ALTERNATING_RUNS[0], 0.1)
+        grads, pending = chain_step(model, ALTERNATING_RUNS[0], 0.1)
         assert len(pending) == (side == "pending")
         check_alternating_steps(
             grads, pending, arrays_of(model),
-            lambda lo, hi: (x_clean[lo:hi], x_in[lo:hi]),
+            lambda lo, hi: (x_in[lo:hi], x_clean[lo:hi]),
             lambda lo, hi: fresh_dae_grads(model, x_clean[lo:hi],
                                            x_in[lo:hi]), 0.1)
 
@@ -230,9 +231,9 @@ class TestGradients:
             rng = derive_rng(60)
             x_clean = rng.uniform(size=(10 * batch, m))
             x_in = x_clean + rng.normal(0, 0.1, size=x_clean.shape)
-            batches = [(x_clean[lo:lo + batch], x_in[lo:lo + batch])
+            batches = [(x_in[lo:lo + batch], x_clean[lo:lo + batch])
                        for lo in range(0, len(x_in), batch)]
-            grads, _ = gradient(model, batch, 0.1)
+            grads, _ = chain_step(model, batch, 0.1)
             check_steps_allocate_no_array(grads, batches, max(h, m), 768)
 
     def test_oracle_checks_the_step_sgd_takes(self, monkeypatch):
@@ -256,7 +257,7 @@ class TestGradients:
             ([model.weights] if side == "pending" else [])
         x_clean = d.x[:1]
         x_in = x_clean + derive_rng(59).normal(0, 0.1, size=(1, m))
-        steps = step_direction(arrays, step, pending, 0.1, x_clean, x_in)
+        steps = step_direction(arrays, step, pending, 0.1, x_in, x_clean)
         for g, p in zip(steps, arrays):
             assert grads_close(g, central_diff(
                 lambda: batch_loss(model, x_clean, x_in), p))
@@ -265,7 +266,7 @@ class TestGradients:
 def minibatch_train_dae(train, cfg, rng, batch):
     """train_dae at a batch size it has no key for, from the same steps."""
     params, model = init_dae(train.m, cfg, rng, train.x.dtype)
-    grads, pending = gradient(model, batch, cfg.learning_rate)
+    grads, pending = chain_step(model, batch, cfg.learning_rate)
     sgd("DAE pre-training", params, grads, cfg.learning_rate, (train.x,),
         cfg.epochs, rng, batch=batch,
         per_epoch=lambda x: (corrupt(x, cfg.noise_sd, rng),), pending=pending)

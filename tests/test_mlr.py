@@ -6,11 +6,11 @@ import pytest
 from sdae_ivs.data import Dataset
 from sdae_ivs.errors import DataError, DivergenceError
 from sdae_ivs import mlr
-from sdae_ivs.mlr import (MlrModel, TrainConfig, evaluate, gradient, one_hot,
+from sdae_ivs.mlr import (MlrModel, TrainConfig, evaluate, one_hot,
                           predict_labels, train_mlr, wald_halfwidth)
 from sdae_ivs.numerics import derive_rng, softmax
 from util import (CONSECUTIVE_RUNS, assert_tiles, captured_step,
-                  central_diff, check_alternating_steps,
+                  central_diff, chain_step, check_alternating_steps,
                   check_steps_allocate_no_array, cross_entropy, flatten,
                   fresh_mlr_grads, grads_close, per_step_train_mlr,
                   random_mlr, split_like)
@@ -63,7 +63,7 @@ class TestGradients:
             x = rng.uniform(size=(batch, mm))
             labels = rng.integers(1, k + 1, size=batch)
             targets = one_hot(labels, k, np.float64)
-            gw, gb = split_like(gradient(model)(x, targets),
+            gw, gb = split_like(chain_step(model)[0](x, targets),
                                 (model.weights, model.biases))
 
             def f():
@@ -82,7 +82,7 @@ class TestGradients:
             delta = softmax(x @ model.weights.T + model.biases)[0]
             delta[label[0] - 1] -= 1.0
             targets = one_hot(label, k, np.float64)
-            gw, gb = split_like(gradient(model)(x, targets),
+            gw, gb = split_like(chain_step(model)[0](x, targets),
                                 (model.weights, model.biases))
             assert np.array_equal(gw, np.outer(delta, x[0]))
             assert np.array_equal(gb, delta)
@@ -96,7 +96,7 @@ class TestGradients:
         x, labels = rng.uniform(size=(6, 6)), rng.integers(1, 5, size=6)
         targets = one_hot(labels, 4, np.float64)
         for _, runs in CONSECUTIVE_RUNS:
-            grads, returned = gradient(model), []
+            (grads, _), returned = chain_step(model), []
             for lo, hi in runs:
                 returned.append(grads(x[lo:hi], targets[lo:hi]))
                 want = fresh_mlr_grads(model.weights, model.biases, x[lo:hi],
@@ -115,7 +115,7 @@ class TestGradients:
         x, labels = rng.uniform(size=(15, m)), rng.integers(1, k + 1, size=15)
         targets = one_hot(labels, k, np.float64)
         check_alternating_steps(
-            gradient(model), [], (model.weights, model.biases),
+            chain_step(model)[0], [], (model.weights, model.biases),
             lambda lo, hi: (x[lo:hi], targets[lo:hi]),
             lambda lo, hi: fresh_mlr_grads(model.weights, model.biases,
                                            x[lo:hi], labels[lo:hi]), 0.1)
@@ -126,10 +126,9 @@ class TestGradients:
         # with B rows, softmax's reductions included, so a step allocates
         # no array: at one row it stays under 1536 bytes, where a (1, 300)
         # float64 array takes 2400 alone. tracemalloc read a one-row peak
-        # of 968 B of Python objects and views (1072 B when the one-row
-        # softmax reduced to numpy scalars). The MLR steps its 10 x 300
-        # and its 64 x 300 matrix, on each side of numerics.PENDING_SIZE,
-        # eagerly.
+        # of 1016 B of Python objects, views and loop iterators. The MLR
+        # steps its 10 x 300 and its 64 x 300 matrix, on each side of
+        # numerics.PENDING_SIZE, eagerly.
         for k in (10, 64):
             model = random_mlr(10, k, 300)
             rng = derive_rng(10)
@@ -138,7 +137,8 @@ class TestGradients:
                               np.float64)
             batches = [(x[lo:lo + batch], targets[lo:lo + batch])
                        for lo in range(0, len(x), batch)]
-            check_steps_allocate_no_array(gradient(model), batches, k, 1536)
+            check_steps_allocate_no_array(chain_step(model)[0], batches, k,
+                                          1536)
 
     def test_oracle_checks_the_step_sgd_takes(self, monkeypatch):
         rng = derive_rng(9)

@@ -231,7 +231,8 @@ class TestSgd:
 
     def test_per_epoch_hook_runs_after_the_permutation_before_the_steps(self):
         # The hook sees the epoch's gathered rows and draws from the same
-        # rng, so the stream must read permutation, draw, permutation, ...
+        # rng, so the stream must read permutation, draw, permutation, ...;
+        # its arrays lead the gathered ones in each step's arguments.
         n, rng, events = 4, derive_rng(4), []
         x = np.arange(n, dtype=np.float64)
 
@@ -239,7 +240,7 @@ class TestSgd:
             events.append(("epoch", xs.tolist()))
             return (rng.normal(size=xs.shape),)
 
-        def grads(xb, noise):
+        def grads(noise, xb):
             events.append(("step", xb.tolist(), noise.tolist()))
             return np.zeros(1)
 

@@ -19,10 +19,11 @@ from sdae_ivs.pgm import tile_grid, write_pgm
 from sdae_ivs.runner import load_splits
 from sdae_ivs import stack
 from sdae_ivs.stack import (StackModel, fine_tune,
-                            fine_tune_params, gradient, predict_labels,
+                            fine_tune_params, predict_labels,
                             pretrain, reconstruct_through, select_extractors)
 from util import (ALTERNATING_RUNS, CONSECUTIVE_RUNS, assert_tiles,
-                  captured_step, central_diff, check_alternating_steps,
+                  captured_step, central_diff, chain_step,
+                  check_alternating_steps,
                   check_steps_allocate_no_array, flatten, grads_close,
                   log_softmax, masked_fine_tune, masked_layers,
                   masked_stack_logits, per_step_fine_tune,
@@ -410,7 +411,7 @@ class TestFineTune:
             labels = rng.integers(1, 3, size=batch)
             c1 = compact(x, model.mask)
             targets = one_hot(labels, model.top.k, np.float64)
-            grads, pending = gradient(model, batch, 0.5)
+            grads, pending = chain_step(model, batch, 0.5)
             assert len(pending) == (side != "eager")
             steps = step_direction(params, grads, pending, 0.5, c1, targets)
             for g, p in zip(steps, params):
@@ -428,7 +429,7 @@ class TestFineTune:
         c1 = compact(x, model.mask)
         targets = one_hot(labels, 2, np.float64)
         for batch, runs in CONSECUTIVE_RUNS:
-            (grads, _), returned = gradient(model, batch, 0.1), []
+            (grads, _), returned = chain_step(model, batch, 0.1), []
             for lo, hi in runs:
                 returned.append(grads(c1[lo:hi], targets[lo:hi]))
                 want = per_step_stack_grads(model, x[lo:hi], labels[lo:hi])
@@ -448,7 +449,7 @@ class TestFineTune:
         labels = rng.integers(1, 3, size=15)
         c1 = compact(x, model.mask)
         targets = one_hot(labels, model.top.k, np.float64)
-        grads, pending = gradient(model, ALTERNATING_RUNS[0], 0.1)
+        grads, pending = chain_step(model, ALTERNATING_RUNS[0], 0.1)
         assert len(pending) == (side != "eager")
         check_alternating_steps(
             grads, pending, fine_tune_params(model),
@@ -462,11 +463,11 @@ class TestFineTune:
         # with B rows, and a Pending's write-back product is built once
         # per fit, so a step allocates no array: at one row it stays under
         # 1536 bytes, where a (1, 200) float64 array takes 1600 alone.
-        # tracemalloc read a one-row peak of 968 B, or 1032 B with pending
-        # matrices, of Python objects and views (104 B more when the
-        # one-row softmax reduced to numpy scalars). The mask keeps 200 of
-        # 300 variables; every matrix of the 60-wide stack takes eager
-        # steps, every one of the 200-wide stack pending steps.
+        # tracemalloc read a one-row peak of 1016 B, or 1080 B with
+        # pending matrices, of Python objects, views and loop iterators.
+        # The mask keeps 200 of 300 variables; every matrix of the 60-wide
+        # stack takes eager steps, every one of the 200-wide stack pending
+        # steps.
         for widths, k in (((300, 60, 200), 60), ((300, 200, 200), 200)):
             model = wide_stack(30, widths, k)
             rng = derive_rng(31)
@@ -475,7 +476,7 @@ class TestFineTune:
                               np.float64)
             batches = [(c1[lo:lo + batch], targets[lo:lo + batch])
                        for lo in range(0, len(c1), batch)]
-            grads, pending = gradient(model, batch, 0.1)
+            grads, pending = chain_step(model, batch, 0.1)
             assert len(pending) == 3 * (k == 200)
             check_steps_allocate_no_array(grads, batches, 200, 1536)
 

@@ -6,10 +6,11 @@ from pathlib import Path
 
 import numpy as np
 
+from sdae_ivs.chain import gradient
 from sdae_ivs.dae import DaeModel, encode, init_dae
 from sdae_ivs.data import Dataset, VariableMask, compact, expand
 from sdae_ivs.mlr import MlrModel
-from sdae_ivs.numerics import derive_rng, pack, sgd
+from sdae_ivs.numerics import derive_rng, pack, sgd, sigmoid, softmax
 from sdae_ivs.stack import StackModel, pretrain
 
 
@@ -95,7 +96,7 @@ def log_softmax(logits):
 
 def cross_entropy(m: MlrModel, x: np.ndarray, labels: np.ndarray) -> float:
     """Mean negative log posterior of the true classes over a batch: the
-    objective mlr.gradient differentiates."""
+    objective of train_mlr's step."""
     logp = log_softmax(np.asarray(x, dtype=np.float64) @ m.weights.T + m.biases)
     labels = np.asarray(labels)
     return -float(np.mean(logp[np.arange(labels.size), labels - 1]))
@@ -123,6 +124,24 @@ def discriminant(m: MlrModel, i: int, j: int, x: np.ndarray) -> float:
     return float((diff @ np.asarray(x, dtype=np.float64)
                   + (m.biases[i - 1] - m.biases[j - 1]))
                  / np.linalg.norm(diff))
+
+
+def chain_step(model, batch=1, learning_rate=None):
+    """chain.gradient of model's layers as its trainer builds them, (grads,
+    pending): an MlrModel's softmax layer, a DaeModel's encoder under its
+    tied sigmoid decoder, fed (x_in, x_clean), or a StackModel's encoders
+    under its top, fed the rows compacted through its mask."""
+    if isinstance(model, MlrModel):
+        return gradient([(model.weights, model.biases, False)], softmax,
+                        batch, learning_rate)
+    if isinstance(model, DaeModel):
+        return gradient([(model.weights, model.encoder_bias, False),
+                         (model.weights, model.decoder_bias, True)], sigmoid,
+                        batch, learning_rate)
+    return gradient([(dae.weights, dae.encoder_bias, False)
+                     for dae in model.layers]
+                    + [(model.top.weights, model.top.biases, False)],
+                    softmax, batch, learning_rate)
 
 
 def flatten(arrays) -> np.ndarray:
@@ -243,8 +262,7 @@ def label_output_delta(weights, biases, xb, yb):
 
 
 def fresh_mlr_grads(weights, biases, xb, yb):
-    """The batch-mean cross-entropy gradients mlr.gradient's step
-    computes."""
+    """The batch-mean cross-entropy gradients of train_mlr's step."""
     p = label_output_delta(weights, biases, xb, yb)
     return p.T.dot(xb), p.sum(axis=0)
 
@@ -267,9 +285,8 @@ def per_step_train_mlr(train, valid, cfg, rng) -> MlrModel:
 
 
 def fresh_dae_grads(m, x_clean, x_in):
-    """The batch-mean gradients dae.gradient's step computes:
-    cross-entropy through the sigmoid decoder, with both terms of the tied
-    weight matrix."""
+    """The batch-mean gradients of train_dae's step: cross-entropy through
+    the sigmoid decoder, with both terms of the tied weight matrix."""
     h = two_branch_sigmoid(x_in @ m.weights.T + m.encoder_bias)
     y = two_branch_sigmoid(h @ m.weights + m.decoder_bias)
     dz = (y - x_clean) / x_clean.shape[0]
@@ -300,7 +317,7 @@ def masked_layers(m):
 
 
 def per_step_stack_grads(m, x, labels):
-    """stack.gradient's step on raw rows with labels: a boolean-mask
+    """fine_tune's step on raw rows with labels: a boolean-mask
     compaction at every layer and label-indexed deltas."""
     return masked_stack_grads(masked_layers(m), m.top, x, labels)
 
