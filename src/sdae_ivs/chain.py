@@ -40,7 +40,7 @@ def _sum_rows(delta, axis, out):
     return np.add.reduce(delta, axis, None, out)
 
 
-def gradient(layers, output, batch=1, learning_rate=None):
+def gradient(layers, output, batch, learning_rate):
     """The step of a chain of layers, and the Pending updates it pushes to.
 
     layers lists (weights, bias, tied) bottom-up. A layer reads x
@@ -51,11 +51,11 @@ def gradient(layers, output, batch=1, learning_rate=None):
     grads(x, target) writes the batch-mean gradients of the cross-entropy
     of the B rows x against target into one flat buffer, laid out like
     the distinct arrays in the order the layers first name them, and
-    returns it; a batch of one is one example. With a learning_rate, each
-    matrix that numerics.takes_pending selects leaves the flat buffer: its
-    Pending, built for steps of at most `batch` rows, takes its steps and
-    every product with it. The Pending updates are returned in the order
-    of the layers; with no learning_rate every matrix steps eagerly.
+    returns it; a batch of one is one example. Each matrix that
+    numerics.takes_pending selects leaves the flat buffer: its Pending,
+    built for steps of at most `batch` rows at learning_rate, takes its
+    steps and every product with it. The Pending updates are returned in
+    the order of the layers; every other matrix steps eagerly.
 
     The flat buffer is built here, once per fit, and a step's buffers once
     per row count B (its plan); at B = 1 each delta is its bias
@@ -68,7 +68,7 @@ def gradient(layers, output, batch=1, learning_rate=None):
     of each trainer, hence the target of the finite-difference oracles.
     """
     lazy = {id(w): Pending(w, learning_rate, batch) for w, _, tied in layers
-            if not tied and learning_rate is not None and takes_pending(w)}
+            if not tied and takes_pending(w)}
     arrays = {id(a): a for w, b, _ in layers for a in (w, b)}
     eager = [a for key, a in arrays.items() if key not in lazy]
     grad, views = pack(*map(np.zeros_like, eager))

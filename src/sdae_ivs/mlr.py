@@ -81,9 +81,8 @@ def train_mlr(train: Dataset, valid: Dataset, cfg: TrainConfig, rng: Rng,
     so a fit that never beats the untrained model returns the all-zero
     model. To drop variables, train on a compacted dataset. rng shuffles
     the examples, whose one-hot targets are built once per fit. The step is
-    chain.gradient's one softmax layer, built with no learning rate, so
-    that the matrix steps eagerly at every width. Parameters that stop
-    being finite raise DivergenceError, naming phase, at that epoch's end.
+    chain.gradient's one softmax layer. Parameters that stop being finite
+    raise DivergenceError, naming phase, at that epoch's end.
     """
     if train.num_classes != valid.num_classes or train.m != valid.m:
         raise DataError("train and validation sets disagree on M or K")
@@ -93,12 +92,13 @@ def train_mlr(train: Dataset, valid: Dataset, cfg: TrainConfig, rng: Rng,
                                      np.zeros(k, dtype))
     model = MlrModel(weights, biases)
     targets = one_hot(train.labels, k, dtype)
-    grads, _ = gradient([(weights, biases, False)], softmax)
-    history = sgd(phase, params, grads, cfg.learning_rate,
-                  (train.x, targets), cfg.max_epochs, rng,
-                  batch=cfg.minibatch_size,
+    grads, pending = gradient([(weights, biases, False)], softmax,
+                              min(cfg.minibatch_size, train.n),
+                              cfg.learning_rate)
+    history = sgd(phase, params, grads, cfg.learning_rate, (train.x, targets),
+                  cfg.max_epochs, rng, batch=cfg.minibatch_size,
                   score=lambda: evaluate(predict_labels(model, valid.x), valid),
-                  patience=cfg.patience)
+                  patience=cfg.patience, pending=pending)
     if return_history:
         return model, history
     return model

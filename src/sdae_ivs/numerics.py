@@ -45,12 +45,15 @@ def check_finite(phase: str, epoch: int, params: np.ndarray) -> None:
 
 def pack(*arrays):
     """Copies of arrays laid end to end in one buffer of their dtype, and a
-    view of it shaped like each, in order: a fit's parameters, or its
-    gradients, which sgd then updates in one call whatever their count."""
-    flat = np.concatenate([np.ravel(a) for a in arrays])
-    ends = np.cumsum([np.size(a) for a in arrays])
-    return flat, [flat[end - np.size(a):end].reshape(np.shape(a))
-                  for a, end in zip(arrays, ends)]
+    view of it shaped like each, in argument order: a fit's parameters, or
+    its gradients, which sgd then updates in one call whatever their count.
+    The ones takes_pending selects lead it, each part in argument order."""
+    order = sorted(range(len(arrays)),
+                   key=lambda i: not takes_pending(arrays[i]))
+    flat = np.concatenate([np.ravel(arrays[i]) for i in order])
+    parts = dict(zip(order, np.split(flat, np.cumsum(
+        [np.size(arrays[i]) for i in order])[:-1])))
+    return flat, [parts[i].reshape(np.shape(a)) for i, a in enumerate(arrays)]
 
 
 def sgd(phase, params, grads, learning_rate, data, epochs, rng, batch=1,
@@ -74,12 +77,12 @@ def sgd(phase, params, grads, learning_rate, data, epochs, rng, batch=1,
     plan), on its first call with that many rows: one plan at batch 1,
     two with a short last batch.
     pending lists the Pending updates that grads pushes its large
-    matrices' steps to instead: their matrices lead params, grads'
-    gradient covers the rest, and sgd writes each back at the end of
-    every epoch, so that nothing is pending at a score, a snapshot or the
-    return. Overflow inside a step is left to check_finite, which raises
-    DivergenceError naming phase and epoch at the end of that epoch; no
-    rows at all is a DataError naming phase.
+    matrices' steps to instead; their matrices lead params (see pack),
+    grads' gradient covers the rest, and sgd writes each back at the end
+    of every epoch, so that nothing is pending at a score, a snapshot or
+    the return. Overflow inside a step is left to check_finite, which
+    raises DivergenceError naming phase and epoch at the end of that
+    epoch; no rows at all is a DataError naming phase.
 
     With a score (lower is better, e.g. a validation error) training stops
     early: the score is taken before the first epoch and after each one,

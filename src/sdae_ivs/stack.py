@@ -24,7 +24,7 @@ from .ivs import IvsConfig, IvsResult, run_ivs
 from .mlr import MlrModel, TrainConfig, evaluate, one_hot, train_mlr
 from .mlr import predict_labels as mlr_predict_labels
 from .numerics import (DAE, IVS, TOP, Rng, derive_rng, map_blocks, pack, sgd,
-                       softmax, takes_pending)
+                       softmax)
 
 # The networks' dtype: layer 1's DAE reads its rows rounded to it, and every
 # layer above, the top classifier and fine-tuning follow. It halves the bytes
@@ -145,8 +145,8 @@ def _forward(mask: VariableMask, layers: list[DaeModel], x: np.ndarray
 
 
 def fine_tune_params(m: StackModel) -> list[np.ndarray]:
-    """The arrays fine-tuning steps, in the order of its flat parameter and
-    gradient buffers: each layer's weights and encoder bias, then the top
+    """The arrays fine-tuning steps, in the order it packs them and its
+    chain names them: each layer's weights and encoder bias, then the top
     classifier's weights and biases. Decoder biases are not part of the
     classifier and take no gradient."""
     return [p for dae in m.layers for p in (dae.weights, dae.encoder_bias)] \
@@ -165,23 +165,18 @@ def fine_tune(m: StackModel, train: Dataset, valid: Dataset,
 
     The input mask is frozen and every unit of every layer takes part, so
     nothing dropped can re-enter. The tuned model is built over views of
-    one flat buffer holding copies of fine_tune_params(m), the matrices
-    that take pending updates (numerics.takes_pending) first, with copies of
-    m's decoder biases and m's own mask, which nothing changes; the input
-    model is left untouched. The training rows are taken as layer 1's DAE
-    reads them and given one-hot targets once per fit, and steps take
-    cfg.minibatch_size rows. Early stopping mirrors the MLR trainer (best
-    validation snapshot, ties to the earlier epoch); with max_epochs = 0
-    the returned model carries the input parameters unchanged. rng shuffles
-    the examples. Parameters that stop being finite raise DivergenceError,
-    naming the depth, at the end of that epoch.
+    one flat buffer (numerics.pack) holding copies of fine_tune_params(m),
+    with copies of m's decoder biases and m's own mask, which nothing
+    changes; the input model is left untouched. The training rows are
+    taken as layer 1's DAE reads them and given one-hot targets once per
+    fit, and steps take cfg.minibatch_size rows. Early stopping mirrors
+    the MLR trainer (best validation snapshot, ties to the earlier epoch);
+    with max_epochs = 0 the returned model carries the input parameters
+    unchanged. rng shuffles the examples. Parameters that stop being
+    finite raise DivergenceError, naming the depth, at the end of that
+    epoch.
     """
-    arrays = fine_tune_params(m)
-    # The matrices that take pending updates lead the flat buffer (see sgd).
-    order = sorted(range(len(arrays)),
-                   key=lambda i: not takes_pending(arrays[i]))
-    params, packed = pack(*(arrays[i] for i in order))
-    views = [packed[order.index(i)] for i in range(len(arrays))]
+    params, views = pack(*fine_tune_params(m))
     tuned = StackModel(m.mask, [
         DaeModel(weights, bias, dae.decoder_bias.copy())
         for dae, weights, bias in zip(m.layers, views[:-2:2], views[1:-2:2])],

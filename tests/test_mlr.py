@@ -5,15 +5,16 @@ import pytest
 
 from sdae_ivs.data import Dataset
 from sdae_ivs.errors import DataError, DivergenceError
-from sdae_ivs import mlr
+from sdae_ivs import mlr, numerics
 from sdae_ivs.mlr import (MlrModel, TrainConfig, evaluate, one_hot,
                           predict_labels, train_mlr, wald_halfwidth)
-from sdae_ivs.numerics import derive_rng, softmax
-from util import (CONSECUTIVE_RUNS, assert_tiles, captured_step,
-                  central_diff, chain_step, check_alternating_steps,
-                  check_steps_allocate_no_array, cross_entropy, flatten,
-                  fresh_mlr_grads, grads_close, per_step_train_mlr,
-                  random_mlr, split_like)
+from sdae_ivs.numerics import (PENDING_ROWS, PENDING_SIZE, derive_rng,
+                               softmax)
+from util import (ALTERNATING_RUNS, CONSECUTIVE_RUNS, assert_tiles,
+                  captured_step, central_diff, chain_step,
+                  check_alternating_steps, check_steps_allocate_no_array,
+                  cross_entropy, flatten, fresh_mlr_grads, grads_close,
+                  per_step_train_mlr, random_mlr, split_like, step_direction)
 
 
 class TestPredict:
@@ -52,6 +53,11 @@ class TestPredict:
         assert np.array_equal(labels, np.argmax(x @ m.weights.T + m.biases,
                                                 axis=1) + 1)
         assert peak <= 8192 * 10 * 8 + labels.nbytes + 4096
+
+
+# (classes, variables) on each side of numerics.PENDING_SIZE: the small
+# matrix takes eager steps, the wide one pending updates.
+SIDES = {"eager": (3, 5), "pending": (64, 256)}
 
 
 class TestGradients:
@@ -108,14 +114,16 @@ class TestGradients:
     def test_plans_serve_no_stale_view(self, k, m):
         # One closure takes the ALTERNATING_RUNS, each row count through
         # its own plan, and moves the model as sgd does in between; the
-        # MLR steps its 4 x 6 and its 64 x 300 matrix, on each side of
-        # numerics.PENDING_SIZE, eagerly.
+        # 4 x 6 matrix steps eagerly, the 64 x 300 one, past
+        # numerics.PENDING_SIZE, through its Pending.
         model = random_mlr(11, k, m)
         rng = derive_rng(11)
         x, labels = rng.uniform(size=(15, m)), rng.integers(1, k + 1, size=15)
         targets = one_hot(labels, k, np.float64)
+        grads, pending = chain_step(model, ALTERNATING_RUNS[0], 0.1)
+        assert len(pending) == (k * m >= PENDING_SIZE)
         check_alternating_steps(
-            chain_step(model)[0], [], (model.weights, model.biases),
+            grads, pending, (model.weights, model.biases),
             lambda lo, hi: (x[lo:hi], targets[lo:hi]),
             lambda lo, hi: fresh_mlr_grads(model.weights, model.biases,
                                            x[lo:hi], labels[lo:hi]), 0.1)
@@ -123,12 +131,13 @@ class TestGradients:
     @pytest.mark.parametrize("batch", [1, 5])
     def test_steps_allocate_no_parameter_sized_array(self, batch):
         # A step's buffers are those of its plan, built by its first call
-        # with B rows, softmax's reductions included, so a step allocates
+        # with B rows, softmax's reductions included, and a Pending's
+        # write-back product is built once per fit, so a step allocates
         # no array: at one row it stays under 1536 bytes, where a (1, 300)
         # float64 array takes 2400 alone. tracemalloc read a one-row peak
-        # of 1016 B of Python objects, views and loop iterators. The MLR
-        # steps its 10 x 300 and its 64 x 300 matrix, on each side of
-        # numerics.PENDING_SIZE, eagerly.
+        # of 1016 B of Python objects, views and loop iterators. The
+        # 10 x 300 matrix takes eager steps, the 64 x 300 one, past
+        # numerics.PENDING_SIZE, pending steps.
         for k in (10, 64):
             model = random_mlr(10, k, 300)
             rng = derive_rng(10)
@@ -137,27 +146,41 @@ class TestGradients:
                               np.float64)
             batches = [(x[lo:lo + batch], targets[lo:lo + batch])
                        for lo in range(0, len(x), batch)]
-            check_steps_allocate_no_array(chain_step(model)[0], batches, k,
-                                          1536)
+            grads, pending = chain_step(model, batch, 0.1)
+            assert [p.weights for p in pending] == \
+                ([model.weights] if k == 64 else [])
+            check_steps_allocate_no_array(grads, batches, k, 1536)
 
     def test_oracle_checks_the_step_sgd_takes(self, monkeypatch):
+        self.check_trainer_step(monkeypatch, "eager")
+
+    def test_oracle_checks_the_pending_step_sgd_takes(self, monkeypatch):
+        self.check_trainer_step(monkeypatch, "pending")
+
+    @staticmethod
+    def check_trainer_step(monkeypatch, side):
+        # One step of four rows and a write-back move each parameter by
+        # -lr times its central difference.
+        k, m = SIDES[side]
         rng = derive_rng(9)
-        d = Dataset(rng.uniform(size=(20, 5)), rng.integers(1, 4, size=20), 3)
+        d = Dataset(rng.uniform(size=(20, m)), rng.integers(1, k + 1, size=20),
+                    k)
         params, step, pending, model = captured_step(
             monkeypatch, mlr, lambda: train_mlr(
                 d, d, TrainConfig(0.3, 3, 3, minibatch_size=4), derive_rng(9)))
-        assert_tiles(params, (model.weights, model.biases))
-        # The MLR steps every matrix eagerly, whatever its size.
-        assert not pending
+        arrays = (model.weights, model.biases)
+        assert_tiles(params, arrays)
+        assert [p.weights for p in pending] == \
+            ([model.weights] if side == "pending" else [])
         x, labels = d.x[:4], d.labels[:4]
-        gw, gb = split_like(step(x, one_hot(labels, 3, np.float64)),
-                            (model.weights, model.biases))
+        steps = step_direction(arrays, step, pending, 0.3, x,
+                               one_hot(labels, k, np.float64))
 
         def f():
             return cross_entropy(model, x, labels)
 
-        assert grads_close(gw, central_diff(f, model.weights))
-        assert grads_close(gb, central_diff(f, model.biases))
+        for g, p in zip(steps, arrays):
+            assert grads_close(g, central_diff(f, p))
 
 
 def separable_toy():
@@ -193,6 +216,34 @@ class TestTraining:
         assert np.any(model.weights != 0.0)
         assert np.array_equal(model.weights, reference.weights)
         assert np.array_equal(model.biases, reference.biases)
+
+    @pytest.mark.parametrize("batch", [1, 3])
+    def test_pending_updates_match_the_per_step_reference(self, monkeypatch,
+                                                           batch):
+        # 37 rows push 37 factor rows an epoch at batch 1, and 13 batches
+        # of at most 3 rows, the last of 1, push 37 at batch 3: buffers of
+        # 16 rows are written back when full, in mid-epoch, and with a
+        # partial fill at each epoch's end.
+        held = []
+        write_back = numerics.Pending.write_back
+        monkeypatch.setattr(numerics.Pending, "write_back", lambda self: (
+            held.append(self.held), write_back(self)))
+        k, m = SIDES["pending"]
+        rng = derive_rng(6)
+        x = rng.uniform(size=(52, m))
+        labels = 1 + (x[:, 0] > 0.5) + 2 * (x[:, 1] > 0.5)
+        train, valid = Dataset(x[:37], labels[:37], k), \
+            Dataset(x[37:], labels[37:], k)
+        cfg = TrainConfig(0.01, 4, 4, minibatch_size=batch)
+        model = train_mlr(train, valid, cfg, derive_rng(7))
+        reference = per_step_train_mlr(train, valid, cfg, derive_rng(7))
+        assert np.any(model.weights != 0.0)
+        np.testing.assert_allclose(model.weights, reference.weights,
+                                   rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(model.biases, reference.biases,
+                                   rtol=1e-12, atol=1e-12)
+        full = PENDING_ROWS - PENDING_ROWS % batch
+        assert held.count(full) >= 6 and held[-1] not in (0, full)
 
     def test_returns_best_validation_snapshot(self):
         rng = derive_rng(4)

@@ -10,7 +10,7 @@ from sdae_ivs.numerics import (BLOCK_ROWS, PENDING_ROWS, Pending, delta_rows,
                                derive_rng, map_blocks, pack, row_blocks, sgd,
                                sigmoid, sigmoid_backward, softmax,
                                takes_pending)
-from util import two_branch_sigmoid
+from util import assert_tiles, two_branch_sigmoid
 
 finite = st.floats(min_value=-500, max_value=500, allow_nan=False)
 # Ranges where float64 output resolution can still distinguish neighbours.
@@ -434,6 +434,22 @@ class TestPack:
         assert va[1, 0] == 14.0 and vb.tolist() == [-2.0] * 3
         # The buffer holds copies: the packed arrays never move.
         assert not a.any() and not b.any()
+
+    def test_matrices_past_the_size_rule_lead_the_buffer(self):
+        # sgd steps params past the pending matrices: pack puts them first,
+        # each part in argument order, and returns views in argument order.
+        bias, small = np.full(3, 2.0), np.full((2, 2), 3.0)
+        wide = np.ones((128, 128))
+        flat, views = pack(bias, wide, small)
+        assert [v.shape for v in views] == [(3,), (128, 128), (2, 2)]
+        assert all(v.base is flat for v in views)
+        assert_tiles(flat, [views[1], views[0], views[2]])
+        assert flat[:wide.size].tolist() == [1.0] * wide.size
+        assert flat[wide.size:].tolist() == [2.0] * 3 + [3.0] * 4
+        # A gradient buffer packs only arrays that step eagerly, in
+        # argument order.
+        grad, (g_bias, g_small) = pack(np.zeros_like(bias), small)
+        assert_tiles(grad, [g_bias, g_small])
 
 
 class TestDeltaRows:

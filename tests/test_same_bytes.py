@@ -1,8 +1,9 @@
 """Self-test of tools/same_bytes.py on the smoke config: a tree is the same
 as itself, also on a config it rejects, on one whose DAE diverges, on the
 generator's edge cases, on the row-block cases, on the minibatch cases and
-on the .amat cases, and a copy with one changed constant is not. Its reject
-cases cover every ranged config key."""
+on the .amat cases, and a copy with one changed constant is not. A tree
+that holds no package is named. Its reject cases cover every ranged config
+key."""
 
 import importlib.util
 import json
@@ -29,6 +30,14 @@ def test_a_tree_is_the_same_as_itself(tmp_path):
     done = same_bytes(SRC, SRC, tmp_path)
     assert done.returncode == 0, done.stderr
     assert done.stdout == "same  smoke_synthetic@0 (exit codes 0 0 0)\n"
+
+
+def test_a_missing_tree_names_it(tmp_path):
+    done = same_bytes(SRC, tmp_path / "empty", tmp_path)
+    assert done.returncode == 1
+    assert done.stderr.startswith(
+        f"{(tmp_path / 'empty').resolve()}: holds no sdae_ivs package (")
+    assert done.stdout == ""
 
 
 def test_a_tree_is_the_same_as_itself_on_a_rejected_config(tmp_path):

@@ -1,5 +1,6 @@
 """Self-test of tools/step_costs.py at tiny sizes: one round of a tree
-against itself prints a line per case and writes every round's costs."""
+against itself prints a line per case and writes every round's costs, and
+a tree that holds no package is named before the first round."""
 
 import json
 import subprocess
@@ -9,8 +10,8 @@ from pathlib import Path
 REPO = Path(__file__).resolve().parent.parent
 TOOL = REPO / "tools" / "step_costs.py"
 SRC = REPO / "src"
-CASES = ["mlr 5x100", "mlr 10x784", "dae 40x100", "dae 100x784",
-         "fine_tune 100-40-30-20-5"]
+CASES = ["mlr 5x100", "mlr 10x784", "mlr 32x784", "dae 40x100",
+         "dae 100x784", "fine_tune 100-40-30-20-5"]
 
 
 def test_a_tree_against_itself_reports_every_case(tmp_path):
@@ -36,4 +37,6 @@ def test_a_missing_tree_names_it(tmp_path):
         [sys.executable, TOOL, SRC, tmp_path, "--rounds", "1", "--rows", "8",
          "--epochs", "1"], capture_output=True, text=True)
     assert done.returncode == 1
-    assert done.stderr.startswith(f"{tmp_path.resolve()}: ")
+    # The tree is checked before the first round.
+    assert done.stderr.startswith(
+        f"{tmp_path.resolve()}: holds no sdae_ivs package (")

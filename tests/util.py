@@ -126,11 +126,12 @@ def discriminant(m: MlrModel, i: int, j: int, x: np.ndarray) -> float:
                  / np.linalg.norm(diff))
 
 
-def chain_step(model, batch=1, learning_rate=None):
+def chain_step(model, batch=1, learning_rate=0.1):
     """chain.gradient of model's layers as its trainer builds them, (grads,
-    pending): an MlrModel's softmax layer, a DaeModel's encoder under its
-    tied sigmoid decoder, fed (x_in, x_clean), or a StackModel's encoders
-    under its top, fed the rows compacted through its mask."""
+    pending), for steps of at most batch rows at learning_rate: an
+    MlrModel's softmax layer, a DaeModel's encoder under its tied sigmoid
+    decoder, fed (x_in, x_clean), or a StackModel's encoders under its top,
+    fed the rows compacted through its mask."""
     if isinstance(model, MlrModel):
         return gradient([(model.weights, model.biases, False)], softmax,
                         batch, learning_rate)
@@ -365,6 +366,9 @@ def masked_fine_tune(layers, top, train, valid, cfg, rng):
     arrays = [a for _, dae in layers for a in (dae.weights, dae.encoder_bias)] \
         + [top.weights, top.biases]
     params, views = pack(*arrays)
+    # The gradient buffer is laid out like params, whose wide matrices
+    # lead it.
+    grad, grad_views = pack(*arrays)
     tuned = [(mask, DaeModel(w, b, dae.decoder_bias))
              for (mask, dae), w, b in zip(layers, views[:-2:2], views[1:-2:2])]
     tuned_top = MlrModel(*views[-2:])
@@ -373,9 +377,14 @@ def masked_fine_tune(layers, top, train, valid, cfg, rng):
         logits = masked_stack_logits(tuned, tuned_top, valid.x)
         return float(np.mean(np.argmax(logits, axis=1) + 1 != valid.labels))
 
-    sgd("fine-tuning", params,
-        lambda xb, yb: flatten(masked_stack_grads(tuned, tuned_top, xb, yb)),
-        cfg.learning_rate, (train.x, train.labels), cfg.max_epochs, rng,
+    def step(xb, yb):
+        for view, g in zip(grad_views,
+                           masked_stack_grads(tuned, tuned_top, xb, yb)):
+            view[...] = g
+        return grad
+
+    sgd("fine-tuning", params, step, cfg.learning_rate,
+        (train.x, train.labels), cfg.max_epochs, rng,
         batch=cfg.minibatch_size, score=score, patience=cfg.patience)
     return tuned, tuned_top
 

@@ -4,9 +4,11 @@
                                [--work DIR]
 
 PARENT_SRC and CHANGE_SRC are directories that hold the ``sdae_ivs``
-package, such as the ``src/`` of two checkouts. For each case, each tree
-runs ``run``, ``eval`` and ``ivs``, each verb in a fresh process with one
-BLAS thread and no bytecode written. The cases are every ``configs/*.ini``
+package, such as the ``src/`` of two checkouts; a tree that holds none,
+or whose process imports another copy, is named before the first case.
+For each case, each tree runs ``run``, ``eval`` and ``ivs``, each verb in
+a fresh process with one BLAS thread and no bytecode written
+(``tools/trees.py``). The cases are every ``configs/*.ini``
 whose data files are present, at master seeds 0 and 7, and the config of
 each benchmark workload, written by ``perfbench.workloads.prepare`` with
 PARENT_SRC's program, at master seeds 100 and 101. Each ``reject/S.K``
@@ -45,7 +47,6 @@ from __future__ import annotations
 import argparse
 import configparser
 import fnmatch
-import os
 import shutil
 import subprocess
 import sys
@@ -56,6 +57,7 @@ REPO = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO))
 import numpy as np  # noqa: E402
 from perfbench.workloads import WORKLOADS, write_amat  # noqa: E402
+from tools.trees import check_import, tree_env  # noqa: E402
 
 CONFIG_SEEDS = (0, 7)
 WORKLOAD_SEEDS = (100, 101)
@@ -126,23 +128,6 @@ AMAT_SEED = 11
 PREPARE = ("import sys; from pathlib import Path; "
            "from perfbench.workloads import WORKLOADS, prepare; "
            "prepare(WORKLOADS[sys.argv[1]], int(sys.argv[2]), Path(sys.argv[3]))")
-
-
-def tree_env(src: Path) -> dict:
-    return dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1",
-                OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
-                MKL_NUM_THREADS="1")
-
-
-def check_import(src: Path) -> None:
-    """Exit 2 unless a process given src imports the program from it."""
-    found = subprocess.run(
-        [sys.executable, "-c", "import sdae_ivs; print(sdae_ivs.__file__)"],
-        cwd=REPO, env=tree_env(src), capture_output=True, text=True)
-    where = Path(found.stdout.strip() or ".").resolve()
-    if found.returncode or where.parent != (src / "sdae_ivs").resolve():
-        sys.exit(f"{src} holds no sdae_ivs package "
-                 f"(imported: {found.stdout.strip() or found.stderr.strip()})")
 
 
 def data_present(config: Path) -> bool:

@@ -4,15 +4,18 @@
                                [--rows N] [--epochs N] [--json PATH]
 
 PARENT_SRC and CHANGE_SRC are directories that hold the ``sdae_ivs``
-package, such as the ``src/`` of two checkouts. Each round runs one fresh
-process per tree, with one BLAS thread and no bytecode written, and the
-tree that runs first alternates between rounds. A process fits each case
-twice on seeded data, at batch 1, and times the second fit's process CPU;
-a case's cost is that CPU over the steps it took (epochs times rows), in
-microseconds, validation scoring included. The cases, through the
+package, such as the ``src/`` of two checkouts; a tree that holds none,
+or whose process imports another copy, is named before the first round.
+Each round runs one fresh process per tree, with one BLAS thread and no
+bytecode written (``tools/trees.py``), and the tree that runs first
+alternates between rounds. A process fits each case twice on seeded
+data, at batch 1, and times the second fit's process CPU; a case's cost
+is that CPU over the steps it took (epochs times rows), in microseconds,
+validation scoring included. The cases, through the
 trainers' own API, which both trees must share:
 
-- ``mlr KxM``: ``train_mlr`` of K classes over M float64 variables;
+- ``mlr KxM``: ``train_mlr`` of K classes over M float64 variables, on
+  each side of ``numerics.PENDING_SIZE``;
 - ``dae HxM``: ``train_dae`` of H hidden units over M float32 inputs;
 - ``fine_tune 100-40-30-20-5``: ``fine_tune`` of a float32 stack of
   those widths.
@@ -26,24 +29,21 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import statistics
 import subprocess
 import sys
 import time
 from pathlib import Path
 
-MLR_CASES = ((5, 100), (10, 784))
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
+from tools.trees import check_import, tree_env  # noqa: E402
+
+# 5 x 100 and 10 x 784 step eagerly, 32 x 784 through a Pending.
+MLR_CASES = ((5, 100), (10, 784), (32, 784))
 DAE_CASES = ((40, 100), (100, 784))
 STACK_WIDTHS = (100, 40, 30, 20, 5)
 VALID_ROWS = 20
 TREES = ("parent", "change")
-
-
-def tree_env(src: Path) -> dict:
-    return dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1",
-                OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
-                MKL_NUM_THREADS="1")
 
 
 def worker(rows: int, epochs: int) -> dict:
@@ -126,6 +126,8 @@ def main(argv=None) -> int:
         parser.error("PARENT_SRC and CHANGE_SRC are required")
     srcs = dict(zip(TREES, (args.parent_src.resolve(),
                             args.change_src.resolve())))
+    for src in srcs.values():
+        check_import(src)
     rounds = {tree: [] for tree in TREES}
     for i in range(args.rounds):
         for tree in TREES if i % 2 == 0 else TREES[::-1]:
